@@ -284,7 +284,7 @@ def _spectrum_of(phi: PolySymbol, alpha_cap: int, trunc: BasisTruncation | None)
     if phi.is_zero or phi.is_holomorphic:
         return [0.0], "holomorphic"
     t = trunc if trunc is not None else BasisTruncation(10, phi.dim)
-    w = eigenvalues(assemble(phi, t))
+    w = eigenvalues(assemble(phi.as_float(), t))
     return [float(x) for x in w], f"compression(N={t.degree_cap})"
 
 

@@ -24,7 +24,7 @@ from .boundary import (
     PredictedPoint,
 )
 from .core import enumerate_essential_spectrum, enumerate_spectrum, multiplicity_class
-from .galerkin import BasisTruncation, assemble, dump_matrix, eigenvalues
+from .galerkin import BasisTruncation, Exactness, assemble, dump_matrix, eigenvalues
 from .rational import CRat
 from .symbols import PolySymbol, SymbolParseError, parse_symbol
 from .verify import run_verify
@@ -170,9 +170,13 @@ def cmd_approx(args) -> int:
     cfg = _config_from(args)
     sym = _parse_or_fail(args.symbol, cfg.dim)
     trunc = BasisTruncation(cfg.degree_cap, sym.dim)
-    mat = assemble(sym, trunc, cfg.inner_cap)
+    mat = assemble(sym.as_float(), trunc, cfg.inner_cap)
     w = eigenvalues(mat)
+    exactness = Exactness.RATIONAL if sym.is_exact else Exactness.FLOAT
     if args.dump_matrix:
+        if sym.is_exact:
+            # dump format v1 stores the exact scaled Gram matrix for exact symbols
+            mat = assemble(sym, trunc, cfg.inner_cap)
         with open(args.dump_matrix, "w") as fh:
             dump_matrix(mat, fh)
     obj = {
@@ -182,7 +186,7 @@ def cmd_approx(args) -> int:
         "degree_cap": cfg.degree_cap,
         "inner_caps": list(mat.inner_caps),
         "basis_size": mat.size,
-        "exactness": mat.exactness.value,
+        "exactness": exactness.value,
         "note": f"compression spectrum at N={cfg.degree_cap}; approximates the operator spectrum",
         "eigenvalues": [float(x) for x in w],
     }
@@ -242,6 +246,8 @@ def cmd_boundary(args) -> int:
     if not 1 <= coord <= sym.dim:
         raise _UsageError(f"--coord must lie in 1..{sym.dim}")
     trunc = BasisTruncation(cfg.degree_cap, sym.dim)
+    mat = assemble(sym.as_float(), trunc, cfg.inner_cap)
+    w = [float(x) for x in eigenvalues(mat)]
     profile = slice_norm_profile(sym, coord, cfg.samples, trunc)
 
     factored = _factor_across(sym, coord)
@@ -265,8 +271,6 @@ def cmd_boundary(args) -> int:
             )
         prediction_source = "slice-profile"
 
-    mat = assemble(sym, trunc, cfg.inner_cap)
-    w = [float(x) for x in eigenvalues(mat)]
     report = containment_report(prediction, w, cfg.tol)
     obj = {
         "command": "boundary",

@@ -11,7 +11,9 @@ covers N plus the symbol degree.  Exact symbols are carried as the scaled Gram
 matrix  g[a][b] = <H z^a, H z^b> / pi^n  (Gaussian-rational, Hermitian) plus the
 integer weights w_a = prod(alpha_k + 1); the orthonormal entry is
 g[a][b] * sqrt(w_a w_b), so diagonal entries are exactly rational while
-off-diagonal entries generally carry a square-root factor.
+off-diagonal entries generally carry a square-root factor.  Float symbols are
+assembled directly in the orthonormal basis by a vectorised kernel; callers that
+only need floats pass a float copy of an exact symbol (PolySymbol.as_float).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -81,6 +83,17 @@ class BasisTruncation:
     def index_of(self) -> dict[MultiIndex, int]:
         return {a: i for i, a in enumerate(self.indices)}
 
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """Graded-lex position of every multi-index: positions[alpha] == index_of[alpha]."""
+        shape = (self.degree_cap + 1,) * self.dim
+        grid = np.indices(shape).reshape(self.dim, -1)
+        # lexsort's last key is the primary one: total degree, then alpha_1, alpha_2, ...
+        order = np.lexsort(tuple(grid[::-1]) + (grid.sum(axis=0),))
+        pos = np.empty(order.size, dtype=np.intp)
+        pos[order] = np.arange(order.size)
+        return pos.reshape(shape)
+
     @property
     def size(self) -> int:
         return (self.degree_cap + 1) ** self.dim
@@ -107,7 +120,7 @@ def _inner_factor(total: int) -> Fraction:
     return Fraction(2, total + 2)
 
 
-def _projection_map(sym: PolySymbol, alpha: MultiIndex, inner_caps, exact: bool) -> dict:
+def _projection_map(sym: PolySymbol, alpha: MultiIndex, inner_caps) -> dict:
     """gamma -> <psi z^alpha, z^gamma>/pi^n over the lattice points reached by psi."""
     out: dict[MultiIndex, object] = {}
     for c, n, m in sym.terms:
@@ -121,8 +134,7 @@ def _projection_map(sym: PolySymbol, alpha: MultiIndex, inner_caps, exact: bool)
         val = Fraction(1)
         for a, nk, mk, g in zip(alpha, n, m, gamma):
             val *= _inner_factor(a + nk + mk + g)
-        contrib = c * val if exact else complex(c * val)
-        out[gamma] = out.get(gamma, CR_ZERO if exact else 0j) + contrib
+        out[gamma] = out.get(gamma, CR_ZERO) + c * val
     return out
 
 
@@ -136,25 +148,22 @@ def _pair_offsets(sym: PolySymbol) -> dict[tuple[int, ...], list]:
     return offsets
 
 
-def _first_term(pairs, alpha, beta, exact: bool):
-    total = CR_ZERO if exact else 0j
+def _first_term(pairs, alpha, beta):
+    total = CR_ZERO
     for cs, ns, ms, ct, nt, mt in pairs:
         val = Fraction(1)
         for a, nsk, msk, b, ntk, mtk in zip(alpha, ns, ms, beta, nt, mt):
             val *= _inner_factor(a + nsk + msk + b + ntk + mtk)
-        contrib = cs * ct.conjugate() * val
-        total = total + (contrib if exact else complex(contrib))
+        total = total + cs * ct.conjugate() * val
     return total
 
 
-def _second_term(pa: dict, pb: dict, exact: bool):
-    total = CR_ZERO if exact else 0j
+def _second_term(pa: dict, pb: dict):
+    total = CR_ZERO
     small, big = (pa, pb) if len(pa) <= len(pb) else (pb, pa)
     for gamma in small:
         if gamma in big:
-            w = weight(gamma)
-            contrib = pa[gamma] * pb[gamma].conjugate() * w
-            total = total + contrib
+            total = total + pa[gamma] * pb[gamma].conjugate() * weight(gamma)
     return total
 
 
@@ -163,13 +172,12 @@ def scaled_gram_entry(sym: PolySymbol, alpha, beta, inner_cap=None):
     alpha = as_multiindex(alpha, dim=sym.dim, name="alpha")
     beta = as_multiindex(beta, dim=sym.dim, name="beta")
     caps = _normalize_inner_caps(sym, BasisTruncation(max(max(alpha), max(beta)), sym.dim), inner_cap)
-    exact = sym.is_exact
-    pairs_by_offset = _pair_offsets(sym)
     delta = tuple(b - a for a, b in zip(alpha, beta))
-    first = _first_term(pairs_by_offset.get(delta, []), alpha, beta, exact)
-    pa = _projection_map(sym, alpha, caps, exact)
-    pb = _projection_map(sym, beta, caps, exact)
-    return first - _second_term(pa, pb, exact)
+    first = _first_term(_pair_offsets(sym).get(delta, []), alpha, beta)
+    pa = _projection_map(sym, alpha, caps)
+    pb = _projection_map(sym, beta, caps)
+    val = first - _second_term(pa, pb)
+    return val if sym.is_exact else complex(val)
 
 
 def hankel_gram_entry(sym: PolySymbol, alpha, beta, inner_cap=None):
@@ -247,8 +255,11 @@ def _symbol_hash(sym: PolySymbol | None) -> str:
 def assemble(sym: PolySymbol, trunc: BasisTruncation, inner_cap=None) -> CompressionMatrix:
     """Assemble the Hermitian compression matrix of H*_psi H_psi.
 
-    For a unit-coefficient monomial symbol the result is exactly diagonal with
-    the closed-form spectrum values on the diagonal.
+    Exact symbols take the Gaussian-rational reference path, which also keeps
+    the scaled Gram matrix; float symbols take the vectorised float kernel.
+    Callers that only need floats pass sym.as_float().  For a unit-coefficient
+    monomial symbol the exact result is diagonal with the closed-form spectrum
+    values on the diagonal.
     """
     if sym.dim != trunc.dim:
         raise ValueError(f"symbol dim {sym.dim} != truncation dim {trunc.dim}")
@@ -256,41 +267,10 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation, inner_cap=None) -> Compres
         raise ValueError(f"basis size {trunc.size} exceeds guard {MAX_BASIS_SIZE}")
     caps = _normalize_inner_caps(sym, trunc, inner_cap)
     exact = sym.is_exact
-    indices = trunc.indices
-    index_of = trunc.index_of
-    size = trunc.size
-    n_cap = trunc.degree_cap
-
-    proj = [_projection_map(sym, a, caps, exact) for a in indices]
-    offsets = _pair_offsets(sym)
-    weights_sqrt = np.array([math.sqrt(weight(a)) for a in indices])
-
-    dense = np.zeros((size, size), dtype=complex)
-    rows = [[CR_ZERO] * size for _ in range(size)] if exact else None
-
-    for i, alpha in enumerate(indices):
-        for delta, pairs in offsets.items():
-            beta = add(alpha, delta)
-            if not all(0 <= b <= n_cap for b in beta):
-                continue
-            j = index_of[beta]
-            val = _first_term(pairs, alpha, beta, exact) - _second_term(proj[i], proj[j], exact)
-            if exact:
-                rows[i][j] = val
-            dense[i, j] = complex(val) * weights_sqrt[i] * weights_sqrt[j]
-
     if exact:
-        for i in range(size):
-            for j in range(i + 1, size):
-                a, b = rows[i][j], rows[j][i]
-                if a is CR_ZERO and b is CR_ZERO:
-                    continue
-                if b != a.conjugate():  # pragma: no cover
-                    raise AssertionError("exact assembly lost Hermitian symmetry")
-        scaled = tuple(tuple(r) for r in rows)
+        dense, scaled = _exact_compression(sym, trunc, caps)
     else:
-        scaled = None
-
+        dense, scaled = _float_compression(sym, trunc, caps), None
     return CompressionMatrix(
         symbol=sym,
         trunc=trunc,
@@ -300,6 +280,105 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation, inner_cap=None) -> Compres
         scaled=scaled,
         symbol_hash=_symbol_hash(sym),
     )
+
+
+def _exact_compression(sym: PolySymbol, trunc: BasisTruncation, caps):
+    """(dense, scaled) from the Gaussian-rational scaled Gram matrix, entry by entry."""
+    indices = trunc.indices
+    index_of = trunc.index_of
+    size = trunc.size
+    n_cap = trunc.degree_cap
+
+    proj = [_projection_map(sym, a, caps) for a in indices]
+    offsets = _pair_offsets(sym)
+    weights_sqrt = np.array([math.sqrt(weight(a)) for a in indices])
+
+    dense = np.zeros((size, size), dtype=complex)
+    rows = [[CR_ZERO] * size for _ in range(size)]
+
+    for i, alpha in enumerate(indices):
+        for delta, pairs in offsets.items():
+            beta = add(alpha, delta)
+            if not all(0 <= b <= n_cap for b in beta):
+                continue
+            j = index_of[beta]
+            val = _first_term(pairs, alpha, beta) - _second_term(proj[i], proj[j])
+            rows[i][j] = val
+            dense[i, j] = complex(val) * weights_sqrt[i] * weights_sqrt[j]
+
+    for i in range(size):
+        for j in range(i + 1, size):
+            a, b = rows[i][j], rows[j][i]
+            if a is CR_ZERO and b is CR_ZERO:
+                continue
+            if b != a.conjugate():  # pragma: no cover
+                raise AssertionError("exact assembly lost Hermitian symmetry")
+    return dense, tuple(tuple(r) for r in rows)
+
+
+def _check_inner_caps(sym: PolySymbol, n_cap: int, caps) -> None:
+    """Raise InnerCapError if some basis index alpha projects past the caps.
+
+    Term k = n - m reaches gamma = alpha + k >= 0 for alpha_j in
+    [max(0, -k_j), N], so its largest target is N + k wherever that range
+    is non-empty in every coordinate.
+    """
+    for _, n, m in sym.terms:
+        k = [nj - mj for nj, mj in zip(n, m)]
+        if any(-kj > n_cap for kj in k):
+            continue
+        for j, cap in enumerate(caps):
+            if n_cap + k[j] > cap:
+                gamma = [max(0, ki) for ki in k]
+                gamma[j] = max(gamma[j], cap + 1)
+                raise InnerCapError(
+                    f"projection target {tuple(gamma)} exceeds inner cap {tuple(caps)}"
+                )
+
+
+def _float_compression(sym: PolySymbol, trunc: BasisTruncation, caps) -> np.ndarray:
+    """Orthonormal-basis compression of a float symbol, vectorised over the basis.
+
+    Ordered term pairs (s, t) with winding offset d = k_s - k_t (k = n - m)
+    couple alpha to beta = alpha + d.  With gamma = alpha + k_s = beta + k_t,
+    each coordinate j contributes to c_s conj(c_t) times
+
+        first:  2/(a_j+b_j+n_sj+m_sj+n_tj+m_tj+2) = 1/(gamma_j+m_sj+m_tj+1)
+        second: v_s(alpha) v_t(beta) w(gamma)
+                = (gamma_j+1) / ((gamma_j+m_sj+1)(gamma_j+m_tj+1)),  if gamma >= 0
+
+    and the entry is (prod first - prod second) * sqrt(w_a w_b).  Each factor
+    is one rounded integer division, so rationals that cancel exactly (e.g.
+    for holomorphic symbols) cancel exactly here too.  Coefficients too large
+    for floats leave inf/nan entries, which eigenvalues() rejects.
+    """
+    n_cap = trunc.degree_cap
+    _check_inner_caps(sym, n_cap, caps)
+    positions = trunc.positions
+    dense = np.zeros((trunc.size, trunc.size), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for delta, pairs in _pair_offsets(sym).items():
+            # alpha and beta = alpha + delta both in [0, N] per coordinate
+            lo = [max(0, -d) for d in delta]
+            hi = [min(n_cap, n_cap - d) for d in delta]
+            if any(a > b for a, b in zip(lo, hi)):
+                continue
+            alphas = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+            roots = [np.sqrt((a + 1.0) * (a + d + 1.0)) for a, d in zip(alphas, delta)]
+            block = 0
+            for cs, ns, ms, ct, nt, mt in pairs:
+                first, second = [], []
+                for a, root, nsj, msj, mtj in zip(alphas, roots, ns, ms, mt):
+                    gamma = a + (nsj - msj)
+                    first.append(root * (1.0 / (gamma + msj + mtj + 1)))
+                    proj = (gamma + 1) / ((gamma + msj + 1) * (gamma + mtj + 1))
+                    second.append(root * np.where(gamma >= 0, proj, 0.0))
+                outer = reduce(np.multiply.outer, first) - reduce(np.multiply.outer, second)
+                block = block + complex(cs) * complex(ct).conjugate() * outer
+            rows = positions[tuple(slice(a, b + 1) for a, b in zip(lo, hi))]
+            cols = positions[tuple(slice(a + d, b + d + 1) for a, b, d in zip(lo, hi, delta))]
+            dense[rows, cols] = block
+    return dense
 
 
 def _toeplitz_map(phi: PolySymbol, in_indices, out_index_of, exact: bool) -> list[list]:
@@ -392,10 +471,16 @@ def matrices_equal(m1: CompressionMatrix, m2: CompressionMatrix) -> bool:
 def eigenvalues(mat: CompressionMatrix) -> np.ndarray:
     """All eigenvalues of the compression, ascending.
 
-    Verifies Hermiticity (to 1e-13 relative) and the PSD floor (>= -1e-10)
-    before returning; the solve itself is LAPACK's Hermitian eigensolver.
+    Rejects non-finite entries, verifies Hermiticity (to 1e-13 relative) and
+    the PSD floor (>= -1e-10) before returning; the solve itself is LAPACK's
+    Hermitian eigensolver.
     """
     h = mat.dense
+    if not np.all(np.isfinite(h)):
+        what = mat.symbol if mat.symbol is not None else f"dumped symbol {mat.symbol_hash}"
+        raise ValueError(
+            f"compression of {what} has non-finite entries; coefficients too large for floats?"
+        )
     scale = max(1.0, mat.scale())
     defect = mat.hermiticity_defect()
     if defect > HERMITICITY_TOL * scale:

@@ -12,6 +12,7 @@ parentheses, e.g. "zb1*(zb2+1)".
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -107,6 +108,24 @@ class PolySymbol:
     def is_plain_monomial(self) -> bool:
         """True when the symbol is exactly one term z^n zbar^m with coefficient 1."""
         return len(self.terms) == 1 and self.terms[0][0] == CRat(1)
+
+    def as_float(self) -> "PolySymbol":
+        """The same symbol with complex-float coefficients.
+
+        The Galerkin assembly takes its vectorised float path for such a
+        symbol; callers that print only floats use this copy.
+        """
+        if all(isinstance(c, complex) for c, _, _ in self.terms):
+            return self
+        terms = []
+        for c, h, a in self.terms:
+            try:
+                terms.append((complex(c), h, a))
+            except OverflowError:
+                raise ValueError(
+                    f"coefficient of {_monomial_str(h, a) or '1'} is too large for a float"
+                ) from None
+        return PolySymbol(terms, dim=self.dim)
 
     def to_monomial_symbol(self) -> MonomialSymbol:
         if not self.is_plain_monomial:
@@ -267,27 +286,73 @@ class PolySymbol:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "PolySymbol":
-        dim = int(obj["dim"])
+    def from_json_obj(cls, obj) -> "PolySymbol":
+        """Inverse of to_json_obj; malformed input raises SymbolParseError.
+
+        Coefficient parts are "num/den" strings or integers (exact), or finite
+        floats (which make the symbol inexact).
+        """
+        if not isinstance(obj, dict):
+            raise SymbolParseError("JSON symbol must be an object")
+        if "dim" not in obj:
+            raise SymbolParseError('JSON symbol is missing "dim"')
+        dim = _json_int(obj["dim"], '"dim"')
+        raw_terms = obj.get("terms", [])
+        if not isinstance(raw_terms, list):
+            raise SymbolParseError('"terms" must be a list')
         terms = []
-        for t in obj.get("terms", []):
-            re_part, im_part = t["coeff"]
-            re_v = _dec_part(re_part)
-            im_v = _dec_part(im_part)
+        for i, t in enumerate(raw_terms):
+            where = f"term {i}"
+            if not isinstance(t, dict):
+                raise SymbolParseError(f"{where} must be an object")
+            for key in ("coeff", "holo", "antiholo"):
+                if key not in t:
+                    raise SymbolParseError(f'{where} is missing "{key}"')
+            coeff = t["coeff"]
+            if not (isinstance(coeff, list) and len(coeff) == 2):
+                raise SymbolParseError(f'{where}: "coeff" must be a [re, im] pair')
+            re_v, im_v = (_dec_part(p, where) for p in coeff)
             if isinstance(re_v, Fraction) and isinstance(im_v, Fraction):
-                coeff = CRat(re_v, im_v)
+                c = CRat(re_v, im_v)
             else:
-                coeff = complex(float(re_v), float(im_v))
-            terms.append((coeff, tuple(t["holo"]), tuple(t["antiholo"])))
-        return cls(terms, dim=dim)
+                c = complex(float(re_v), float(im_v))
+            holo = _json_exponents(t["holo"], f'{where}: "holo"')
+            antiholo = _json_exponents(t["antiholo"], f'{where}: "antiholo"')
+            terms.append((c, holo, antiholo))
+        try:
+            return cls(terms, dim=dim)
+        except ValueError as exc:
+            raise SymbolParseError(str(exc)) from exc
 
 
-def _dec_part(p):
+def _json_int(v, what: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise SymbolParseError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def _json_exponents(v, what: str) -> tuple[int, ...]:
+    if not isinstance(v, list):
+        raise SymbolParseError(f"{what} must be a list of integers, got {v!r}")
+    return tuple(_json_int(e, what + " entry") for e in v)
+
+
+def _dec_part(p, where: str):
+    """One coefficient part: a Fraction for strings and ints, else a finite float."""
     if isinstance(p, str):
-        return Fraction(p)
+        try:
+            return Fraction(p)
+        except (ValueError, ZeroDivisionError):
+            raise SymbolParseError(f"{where}: bad coefficient part {p!r}") from None
+    if isinstance(p, bool):
+        raise SymbolParseError(f"{where}: bad coefficient part {p!r}")
     if isinstance(p, int):
         return Fraction(p)
-    return float(p)
+    if isinstance(p, float):
+        if not math.isfinite(p):
+            raise SymbolParseError(f"{where}: non-finite coefficient part {p!r}")
+        return p
+    raise SymbolParseError(f"{where}: bad coefficient part {p!r}")
 
 
 def _frac_str(v: Fraction) -> str:
@@ -464,8 +529,17 @@ def parse_symbol(text: str, dim: int | None = None) -> PolySymbol:
     if stripped.startswith("{"):
         import json
 
-        sym = PolySymbol.from_json_obj(json.loads(stripped))
-        return sym.padded(dim) if dim is not None else sym
+        try:
+            obj = json.loads(stripped)
+        except ValueError as exc:
+            raise SymbolParseError(f"invalid JSON symbol: {exc}") from None
+        sym = PolySymbol.from_json_obj(obj)
+        if dim is None:
+            return sym
+        try:
+            return sym.padded(dim)
+        except ValueError as exc:
+            raise SymbolParseError(str(exc)) from None
     tokens = _tokenize(stripped)
     if not tokens:
         raise SymbolParseError("empty symbol expression")

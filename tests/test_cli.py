@@ -183,3 +183,105 @@ def test_usage_error_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+
+
+def test_float_commands_skip_exact_assembly(capsys, monkeypatch, tmp_path):
+    import numpy as np
+
+    import hankel_spectra.galerkin as galerkin_mod
+    from hankel_spectra import BasisTruncation, assemble, parse_symbol
+
+    expr = "(1/2+i)*zb1*(zb2+1) - 3/4*z1*zb2"
+    approx = ["approx", expr, "--degree", "5"]
+    dump = tmp_path / "mat.txt"
+    _, with_dump = run_cli(capsys, *approx, "--dump-matrix", str(dump))
+
+    def refuse(*args):
+        raise AssertionError("Gaussian-rational assembly entered")
+
+    monkeypatch.setattr(galerkin_mod, "_exact_compression", refuse)
+    code, without_dump = run_cli(capsys, *approx)
+    assert code == 0 and without_dump == with_dump
+    assert json.loads(without_dump)["exactness"] == "rational"
+    # phi = zb1 + z1 is not a monomial, so the prediction needs its compression too
+    code, out = run_cli(
+        capsys, "boundary", "(zb1+z1)*(zb2+1)", "--coord", "2",
+        "--degree", "4", "--samples", "8",
+    )
+    assert code == 0
+    sources = {iv["source"] for iv in json.loads(out)["prediction"]["intervals"]}
+    assert sources == {"compression(N=4)"}
+    monkeypatch.undo()
+
+    with open(dump) as fh:
+        assert fh.readline().split()[-1] == "exact=1"
+        fh.seek(0)
+        back = galerkin_mod.load_matrix(fh)
+    ref = assemble(parse_symbol(expr), BasisTruncation(5, 2))
+    assert back.scaled == ref.scaled and np.array_equal(back.dense, ref.dense)
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        '{"coeff": [1, 0], "antiholo": [1]}',
+        '{"holo": [0], "antiholo": [1]}',
+        '{"coeff": [1, 0], "holo": [0]}',
+        '{"coeff": 1, "holo": [0], "antiholo": [1]}',
+        '{"coeff": [1], "holo": [0], "antiholo": [1]}',
+        '{"coeff": [null, 0], "holo": [0], "antiholo": [1]}',
+        '{"coeff": ["1/0", 0], "holo": [0], "antiholo": [1]}',
+        '{"coeff": ["x", 0], "holo": [0], "antiholo": [1]}',
+        '{"coeff": [true, 0], "holo": [0], "antiholo": [1]}',
+        '{"coeff": [1, 0], "holo": 0, "antiholo": [1]}',
+        '{"coeff": [1, 0], "holo": "0", "antiholo": [1]}',
+        '{"coeff": [1, 0], "holo": [0.5], "antiholo": [1]}',
+        '{"coeff": [1, 0], "holo": [0], "antiholo": [-1]}',
+        '{"coeff": [1, 0], "holo": [0, 0], "antiholo": [1]}',
+        '[1, 0]',
+    ],
+)
+def test_malformed_json_symbol_exits_2(capsys, term):
+    symbol = '{"dim": 1, "terms": [%s]}' % term
+    assert main(["approx", symbol, "--degree", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "symbol",
+    [
+        '{"terms": []}',
+        '{"dim": "2", "terms": []}',
+        '{"dim": 1, "terms": {}}',
+        '{"dim": 1, "terms": [{"coeff": [1, 0], "holo": [0], "antiholo": [1]}]',
+    ],
+)
+def test_malformed_json_envelope_exits_2(capsys, symbol):
+    assert main(["approx", symbol, "--degree", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, coeff, message",
+    [
+        ("approx", "NaN", "non-finite coefficient"),
+        ("approx", "-Infinity", "non-finite coefficient"),
+        ("approx", "1e200", "non-finite entries"),
+        ("boundary", "1e200", "non-finite entries"),
+    ],
+)
+def test_non_finite_input_exits_2(capsys, command, coeff, message):
+    symbol = (
+        '{"dim": 2, "terms": [{"coeff": [%s, 0], "holo": [0, 0], "antiholo": [1, 1]}]}' % coeff
+    )
+    assert main([command, symbol, "--degree", "3", "--samples", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_coefficient_too_large_for_float_exits_2(capsys):
+    assert main(["approx", "10^400*zb1", "--degree", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: coefficient of zb1 is too large for a float\n"

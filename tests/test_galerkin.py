@@ -261,3 +261,14 @@ def test_gram_entry_complex_coefficient_orientation():
     exact_m = assemble(sym, trunc)
     float_m = assemble(sym * (1.0 + 0.0j), trunc)
     assert np.max(np.abs(exact_m.dense - float_m.dense)) < 1e-15
+
+
+def test_eigenvalues_rejects_non_finite_matrix():
+    import dataclasses
+
+    mat = assemble(parse_symbol("zb1*(zb2+1)") * (0.5 + 0j), BasisTruncation(2, 2))
+    for bad in (math.nan, math.inf):
+        dense = mat.dense.copy()
+        dense[1, 1] = bad  # NaN passes the Hermiticity guard: NaN > tol is false
+        with pytest.raises(ValueError, match="non-finite entries"):
+            eigenvalues(dataclasses.replace(mat, dense=dense))
