@@ -18,8 +18,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,14 +47,6 @@ CONSTANCY_RTOL = 1e-8
 PROFILE_ZERO_FLOOR = 1e-12  # profiles below solver noise count as identically zero
 GOLDEN_TOL = 1e-12
 UNIT_MODULUS_TOL = 1e-14
-
-
-def worker_count() -> int:
-    """Parallelism cap from HANKEL_SPECTRA_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("HANKEL_SPECTRA_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -125,8 +115,6 @@ def slice_norm_profile(
     coord: int,
     num_samples: int,
     trunc: BasisTruncation,
-    *,
-    threads: int | None = None,
 ) -> SliceNormProfile:
     """Sample lambda_q over q = e^{2 pi i j / num_samples}.
 
@@ -148,12 +136,7 @@ def slice_norm_profile(
         w = eigenvalues(assemble(sliced, slice_trunc))
         return float(w[-1])
 
-    n_workers = worker_count() if threads is None else max(1, threads)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            values = list(pool.map(top, thetas))
-    else:
-        values = [top(t) for t in thetas]
+    values = [top(t) for t in thetas]
 
     vmax = max(values)
     vmin = min(values)

@@ -39,7 +39,6 @@ class RunConfig:
     alpha_cap: int = 6
     degree_cap: int = 8
     inner_cap: int | None = None
-    nodes: int = 64
     samples: int = 256
     tol: float = 1e-9
     coord: int | None = None
@@ -54,8 +53,6 @@ class RunConfig:
             raise ValueError("tol must lie in (0, 1)")
         if self.samples < 4:
             raise ValueError("samples must be >= 4")
-        if self.nodes < 1:
-            raise ValueError("nodes must be >= 1")
 
 
 def _config_from(args) -> RunConfig:
@@ -63,7 +60,6 @@ def _config_from(args) -> RunConfig:
         alpha_cap=args.cap,
         degree_cap=getattr(args, "degree", 8),
         inner_cap=getattr(args, "inner_cap", None),
-        nodes=args.nodes,
         samples=args.samples,
         tol=args.tol,
         coord=getattr(args, "coord", None),
@@ -312,10 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--inner-cap", type=int, default=None, dest="inner_cap")
         p.add_argument("--dim", type=int, default=None, help="force ambient dimension")
         p.add_argument("--samples", type=int, default=256, help="boundary circle samples")
-        p.add_argument(
-            "--nodes", type=int, default=64,
-            help="Gauss-Legendre nodes (radial-quadrature paths in the library)",
-        )
         p.add_argument("--tol", type=float, default=1e-9, help="matching tolerance")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")

@@ -165,6 +165,7 @@ class SpectrumSet:
 
 
 def _frac_str(v: Fraction) -> str:
+    # always "num/den", integers too: the "0/1" JSON values are pinned by tests and split on "/" by readers
     return f"{v.numerator}/{v.denominator}"
 
 

@@ -7,12 +7,13 @@ Entries are
     <H e_a, H e_b> = <psi e_a, psi e_b> - sum_gamma <psi e_a, e_gamma><e_gamma, psi e_b>
 
 with the projection sum exact for polynomial symbols once the intermediate cap
-covers N plus the symbol degree.  Exact symbols are carried as the scaled Gram
-matrix  g[a][b] = <H z^a, H z^b> / pi^n  (Gaussian-rational, Hermitian) plus the
-integer weights w_a = prod(alpha_k + 1); the orthonormal entry is
-g[a][b] * sqrt(w_a w_b), so diagonal entries are exactly rational while
-off-diagonal entries generally carry a square-root factor.  Float symbols are
-assembled directly in the orthonormal basis by a vectorised kernel; callers that
+covers N plus the symbol degree.  One vectorised kernel (_gram_block) computes
+the scaled Gram matrix  g[a][b] = <H z^a, H z^b> / pi^n  one winding-offset
+block at a time; the orthonormal entry is g[a][b] * sqrt(w_a w_b) with the
+integer weights w_a = prod(alpha_k + 1), so diagonal entries are rational while
+off-diagonal entries generally carry a square-root factor.  The arithmetic
+follows the symbol: exact symbols run the kernel on Fractions and keep g
+(Gaussian-rational, Hermitian), float symbols run it on float64.  Callers that
 only need floats pass a float copy of an exact symbol (PolySymbol.as_float).
 """
 
@@ -28,7 +29,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .multiindex import MultiIndex, add, as_multiindex, graded_lex_box, is_nonnegative, weight
+from .multiindex import MultiIndex, as_multiindex, graded_lex_box, is_nonnegative, weight
 from .rational import CRat, CR_ZERO
 from .symbols import PolySymbol
 
@@ -94,6 +95,15 @@ class BasisTruncation:
         pos[order] = np.arange(order.size)
         return pos.reshape(shape)
 
+    @cached_property
+    def weights_sqrt(self) -> np.ndarray:
+        """sqrt(w_alpha) = sqrt(prod(alpha_k + 1)) for every basis index, graded-lex ordered."""
+        shape = (self.degree_cap + 1,) * self.dim
+        grid = np.indices(shape).reshape(self.dim, -1)
+        w = np.empty(grid.shape[1])
+        w[self.positions.ravel()] = np.sqrt(np.prod(grid + 1.0, axis=0))
+        return w
+
     @property
     def size(self) -> int:
         return (self.degree_cap + 1) ** self.dim
@@ -120,24 +130,6 @@ def _inner_factor(total: int) -> Fraction:
     return Fraction(2, total + 2)
 
 
-def _projection_map(sym: PolySymbol, alpha: MultiIndex, inner_caps) -> dict:
-    """gamma -> <psi z^alpha, z^gamma>/pi^n over the lattice points reached by psi."""
-    out: dict[MultiIndex, object] = {}
-    for c, n, m in sym.terms:
-        gamma = tuple(a + nk - mk for a, nk, mk in zip(alpha, n, m))
-        if not is_nonnegative(gamma):
-            continue
-        if any(g > cap for g, cap in zip(gamma, inner_caps)):
-            raise InnerCapError(
-                f"projection target {gamma} exceeds inner cap {tuple(inner_caps)}"
-            )
-        val = Fraction(1)
-        for a, nk, mk, g in zip(alpha, n, m, gamma):
-            val *= _inner_factor(a + nk + mk + g)
-        out[gamma] = out.get(gamma, CR_ZERO) + c * val
-    return out
-
-
 def _pair_offsets(sym: PolySymbol) -> dict[tuple[int, ...], list]:
     """Group term pairs (s, t) by the column offset beta - alpha they couple."""
     offsets: dict[tuple[int, ...], list] = {}
@@ -148,23 +140,59 @@ def _pair_offsets(sym: PolySymbol) -> dict[tuple[int, ...], list]:
     return offsets
 
 
-def _first_term(pairs, alpha, beta):
-    total = CR_ZERO
+def _check_inner_caps(sym: PolySymbol, top, caps) -> None:
+    """Raise InnerCapError if some alpha in the box [0, top] projects past the caps.
+
+    Term k = n - m reaches gamma = alpha + k >= 0 for alpha_j in
+    [max(0, -k_j), top_j], so its largest target is top + k wherever that
+    range is non-empty in every coordinate.
+    """
+    for _, n, m in sym.terms:
+        gamma = tuple(t + nj - mj for t, nj, mj in zip(top, n, m))
+        if any(g < 0 for g in gamma):
+            continue
+        if any(g > cap for g, cap in zip(gamma, caps)):
+            raise InnerCapError(
+                f"projection target {gamma} exceeds inner cap {tuple(caps)}"
+            )
+
+
+def _exact_ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num/den as a Fraction object array: the kernel's factors for exact symbols."""
+    return np.array([Fraction(int(p), int(q)) for p, q in zip(num, den)], dtype=object)
+
+
+def _gram_block(pairs, lo, hi, exact: bool) -> np.ndarray:
+    """Scaled Gram block <H z^alpha, H z^(alpha+delta)>/pi^n over the box lo <= alpha <= hi.
+
+    pairs are the ordered term pairs (s, t) of one winding offset
+    delta = k_s - k_t (k = n - m).  With gamma = alpha + k_s = beta + k_t,
+    each coordinate j contributes to c_s conj(c_t) times
+
+        first:  2/(a_j+b_j+n_sj+m_sj+n_tj+m_tj+2) = 1/(gamma_j+m_sj+m_tj+1)
+        second: v_s(alpha) v_t(beta) w(gamma)
+                = (gamma_j+1) / ((gamma_j+m_sj+1)(gamma_j+m_tj+1)),  if gamma >= 0
+
+    and the entry is prod first - prod second.  Exact symbols get Fraction
+    factors and a CRat block; float symbols get float64 factors, each one
+    rounded integer division, so rationals that cancel exactly (e.g. for
+    holomorphic symbols) cancel exactly here too.
+    """
+    ratio = _exact_ratios if exact else np.true_divide
+    alphas = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+    block = 0
     for cs, ns, ms, ct, nt, mt in pairs:
-        val = Fraction(1)
-        for a, nsk, msk, b, ntk, mtk in zip(alpha, ns, ms, beta, nt, mt):
-            val *= _inner_factor(a + nsk + msk + b + ntk + mtk)
-        total = total + cs * ct.conjugate() * val
-    return total
-
-
-def _second_term(pa: dict, pb: dict):
-    total = CR_ZERO
-    small, big = (pa, pb) if len(pa) <= len(pb) else (pb, pa)
-    for gamma in small:
-        if gamma in big:
-            total = total + pa[gamma] * pb[gamma].conjugate() * weight(gamma)
-    return total
+        first, second = [], []
+        for a, nsj, msj, mtj in zip(alphas, ns, ms, mt):
+            gamma = a + (nsj - msj)
+            first.append(ratio(np.ones_like(gamma), gamma + msj + mtj + 1))
+            second.append(
+                ratio(np.where(gamma >= 0, gamma + 1, 0), (gamma + msj + 1) * (gamma + mtj + 1))
+            )
+        outer = reduce(np.multiply.outer, first) - reduce(np.multiply.outer, second)
+        coeff = cs * ct.conjugate() if exact else complex(cs) * complex(ct).conjugate()
+        block = block + coeff * outer
+    return block
 
 
 def scaled_gram_entry(sym: PolySymbol, alpha, beta, inner_cap=None):
@@ -172,12 +200,13 @@ def scaled_gram_entry(sym: PolySymbol, alpha, beta, inner_cap=None):
     alpha = as_multiindex(alpha, dim=sym.dim, name="alpha")
     beta = as_multiindex(beta, dim=sym.dim, name="beta")
     caps = _normalize_inner_caps(sym, BasisTruncation(max(max(alpha), max(beta)), sym.dim), inner_cap)
+    _check_inner_caps(sym, alpha, caps)
+    _check_inner_caps(sym, beta, caps)
     delta = tuple(b - a for a, b in zip(alpha, beta))
-    first = _first_term(_pair_offsets(sym).get(delta, []), alpha, beta)
-    pa = _projection_map(sym, alpha, caps)
-    pb = _projection_map(sym, beta, caps)
-    val = first - _second_term(pa, pb)
-    return val if sym.is_exact else complex(val)
+    pairs = _pair_offsets(sym).get(delta)
+    if pairs is None:
+        return CR_ZERO if sym.is_exact else 0j
+    return _gram_block(pairs, alpha, alpha, sym.is_exact).item()
 
 
 def hankel_gram_entry(sym: PolySymbol, alpha, beta, inner_cap=None):
@@ -220,15 +249,6 @@ class CompressionMatrix:
     def size(self) -> int:
         return self.dense.shape[0]
 
-    def entry(self, i: int, j: int) -> complex:
-        return complex(self.dense[i, j])
-
-    def exact_entry(self, i: int, j: int) -> CRat:
-        """Scaled Gram entry <H z^a, H z^b>/pi^n; exact path only."""
-        if self.scaled is None:
-            raise ValueError("matrix was assembled on the float path")
-        return self.scaled[i][j]
-
     def exact_diagonal(self) -> list[Fraction]:
         """Orthonormal diagonal <H e_a, H e_a>, exactly rational."""
         if self.scaled is None:
@@ -255,22 +275,46 @@ def _symbol_hash(sym: PolySymbol | None) -> str:
 def assemble(sym: PolySymbol, trunc: BasisTruncation, inner_cap=None) -> CompressionMatrix:
     """Assemble the Hermitian compression matrix of H*_psi H_psi.
 
-    Exact symbols take the Gaussian-rational reference path, which also keeps
-    the scaled Gram matrix; float symbols take the vectorised float kernel.
-    Callers that only need floats pass sym.as_float().  For a unit-coefficient
-    monomial symbol the exact result is diagonal with the closed-form spectrum
-    values on the diagonal.
+    One kernel (_gram_block) fills the matrix one winding-offset block at a
+    time, in the arithmetic of the symbol: exact symbols also keep the scaled
+    Gram matrix, float symbols leave scaled as None.  Callers that only need
+    floats pass sym.as_float().  For a unit-coefficient monomial symbol the
+    exact result is diagonal with the closed-form spectrum values on the
+    diagonal.  Coefficients too large for floats leave inf/nan entries in
+    dense, which eigenvalues() rejects.
     """
     if sym.dim != trunc.dim:
         raise ValueError(f"symbol dim {sym.dim} != truncation dim {trunc.dim}")
     if trunc.size > MAX_BASIS_SIZE:
         raise ValueError(f"basis size {trunc.size} exceeds guard {MAX_BASIS_SIZE}")
     caps = _normalize_inner_caps(sym, trunc, inner_cap)
+    n_cap = trunc.degree_cap
+    _check_inner_caps(sym, (n_cap,) * trunc.dim, caps)
     exact = sym.is_exact
+    positions, w = trunc.positions, trunc.weights_sqrt
+    dense = np.zeros((trunc.size, trunc.size), dtype=complex)
+    scaled = np.full(dense.shape, CR_ZERO, dtype=object) if exact else None
+    written = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for delta, pairs in _pair_offsets(sym).items():
+            # alpha and beta = alpha + delta both in [0, N] per coordinate
+            lo = [max(0, -d) for d in delta]
+            hi = [min(n_cap, n_cap - d) for d in delta]
+            if any(a > b for a, b in zip(lo, hi)):
+                continue
+            block = _gram_block(pairs, lo, hi, exact)
+            rows = positions[tuple(slice(a, b + 1) for a, b in zip(lo, hi))]
+            cols = positions[tuple(slice(a + d, b + d + 1) for a, b, d in zip(lo, hi, delta))]
+            dense[rows, cols] = np.asarray(block, dtype=complex) * w[rows] * w[cols]
+            if exact:
+                scaled[rows, cols] = block
+                written.append((rows.ravel(), cols.ravel()))
     if exact:
-        dense, scaled = _exact_compression(sym, trunc, caps)
-    else:
-        dense, scaled = _float_compression(sym, trunc, caps), None
+        if written:
+            rows, cols = (np.concatenate(x) for x in zip(*written))
+            if any(b != a.conjugate() for a, b in zip(scaled[rows, cols], scaled[cols, rows])):
+                raise AssertionError("exact assembly lost Hermitian symmetry")  # pragma: no cover
+        scaled = tuple(map(tuple, scaled))
     return CompressionMatrix(
         symbol=sym,
         trunc=trunc,
@@ -282,106 +326,7 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation, inner_cap=None) -> Compres
     )
 
 
-def _exact_compression(sym: PolySymbol, trunc: BasisTruncation, caps):
-    """(dense, scaled) from the Gaussian-rational scaled Gram matrix, entry by entry."""
-    indices = trunc.indices
-    index_of = trunc.index_of
-    size = trunc.size
-    n_cap = trunc.degree_cap
-
-    proj = [_projection_map(sym, a, caps) for a in indices]
-    offsets = _pair_offsets(sym)
-    weights_sqrt = np.array([math.sqrt(weight(a)) for a in indices])
-
-    dense = np.zeros((size, size), dtype=complex)
-    rows = [[CR_ZERO] * size for _ in range(size)]
-
-    for i, alpha in enumerate(indices):
-        for delta, pairs in offsets.items():
-            beta = add(alpha, delta)
-            if not all(0 <= b <= n_cap for b in beta):
-                continue
-            j = index_of[beta]
-            val = _first_term(pairs, alpha, beta) - _second_term(proj[i], proj[j])
-            rows[i][j] = val
-            dense[i, j] = complex(val) * weights_sqrt[i] * weights_sqrt[j]
-
-    for i in range(size):
-        for j in range(i + 1, size):
-            a, b = rows[i][j], rows[j][i]
-            if a is CR_ZERO and b is CR_ZERO:
-                continue
-            if b != a.conjugate():  # pragma: no cover
-                raise AssertionError("exact assembly lost Hermitian symmetry")
-    return dense, tuple(tuple(r) for r in rows)
-
-
-def _check_inner_caps(sym: PolySymbol, n_cap: int, caps) -> None:
-    """Raise InnerCapError if some basis index alpha projects past the caps.
-
-    Term k = n - m reaches gamma = alpha + k >= 0 for alpha_j in
-    [max(0, -k_j), N], so its largest target is N + k wherever that range
-    is non-empty in every coordinate.
-    """
-    for _, n, m in sym.terms:
-        k = [nj - mj for nj, mj in zip(n, m)]
-        if any(-kj > n_cap for kj in k):
-            continue
-        for j, cap in enumerate(caps):
-            if n_cap + k[j] > cap:
-                gamma = [max(0, ki) for ki in k]
-                gamma[j] = max(gamma[j], cap + 1)
-                raise InnerCapError(
-                    f"projection target {tuple(gamma)} exceeds inner cap {tuple(caps)}"
-                )
-
-
-def _float_compression(sym: PolySymbol, trunc: BasisTruncation, caps) -> np.ndarray:
-    """Orthonormal-basis compression of a float symbol, vectorised over the basis.
-
-    Ordered term pairs (s, t) with winding offset d = k_s - k_t (k = n - m)
-    couple alpha to beta = alpha + d.  With gamma = alpha + k_s = beta + k_t,
-    each coordinate j contributes to c_s conj(c_t) times
-
-        first:  2/(a_j+b_j+n_sj+m_sj+n_tj+m_tj+2) = 1/(gamma_j+m_sj+m_tj+1)
-        second: v_s(alpha) v_t(beta) w(gamma)
-                = (gamma_j+1) / ((gamma_j+m_sj+1)(gamma_j+m_tj+1)),  if gamma >= 0
-
-    and the entry is (prod first - prod second) * sqrt(w_a w_b).  Each factor
-    is one rounded integer division, so rationals that cancel exactly (e.g.
-    for holomorphic symbols) cancel exactly here too.  Coefficients too large
-    for floats leave inf/nan entries, which eigenvalues() rejects.
-    """
-    n_cap = trunc.degree_cap
-    _check_inner_caps(sym, n_cap, caps)
-    positions = trunc.positions
-    dense = np.zeros((trunc.size, trunc.size), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for delta, pairs in _pair_offsets(sym).items():
-            # alpha and beta = alpha + delta both in [0, N] per coordinate
-            lo = [max(0, -d) for d in delta]
-            hi = [min(n_cap, n_cap - d) for d in delta]
-            if any(a > b for a, b in zip(lo, hi)):
-                continue
-            alphas = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-            roots = [np.sqrt((a + 1.0) * (a + d + 1.0)) for a, d in zip(alphas, delta)]
-            block = 0
-            for cs, ns, ms, ct, nt, mt in pairs:
-                first, second = [], []
-                for a, root, nsj, msj, mtj in zip(alphas, roots, ns, ms, mt):
-                    gamma = a + (nsj - msj)
-                    first.append(root * (1.0 / (gamma + msj + mtj + 1)))
-                    proj = (gamma + 1) / ((gamma + msj + 1) * (gamma + mtj + 1))
-                    second.append(root * np.where(gamma >= 0, proj, 0.0))
-                outer = reduce(np.multiply.outer, first) - reduce(np.multiply.outer, second)
-                block = block + complex(cs) * complex(ct).conjugate() * outer
-            rows = positions[tuple(slice(a, b + 1) for a, b in zip(lo, hi))]
-            cols = positions[tuple(slice(a + d, b + d + 1) for a, b, d in zip(lo, hi, delta))]
-            dense[rows, cols] = block
-    return dense
-
-
-def _toeplitz_map(phi: PolySymbol, in_indices, out_index_of, exact: bool) -> list[list]:
+def _toeplitz_map(phi: PolySymbol, in_indices, out_index_of) -> list[list]:
     """Sparse rows of <phi z^a, z^gamma>/pi^n from the in-basis to the out-basis."""
     out = []
     for alpha in in_indices:
@@ -396,8 +341,7 @@ def _toeplitz_map(phi: PolySymbol, in_indices, out_index_of, exact: bool) -> lis
             val = Fraction(1)
             for a, nk, mk, gk in zip(alpha, n, m, gamma):
                 val *= _inner_factor(a + nk + mk + gk)
-            contrib = c * val if exact else complex(c * val)
-            acc[g] = acc.get(g, CR_ZERO if exact else 0j) + contrib
+            acc[g] = acc.get(g, CR_ZERO) + c * val
         out.append(sorted(acc.items()))
     return out
 
@@ -407,14 +351,14 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation, inner_cap=Non
 
     Both Toeplitz compressions use the same intermediate cap as the Hankel
     path, so for polynomial symbols the two assemblies agree entrywise and
-    exactly on the scaled Gram representation.
+    exactly on the scaled Gram representation.  Entries are CRat for exact
+    symbols; float coefficients degrade them to complex.
     """
     if sym.dim != trunc.dim:
         raise ValueError(f"symbol dim {sym.dim} != truncation dim {trunc.dim}")
     if trunc.size > MAX_BASIS_SIZE:
         raise ValueError(f"basis size {trunc.size} exceeds guard {MAX_BASIS_SIZE}")
     caps = _normalize_inner_caps(sym, trunc, inner_cap)
-    exact = sym.is_exact
     indices = trunc.indices
     size = trunc.size
 
@@ -423,12 +367,11 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation, inner_cap=Non
     inner_weights = [weight(a) for a in inner_indices]
 
     mod_sq = sym.modulus_squared()
-    t_mod = _toeplitz_map(mod_sq, indices, trunc.index_of, exact)
-    t_psi = _toeplitz_map(sym, indices, inner_index_of, exact)
-    t_psibar = _toeplitz_map(sym.conjugate(), inner_indices, trunc.index_of, exact)
+    t_mod = _toeplitz_map(mod_sq, indices, trunc.index_of)
+    t_psi = _toeplitz_map(sym, indices, inner_index_of)
+    t_psibar = _toeplitz_map(sym.conjugate(), inner_indices, trunc.index_of)
 
-    zero = CR_ZERO if exact else 0j
-    rows = [[zero] * size for _ in range(size)]
+    rows = [[CR_ZERO] * size for _ in range(size)]
     for i in range(size):
         for j, val in t_mod[i]:
             rows[i][j] = rows[i][j] + val
@@ -437,17 +380,15 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation, inner_cap=Non
             for j, vb in t_psibar[g]:
                 rows[i][j] = rows[i][j] - va * vb * wg
 
-    weights_sqrt = np.array([math.sqrt(weight(a)) for a in indices])
+    w = trunc.weights_sqrt
     dense = np.zeros((size, size), dtype=complex)
     for i in range(size):
         for j in range(size):
             v = rows[i][j]
-            if exact:
-                if v:
-                    dense[i, j] = complex(v) * weights_sqrt[i] * weights_sqrt[j]
-            elif v != 0:
-                dense[i, j] = v * weights_sqrt[i] * weights_sqrt[j]
+            if v:
+                dense[i, j] = complex(v) * w[i] * w[j]
 
+    exact = sym.is_exact
     return CompressionMatrix(
         symbol=sym,
         trunc=trunc,
@@ -573,6 +514,7 @@ def dump_matrix(mat: CompressionMatrix, fileobj) -> None:
         f"symbol={mat.symbol_hash} exact={int(exact)}\n"
     )
     if exact:
+        # always "num/den", integers too: the format is frozen and readers split on "/"
         for row in mat.scaled:
             fileobj.write(
                 " ".join(
@@ -588,15 +530,38 @@ def dump_matrix(mat: CompressionMatrix, fileobj) -> None:
             )
 
 
-def load_matrix(fileobj) -> CompressionMatrix:
-    header = fileobj.readline().split()
+def _read_header(line: str) -> tuple[BasisTruncation, str, bool]:
+    """(truncation, symbol hash, exact) from a v1 header; checked before anything is allocated."""
+    header = line.split()
     if not header or header[0] != "hankel-spectra-matrix":
         raise ValueError("not a matrix dump")
-    fields = dict(part.split("=", 1) for part in header[2:])
-    trunc = BasisTruncation(int(fields["N"]), int(fields["dim"]))
-    exact = fields["exact"] == "1"
+    fields = {}
+    for part in header[2:]:
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise ValueError(f"matrix dump header: field {part!r} is not key=value")
+        fields[key] = value
+    for key in ("dim", "N", "symbol", "exact"):
+        if key not in fields:
+            raise ValueError(f"matrix dump header: missing field {key!r}")
+    for key in ("dim", "N"):
+        if not (fields[key].isascii() and fields[key].isdigit()):
+            raise ValueError(f"matrix dump header: {key}={fields[key]!r} is not a non-negative integer")
+    dim, n_cap = int(fields["dim"]), int(fields["N"])
+    if dim < 1:
+        raise ValueError("matrix dump header: dim must be >= 1")
+    if fields["exact"] not in ("0", "1"):
+        raise ValueError(f"matrix dump header: exact={fields['exact']!r} is not 0 or 1")
+    # bounding N and dim first keeps the power cheap
+    if n_cap >= MAX_BASIS_SIZE or dim > MAX_BASIS_SIZE or (n_cap + 1) ** dim > MAX_BASIS_SIZE:
+        raise ValueError(f"matrix dump header: basis size (N+1)^dim exceeds guard {MAX_BASIS_SIZE}")
+    return BasisTruncation(n_cap, dim), fields["symbol"], fields["exact"] == "1"
+
+
+def load_matrix(fileobj) -> CompressionMatrix:
+    trunc, symbol_hash, exact = _read_header(fileobj.readline())
     size = trunc.size
-    weights_sqrt = np.array([math.sqrt(weight(a)) for a in trunc.indices])
+    w = trunc.weights_sqrt
     dense = np.zeros((size, size), dtype=complex)
     scaled_rows = [] if exact else None
     for i in range(size):
@@ -609,7 +574,7 @@ def load_matrix(fileobj) -> CompressionMatrix:
                 re_s, im_s = cell.split(",")
                 c = CRat(Fraction(re_s), Fraction(im_s))
                 row.append(c)
-                dense[i, j] = complex(c) * weights_sqrt[i] * weights_sqrt[j]
+                dense[i, j] = complex(c) * w[i] * w[j]
             scaled_rows.append(tuple(row))
         else:
             for j, cell in enumerate(cells):
@@ -622,5 +587,5 @@ def load_matrix(fileobj) -> CompressionMatrix:
         exactness=Exactness.RATIONAL if exact else Exactness.FLOAT,
         dense=dense,
         scaled=tuple(scaled_rows) if exact else None,
-        symbol_hash=fields.get("symbol", "unknown"),
+        symbol_hash=symbol_hash,
     )

@@ -28,6 +28,7 @@ from .multiindex import (
     scale,
     weight,
 )
+from .rational import frac_str
 
 __all__ = [
     "MonomialNorm",
@@ -163,7 +164,7 @@ class RadialProfile:
         if not self.is_polynomial:
             raise ValueError("only polynomial profiles serialize to JSON")
         return {
-            "factors": [[_frac_str(c) for c in f] for f in self.factors],
+            "factors": [[frac_str(c) for c in f] for f in self.factors],
         }
 
     @classmethod
@@ -183,10 +184,6 @@ class RadialProfile:
             else:
                 out.append(_abs_sq_wrap(f))
         return RadialProfile(self.dim, factors=out)
-
-
-def _frac_str(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
 
 
 def _convolve(a: PolyCoeffs, b: PolyCoeffs) -> PolyCoeffs:

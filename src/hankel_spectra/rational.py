@@ -29,10 +29,6 @@ class CRat:
 
     # -- predicates ---------------------------------------------------------
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
 
@@ -139,7 +135,11 @@ class CRat:
 
 
 CR_ZERO = CRat(0)
-CR_ONE = CRat(1)
+
+
+def frac_str(v: Fraction) -> str:
+    """"num/den", or just "num" for an integer."""
+    return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
 
 
 def as_coeff(value):

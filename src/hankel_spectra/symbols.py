@@ -18,11 +18,12 @@ from fractions import Fraction
 
 from .core import MonomialSymbol
 from .multiindex import MultiIndex, as_multiindex, common_dim
-from .rational import CRat, as_coeff, coeff_is_exact
+from .rational import CRat, as_coeff, coeff_is_exact, frac_str
 
 __all__ = ["PolySymbol", "SymbolParseError", "parse_symbol"]
 
 MAX_COORDINATE = 8
+MAX_NESTING = 100  # parenthesis depth; keeps the recursive-descent parser off the recursion limit
 
 
 class SymbolParseError(ValueError):
@@ -75,10 +76,6 @@ class PolySymbol:
     @classmethod
     def monomial(cls, coeff, holo, antiholo) -> "PolySymbol":
         return cls([(coeff, tuple(holo), tuple(antiholo))])
-
-    @classmethod
-    def from_monomial_symbol(cls, sym: MonomialSymbol) -> "PolySymbol":
-        return cls.monomial(CRat(1), sym.holo, sym.antiholo)
 
     def padded(self, dim: int) -> "PolySymbol":
         """Embed into a higher ambient dimension by appending zero exponents."""
@@ -273,7 +270,7 @@ class PolySymbol:
     def to_json_obj(self) -> dict:
         def enc(c):
             if isinstance(c, CRat):
-                return [_frac_str(c.re), _frac_str(c.im)]
+                return [frac_str(c.re), frac_str(c.im)]
             return [c.real, c.imag]
 
         return {
@@ -355,10 +352,6 @@ def _dec_part(p, where: str):
     raise SymbolParseError(f"{where}: bad coefficient part {p!r}")
 
 
-def _frac_str(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
-
-
 def _monomial_str(h: MultiIndex, a: MultiIndex) -> str | None:
     parts = [f"z{k + 1}" + (f"^{e}" if e > 1 else "") for k, e in enumerate(h) if e]
     parts += [f"zb{k + 1}" + (f"^{e}" if e > 1 else "") for k, e in enumerate(a) if e]
@@ -366,7 +359,7 @@ def _monomial_str(h: MultiIndex, a: MultiIndex) -> str | None:
 
 
 def _frac_coeff_str(v: Fraction, imag: bool) -> str:
-    s = _frac_str(v)
+    s = frac_str(v)
     if imag:
         if v == 1:
             return "i"
@@ -383,7 +376,7 @@ def _coeff_str(c: CRat) -> str:
         return _frac_coeff_str(c.im, True)
     im = _frac_coeff_str(abs(c.im), True)
     sign = "+" if c.im > 0 else "-"
-    return f"({_frac_str(c.re)}{sign}{im})"
+    return f"({frac_str(c.re)}{sign}{im})"
 
 
 # -- expression parsing ----------------------------------------------------------
@@ -417,6 +410,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.dim = dim
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -488,8 +482,12 @@ class _Parser:
         if kind == "imag":
             return PolySymbol([(CRat(0, 1), (0,) * self.dim, (0,) * self.dim)])
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise SymbolParseError(f"parentheses nested deeper than {MAX_NESTING}")
+            self.depth += 1
             sym = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return sym
         raise SymbolParseError(f"unexpected token {val!r}")
 

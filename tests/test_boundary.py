@@ -215,15 +215,6 @@ def test_containment_report_empty_prediction():
         containment_report(EssentialSetPrediction((), ()), [], -1.0)
 
 
-def test_threads_env_does_not_change_results(monkeypatch):
-    sym = parse_symbol("zb1*(zb2+1)")
-    trunc = BasisTruncation(5, 2)
-    base = slice_norm_profile(sym, 2, 8, trunc)
-    monkeypatch.setenv("HANKEL_SPECTRA_THREADS", "4")
-    threaded = slice_norm_profile(sym, 2, 8, trunc)
-    assert threaded.values == base.values
-
-
 def test_boundary_slice_record():
     from hankel_spectra.boundary import BoundarySlice
 

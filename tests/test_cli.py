@@ -199,7 +199,7 @@ def test_float_commands_skip_exact_assembly(capsys, monkeypatch, tmp_path):
     def refuse(*args):
         raise AssertionError("Gaussian-rational assembly entered")
 
-    monkeypatch.setattr(galerkin_mod, "_exact_compression", refuse)
+    monkeypatch.setattr(galerkin_mod, "_exact_ratios", refuse)
     code, without_dump = run_cli(capsys, *approx)
     assert code == 0 and without_dump == with_dump
     assert json.loads(without_dump)["exactness"] == "rational"
@@ -255,6 +255,7 @@ def test_malformed_json_symbol_exits_2(capsys, term):
         '{"dim": "2", "terms": []}',
         '{"dim": 1, "terms": {}}',
         '{"dim": 1, "terms": [{"coeff": [1, 0], "holo": [0], "antiholo": [1]}]',
+        pytest.param("(" * 3000 + "zb1" + ")" * 3000, id="nested-parentheses"),
     ],
 )
 def test_malformed_json_envelope_exits_2(capsys, symbol):

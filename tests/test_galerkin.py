@@ -247,6 +247,30 @@ def test_dump_and_load_roundtrip():
         load_matrix(io.StringIO("bogus header\n"))
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        "hankel-spectra-matrix v1 N=2 symbol=x exact=1",
+        "hankel-spectra-matrix v1 dim=2 symbol=x exact=1",
+        "hankel-spectra-matrix v1 dim=2 N=2 exact=1",
+        "hankel-spectra-matrix v1 dim=2 N=2 symbol=x",
+        "hankel-spectra-matrix v1 dim=2 N=2 symbol=x exact=1 junk",
+        "hankel-spectra-matrix v1 dim=two N=2 symbol=x exact=1",
+        "hankel-spectra-matrix v1 dim=2 N=-1 symbol=x exact=1",
+        "hankel-spectra-matrix v1 dim=2 N=1.5 symbol=x exact=1",
+        "hankel-spectra-matrix v1 dim=0 N=2 symbol=x exact=1",
+        "hankel-spectra-matrix v1 dim=2 N=2 symbol=x exact=yes",
+        "hankel-spectra-matrix v1 dim=2 N=2 symbol=x exact=2",
+        "hankel-spectra-matrix v1 dim=3 N=100000 symbol=x exact=1",
+        "hankel-spectra-matrix v1 dim=100000 N=1 symbol=x exact=0",
+        "hankel-spectra-matrix v1 dim=2 N=%s symbol=x exact=0" % ("9" * 4000),
+    ],
+)
+def test_load_matrix_rejects_bad_header(header):
+    with pytest.raises(ValueError, match="matrix dump header"):
+        load_matrix(io.StringIO(header + "\n"))
+
+
 def test_gram_entry_complex_coefficient_orientation():
     # complex coefficients expose the conjugation orientation that pure
     # Hermiticity checks cannot (both orientations are Hermitian)

@@ -1,4 +1,4 @@
-"""Property tests: the float Galerkin kernel against the exact reference assembly."""
+"""Property tests: the Galerkin kernel against the Toeplitz route and the exact arithmetic."""
 
 from fractions import Fraction
 
@@ -7,8 +7,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hankel_spectra import BasisTruncation, InnerCapError, PolySymbol, assemble, eigenvalues
-from hankel_spectra.galerkin import default_inner_caps
+from hankel_spectra import (
+    BasisTruncation,
+    InnerCapError,
+    PolySymbol,
+    assemble,
+    assemble_via_toeplitz,
+    eigenvalues,
+    matrices_equal,
+)
+from hankel_spectra.galerkin import default_inner_caps, scaled_gram_entry
 from hankel_spectra.rational import CRat
 
 TOL = 1e-13
@@ -43,6 +51,26 @@ def test_float_kernel_matches_exact_assembly(case):
     assert fast.hermiticity_defect() <= TOL * scale
     w_exact, w_fast = eigenvalues(exact), eigenvalues(fast)
     assert np.max(np.abs(w_fast - w_exact)) <= TOL * w_exact[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_symbols())
+def test_exact_assembly_matches_toeplitz_route(case):
+    sym, n_cap = case
+    trunc = BasisTruncation(n_cap, sym.dim)
+    assert matrices_equal(assemble(sym, trunc), assemble_via_toeplitz(sym, trunc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_symbols(), st.data())
+def test_scaled_gram_entry_matches_assembly(case, data):
+    sym, n_cap = case
+    trunc = BasisTruncation(n_cap, sym.dim)
+    scaled = assemble(sym, trunc).scaled
+    i = data.draw(st.integers(0, trunc.size - 1))
+    alpha = trunc.indices[i]
+    for j, beta in enumerate(trunc.indices):
+        assert scaled_gram_entry(sym, alpha, beta) == scaled[i][j]
 
 
 @settings(max_examples=40, deadline=None)
