@@ -21,6 +21,7 @@ from .core import (
     SymbolClass,
     enumerate_essential_spectrum,
     enumerate_spectrum,
+    essential_part,
     lambda_value,
     multiplicity_class,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "enumerate_essential_spectrum",
     "enumerate_spectrum",
     "eigenvalues",
+    "essential_part",
     "hankel_gram_entry",
     "lambda_value",
     "matrices_equal",

@@ -23,7 +23,7 @@ from .boundary import (
     PredictedInterval,
     PredictedPoint,
 )
-from .core import enumerate_essential_spectrum, enumerate_spectrum, multiplicity_class
+from .core import enumerate_spectrum, essential_part, multiplicity_class
 from .galerkin import BasisTruncation, Exactness, assemble, dump_matrix, eigenvalues
 from .rational import CRat
 from .symbols import PolySymbol, SymbolParseError, parse_symbol
@@ -138,7 +138,7 @@ def cmd_exact(args) -> int:
         )
     mono = sym.to_monomial_symbol()
     spectrum = enumerate_spectrum(mono, cfg.alpha_cap)
-    essential = enumerate_essential_spectrum(mono, cfg.alpha_cap)
+    essential = essential_part(mono, spectrum)
     ess_values = essential.value_set()
 
     spec_obj = spectrum.to_json_obj()

@@ -5,7 +5,8 @@ on monomials and its full spectrum is {0} together with the two-case rational
 family lambda(n, m, alpha, B) over multi-indices alpha and non-empty coordinate
 subsets B.  Values with B a proper subset are limit points of the eigenvalue
 sequence; values with B the full coordinate set are genuine eigenvalues with
-eigenvector z^alpha.  All arithmetic here is exact rational.
+eigenvector z^alpha.  The essential spectrum is read off the spectrum's
+provenance, not enumerated again.  All arithmetic here is exact rational.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .multiindex import (
     DEFAULT_MAX_DIM,
     MultiIndex,
     as_multiindex,
+    box_exceeds,
     common_dim,
     full_set,
     nonempty_subsets,
@@ -36,8 +38,12 @@ __all__ = [
     "lambda_value",
     "multiplicity_class",
     "enumerate_spectrum",
+    "essential_part",
     "enumerate_essential_spectrum",
 ]
+
+# Closed-form evaluations one enumeration may make: (cap+2)^dim - 1 points.
+MAX_ENUM_POINTS = 100_000
 
 
 class MultiplicityClass(Enum):
@@ -99,14 +105,6 @@ class EigenRecord:
     is_eigenvalue: bool
     is_limit_point: bool
     multiplicity: MultiplicityClass | None
-
-    @property
-    def alpha(self) -> MultiIndex | None:
-        return self.provenance[0].alpha if self.provenance else None
-
-    @property
-    def subset(self) -> frozenset[int] | None:
-        return self.provenance[0].subset if self.provenance else None
 
 
 @dataclass(frozen=True)
@@ -218,10 +216,10 @@ def multiplicity_class(sym: MonomialSymbol) -> SymbolClass:
     return SymbolClass.ALL_FINITE
 
 
-def _collect(sym: MonomialSymbol, alpha_cap: int, subsets) -> dict[Fraction, set[Provenance]]:
+def _collect(sym: MonomialSymbol, alpha_cap: int) -> dict[Fraction, set[Provenance]]:
     dim = sym.dim
     buckets: dict[Fraction, set[Provenance]] = {Fraction(0): set()}
-    for members in subsets:
+    for members in nonempty_subsets(dim):
         coords = sorted(members)
         for assignment in product(range(alpha_cap + 1), repeat=len(coords)):
             alpha = [0] * dim
@@ -240,33 +238,18 @@ def _build_records(
     buckets: dict[Fraction, set[Provenance]],
     dim: int,
     symbol_class: SymbolClass,
-    eigen_values: frozenset[Fraction] | None = None,
 ) -> tuple[EigenRecord, ...]:
-    """Assemble sorted, deduplicated records.
-
-    eigen_values, when given, overrides the is-an-eigenvalue test (used by the
-    essential enumeration, whose buckets only contain proper subsets).
-    """
+    """Assemble sorted, deduplicated records."""
     full = full_set(dim)
+    finite = symbol_class is SymbolClass.ALL_FINITE
+    eigen_mult = MultiplicityClass.FINITE if finite else MultiplicityClass.INFINITE
     records = []
     for v in sorted(buckets):
         prov = tuple(sorted(buckets[v], key=_prov_key))
-        if symbol_class is SymbolClass.ZERO_OPERATOR:
-            is_eig = v == 0
-        elif eigen_values is not None:
-            is_eig = v in eigen_values
-        else:
-            is_eig = any(p.subset == full for p in prov)
+        # the zero operator's only bucket is its eigenvalue 0, with no provenance
+        is_eig = symbol_class is SymbolClass.ZERO_OPERATOR or any(p.subset == full for p in prov)
         is_lp = v == 0 or any(p.subset != full for p in prov)
-        if is_eig:
-            mult = (
-                MultiplicityClass.FINITE
-                if symbol_class is SymbolClass.ALL_FINITE
-                else MultiplicityClass.INFINITE
-            )
-        else:
-            mult = None
-        records.append(EigenRecord(v, prov, is_eig, is_lp, mult))
+        records.append(EigenRecord(v, prov, is_eig, is_lp, eigen_mult if is_eig else None))
     return tuple(records)
 
 
@@ -275,6 +258,12 @@ def _check_enum_args(sym: MonomialSymbol, alpha_cap: int, max_dim: int) -> None:
         raise ValueError("alpha_cap must be >= 0")
     if sym.dim > max_dim:
         raise ValueError(f"dim {sym.dim} exceeds the subset-enumeration bound {max_dim}")
+    # every non-empty B with all (cap+1)^|B| multi-indices: (cap+2)^dim - 1 points
+    if not sym.is_holomorphic and box_exceeds(alpha_cap + 2, sym.dim, MAX_ENUM_POINTS + 1):
+        raise ValueError(
+            f"alpha_cap {alpha_cap} at dim {sym.dim} needs (cap+2)^dim - 1 closed-form "
+            f"evaluations, over the budget of {MAX_ENUM_POINTS}"
+        )
 
 
 def enumerate_spectrum(
@@ -288,49 +277,41 @@ def enumerate_spectrum(
     """
     _check_enum_args(sym, alpha_cap, max_dim)
     cls = multiplicity_class(sym)
-    if cls is SymbolClass.ZERO_OPERATOR:
-        buckets: dict[Fraction, set[Provenance]] = {Fraction(0): set()}
-        records = _build_records(buckets, sym.dim, cls)
-        return SpectrumSet(records, alpha_cap, True, False, "spectrum")
-    buckets = _collect(sym, alpha_cap, nonempty_subsets(sym.dim))
-    records = _build_records(buckets, sym.dim, cls)
-    return SpectrumSet(records, alpha_cap, True, True, "spectrum")
+    zero = cls is SymbolClass.ZERO_OPERATOR
+    buckets = {Fraction(0): set()} if zero else _collect(sym, alpha_cap)
+    return SpectrumSet(_build_records(buckets, sym.dim, cls), alpha_cap, True, not zero, "spectrum")
 
 
-def enumerate_essential_spectrum(
-    sym: MonomialSymbol, alpha_cap: int, *, max_dim: int = DEFAULT_MAX_DIM
-) -> SpectrumSet:
-    """Essential spectrum enumeration for a monomial symbol.
+def essential_part(sym: MonomialSymbol, spectrum: SpectrumSet) -> SpectrumSet:
+    """The essential spectrum of sym, read off its enumerated spectrum.
 
     If some coordinate has n_k + m_k = 0 (and m != 0), every eigenvalue has
     infinite multiplicity and the essential spectrum equals the full spectrum.
-    Otherwise it is {0} together with the proper-subset values B != B_n.  The
-    zero operator yields {0} with a warning note rather than an error.
-
-    is_eigenvalue on the returned records is cross-checked against the full-B
-    enumeration at the same cap, so it is truncation-honest but not certified
-    for values entering only beyond the cap.
+    Otherwise it is {0} and the records reached with a proper subset B != B_n,
+    their provenance restricted to those subsets; is_eigenvalue still says
+    whether the full B reaches the value at the cap (truncation-honest, not
+    certified beyond it).  The zero operator yields {0} with a warning note.
     """
-    _check_enum_args(sym, alpha_cap, max_dim)
     cls = multiplicity_class(sym)
     if cls is SymbolClass.ZERO_OPERATOR:
-        spectrum = enumerate_spectrum(sym, alpha_cap, max_dim=max_dim)
         return replace(
             spectrum,
             kind="essential",
             note="zero operator: holomorphic symbol, essential spectrum is {0}",
         )
     if cls is SymbolClass.ALL_INFINITE:
-        spectrum = enumerate_spectrum(sym, alpha_cap, max_dim=max_dim)
         return replace(spectrum, kind="essential")
+    full = full_set(sym.dim)
+    records = []
+    for r in spectrum.records:
+        proper = tuple(p for p in r.provenance if p.subset != full)
+        if proper or r.value == 0:
+            records.append(replace(r, provenance=proper))
+    return replace(spectrum, records=tuple(records), kind="essential")
 
-    dim = sym.dim
-    proper = [B for B in nonempty_subsets(dim) if B != full_set(dim)]
-    buckets = _collect(sym, alpha_cap, proper) if proper else {Fraction(0): set()}
-    coords = list(range(1, dim + 1))
-    eigen_values = frozenset(
-        _lambda_unchecked(sym.holo, sym.antiholo, alpha, coords)
-        for alpha in product(range(alpha_cap + 1), repeat=dim)
-    )
-    records = _build_records(buckets, dim, cls, eigen_values=eigen_values)
-    return SpectrumSet(records, alpha_cap, True, True, "essential")
+
+def enumerate_essential_spectrum(
+    sym: MonomialSymbol, alpha_cap: int, *, max_dim: int = DEFAULT_MAX_DIM
+) -> SpectrumSet:
+    """Essential spectrum enumeration for a monomial symbol (see essential_part)."""
+    return essential_part(sym, enumerate_spectrum(sym, alpha_cap, max_dim=max_dim))

@@ -29,7 +29,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .multiindex import MultiIndex, as_multiindex, graded_lex_box, is_nonnegative, weight
+from .multiindex import MultiIndex, as_multiindex, box_exceeds, graded_lex_box, is_nonnegative, weight
 from .rational import CRat, CR_ZERO
 from .symbols import PolySymbol
 
@@ -107,6 +107,14 @@ class BasisTruncation:
     @property
     def size(self) -> int:
         return (self.degree_cap + 1) ** self.dim
+
+
+def _check_basis_size(n_cap: int, dim: int, where: str = "") -> None:
+    """Reject (N+1)^dim > MAX_BASIS_SIZE without building the power of a huge N or dim."""
+    if box_exceeds(n_cap + 1, dim, MAX_BASIS_SIZE):
+        raise ValueError(
+            f"{where}basis size (N+1)^dim exceeds guard {MAX_BASIS_SIZE} (N={n_cap}, dim={dim})"
+        )
 
 
 def default_inner_caps(sym: PolySymbol, trunc: BasisTruncation) -> tuple[int, ...]:
@@ -240,10 +248,13 @@ class CompressionMatrix:
     symbol: PolySymbol | None
     trunc: BasisTruncation
     inner_caps: tuple[int, ...]
-    exactness: Exactness
     dense: np.ndarray
     scaled: tuple[tuple[CRat, ...], ...] | None
     symbol_hash: str
+
+    @property
+    def exactness(self) -> Exactness:
+        return Exactness.FLOAT if self.scaled is None else Exactness.RATIONAL
 
     @property
     def size(self) -> int:
@@ -285,8 +296,7 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation, inner_cap=None) -> Compres
     """
     if sym.dim != trunc.dim:
         raise ValueError(f"symbol dim {sym.dim} != truncation dim {trunc.dim}")
-    if trunc.size > MAX_BASIS_SIZE:
-        raise ValueError(f"basis size {trunc.size} exceeds guard {MAX_BASIS_SIZE}")
+    _check_basis_size(trunc.degree_cap, trunc.dim)
     caps = _normalize_inner_caps(sym, trunc, inner_cap)
     n_cap = trunc.degree_cap
     _check_inner_caps(sym, (n_cap,) * trunc.dim, caps)
@@ -319,7 +329,6 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation, inner_cap=None) -> Compres
         symbol=sym,
         trunc=trunc,
         inner_caps=caps,
-        exactness=Exactness.RATIONAL if exact else Exactness.FLOAT,
         dense=dense,
         scaled=scaled,
         symbol_hash=_symbol_hash(sym),
@@ -356,8 +365,7 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation, inner_cap=Non
     """
     if sym.dim != trunc.dim:
         raise ValueError(f"symbol dim {sym.dim} != truncation dim {trunc.dim}")
-    if trunc.size > MAX_BASIS_SIZE:
-        raise ValueError(f"basis size {trunc.size} exceeds guard {MAX_BASIS_SIZE}")
+    _check_basis_size(trunc.degree_cap, trunc.dim)
     caps = _normalize_inner_caps(sym, trunc, inner_cap)
     indices = trunc.indices
     size = trunc.size
@@ -388,14 +396,12 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation, inner_cap=Non
             if v:
                 dense[i, j] = complex(v) * w[i] * w[j]
 
-    exact = sym.is_exact
     return CompressionMatrix(
         symbol=sym,
         trunc=trunc,
         inner_caps=caps,
-        exactness=Exactness.RATIONAL if exact else Exactness.FLOAT,
         dense=dense,
-        scaled=tuple(tuple(r) for r in rows) if exact else None,
+        scaled=tuple(tuple(r) for r in rows) if sym.is_exact else None,
         symbol_hash=_symbol_hash(sym),
     )
 
@@ -508,7 +514,7 @@ def weyl_residual(
 
 
 def dump_matrix(mat: CompressionMatrix, fileobj) -> None:
-    exact = mat.exactness is Exactness.RATIONAL
+    exact = mat.scaled is not None
     fileobj.write(
         f"hankel-spectra-matrix v1 dim={mat.trunc.dim} N={mat.trunc.degree_cap} "
         f"symbol={mat.symbol_hash} exact={int(exact)}\n"
@@ -552,10 +558,17 @@ def _read_header(line: str) -> tuple[BasisTruncation, str, bool]:
         raise ValueError("matrix dump header: dim must be >= 1")
     if fields["exact"] not in ("0", "1"):
         raise ValueError(f"matrix dump header: exact={fields['exact']!r} is not 0 or 1")
-    # bounding N and dim first keeps the power cheap
-    if n_cap >= MAX_BASIS_SIZE or dim > MAX_BASIS_SIZE or (n_cap + 1) ** dim > MAX_BASIS_SIZE:
-        raise ValueError(f"matrix dump header: basis size (N+1)^dim exceeds guard {MAX_BASIS_SIZE}")
+    _check_basis_size(n_cap, dim, "matrix dump header: ")
     return BasisTruncation(n_cap, dim), fields["symbol"], fields["exact"] == "1"
+
+
+def _read_cell(cell: str, exact: bool, i: int, j: int):
+    """One "re,im" entry: a CRat of two fractions (exact dump) or a complex of two floats."""
+    try:
+        re_s, im_s = cell.split(",")
+        return CRat(Fraction(re_s), Fraction(im_s)) if exact else complex(float(re_s), float(im_s))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"matrix dump row {i}, column {j}: bad entry {cell!r}") from None
 
 
 def load_matrix(fileobj) -> CompressionMatrix:
@@ -568,23 +581,16 @@ def load_matrix(fileobj) -> CompressionMatrix:
         cells = fileobj.readline().split()
         if len(cells) != size:
             raise ValueError(f"row {i}: expected {size} entries, got {len(cells)}")
+        row = [_read_cell(cell, exact, i, j) for j, cell in enumerate(cells)]
         if exact:
-            row = []
-            for j, cell in enumerate(cells):
-                re_s, im_s = cell.split(",")
-                c = CRat(Fraction(re_s), Fraction(im_s))
-                row.append(c)
-                dense[i, j] = complex(c) * w[i] * w[j]
             scaled_rows.append(tuple(row))
+            dense[i] = [complex(c) * w[i] * wj for c, wj in zip(row, w)]
         else:
-            for j, cell in enumerate(cells):
-                re_s, im_s = cell.split(",")
-                dense[i, j] = complex(float(re_s), float(im_s))
+            dense[i] = row
     return CompressionMatrix(
         symbol=None,
         trunc=trunc,
         inner_caps=(),
-        exactness=Exactness.RATIONAL if exact else Exactness.FLOAT,
         dense=dense,
         scaled=tuple(scaled_rows) if exact else None,
         symbol_hash=symbol_hash,

@@ -73,6 +73,11 @@ def weight(alpha: MultiIndex) -> int:
     return prod(a + 1 for a in alpha)
 
 
+def box_exceeds(side: int, dim: int, limit: int) -> bool:
+    """Whether side**dim > limit >= 1; side and dim are bounded before the power is taken."""
+    return side > 1 and (side > limit or dim >= limit.bit_length() or side**dim > limit)
+
+
 def full_set(dim: int) -> frozenset[int]:
     return frozenset(range(1, dim + 1))
 

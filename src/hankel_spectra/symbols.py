@@ -523,6 +523,8 @@ def parse_symbol(text: str, dim: int | None = None) -> PolySymbol:
     dim, when given, forces the ambient dimension (must not be smaller than
     the highest coordinate used).
     """
+    if dim is not None and dim > MAX_COORDINATE:
+        raise SymbolParseError(f"dim {dim} exceeds {MAX_COORDINATE}")
     stripped = text.strip()
     if stripped.startswith("{"):
         import json
@@ -532,6 +534,8 @@ def parse_symbol(text: str, dim: int | None = None) -> PolySymbol:
         except ValueError as exc:
             raise SymbolParseError(f"invalid JSON symbol: {exc}") from None
         sym = PolySymbol.from_json_obj(obj)
+        if sym.dim > MAX_COORDINATE:
+            raise SymbolParseError(f"JSON symbol dim {sym.dim} exceeds {MAX_COORDINATE}")
         if dim is None:
             return sym
         try:
@@ -547,7 +551,5 @@ def parse_symbol(text: str, dim: int | None = None) -> PolySymbol:
             raise SymbolParseError(
                 f"dim {dim} smaller than highest coordinate {inferred}"
             )
-        if dim > MAX_COORDINATE:
-            raise SymbolParseError(f"dim {dim} exceeds {MAX_COORDINATE}")
         inferred = dim
     return _Parser(tokens, inferred).parse()

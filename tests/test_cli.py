@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hankel_spectra import core
 from hankel_spectra.cli import main
 
 
@@ -221,6 +222,21 @@ def test_float_commands_skip_exact_assembly(capsys, monkeypatch, tmp_path):
     assert back.scaled == ref.scaled and np.array_equal(back.dense, ref.dense)
 
 
+def test_exact_enumerates_once(capsys, monkeypatch):
+    # spectrum and essential spectrum come from one pass over the (cap+2)^dim - 1 points
+    calls = []
+    real = core._lambda_unchecked
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "_lambda_unchecked", counting)
+    assert main(["exact", "zb1*zb2^2", "--cap", "6"]) == 0
+    capsys.readouterr()
+    assert len(calls) == (6 + 2) ** 2 - 1
+
+
 @pytest.mark.parametrize(
     "term",
     [
@@ -256,12 +272,26 @@ def test_malformed_json_symbol_exits_2(capsys, term):
         '{"dim": 1, "terms": {}}',
         '{"dim": 1, "terms": [{"coeff": [1, 0], "holo": [0], "antiholo": [1]}]',
         pytest.param("(" * 3000 + "zb1" + ")" * 3000, id="nested-parentheses"),
+        '{"dim": 9, "terms": []}',
+        '{"dim": 16000000, "terms": []}',
     ],
 )
 def test_malformed_json_envelope_exits_2(capsys, symbol):
     assert main(["approx", symbol, "--degree", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_json_symbol_padded_past_dim_limit_exits_2(capsys):
+    assert main(["approx", '{"dim": 1, "terms": []}', "--dim", "9", "--degree", "2"]) == 2
+    assert capsys.readouterr().err == "error: dim 9 exceeds 8\n"
+
+
+def test_enumeration_budget_exits_2(capsys):
+    # (cap+2)^dim - 1 = 1e10 closed-form evaluations: refused before the first one
+    assert main(["exact", "zb1*zb2", "--cap", "100000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
 
 
 @pytest.mark.parametrize(

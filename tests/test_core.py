@@ -4,10 +4,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankel_spectra import (
+    EigenRecord,
     MonomialSymbol,
     MultiplicityClass,
+    Provenance,
     SymbolClass,
     enumerate_essential_spectrum,
     enumerate_spectrum,
@@ -171,6 +175,58 @@ def test_essential_proper_subsets_only():
     assert ess.value_set() == spec.value_set() - full_only
 
 
+@st.composite
+def monomial_cases(draw):
+    """(symbol, cap): dim 1-3, exponents 0-3, cap 0-6; every symbol class occurs."""
+    dim = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 3)] * dim)
+    return MonomialSymbol(draw(exponents), draw(exponents)), draw(st.integers(0, 6))
+
+
+def _essential_brute_force(sym, cap):
+    """Essential records built directly: proper-subset values and 0, full-B values as eigenvalues."""
+    full = full_set(sym.dim)
+    witnesses: dict[Fraction, set] = {Fraction(0): set()}
+    full_values = set()
+    for subset in nonempty_subsets(sym.dim):
+        coords = sorted(subset)
+        for assignment in product(range(cap + 1), repeat=len(coords)):
+            alpha = [0] * sym.dim
+            for k, a in zip(coords, assignment):
+                alpha[k - 1] = a
+            v = lambda_value(sym.holo, sym.antiholo, alpha, subset)
+            if subset == full:
+                full_values.add(v)
+            else:
+                witnesses.setdefault(v, set()).add(Provenance(tuple(alpha), subset))
+    return tuple(
+        EigenRecord(
+            v,
+            tuple(sorted(witnesses[v], key=lambda p: (len(p.subset), sorted(p.subset), p.alpha))),
+            v in full_values,
+            True,
+            MultiplicityClass.FINITE if v in full_values else None,
+        )
+        for v in sorted(witnesses)
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(monomial_cases())
+def test_essential_spectrum_matches_brute_force(case):
+    sym, cap = case
+    ess = enumerate_essential_spectrum(sym, cap)
+    spec = enumerate_spectrum(sym, cap)
+    assert (ess.kind, ess.alpha_cap, ess.contains_zero) == ("essential", cap, True)
+    cls = multiplicity_class(sym)
+    if cls is SymbolClass.ALL_FINITE:
+        assert ess.truncated and ess.note is None
+        assert ess.records == _essential_brute_force(sym, cap)
+    else:
+        assert ess.records == spec.records and ess.truncated == spec.truncated
+        assert (ess.note is not None) == (cls is SymbolClass.ZERO_OPERATOR)
+
+
 def test_essential_dim_one_is_zero_only():
     ess = enumerate_essential_spectrum(MonomialSymbol((1,), (1,)), 8)
     assert ess.value_set() == {Fraction(0)}
@@ -190,6 +246,16 @@ def test_enumeration_guards():
     with pytest.raises(ValueError):
         enumerate_spectrum(wide, 1)
     assert enumerate_spectrum(wide, 0, max_dim=9).contains_zero
+
+
+def test_enumeration_budget():
+    # (cap+2)^dim - 1 closed-form evaluations: 316^2 - 1 fits the budget, 317^2 - 1 does not
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_spectrum(MonomialSymbol((0, 0), (1, 1)), 315)
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_essential_spectrum(MonomialSymbol((0,) * 8, (1,) * 8), 3)
+    # holomorphic symbols evaluate nothing, so any cap is within budget
+    assert enumerate_spectrum(MonomialSymbol((1, 1), (0, 0)), 10**6).value_set() == {0}
 
 
 def test_m_zero_gives_zero_everywhere():

@@ -271,6 +271,27 @@ def test_load_matrix_rejects_bad_header(header):
         load_matrix(io.StringIO(header + "\n"))
 
 
+@pytest.mark.parametrize(
+    "exact, cell",
+    [
+        (1, "1/0,0/1"),
+        (1, "0/1,1/0"),
+        (1, "1/2"),
+        (1, "1/2,0/1,0/1"),
+        (1, "x,0/1"),
+        (1, ","),
+        (0, "1.5"),
+        (0, "1.5,x"),
+        (0, "1.5,2.5,3.5"),
+    ],
+)
+def test_load_matrix_rejects_bad_cell(exact, cell):
+    good = "0/1,0/1" if exact else "0.0,0.0"
+    dump = f"hankel-spectra-matrix v1 dim=1 N=1 symbol=x exact={exact}\n{good} {good}\n{good} {cell}\n"
+    with pytest.raises(ValueError, match="matrix dump row 1, column 1: "):
+        load_matrix(io.StringIO(dump))
+
+
 def test_gram_entry_complex_coefficient_orientation():
     # complex coefficients expose the conjugation orientation that pure
     # Hermiticity checks cannot (both orientations are Hermitian)
