@@ -128,9 +128,11 @@ def slice_norm_profile(
         raise ValueError("profiles need dim >= 2")
     slice_trunc = BasisTruncation(trunc.degree_cap, sym.dim - 1)
     thetas = [2.0 * math.pi * j / num_samples for j in range(num_samples)]
+    # a complex q turns every coefficient complex anyway: CRat * complex is complex(CRat) * complex
+    float_sym = sym.as_float()
 
     def top(theta: float) -> float:
-        sliced = slice_symbol(sym, cmath.exp(1j * theta), coord)
+        sliced = slice_symbol(float_sym, cmath.exp(1j * theta), coord)
         if sliced.is_zero:
             return 0.0
         w = eigenvalues(assemble(sliced, slice_trunc))
@@ -173,9 +175,10 @@ def circle_abs_sq_range(chi: PolySymbol, num_samples: int = DEFAULT_SAMPLES) -> 
         raise ValueError("chi must be univariate")
     if num_samples < 8:
         raise ValueError("num_samples must be >= 8")
+    float_chi = chi.as_float()  # evaluate() converts every coefficient to complex anyway
 
     def f(theta: float) -> float:
-        return abs(chi.evaluate((cmath.exp(1j * theta),))) ** 2
+        return abs(float_chi.evaluate((cmath.exp(1j * theta),))) ** 2
 
     step = 2.0 * math.pi / num_samples
     vals = [f(j * step) for j in range(num_samples)]

@@ -15,6 +15,13 @@ off-diagonal entries generally carry a square-root factor.  The arithmetic
 follows the symbol: exact symbols run the kernel on Fractions and keep g
 (Gaussian-rational, Hermitian), float symbols run it on float64.  Callers that
 only need floats pass a float copy of an exact symbol (PolySymbol.as_float).
+
+Eigenvalues are solved per sector.  Entry (a, b) vanishes unless b - a is a
+winding offset k_s - k_t of two terms, so the connected components of the
+graph a ~ a + delta on the box (the sectors, see _sectors) index diagonal
+blocks of a permuted matrix with nothing between them.  The spectrum is
+therefore exactly the union of the block spectra; monomial symbols give 1x1
+blocks, the paper's diagonal case.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -148,6 +155,55 @@ def _pair_offsets(sym: PolySymbol) -> dict[tuple[int, ...], list]:
     return offsets
 
 
+def _offset_block(trunc: BasisTruncation, delta):
+    """(lo, hi, rows, cols) for the alpha with alpha and alpha + delta in the box, or None.
+
+    lo <= alpha <= hi are the box corners; rows and cols hold the graded-lex
+    positions of alpha and of alpha + delta, shaped like the box.
+    """
+    n_cap = trunc.degree_cap
+    lo = [max(0, -d) for d in delta]
+    hi = [min(n_cap, n_cap - d) for d in delta]
+    if any(a > b for a, b in zip(lo, hi)):
+        return None
+    rows = trunc.positions[tuple(slice(a, b + 1) for a, b in zip(lo, hi))]
+    cols = trunc.positions[tuple(slice(a + d, b + d + 1) for a, b, d in zip(lo, hi, delta))]
+    return lo, hi, rows, cols
+
+
+@lru_cache(maxsize=32)
+def _sectors(trunc: BasisTruncation, offsets: frozenset) -> tuple[np.ndarray, ...]:
+    """The sectors of the box for the coupling offsets, grouped by size.
+
+    A sector is a connected component of the graph on the basis box with an
+    edge alpha ~ alpha + delta for every offset delta whose ends both lie in
+    the box.  Returns one read-only (k, s) array per sector size s, ascending
+    in s: row r holds the graded-lex indices of one sector, ascending.
+    """
+    boxes = [_offset_block(trunc, d) for d in offsets if any(d)]
+    ends = [(rows.ravel(), cols.ravel()) for _, _, rows, cols in filter(None, boxes)]
+    # vectorised union-find: label[i] <= i is the parent of i; each round hooks
+    # the larger root of every split edge onto the smaller, then compresses paths
+    label = np.arange(trunc.size)
+    if ends:
+        u, v = (np.concatenate(x) for x in zip(*ends))
+        while True:
+            lu, lv = label[u], label[v]
+            if np.array_equal(lu, lv):
+                break
+            np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+            while not np.array_equal(label, label[label]):
+                label = label[label]
+    order = np.argsort(label, kind="stable")
+    _, starts, counts = np.unique(label[order], return_index=True, return_counts=True)
+    groups = []
+    for s in np.unique(counts):
+        g = order[starts[counts == s][:, None] + np.arange(s)]
+        g.flags.writeable = False
+        groups.append(g)
+    return tuple(groups)
+
+
 def _check_inner_caps(sym: PolySymbol, top, caps) -> None:
     """Raise InnerCapError if some alpha in the box [0, top] projects past the caps.
 
@@ -242,7 +298,9 @@ class CompressionMatrix:
 
     dense holds orthonormal-basis entries (complex floats).  For exact symbols
     scaled holds the Gaussian-rational scaled Gram matrix from which dense is
-    derived; see the module docstring for the sqrt-weight relation.
+    derived; see the module docstring for the sqrt-weight relation.  sectors
+    partitions the basis into the index sets of the diagonal blocks, grouped by
+    block size (see _sectors); eigenvalues() solves one block at a time.
     """
 
     symbol: PolySymbol | None
@@ -251,6 +309,7 @@ class CompressionMatrix:
     dense: np.ndarray
     scaled: tuple[tuple[CRat, ...], ...] | None
     symbol_hash: str
+    sectors: tuple[np.ndarray, ...]
 
     @property
     def exactness(self) -> Exactness:
@@ -298,23 +357,21 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation, inner_cap=None) -> Compres
         raise ValueError(f"symbol dim {sym.dim} != truncation dim {trunc.dim}")
     _check_basis_size(trunc.degree_cap, trunc.dim)
     caps = _normalize_inner_caps(sym, trunc, inner_cap)
-    n_cap = trunc.degree_cap
-    _check_inner_caps(sym, (n_cap,) * trunc.dim, caps)
+    _check_inner_caps(sym, (trunc.degree_cap,) * trunc.dim, caps)
     exact = sym.is_exact
-    positions, w = trunc.positions, trunc.weights_sqrt
+    w = trunc.weights_sqrt
     dense = np.zeros((trunc.size, trunc.size), dtype=complex)
     scaled = np.full(dense.shape, CR_ZERO, dtype=object) if exact else None
     written = []
+    offsets = _pair_offsets(sym)
     with np.errstate(over="ignore", invalid="ignore"):
-        for delta, pairs in _pair_offsets(sym).items():
+        for delta, pairs in offsets.items():
             # alpha and beta = alpha + delta both in [0, N] per coordinate
-            lo = [max(0, -d) for d in delta]
-            hi = [min(n_cap, n_cap - d) for d in delta]
-            if any(a > b for a, b in zip(lo, hi)):
+            box = _offset_block(trunc, delta)
+            if box is None:
                 continue
+            lo, hi, rows, cols = box
             block = _gram_block(pairs, lo, hi, exact)
-            rows = positions[tuple(slice(a, b + 1) for a, b in zip(lo, hi))]
-            cols = positions[tuple(slice(a + d, b + d + 1) for a, b, d in zip(lo, hi, delta))]
             dense[rows, cols] = np.asarray(block, dtype=complex) * w[rows] * w[cols]
             if exact:
                 scaled[rows, cols] = block
@@ -332,6 +389,7 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation, inner_cap=None) -> Compres
         dense=dense,
         scaled=scaled,
         symbol_hash=_symbol_hash(sym),
+        sectors=_sectors(trunc, frozenset(offsets)),
     )
 
 
@@ -403,6 +461,7 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation, inner_cap=Non
         dense=dense,
         scaled=tuple(tuple(r) for r in rows) if sym.is_exact else None,
         symbol_hash=_symbol_hash(sym),
+        sectors=_sectors(trunc, frozenset(_pair_offsets(sym))),
     )
 
 
@@ -418,9 +477,12 @@ def matrices_equal(m1: CompressionMatrix, m2: CompressionMatrix) -> bool:
 def eigenvalues(mat: CompressionMatrix) -> np.ndarray:
     """All eigenvalues of the compression, ascending.
 
-    Rejects non-finite entries, verifies Hermiticity (to 1e-13 relative) and
-    the PSD floor (>= -1e-10) before returning; the solve itself is LAPACK's
-    Hermitian eigensolver.
+    Rejects non-finite entries and entries outside the matrix's sectors,
+    verifies Hermiticity (to 1e-13 relative) and the PSD floor (>= -1e-10)
+    before returning.  The spectrum is the union of the sector blocks'
+    spectra: blocks of one size go to LAPACK's Hermitian eigensolver as one
+    batched call.  Once no entry lies outside the sectors, the scale and the
+    Hermiticity defect of the blocks are those of the whole matrix.
     """
     h = mat.dense
     if not np.all(np.isfinite(h)):
@@ -428,11 +490,17 @@ def eigenvalues(mat: CompressionMatrix) -> np.ndarray:
         raise ValueError(
             f"compression of {what} has non-finite entries; coefficients too large for floats?"
         )
-    scale = max(1.0, mat.scale())
-    defect = mat.hermiticity_defect()
+    blocks = [h[g[:, :, None], g[:, None, :]] for g in mat.sectors]
+    if sum(np.count_nonzero(b) for b in blocks) != np.count_nonzero(h):
+        raise ValueError("matrix has non-zero entries outside its sector blocks")
+    adjoints = [b.conj().swapaxes(1, 2) for b in blocks]
+    scale = max([1.0] + [float(np.max(np.abs(b))) for b in blocks])
+    defect = max([0.0] + [float(np.max(np.abs(b - a))) for b, a in zip(blocks, adjoints)])
     if defect > HERMITICITY_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: defect {defect:g}")
-    w = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
+    w = np.sort(np.concatenate(
+        [np.linalg.eigvalsh((b + a) / 2.0).ravel() for b, a in zip(blocks, adjoints)]
+    ))
     if w.size and w[0] < EIGEN_FLOOR:
         raise ValueError(f"eigenvalue {w[0]:g} below PSD floor {EIGEN_FLOOR:g}")
     return w
@@ -520,13 +588,15 @@ def dump_matrix(mat: CompressionMatrix, fileobj) -> None:
         f"symbol={mat.symbol_hash} exact={int(exact)}\n"
     )
     if exact:
-        # always "num/den", integers too: the format is frozen and readers split on "/"
+        # always "num/den", integers too: the format is frozen and readers split on "/".
+        # Most cells are the shared CR_ZERO; the identity test spares formatting them.
         for row in mat.scaled:
             fileobj.write(
-                " ".join(
-                    f"{c.re.numerator}/{c.re.denominator},{c.im.numerator}/{c.im.denominator}"
+                " ".join([
+                    "0/1,0/1" if c is CR_ZERO or not c
+                    else f"{c.re.numerator}/{c.re.denominator},{c.im.numerator}/{c.im.denominator}"
                     for c in row
-                )
+                ])
                 + "\n"
             )
     else:
@@ -534,6 +604,10 @@ def dump_matrix(mat: CompressionMatrix, fileobj) -> None:
             fileobj.write(
                 " ".join(f"{float(c.real)!r},{float(c.imag)!r}" for c in row) + "\n"
             )
+
+
+# longer dim= or N= fields could reach int()'s digit limit, whose message names no dump
+_MAX_HEADER_DIGITS = 9
 
 
 def _read_header(line: str) -> tuple[BasisTruncation, str, bool]:
@@ -553,6 +627,8 @@ def _read_header(line: str) -> tuple[BasisTruncation, str, bool]:
     for key in ("dim", "N"):
         if not (fields[key].isascii() and fields[key].isdigit()):
             raise ValueError(f"matrix dump header: {key}={fields[key]!r} is not a non-negative integer")
+        if len(fields[key]) > _MAX_HEADER_DIGITS:
+            raise ValueError(f"matrix dump header: {key} has {len(fields[key])} digits")
     dim, n_cap = int(fields["dim"]), int(fields["N"])
     if dim < 1:
         raise ValueError("matrix dump header: dim must be >= 1")
@@ -569,6 +645,13 @@ def _read_cell(cell: str, exact: bool, i: int, j: int):
         return CRat(Fraction(re_s), Fraction(im_s)) if exact else complex(float(re_s), float(im_s))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"matrix dump row {i}, column {j}: bad entry {cell!r}") from None
+
+
+def _pattern_offsets(trunc: BasisTruncation, dense: np.ndarray) -> frozenset:
+    """The offsets beta - alpha of the non-zero entries of dense."""
+    indices = np.array(trunc.indices, dtype=np.intp)
+    rows, cols = np.nonzero(dense)
+    return frozenset(map(tuple, np.unique(indices[cols] - indices[rows], axis=0).tolist()))
 
 
 def load_matrix(fileobj) -> CompressionMatrix:
@@ -594,4 +677,5 @@ def load_matrix(fileobj) -> CompressionMatrix:
         dense=dense,
         scaled=tuple(scaled_rows) if exact else None,
         symbol_hash=symbol_hash,
+        sectors=_sectors(trunc, _pattern_offsets(trunc, dense)),
     )

@@ -73,6 +73,17 @@ def test_profile_product_symbol_range():
     assert abs(theta0 - 2.0) < 1e-12
 
 
+def test_profile_labels_its_sectors_once():
+    # every sample's slice has the same windings, so one labeling serves all 64 solves
+    from hankel_spectra.galerkin import _sectors
+
+    _sectors.cache_clear()
+    prof = slice_norm_profile(parse_symbol("zb1*(zb2+1)*(zb3+2)"), 3, 64, BasisTruncation(6, 3))
+    assert len(prof.values) == 64
+    info = _sectors.cache_info()
+    assert (info.misses, info.hits) == (1, 63)
+
+
 def test_profile_holomorphic_zero():
     prof = slice_norm_profile(parse_symbol("z1*z2"), 2, 8, BasisTruncation(6, 2))
     assert prof.constant and prof.vmax <= 1e-12

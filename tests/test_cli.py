@@ -222,6 +222,28 @@ def test_float_commands_skip_exact_assembly(capsys, monkeypatch, tmp_path):
     assert back.scaled == ref.scaled and np.array_equal(back.dense, ref.dense)
 
 
+def test_approx_solves_sector_blocks(capsys, monkeypatch):
+    # zb1*(zb2+1) couples z^a only to z^(a +- (0, 1)): 13 blocks of 13 at N = 12;
+    # a monomial couples nothing, so every block is 1x1
+    import numpy as np
+
+    real = np.linalg.eigvalsh
+    sizes = []
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    assert main(["approx", "zb1*(zb2+1)", "--degree", "12"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["eigenvalues"]) == 169
+    assert sizes and max(sizes) <= 13
+    sizes.clear()
+    assert main(["approx", "zb1^2", "--dim", "2", "--degree", "12"]) == 0
+    capsys.readouterr()
+    assert set(sizes) == {1}
+
+
 def test_exact_enumerates_once(capsys, monkeypatch):
     # spectrum and essential spectrum come from one pass over the (cap+2)^dim - 1 points
     calls = []

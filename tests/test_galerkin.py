@@ -23,7 +23,7 @@ from hankel_spectra import (
     weyl_residual,
 )
 from hankel_spectra.galerkin import dump_matrix, load_matrix, scaled_gram_entry
-from hankel_spectra.rational import CRat
+from hankel_spectra.rational import CR_ZERO, CRat
 from oracles import hankel_entry_oracle
 
 
@@ -264,6 +264,7 @@ def test_dump_and_load_roundtrip():
         "hankel-spectra-matrix v1 dim=3 N=100000 symbol=x exact=1",
         "hankel-spectra-matrix v1 dim=100000 N=1 symbol=x exact=0",
         "hankel-spectra-matrix v1 dim=2 N=%s symbol=x exact=0" % ("9" * 4000),
+        "hankel-spectra-matrix v1 dim=2 N=%s symbol=x exact=0" % ("9" * 5000),
     ],
 )
 def test_load_matrix_rejects_bad_header(header):
@@ -317,3 +318,48 @@ def test_eigenvalues_rejects_non_finite_matrix():
         dense[1, 1] = bad  # NaN passes the Hermiticity guard: NaN > tol is false
         with pytest.raises(ValueError, match="non-finite entries"):
             eigenvalues(dataclasses.replace(mat, dense=dense))
+
+
+def test_exact_dump_bytes_match_per_cell_formatting():
+    # zero cells are written as a constant; the bytes must equal formatting every cell,
+    # for assembled matrices (shared CR_ZERO) and loaded ones (fresh CRat zeros)
+    mat = assemble(parse_symbol("(1/2+i)*zb1*(zb2+1) - 3/4*z1*zb2"), BasisTruncation(4, 2))
+    buf = io.StringIO()
+    dump_matrix(mat, buf)
+    header = buf.getvalue().splitlines()[0]
+
+    def per_cell(m):
+        rows = [
+            " ".join(f"{c.re.numerator}/{c.re.denominator},{c.im.numerator}/{c.im.denominator}" for c in row)
+            for row in m.scaled
+        ]
+        return "\n".join([header, *rows]) + "\n"
+
+    assert buf.getvalue() == per_cell(mat)
+    back = load_matrix(io.StringIO(buf.getvalue()))
+    assert back.scaled == mat.scaled and not any(c is CR_ZERO for row in back.scaled for c in row)
+    again = io.StringIO()
+    dump_matrix(back, again)
+    assert again.getvalue() == buf.getvalue() == per_cell(back)
+
+
+def test_eigenvalues_rejects_entry_between_sectors():
+    import dataclasses
+
+    mat = assemble(parse_symbol("zb1*(zb2+1)") * (0.5 + 0j), BasisTruncation(3, 2))
+    i, j = mat.sectors[0][0][0], mat.sectors[0][1][0]
+    dense = mat.dense.copy()
+    dense[i, j] = dense[j, i] = 1e-3  # Hermitian, so only the sector check can see it
+    with pytest.raises(ValueError, match="outside its sector blocks"):
+        eigenvalues(dataclasses.replace(mat, dense=dense))
+
+
+def test_eigenvalues_rejects_non_hermitian_entry_inside_a_block():
+    import dataclasses
+
+    mat = assemble(parse_symbol("zb1*(zb2+1)") * (0.5 + 0j), BasisTruncation(3, 2))
+    i, j = mat.sectors[0][1][:2]
+    dense = mat.dense.copy()
+    dense[i, j] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigenvalues(dataclasses.replace(mat, dense=dense))

@@ -1,5 +1,6 @@
-"""Property tests: the Galerkin kernel against the Toeplitz route and the exact arithmetic."""
+"""Property tests: the Galerkin kernel against the Toeplitz route, the exact arithmetic and the dense solve."""
 
+import io
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from hankel_spectra import (
     eigenvalues,
     matrices_equal,
 )
-from hankel_spectra.galerkin import default_inner_caps, scaled_gram_entry
+from hankel_spectra.galerkin import default_inner_caps, dump_matrix, load_matrix, scaled_gram_entry
 from hankel_spectra.rational import CRat
 
 TOL = 1e-13
@@ -100,3 +101,26 @@ def test_basis_positions_follow_graded_lex_order():
         trunc = BasisTruncation(n_cap, dim)
         for i, alpha in enumerate(trunc.indices):
             assert trunc.positions[alpha] == i
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_symbols())
+def test_sectors_partition_the_basis_and_carry_the_spectrum(case):
+    sym, n_cap = case
+    trunc = BasisTruncation(n_cap, sym.dim)
+    fast = assemble(sym.as_float(), trunc)
+    dump = io.StringIO()
+    dump_matrix(fast, dump)
+    loaded = load_matrix(io.StringIO(dump.getvalue()))
+    for mat in (fast, assemble_via_toeplitz(sym, trunc), loaded):
+        members = np.concatenate([g.ravel() for g in mat.sectors])
+        assert np.array_equal(np.sort(members), np.arange(trunc.size))
+        sector = np.empty(trunc.size, dtype=np.intp)
+        first = 0
+        for g in mat.sectors:
+            sector[g] = first + np.arange(len(g))[:, None]
+            first += len(g)
+        rows, cols = np.nonzero(mat.dense)
+        assert np.array_equal(sector[rows], sector[cols])
+        dense_w = np.linalg.eigvalsh(mat.dense)
+        assert np.max(np.abs(eigenvalues(mat) - dense_w)) <= TOL * max(1.0, dense_w[-1])
