@@ -6,8 +6,8 @@ Three engines, cross-validated against each other:
   monomial symbols z^n zbar^m,
 - quasihomog: eigenvalues for quasi-homogeneous symbols f(|z|) e^{ik.theta}
   through radial integrals (exact for rational polynomial profiles),
-- galerkin: dense Hermitian compressions for general polynomial symbols, with
-  the Toeplitz-identity cross-check and Weyl residual probes,
+- galerkin: Hermitian compressions for general polynomial symbols, stored as
+  sector blocks, with the Toeplitz-identity cross-check and Weyl residual probes,
 
 plus boundary: slice Hankel norms and essential-spectrum interval predictions.
 """
@@ -28,7 +28,6 @@ from .core import (
 from .galerkin import (
     BasisTruncation,
     CompressionMatrix,
-    Exactness,
     InnerCapError,
     KernelVector,
     assemble,
@@ -71,7 +70,6 @@ __all__ = [
     "CompressionMatrix",
     "EigenRecord",
     "EssentialSetPrediction",
-    "Exactness",
     "InnerCapError",
     "KernelVector",
     "MonomialNorm",

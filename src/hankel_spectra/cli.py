@@ -24,7 +24,7 @@ from .boundary import (
     PredictedPoint,
 )
 from .core import enumerate_spectrum, essential_part, multiplicity_class
-from .galerkin import BasisTruncation, Exactness, assemble, dump_matrix, eigenvalues
+from .galerkin import BasisTruncation, assemble, dump_matrix, eigenvalues
 from .rational import CRat
 from .symbols import PolySymbol, SymbolParseError, parse_symbol
 from .verify import run_verify
@@ -168,7 +168,6 @@ def cmd_approx(args) -> int:
     trunc = BasisTruncation(cfg.degree_cap, sym.dim)
     mat = assemble(sym.as_float(), trunc, cfg.inner_cap)
     w = eigenvalues(mat)
-    exactness = Exactness.RATIONAL if sym.is_exact else Exactness.FLOAT
     if args.dump_matrix:
         if sym.is_exact:
             # dump format v1 stores the exact scaled Gram matrix for exact symbols
@@ -182,7 +181,7 @@ def cmd_approx(args) -> int:
         "degree_cap": cfg.degree_cap,
         "inner_caps": list(mat.inner_caps),
         "basis_size": mat.size,
-        "exactness": exactness.value,
+        "exactness": "rational" if sym.is_exact else "float",
         "note": f"compression spectrum at N={cfg.degree_cap}; approximates the operator spectrum",
         "eigenvalues": [float(x) for x in w],
     }

@@ -16,12 +16,12 @@ follows the symbol: exact symbols run the kernel on Fractions and keep g
 (Gaussian-rational, Hermitian), float symbols run it on float64.  Callers that
 only need floats pass a float copy of an exact symbol (PolySymbol.as_float).
 
-Eigenvalues are solved per sector.  Entry (a, b) vanishes unless b - a is a
-winding offset k_s - k_t of two terms, so the connected components of the
-graph a ~ a + delta on the box (the sectors, see _sectors) index diagonal
-blocks of a permuted matrix with nothing between them.  The spectrum is
-therefore exactly the union of the block spectra; monomial symbols give 1x1
-blocks, the paper's diagonal case.
+The compression is stored as sector blocks.  Entry (a, b) vanishes unless
+b - a is a winding offset k_s - k_t of two terms, so the connected components
+of the graph a ~ a + delta on the box (the sectors, see _sectors) index
+diagonal blocks of a permuted matrix with nothing between them.  The spectrum
+is the union of the block spectra; monomial symbols give 1x1 blocks, the
+paper's diagonal case.  The full matrix is built only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 
@@ -38,11 +37,10 @@ import numpy as np
 
 from .multiindex import MultiIndex, as_multiindex, box_exceeds, graded_lex_box, is_nonnegative, weight
 from .rational import CRat, CR_ZERO
-from .symbols import PolySymbol
+from .symbols import MAX_COORDINATE, PolySymbol
 
 __all__ = [
     "BasisTruncation",
-    "Exactness",
     "CompressionMatrix",
     "InnerCapError",
     "KernelVector",
@@ -58,6 +56,7 @@ __all__ = [
 ]
 
 MAX_BASIS_SIZE = 20000
+MAX_STORED_ENTRIES = 2**24  # entries sum k*s^2 of the sector blocks; size^2 of a (dense) dump
 HERMITICITY_TOL = 1e-13
 EIGEN_FLOOR = -1e-10
 MIN_KERNEL_NORM = 0.99
@@ -65,11 +64,6 @@ MIN_KERNEL_NORM = 0.99
 
 class InnerCapError(ValueError):
     """The projection cap would silently drop part of P(psi e_alpha)."""
-
-
-class Exactness(Enum):
-    RATIONAL = "rational"
-    FLOAT = "float"
 
 
 @dataclass(frozen=True)
@@ -105,10 +99,8 @@ class BasisTruncation:
     @cached_property
     def weights_sqrt(self) -> np.ndarray:
         """sqrt(w_alpha) = sqrt(prod(alpha_k + 1)) for every basis index, graded-lex ordered."""
-        shape = (self.degree_cap + 1,) * self.dim
-        grid = np.indices(shape).reshape(self.dim, -1)
-        w = np.empty(grid.shape[1])
-        w[self.positions.ravel()] = np.sqrt(np.prod(grid + 1.0, axis=0))
+        w = np.empty(self.size)
+        w[self.positions] = np.sqrt(np.prod(np.indices(self.positions.shape) + 1.0, axis=0))
         return w
 
     @property
@@ -116,12 +108,10 @@ class BasisTruncation:
         return (self.degree_cap + 1) ** self.dim
 
 
-def _check_basis_size(n_cap: int, dim: int, where: str = "") -> None:
+def _check_basis_size(n_cap: int, dim: int) -> None:
     """Reject (N+1)^dim > MAX_BASIS_SIZE without building the power of a huge N or dim."""
     if box_exceeds(n_cap + 1, dim, MAX_BASIS_SIZE):
-        raise ValueError(
-            f"{where}basis size (N+1)^dim exceeds guard {MAX_BASIS_SIZE} (N={n_cap}, dim={dim})"
-        )
+        raise ValueError(f"basis size (N+1)^dim exceeds guard {MAX_BASIS_SIZE} (N={n_cap}, dim={dim})")
 
 
 def default_inner_caps(sym: PolySymbol, trunc: BasisTruncation) -> tuple[int, ...]:
@@ -138,11 +128,6 @@ def _normalize_inner_caps(sym, trunc, inner_cap) -> tuple[int, ...]:
     if len(caps) != trunc.dim:
         raise ValueError("inner_cap vector length must equal dim")
     return caps
-
-
-def _inner_factor(total: int) -> Fraction:
-    # <z^a zbar^b, z^c zbar^d> per coordinate = pi * 2/(a+b+c+d+2) when a-b=c-d
-    return Fraction(2, total + 2)
 
 
 def _pair_offsets(sym: PolySymbol) -> dict[tuple[int, ...], list]:
@@ -172,13 +157,15 @@ def _offset_block(trunc: BasisTruncation, delta):
 
 
 @lru_cache(maxsize=32)
-def _sectors(trunc: BasisTruncation, offsets: frozenset) -> tuple[np.ndarray, ...]:
-    """The sectors of the box for the coupling offsets, grouped by size.
+def _sectors(trunc: BasisTruncation, offsets: frozenset):
+    """(groups, row_start, col_pos): the sectors of the box for the coupling offsets.
 
     A sector is a connected component of the graph on the basis box with an
     edge alpha ~ alpha + delta for every offset delta whose ends both lie in
-    the box.  Returns one read-only (k, s) array per sector size s, ascending
-    in s: row r holds the graded-lex indices of one sector, ascending.
+    the box.  groups holds one read-only (k, s) array per sector size s,
+    ascending in s: row r holds the graded-lex indices of one sector, ascending.
+    Laid end to end as (k, s, s) stacks, the blocks hold entry (i, j) at flat
+    position row_start[i] + col_pos[j]; over MAX_STORED_ENTRIES raise ValueError.
     """
     boxes = [_offset_block(trunc, d) for d in offsets if any(d)]
     ends = [(rows.ravel(), cols.ravel()) for _, _, rows, cols in filter(None, boxes)]
@@ -197,11 +184,20 @@ def _sectors(trunc: BasisTruncation, offsets: frozenset) -> tuple[np.ndarray, ..
     order = np.argsort(label, kind="stable")
     _, starts, counts = np.unique(label[order], return_index=True, return_counts=True)
     groups = []
+    row_start, col_pos = np.empty((2, trunc.size), dtype=np.intp)
+    stored = 0
     for s in np.unique(counts):
         g = order[starts[counts == s][:, None] + np.arange(s)]
+        row_start[g] = stored + np.arange(g.size).reshape(g.shape) * s
+        col_pos[g] = np.arange(s)
+        stored += g.size * s
         g.flags.writeable = False
         groups.append(g)
-    return tuple(groups)
+    if stored > MAX_STORED_ENTRIES:
+        raise ValueError(f"sector blocks hold {stored} entries (largest block {s}x{s}), above "
+                         f"the guard {MAX_STORED_ENTRIES} (N={trunc.degree_cap}, dim={trunc.dim})")
+    row_start.flags.writeable = col_pos.flags.writeable = False
+    return tuple(groups), row_start, col_pos
 
 
 def _check_inner_caps(sym: PolySymbol, top, caps) -> None:
@@ -285,73 +281,112 @@ def hankel_gram_entry(sym: PolySymbol, alpha, beta, inner_cap=None):
     scaled = scaled_gram_entry(sym, alpha, beta, inner_cap)
     w = weight(as_multiindex(alpha)) * weight(as_multiindex(beta))
     root = math.isqrt(w)
-    if isinstance(scaled, CRat):
-        if root * root == w:
-            return scaled * root
-        return complex(scaled) * math.sqrt(w)
-    return scaled * math.sqrt(w)
+    if isinstance(scaled, CRat) and root * root == w:
+        return scaled * root
+    return complex(scaled) * math.sqrt(w)
 
 
 @dataclass(frozen=True)
 class CompressionMatrix:
-    """Dense Hermitian compression of H*_psi H_psi on a truncated basis.
+    """Hermitian compression of H*_psi H_psi on a truncated basis, stored as sector blocks.
 
-    dense holds orthonormal-basis entries (complex floats).  For exact symbols
-    scaled holds the Gaussian-rational scaled Gram matrix from which dense is
-    derived; see the module docstring for the sqrt-weight relation.  sectors
-    partitions the basis into the index sets of the diagonal blocks, grouped by
-    block size (see _sectors); eigenvalues() solves one block at a time.
+    sectors groups the index sets of the diagonal blocks by size (see _sectors);
+    nothing lies between them.  blocks[g][r] is the orthonormal block (complex)
+    of the indices sectors[g][r]; for exact symbols scaled_blocks holds the
+    Gaussian-rational scaled Gram blocks alike (see the module docstring for the
+    sqrt-weight relation), else None.  dense and scaled are built on first read.
     """
 
     symbol: PolySymbol | None
     trunc: BasisTruncation
     inner_caps: tuple[int, ...]
-    dense: np.ndarray
-    scaled: tuple[tuple[CRat, ...], ...] | None
     symbol_hash: str
     sectors: tuple[np.ndarray, ...]
-
-    @property
-    def exactness(self) -> Exactness:
-        return Exactness.FLOAT if self.scaled is None else Exactness.RATIONAL
+    blocks: tuple[np.ndarray, ...]
+    scaled_blocks: tuple[np.ndarray, ...] | None
 
     @property
     def size(self) -> int:
-        return self.dense.shape[0]
+        return self.trunc.size
+
+    def _graded_lex(self, stacks, fill) -> np.ndarray:
+        if stacks[0].shape[1] == self.size:  # one sector spans the basis: its block is the matrix
+            return stacks[0][0]
+        out = np.full((self.size, self.size), fill, dtype=stacks[0].dtype)
+        for g, b in zip(self.sectors, stacks):
+            out[g[:, :, None], g[:, None, :]] = b
+        return out
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        return self._graded_lex(self.blocks, 0)
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[CRat, ...], ...] | None:
+        if self.scaled_blocks is None:
+            return None
+        return tuple(map(tuple, self._graded_lex(self.scaled_blocks, CR_ZERO)))
 
     def exact_diagonal(self) -> list[Fraction]:
         """Orthonormal diagonal <H e_a, H e_a>, exactly rational."""
-        if self.scaled is None:
+        if self.scaled_blocks is None:
             raise ValueError("matrix was assembled on the float path")
-        out = []
-        for i, alpha in enumerate(self.trunc.indices):
-            out.append((self.scaled[i][i] * weight(alpha)).real_fraction())
-        return out
+        diag = np.empty(self.size, dtype=object)
+        for g, b in zip(self.sectors, self.scaled_blocks):
+            diag[g] = np.diagonal(b, axis1=1, axis2=2)
+        return [(d * weight(alpha)).real_fraction() for d, alpha in zip(diag, self.trunc.indices)]
 
     def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.dense - self.dense.conj().T))) if self.size else 0.0
+        return self._scale_and_defect()[1]
 
     def scale(self) -> float:
-        return float(np.max(np.abs(self.dense))) if self.size else 0.0
+        return self._scale_and_defect()[0]
+
+    def _scale_and_defect(self) -> tuple[float, float]:
+        """Largest |entry| and largest |entry - its Hermitian mirror| over the sector blocks."""
+        scale = max(float(np.max(np.abs(b))) for b in self.blocks)
+        defect = max(float(np.max(np.abs(b - b.conj().swapaxes(1, 2)))) for b in self.blocks)
+        return scale, defect
 
 
-def _symbol_hash(sym: PolySymbol | None) -> str:
-    if sym is None:
-        return "unknown"
+def _split(flat: np.ndarray, groups) -> tuple[np.ndarray, ...]:
+    """The (k, s, s) stacks of the sector groups laid end to end in flat, as views."""
+    parts = np.split(flat, np.cumsum([g.size * g.shape[1] for g in groups])[:-1])
+    return tuple(p.reshape(g.shape + g.shape[1:]) for p, g in zip(parts, groups))
+
+
+def _from_dense(full: np.ndarray, exact: bool, offsets: frozenset, **fields) -> CompressionMatrix:
+    """Block a full graded-lex matrix (CRat scaled Gram entries if exact, else orthonormal
+    ones) by the sectors of the offsets; a non-zero entry outside them raises ValueError.
+    """
+    groups = _sectors(fields["trunc"], offsets)[0]
+    parts = tuple(full[g[:, :, None], g[:, None, :]] for g in groups)
+    if sum(map(np.count_nonzero, parts)) != np.count_nonzero(full):
+        raise ValueError("matrix has non-zero entries outside its sector blocks")
+    w = fields["trunc"].weights_sqrt
+    blocks = tuple(np.asarray(b, dtype=complex) for b in parts) if exact else parts
+    for g, b in zip(groups, blocks if exact else ()):  # in place, as (c * w_i) * w_j in assemble
+        b *= w[g][:, :, None]
+        b *= w[g][:, None, :]
+    return CompressionMatrix(sectors=groups, blocks=blocks, scaled_blocks=parts if exact else None, **fields)
+
+
+def _symbol_hash(sym: PolySymbol) -> str:
     blob = json.dumps(sym.to_json_obj(), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
 def assemble(sym: PolySymbol, trunc: BasisTruncation, inner_cap=None) -> CompressionMatrix:
-    """Assemble the Hermitian compression matrix of H*_psi H_psi.
+    """Assemble the Hermitian compression of H*_psi H_psi as sector blocks.
 
-    One kernel (_gram_block) fills the matrix one winding-offset block at a
-    time, in the arithmetic of the symbol: exact symbols also keep the scaled
-    Gram matrix, float symbols leave scaled as None.  Callers that only need
+    One kernel (_gram_block) computes the matrix one winding-offset block at
+    a time, in the arithmetic of the symbol, and each block is scattered
+    straight into the sector blocks: exact symbols also keep the scaled Gram
+    blocks, float symbols leave scaled_blocks as None.  Callers that only need
     floats pass sym.as_float().  For a unit-coefficient monomial symbol the
     exact result is diagonal with the closed-form spectrum values on the
     diagonal.  Coefficients too large for floats leave inf/nan entries in
-    dense, which eigenvalues() rejects.
+    the blocks, which eigenvalues() rejects.
     """
     if sym.dim != trunc.dim:
         raise ValueError(f"symbol dim {sym.dim} != truncation dim {trunc.dim}")
@@ -359,11 +394,12 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation, inner_cap=None) -> Compres
     caps = _normalize_inner_caps(sym, trunc, inner_cap)
     _check_inner_caps(sym, (trunc.degree_cap,) * trunc.dim, caps)
     exact = sym.is_exact
-    w = trunc.weights_sqrt
-    dense = np.zeros((trunc.size, trunc.size), dtype=complex)
-    scaled = np.full(dense.shape, CR_ZERO, dtype=object) if exact else None
-    written = []
     offsets = _pair_offsets(sym)
+    groups, row_start, col_pos = _sectors(trunc, frozenset(offsets))
+    w = trunc.weights_sqrt
+    flat = np.zeros(sum(g.size * g.shape[1] for g in groups), dtype=complex)
+    scaled = np.full(flat.size, CR_ZERO, dtype=object) if exact else None
+    written = []
     with np.errstate(over="ignore", invalid="ignore"):
         for delta, pairs in offsets.items():
             # alpha and beta = alpha + delta both in [0, N] per coordinate
@@ -372,24 +408,18 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation, inner_cap=None) -> Compres
                 continue
             lo, hi, rows, cols = box
             block = _gram_block(pairs, lo, hi, exact)
-            dense[rows, cols] = np.asarray(block, dtype=complex) * w[rows] * w[cols]
+            at = row_start[rows] + col_pos[cols]
+            flat[at] = np.asarray(block, dtype=complex) * w[rows] * w[cols]
             if exact:
-                scaled[rows, cols] = block
-                written.append((rows.ravel(), cols.ravel()))
-    if exact:
-        if written:
-            rows, cols = (np.concatenate(x) for x in zip(*written))
-            if any(b != a.conjugate() for a, b in zip(scaled[rows, cols], scaled[cols, rows])):
-                raise AssertionError("exact assembly lost Hermitian symmetry")  # pragma: no cover
-        scaled = tuple(map(tuple, scaled))
+                scaled[at] = block
+                written.append((at.ravel(), (row_start[cols] + col_pos[rows]).ravel()))
+    if written:
+        at, mirror = (np.concatenate(x) for x in zip(*written))
+        if any(b != a.conjugate() for a, b in zip(scaled[at], scaled[mirror])):
+            raise AssertionError("exact assembly lost Hermitian symmetry")  # pragma: no cover
     return CompressionMatrix(
-        symbol=sym,
-        trunc=trunc,
-        inner_caps=caps,
-        dense=dense,
-        scaled=scaled,
-        symbol_hash=_symbol_hash(sym),
-        sectors=_sectors(trunc, frozenset(offsets)),
+        symbol=sym, trunc=trunc, inner_caps=caps, symbol_hash=_symbol_hash(sym), sectors=groups,
+        blocks=_split(flat, groups), scaled_blocks=_split(scaled, groups) if exact else None,
     )
 
 
@@ -407,7 +437,8 @@ def _toeplitz_map(phi: PolySymbol, in_indices, out_index_of) -> list[list]:
                 continue
             val = Fraction(1)
             for a, nk, mk, gk in zip(alpha, n, m, gamma):
-                val *= _inner_factor(a + nk + mk + gk)
+                # <z^a zbar^b, z^c zbar^d> per coordinate = pi * 2/(a+b+c+d+2) when a-b=c-d
+                val *= Fraction(2, a + nk + mk + gk + 2)
             acc[g] = acc.get(g, CR_ZERO) + c * val
         out.append(sorted(acc.items()))
     return out
@@ -419,87 +450,68 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation, inner_cap=Non
     Both Toeplitz compressions use the same intermediate cap as the Hankel
     path, so for polynomial symbols the two assemblies agree entrywise and
     exactly on the scaled Gram representation.  Entries are CRat for exact
-    symbols; float coefficients degrade them to complex.
+    symbols; float coefficients degrade them to complex.  Fills the full matrix.
     """
     if sym.dim != trunc.dim:
         raise ValueError(f"symbol dim {sym.dim} != truncation dim {trunc.dim}")
     _check_basis_size(trunc.degree_cap, trunc.dim)
     caps = _normalize_inner_caps(sym, trunc, inner_cap)
-    indices = trunc.indices
-    size = trunc.size
+    offsets = frozenset(_pair_offsets(sym))
+    _sectors(trunc, offsets)  # the stored-entry guard, before the full matrix is built
 
     inner_indices = graded_lex_box(caps, trunc.dim)
     inner_index_of = {a: i for i, a in enumerate(inner_indices)}
     inner_weights = [weight(a) for a in inner_indices]
 
-    mod_sq = sym.modulus_squared()
-    t_mod = _toeplitz_map(mod_sq, indices, trunc.index_of)
-    t_psi = _toeplitz_map(sym, indices, inner_index_of)
+    t_mod = _toeplitz_map(sym.modulus_squared(), trunc.indices, trunc.index_of)
+    t_psi = _toeplitz_map(sym, trunc.indices, inner_index_of)
     t_psibar = _toeplitz_map(sym.conjugate(), inner_indices, trunc.index_of)
 
-    rows = [[CR_ZERO] * size for _ in range(size)]
-    for i in range(size):
+    full = np.full((trunc.size, trunc.size), CR_ZERO, dtype=object)
+    for i in range(trunc.size):
         for j, val in t_mod[i]:
-            rows[i][j] = rows[i][j] + val
+            full[i, j] = full[i, j] + val
         for g, va in t_psi[i]:
-            wg = inner_weights[g]
             for j, vb in t_psibar[g]:
-                rows[i][j] = rows[i][j] - va * vb * wg
-
-    w = trunc.weights_sqrt
-    dense = np.zeros((size, size), dtype=complex)
-    for i in range(size):
-        for j in range(size):
-            v = rows[i][j]
-            if v:
-                dense[i, j] = complex(v) * w[i] * w[j]
-
-    return CompressionMatrix(
-        symbol=sym,
-        trunc=trunc,
-        inner_caps=caps,
-        dense=dense,
-        scaled=tuple(tuple(r) for r in rows) if sym.is_exact else None,
-        symbol_hash=_symbol_hash(sym),
-        sectors=_sectors(trunc, frozenset(_pair_offsets(sym))),
-    )
+                full[i, j] = full[i, j] - va * vb * inner_weights[g]
+    if not sym.is_exact:
+        full = full.astype(complex)
+        full *= trunc.weights_sqrt[:, None]  # in place: no n x n temporaries
+        full *= trunc.weights_sqrt
+    fields = dict(symbol=sym, trunc=trunc, inner_caps=caps, symbol_hash=_symbol_hash(sym))
+    return _from_dense(full, sym.is_exact, offsets, **fields)
 
 
 def matrices_equal(m1: CompressionMatrix, m2: CompressionMatrix) -> bool:
     """Entrywise equality: exact on the rational path, bitwise on the float path."""
     if m1.trunc != m2.trunc:
         return False
-    if m1.scaled is not None and m2.scaled is not None:
-        return m1.scaled == m2.scaled
-    return bool(np.array_equal(m1.dense, m2.dense))
+    exact = m1.scaled_blocks is not None and m2.scaled_blocks is not None
+    if len(m1.sectors) != len(m2.sectors) or not all(map(np.array_equal, m1.sectors, m2.sectors)):
+        # different sectors (e.g. a loaded dump with cancelled offsets): compare the full matrices
+        return m1.scaled == m2.scaled if exact else bool(np.array_equal(m1.dense, m2.dense))
+    pairs = zip(m1.scaled_blocks, m2.scaled_blocks) if exact else zip(m1.blocks, m2.blocks)
+    return all(np.array_equal(a, b) for a, b in pairs)
 
 
 def eigenvalues(mat: CompressionMatrix) -> np.ndarray:
     """All eigenvalues of the compression, ascending.
 
-    Rejects non-finite entries and entries outside the matrix's sectors,
-    verifies Hermiticity (to 1e-13 relative) and the PSD floor (>= -1e-10)
-    before returning.  The spectrum is the union of the sector blocks'
-    spectra: blocks of one size go to LAPACK's Hermitian eigensolver as one
-    batched call.  Once no entry lies outside the sectors, the scale and the
-    Hermiticity defect of the blocks are those of the whole matrix.
+    Reads only the sector blocks: rejects non-finite entries, verifies
+    Hermiticity (to 1e-13 relative) and the PSD floor (>= -1e-10) before
+    returning.  The spectrum is the union of the blocks' spectra: blocks of
+    one size go to LAPACK's Hermitian eigensolver as one batched call.
     """
-    h = mat.dense
-    if not np.all(np.isfinite(h)):
+    if not all(np.isfinite(b).all() for b in mat.blocks):
         what = mat.symbol if mat.symbol is not None else f"dumped symbol {mat.symbol_hash}"
         raise ValueError(
             f"compression of {what} has non-finite entries; coefficients too large for floats?"
         )
-    blocks = [h[g[:, :, None], g[:, None, :]] for g in mat.sectors]
-    if sum(np.count_nonzero(b) for b in blocks) != np.count_nonzero(h):
-        raise ValueError("matrix has non-zero entries outside its sector blocks")
-    adjoints = [b.conj().swapaxes(1, 2) for b in blocks]
-    scale = max([1.0] + [float(np.max(np.abs(b))) for b in blocks])
-    defect = max([0.0] + [float(np.max(np.abs(b - a))) for b, a in zip(blocks, adjoints)])
-    if defect > HERMITICITY_TOL * scale:
+    scale, defect = mat._scale_and_defect()
+    if defect > HERMITICITY_TOL * max(1.0, scale):
         raise ValueError(f"matrix is not Hermitian: defect {defect:g}")
     w = np.sort(np.concatenate(
-        [np.linalg.eigvalsh((b + a) / 2.0).ravel() for b, a in zip(blocks, adjoints)]
+        [np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2.0).ravel() for b in mat.blocks]
     ))
     if w.size and w[0] < EIGEN_FLOOR:
         raise ValueError(f"eigenvalue {w[0]:g} below PSD floor {EIGEN_FLOOR:g}")
@@ -578,11 +590,18 @@ def weyl_residual(
 # -- dump format --------------------------------------------------------------
 # header: "hankel-spectra-matrix v1 dim=<d> N=<n> symbol=<hash> exact=<0|1>"
 # then one row per line; entries "re,im" with float repr (float mode) or
-# "num/den,num/den" (rational mode, scaled Gram entries).
+# "num/den,num/den" (rational mode, scaled Gram entries); size^2 <= MAX_STORED_ENTRIES.
+
+
+def _check_dump_size(size: int, where: str = "") -> None:
+    if size * size > MAX_STORED_ENTRIES:
+        raise ValueError(f"{where}a dense matrix dump of basis size {size} holds {size * size} "
+                         f"entries, above the guard {MAX_STORED_ENTRIES}")
 
 
 def dump_matrix(mat: CompressionMatrix, fileobj) -> None:
-    exact = mat.scaled is not None
+    _check_dump_size(mat.size)
+    exact = mat.scaled_blocks is not None
     fileobj.write(
         f"hankel-spectra-matrix v1 dim={mat.trunc.dim} N={mat.trunc.degree_cap} "
         f"symbol={mat.symbol_hash} exact={int(exact)}\n"
@@ -601,9 +620,7 @@ def dump_matrix(mat: CompressionMatrix, fileobj) -> None:
             )
     else:
         for row in mat.dense:
-            fileobj.write(
-                " ".join(f"{float(c.real)!r},{float(c.imag)!r}" for c in row) + "\n"
-            )
+            fileobj.write(" ".join(f"{float(c.real)!r},{float(c.imag)!r}" for c in row) + "\n")
 
 
 # longer dim= or N= fields could reach int()'s digit limit, whose message names no dump
@@ -630,11 +647,11 @@ def _read_header(line: str) -> tuple[BasisTruncation, str, bool]:
         if len(fields[key]) > _MAX_HEADER_DIGITS:
             raise ValueError(f"matrix dump header: {key} has {len(fields[key])} digits")
     dim, n_cap = int(fields["dim"]), int(fields["N"])
-    if dim < 1:
-        raise ValueError("matrix dump header: dim must be >= 1")
+    if not 1 <= dim <= MAX_COORDINATE:
+        raise ValueError(f"matrix dump header: dim must be in 1..{MAX_COORDINATE}")
     if fields["exact"] not in ("0", "1"):
         raise ValueError(f"matrix dump header: exact={fields['exact']!r} is not 0 or 1")
-    _check_basis_size(n_cap, dim, "matrix dump header: ")
+    _check_dump_size((n_cap + 1) ** dim, "matrix dump header: ")  # implies size <= MAX_BASIS_SIZE
     return BasisTruncation(n_cap, dim), fields["symbol"], fields["exact"] == "1"
 
 
@@ -647,35 +664,21 @@ def _read_cell(cell: str, exact: bool, i: int, j: int):
         raise ValueError(f"matrix dump row {i}, column {j}: bad entry {cell!r}") from None
 
 
-def _pattern_offsets(trunc: BasisTruncation, dense: np.ndarray) -> frozenset:
-    """The offsets beta - alpha of the non-zero entries of dense."""
+def _pattern_offsets(trunc: BasisTruncation, full: np.ndarray) -> frozenset:
+    """The offsets beta - alpha of the non-zero entries of a full graded-lex matrix."""
     indices = np.array(trunc.indices, dtype=np.intp)
-    rows, cols = np.nonzero(dense)
+    rows, cols = np.nonzero(full)
     return frozenset(map(tuple, np.unique(indices[cols] - indices[rows], axis=0).tolist()))
 
 
 def load_matrix(fileobj) -> CompressionMatrix:
     trunc, symbol_hash, exact = _read_header(fileobj.readline())
     size = trunc.size
-    w = trunc.weights_sqrt
-    dense = np.zeros((size, size), dtype=complex)
-    scaled_rows = [] if exact else None
+    full = np.empty((size, size), dtype=object if exact else complex)
     for i in range(size):
         cells = fileobj.readline().split()
         if len(cells) != size:
             raise ValueError(f"row {i}: expected {size} entries, got {len(cells)}")
-        row = [_read_cell(cell, exact, i, j) for j, cell in enumerate(cells)]
-        if exact:
-            scaled_rows.append(tuple(row))
-            dense[i] = [complex(c) * w[i] * wj for c, wj in zip(row, w)]
-        else:
-            dense[i] = row
-    return CompressionMatrix(
-        symbol=None,
-        trunc=trunc,
-        inner_caps=(),
-        dense=dense,
-        scaled=tuple(scaled_rows) if exact else None,
-        symbol_hash=symbol_hash,
-        sectors=_sectors(trunc, _pattern_offsets(trunc, dense)),
-    )
+        full[i] = [_read_cell(cell, exact, i, j) for j, cell in enumerate(cells)]
+    fields = dict(symbol=None, trunc=trunc, inner_caps=(), symbol_hash=symbol_hash)
+    return _from_dense(full, exact, _pattern_offsets(trunc, full), **fields)

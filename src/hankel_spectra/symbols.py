@@ -37,11 +37,13 @@ def _pad(t: tuple[int, ...], dim: int) -> tuple[int, ...]:
 class PolySymbol:
     """Canonical finite sum of terms coeff * z^holo * zbar^antiholo."""
 
-    __slots__ = ("dim", "terms")
+    # is_exact: every coefficient the symbol was built from is exact, cancelled ones included
+    __slots__ = ("dim", "terms", "is_exact")
 
     def __init__(self, terms, dim: int | None = None):
         merged: dict[tuple[MultiIndex, MultiIndex], object] = {}
         inferred = dim
+        exact = True
         for coeff, holo, antiholo in terms:
             holo = as_multiindex(holo, name="holo exponent")
             antiholo = as_multiindex(antiholo, name="antiholo exponent")
@@ -52,6 +54,7 @@ class PolySymbol:
                 raise ValueError(f"term dimension {d} != symbol dimension {inferred}")
             key = (holo, antiholo)
             c = as_coeff(coeff)
+            exact = exact and coeff_is_exact(c)
             if key in merged:
                 merged[key] = merged[key] + c
             else:
@@ -66,6 +69,7 @@ class PolySymbol:
         cleaned.sort(key=lambda t: (sum(t[1]) + sum(t[2]), t[1], t[2]))
         self.dim = inferred
         self.terms = tuple(cleaned)
+        self.is_exact = exact
 
     # -- constructors ---------------------------------------------------------
 
@@ -94,10 +98,6 @@ class PolySymbol:
         return not self.terms
 
     @property
-    def is_exact(self) -> bool:
-        return all(coeff_is_exact(c) for c, _, _ in self.terms)
-
-    @property
     def is_holomorphic(self) -> bool:
         return all(all(m == 0 for m in a) for _, _, a in self.terms)
 
@@ -112,7 +112,7 @@ class PolySymbol:
         The Galerkin assembly takes its vectorised float path for such a
         symbol; callers that print only floats use this copy.
         """
-        if all(isinstance(c, complex) for c, _, _ in self.terms):
+        if not self.is_exact and all(isinstance(c, complex) for c, _, _ in self.terms):
             return self
         terms = []
         for c, h, a in self.terms:
@@ -122,7 +122,8 @@ class PolySymbol:
                 raise ValueError(
                     f"coefficient of {_monomial_str(h, a) or '1'} is too large for a float"
                 ) from None
-        return PolySymbol(terms, dim=self.dim)
+        # the zero symbol is built from one zero float coefficient: dropped, but counted
+        return PolySymbol(terms or [(0j, (0,) * self.dim, (0,) * self.dim)], dim=self.dim)
 
     def to_monomial_symbol(self) -> MonomialSymbol:
         if not self.is_plain_monomial:

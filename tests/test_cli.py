@@ -222,6 +222,36 @@ def test_float_commands_skip_exact_assembly(capsys, monkeypatch, tmp_path):
     assert back.scaled == ref.scaled and np.array_equal(back.dense, ref.dense)
 
 
+def test_float_commands_build_no_full_matrix(capsys, monkeypatch):
+    # approx without --dump-matrix and boundary read only the sector blocks
+    from hankel_spectra.galerkin import CompressionMatrix
+
+    def refuse(self):
+        raise AssertionError("full graded-lex matrix built")
+
+    monkeypatch.setattr(CompressionMatrix, "dense", property(refuse))
+    monkeypatch.setattr(CompressionMatrix, "scaled", property(refuse))
+    assert run_cli(capsys, "approx", "(1/2+i)*zb1*(zb2+1) - 3/4*z1*zb2", "--degree", "6")[0] == 0
+    code, _ = run_cli(
+        capsys, "boundary", "(zb1+z1)*(zb2+1)", "--coord", "2", "--degree", "4", "--samples", "8"
+    )
+    assert code == 0
+
+
+def test_stored_entry_budget_exits_2_before_allocating(capsys, tmp_path):
+    import time
+
+    # one sector of 19881: within MAX_BASIS_SIZE, but its block alone would take 6.3 GB
+    start = time.perf_counter()
+    assert main(["approx", "zb1 + zb2 + 1", "--degree", "140"]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "above the guard" in capsys.readouterr().err
+    # 4225 one-entry blocks fit, but the dense dump format would hold 4225^2 entries
+    dump = tmp_path / "mat.txt"
+    assert main(["approx", "zb1", "--dim", "2", "--degree", "64", "--dump-matrix", str(dump)]) == 2
+    assert "dense matrix dump of basis size 4225" in capsys.readouterr().err
+
+
 def test_approx_solves_sector_blocks(capsys, monkeypatch):
     # zb1*(zb2+1) couples z^a only to z^(a +- (0, 1)): 13 blocks of 13 at N = 12;
     # a monomial couples nothing, so every block is 1x1

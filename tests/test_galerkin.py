@@ -10,7 +10,6 @@ import pytest
 
 from hankel_spectra import (
     BasisTruncation,
-    Exactness,
     InnerCapError,
     KernelVector,
     assemble,
@@ -80,7 +79,7 @@ def test_assemble_monomial_is_diagonal_with_core_values():
     sym = parse_symbol("zb1*zb2")
     trunc = BasisTruncation(2, 2)
     mat = assemble(sym, trunc)
-    assert mat.exactness is Exactness.RATIONAL
+    assert mat.scaled_blocks is not None
     diag = mat.exact_diagonal()
     for i, alpha in enumerate(trunc.indices):
         assert diag[i] == lambda_value((0, 0), (1, 1), alpha, {1, 2})
@@ -128,7 +127,7 @@ def test_assemble_guards():
 def test_hermiticity_and_psd_float_path():
     sym = parse_symbol("zb1*(zb2+1)") * (0.5 + 0.25j)
     mat = assemble(sym, BasisTruncation(6, 2))
-    assert mat.exactness is Exactness.FLOAT
+    assert mat.scaled_blocks is None
     assert mat.hermiticity_defect() <= 1e-13 * max(1.0, mat.scale())
     w = eigenvalues(mat)
     assert w[0] >= -1e-10
@@ -239,7 +238,7 @@ def test_dump_and_load_roundtrip():
         buf.seek(0)
         back = load_matrix(buf)
         assert back.trunc == mat.trunc
-        assert (back.exactness is Exactness.RATIONAL) == exact
+        assert (back.scaled_blocks is not None) == exact
         if exact:
             assert back.scaled == mat.scaled
         assert np.array_equal(back.dense, mat.dense)
@@ -263,6 +262,8 @@ def test_dump_and_load_roundtrip():
         "hankel-spectra-matrix v1 dim=2 N=2 symbol=x exact=2",
         "hankel-spectra-matrix v1 dim=3 N=100000 symbol=x exact=1",
         "hankel-spectra-matrix v1 dim=100000 N=1 symbol=x exact=0",
+        "hankel-spectra-matrix v1 dim=65 N=0 symbol=x exact=0",
+        "hankel-spectra-matrix v1 dim=2 N=64 symbol=x exact=0",
         "hankel-spectra-matrix v1 dim=2 N=%s symbol=x exact=0" % ("9" * 4000),
         "hankel-spectra-matrix v1 dim=2 N=%s symbol=x exact=0" % ("9" * 5000),
     ],
@@ -314,15 +315,16 @@ def test_eigenvalues_rejects_non_finite_matrix():
 
     mat = assemble(parse_symbol("zb1*(zb2+1)") * (0.5 + 0j), BasisTruncation(2, 2))
     for bad in (math.nan, math.inf):
-        dense = mat.dense.copy()
-        dense[1, 1] = bad  # NaN passes the Hermiticity guard: NaN > tol is false
+        blocks = [b.copy() for b in mat.blocks]
+        blocks[-1][0, 1, 1] = bad  # NaN passes the Hermiticity guard: NaN > tol is false
         with pytest.raises(ValueError, match="non-finite entries"):
-            eigenvalues(dataclasses.replace(mat, dense=dense))
+            eigenvalues(dataclasses.replace(mat, blocks=tuple(blocks)))
 
 
 def test_exact_dump_bytes_match_per_cell_formatting():
     # zero cells are written as a constant; the bytes must equal formatting every cell,
-    # for assembled matrices (shared CR_ZERO) and loaded ones (fresh CRat zeros)
+    # for assembled matrices (shared CR_ZERO) and loaded ones (fresh CRat zeros inside
+    # the sector blocks, CR_ZERO between them)
     mat = assemble(parse_symbol("(1/2+i)*zb1*(zb2+1) - 3/4*z1*zb2"), BasisTruncation(4, 2))
     buf = io.StringIO()
     dump_matrix(mat, buf)
@@ -337,29 +339,64 @@ def test_exact_dump_bytes_match_per_cell_formatting():
 
     assert buf.getvalue() == per_cell(mat)
     back = load_matrix(io.StringIO(buf.getvalue()))
-    assert back.scaled == mat.scaled and not any(c is CR_ZERO for row in back.scaled for c in row)
+    assert back.scaled == mat.scaled and any(c is not CR_ZERO and not c for row in back.scaled for c in row)
     again = io.StringIO()
     dump_matrix(back, again)
     assert again.getvalue() == buf.getvalue() == per_cell(back)
 
 
 def test_eigenvalues_rejects_entry_between_sectors():
-    import dataclasses
+    # blocks have no room for such an entry: the dense-to-blocks constructor rejects it
+    from hankel_spectra.galerkin import _from_dense, _pair_offsets
 
-    mat = assemble(parse_symbol("zb1*(zb2+1)") * (0.5 + 0j), BasisTruncation(3, 2))
+    sym = parse_symbol("zb1*(zb2+1)") * (0.5 + 0j)
+    mat = assemble(sym, BasisTruncation(3, 2))
     i, j = mat.sectors[0][0][0], mat.sectors[0][1][0]
     dense = mat.dense.copy()
     dense[i, j] = dense[j, i] = 1e-3  # Hermitian, so only the sector check can see it
     with pytest.raises(ValueError, match="outside its sector blocks"):
-        eigenvalues(dataclasses.replace(mat, dense=dense))
+        _from_dense(
+            dense, False, frozenset(_pair_offsets(sym)),
+            symbol=sym, trunc=mat.trunc, inner_caps=mat.inner_caps, symbol_hash=mat.symbol_hash,
+        )
 
 
 def test_eigenvalues_rejects_non_hermitian_entry_inside_a_block():
     import dataclasses
 
     mat = assemble(parse_symbol("zb1*(zb2+1)") * (0.5 + 0j), BasisTruncation(3, 2))
-    i, j = mat.sectors[0][1][:2]
-    dense = mat.dense.copy()
-    dense[i, j] += 1e-6
+    blocks = [b.copy() for b in mat.blocks]
+    blocks[0][1, 0, 1] += 1e-6  # entry (i, j) for i, j = mat.sectors[0][1][:2]
     with pytest.raises(ValueError, match="not Hermitian"):
-        eigenvalues(dataclasses.replace(mat, dense=dense))
+        eigenvalues(dataclasses.replace(mat, blocks=tuple(blocks)))
+
+
+def test_cancelled_symbol_assembles_on_the_float_path(tmp_path):
+    from hankel_spectra.cli import main
+
+    zero = parse_symbol("zb1 - zb1")
+    assert zero.is_exact and not zero.as_float().is_exact
+    assert assemble(zero.as_float(), BasisTruncation(2, 1)).scaled is None
+    # the exact zero symbol still dumps its exact (all-zero) Gram matrix
+    dump = tmp_path / "zero.txt"
+    assert main(["approx", "zb1 - zb1", "--degree", "2", "--dump-matrix", str(dump)]) == 0
+    assert dump.read_text() == (
+        "hankel-spectra-matrix v1 dim=1 N=2 symbol=7b7c0e238802 exact=1\n"
+        + "0/1,0/1 0/1,0/1 0/1,0/1\n" * 3
+    )
+
+
+def test_sector_blocks_hold_the_dense_matrix():
+    sym = parse_symbol("(1/2+i)*zb1*(zb2+1) - 3/4*z1*zb2")
+    trunc = BasisTruncation(4, 2)
+    mat = assemble(sym, trunc)
+    ref = assemble_via_toeplitz(sym, trunc)
+    assert matrices_equal(mat, ref) and np.array_equal(mat.dense, ref.dense)
+    for g, b, sb in zip(mat.sectors, mat.blocks, mat.scaled_blocks):
+        assert np.array_equal(b, mat.dense[g[:, :, None], g[:, None, :]])
+        assert all(sb[r, p, q] == mat.scaled[i][j] for r, row in enumerate(g)
+                   for p, i in enumerate(row) for q, j in enumerate(row))
+    assert mat.exact_diagonal() == [(mat.scaled[i][i] * w).real_fraction()
+                                    for i, w in enumerate(np.prod(np.array(trunc.indices) + 1, axis=1))]
+    assert mat.scale() == np.max(np.abs(mat.dense))
+    assert mat.hermiticity_defect() == np.max(np.abs(mat.dense - mat.dense.conj().T))

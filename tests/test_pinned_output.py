@@ -1,0 +1,73 @@
+"""Byte-for-byte pins of CLI output on a small fixed corpus.
+
+Each case runs one command in-process and compares the sha256 of its stdout
+(and, for the dump case, of the dump file) with a recorded digest.  A refactor
+of the assembly or the solve must leave every digest unchanged; a deliberate
+change of output must update the digest and say why.  The float digests were
+recorded with numpy 2.4 and its bundled OpenBLAS; another LAPACK may round the
+last digit of an eigenvalue differently.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from hankel_spectra.cli import main
+
+FLOAT_SYMBOL = json.dumps({
+    "dim": 2,
+    "terms": [
+        {"coeff": [0.75, -0.5], "holo": [0, 0], "antiholo": [1, 1]},
+        {"coeff": [0.25, 0.0], "holo": [1, 0], "antiholo": [0, 1]},
+    ],
+})
+
+CASES = {
+    "approx-product": (
+        ["approx", "zb1*(zb2+1)", "--degree", "12"],
+        "921d597e3c7cdf43337a4430c4a79eadfa8b62e53f31e8b0166d5acd0eb9f25d",
+    ),
+    "approx-mixed": (
+        ["approx", "(1/2+i)*zb1*(zb2+1) - 3/4*z1*zb2", "--degree", "6"],
+        "8e2554eced5b630ed928aa01e4f584332343f20b5a0a6a17b79cfea44ef503c5",
+    ),
+    "approx-float-json": (
+        ["approx", FLOAT_SYMBOL, "--degree", "7"],
+        "c334a34cf70ae482a889b870d8d592a6e5fd352591d5282a41f284fd9859fcf6",
+    ),
+    "boundary-product": (
+        ["boundary", "zb1*(zb2+1)", "--coord", "2", "--degree", "6", "--samples", "16"],
+        "79388981387805048473d7953d8d3704b78c28caf22745a9e511618c2465cd9a",
+    ),
+    "boundary-generic": (
+        ["boundary", "(zb1+z1)*(zb2+1)", "--coord", "2", "--degree", "4", "--samples", "8"],
+        "38f7cb1ae8e3d7141686d7e1532f6b07409d6f6878c7248cdd5fb1f6e1797925",
+    ),
+    "exact-monomial": (
+        ["exact", "zb1^2*zb2", "--cap", "6"],
+        "b8b8afd0b873cf471ebcc13263074751f2a6e9d4e4abdf027d39e6eea61cab45",
+    ),
+}
+
+DUMP_ARGS = ["approx", "zb1*(zb2+1) - 1/3*z1*zb2", "--degree", "3"]
+DUMP_STDOUT = "ea2aebb1432a05176305b1c31fe292bf3905b5bacd19edd774571dcaca42b232"
+DUMP_FILE = "ee6569fe0dd15700b10a71918bd4cb89aa4ca70f2acd08e9a105a75730ac8cad"
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_digest(capsys, name):
+    argv, expected = CASES[name]
+    assert main(list(argv)) == 0
+    assert _digest(capsys.readouterr().out) == expected
+
+
+def test_exact_dump_digest(capsys, tmp_path):
+    path = tmp_path / "mat.txt"
+    assert main(DUMP_ARGS + ["--dump-matrix", str(path)]) == 0
+    assert _digest(capsys.readouterr().out) == DUMP_STDOUT
+    assert _digest(path.read_text()) == DUMP_FILE
