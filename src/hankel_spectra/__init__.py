@@ -28,6 +28,7 @@ from .core import (
 from .galerkin import (
     BasisTruncation,
     CompressionMatrix,
+    Exactness,
     InnerCapError,
     KernelVector,
     assemble,
@@ -70,6 +71,7 @@ __all__ = [
     "CompressionMatrix",
     "EigenRecord",
     "EssentialSetPrediction",
+    "Exactness",
     "InnerCapError",
     "KernelVector",
     "MonomialNorm",

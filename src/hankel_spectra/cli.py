@@ -24,7 +24,7 @@ from .boundary import (
     PredictedPoint,
 )
 from .core import enumerate_spectrum, essential_part, multiplicity_class
-from .galerkin import BasisTruncation, assemble, dump_matrix, eigenvalues
+from .galerkin import BasisTruncation, Exactness, _check_dump_size, assemble, dump_matrix, eigenvalues
 from .rational import CRat
 from .symbols import PolySymbol, SymbolParseError, parse_symbol
 from .verify import run_verify
@@ -168,7 +168,9 @@ def cmd_approx(args) -> int:
     trunc = BasisTruncation(cfg.degree_cap, sym.dim)
     mat = assemble(sym.as_float(), trunc, cfg.inner_cap)
     w = eigenvalues(mat)
+    exactness = Exactness.RATIONAL if sym.is_exact else Exactness.FLOAT
     if args.dump_matrix:
+        _check_dump_size(trunc.size)  # before the exact assembly and before PATH is truncated
         if sym.is_exact:
             # dump format v1 stores the exact scaled Gram matrix for exact symbols
             mat = assemble(sym, trunc, cfg.inner_cap)
@@ -181,7 +183,7 @@ def cmd_approx(args) -> int:
         "degree_cap": cfg.degree_cap,
         "inner_caps": list(mat.inner_caps),
         "basis_size": mat.size,
-        "exactness": "rational" if sym.is_exact else "float",
+        "exactness": exactness.value,
         "note": f"compression spectrum at N={cfg.degree_cap}; approximates the operator spectrum",
         "eigenvalues": [float(x) for x in w],
     }

@@ -30,6 +30,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 
@@ -41,6 +42,7 @@ from .symbols import MAX_COORDINATE, PolySymbol
 
 __all__ = [
     "BasisTruncation",
+    "Exactness",
     "CompressionMatrix",
     "InnerCapError",
     "KernelVector",
@@ -64,6 +66,11 @@ MIN_KERNEL_NORM = 0.99
 
 class InnerCapError(ValueError):
     """The projection cap would silently drop part of P(psi e_alpha)."""
+
+
+class Exactness(Enum):
+    RATIONAL = "rational"
+    FLOAT = "float"
 
 
 @dataclass(frozen=True)
@@ -99,8 +106,10 @@ class BasisTruncation:
     @cached_property
     def weights_sqrt(self) -> np.ndarray:
         """sqrt(w_alpha) = sqrt(prod(alpha_k + 1)) for every basis index, graded-lex ordered."""
-        w = np.empty(self.size)
-        w[self.positions] = np.sqrt(np.prod(np.indices(self.positions.shape) + 1.0, axis=0))
+        shape = (self.degree_cap + 1,) * self.dim
+        grid = np.indices(shape).reshape(self.dim, -1)
+        w = np.empty(grid.shape[1])
+        w[self.positions.ravel()] = np.sqrt(np.prod(grid + 1.0, axis=0))
         return w
 
     @property
@@ -111,7 +120,9 @@ class BasisTruncation:
 def _check_basis_size(n_cap: int, dim: int) -> None:
     """Reject (N+1)^dim > MAX_BASIS_SIZE without building the power of a huge N or dim."""
     if box_exceeds(n_cap + 1, dim, MAX_BASIS_SIZE):
-        raise ValueError(f"basis size (N+1)^dim exceeds guard {MAX_BASIS_SIZE} (N={n_cap}, dim={dim})")
+        raise ValueError(
+            f"basis size (N+1)^dim exceeds guard {MAX_BASIS_SIZE} (N={n_cap}, dim={dim})"
+        )
 
 
 def default_inner_caps(sym: PolySymbol, trunc: BasisTruncation) -> tuple[int, ...]:
@@ -128,6 +139,11 @@ def _normalize_inner_caps(sym, trunc, inner_cap) -> tuple[int, ...]:
     if len(caps) != trunc.dim:
         raise ValueError("inner_cap vector length must equal dim")
     return caps
+
+
+def _inner_factor(total: int) -> Fraction:
+    # <z^a zbar^b, z^c zbar^d> per coordinate = pi * 2/(a+b+c+d+2) when a-b=c-d
+    return Fraction(2, total + 2)
 
 
 def _pair_offsets(sym: PolySymbol) -> dict[tuple[int, ...], list]:
@@ -194,8 +210,10 @@ def _sectors(trunc: BasisTruncation, offsets: frozenset):
         g.flags.writeable = False
         groups.append(g)
     if stored > MAX_STORED_ENTRIES:
-        raise ValueError(f"sector blocks hold {stored} entries (largest block {s}x{s}), above "
-                         f"the guard {MAX_STORED_ENTRIES} (N={trunc.degree_cap}, dim={trunc.dim})")
+        raise ValueError(
+            f"sector blocks hold {stored} entries (largest block {s}x{s}), above the guard "
+            f"{MAX_STORED_ENTRIES} (N={trunc.degree_cap}, dim={trunc.dim})"
+        )
     row_start.flags.writeable = col_pos.flags.writeable = False
     return tuple(groups), row_start, col_pos
 
@@ -281,9 +299,11 @@ def hankel_gram_entry(sym: PolySymbol, alpha, beta, inner_cap=None):
     scaled = scaled_gram_entry(sym, alpha, beta, inner_cap)
     w = weight(as_multiindex(alpha)) * weight(as_multiindex(beta))
     root = math.isqrt(w)
-    if isinstance(scaled, CRat) and root * root == w:
-        return scaled * root
-    return complex(scaled) * math.sqrt(w)
+    if isinstance(scaled, CRat):
+        if root * root == w:
+            return scaled * root
+        return complex(scaled) * math.sqrt(w)
+    return scaled * math.sqrt(w)
 
 
 @dataclass(frozen=True)
@@ -304,6 +324,10 @@ class CompressionMatrix:
     sectors: tuple[np.ndarray, ...]
     blocks: tuple[np.ndarray, ...]
     scaled_blocks: tuple[np.ndarray, ...] | None
+
+    @property
+    def exactness(self) -> Exactness:
+        return Exactness.FLOAT if self.scaled_blocks is None else Exactness.RATIONAL
 
     @property
     def size(self) -> int:
@@ -329,24 +353,18 @@ class CompressionMatrix:
 
     def exact_diagonal(self) -> list[Fraction]:
         """Orthonormal diagonal <H e_a, H e_a>, exactly rational."""
-        if self.scaled_blocks is None:
+        if self.scaled is None:
             raise ValueError("matrix was assembled on the float path")
-        diag = np.empty(self.size, dtype=object)
-        for g, b in zip(self.sectors, self.scaled_blocks):
-            diag[g] = np.diagonal(b, axis1=1, axis2=2)
-        return [(d * weight(alpha)).real_fraction() for d, alpha in zip(diag, self.trunc.indices)]
+        out = []
+        for i, alpha in enumerate(self.trunc.indices):
+            out.append((self.scaled[i][i] * weight(alpha)).real_fraction())
+        return out
 
     def hermiticity_defect(self) -> float:
-        return self._scale_and_defect()[1]
+        return max(float(np.max(np.abs(b - b.conj().swapaxes(1, 2)))) for b in self.blocks)
 
     def scale(self) -> float:
-        return self._scale_and_defect()[0]
-
-    def _scale_and_defect(self) -> tuple[float, float]:
-        """Largest |entry| and largest |entry - its Hermitian mirror| over the sector blocks."""
-        scale = max(float(np.max(np.abs(b))) for b in self.blocks)
-        defect = max(float(np.max(np.abs(b - b.conj().swapaxes(1, 2)))) for b in self.blocks)
-        return scale, defect
+        return max(float(np.max(np.abs(b))) for b in self.blocks)
 
 
 def _split(flat: np.ndarray, groups) -> tuple[np.ndarray, ...]:
@@ -368,7 +386,12 @@ def _from_dense(full: np.ndarray, exact: bool, offsets: frozenset, **fields) -> 
     for g, b in zip(groups, blocks if exact else ()):  # in place, as (c * w_i) * w_j in assemble
         b *= w[g][:, :, None]
         b *= w[g][:, None, :]
-    return CompressionMatrix(sectors=groups, blocks=blocks, scaled_blocks=parts if exact else None, **fields)
+    return CompressionMatrix(
+        sectors=groups,
+        blocks=blocks,
+        scaled_blocks=parts if exact else None,
+        **fields,
+    )
 
 
 def _symbol_hash(sym: PolySymbol) -> str:
@@ -418,8 +441,13 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation, inner_cap=None) -> Compres
         if any(b != a.conjugate() for a, b in zip(scaled[at], scaled[mirror])):
             raise AssertionError("exact assembly lost Hermitian symmetry")  # pragma: no cover
     return CompressionMatrix(
-        symbol=sym, trunc=trunc, inner_caps=caps, symbol_hash=_symbol_hash(sym), sectors=groups,
-        blocks=_split(flat, groups), scaled_blocks=_split(scaled, groups) if exact else None,
+        symbol=sym,
+        trunc=trunc,
+        inner_caps=caps,
+        symbol_hash=_symbol_hash(sym),
+        sectors=groups,
+        blocks=_split(flat, groups),
+        scaled_blocks=_split(scaled, groups) if exact else None,
     )
 
 
@@ -437,8 +465,7 @@ def _toeplitz_map(phi: PolySymbol, in_indices, out_index_of) -> list[list]:
                 continue
             val = Fraction(1)
             for a, nk, mk, gk in zip(alpha, n, m, gamma):
-                # <z^a zbar^b, z^c zbar^d> per coordinate = pi * 2/(a+b+c+d+2) when a-b=c-d
-                val *= Fraction(2, a + nk + mk + gk + 2)
+                val *= _inner_factor(a + nk + mk + gk)
             acc[g] = acc.get(g, CR_ZERO) + c * val
         out.append(sorted(acc.items()))
     return out
@@ -458,40 +485,48 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation, inner_cap=Non
     caps = _normalize_inner_caps(sym, trunc, inner_cap)
     offsets = frozenset(_pair_offsets(sym))
     _sectors(trunc, offsets)  # the stored-entry guard, before the full matrix is built
+    indices = trunc.indices
+    size = trunc.size
 
     inner_indices = graded_lex_box(caps, trunc.dim)
     inner_index_of = {a: i for i, a in enumerate(inner_indices)}
     inner_weights = [weight(a) for a in inner_indices]
 
-    t_mod = _toeplitz_map(sym.modulus_squared(), trunc.indices, trunc.index_of)
-    t_psi = _toeplitz_map(sym, trunc.indices, inner_index_of)
+    mod_sq = sym.modulus_squared()
+    t_mod = _toeplitz_map(mod_sq, indices, trunc.index_of)
+    t_psi = _toeplitz_map(sym, indices, inner_index_of)
     t_psibar = _toeplitz_map(sym.conjugate(), inner_indices, trunc.index_of)
 
-    full = np.full((trunc.size, trunc.size), CR_ZERO, dtype=object)
-    for i in range(trunc.size):
+    full = np.full((size, size), CR_ZERO, dtype=object)
+    for i in range(size):
         for j, val in t_mod[i]:
             full[i, j] = full[i, j] + val
         for g, va in t_psi[i]:
+            wg = inner_weights[g]
             for j, vb in t_psibar[g]:
-                full[i, j] = full[i, j] - va * vb * inner_weights[g]
+                full[i, j] = full[i, j] - va * vb * wg
     if not sym.is_exact:
         full = full.astype(complex)
         full *= trunc.weights_sqrt[:, None]  # in place: no n x n temporaries
         full *= trunc.weights_sqrt
-    fields = dict(symbol=sym, trunc=trunc, inner_caps=caps, symbol_hash=_symbol_hash(sym))
-    return _from_dense(full, sym.is_exact, offsets, **fields)
+    return _from_dense(
+        full,
+        sym.is_exact,
+        offsets,
+        symbol=sym,
+        trunc=trunc,
+        inner_caps=caps,
+        symbol_hash=_symbol_hash(sym),
+    )
 
 
 def matrices_equal(m1: CompressionMatrix, m2: CompressionMatrix) -> bool:
     """Entrywise equality: exact on the rational path, bitwise on the float path."""
     if m1.trunc != m2.trunc:
         return False
-    exact = m1.scaled_blocks is not None and m2.scaled_blocks is not None
-    if len(m1.sectors) != len(m2.sectors) or not all(map(np.array_equal, m1.sectors, m2.sectors)):
-        # different sectors (e.g. a loaded dump with cancelled offsets): compare the full matrices
-        return m1.scaled == m2.scaled if exact else bool(np.array_equal(m1.dense, m2.dense))
-    pairs = zip(m1.scaled_blocks, m2.scaled_blocks) if exact else zip(m1.blocks, m2.blocks)
-    return all(np.array_equal(a, b) for a, b in pairs)
+    if m1.scaled is not None and m2.scaled is not None:
+        return m1.scaled == m2.scaled
+    return bool(np.array_equal(m1.dense, m2.dense))
 
 
 def eigenvalues(mat: CompressionMatrix) -> np.ndarray:
@@ -507,8 +542,8 @@ def eigenvalues(mat: CompressionMatrix) -> np.ndarray:
         raise ValueError(
             f"compression of {what} has non-finite entries; coefficients too large for floats?"
         )
-    scale, defect = mat._scale_and_defect()
-    if defect > HERMITICITY_TOL * max(1.0, scale):
+    defect = mat.hermiticity_defect()
+    if defect > HERMITICITY_TOL * max(1.0, mat.scale()):
         raise ValueError(f"matrix is not Hermitian: defect {defect:g}")
     w = np.sort(np.concatenate(
         [np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2.0).ravel() for b in mat.blocks]
@@ -595,8 +630,10 @@ def weyl_residual(
 
 def _check_dump_size(size: int, where: str = "") -> None:
     if size * size > MAX_STORED_ENTRIES:
-        raise ValueError(f"{where}a dense matrix dump of basis size {size} holds {size * size} "
-                         f"entries, above the guard {MAX_STORED_ENTRIES}")
+        raise ValueError(
+            f"{where}a dense matrix dump of basis size {size} holds {size * size} entries, "
+            f"above the guard {MAX_STORED_ENTRIES}"
+        )
 
 
 def dump_matrix(mat: CompressionMatrix, fileobj) -> None:
@@ -620,7 +657,9 @@ def dump_matrix(mat: CompressionMatrix, fileobj) -> None:
             )
     else:
         for row in mat.dense:
-            fileobj.write(" ".join(f"{float(c.real)!r},{float(c.imag)!r}" for c in row) + "\n")
+            fileobj.write(
+                " ".join(f"{float(c.real)!r},{float(c.imag)!r}" for c in row) + "\n"
+            )
 
 
 # longer dim= or N= fields could reach int()'s digit limit, whose message names no dump
@@ -680,5 +719,12 @@ def load_matrix(fileobj) -> CompressionMatrix:
         if len(cells) != size:
             raise ValueError(f"row {i}: expected {size} entries, got {len(cells)}")
         full[i] = [_read_cell(cell, exact, i, j) for j, cell in enumerate(cells)]
-    fields = dict(symbol=None, trunc=trunc, inner_caps=(), symbol_hash=symbol_hash)
-    return _from_dense(full, exact, _pattern_offsets(trunc, full), **fields)
+    return _from_dense(
+        full,
+        exact,
+        _pattern_offsets(trunc, full),
+        symbol=None,
+        trunc=trunc,
+        inner_caps=(),
+        symbol_hash=symbol_hash,
+    )

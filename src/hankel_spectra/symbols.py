@@ -37,7 +37,6 @@ def _pad(t: tuple[int, ...], dim: int) -> tuple[int, ...]:
 class PolySymbol:
     """Canonical finite sum of terms coeff * z^holo * zbar^antiholo."""
 
-    # is_exact: every coefficient the symbol was built from is exact, cancelled ones included
     __slots__ = ("dim", "terms", "is_exact")
 
     def __init__(self, terms, dim: int | None = None):
@@ -69,7 +68,8 @@ class PolySymbol:
         cleaned.sort(key=lambda t: (sum(t[1]) + sum(t[2]), t[1], t[2]))
         self.dim = inferred
         self.terms = tuple(cleaned)
-        self.is_exact = exact
+        # a symbol whose terms all cancel is exact when every coefficient it was built from was
+        self.is_exact = all(coeff_is_exact(c) for c, _, _ in cleaned) if cleaned else exact
 
     # -- constructors ---------------------------------------------------------
 

@@ -204,7 +204,9 @@ def _suite_matrix_roundtrip() -> tuple[bool, dict]:
         dump_matrix(mat, buf)
         buf.seek(0)
         back = load_matrix(buf)
-        same = matrices_equal(back, mat) and bool(np.array_equal(back.dense, mat.dense))
+        same = bool(np.array_equal(back.dense, mat.dense))
+        if mat.scaled is not None:
+            same = same and back.scaled == mat.scaled
         checks[f"{expr} x {scale}"] = same
     return all(checks.values()), {"checks": checks}
 

@@ -247,9 +247,12 @@ def test_stored_entry_budget_exits_2_before_allocating(capsys, tmp_path):
     assert time.perf_counter() - start < 2.0
     assert "above the guard" in capsys.readouterr().err
     # 4225 one-entry blocks fit, but the dense dump format would hold 4225^2 entries
+    # refused before PATH is opened: an existing file keeps its bytes
     dump = tmp_path / "mat.txt"
+    dump.write_text("kept\n")
     assert main(["approx", "zb1", "--dim", "2", "--degree", "64", "--dump-matrix", str(dump)]) == 2
     assert "dense matrix dump of basis size 4225" in capsys.readouterr().err
+    assert dump.read_text() == "kept\n"
 
 
 def test_approx_solves_sector_blocks(capsys, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 
 from hankel_spectra import (
     BasisTruncation,
+    Exactness,
     InnerCapError,
     KernelVector,
     assemble,
@@ -79,7 +80,7 @@ def test_assemble_monomial_is_diagonal_with_core_values():
     sym = parse_symbol("zb1*zb2")
     trunc = BasisTruncation(2, 2)
     mat = assemble(sym, trunc)
-    assert mat.scaled_blocks is not None
+    assert mat.exactness is Exactness.RATIONAL
     diag = mat.exact_diagonal()
     for i, alpha in enumerate(trunc.indices):
         assert diag[i] == lambda_value((0, 0), (1, 1), alpha, {1, 2})
@@ -127,7 +128,7 @@ def test_assemble_guards():
 def test_hermiticity_and_psd_float_path():
     sym = parse_symbol("zb1*(zb2+1)") * (0.5 + 0.25j)
     mat = assemble(sym, BasisTruncation(6, 2))
-    assert mat.scaled_blocks is None
+    assert mat.exactness is Exactness.FLOAT
     assert mat.hermiticity_defect() <= 1e-13 * max(1.0, mat.scale())
     w = eigenvalues(mat)
     assert w[0] >= -1e-10
@@ -238,7 +239,7 @@ def test_dump_and_load_roundtrip():
         buf.seek(0)
         back = load_matrix(buf)
         assert back.trunc == mat.trunc
-        assert (back.scaled_blocks is not None) == exact
+        assert (back.exactness is Exactness.RATIONAL) == exact
         if exact:
             assert back.scaled == mat.scaled
         assert np.array_equal(back.dense, mat.dense)

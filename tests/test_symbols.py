@@ -1,5 +1,6 @@
 """Symbol algebra, the expression mini-language, and serialization round-trips."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,18 @@ def test_json_roundtrip():
     inexact = PolySymbol([(0.5 + 0.25j, (1,), (0,))])
     again = PolySymbol.from_json_obj(inexact.to_json_obj())
     assert again == inexact and not again.is_exact
+
+
+def test_cancelled_float_terms_keep_an_exact_symbol_exact():
+    # exactness follows the kept terms; only a symbol with none left reads it from its inputs
+    half_zb = {"coeff": ["1/2", "0"], "holo": [0], "antiholo": [1]}
+    for floats in ([[0.0, 0.0]], [[0.25, 0.5], [-0.25, -0.5]]):
+        terms = [half_zb] + [{"coeff": c, "holo": [1], "antiholo": [0]} for c in floats]
+        sym = parse_symbol(json.dumps({"dim": 1, "terms": terms}))
+        assert sym.is_exact and sym == parse_symbol("1/2*zb1"), floats
+        assert sym.to_json_obj() == parse_symbol("1/2*zb1").to_json_obj()
+    assert not PolySymbol([(0.25, (1,), (0,)), (-0.25, (1,), (0,))]).is_exact
+    assert parse_symbol("zb1 - zb1").is_exact and not parse_symbol("zb1 - zb1").as_float().is_exact
 
 
 def test_parse_json_input():
