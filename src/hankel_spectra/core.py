@@ -6,7 +6,15 @@ family lambda(n, m, alpha, B) over multi-indices alpha and non-empty coordinate
 subsets B.  Values with B a proper subset are limit points of the eigenvalue
 sequence; values with B the full coordinate set are genuine eigenvalues with
 eigenvector z^alpha.  The essential spectrum is read off the spectrum's
-provenance, not enumerated again.  All arithmetic here is exact rational.
+provenance, not enumerated again.
+
+Both cases of lambda are products of per-coordinate integer factors, so an
+enumeration builds, for each subset B, integer numerator and denominator
+tables over B's whole alpha grid (outer products of length-(cap+1) tables),
+reduces all of them with one gcd and groups equal fractions.  The tables are
+int64 while every product fits, Python ints beyond; float keys only order
+values that are far apart, and near-ties are ordered exactly.  So all
+arithmetic here stays exact rational; _lambda_unchecked is the one-point form.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
+
+import numpy as np
 
 from .multiindex import (
     DEFAULT_MAX_DIM,
@@ -44,6 +54,10 @@ __all__ = [
 
 # Closed-form evaluations one enumeration may make: (cap+2)^dim - 1 points.
 MAX_ENUM_POINTS = 100_000
+# Tables stay int64 while every product they form is below this; else Python ints.
+_INT64_LIMIT = 2**62
+# Relative gap under which two float keys may misorder distinct fractions.
+_NEAR = 1e-12
 
 
 class MultiplicityClass(Enum):
@@ -216,40 +230,93 @@ def multiplicity_class(sym: MonomialSymbol) -> SymbolClass:
     return SymbolClass.ALL_FINITE
 
 
-def _collect(sym: MonomialSymbol, alpha_cap: int) -> dict[Fraction, set[Provenance]]:
-    dim = sym.dim
-    buckets: dict[Fraction, set[Provenance]] = {Fraction(0): set()}
+def _subset_table(n, m, coords, alpha_cap: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Unreduced numerators and denominators of lambda(n, m, alpha, B) over B's grid.
+
+    coords is B sorted; alpha runs over (cap+1)^|B| points in itertools.product
+    order.  Each case is a product of per-coordinate factors, built as outer
+    products of length-(cap+1) tables; see _lambda_unchecked for the formula.
+    """
+    a = np.arange(alpha_cap + 1).astype(dtype)
+    tables = None
+    for k in coords:
+        nk, mk = n[k - 1], m[k - 1]
+        factors = (
+            a + 1,
+            a + (nk + mk + 1),
+            (a + 1) * (a + (nk - mk + 1)),
+            (a + (nk + 1)) ** 2,
+            np.arange(alpha_cap + 1) < min(max(mk - nk, 0), alpha_cap + 1),  # a < m_k - n_k, bound kept in int64 range
+        )
+        if tables is None:
+            tables = factors
+        else:
+            ops = (np.multiply,) * 4 + (np.logical_or,)
+            tables = tuple(op.outer(t, f).ravel() for op, t, f in zip(ops, tables, factors))
+    num1, den1, num2, den2, first_case = tables
+    num = np.where(first_case, num1, num1 * den2 - num2 * den1)
+    den = np.where(first_case, den1, den1 * den2)
+    return num, den
+
+
+def _exact_order(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Stable ascending order of the reduced fractions num/den.
+
+    Float keys order the bulk; a run of keys within _NEAR of each other that
+    holds distinct fractions is ordered again with exact Fraction keys.
+    """
+    key = (num / den).astype(np.float64)
+    order = np.argsort(key, kind="stable")
+    k, sn, sd = key[order], num[order], den[order]
+    near = np.diff(k) <= _NEAR * k[1:]
+    mixed = np.flatnonzero(near & ((sn[1:] != sn[:-1]) | (sd[1:] != sd[:-1])))
+    if not mixed.size:
+        return order
+    runs = np.flatnonzero(np.concatenate(([True], ~near)))  # starts of chained near-ties
+    bounds = np.append(runs, len(order))
+    for r in np.unique(np.searchsorted(runs, mixed, side="right") - 1):
+        s, e = bounds[r], bounds[r + 1]
+        order[s:e] = sorted(order[s:e].tolist(), key=lambda i: Fraction(int(num[i]), int(den[i])))
+    return order
+
+
+def _records(sym: MonomialSymbol, alpha_cap: int, symbol_class: SymbolClass) -> tuple[EigenRecord, ...]:
+    """Sorted records with merged provenance, from one table per non-empty subset B."""
+    n, m, dim = sym.holo, sym.antiholo, sym.dim
+    # each table entry is a product of at most 3*dim factors bounded by this base
+    fits_int64 = (alpha_cap + max(n) + max(m) + 1) ** (3 * dim) < _INT64_LIMIT
+    dtype = np.int64 if fits_int64 else object
+    nums, dens, provs = [], [], []
     for members in nonempty_subsets(dim):
-        coords = sorted(members)
-        for assignment in product(range(alpha_cap + 1), repeat=len(coords)):
-            alpha = [0] * dim
-            for k, a in zip(coords, assignment):
-                alpha[k - 1] = a
-            v = _lambda_unchecked(sym.holo, sym.antiholo, alpha, coords)
-            buckets.setdefault(v, set()).add(Provenance(tuple(alpha), members))
-    return buckets
+        num, den = _subset_table(n, m, sorted(members), alpha_cap, dtype)
+        nums.append(num)
+        dens.append(den)
+        axes = [range(alpha_cap + 1) if k in members else (0,) for k in range(1, dim + 1)]
+        provs.extend(Provenance(alpha, members) for alpha in product(*axes))
+    num, den = np.concatenate(nums), np.concatenate(dens)
+    g = np.gcd(num, den)
+    num, den = num // g, den // g
+    if not ((num >= 0) & (num <= den)).all():
+        raise AssertionError("lambda value outside [0, 1]")  # pragma: no cover
 
+    # (size, lexicographic) subsets with alpha in product order: provenance is
+    # already in output order, and the stable sort keeps it within a value
+    order = _exact_order(num, den)
+    num, den = num[order], den[order]
+    starts = np.flatnonzero(np.concatenate(([True], (num[1:] != num[:-1]) | (den[1:] != den[:-1]))))
+    # the full subset comes last in nonempty_subsets, with (cap+1)^dim points
+    is_full = order >= len(order) - (alpha_cap + 1) ** dim
+    fulls = np.add.reduceat(is_full.astype(np.int64), starts).tolist()
+    starts = starts.tolist()
+    ends = starts[1:] + [len(order)]
+    num, den = num.tolist(), den.tolist()
+    provs = [provs[i] for i in order.tolist()]
 
-def _prov_key(p: Provenance):
-    return (len(p.subset), tuple(sorted(p.subset)), p.alpha)
-
-
-def _build_records(
-    buckets: dict[Fraction, set[Provenance]],
-    dim: int,
-    symbol_class: SymbolClass,
-) -> tuple[EigenRecord, ...]:
-    """Assemble sorted, deduplicated records."""
-    full = full_set(dim)
-    finite = symbol_class is SymbolClass.ALL_FINITE
-    eigen_mult = MultiplicityClass.FINITE if finite else MultiplicityClass.INFINITE
-    records = []
-    for v in sorted(buckets):
-        prov = tuple(sorted(buckets[v], key=_prov_key))
-        # the zero operator's only bucket is its eigenvalue 0, with no provenance
-        is_eig = symbol_class is SymbolClass.ZERO_OPERATOR or any(p.subset == full for p in prov)
-        is_lp = v == 0 or any(p.subset != full for p in prov)
-        records.append(EigenRecord(v, prov, is_eig, is_lp, eigen_mult if is_eig else None))
+    eigen_mult = MultiplicityClass.FINITE if symbol_class is SymbolClass.ALL_FINITE else MultiplicityClass.INFINITE
+    records = [] if num[0] == 0 else [EigenRecord(Fraction(0), (), False, True, None)]
+    for s, e, f in zip(starts, ends, fulls):
+        v = Fraction(num[s], den[s])
+        records.append(EigenRecord(v, tuple(provs[s:e]), f > 0, not v or f < e - s, eigen_mult if f else None))
     return tuple(records)
 
 
@@ -277,9 +344,11 @@ def enumerate_spectrum(
     """
     _check_enum_args(sym, alpha_cap, max_dim)
     cls = multiplicity_class(sym)
-    zero = cls is SymbolClass.ZERO_OPERATOR
-    buckets = {Fraction(0): set()} if zero else _collect(sym, alpha_cap)
-    return SpectrumSet(_build_records(buckets, sym.dim, cls), alpha_cap, True, not zero, "spectrum")
+    if cls is SymbolClass.ZERO_OPERATOR:
+        # its spectrum {0} is complete: the eigenvalue 0, with no provenance
+        zero = EigenRecord(Fraction(0), (), True, True, MultiplicityClass.INFINITE)
+        return SpectrumSet((zero,), alpha_cap, True, False, "spectrum")
+    return SpectrumSet(_records(sym, alpha_cap, cls), alpha_cap, True, True, "spectrum")
 
 
 def essential_part(sym: MonomialSymbol, spectrum: SpectrumSet) -> SpectrumSet:

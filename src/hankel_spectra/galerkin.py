@@ -484,7 +484,8 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation, inner_cap=Non
     _check_basis_size(trunc.degree_cap, trunc.dim)
     caps = _normalize_inner_caps(sym, trunc, inner_cap)
     offsets = frozenset(_pair_offsets(sym))
-    _sectors(trunc, offsets)  # the stored-entry guard, before the full matrix is built
+    # the fill below is n x n whatever the sectors; this also implies _sectors' stored-entry guard
+    _check_dump_size(trunc.size)
     indices = trunc.indices
     size = trunc.size
 

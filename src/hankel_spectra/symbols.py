@@ -35,7 +35,13 @@ def _pad(t: tuple[int, ...], dim: int) -> tuple[int, ...]:
 
 
 class PolySymbol:
-    """Canonical finite sum of terms coeff * z^holo * zbar^antiholo."""
+    """Canonical finite sum of terms coeff * z^holo * zbar^antiholo.
+
+    is_exact follows the kept terms.  A symbol whose terms all cancel is float
+    when a coefficient it was built from was float, and the algebra below
+    keeps a float zero float.  Equality and hashing compare (dim, terms) only,
+    so the float and the exact zero symbol are equal.
+    """
 
     __slots__ = ("dim", "terms", "is_exact")
 
@@ -87,8 +93,8 @@ class PolySymbol:
             raise ValueError(f"cannot shrink symbol of dim {self.dim} to {dim}")
         if dim == self.dim:
             return self
-        return PolySymbol(
-            [(c, _pad(h, dim), _pad(a, dim)) for c, h, a in self.terms], dim=dim
+        return _keep_float(
+            PolySymbol([(c, _pad(h, dim), _pad(a, dim)) for c, h, a in self.terms], dim=dim), self
         )
 
     # -- predicates -----------------------------------------------------------
@@ -154,8 +160,8 @@ class PolySymbol:
     # -- algebra ----------------------------------------------------------------
 
     def conjugate(self) -> "PolySymbol":
-        return PolySymbol(
-            [(c.conjugate(), a, h) for c, h, a in self.terms], dim=self.dim
+        return _keep_float(
+            PolySymbol([(c.conjugate(), a, h) for c, h, a in self.terms], dim=self.dim), self
         )
 
     def __add__(self, other: "PolySymbol") -> "PolySymbol":
@@ -163,7 +169,7 @@ class PolySymbol:
             return NotImplemented
         if other.dim != self.dim:
             raise ValueError("dimension mismatch in symbol sum")
-        return PolySymbol(self.terms + other.terms, dim=self.dim)
+        return _keep_float(PolySymbol(self.terms + other.terms, dim=self.dim), self, other)
 
     def __sub__(self, other: "PolySymbol") -> "PolySymbol":
         return self + (other * -1)
@@ -177,9 +183,9 @@ class PolySymbol:
                 for c1, h1, a1 in self.terms
                 for c2, h2, a2 in other.terms
             ]
-            return PolySymbol(terms, dim=self.dim)
+            return _keep_float(PolySymbol(terms, dim=self.dim), self, other)
         scal = as_coeff(other)
-        return PolySymbol([(c * scal, h, a) for c, h, a in self.terms], dim=self.dim)
+        return _keep_float(PolySymbol([(c * scal, h, a) for c, h, a in self.terms], dim=self.dim), self)
 
     __rmul__ = __mul__
 
@@ -187,8 +193,13 @@ class PolySymbol:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("symbol powers must be non-negative integers")
         out = PolySymbol([(CRat(1), (0,) * self.dim, (0,) * self.dim)], dim=self.dim)
-        for _ in range(exponent):
-            out = out * self
+        base = self
+        while exponent:  # repeated squaring: about 2*log2(exponent) products
+            if exponent & 1:
+                out = out * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return out
 
     def modulus_squared(self) -> "PolySymbol":
@@ -219,7 +230,7 @@ class PolySymbol:
         for c, h, a in self.terms:
             factor = qc ** h[k] * qc.conjugate() ** a[k]
             terms.append((c * factor, h[:k] + h[k + 1:], a[:k] + a[k + 1:]))
-        return PolySymbol(terms, dim=self.dim - 1)
+        return _keep_float(PolySymbol(terms, dim=self.dim - 1), self)
 
     # -- identity ---------------------------------------------------------------
 
@@ -321,6 +332,14 @@ class PolySymbol:
             return cls(terms, dim=dim)
         except ValueError as exc:
             raise SymbolParseError(str(exc)) from exc
+
+
+def _keep_float(result: PolySymbol, *sources: PolySymbol) -> PolySymbol:
+    # a symbol without terms has no coefficient left to carry a float flag, so a
+    # zero result takes it from the symbols it was derived from
+    if not result.terms and not all(s.is_exact for s in sources):
+        result.is_exact = False
+    return result
 
 
 def _json_int(v, what: str) -> int:

@@ -4,11 +4,29 @@ Inner products over the polydisc are computed by tensor quadrature:
 Gauss-Legendre in each radius and a uniform trapezoid grid in each angle
 (exact for trigonometric polynomials of degree below the grid size).  Nothing
 here touches the package's own inner-product code.
+
+The reference enumeration of a monomial spectrum evaluates the closed form one
+point at a time (``core._lambda_unchecked``) into Fraction buckets, the way
+the package did before it switched to integer tables.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import product
+
 import numpy as np
+
+from hankel_spectra.core import (
+    EigenRecord,
+    MonomialSymbol,
+    MultiplicityClass,
+    Provenance,
+    SymbolClass,
+    _lambda_unchecked,
+    multiplicity_class,
+)
+from hankel_spectra.multiindex import full_set, nonempty_subsets
 
 _RADIAL_NODES = 120
 _ANGULAR_NODES = 512
@@ -91,3 +109,40 @@ def radial_integral_oracle(fn, exponents) -> float:
     for f, p in zip(fn, exponents):
         total *= 2.0 * np.pi * np.sum(wr * r ** (p + 1) * f(r))
     return float(total)
+
+
+def collect(sym: MonomialSymbol, alpha_cap: int) -> dict[Fraction, set[Provenance]]:
+    """Value -> provenance buckets over every non-empty B and alpha <= cap; 0 always present."""
+    dim = sym.dim
+    buckets: dict[Fraction, set[Provenance]] = {Fraction(0): set()}
+    for members in nonempty_subsets(dim):
+        coords = sorted(members)
+        for assignment in product(range(alpha_cap + 1), repeat=len(coords)):
+            alpha = [0] * dim
+            for k, a in zip(coords, assignment):
+                alpha[k - 1] = a
+            v = _lambda_unchecked(sym.holo, sym.antiholo, alpha, coords)
+            buckets.setdefault(v, set()).add(Provenance(tuple(alpha), members))
+    return buckets
+
+
+def prov_key(p: Provenance):
+    return (len(p.subset), tuple(sorted(p.subset)), p.alpha)
+
+
+def reference_records(sym: MonomialSymbol, alpha_cap: int) -> tuple[EigenRecord, ...]:
+    """The records enumerate_spectrum(sym, alpha_cap) must return, built point by point."""
+    symbol_class = multiplicity_class(sym)
+    zero_op = symbol_class is SymbolClass.ZERO_OPERATOR
+    buckets = {Fraction(0): set()} if zero_op else collect(sym, alpha_cap)
+    full = full_set(sym.dim)
+    finite = symbol_class is SymbolClass.ALL_FINITE
+    eigen_mult = MultiplicityClass.FINITE if finite else MultiplicityClass.INFINITE
+    records = []
+    for v in sorted(buckets):
+        prov = tuple(sorted(buckets[v], key=prov_key))
+        # the zero operator's only bucket is its eigenvalue 0, with no provenance
+        is_eig = zero_op or any(p.subset == full for p in prov)
+        is_lp = v == 0 or any(p.subset != full for p in prov)
+        records.append(EigenRecord(v, prov, is_eig, is_lp, eigen_mult if is_eig else None))
+    return tuple(records)

@@ -4,9 +4,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankel_spectra import core
-from hankel_spectra.cli import main
+from hankel_spectra.cli import _exact_json, main
 
 
 def run_cli(capsys, *argv):
@@ -278,18 +280,21 @@ def test_approx_solves_sector_blocks(capsys, monkeypatch):
 
 
 def test_exact_enumerates_once(capsys, monkeypatch):
-    # spectrum and essential spectrum come from one pass over the (cap+2)^dim - 1 points
-    calls = []
-    real = core._lambda_unchecked
+    # spectrum and essential spectrum come from one pass: one table per non-empty
+    # subset B, together the (cap+2)^dim - 1 points
+    sizes = []
+    real = core._subset_table
 
     def counting(*args):
-        calls.append(args)
-        return real(*args)
+        num, den = real(*args)
+        sizes.append(len(num))
+        return num, den
 
-    monkeypatch.setattr(core, "_lambda_unchecked", counting)
+    monkeypatch.setattr(core, "_subset_table", counting)
     assert main(["exact", "zb1*zb2^2", "--cap", "6"]) == 0
     capsys.readouterr()
-    assert len(calls) == (6 + 2) ** 2 - 1
+    assert len(sizes) == 2**2 - 1
+    assert sum(sizes) == (6 + 2) ** 2 - 1
 
 
 @pytest.mark.parametrize(
@@ -371,3 +376,65 @@ def test_coefficient_too_large_for_float_exits_2(capsys):
     assert main(["approx", "10^400*zb1", "--degree", "2"]) == 2
     err = capsys.readouterr().err
     assert err == "error: coefficient of zb1 is too large for a float\n"
+
+
+def _reference_exact_json(symbol, mono, cap, spectrum, essential) -> str:
+    """The exact command's document built as a dict and encoded by json.dumps."""
+    ess_values = essential.value_set()
+    spec_obj = spectrum.to_json_obj()
+    for rec, record in zip(spec_obj["records"], spectrum.records):
+        rec["in_essential"] = record.value in ess_values
+    obj = {
+        "command": "exact",
+        "symbol": symbol,
+        "dim": mono.dim,
+        "n": list(mono.holo),
+        "m": list(mono.antiholo),
+        "alpha_cap": cap,
+        "multiplicity_class": core.multiplicity_class(mono).value,
+        "spectrum": spec_obj,
+        "essential": essential.to_json_obj(),
+    }
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+@st.composite
+def _spectra(draw):
+    """(mono, cap, spectrum, essential): enumerated for small monomials of all
+    three classes, or drawn record by record (empty record lists included)."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.tuples(*[st.integers(0, 3)] * dim))
+    m = draw(st.tuples(*[st.integers(0, 3)] * dim))
+    mono, cap = core.MonomialSymbol(n, m), draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        spectrum = core.enumerate_spectrum(mono, cap)
+        return mono, cap, spectrum, core.essential_part(mono, spectrum)
+    alphas = st.tuples(*[st.integers(0, 10**6)] * dim)
+    subsets = st.sets(st.integers(1, dim), min_size=1).map(frozenset)
+    records = draw(st.lists(
+        st.builds(
+            core.EigenRecord,
+            st.fractions(0, 1),
+            st.lists(st.builds(core.Provenance, alphas, subsets), max_size=3).map(tuple),
+            st.booleans(),
+            st.booleans(),
+            st.sampled_from([None, *core.MultiplicityClass]),
+        ),
+        max_size=4,
+        unique_by=lambda r: r.value,
+    ))
+    notes = st.one_of(st.none(), st.just("zero operator: holomorphic symbol, essential spectrum is {0}"), st.text())
+    spectrum = core.SpectrumSet(tuple(records), cap, draw(st.booleans()), draw(st.booleans()), "spectrum")
+    kept = tuple(r for r in records if draw(st.booleans()))
+    essential = core.SpectrumSet(kept, cap, True, draw(st.booleans()), "essential", draw(notes))
+    return mono, cap, spectrum, essential
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spectra(), st.text())
+def test_exact_writer_matches_json_dumps(drawn, symbol):
+    mono, cap, spectrum, essential = drawn
+    assert _exact_json(symbol, mono, cap, spectrum, essential) == _reference_exact_json(
+        symbol, mono, cap, spectrum, essential
+    )
+

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,9 @@ from hankel_spectra import (
     lambda_value,
     multiplicity_class,
 )
+from hankel_spectra import core
 from hankel_spectra.multiindex import DimensionMismatch, full_set, nonempty_subsets
+from oracles import reference_records
 
 
 def test_lambda_one_variable_conjugate_families():
@@ -295,3 +298,64 @@ def test_rayleigh_quotient_oracle_dim2():
                 lam = lambda_value(n, m, alpha, {1, 2})
                 gram = (scaled_gram_entry(sym, alpha, alpha) * weight(alpha)).real_fraction()
                 assert gram == lam
+
+
+_exponents = st.integers(0, 3)
+
+
+@st.composite
+def enumerated_monomials(draw):
+    """(symbol, cap): dim 1-3, exponents 0-3, cap 0-8 (smaller caps at dim 3)."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.tuples(*[_exponents] * dim))
+    m = draw(st.tuples(*[_exponents] * dim))
+    cap = draw(st.integers(0, (8, 8, 4)[dim - 1]))
+    return MonomialSymbol(n, m), cap
+
+
+@settings(max_examples=80, deadline=None)
+@given(enumerated_monomials())
+def test_table_enumeration_matches_reference(drawn):
+    sym, cap = drawn
+    assert enumerate_spectrum(sym, cap).records == reference_records(sym, cap)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_table_enumeration_with_a_huge_exponent(data):
+    # one exponent >= 10^5 puts the tables past int64: they hold Python ints
+    dim = data.draw(st.integers(1, 2))
+    exps = [data.draw(st.lists(_exponents, min_size=dim, max_size=dim)) for _ in range(2)]
+    side, k = data.draw(st.integers(0, 1)), data.draw(st.integers(0, dim - 1))
+    exps[side][k] = data.draw(st.integers(10**5, 10**9))
+    sym, cap = MonomialSymbol(*exps), data.draw(st.integers(0, 6))
+    assert enumerate_spectrum(sym, cap).records == reference_records(sym, cap)
+
+
+def test_huge_exponent_takes_the_python_int_tables(monkeypatch):
+    dtypes = []
+    real = core._subset_table
+
+    def recording(n, m, coords, cap, dtype):
+        dtypes.append(dtype)
+        return real(n, m, coords, cap, dtype)
+
+    monkeypatch.setattr(core, "_subset_table", recording)
+    sym = MonomialSymbol((0, 7), (100000, 0))
+    assert enumerate_spectrum(sym, 5).records == reference_records(sym, 5)
+    assert dtypes == [object] * 3
+    dtypes.clear()
+    enumerate_spectrum(MonomialSymbol((2, 1), (3, 3)), 90)  # (90+2+3+1)^6 < 2^62
+    assert dtypes == [np.int64] * 3
+
+
+def test_exact_order_separates_fractions_floats_cannot():
+    # 1 - 1/q for q near 10^12 differ by about 10^-24: equal or misordered as floats
+    fracs = [Fraction(10**12, 10**12 + 1), Fraction(10**12 - 1, 10**12), Fraction(1, 3),
+             Fraction(10**12, 10**12 + 1), Fraction(10**12 + 1, 10**12 + 2), Fraction(0)]
+    for dtype in (np.int64, object):
+        num = np.array([f.numerator for f in fracs], dtype=dtype)
+        den = np.array([f.denominator for f in fracs], dtype=dtype)
+        order = core._exact_order(num, den).tolist()
+        assert [fracs[i] for i in order] == sorted(fracs)
+        assert order.index(0) < order.index(3)  # stable among equal values

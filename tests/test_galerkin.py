@@ -401,3 +401,16 @@ def test_sector_blocks_hold_the_dense_matrix():
                                     for i, w in enumerate(np.prod(np.array(trunc.indices) + 1, axis=1))]
     assert mat.scale() == np.max(np.abs(mat.dense))
     assert mat.hermiticity_defect() == np.max(np.abs(mat.dense - mat.dense.conj().T))
+
+
+def test_toeplitz_route_refuses_a_dense_fill_over_budget(monkeypatch):
+    # zb1 at D2 N=140 passes the stored-entry guard with 19881 one-entry
+    # sectors; the full fill would be 19881^2 object cells
+    import hankel_spectra.galerkin as galerkin
+
+    def no_fill(*args):
+        raise AssertionError("the Toeplitz maps were built for an over-budget fill")
+
+    monkeypatch.setattr(galerkin, "_toeplitz_map", no_fill)
+    with pytest.raises(ValueError, match="entries"):
+        assemble_via_toeplitz(parse_symbol("zb1", dim=2), BasisTruncation(140, 2))

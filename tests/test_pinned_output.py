@@ -48,6 +48,22 @@ CASES = {
         ["exact", "zb1^2*zb2", "--cap", "6"],
         "b8b8afd0b873cf471ebcc13263074751f2a6e9d4e4abdf027d39e6eea61cab45",
     ),
+    "exact-monomial-csv": (
+        ["exact", "zb1^2*zb2", "--cap", "6", "--format", "csv"],
+        "f6d27e08914f04d2599a8bb9654a72c8cd8517186ac6061f5d8a228aaf30d7e3",
+    ),
+    "exact-all-infinite": (
+        ["exact", "zb2^3", "--dim", "2", "--cap", "12"],
+        "26d46581656badf925aa579741d4c854fa0bc0e3947436074900be502af72255",
+    ),
+    "exact-zero-operator": (
+        ["exact", "z1", "--dim", "2", "--cap", "5"],
+        "41578cdb3244558619aed6f256c03fd6b83fe5a25d917de6f467f85c697b0d8d",
+    ),
+    "exact-dim3-finite": (
+        ["exact", "z1*zb1^2*zb2*z3*zb3^3", "--cap", "6"],
+        "5ff5071712f3fda1d90841cf67f10b203170cbbd14e468b49e371623f56de214",
+    ),
 }
 
 DUMP_ARGS = ["approx", "zb1*(zb2+1) - 1/3*z1*zb2", "--degree", "3"]

@@ -169,3 +169,39 @@ def test_degrees():
     assert sym.z_degrees() == (2, 1)
     assert sym.zbar_degrees() == (1, 3)
     assert sym.coordinate_degrees() == (3, 3)
+
+
+def test_power_takes_logarithmically_many_products(monkeypatch):
+    calls = []
+    real = PolySymbol.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        if len(calls) > 100:  # repeated multiplication would make 10^6 products
+            raise AssertionError("too many symbol products for one power")
+        return real(self, other)
+
+    monkeypatch.setattr(PolySymbol, "__mul__", counting)
+    s = parse_symbol("zb1^1000000")
+    assert s.terms == ((crat(1), (0,), (1000000,)),)
+    assert len(calls) <= 2 * 20 + 2  # 2*log2(10^6) + 2
+    monkeypatch.undo()
+    base = parse_symbol("(1/2+i)*zb1*z2 - 3*z1 + 1")
+    prod = PolySymbol.monomial(1, (0, 0), (0, 0))
+    for e in range(8):
+        assert base**e == prod
+        prod = prod * base
+
+
+def test_float_zero_stays_float():
+    zero = parse_symbol("zb1 - zb1", dim=2).as_float()
+    one = parse_symbol("zb1", dim=2)
+    assert not zero.is_exact
+    derived = [
+        zero.conjugate(), zero.modulus_squared(), zero.substitute_coordinate(2, 1j), zero.padded(3),
+        zero * zero, zero * one, one * zero, zero + zero, zero - zero, zero * 2, zero**3,
+    ]
+    assert all(s.is_zero and not s.is_exact for s in derived)
+    exact_zero = parse_symbol("zb1 - zb1", dim=2)
+    assert exact_zero.conjugate().is_exact and (exact_zero * one).is_exact
+    assert zero == exact_zero  # equality and hashing compare terms only
