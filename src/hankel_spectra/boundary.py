@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import enumerate_spectrum
-from .galerkin import BasisTruncation, assemble, eigenvalues
+from .galerkin import BasisTruncation, assemble, eigenvalues, top_eigenvalues
 from .rational import CRat
 from .symbols import PolySymbol
 
@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES = 256
+MAX_SAMPLES = 65536  # circle samples per profile or range: each costs time and batch memory
 CONSTANCY_RTOL = 1e-8
 PROFILE_ZERO_FLOOR = 1e-12  # profiles below solver noise count as identically zero
 GOLDEN_TOL = 1e-12
@@ -121,24 +122,34 @@ def slice_norm_profile(
     lambda_q is the top eigenvalue of the slice compression at the given
     truncation (a lower bound for the true squared norm, non-decreasing in N).
     The profile is flagged constant when max - min < 1e-8 * max.
+
+    Every sample is sliced with slice_symbol.  Slices with the same exponent
+    list share their sectors, so each such group is solved as one batch by
+    galerkin.top_eigenvalues, whose values equal the per-sample
+    eigenvalues(assemble(...))[-1] bit for bit: it keeps the pair
+    coefficients in CPython complex arithmetic.  An exact float cancellation
+    (conj(q) - 1 at q = 1) drops a term and so gives a group of its own; a
+    zero slice has norm 0.
     """
     if num_samples < 4:
         raise ValueError("num_samples must be >= 4")
+    if num_samples > MAX_SAMPLES:
+        raise ValueError(f"num_samples must be <= {MAX_SAMPLES}")
     if sym.dim < 2:
         raise ValueError("profiles need dim >= 2")
     slice_trunc = BasisTruncation(trunc.degree_cap, sym.dim - 1)
     thetas = [2.0 * math.pi * j / num_samples for j in range(num_samples)]
     # a complex q turns every coefficient complex anyway: CRat * complex is complex(CRat) * complex
     float_sym = sym.as_float()
-
-    def top(theta: float) -> float:
-        sliced = slice_symbol(float_sym, cmath.exp(1j * theta), coord)
-        if sliced.is_zero:
-            return 0.0
-        w = eigenvalues(assemble(sliced, slice_trunc))
-        return float(w[-1])
-
-    values = [top(t) for t in thetas]
+    slices = [slice_symbol(float_sym, cmath.exp(1j * t), coord) for t in thetas]
+    shapes: dict[tuple, list[int]] = {}
+    for j, sliced in enumerate(slices):
+        if not sliced.is_zero:
+            shapes.setdefault(tuple((h, a) for _, h, a in sliced.terms), []).append(j)
+    values = [0.0] * num_samples
+    for group in shapes.values():
+        for j, top in zip(group, top_eigenvalues([slices[j] for j in group], slice_trunc)):
+            values[j] = float(top)
 
     vmax = max(values)
     vmin = min(values)
@@ -175,6 +186,8 @@ def circle_abs_sq_range(chi: PolySymbol, num_samples: int = DEFAULT_SAMPLES) -> 
         raise ValueError("chi must be univariate")
     if num_samples < 8:
         raise ValueError("num_samples must be >= 8")
+    if num_samples > MAX_SAMPLES:
+        raise ValueError(f"num_samples must be <= {MAX_SAMPLES}")
     float_chi = chi.as_float()  # evaluate() converts every coefficient to complex anyway
 
     def f(theta: float) -> float:

@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from .boundary import (
+    MAX_SAMPLES,
     containment_report,
     product_essential_prediction,
     slice_norm_profile,
@@ -53,6 +54,8 @@ class RunConfig:
             raise ValueError("tol must lie in (0, 1)")
         if self.samples < 4:
             raise ValueError("samples must be >= 4")
+        if self.samples > MAX_SAMPLES:
+            raise ValueError(f"samples must be <= {MAX_SAMPLES}")
 
 
 def _config_from(args) -> RunConfig:

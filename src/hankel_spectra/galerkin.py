@@ -52,6 +52,7 @@ __all__ = [
     "assemble_via_toeplitz",
     "matrices_equal",
     "eigenvalues",
+    "top_eigenvalues",
     "weyl_residual",
     "dump_matrix",
     "load_matrix",
@@ -146,11 +147,11 @@ def _inner_factor(total: int) -> Fraction:
     return Fraction(2, total + 2)
 
 
-def _pair_offsets(sym: PolySymbol) -> dict[tuple[int, ...], list]:
-    """Group term pairs (s, t) by the column offset beta - alpha they couple."""
+def _pair_offsets(terms) -> dict[tuple[int, ...], list]:
+    """Group term pairs (s, t) of (coefficient, n, m) terms by the column offset beta - alpha they couple."""
     offsets: dict[tuple[int, ...], list] = {}
-    for cs, ns, ms in sym.terms:
-        for ct, nt, mt in sym.terms:
+    for cs, ns, ms in terms:
+        for ct, nt, mt in terms:
             delta = tuple((a - b) - (c - d) for a, b, c, d in zip(ns, ms, nt, mt))
             offsets.setdefault(delta, []).append((cs, ns, ms, ct, nt, mt))
     return offsets
@@ -254,7 +255,9 @@ def _gram_block(pairs, lo, hi, exact: bool) -> np.ndarray:
     and the entry is prod first - prod second.  Exact symbols get Fraction
     factors and a CRat block; float symbols get float64 factors, each one
     rounded integer division, so rationals that cancel exactly (e.g. for
-    holomorphic symbols) cancel exactly here too.
+    holomorphic symbols) cancel exactly here too.  Float coefficients given as
+    tuples, one per sample, give the block a leading sample axis; each sample's
+    c_s conj(c_t) is still one CPython complex product.
     """
     ratio = _exact_ratios if exact else np.true_divide
     alphas = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
@@ -268,7 +271,13 @@ def _gram_block(pairs, lo, hi, exact: bool) -> np.ndarray:
                 ratio(np.where(gamma >= 0, gamma + 1, 0), (gamma + msj + 1) * (gamma + mtj + 1))
             )
         outer = reduce(np.multiply.outer, first) - reduce(np.multiply.outer, second)
-        coeff = cs * ct.conjugate() if exact else complex(cs) * complex(ct).conjugate()
+        if exact:
+            coeff = cs * ct.conjugate()
+        elif isinstance(cs, tuple):
+            coeff = np.array([complex(a) * complex(b).conjugate() for a, b in zip(cs, ct)])
+            coeff = coeff.reshape(coeff.shape + (1,) * len(lo))
+        else:
+            coeff = complex(cs) * complex(ct).conjugate()
         block = block + coeff * outer
     return block
 
@@ -281,7 +290,7 @@ def scaled_gram_entry(sym: PolySymbol, alpha, beta, inner_cap=None):
     _check_inner_caps(sym, alpha, caps)
     _check_inner_caps(sym, beta, caps)
     delta = tuple(b - a for a, b in zip(alpha, beta))
-    pairs = _pair_offsets(sym).get(delta)
+    pairs = _pair_offsets(sym.terms).get(delta)
     if pairs is None:
         return CR_ZERO if sym.is_exact else 0j
     return _gram_block(pairs, alpha, alpha, sym.is_exact).item()
@@ -361,16 +370,26 @@ class CompressionMatrix:
         return out
 
     def hermiticity_defect(self) -> float:
-        return max(float(np.max(np.abs(b - b.conj().swapaxes(1, 2)))) for b in self.blocks)
+        return float(_defects([b[None] for b in self.blocks])[0])
 
     def scale(self) -> float:
-        return max(float(np.max(np.abs(b))) for b in self.blocks)
+        return float(_scales([b[None] for b in self.blocks])[0])
+
+
+def _defects(stacks) -> np.ndarray:
+    """Per sample, the largest |b - b^H| over its sector blocks; stacks hold (samples, k, s, s) blocks."""
+    return np.max([np.abs(b - b.conj().swapaxes(2, 3)).max(axis=(1, 2, 3)) for b in stacks], axis=0)
+
+
+def _scales(stacks) -> np.ndarray:
+    """Per sample, the largest |entry| of its sector blocks."""
+    return np.max([np.abs(b).max(axis=(1, 2, 3)) for b in stacks], axis=0)
 
 
 def _split(flat: np.ndarray, groups) -> tuple[np.ndarray, ...]:
-    """The (k, s, s) stacks of the sector groups laid end to end in flat, as views."""
-    parts = np.split(flat, np.cumsum([g.size * g.shape[1] for g in groups])[:-1])
-    return tuple(p.reshape(g.shape + g.shape[1:]) for p, g in zip(parts, groups))
+    """The (k, s, s) stacks of the sector groups laid end to end in flat's last axis, as views."""
+    parts = np.split(flat, np.cumsum([g.size * g.shape[1] for g in groups])[:-1], axis=-1)
+    return tuple(p.reshape(p.shape[:-1] + g.shape + g.shape[1:]) for p, g in zip(parts, groups))
 
 
 def _from_dense(full: np.ndarray, exact: bool, offsets: frozenset, **fields) -> CompressionMatrix:
@@ -399,6 +418,23 @@ def _symbol_hash(sym: PolySymbol) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _kernel_blocks(offsets, trunc: BasisTruncation, row_start, col_pos, exact: bool):
+    """(at, rows, cols, block, weighted) per winding offset with a non-empty box: the
+    offset's _gram_block, its orthonormal entries (c * w_a) * w_b and their flat
+    positions in the sector layout of _sectors.
+    """
+    w = trunc.weights_sqrt
+    for delta, pairs in offsets.items():
+        # alpha and beta = alpha + delta both in [0, N] per coordinate
+        box = _offset_block(trunc, delta)
+        if box is None:
+            continue
+        lo, hi, rows, cols = box
+        block = _gram_block(pairs, lo, hi, exact)
+        at = row_start[rows] + col_pos[cols]
+        yield at, rows, cols, block, np.asarray(block, dtype=complex) * w[rows] * w[cols]
+
+
 def assemble(sym: PolySymbol, trunc: BasisTruncation, inner_cap=None) -> CompressionMatrix:
     """Assemble the Hermitian compression of H*_psi H_psi as sector blocks.
 
@@ -417,22 +453,14 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation, inner_cap=None) -> Compres
     caps = _normalize_inner_caps(sym, trunc, inner_cap)
     _check_inner_caps(sym, (trunc.degree_cap,) * trunc.dim, caps)
     exact = sym.is_exact
-    offsets = _pair_offsets(sym)
+    offsets = _pair_offsets(sym.terms)
     groups, row_start, col_pos = _sectors(trunc, frozenset(offsets))
-    w = trunc.weights_sqrt
     flat = np.zeros(sum(g.size * g.shape[1] for g in groups), dtype=complex)
     scaled = np.full(flat.size, CR_ZERO, dtype=object) if exact else None
     written = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for delta, pairs in offsets.items():
-            # alpha and beta = alpha + delta both in [0, N] per coordinate
-            box = _offset_block(trunc, delta)
-            if box is None:
-                continue
-            lo, hi, rows, cols = box
-            block = _gram_block(pairs, lo, hi, exact)
-            at = row_start[rows] + col_pos[cols]
-            flat[at] = np.asarray(block, dtype=complex) * w[rows] * w[cols]
+        for at, rows, cols, block, weighted in _kernel_blocks(offsets, trunc, row_start, col_pos, exact):
+            flat[at] = weighted
             if exact:
                 scaled[at] = block
                 written.append((at.ravel(), (row_start[cols] + col_pos[rows]).ravel()))
@@ -483,7 +511,7 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation, inner_cap=Non
         raise ValueError(f"symbol dim {sym.dim} != truncation dim {trunc.dim}")
     _check_basis_size(trunc.degree_cap, trunc.dim)
     caps = _normalize_inner_caps(sym, trunc, inner_cap)
-    offsets = frozenset(_pair_offsets(sym))
+    offsets = frozenset(_pair_offsets(sym.terms))
     # the fill below is n x n whatever the sectors; this also implies _sectors' stored-entry guard
     _check_dump_size(trunc.size)
     indices = trunc.indices
@@ -530,6 +558,36 @@ def matrices_equal(m1: CompressionMatrix, m2: CompressionMatrix) -> bool:
     return bool(np.array_equal(m1.dense, m2.dense))
 
 
+def _checked_eigenvalues(stacks, names) -> np.ndarray:
+    """Ascending eigenvalues of each sample's (samples, k, s, s) blocks, shape (samples, size).
+
+    The samples are checked in order, as one eigenvalues() call each would
+    check them: the first failing sample raises ValueError for its first
+    failing guard, and no sample with a non-finite entry reaches LAPACK.
+    names[i] names sample i in the non-finite message.
+    """
+    finite = np.logical_and.reduce([np.isfinite(b).all(axis=(1, 2, 3)) for b in stacks])
+    n_finite = finite.size if finite.all() else int(np.argmin(finite))
+    stacks = [b[:n_finite] for b in stacks]
+    defect = _defects(stacks)
+    skewed = np.flatnonzero(defect > HERMITICITY_TOL * np.maximum(1.0, _scales(stacks)))
+    n_solved = skewed[0] if skewed.size else n_finite
+    w = np.sort(np.concatenate([
+        np.linalg.eigvalsh((b + b.conj().swapaxes(2, 3)) / 2.0).reshape(n_solved, b.shape[1] * b.shape[2])
+        for b in (b[:n_solved] for b in stacks)
+    ], axis=1), axis=1)
+    low = np.flatnonzero(w[:, 0] < EIGEN_FLOOR)
+    if low.size:
+        raise ValueError(f"eigenvalue {w[low[0], 0]:g} below PSD floor {EIGEN_FLOOR:g}")
+    if skewed.size:
+        raise ValueError(f"matrix is not Hermitian: defect {defect[n_solved]:g}")
+    if n_finite < finite.size:
+        raise ValueError(
+            f"compression of {names[n_finite]} has non-finite entries; coefficients too large for floats?"
+        )
+    return w
+
+
 def eigenvalues(mat: CompressionMatrix) -> np.ndarray:
     """All eigenvalues of the compression, ascending.
 
@@ -538,20 +596,45 @@ def eigenvalues(mat: CompressionMatrix) -> np.ndarray:
     returning.  The spectrum is the union of the blocks' spectra: blocks of
     one size go to LAPACK's Hermitian eigensolver as one batched call.
     """
-    if not all(np.isfinite(b).all() for b in mat.blocks):
-        what = mat.symbol if mat.symbol is not None else f"dumped symbol {mat.symbol_hash}"
-        raise ValueError(
-            f"compression of {what} has non-finite entries; coefficients too large for floats?"
-        )
-    defect = mat.hermiticity_defect()
-    if defect > HERMITICITY_TOL * max(1.0, mat.scale()):
-        raise ValueError(f"matrix is not Hermitian: defect {defect:g}")
-    w = np.sort(np.concatenate(
-        [np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2.0).ravel() for b in mat.blocks]
-    ))
-    if w.size and w[0] < EIGEN_FLOOR:
-        raise ValueError(f"eigenvalue {w[0]:g} below PSD floor {EIGEN_FLOOR:g}")
-    return w
+    name = mat.symbol if mat.symbol is not None else f"dumped symbol {mat.symbol_hash}"
+    return _checked_eigenvalues([b[None] for b in mat.blocks], [name])[0]
+
+
+def top_eigenvalues(syms, trunc: BasisTruncation) -> np.ndarray:
+    """eigenvalues(assemble(sym, trunc))[-1] for every float symbol of syms, bitwise, in one batch.
+
+    The symbols must share one exponent list; only their coefficients differ
+    (the samples of a slice profile).  So they share the winding offsets and
+    the sectors: the box is labelled once, and each offset's _gram_block fills
+    the blocks of all samples at once, with a leading sample axis.  The pair
+    coefficients c_s conj(c_t) stay CPython complex products, one per sample,
+    as in assemble: numpy's complex multiply may fuse a multiply-add and round
+    the last bit differently.  Blocks of one size are solved by one eigvalsh
+    call over all samples, and every sample keeps the guards and messages of
+    eigenvalues().  Samples go in chunks of at most MAX_STORED_ENTRIES stored
+    entries, the budget of one assemble.
+    """
+    if not syms:
+        return np.empty(0)
+    terms = syms[0].terms
+    exponents = [(n, m) for _, n, m in terms]
+    for sym in syms:
+        if sym.is_exact or sym.dim != trunc.dim or [(n, m) for _, n, m in sym.terms] != exponents:
+            raise ValueError("top_eigenvalues needs float symbols of the basis dim with one exponent list")
+    _check_basis_size(trunc.degree_cap, trunc.dim)
+    groups, row_start, col_pos = _sectors(trunc, frozenset(_pair_offsets(terms)))
+    stored = sum(g.size * g.shape[1] for g in groups)
+    step = MAX_STORED_ENTRIES // stored
+    tops = []
+    for start in range(0, len(syms), step):
+        chunk = syms[start:start + step]
+        columns = [(tuple(s.terms[i][0] for s in chunk), n, m) for i, (n, m) in enumerate(exponents)]
+        flat = np.zeros((len(chunk), stored), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for at, _, _, _, weighted in _kernel_blocks(_pair_offsets(columns), trunc, row_start, col_pos, False):
+                flat[:, at] = weighted
+        tops.append(_checked_eigenvalues(_split(flat, groups), chunk)[:, -1])
+    return np.concatenate(tops)
 
 
 @dataclass(frozen=True)

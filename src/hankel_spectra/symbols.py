@@ -24,6 +24,7 @@ __all__ = ["PolySymbol", "SymbolParseError", "parse_symbol"]
 
 MAX_COORDINATE = 8
 MAX_NESTING = 100  # parenthesis depth; keeps the recursive-descent parser off the recursion limit
+MAX_TERM_PAIRS = 4096  # term pairs one product in a parsed symbol may form (about 0.2 s of CRat products)
 
 
 class SymbolParseError(ValueError):
@@ -190,17 +191,7 @@ class PolySymbol:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "PolySymbol":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("symbol powers must be non-negative integers")
-        out = PolySymbol([(CRat(1), (0,) * self.dim, (0,) * self.dim)], dim=self.dim)
-        base = self
-        while exponent:  # repeated squaring: about 2*log2(exponent) products
-            if exponent & 1:
-                out = out * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return out
+        return _power(self, exponent, PolySymbol.__mul__)
 
     def modulus_squared(self) -> "PolySymbol":
         """The symbol |psi|^2 = conj(psi) * psi."""
@@ -332,6 +323,20 @@ class PolySymbol:
             return cls(terms, dim=dim)
         except ValueError as exc:
             raise SymbolParseError(str(exc)) from exc
+
+
+def _power(base: PolySymbol, exponent: int, product) -> PolySymbol:
+    """base^exponent by repeated squaring: about 2*log2(exponent) calls product(a, b)."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("symbol powers must be non-negative integers")
+    out = PolySymbol([(CRat(1), (0,) * base.dim, (0,) * base.dim)], dim=base.dim)
+    while exponent:
+        if exponent & 1:
+            out = product(out, base)
+        exponent >>= 1
+        if exponent:
+            base = product(base, base)
+    return out
 
 
 def _keep_float(result: PolySymbol, *sources: PolySymbol) -> PolySymbol:
@@ -468,7 +473,7 @@ class _Parser:
             kind, val = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                out = out * self.factor()
+                out = self.product(out, self.factor())
             else:
                 return out
 
@@ -485,8 +490,17 @@ class _Parser:
             kind, val = self.take()
             if kind != "int":
                 raise SymbolParseError("exponent must be a non-negative integer")
-            sym = sym ** int(val)
+            sym = _power(sym, int(val), self.product)
         return sym * -1 if negate else sym
+
+    @staticmethod
+    def product(a: PolySymbol, b: PolySymbol) -> PolySymbol:
+        """a * b, refused before it is formed when it takes over MAX_TERM_PAIRS term pairs."""
+        if len(a.terms) * len(b.terms) > MAX_TERM_PAIRS:
+            raise SymbolParseError(
+                f"a product of {len(a.terms)} by {len(b.terms)} terms exceeds {MAX_TERM_PAIRS} term pairs"
+            )
+        return a * b
 
     def atom(self) -> PolySymbol:
         kind, val = self.take()

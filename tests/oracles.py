@@ -7,15 +7,21 @@ here touches the package's own inner-product code.
 
 The reference enumeration of a monomial spectrum evaluates the closed form one
 point at a time (``core._lambda_unchecked``) into Fraction buckets, the way
-the package did before it switched to integer tables.
+the package did before it switched to integer tables.  The reference slice
+profile solves one compression per circle sample, the way the package did
+before it batched the samples.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
+
+from hankel_spectra.boundary import slice_symbol
 
 from hankel_spectra.core import (
     EigenRecord,
@@ -26,6 +32,7 @@ from hankel_spectra.core import (
     _lambda_unchecked,
     multiplicity_class,
 )
+from hankel_spectra.galerkin import BasisTruncation, assemble, eigenvalues
 from hankel_spectra.multiindex import full_set, nonempty_subsets
 
 _RADIAL_NODES = 120
@@ -146,3 +153,13 @@ def reference_records(sym: MonomialSymbol, alpha_cap: int) -> tuple[EigenRecord,
         is_lp = v == 0 or any(p.subset != full for p in prov)
         records.append(EigenRecord(v, prov, is_eig, is_lp, eigen_mult if is_eig else None))
     return tuple(records)
+
+
+def reference_profile_values(sym, coord: int, num_samples: int, trunc: BasisTruncation) -> list[float]:
+    """slice_norm_profile(...).values, one assemble and eigensolve per circle sample."""
+    slice_trunc = BasisTruncation(trunc.degree_cap, sym.dim - 1)
+    values = []
+    for j in range(num_samples):
+        sliced = slice_symbol(sym.as_float(), cmath.exp(1j * (2.0 * math.pi * j / num_samples)), coord)
+        values.append(0.0 if sliced.is_zero else float(eigenvalues(assemble(sliced, slice_trunc))[-1]))
+    return values

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankel_spectra import (
     BasisTruncation,
@@ -23,6 +25,7 @@ from hankel_spectra import (
 from hankel_spectra.boundary import sup_norm_on_torus
 from hankel_spectra.rational import CRat
 from hankel_spectra.symbols import PolySymbol
+from oracles import reference_profile_values
 
 
 def test_slice_symbol_exact_points():
@@ -74,14 +77,106 @@ def test_profile_product_symbol_range():
 
 
 def test_profile_labels_its_sectors_once():
-    # every sample's slice has the same windings, so one labeling serves all 64 solves
+    # every sample's slice has the same windings, so one labeling serves the one batched solve
     from hankel_spectra.galerkin import _sectors
 
     _sectors.cache_clear()
     prof = slice_norm_profile(parse_symbol("zb1*(zb2+1)*(zb3+2)"), 3, 64, BasisTruncation(6, 3))
     assert len(prof.values) == 64
     info = _sectors.cache_info()
-    assert (info.misses, info.hits) == (1, 63)
+    assert (info.misses, info.hits) == (1, 0)
+
+
+_COEFFS = (CRat(1), CRat(-1), CRat(2), CRat(0, 1), CRat(1) / 2 + CRat(0, -3) / 4)
+
+
+@st.composite
+def _profile_cases(draw):
+    dim = draw(st.integers(2, 3))
+    coord = draw(st.integers(1, dim))
+    exps = st.lists(st.integers(0, 2), min_size=dim, max_size=dim).map(tuple)
+    terms = [(draw(st.sampled_from(_COEFFS)), draw(exps), draw(exps)) for _ in range(draw(st.integers(0, 3)))]
+    if terms and draw(st.booleans()):
+        # c X z_k^n zbar_k^m - c X z_k^n' zbar_k^m' slices to c X' - c X' = 0 exactly at q = 1
+        c, h, a = terms[0]
+        k = coord - 1
+        n, m = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        terms.append((c * -1, h[:k] + (n,) + h[k + 1:], a[:k] + (m,) + a[k + 1:]))
+    sym = PolySymbol(terms, dim=dim)
+    return sym, coord, draw(st.integers(4, 64)), BasisTruncation(draw(st.integers(0, 8)), dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_profile_cases())
+def test_profile_equals_per_sample_solves_bitwise(case):
+    sym, coord, samples, trunc = case
+    got = slice_norm_profile(sym, coord, samples, trunc).values
+    want = reference_profile_values(sym, coord, samples, trunc)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_profile_batches_every_exponent_list():
+    # q = 1 cancels zb1*zb2 - zb1 exactly: that sample has one term fewer than the others
+    sym = parse_symbol("zb1*(zb2-1) + z1*zb1*zb2")
+    trunc = BasisTruncation(8, 2)
+    assert len(slice_symbol(sym.as_float(), 1 + 0j, 2).terms) == 1
+    got = slice_norm_profile(sym, 2, 64, trunc).values
+    assert [v.hex() for v in got] == [v.hex() for v in reference_profile_values(sym, 2, 64, trunc)]
+    zero = parse_symbol("zb1*(zb2-1)")
+    assert slice_norm_profile(zero, 2, 8, trunc).values[0] == 0.0
+
+
+def test_profile_chunks_keep_the_values(monkeypatch):
+    from hankel_spectra import galerkin
+
+    sym = parse_symbol("zb1*(zb2+1)*(zb3+2) + z1*zb2*zb3")
+    trunc = BasisTruncation(5, 3)
+    whole = slice_norm_profile(sym, 3, 32, trunc).values
+    sliced = slice_symbol(sym.as_float(), cmath.exp(0.1j), 3)
+    groups = galerkin._sectors(BasisTruncation(5, 2), frozenset(galerkin._pair_offsets(sliced.terms)))[0]
+    stored = sum(g.size * g.shape[1] for g in groups)
+    monkeypatch.setattr(galerkin, "MAX_STORED_ENTRIES", 3 * stored + 1)
+    chunks = []
+    real = galerkin._checked_eigenvalues
+
+    def counting(stacks, names):
+        chunks.append(len(names))
+        return real(stacks, names)
+
+    monkeypatch.setattr(galerkin, "_checked_eigenvalues", counting)
+    chunked = slice_norm_profile(sym, 3, 32, trunc).values
+    assert chunks == [3] * 10 + [2]
+    assert [v.hex() for v in chunked] == [v.hex() for v in whole]
+
+
+def test_profile_keeps_the_non_finite_guard():
+    trunc = BasisTruncation(4, 2)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        slice_norm_profile(PolySymbol([(1e200 + 0j, (0, 0), (1, 1))]), 2, 8, trunc)
+    # 7e153 * zb1 * (zb2 + 1) is finite, but its slice at q = 1 squares to 1.96e308
+    sym = PolySymbol([(7e153 + 0j, (0, 0), (1, 1)), (7e153 + 0j, (0, 0), (1, 0))])
+    with pytest.raises(ValueError, match=r"compression of \(\(1\.4e\+154\+0j\)\)\*zb1 has non-finite"):
+        slice_norm_profile(sym, 2, 8, trunc)
+
+
+def test_samples_are_bounded(monkeypatch, capsys):
+    from hankel_spectra import boundary
+    from hankel_spectra.cli import RunConfig, main
+
+    with pytest.raises(ValueError, match="samples must be <= 65536"):
+        RunConfig(samples=65537)
+    assert boundary.MAX_SAMPLES == RunConfig(samples=65536).samples
+
+    def no_slicing(*args):
+        raise AssertionError("an over-budget profile sliced a sample")
+
+    monkeypatch.setattr(boundary, "slice_symbol", no_slicing)
+    with pytest.raises(ValueError, match="num_samples must be <= 65536"):
+        boundary.slice_norm_profile(parse_symbol("zb1*(zb2+1)"), 2, 65537, BasisTruncation(2, 2))
+    with pytest.raises(ValueError, match="num_samples must be <= 65536"):
+        boundary.circle_abs_sq_range(parse_symbol("zb1+1"), 65537)
+    assert main(["boundary", "zb1*(zb2+1)", "--samples", "100000000"]) == 2
+    assert capsys.readouterr().err == "error: samples must be <= 65536\n"
 
 
 def test_profile_holomorphic_zero():

@@ -357,7 +357,7 @@ def test_eigenvalues_rejects_entry_between_sectors():
     dense[i, j] = dense[j, i] = 1e-3  # Hermitian, so only the sector check can see it
     with pytest.raises(ValueError, match="outside its sector blocks"):
         _from_dense(
-            dense, False, frozenset(_pair_offsets(sym)),
+            dense, False, frozenset(_pair_offsets(sym.terms)),
             symbol=sym, trunc=mat.trunc, inner_caps=mat.inner_caps, symbol_hash=mat.symbol_hash,
         )
 
@@ -370,6 +370,29 @@ def test_eigenvalues_rejects_non_hermitian_entry_inside_a_block():
     blocks[0][1, 0, 1] += 1e-6  # entry (i, j) for i, j = mat.sectors[0][1][:2]
     with pytest.raises(ValueError, match="not Hermitian"):
         eigenvalues(dataclasses.replace(mat, blocks=tuple(blocks)))
+
+
+def test_guards_take_the_samples_in_order():
+    # each sample fails as its own eigenvalues() call would; the first failing sample wins
+    from hankel_spectra.galerkin import _checked_eigenvalues
+
+    def stacks(*diagonals):
+        return [np.array([[np.diag(d).astype(complex)] for d in diagonals])]
+
+    skew = stacks([1.0, 1.0], [1.0, 1.0], [math.inf, 1.0])
+    skew[0][1, 0, 0, 1] = 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        _checked_eigenvalues(skew, ["s0", "s1", "s2"])
+    with pytest.raises(ValueError, match="below PSD floor"):
+        _checked_eigenvalues(stacks([1.0, 1.0], [-1.0, 1.0], [math.nan, 1.0]), ["s0", "s1", "s2"])
+    late_skew = stacks([1.0, 1.0], [-1.0, 1.0], [1.0, 1.0])
+    late_skew[0][2, 0, 0, 1] = 1e-6
+    with pytest.raises(ValueError, match="below PSD floor"):
+        _checked_eigenvalues(late_skew, ["s0", "s1", "s2"])
+    with pytest.raises(ValueError, match="compression of s1 has non-finite"):
+        _checked_eigenvalues(stacks([1.0, 1.0], [math.inf, 1.0], [-1.0, 1.0]), ["s0", "s1", "s2"])
+    w = _checked_eigenvalues(stacks([2.0, 1.0], [0.0, 3.0]), ["s0", "s1"])
+    assert w.tolist() == [[1.0, 2.0], [0.0, 3.0]]
 
 
 def test_cancelled_symbol_assembles_on_the_float_path(tmp_path):

@@ -44,6 +44,18 @@ CASES = {
         ["boundary", "(zb1+z1)*(zb2+1)", "--coord", "2", "--degree", "4", "--samples", "8"],
         "38f7cb1ae8e3d7141686d7e1532f6b07409d6f6878c7248cdd5fb1f6e1797925",
     ),
+    "boundary-cancelling-sample": (
+        ["boundary", "zb1*(zb2-1) + z1*zb1*zb2", "--coord", "2", "--degree", "8", "--samples", "64"],
+        "3e29cb0422947c9e0b5343b06058a564e76ab1397fd4d3fb113a6ba588aba83d",
+    ),
+    "boundary-dim3-product": (
+        ["boundary", "zb1*(zb2+1)*(zb3+z3^2)", "--degree", "4", "--samples", "64"],
+        "b6377c16bf646a230564c4cdff4e3e6851b4a4547d82fabe6a4c09e940e94403",
+    ),
+    "boundary-csv": (
+        ["boundary", "(zb1+z1)*(zb2+1)", "--coord", "2", "--degree", "5", "--samples", "32", "--format", "csv"],
+        "16d8565618f5dab3d5eeaea00c1d0bc0c9218d6551b0ba456a5deafa1ba3e893",
+    ),
     "exact-monomial": (
         ["exact", "zb1^2*zb2", "--cap", "6"],
         "b8b8afd0b873cf471ebcc13263074751f2a6e9d4e4abdf027d39e6eea61cab45",

@@ -193,6 +193,31 @@ def test_power_takes_logarithmically_many_products(monkeypatch):
         prod = prod * base
 
 
+def test_parser_refuses_products_over_the_term_pair_budget(monkeypatch, capsys):
+    real = PolySymbol.__mul__
+
+    def bounded(self, other):
+        if isinstance(other, PolySymbol) and len(self.terms) * len(other.terms) > 10_000:
+            raise AssertionError("the parser formed a product of over 10^4 term pairs")
+        return real(self, other)
+
+    monkeypatch.setattr(PolySymbol, "__mul__", bounded)
+    with pytest.raises(SymbolParseError, match="term pairs"):
+        parse_symbol("(zb1+zb2+z1+z2)^40")  # (z1+z2+zb1+zb2)^8 has 165 terms
+    wide = "(" + "+".join(f"z1^{k}" for k in range(65)) + ")"
+    with pytest.raises(SymbolParseError, match="65 by 65 terms"):
+        parse_symbol(wide + "*" + wide.replace("z1", "zb2"))
+    narrow = "(" + "+".join(f"zb2^{k}" for k in range(63)) + ")"
+    assert len(parse_symbol(wide + "*" + narrow).terms) == 65 * 63  # 4095 pairs are allowed
+    monkeypatch.undo()
+    from hankel_spectra.cli import main
+
+    assert main(["approx", "(zb1+zb2+z1+z2)^40", "--degree", "1"]) == 2
+    assert "term pairs" in capsys.readouterr().err
+    # library algebra has no budget
+    assert len(parse_symbol(wide).modulus_squared().terms) == 65 * 65
+
+
 def test_float_zero_stays_float():
     zero = parse_symbol("zb1 - zb1", dim=2).as_float()
     one = parse_symbol("zb1", dim=2)
