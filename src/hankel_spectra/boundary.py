@@ -46,7 +46,7 @@ DEFAULT_SAMPLES = 256
 MAX_SAMPLES = 65536  # circle samples per profile or range: each costs time and batch memory
 CONSTANCY_RTOL = 1e-8
 PROFILE_ZERO_FLOOR = 1e-12  # profiles below solver noise count as identically zero
-GOLDEN_TOL = 1e-12
+MAX_CIRCLE_DEGREE = 128  # reduced degree D of chi on the circle: np.roots solves a 2D x 2D companion, ~0.2 s at 128
 UNIT_MODULUS_TOL = 1e-14
 
 
@@ -157,56 +157,51 @@ def slice_norm_profile(
     return SliceNormProfile(coord, tuple(thetas), tuple(values), slice_trunc, constant)
 
 
-def _golden_section_min(f, a: float, b: float, tol: float = GOLDEN_TOL) -> tuple[float, float]:
-    """Minimize a unimodal f on [a, b]; returns (theta, value)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    xm = (a + b) / 2.0
-    return xm, f(xm)
-
-
 def circle_abs_sq_range(chi: PolySymbol, num_samples: int = DEFAULT_SAMPLES) -> tuple[float, float]:
-    """Range of |chi(e^{i theta})|^2: coarse grid plus golden-section refinement.
+    """Range of |chi(e^{i theta})|^2 over the circle, from its critical points.
 
-    |chi|^2 is a trigonometric polynomial, so every extremum sits in a bracket
-    around a grid extremum of a fine enough grid.
+    On the circle z^h zbar^a = e^{i(h-a) theta}.  With the winding gaps
+    divided by their gcd g, chi = e^{i k0 theta} sum_j a_j w^j for
+    w = e^{i g theta}, so |chi|^2 = sum_j b_j w^(j-D) with
+    b = a * conj(reversed a), and its critical points are the roots of
+    sum_j (j-D) b_j w^j.  The range is the min and max of |chi|^2 over the
+    num_samples grid and the angles of all roots, so it contains the grid
+    range and each endpoint is a value |chi|^2 takes; roots off the circle
+    only add samples.  Refuses a reduced degree D above MAX_CIRCLE_DEGREE and
+    a range that overflows floats.
     """
     if chi.dim != 1:
         raise ValueError("chi must be univariate")
-    if num_samples < 8:
-        raise ValueError("num_samples must be >= 8")
+    if num_samples < 4:
+        raise ValueError("num_samples must be >= 4")
     if num_samples > MAX_SAMPLES:
         raise ValueError(f"num_samples must be <= {MAX_SAMPLES}")
     float_chi = chi.as_float()  # evaluate() converts every coefficient to complex anyway
-
-    def f(theta: float) -> float:
-        return abs(float_chi.evaluate((cmath.exp(1j * theta),))) ** 2
-
-    step = 2.0 * math.pi / num_samples
-    vals = [f(j * step) for j in range(num_samples)]
-    lo = min(vals)
-    hi = max(vals)
-    for j in range(num_samples):
-        prev = vals[(j - 1) % num_samples]
-        here = vals[j]
-        nxt = vals[(j + 1) % num_samples]
-        a, b = (j - 1) * step, (j + 1) * step
-        if here <= prev and here <= nxt:
-            lo = min(lo, _golden_section_min(f, a, b)[1])
-        if here >= prev and here >= nxt:
-            hi = max(hi, -_golden_section_min(lambda t: -f(t), a, b)[1])
-    return max(lo, 0.0), hi
+    ks = [h[0] - a[0] for _, h, a in float_chi.terms]
+    g = math.gcd(*(k - min(ks) for k in ks)) if ks else 0  # 0: |chi| is constant on the circle
+    degree = (max(ks) - min(ks)) // g if g else 0
+    if degree > MAX_CIRCLE_DEGREE:
+        raise ValueError(f"chi has degree {degree} on the circle; at most {MAX_CIRCLE_DEGREE} is supported")
+    thetas = [2.0 * math.pi * j / num_samples for j in range(num_samples)]
+    try:
+        if degree:
+            a = np.zeros(degree + 1, dtype=complex)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.add.at(a, [(k - min(ks)) // g for k in ks], [c for c, _, _ in float_chi.terms])
+                b = np.convolve(a, a[::-1].conj())
+                slopes = np.arange(degree, -degree - 1, -1) * b[::-1]  # highest power first
+                sizes = np.abs(slopes)
+            if not np.isfinite(sizes).all():
+                raise OverflowError
+            # np.roots divides by the leading coefficient: a negligible one only adds a root far off the circle
+            slopes[sizes < 1e-300 * sizes.max()] = 0
+            thetas += (np.angle(np.roots(slopes)) / g).tolist()
+        vals = [abs(float_chi.evaluate((cmath.exp(1j * t),))) ** 2 for t in thetas]
+        if not np.isfinite(vals).all():
+            raise OverflowError
+    except OverflowError:
+        raise ValueError("the circle range of |chi|^2 overflows floats; coefficients too large?") from None
+    return max(min(vals), 0.0), max(vals)
 
 
 @dataclass(frozen=True)

@@ -563,18 +563,21 @@ def _checked_eigenvalues(stacks, names) -> np.ndarray:
 
     The samples are checked in order, as one eigenvalues() call each would
     check them: the first failing sample raises ValueError for its first
-    failing guard, and no sample with a non-finite entry reaches LAPACK.
+    failing guard.  A sample counts as non-finite when its symmetrised blocks
+    (b + b^H) / 2 are, which covers non-finite entries and an overflow in the
+    symmetrisation; LAPACK solves only those finite symmetrised blocks.
     names[i] names sample i in the non-finite message.
     """
-    finite = np.logical_and.reduce([np.isfinite(b).all(axis=(1, 2, 3)) for b in stacks])
-    n_finite = finite.size if finite.all() else int(np.argmin(finite))
-    stacks = [b[:n_finite] for b in stacks]
-    defect = _defects(stacks)
-    skewed = np.flatnonzero(defect > HERMITICITY_TOL * np.maximum(1.0, _scales(stacks)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        hermitian = [np.divide(h, 2.0, out=h) for h in (b + b.conj().swapaxes(2, 3) for b in stacks)]
+        finite = np.logical_and.reduce([np.isfinite(h).all(axis=(1, 2, 3)) for h in hermitian])
+        n_finite = finite.size if finite.all() else int(np.argmin(finite))
+        stacks = [b[:n_finite] for b in stacks]
+        defect = _defects(stacks)
+        skewed = np.flatnonzero(defect > HERMITICITY_TOL * np.maximum(1.0, _scales(stacks)))
     n_solved = skewed[0] if skewed.size else n_finite
     w = np.sort(np.concatenate([
-        np.linalg.eigvalsh((b + b.conj().swapaxes(2, 3)) / 2.0).reshape(n_solved, b.shape[1] * b.shape[2])
-        for b in (b[:n_solved] for b in stacks)
+        np.linalg.eigvalsh(h[:n_solved]).reshape(n_solved, h.shape[1] * h.shape[2]) for h in hermitian
     ], axis=1), axis=1)
     low = np.flatnonzero(w[:, 0] < EIGEN_FLOOR)
     if low.size:

@@ -1,7 +1,9 @@
 """Boundary slices, slice-norm profiles, and essential-set predictions."""
 
 import cmath
+import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -236,6 +238,97 @@ def test_circle_range():
     assert abs(lo - 1.0) < 1e-12 and abs(hi - 1.0) < 1e-12
     lo, hi = circle_abs_sq_range(parse_symbol("z1^2 + 2"), 256)
     assert abs(lo - 1.0) < 1e-9 and abs(hi - 9.0) < 1e-9
+    # the critical-point polynomial has a leading coefficient near 1e-320 and others near 1e-10
+    chi = PolySymbol([(1e-160, (0,), (0,)), (1e150, (0,), (1,)), (1e-160, (0,), (5,))], dim=1)
+    lo, hi = circle_abs_sq_range(chi, 8)
+    assert abs(lo / 1e300 - 1.0) < 1e-12 and abs(hi / 1e300 - 1.0) < 1e-12
+
+
+def _grid_abs_sq(terms, points):
+    """|chi|^2 on a uniform grid of the circle, summed by numpy from the (c, h, a) terms."""
+    theta = 2.0 * np.pi * np.arange(points) / points
+    values = sum(c * np.exp(1j * (h - a) * theta) for c, h, a in terms)
+    return np.abs(values) ** 2
+
+
+def test_circle_range_finds_extrema_between_coarse_grid_points(capsys):
+    from hankel_spectra.cli import main
+
+    # the minimum lies between grid points of an 8-sample grid
+    lo, hi = circle_abs_sq_range(parse_symbol("2*zb1 - 1 - 2*z1^4"), 8)
+    dense = _grid_abs_sq([(2, 0, 1), (-1, 0, 0), (-2, 4, 0)], 2**16)
+    assert abs(lo - 0.0262193) < 1e-7
+    assert 0.0 <= dense.min() - lo <= 0.5 * (math.pi / 2**16) ** 2 * 5**2 * hi  # Bernstein, span 5
+    assert abs(hi - 25.0) < 1e-12 and hi >= dense.max() - 1e-12
+    symbol = "zb1*(2*zb2 - 1 - 2*z2^4)"
+    assert main(["boundary", symbol, "--coord", "2", "--degree", "4", "--samples", "8"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    (half,) = [iv for iv in out["prediction"]["intervals"] if iv["mu"] == 0.5]
+    assert abs(half["lo"] - 0.5 * lo) < 1e-15 and abs(half["lo"] - 0.013110) < 1e-6
+
+
+_coefficients = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+_exponents = st.integers(0, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coefficients, _coefficients, _exponents, _exponents, _exponents, _exponents, st.integers(4, 64))
+def test_circle_range_of_two_windings_is_closed_form(a, b, p, q, r, s, samples):
+    if p - q == r - s:
+        return
+    lo, hi = circle_abs_sq_range(PolySymbol([(a, (p,), (q,)), (b, (r,), (s,))], dim=1), samples)
+    tol = 1e-12 * (abs(a) + abs(b)) ** 2
+    assert abs(lo - (abs(a) - abs(b)) ** 2) <= tol
+    assert abs(hi - (abs(a) + abs(b)) ** 2) <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_coefficients, _exponents, _exponents), min_size=1, max_size=4), st.integers(4, 64))
+def test_circle_range_brackets_a_dense_grid(terms, samples):
+    lo, hi = circle_abs_sq_range(PolySymbol([(c, (h,), (a,)) for c, h, a in terms], dim=1), samples)
+    dense = _grid_abs_sq(terms, 4096)
+    windings = [h - a for _, h, a in terms]
+    # Bernstein: |f''| <= span^2 max f, and every extremum is within pi/4096 of a grid point
+    over = 0.5 * (math.pi / 4096) ** 2 * (max(windings) - min(windings)) ** 2 * hi + 1e-13 * hi
+    slack = 1e-13 * max(1.0, hi)
+    assert lo <= dense.min() + slack and hi >= dense.max() - slack
+    assert lo >= dense.min() - over - slack and hi <= dense.max() + over + slack
+
+
+def test_circle_range_degree_budget():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="chi has degree 201 on the circle; at most 128"):
+        circle_abs_sq_range(parse_symbol("zb1^200 + z1 + 1"))
+    assert time.perf_counter() - start < 0.1
+    # the winding gap 100000 reduces to degree 1
+    lo, hi = circle_abs_sq_range(parse_symbol("zb1^100000 + 1"))
+    assert abs(lo) < 1e-9 and abs(hi - 4.0) < 1e-12
+
+
+@pytest.mark.parametrize("holo", ["[0,1]", "[0,0]"])
+def test_circle_range_overflow_exits_2(capsys, holo):
+    from hankel_spectra.cli import main
+
+    # chi = 1 + 1e300 z2 zb2 (holo [0,1]) or 1 + 1e300 zb2 (holo [0,0]): |chi|^2 overflows
+    symbol = (
+        '{"dim":2,"terms":[{"coeff":[1e-150,0],"holo":[0,0],"antiholo":[1,0]},'
+        '{"coeff":[1e150,0],"holo":%s,"antiholo":[1,1]}]}' % holo
+    )
+    assert main(["boundary", symbol, "--coord", "2", "--degree", "2", "--samples", "8"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the circle range of |chi|^2 overflows floats; coefficients too large?\n"
+    )
+
+
+def test_circle_range_takes_four_samples(capsys):
+    from hankel_spectra.cli import main
+
+    assert circle_abs_sq_range(parse_symbol("zb1+1"), 4) == circle_abs_sq_range(parse_symbol("zb1+1"), 128)
+    with pytest.raises(ValueError, match="num_samples must be >= 4"):
+        circle_abs_sq_range(parse_symbol("zb1+1"), 3)
+    assert main(["boundary", "zb1*(zb2+1)", "--coord", "2", "--samples", "4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["profile"]["samples"]) == 4
 
 
 def test_product_prediction_interval():

@@ -372,6 +372,20 @@ def test_non_finite_input_exits_2(capsys, command, coeff, message):
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+
+@pytest.mark.parametrize("command", ["approx", "boundary"])
+def test_symmetrisation_overflow_exits_2(capsys, command):
+    # entries near 1e308 are finite, but (b + b^H) / 2 overflows in the sum
+    symbol = (
+        '{"dim":2,"terms":[{"coeff":[1e154,0],"holo":[0,0],"antiholo":[1,1]},'
+        '{"coeff":[1e154,0],"holo":[0,0],"antiholo":[1,0]}]}'
+    )
+    assert main([command, symbol, "--degree", "4", "--samples", "8"]) == 2
+    assert capsys.readouterr().err == (
+        "error: compression of ((1e+154+0j))*zb1 + ((1e+154+0j))*zb1*zb2 has non-finite entries;"
+        " coefficients too large for floats?\n"
+    )
+
 def test_coefficient_too_large_for_float_exits_2(capsys):
     assert main(["approx", "10^400*zb1", "--degree", "2"]) == 2
     err = capsys.readouterr().err
