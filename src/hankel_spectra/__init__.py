@@ -29,7 +29,6 @@ from .galerkin import (
     BasisTruncation,
     CompressionMatrix,
     Exactness,
-    InnerCapError,
     KernelVector,
     assemble,
     assemble_via_toeplitz,
@@ -72,7 +71,6 @@ __all__ = [
     "EigenRecord",
     "EssentialSetPrediction",
     "Exactness",
-    "InnerCapError",
     "KernelVector",
     "MonomialNorm",
     "MonomialSymbol",

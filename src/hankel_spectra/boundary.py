@@ -6,8 +6,8 @@ lambda_q = ||H_{psi_q}||^2 belongs to the essential spectrum of the Hermitian
 square, and for product symbols phi(z') chi(z_n) the whole set
 {|chi(q)|^2 mu : |q| = 1, mu in sigma(H*_phi H_phi)} is contained in it.  The
 continuous image over the circle is an interval, so predictions are emitted
-as closed intervals [mu * min|chi|^2, mu * max|chi|^2] with sampled extrema
-refined by golden-section search.
+as closed intervals [mu * min|chi|^2, mu * max|chi|^2], with the extrema of
+|chi|^2 taken at its critical points (circle_abs_sq_range).
 
 lambda_q is approximated from below by the top eigenvalue of the slice
 Galerkin compression; every report carries the truncation degree.
@@ -48,6 +48,7 @@ CONSTANCY_RTOL = 1e-8
 PROFILE_ZERO_FLOOR = 1e-12  # profiles below solver noise count as identically zero
 MAX_CIRCLE_DEGREE = 128  # reduced degree D of chi on the circle: np.roots solves a 2D x 2D companion, ~0.2 s at 128
 UNIT_MODULUS_TOL = 1e-14
+POINT_RTOL = 1e-12  # a predicted interval shorter than this times max(1, |hi|) is a point
 
 
 @dataclass(frozen=True)
@@ -258,11 +259,11 @@ class EssentialSetPrediction:
         }
 
 
-def _prediction_entries(mus, t_lo: float, t_hi: float, source: str, point_tol: float = 1e-12):
+def _prediction_entries(mus, t_lo: float, t_hi: float, source: str):
     points, intervals = [], []
     for mu in mus:
         lo, hi = mu * t_lo, mu * t_hi
-        if hi - lo <= point_tol * max(1.0, abs(hi)):
+        if hi - lo <= POINT_RTOL * max(1.0, abs(hi)):
             points.append(PredictedPoint((lo + hi) / 2.0, mu, source))
         else:
             intervals.append(PredictedInterval(lo, hi, mu, source))
@@ -298,8 +299,8 @@ def product_essential_prediction(
     """
     if chi.dim != 1:
         raise ValueError("chi must be univariate")
+    t_lo, t_hi = circle_abs_sq_range(chi, num_samples)  # refuses a bad chi before phi's spectrum
     mus, source = _spectrum_of(phi, alpha_cap, trunc)
-    t_lo, t_hi = circle_abs_sq_range(chi, num_samples)
     points, intervals = _prediction_entries(sorted(set(mus)), t_lo, t_hi, source)
     return EssentialSetPrediction(tuple(points), tuple(intervals))
 

@@ -25,7 +25,7 @@ from .boundary import (
     PredictedPoint,
 )
 from .core import MonomialSymbol, SpectrumSet, _frac_str, enumerate_spectrum, essential_part, multiplicity_class
-from .galerkin import BasisTruncation, Exactness, _check_dump_size, assemble, dump_matrix, eigenvalues
+from .galerkin import BasisTruncation, Exactness, _check_dump_size, assemble, default_inner_caps, dump_matrix, eigenvalues
 from .rational import CRat
 from .symbols import PolySymbol, SymbolParseError, parse_symbol
 from .verify import run_verify
@@ -39,7 +39,6 @@ class RunConfig:
 
     alpha_cap: int = 6
     degree_cap: int = 8
-    inner_cap: int | None = None
     samples: int = 256
     tol: float = 1e-9
     coord: int | None = None
@@ -62,7 +61,6 @@ def _config_from(args) -> RunConfig:
     return RunConfig(
         alpha_cap=args.cap,
         degree_cap=getattr(args, "degree", 8),
-        inner_cap=getattr(args, "inner_cap", None),
         samples=args.samples,
         tol=args.tol,
         coord=getattr(args, "coord", None),
@@ -242,14 +240,14 @@ def cmd_approx(args) -> int:
     cfg = _config_from(args)
     sym = _parse_or_fail(args.symbol, cfg.dim)
     trunc = BasisTruncation(cfg.degree_cap, sym.dim)
-    mat = assemble(sym.as_float(), trunc, cfg.inner_cap)
+    mat = assemble(sym.as_float(), trunc)
     w = eigenvalues(mat)
     exactness = Exactness.RATIONAL if sym.is_exact else Exactness.FLOAT
     if args.dump_matrix:
         _check_dump_size(trunc.size)  # before the exact assembly and before PATH is truncated
         if sym.is_exact:
             # dump format v1 stores the exact scaled Gram matrix for exact symbols
-            mat = assemble(sym, trunc, cfg.inner_cap)
+            mat = assemble(sym, trunc)
         with open(args.dump_matrix, "w") as fh:
             dump_matrix(mat, fh)
     obj = {
@@ -257,7 +255,7 @@ def cmd_approx(args) -> int:
         "symbol": str(sym),
         "dim": sym.dim,
         "degree_cap": cfg.degree_cap,
-        "inner_caps": list(mat.inner_caps),
+        "inner_caps": list(default_inner_caps(mat.symbol, trunc)),
         "basis_size": mat.size,
         "exactness": exactness.value,
         "note": f"compression spectrum at N={cfg.degree_cap}; approximates the operator spectrum",
@@ -318,11 +316,7 @@ def cmd_boundary(args) -> int:
     coord = cfg.coord if cfg.coord is not None else sym.dim
     if not 1 <= coord <= sym.dim:
         raise _UsageError(f"--coord must lie in 1..{sym.dim}")
-    trunc = BasisTruncation(cfg.degree_cap, sym.dim)
-    mat = assemble(sym.as_float(), trunc, cfg.inner_cap)
-    w = [float(x) for x in eigenvalues(mat)]
-    profile = slice_norm_profile(sym, coord, cfg.samples, trunc)
-
+    # the product prediction first: it refuses a bad chi before the compression and the profile
     factored = _factor_across(sym, coord)
     if factored is not None:
         phi, chi = factored
@@ -331,7 +325,10 @@ def cmd_boundary(args) -> int:
             trunc=BasisTruncation(cfg.degree_cap, phi.dim),
         )
         prediction_source = "product-factorization"
-    else:
+    trunc = BasisTruncation(cfg.degree_cap, sym.dim)
+    w = [float(x) for x in eigenvalues(assemble(sym.as_float(), trunc))]
+    profile = slice_norm_profile(sym, coord, cfg.samples, trunc)
+    if factored is None:
         # ThmGenSym route: the connected image {lambda_q} is itself a prediction.
         lo, hi = profile.vmin, profile.vmax
         if profile.constant:
@@ -382,7 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=6, help="alpha enumeration cap")
         if degree:
             p.add_argument("--degree", type=int, default=8, help="Galerkin degree cap N")
-            p.add_argument("--inner-cap", type=int, default=None, dest="inner_cap")
         p.add_argument("--dim", type=int, default=None, help="force ambient dimension")
         p.add_argument("--samples", type=int, default=256, help="boundary circle samples")
         p.add_argument("--tol", type=float, default=1e-9, help="matching tolerance")

@@ -44,7 +44,6 @@ __all__ = [
     "BasisTruncation",
     "Exactness",
     "CompressionMatrix",
-    "InnerCapError",
     "KernelVector",
     "default_inner_caps",
     "hankel_gram_entry",
@@ -63,10 +62,6 @@ MAX_STORED_ENTRIES = 2**24  # entries sum k*s^2 of the sector blocks; size^2 of 
 HERMITICITY_TOL = 1e-13
 EIGEN_FLOOR = -1e-10
 MIN_KERNEL_NORM = 0.99
-
-
-class InnerCapError(ValueError):
-    """The projection cap would silently drop part of P(psi e_alpha)."""
 
 
 class Exactness(Enum):
@@ -129,17 +124,6 @@ def _check_basis_size(n_cap: int, dim: int) -> None:
 def default_inner_caps(sym: PolySymbol, trunc: BasisTruncation) -> tuple[int, ...]:
     """degree_cap + per-coordinate symbol degree: makes the projection sum exact."""
     return tuple(trunc.degree_cap + d for d in sym.coordinate_degrees())
-
-
-def _normalize_inner_caps(sym, trunc, inner_cap) -> tuple[int, ...]:
-    if inner_cap is None:
-        return default_inner_caps(sym, trunc)
-    if isinstance(inner_cap, int):
-        return (inner_cap,) * trunc.dim
-    caps = tuple(int(c) for c in inner_cap)
-    if len(caps) != trunc.dim:
-        raise ValueError("inner_cap vector length must equal dim")
-    return caps
 
 
 def _inner_factor(total: int) -> Fraction:
@@ -219,23 +203,6 @@ def _sectors(trunc: BasisTruncation, offsets: frozenset):
     return tuple(groups), row_start, col_pos
 
 
-def _check_inner_caps(sym: PolySymbol, top, caps) -> None:
-    """Raise InnerCapError if some alpha in the box [0, top] projects past the caps.
-
-    Term k = n - m reaches gamma = alpha + k >= 0 for alpha_j in
-    [max(0, -k_j), top_j], so its largest target is top + k wherever that
-    range is non-empty in every coordinate.
-    """
-    for _, n, m in sym.terms:
-        gamma = tuple(t + nj - mj for t, nj, mj in zip(top, n, m))
-        if any(g < 0 for g in gamma):
-            continue
-        if any(g > cap for g, cap in zip(gamma, caps)):
-            raise InnerCapError(
-                f"projection target {gamma} exceeds inner cap {tuple(caps)}"
-            )
-
-
 def _exact_ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num/den as a Fraction object array: the kernel's factors for exact symbols."""
     return np.array([Fraction(int(p), int(q)) for p, q in zip(num, den)], dtype=object)
@@ -282,13 +249,10 @@ def _gram_block(pairs, lo, hi, exact: bool) -> np.ndarray:
     return block
 
 
-def scaled_gram_entry(sym: PolySymbol, alpha, beta, inner_cap=None):
+def scaled_gram_entry(sym: PolySymbol, alpha, beta):
     """<H_psi z^alpha, H_psi z^beta> / pi^n, exact (CRat) for exact symbols."""
     alpha = as_multiindex(alpha, dim=sym.dim, name="alpha")
     beta = as_multiindex(beta, dim=sym.dim, name="beta")
-    caps = _normalize_inner_caps(sym, BasisTruncation(max(max(alpha), max(beta)), sym.dim), inner_cap)
-    _check_inner_caps(sym, alpha, caps)
-    _check_inner_caps(sym, beta, caps)
     delta = tuple(b - a for a, b in zip(alpha, beta))
     pairs = _pair_offsets(sym.terms).get(delta)
     if pairs is None:
@@ -296,16 +260,16 @@ def scaled_gram_entry(sym: PolySymbol, alpha, beta, inner_cap=None):
     return _gram_block(pairs, alpha, alpha, sym.is_exact).item()
 
 
-def hankel_gram_entry(sym: PolySymbol, alpha, beta, inner_cap=None):
+def hankel_gram_entry(sym: PolySymbol, alpha, beta):
     """<H_psi e_alpha, H_psi e_beta> in the orthonormal basis.
 
     Exact symbols yield an exact CRat whenever sqrt(w_alpha * w_beta) is an
     integer (in particular on the diagonal); otherwise the square-root factor
-    forces a float.  Equals <H*_psi H_psi e_alpha, e_beta>, exactly, provided
-    the inner cap covers degree_cap + symbol degree (smaller caps raise
-    InnerCapError rather than silently truncating the projection).
+    forces a float.  Equals <H*_psi H_psi e_alpha, e_beta>, exactly: the kernel
+    sums the projection over every target gamma = alpha + n - m >= 0 of the
+    symbol's terms, so no projection cap can cut it short.
     """
-    scaled = scaled_gram_entry(sym, alpha, beta, inner_cap)
+    scaled = scaled_gram_entry(sym, alpha, beta)
     w = weight(as_multiindex(alpha)) * weight(as_multiindex(beta))
     root = math.isqrt(w)
     if isinstance(scaled, CRat):
@@ -328,7 +292,6 @@ class CompressionMatrix:
 
     symbol: PolySymbol | None
     trunc: BasisTruncation
-    inner_caps: tuple[int, ...]
     symbol_hash: str
     sectors: tuple[np.ndarray, ...]
     blocks: tuple[np.ndarray, ...]
@@ -435,7 +398,7 @@ def _kernel_blocks(offsets, trunc: BasisTruncation, row_start, col_pos, exact: b
         yield at, rows, cols, block, np.asarray(block, dtype=complex) * w[rows] * w[cols]
 
 
-def assemble(sym: PolySymbol, trunc: BasisTruncation, inner_cap=None) -> CompressionMatrix:
+def assemble(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
     """Assemble the Hermitian compression of H*_psi H_psi as sector blocks.
 
     One kernel (_gram_block) computes the matrix one winding-offset block at
@@ -450,8 +413,6 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation, inner_cap=None) -> Compres
     if sym.dim != trunc.dim:
         raise ValueError(f"symbol dim {sym.dim} != truncation dim {trunc.dim}")
     _check_basis_size(trunc.degree_cap, trunc.dim)
-    caps = _normalize_inner_caps(sym, trunc, inner_cap)
-    _check_inner_caps(sym, (trunc.degree_cap,) * trunc.dim, caps)
     exact = sym.is_exact
     offsets = _pair_offsets(sym.terms)
     groups, row_start, col_pos = _sectors(trunc, frozenset(offsets))
@@ -471,7 +432,6 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation, inner_cap=None) -> Compres
     return CompressionMatrix(
         symbol=sym,
         trunc=trunc,
-        inner_caps=caps,
         symbol_hash=_symbol_hash(sym),
         sectors=groups,
         blocks=_split(flat, groups),
@@ -499,25 +459,24 @@ def _toeplitz_map(phi: PolySymbol, in_indices, out_index_of) -> list[list]:
     return out
 
 
-def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation, inner_cap=None) -> CompressionMatrix:
+def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
     """Independent assembly through T_{|psi|^2} - T_conj(psi) T_psi.
 
-    Both Toeplitz compressions use the same intermediate cap as the Hankel
-    path, so for polynomial symbols the two assemblies agree entrywise and
-    exactly on the scaled Gram representation.  Entries are CRat for exact
+    The intermediate basis is capped at default_inner_caps, which holds every
+    projection target, so for polynomial symbols the two assemblies agree
+    entrywise and exactly on the scaled Gram representation.  Entries are CRat for exact
     symbols; float coefficients degrade them to complex.  Fills the full matrix.
     """
     if sym.dim != trunc.dim:
         raise ValueError(f"symbol dim {sym.dim} != truncation dim {trunc.dim}")
     _check_basis_size(trunc.degree_cap, trunc.dim)
-    caps = _normalize_inner_caps(sym, trunc, inner_cap)
     offsets = frozenset(_pair_offsets(sym.terms))
     # the fill below is n x n whatever the sectors; this also implies _sectors' stored-entry guard
     _check_dump_size(trunc.size)
     indices = trunc.indices
     size = trunc.size
 
-    inner_indices = graded_lex_box(caps, trunc.dim)
+    inner_indices = graded_lex_box(default_inner_caps(sym, trunc), trunc.dim)
     inner_index_of = {a: i for i, a in enumerate(inner_indices)}
     inner_weights = [weight(a) for a in inner_indices]
 
@@ -544,7 +503,6 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation, inner_cap=Non
         offsets,
         symbol=sym,
         trunc=trunc,
-        inner_caps=caps,
         symbol_hash=_symbol_hash(sym),
     )
 
@@ -673,22 +631,21 @@ def weyl_residual(
     p: complex,
     trunc: BasisTruncation,
     *,
-    min_kernel_norm: float = MIN_KERNEL_NORM,
     mat: CompressionMatrix | None = None,
 ) -> float:
     """||(M - lam I) f|| for the product test vector f = g (x) k_p.
 
     g lives on the (dim-1)-dimensional slice basis at the same degree cap and
     must be normalized; k_p occupies the last coordinate.  Truncations holding
-    less than min_kernel_norm of the kernel mass are rejected, since the
+    less than MIN_KERNEL_NORM of the kernel mass are rejected, since the
     residual would reflect lost mass rather than spectral distance.
     """
     if sym.dim < 2:
         raise ValueError("weyl_residual needs dim >= 2 (kernel occupies the last coordinate)")
     kv = KernelVector(complex(p), trunc.degree_cap)
-    if kv.truncated_norm < min_kernel_norm:
+    if kv.truncated_norm < MIN_KERNEL_NORM:
         raise ValueError(
-            f"truncated kernel norm {kv.truncated_norm:.4f} < {min_kernel_norm}; increase N"
+            f"truncated kernel norm {kv.truncated_norm:.4f} < {MIN_KERNEL_NORM}; increase N"
         )
     slice_trunc = BasisTruncation(trunc.degree_cap, trunc.dim - 1)
     g = np.asarray(g_coeffs, dtype=complex)
@@ -812,6 +769,5 @@ def load_matrix(fileobj) -> CompressionMatrix:
         _pattern_offsets(trunc, full),
         symbol=None,
         trunc=trunc,
-        inner_caps=(),
         symbol_hash=symbol_hash,
     )

@@ -1,14 +1,18 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
+import argparse
 import json
+import re
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankel_spectra import core
-from hankel_spectra.cli import _exact_json, main
+from hankel_spectra.cli import _build_parser, _exact_json, main
 
 
 def run_cli(capsys, *argv):
@@ -183,9 +187,38 @@ def test_output_determinism(capsys, tmp_path):
 
 def test_usage_error_exit_codes(capsys):
     assert main(["exact", "zb9", "--cap", "2"]) == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["bogus-command"])
-    assert exc.value.code == 2
+    for argv in (
+        ["bogus-command"],
+        # the projection cap is derived from the symbol, not an option
+        ["approx", "zb1", "--inner-cap", "5"],
+        ["boundary", "zb1*(zb2+1)", "--inner-cap", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def test_readme_flags_sentence_names_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.split(r"\.\s", readme.split("Flags:", 1)[1], maxsplit=1)[0]
+    named = set(re.findall(r"--[a-z][a-z-]*", sentence))
+    subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        s for p in subparsers.choices.values() for a in p._actions for s in a.option_strings
+        if s.startswith("--") and s != "--help"
+    }
+    assert named == options
+
+
+def test_boundary_refuses_chi_degree_before_the_profile(capsys):
+    # the product prediction runs first, so its chi budget is checked before the
+    # compression and the 65536-sample slice profile are computed
+    start = time.perf_counter()
+    code = main(["boundary", "zb1*(zb2^200 + z2 + 1)", "--coord", "2", "--degree", "12", "--samples", "65536"])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr().err == "error: chi has degree 201 on the circle; at most 128 is supported\n"
+    assert elapsed < 0.5
 
 
 def test_float_commands_skip_exact_assembly(capsys, monkeypatch, tmp_path):
@@ -206,6 +239,9 @@ def test_float_commands_skip_exact_assembly(capsys, monkeypatch, tmp_path):
     code, without_dump = run_cli(capsys, *approx)
     assert code == 0 and without_dump == with_dump
     assert json.loads(without_dump)["exactness"] == "rational"
+    assert json.loads(without_dump)["inner_caps"] == list(
+        galerkin_mod.default_inner_caps(parse_symbol(expr), BasisTruncation(5, 2))
+    )
     # phi = zb1 + z1 is not a monomial, so the prediction needs its compression too
     code, out = run_cli(
         capsys, "boundary", "(zb1+z1)*(zb2+1)", "--coord", "2",

@@ -11,7 +11,6 @@ import pytest
 from hankel_spectra import (
     BasisTruncation,
     Exactness,
-    InnerCapError,
     KernelVector,
     assemble,
     assemble_via_toeplitz,
@@ -67,13 +66,6 @@ def test_gram_entry_offdiagonal_carries_sqrt_weight():
         [(1.0, (0, 0), (1, 1)), (1.0, (0, 0), (1, 0))], (0, 0), (0, 1), 4
     )
     assert abs(got - oracle) < 1e-10
-
-
-def test_gram_entry_inner_cap_refusal():
-    with pytest.raises(InnerCapError):
-        scaled_gram_entry(parse_symbol("z1^2*zb1"), (3,), (3,), inner_cap=3)
-    # ample cap succeeds
-    scaled_gram_entry(parse_symbol("z1^2*zb1"), (3,), (3,), inner_cap=5)
 
 
 def test_assemble_monomial_is_diagonal_with_core_values():
@@ -358,7 +350,7 @@ def test_eigenvalues_rejects_entry_between_sectors():
     with pytest.raises(ValueError, match="outside its sector blocks"):
         _from_dense(
             dense, False, frozenset(_pair_offsets(sym.terms)),
-            symbol=sym, trunc=mat.trunc, inner_caps=mat.inner_caps, symbol_hash=mat.symbol_hash,
+            symbol=sym, trunc=mat.trunc, symbol_hash=mat.symbol_hash,
         )
 
 
