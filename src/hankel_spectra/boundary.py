@@ -28,7 +28,6 @@ from .rational import CRat
 from .symbols import PolySymbol
 
 __all__ = [
-    "BoundarySlice",
     "SliceNormProfile",
     "PredictedPoint",
     "PredictedInterval",
@@ -49,19 +48,6 @@ PROFILE_ZERO_FLOOR = 1e-12  # profiles below solver noise count as identically z
 MAX_CIRCLE_DEGREE = 128  # reduced degree D of chi on the circle: np.roots solves a 2D x 2D companion, ~0.2 s at 128
 UNIT_MODULUS_TOL = 1e-14
 POINT_RTOL = 1e-12  # a predicted interval shorter than this times max(1, |hi|) is a point
-
-
-@dataclass(frozen=True)
-class BoundarySlice:
-    """psi frozen at z_coord = q (|q| = 1), as a symbol on the remaining coordinates."""
-
-    q: complex
-    coord: int
-    slice_sym: PolySymbol
-
-    @classmethod
-    def at(cls, sym: PolySymbol, q, coord: int) -> "BoundarySlice":
-        return cls(q, coord, slice_symbol(sym, q, coord))
 
 
 def slice_symbol(sym: PolySymbol, q, coord: int) -> PolySymbol:
@@ -124,13 +110,13 @@ def slice_norm_profile(
     truncation (a lower bound for the true squared norm, non-decreasing in N).
     The profile is flagged constant when max - min < 1e-8 * max.
 
-    Every sample is sliced with slice_symbol.  Slices with the same exponent
-    list share their sectors, so each such group is solved as one batch by
-    galerkin.top_eigenvalues, whose values equal the per-sample
-    eigenvalues(assemble(...))[-1] bit for bit: it keeps the pair
-    coefficients in CPython complex arithmetic.  An exact float cancellation
-    (conj(q) - 1 at q = 1) drops a term and so gives a group of its own; a
-    zero slice has norm 0.
+    On the circle q = e^{i theta} a term z^h zbar^a contributes e^{i w theta}
+    with w = h_c - a_c, its winding in the sliced coordinate c, so
+    psi_q = sum_w e^{i w theta} phi_w with phi_w the terms of winding w sliced
+    at q = 1.  The slice compression is then the matrix trigonometric
+    polynomial sum_d e^{i d theta} G_d, which galerkin.top_eigenvalues solves
+    at every sample in one batch.  A symbol that is a monomial in the sliced
+    coordinate has d = 0 only, so its profile is constant bit for bit.
     """
     if num_samples < 4:
         raise ValueError("num_samples must be >= 4")
@@ -138,20 +124,20 @@ def slice_norm_profile(
         raise ValueError(f"num_samples must be <= {MAX_SAMPLES}")
     if sym.dim < 2:
         raise ValueError("profiles need dim >= 2")
+    if not 1 <= coord <= sym.dim:
+        raise ValueError(f"coord {coord} out of range 1..{sym.dim}")
     slice_trunc = BasisTruncation(trunc.degree_cap, sym.dim - 1)
     thetas = [2.0 * math.pi * j / num_samples for j in range(num_samples)]
-    # a complex q turns every coefficient complex anyway: CRat * complex is complex(CRat) * complex
     float_sym = sym.as_float()
-    slices = [slice_symbol(float_sym, cmath.exp(1j * t), coord) for t in thetas]
-    shapes: dict[tuple, list[int]] = {}
-    for j, sliced in enumerate(slices):
-        if not sliced.is_zero:
-            shapes.setdefault(tuple((h, a) for _, h, a in sliced.terms), []).append(j)
-    values = [0.0] * num_samples
-    for group in shapes.values():
-        for j, top in zip(group, top_eigenvalues([slices[j] for j in group], slice_trunc)):
-            values[j] = float(top)
+    classes: dict[int, list] = {}
+    for c, h, a in float_sym.terms:
+        classes.setdefault(h[coord - 1] - a[coord - 1], []).append((c, h, a))
+    fourier = {w: slice_symbol(PolySymbol(terms, dim=sym.dim), 1, coord) for w, terms in classes.items()}
 
+    def name_of(j: int) -> PolySymbol:
+        return slice_symbol(float_sym, cmath.exp(1j * thetas[j]), coord)
+
+    values = [float(v) for v in top_eigenvalues(fourier, thetas, slice_trunc, name_of)]
     vmax = max(values)
     vmin = min(values)
     constant = vmax <= PROFILE_ZERO_FLOOR or (vmax - vmin) <= CONSTANCY_RTOL * vmax
@@ -194,8 +180,9 @@ def circle_abs_sq_range(chi: PolySymbol, num_samples: int = DEFAULT_SAMPLES) -> 
                 sizes = np.abs(slopes)
             if not np.isfinite(sizes).all():
                 raise OverflowError
-            # np.roots divides by the leading coefficient: a negligible one only adds a root far off the circle
-            slopes[sizes < 1e-300 * sizes.max()] = 0
+            # coefficients below the convolution's rounding error are noise; a leading one that
+            # np.roots divides by loses every root near the circle once it is ~1e-18 of the largest
+            slopes[sizes < np.finfo(float).eps * sizes.max()] = 0
             thetas += (np.angle(np.roots(slopes)) / g).tolist()
         vals = [abs(float_chi.evaluate((cmath.exp(1j * t),))) ** 2 for t in thetas]
         if not np.isfinite(vals).all():

@@ -255,7 +255,7 @@ def cmd_approx(args) -> int:
         "symbol": str(sym),
         "dim": sym.dim,
         "degree_cap": cfg.degree_cap,
-        "inner_caps": list(default_inner_caps(mat.symbol, trunc)),
+        "inner_caps": list(default_inner_caps(sym, trunc)),
         "basis_size": mat.size,
         "exactness": exactness.value,
         "note": f"compression spectrum at N={cfg.degree_cap}; approximates the operator spectrum",

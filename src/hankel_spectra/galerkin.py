@@ -131,11 +131,12 @@ def _inner_factor(total: int) -> Fraction:
     return Fraction(2, total + 2)
 
 
-def _pair_offsets(terms) -> dict[tuple[int, ...], list]:
-    """Group term pairs (s, t) of (coefficient, n, m) terms by the column offset beta - alpha they couple."""
+def _pair_offsets(left, right) -> dict[tuple[int, ...], list]:
+    """Group the pairs (s, t), s of left and t of right, of (coefficient, n, m) terms by the
+    column offset beta - alpha they couple."""
     offsets: dict[tuple[int, ...], list] = {}
-    for cs, ns, ms in terms:
-        for ct, nt, mt in terms:
+    for cs, ns, ms in left:
+        for ct, nt, mt in right:
             delta = tuple((a - b) - (c - d) for a, b, c, d in zip(ns, ms, nt, mt))
             offsets.setdefault(delta, []).append((cs, ns, ms, ct, nt, mt))
     return offsets
@@ -222,9 +223,9 @@ def _gram_block(pairs, lo, hi, exact: bool) -> np.ndarray:
     and the entry is prod first - prod second.  Exact symbols get Fraction
     factors and a CRat block; float symbols get float64 factors, each one
     rounded integer division, so rationals that cancel exactly (e.g. for
-    holomorphic symbols) cancel exactly here too.  Float coefficients given as
-    tuples, one per sample, give the block a leading sample axis; each sample's
-    c_s conj(c_t) is still one CPython complex product.
+    holomorphic symbols) cancel exactly here too.  Every pair contributes its
+    scalar coefficient c_s conj(c_t); a slice profile varies with the circle
+    point only through phases that top_eigenvalues applies to whole blocks.
     """
     ratio = _exact_ratios if exact else np.true_divide
     alphas = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
@@ -238,13 +239,7 @@ def _gram_block(pairs, lo, hi, exact: bool) -> np.ndarray:
                 ratio(np.where(gamma >= 0, gamma + 1, 0), (gamma + msj + 1) * (gamma + mtj + 1))
             )
         outer = reduce(np.multiply.outer, first) - reduce(np.multiply.outer, second)
-        if exact:
-            coeff = cs * ct.conjugate()
-        elif isinstance(cs, tuple):
-            coeff = np.array([complex(a) * complex(b).conjugate() for a, b in zip(cs, ct)])
-            coeff = coeff.reshape(coeff.shape + (1,) * len(lo))
-        else:
-            coeff = complex(cs) * complex(ct).conjugate()
+        coeff = cs * ct.conjugate() if exact else complex(cs) * complex(ct).conjugate()
         block = block + coeff * outer
     return block
 
@@ -254,7 +249,7 @@ def scaled_gram_entry(sym: PolySymbol, alpha, beta):
     alpha = as_multiindex(alpha, dim=sym.dim, name="alpha")
     beta = as_multiindex(beta, dim=sym.dim, name="beta")
     delta = tuple(b - a for a, b in zip(alpha, beta))
-    pairs = _pair_offsets(sym.terms).get(delta)
+    pairs = _pair_offsets(sym.terms, sym.terms).get(delta)
     if pairs is None:
         return CR_ZERO if sym.is_exact else 0j
     return _gram_block(pairs, alpha, alpha, sym.is_exact).item()
@@ -414,7 +409,7 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
         raise ValueError(f"symbol dim {sym.dim} != truncation dim {trunc.dim}")
     _check_basis_size(trunc.degree_cap, trunc.dim)
     exact = sym.is_exact
-    offsets = _pair_offsets(sym.terms)
+    offsets = _pair_offsets(sym.terms, sym.terms)
     groups, row_start, col_pos = _sectors(trunc, frozenset(offsets))
     flat = np.zeros(sum(g.size * g.shape[1] for g in groups), dtype=complex)
     scaled = np.full(flat.size, CR_ZERO, dtype=object) if exact else None
@@ -470,7 +465,7 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation) -> Compressio
     if sym.dim != trunc.dim:
         raise ValueError(f"symbol dim {sym.dim} != truncation dim {trunc.dim}")
     _check_basis_size(trunc.degree_cap, trunc.dim)
-    offsets = frozenset(_pair_offsets(sym.terms))
+    offsets = frozenset(_pair_offsets(sym.terms, sym.terms))
     # the fill below is n x n whatever the sectors; this also implies _sectors' stored-entry guard
     _check_dump_size(trunc.size)
     indices = trunc.indices
@@ -516,7 +511,7 @@ def matrices_equal(m1: CompressionMatrix, m2: CompressionMatrix) -> bool:
     return bool(np.array_equal(m1.dense, m2.dense))
 
 
-def _checked_eigenvalues(stacks, names) -> np.ndarray:
+def _checked_eigenvalues(stacks, name_of, magnitude: float = 1.0) -> np.ndarray:
     """Ascending eigenvalues of each sample's (samples, k, s, s) blocks, shape (samples, size).
 
     The samples are checked in order, as one eigenvalues() call each would
@@ -524,27 +519,31 @@ def _checked_eigenvalues(stacks, names) -> np.ndarray:
     failing guard.  A sample counts as non-finite when its symmetrised blocks
     (b + b^H) / 2 are, which covers non-finite entries and an overflow in the
     symmetrisation; LAPACK solves only those finite symmetrised blocks.
-    names[i] names sample i in the non-finite message.
+    name_of(i) names sample i in the non-finite message; it is called only then.
+    magnitude bounds the sum of the |terms| added into one entry: the Hermiticity
+    tolerance and the PSD floor are taken relative to max(1, magnitude) too, so
+    terms that cancel to rounding noise (a vanishing slice) pass the guards.
     """
+    unit = max(1.0, magnitude)
     with np.errstate(over="ignore", invalid="ignore"):
         hermitian = [np.divide(h, 2.0, out=h) for h in (b + b.conj().swapaxes(2, 3) for b in stacks)]
         finite = np.logical_and.reduce([np.isfinite(h).all(axis=(1, 2, 3)) for h in hermitian])
         n_finite = finite.size if finite.all() else int(np.argmin(finite))
         stacks = [b[:n_finite] for b in stacks]
         defect = _defects(stacks)
-        skewed = np.flatnonzero(defect > HERMITICITY_TOL * np.maximum(1.0, _scales(stacks)))
+        skewed = np.flatnonzero(defect > HERMITICITY_TOL * np.maximum(unit, _scales(stacks)))
     n_solved = skewed[0] if skewed.size else n_finite
     w = np.sort(np.concatenate([
         np.linalg.eigvalsh(h[:n_solved]).reshape(n_solved, h.shape[1] * h.shape[2]) for h in hermitian
     ], axis=1), axis=1)
-    low = np.flatnonzero(w[:, 0] < EIGEN_FLOOR)
+    low = np.flatnonzero(w[:, 0] < EIGEN_FLOOR * unit)
     if low.size:
-        raise ValueError(f"eigenvalue {w[low[0], 0]:g} below PSD floor {EIGEN_FLOOR:g}")
+        raise ValueError(f"eigenvalue {w[low[0], 0]:g} below PSD floor {EIGEN_FLOOR * unit:g}")
     if skewed.size:
         raise ValueError(f"matrix is not Hermitian: defect {defect[n_solved]:g}")
     if n_finite < finite.size:
         raise ValueError(
-            f"compression of {names[n_finite]} has non-finite entries; coefficients too large for floats?"
+            f"compression of {name_of(n_finite)} has non-finite entries; coefficients too large for floats?"
         )
     return w
 
@@ -558,44 +557,51 @@ def eigenvalues(mat: CompressionMatrix) -> np.ndarray:
     one size go to LAPACK's Hermitian eigensolver as one batched call.
     """
     name = mat.symbol if mat.symbol is not None else f"dumped symbol {mat.symbol_hash}"
-    return _checked_eigenvalues([b[None] for b in mat.blocks], [name])[0]
+    return _checked_eigenvalues([b[None] for b in mat.blocks], lambda i: name)[0]
 
 
-def top_eigenvalues(syms, trunc: BasisTruncation) -> np.ndarray:
-    """eigenvalues(assemble(sym, trunc))[-1] for every float symbol of syms, bitwise, in one batch.
+def top_eigenvalues(fourier, thetas, trunc: BasisTruncation, name_of) -> np.ndarray:
+    """Top eigenvalue of the compression of sum_w e^{i w theta} phi_w, for every theta, in one batch.
 
-    The symbols must share one exponent list; only their coefficients differ
-    (the samples of a slice profile).  So they share the winding offsets and
-    the sectors: the box is labelled once, and each offset's _gram_block fills
-    the blocks of all samples at once, with a leading sample axis.  The pair
-    coefficients c_s conj(c_t) stay CPython complex products, one per sample,
-    as in assemble: numpy's complex multiply may fuse a multiply-add and round
-    the last bit differently.  Blocks of one size are solved by one eigvalsh
-    call over all samples, and every sample keeps the guards and messages of
-    eigenvalues().  Samples go in chunks of at most MAX_STORED_ENTRIES stored
-    entries, the budget of one assemble.
+    fourier maps a winding w to a float symbol phi_w of the basis dim (the
+    Fourier symbols of a slice profile).  A pair of terms of phi_w and phi_v
+    carries the phase e^{i d theta}, d = w - v, so the compression is the
+    matrix trigonometric polynomial sum_d e^{i d theta} G_d: _gram_block
+    computes G_d one winding offset at a time, and the samples share the
+    sectors of the union of the offsets.  Blocks of one size are solved by one
+    eigvalsh call over all samples, and every sample keeps the guards of
+    eigenvalues(), relative to the largest sum of |e^{i d theta} G_d| over one
+    entry; name_of(i) names sample i in the non-finite message.
+    Samples go in chunks of at most MAX_STORED_ENTRIES stored entries, the
+    budget of one assemble.
     """
-    if not syms:
-        return np.empty(0)
-    terms = syms[0].terms
-    exponents = [(n, m) for _, n, m in terms]
-    for sym in syms:
-        if sym.is_exact or sym.dim != trunc.dim or [(n, m) for _, n, m in sym.terms] != exponents:
-            raise ValueError("top_eigenvalues needs float symbols of the basis dim with one exponent list")
+    for phi in fourier.values():
+        if phi.is_exact or phi.dim != trunc.dim:
+            raise ValueError("top_eigenvalues needs float symbols of the basis dim")
     _check_basis_size(trunc.degree_cap, trunc.dim)
-    groups, row_start, col_pos = _sectors(trunc, frozenset(_pair_offsets(terms)))
+    by_phase: dict[int, dict] = {}
+    for w, phi in fourier.items():
+        for v, chi in fourier.items():
+            for delta, pairs in _pair_offsets(phi.terms, chi.terms).items():
+                by_phase.setdefault(w - v, {}).setdefault(delta, []).extend(pairs)
+    offsets = frozenset(delta for part in by_phase.values() for delta in part)
+    groups, row_start, col_pos = _sectors(trunc, offsets)
     stored = sum(g.size * g.shape[1] for g in groups)
     step = MAX_STORED_ENTRIES // stored
+    thetas = np.asarray(thetas, dtype=float)
     tops = []
-    for start in range(0, len(syms), step):
-        chunk = syms[start:start + step]
-        columns = [(tuple(s.terms[i][0] for s in chunk), n, m) for i, (n, m) in enumerate(exponents)]
-        flat = np.zeros((len(chunk), stored), dtype=complex)
+    for start in range(0, thetas.size, step):
+        chunk = thetas[start:start + step]
+        flat = np.zeros((chunk.size, stored), dtype=complex)
+        size = np.zeros(stored)
         with np.errstate(over="ignore", invalid="ignore"):
-            for at, _, _, _, weighted in _kernel_blocks(_pair_offsets(columns), trunc, row_start, col_pos, False):
-                flat[:, at] = weighted
-        tops.append(_checked_eigenvalues(_split(flat, groups), chunk)[:, -1])
-    return np.concatenate(tops)
+            for d, part in by_phase.items():
+                phase = np.exp(1j * d * chunk)[:, None]
+                for at, _, _, _, weighted in _kernel_blocks(part, trunc, row_start, col_pos, False):
+                    flat[:, at.ravel()] += phase * weighted.ravel()
+                    size[at.ravel()] += np.abs(weighted).ravel()
+        tops.append(_checked_eigenvalues(_split(flat, groups), lambda i: name_of(start + i), size.max())[:, -1])
+    return np.concatenate(tops) if tops else np.empty(0)
 
 
 @dataclass(frozen=True)

@@ -45,8 +45,6 @@ __all__ = [
 ]
 
 DEFAULT_NODES = 64
-CLUSTER_TOL = 1e-9
-TENSOR_MAX_DIM = 3
 
 PolyCoeffs = tuple[Fraction, ...]
 RadialFn = Callable[[np.ndarray], np.ndarray]
@@ -111,22 +109,18 @@ def _poly_coeffs(factor) -> PolyCoeffs | None:
 class RadialProfile:
     """Radial part f of a quasi-homogeneous symbol on the closed unit polydisc.
 
-    Separable profiles are a list of per-coordinate factors, each either a
+    A product of per-coordinate factors, each either a
     polynomial in r (tuple of rational coefficients, degree-ascending) or a
-    bounded callable on [0, 1].  Non-separable profiles are a single callable
-    of the radius vector, supported through tensor quadrature for dim <= 3.
+    bounded callable on [0, 1].
     """
 
-    __slots__ = ("dim", "factors", "tensor_fn")
+    __slots__ = ("dim", "factors")
 
-    def __init__(self, dim: int, factors=None, tensor_fn=None):
-        if (factors is None) == (tensor_fn is None):
-            raise ValueError("exactly one of factors/tensor_fn must be given")
-        if factors is not None and len(factors) != dim:
+    def __init__(self, dim: int, factors):
+        if len(factors) != dim:
             raise ValueError("one factor per coordinate required")
         self.dim = dim
-        self.factors = tuple(factors) if factors is not None else None
-        self.tensor_fn = tensor_fn
+        self.factors = tuple(factors)
 
     @classmethod
     def polynomial(cls, coeff_lists: Sequence[Sequence]) -> "RadialProfile":
@@ -139,19 +133,9 @@ class RadialProfile:
     def from_callables(cls, fns: Sequence[RadialFn]) -> "RadialProfile":
         return cls(len(fns), factors=tuple(fns))
 
-    @classmethod
-    def tensor(cls, fn: Callable, dim: int) -> "RadialProfile":
-        return cls(dim, tensor_fn=fn)
-
-    @property
-    def is_separable(self) -> bool:
-        return self.factors is not None
-
     @property
     def is_polynomial(self) -> bool:
-        return self.is_separable and all(
-            _poly_coeffs(f) is not None for f in self.factors
-        )
+        return all(_poly_coeffs(f) is not None for f in self.factors)
 
     @property
     def is_zero(self) -> bool:
@@ -173,9 +157,6 @@ class RadialProfile:
 
     def squared_modulus(self) -> "RadialProfile":
         """The profile |f|^2, formed symbolically for polynomial factors."""
-        if self.tensor_fn is not None:
-            fn = self.tensor_fn
-            return RadialProfile(self.dim, tensor_fn=lambda r: np.abs(fn(r)) ** 2)
         out = []
         for f in self.factors:
             coeffs = _poly_coeffs(f)
@@ -239,41 +220,20 @@ def _factor_integral_quad(fn: RadialFn, p: int, nodes: int):
 def radial_integral(profile: RadialProfile, exponent, *, nodes: int = DEFAULT_NODES) -> PiValue:
     """integral over D^n of |w|^exponent f(|w|) dV(w), as a multiple of pi^n.
 
-    Separable profiles factor into 2*pi * integral_0^1 r^{p_k+1} f_k(r) dr per
+    The profile factors into 2*pi * integral_0^1 r^{p_k+1} f_k(r) dr per
     coordinate (the 2^n is folded into the returned pi^n coefficient); the
-    result is exact when every factor is a rational polynomial.  Non-separable
-    profiles use tensor Gauss-Legendre quadrature and require dim <= 3.
+    result is exact when every factor is a rational polynomial.
     """
     exponent = as_winding(exponent, dim=profile.dim)
-    if profile.is_separable:
-        exact = profile.is_polynomial
-        coeff: Fraction | float | complex = Fraction(1) if exact else 1.0
-        for f, p in zip(profile.factors, exponent):
-            poly = _poly_coeffs(f)
-            if poly is not None:
-                part = _factor_integral_exact(poly, p)
-                coeff = coeff * part if exact else coeff * float(part)
-            else:
-                coeff = coeff * _factor_integral_quad(f, p, nodes)
-        return PiValue(coeff, profile.dim)
-
-    if profile.dim > TENSOR_MAX_DIM:
-        raise ValueError(
-            f"non-separable profiles supported only for dim <= {TENSOR_MAX_DIM}"
-        )
-    if any(p + 1 < 0 for p in exponent):
-        raise ValueError("non-integrable exponent for a non-separable profile")
-    r, w = _gauss_legendre_01(nodes)
-    grids = np.meshgrid(*([r] * profile.dim), indexing="ij")
-    weights = np.ones_like(grids[0])
-    integrand = np.asarray(profile.tensor_fn(np.stack(grids)), dtype=complex)
-    _screen_bounded(integrand)
-    for axis in range(profile.dim):
-        shape = [1] * profile.dim
-        shape[axis] = nodes
-        weights = weights * (w.reshape(shape) * grids[axis] ** (exponent[axis] + 1))
-    total = (2.0**profile.dim) * np.sum(weights * integrand)
-    coeff = total.real if abs(total.imag) < 1e-15 * max(1.0, abs(total.real)) else total
+    exact = profile.is_polynomial
+    coeff: Fraction | float | complex = Fraction(1) if exact else 1.0
+    for f, p in zip(profile.factors, exponent):
+        poly = _poly_coeffs(f)
+        if poly is not None:
+            part = _factor_integral_exact(poly, p)
+            coeff = coeff * part if exact else coeff * float(part)
+        else:
+            coeff = coeff * _factor_integral_quad(f, p, nodes)
     return PiValue(coeff, profile.dim)
 
 
@@ -390,12 +350,10 @@ def _check_cauchy_schwarz(first, second) -> None:
 
 @dataclass(frozen=True)
 class QhSpectrum:
-    """Sorted eigenvalue sweep with numerically detected accumulation clusters."""
+    """Eigenvalue sweep over a box of multi-indices, sorted ascending."""
 
     records: tuple[QhEigenvalue, ...]
     alpha_cap: int
-    clusters: tuple[tuple[int, ...], ...]
-    cluster_tol: float
 
     def values(self) -> list:
         return [r.value for r in self.records]
@@ -407,39 +365,11 @@ class QhSpectrum:
     def is_exact(self) -> bool:
         return all(r.is_exact for r in self.records)
 
-    def limit_point_estimates(self) -> list[float]:
-        out = []
-        for group in self.clusters:
-            vals = [float(self.records[i].value) for i in group]
-            out.append(sum(vals) / len(vals))
-        return out
 
-
-def qh_spectrum(
-    sym: QuasiHomogeneousSymbol,
-    alpha_cap: int,
-    *,
-    nodes: int = DEFAULT_NODES,
-    cluster_tol: float = CLUSTER_TOL,
-) -> QhSpectrum:
-    """All eigenvalues for alpha <= alpha_cap componentwise, sorted ascending.
-
-    Runs of consecutive values with gaps below cluster_tol are annotated as
-    clusters (candidate limit points of the full eigenvalue family).
-    """
+def qh_spectrum(sym: QuasiHomogeneousSymbol, alpha_cap: int, *, nodes: int = DEFAULT_NODES) -> QhSpectrum:
+    """All eigenvalues for alpha <= alpha_cap componentwise, sorted ascending."""
     if alpha_cap < 0:
         raise ValueError("alpha_cap must be >= 0")
     evs = [qh_eigenvalue(sym, a, nodes=nodes) for a in graded_lex_box(alpha_cap, sym.dim)]
     evs.sort(key=lambda e: (float(e.value), e.alpha))
-    clusters = []
-    run = [0]
-    for i in range(1, len(evs)):
-        if float(evs[i].value) - float(evs[i - 1].value) < cluster_tol:
-            run.append(i)
-        else:
-            if len(run) > 1:
-                clusters.append(tuple(run))
-            run = [i]
-    if len(run) > 1:
-        clusters.append(tuple(run))
-    return QhSpectrum(tuple(evs), alpha_cap, tuple(clusters), cluster_tol)
+    return QhSpectrum(tuple(evs), alpha_cap)

@@ -8,8 +8,9 @@ here touches the package's own inner-product code.
 The reference enumeration of a monomial spectrum evaluates the closed form one
 point at a time (``core._lambda_unchecked``) into Fraction buckets, the way
 the package did before it switched to integer tables.  The reference slice
-profile solves one compression per circle sample, the way the package did
-before it batched the samples.
+profile slices psi at every circle sample and solves one compression each,
+the way the package did before it evaluated the profile as a matrix
+trigonometric polynomial in theta.
 """
 
 from __future__ import annotations
@@ -156,7 +157,11 @@ def reference_records(sym: MonomialSymbol, alpha_cap: int) -> tuple[EigenRecord,
 
 
 def reference_profile_values(sym, coord: int, num_samples: int, trunc: BasisTruncation) -> list[float]:
-    """slice_norm_profile(...).values, one assemble and eigensolve per circle sample."""
+    """slice_norm_profile(...).values, one slice, assemble and eigensolve per circle sample.
+
+    They agree up to rounding of about eps times the squared coefficient size,
+    which is absolute at a sample where the slice vanishes.
+    """
     slice_trunc = BasisTruncation(trunc.degree_cap, sym.dim - 1)
     values = []
     for j in range(num_samples):

@@ -221,6 +221,15 @@ def test_boundary_refuses_chi_degree_before_the_profile(capsys):
     assert elapsed < 0.5
 
 
+def test_approx_echoes_the_inner_caps_of_the_parsed_symbol(capsys, tmp_path):
+    # as_float drops the underflowing term, so caps taken from the float copy would read [5, 5]
+    expr = "(1/10^400)*zb1^3*zb2^2 + zb1*(zb2+1)"
+    code, plain = run_cli(capsys, "approx", expr, "--degree", "4")
+    assert code == 0 and json.loads(plain)["inner_caps"] == [7, 6]
+    code, dumped = run_cli(capsys, "approx", expr, "--degree", "4", "--dump-matrix", str(tmp_path / "m.txt"))
+    assert code == 0 and dumped == plain
+
+
 def test_float_commands_skip_exact_assembly(capsys, monkeypatch, tmp_path):
     import numpy as np
 

@@ -349,7 +349,7 @@ def test_eigenvalues_rejects_entry_between_sectors():
     dense[i, j] = dense[j, i] = 1e-3  # Hermitian, so only the sector check can see it
     with pytest.raises(ValueError, match="outside its sector blocks"):
         _from_dense(
-            dense, False, frozenset(_pair_offsets(sym.terms)),
+            dense, False, frozenset(_pair_offsets(sym.terms, sym.terms)),
             symbol=sym, trunc=mat.trunc, symbol_hash=mat.symbol_hash,
         )
 
@@ -374,16 +374,16 @@ def test_guards_take_the_samples_in_order():
     skew = stacks([1.0, 1.0], [1.0, 1.0], [math.inf, 1.0])
     skew[0][1, 0, 0, 1] = 1e-6
     with pytest.raises(ValueError, match="not Hermitian"):
-        _checked_eigenvalues(skew, ["s0", "s1", "s2"])
+        _checked_eigenvalues(skew, "s{}".format)
     with pytest.raises(ValueError, match="below PSD floor"):
-        _checked_eigenvalues(stacks([1.0, 1.0], [-1.0, 1.0], [math.nan, 1.0]), ["s0", "s1", "s2"])
+        _checked_eigenvalues(stacks([1.0, 1.0], [-1.0, 1.0], [math.nan, 1.0]), "s{}".format)
     late_skew = stacks([1.0, 1.0], [-1.0, 1.0], [1.0, 1.0])
     late_skew[0][2, 0, 0, 1] = 1e-6
     with pytest.raises(ValueError, match="below PSD floor"):
-        _checked_eigenvalues(late_skew, ["s0", "s1", "s2"])
+        _checked_eigenvalues(late_skew, "s{}".format)
     with pytest.raises(ValueError, match="compression of s1 has non-finite"):
-        _checked_eigenvalues(stacks([1.0, 1.0], [math.inf, 1.0], [-1.0, 1.0]), ["s0", "s1", "s2"])
-    w = _checked_eigenvalues(stacks([2.0, 1.0], [0.0, 3.0]), ["s0", "s1"])
+        _checked_eigenvalues(stacks([1.0, 1.0], [math.inf, 1.0], [-1.0, 1.0]), "s{}".format)
+    w = _checked_eigenvalues(stacks([2.0, 1.0], [0.0, 3.0]), "s{}".format)
     assert w.tolist() == [[1.0, 2.0], [0.0, 3.0]]
 
 

@@ -5,7 +5,9 @@ Each case runs one command in-process and compares the sha256 of its stdout
 of the assembly or the solve must leave every digest unchanged; a deliberate
 change of output must update the digest and say why.  The float digests were
 recorded with numpy 2.4 and its bundled OpenBLAS; another LAPACK may round the
-last digit of an eigenvalue differently.
+last digit of an eigenvalue differently.  The boundary digests were recorded
+again when the slice profile became one matrix trigonometric polynomial in
+theta: its values moved by at most 2.5e-15 relative.
 """
 
 import hashlib
@@ -38,23 +40,23 @@ CASES = {
     ),
     "boundary-product": (
         ["boundary", "zb1*(zb2+1)", "--coord", "2", "--degree", "6", "--samples", "16"],
-        "79388981387805048473d7953d8d3704b78c28caf22745a9e511618c2465cd9a",
+        "6b0a7f9cb184bbd501f73dc689c516f2adbeee6bbc2e54b24d84d9061e8632e0",
     ),
     "boundary-generic": (
         ["boundary", "(zb1+z1)*(zb2+1)", "--coord", "2", "--degree", "4", "--samples", "8"],
-        "38f7cb1ae8e3d7141686d7e1532f6b07409d6f6878c7248cdd5fb1f6e1797925",
+        "1247f1d2e7283aa784b14fe950327840802020882f506c4ac85d07f4f44e658f",
     ),
     "boundary-cancelling-sample": (
         ["boundary", "zb1*(zb2-1) + z1*zb1*zb2", "--coord", "2", "--degree", "8", "--samples", "64"],
-        "3e29cb0422947c9e0b5343b06058a564e76ab1397fd4d3fb113a6ba588aba83d",
+        "7a9be6685889adccdbf449534cc2a0e289453ac16ebad07a48c2da20cbcedc20",
     ),
     "boundary-dim3-product": (
         ["boundary", "zb1*(zb2+1)*(zb3+z3^2)", "--degree", "4", "--samples", "64"],
-        "b6377c16bf646a230564c4cdff4e3e6851b4a4547d82fabe6a4c09e940e94403",
+        "f6c3c3cfe1083794b472b8d30d738d3e64da873fd8edfb721e4d5309dddd161c",
     ),
     "boundary-csv": (
         ["boundary", "(zb1+z1)*(zb2+1)", "--coord", "2", "--degree", "5", "--samples", "32", "--format", "csv"],
-        "16d8565618f5dab3d5eeaea00c1d0bc0c9218d6551b0ba456a5deafa1ba3e893",
+        "db0e2df0549f3b8f5c107b9135362153d51973438478b47694c987d547285374",
     ),
     "exact-monomial": (
         ["exact", "zb1^2*zb2", "--cap", "6"],

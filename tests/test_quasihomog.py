@@ -59,16 +59,6 @@ def test_radial_integral_float_path_matches_exact():
         assert abs(float(radial_integral(prof_exact, (p,))) - float(radial_integral(prof_quad, (p,)))) < 1e-13
 
 
-def test_radial_integral_tensor_path():
-    prof = RadialProfile.tensor(lambda r: r[0] ** 2 * np.ones_like(r[1]), 2)
-    got = radial_integral(prof, (0, 0))
-    expect = radial_integral(RadialProfile.polynomial([[0, 0, 1], [1]]), (0, 0))
-    assert abs(float(got) - float(expect)) < 1e-12
-    big = RadialProfile.tensor(lambda r: r[0], 4)
-    with pytest.raises(ValueError):
-        radial_integral(big, (0, 0, 0, 0))
-
-
 def test_radial_integral_integrability_guard():
     prof = RadialProfile.polynomial([[1]])
     with pytest.raises(ValueError):
@@ -186,15 +176,6 @@ def test_qh_spectrum_zero_profile():
     sym = QuasiHomogeneousSymbol(RadialProfile.polynomial([[0]]), (1,))
     spec = qh_spectrum(sym, 3)
     assert set(spec.values()) == {Fraction(0)}
-
-
-def test_qh_spectrum_cluster_annotation():
-    # zbar eigenvalues accumulate at 0: the small values cluster below 1e-2
-    sym = QuasiHomogeneousSymbol.from_monomial((0,), (1,))
-    spec = qh_spectrum(sym, 60, cluster_tol=1e-2)
-    assert spec.clusters, "expected an accumulation cluster near zero"
-    est = spec.limit_point_estimates()
-    assert min(est) < 1e-2
 
 
 def test_quadrature_doubling_stability():
