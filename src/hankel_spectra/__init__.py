@@ -33,7 +33,6 @@ from .galerkin import (
     assemble,
     assemble_via_toeplitz,
     eigenvalues,
-    hankel_gram_entry,
     matrices_equal,
     weyl_residual,
 )
@@ -48,15 +47,12 @@ from .boundary import (
     slice_symbol,
 )
 from .quasihomog import (
-    MonomialNorm,
     QhBranch,
     QhEigenvalue,
-    QhSpectrum,
     QuasiHomogeneousSymbol,
     RadialProfile,
     monomial_norm_sq,
     qh_eigenvalue,
-    qh_spectrum,
     radial_integral,
 )
 from .rational import CRat
@@ -72,14 +68,12 @@ __all__ = [
     "EssentialSetPrediction",
     "Exactness",
     "KernelVector",
-    "MonomialNorm",
     "MonomialSymbol",
     "MultiplicityClass",
     "PolySymbol",
     "Provenance",
     "QhBranch",
     "QhEigenvalue",
-    "QhSpectrum",
     "QuasiHomogeneousSymbol",
     "RadialProfile",
     "SliceNormProfile",
@@ -94,7 +88,6 @@ __all__ = [
     "enumerate_spectrum",
     "eigenvalues",
     "essential_part",
-    "hankel_gram_entry",
     "lambda_value",
     "matrices_equal",
     "monomial_norm_sq",
@@ -102,7 +95,6 @@ __all__ = [
     "parse_symbol",
     "product_essential_prediction",
     "qh_eigenvalue",
-    "qh_spectrum",
     "radial_integral",
     "separable_essential_prediction",
     "slice_norm_profile",

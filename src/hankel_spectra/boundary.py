@@ -16,7 +16,6 @@ Galerkin compression; every report carries the truncation degree.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,13 +37,12 @@ __all__ = [
     "product_essential_prediction",
     "separable_essential_prediction",
     "containment_report",
-    "sup_norm_on_torus",
 ]
 
 DEFAULT_SAMPLES = 256
 MAX_SAMPLES = 65536  # circle samples per profile or range: each costs time and batch memory
 CONSTANCY_RTOL = 1e-8
-PROFILE_ZERO_FLOOR = 1e-12  # profiles below solver noise count as identically zero
+PROFILE_ZERO_FLOOR = 1e-12  # times (sum |c|)^2: profiles below solver noise count as identically zero
 MAX_CIRCLE_DEGREE = 128  # reduced degree D of chi on the circle: np.roots solves a 2D x 2D companion, ~0.2 s at 128
 UNIT_MODULUS_TOL = 1e-14
 POINT_RTOL = 1e-12  # a predicted interval shorter than this times max(1, |hi|) is a point
@@ -108,7 +106,9 @@ def slice_norm_profile(
 
     lambda_q is the top eigenvalue of the slice compression at the given
     truncation (a lower bound for the true squared norm, non-decreasing in N).
-    The profile is flagged constant when max - min < 1e-8 * max.
+    The profile is flagged constant when max - min < 1e-8 * max, or when max
+    is below 1e-12 (sum |c|)^2: every value is at most ||psi||_inf^2 <=
+    (sum |c|)^2, and the rounding noise of a vanishing profile scales alike.
 
     On the circle q = e^{i theta} a term z^h zbar^a contributes e^{i w theta}
     with w = h_c - a_c, its winding in the sliced coordinate c, so
@@ -140,7 +140,8 @@ def slice_norm_profile(
     values = [float(v) for v in top_eigenvalues(fourier, thetas, slice_trunc, name_of)]
     vmax = max(values)
     vmin = min(values)
-    constant = vmax <= PROFILE_ZERO_FLOOR or (vmax - vmin) <= CONSTANCY_RTOL * vmax
+    zero_floor = PROFILE_ZERO_FLOOR * sum(abs(c) for c, _, _ in float_sym.terms) ** 2
+    constant = vmax <= zero_floor or (vmax - vmin) <= CONSTANCY_RTOL * vmax
     return SliceNormProfile(coord, tuple(thetas), tuple(values), slice_trunc, constant)
 
 
@@ -360,18 +361,3 @@ def containment_report(
     report["all_points_matched"] = all(p["matched"] for p in report["points"])
     return report
 
-
-def sup_norm_on_torus(sym: PolySymbol, samples: int = DEFAULT_SAMPLES) -> float:
-    """max |psi| over a grid of the distinguished boundary (torus).
-
-    A grid proxy for the polydisc sup norm of the low-degree slice differences
-    used in the Lipschitz check; exact extrema are not needed there.
-    """
-    if samples**sym.dim > 4_000_000:
-        raise ValueError("torus grid too large; reduce samples or dim")
-    thetas = [2.0 * math.pi * j / samples for j in range(samples)]
-    best = 0.0
-    for combo in itertools.product(thetas, repeat=sym.dim):
-        z = tuple(cmath.exp(1j * t) for t in combo)
-        best = max(best, abs(sym.evaluate(z)))
-    return best

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .boundary import (
     MAX_SAMPLES,
@@ -24,50 +23,18 @@ from .boundary import (
     PredictedInterval,
     PredictedPoint,
 )
-from .core import MonomialSymbol, SpectrumSet, _frac_str, enumerate_spectrum, essential_part, multiplicity_class
+from .core import MonomialSymbol, SpectrumSet, enumerate_spectrum, essential_part, multiplicity_class
 from .galerkin import BasisTruncation, Exactness, _check_dump_size, assemble, default_inner_caps, dump_matrix, eigenvalues
-from .rational import CRat
+from .rational import CRat, frac_str
 from .symbols import PolySymbol, SymbolParseError, parse_symbol
 from .verify import run_verify
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 
-@dataclass
-class RunConfig:
-    """Validated knobs shared by the subcommands."""
-
-    alpha_cap: int = 6
-    degree_cap: int = 8
-    samples: int = 256
-    tol: float = 1e-9
-    coord: int | None = None
-    fmt: str = "json"
-    out: str | None = None
-    dim: int | None = None
-
-    def __post_init__(self):
-        if self.alpha_cap < 0 or self.degree_cap < 0:
-            raise ValueError("caps must be non-negative")
-        if not 0 < self.tol < 1:
-            raise ValueError("tol must lie in (0, 1)")
-        if self.samples < 4:
-            raise ValueError("samples must be >= 4")
-        if self.samples > MAX_SAMPLES:
-            raise ValueError(f"samples must be <= {MAX_SAMPLES}")
-
-
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        alpha_cap=args.cap,
-        degree_cap=getattr(args, "degree", 8),
-        samples=args.samples,
-        tol=args.tol,
-        coord=getattr(args, "coord", None),
-        fmt=args.format,
-        out=args.out,
-        dim=args.dim,
-    )
+def _check_caps(*caps: int) -> None:
+    if min(caps) < 0:
+        raise ValueError("caps must be non-negative")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -176,7 +143,7 @@ def _spectrum_json(spec: SpectrumSet, in_essential: frozenset | None, prov_cache
             _json_bool(r.is_limit_point),
             f'"{r.multiplicity.value}"' if r.multiplicity else "null",
             _json_list(prov, 8),
-            _frac_str(r.value),
+            frac_str(r.value),
             float(r.value),
         ))
     return _json_object(
@@ -212,34 +179,34 @@ def _exact_json(symbol: str, mono: MonomialSymbol, alpha_cap: int, spectrum: Spe
 
 
 def cmd_exact(args) -> int:
-    cfg = _config_from(args)
-    sym = _parse_or_fail(args.symbol, cfg.dim)
+    _check_caps(args.cap)
+    sym = _parse_or_fail(args.symbol, args.dim)
     if not sym.is_plain_monomial:
         raise _UsageError(
             f"{args.symbol!r} is not a single unit-coefficient monomial; "
             "use the 'approx' command for general polynomial symbols"
         )
     mono = sym.to_monomial_symbol()
-    spectrum = enumerate_spectrum(mono, cfg.alpha_cap)
+    spectrum = enumerate_spectrum(mono, args.cap)
     essential = essential_part(mono, spectrum)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         ess_values = essential.value_set()
         spec_obj = spectrum.to_json_obj()
         for rec, record in zip(spec_obj["records"], spectrum.records):
             rec["in_essential"] = record.value in ess_values
-        _emit(_spectrum_csv(spec_obj), cfg.out)
+        _emit(_spectrum_csv(spec_obj), args.out)
     else:
         # json.dumps with indent runs CPython's pure-Python encoder, one call per
         # value of a document that holds thousands of provenance entries; a
         # writer that knows the schema emits the same bytes several times faster
-        _emit(_exact_json(sym.to_expression(), mono, cfg.alpha_cap, spectrum, essential), cfg.out)
+        _emit(_exact_json(sym.to_expression(), mono, args.cap, spectrum, essential), args.out)
     return 0
 
 
 def cmd_approx(args) -> int:
-    cfg = _config_from(args)
-    sym = _parse_or_fail(args.symbol, cfg.dim)
-    trunc = BasisTruncation(cfg.degree_cap, sym.dim)
+    _check_caps(args.degree)
+    sym = _parse_or_fail(args.symbol, args.dim)
+    trunc = BasisTruncation(args.degree, sym.dim)
     mat = assemble(sym.as_float(), trunc)
     w = eigenvalues(mat)
     exactness = Exactness.RATIONAL if sym.is_exact else Exactness.FLOAT
@@ -254,18 +221,18 @@ def cmd_approx(args) -> int:
         "command": "approx",
         "symbol": str(sym),
         "dim": sym.dim,
-        "degree_cap": cfg.degree_cap,
+        "degree_cap": args.degree,
         "inner_caps": list(default_inner_caps(sym, trunc)),
         "basis_size": mat.size,
         "exactness": exactness.value,
-        "note": f"compression spectrum at N={cfg.degree_cap}; approximates the operator spectrum",
+        "note": f"compression spectrum at N={args.degree}; approximates the operator spectrum",
         "eigenvalues": [float(x) for x in w],
     }
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         rows = [[i, repr(float(x))] for i, x in enumerate(w)]
-        _emit(_csv_text(["index", "eigenvalue"], rows), cfg.out)
+        _emit(_csv_text(["index", "eigenvalue"], rows), args.out)
     else:
-        _emit(_json_dump(obj), cfg.out)
+        _emit(_json_dump(obj), args.out)
     return 0
 
 
@@ -291,7 +258,11 @@ def _factor_across(sym: PolySymbol, coord: int):
 
 
 def _proportionality(part: PolySymbol, base: PolySymbol):
-    """Scalar s with part == s * base, or None."""
+    """Scalar s with part == s * base, or None.
+
+    Float coefficients match to 1e-12 of the largest |coefficient| of part:
+    the rounding of s * base scales with the coefficients, so the test does too.
+    """
     if len(part.terms) != len(base.terms):
         return None
     c0, h0, a0 = base.terms[0]
@@ -302,18 +273,25 @@ def _proportionality(part: PolySymbol, base: PolySymbol):
     if isinstance(s, CRat):
         return s if part == base * s else None
     scaled = base * s
+    tol = 1e-12 * max(abs(complex(c)) for c, _, _ in part.terms)
     for (cp, hp, ap), (cs, hs, as_) in zip(part.terms, scaled.terms):
-        if hp != hs or ap != as_ or abs(complex(cp) - complex(cs)) > 1e-12:
+        if hp != hs or ap != as_ or abs(complex(cp) - complex(cs)) > tol:
             return None
     return s
 
 
 def cmd_boundary(args) -> int:
-    cfg = _config_from(args)
-    sym = _parse_or_fail(args.symbol, cfg.dim)
+    _check_caps(args.cap, args.degree)
+    if not 0 < args.tol < 1:
+        raise ValueError("tol must lie in (0, 1)")
+    if args.samples < 4:
+        raise ValueError("samples must be >= 4")
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_SAMPLES}")
+    sym = _parse_or_fail(args.symbol, args.dim)
     if sym.dim < 2:
         raise _UsageError("boundary analysis needs dim >= 2")
-    coord = cfg.coord if cfg.coord is not None else sym.dim
+    coord = args.coord if args.coord is not None else sym.dim
     if not 1 <= coord <= sym.dim:
         raise _UsageError(f"--coord must lie in 1..{sym.dim}")
     # the product prediction first: it refuses a bad chi before the compression and the profile
@@ -321,13 +299,13 @@ def cmd_boundary(args) -> int:
     if factored is not None:
         phi, chi = factored
         prediction = product_essential_prediction(
-            phi, chi, cfg.samples, alpha_cap=cfg.alpha_cap,
-            trunc=BasisTruncation(cfg.degree_cap, phi.dim),
+            phi, chi, args.samples, alpha_cap=args.cap,
+            trunc=BasisTruncation(args.degree, phi.dim),
         )
         prediction_source = "product-factorization"
-    trunc = BasisTruncation(cfg.degree_cap, sym.dim)
+    trunc = BasisTruncation(args.degree, sym.dim)
     w = [float(x) for x in eigenvalues(assemble(sym.as_float(), trunc))]
-    profile = slice_norm_profile(sym, coord, cfg.samples, trunc)
+    profile = slice_norm_profile(sym, coord, args.samples, trunc)
     if factored is None:
         # ThmGenSym route: the connected image {lambda_q} is itself a prediction.
         lo, hi = profile.vmin, profile.vmax
@@ -341,7 +319,7 @@ def cmd_boundary(args) -> int:
             )
         prediction_source = "slice-profile"
 
-    report = containment_report(prediction, w, cfg.tol)
+    report = containment_report(prediction, w, args.tol)
     obj = {
         "command": "boundary",
         "symbol": str(sym),
@@ -351,14 +329,14 @@ def cmd_boundary(args) -> int:
         "constant": profile.constant,
         "prediction": prediction.to_json_obj(),
         "prediction_source": prediction_source,
-        "compression": {"degree_cap": cfg.degree_cap, "eigenvalues": w},
+        "compression": {"degree_cap": args.degree, "eigenvalues": w},
         "containment": report,
     }
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         rows = [[repr(t), repr(v)] for t, v in zip(profile.thetas, profile.values)]
-        _emit(_csv_text(["theta", "lambda_q"], rows), cfg.out)
+        _emit(_csv_text(["theta", "lambda_q"], rows), args.out)
     else:
-        _emit(_json_dump(obj), cfg.out)
+        _emit(_json_dump(obj), args.out)
     return 0
 
 
@@ -374,38 +352,38 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectra of Hermitian squares of Hankel operators on the polydisc Bergman space",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {
+        "--cap": dict(type=int, default=6, help="alpha enumeration cap"),
+        "--degree": dict(type=int, default=8, help="Galerkin degree cap N"),
+        "--dim": dict(type=int, default=None, help="force ambient dimension"),
+        "--samples": dict(type=int, default=256, help="boundary circle samples"),
+        "--tol": dict(type=float, default=1e-9, help="matching tolerance"),
+        "--format": dict(choices=("json", "csv"), default="json"),
+        "--out": dict(default=None, help="output path (default stdout)"),
+        "--dump-matrix": dict(default=None, help="write the matrix dump here"),
+        "--coord": dict(type=int, default=None, help="coordinate to slice (1-based)"),
+        "--suite": dict(default=None, help="run a single named suite"),
+    }
 
-    def common(p, degree=True):
-        p.add_argument("--cap", type=int, default=6, help="alpha enumeration cap")
-        if degree:
-            p.add_argument("--degree", type=int, default=8, help="Galerkin degree cap N")
-        p.add_argument("--dim", type=int, default=None, help="force ambient dimension")
-        p.add_argument("--samples", type=int, default=256, help="boundary circle samples")
-        p.add_argument("--tol", type=float, default=1e-9, help="matching tolerance")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+    # each subcommand registers only the flags it reads
+    def command(name, func, help, *flags, symbol=True):
+        p = sub.add_parser(name, help=help)
+        if symbol:
+            p.add_argument("symbol")
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
+        p.set_defaults(func=func)
 
-    p_exact = sub.add_parser("exact", help="exact spectrum for a monomial symbol")
-    p_exact.add_argument("symbol")
-    common(p_exact, degree=False)
-    p_exact.set_defaults(func=cmd_exact)
-
-    p_approx = sub.add_parser("approx", help="Galerkin compression spectrum")
-    p_approx.add_argument("symbol")
-    common(p_approx)
-    p_approx.add_argument("--dump-matrix", default=None, help="write the matrix dump here")
-    p_approx.set_defaults(func=cmd_approx)
-
-    p_boundary = sub.add_parser("boundary", help="slice norms and essential-set prediction")
-    p_boundary.add_argument("symbol")
-    common(p_boundary)
-    p_boundary.add_argument("--coord", type=int, default=None, help="coordinate to slice (1-based)")
-    p_boundary.set_defaults(func=cmd_boundary)
-
-    p_verify = sub.add_parser("verify", help="run cross-engine verification suites")
-    p_verify.add_argument("--suite", default=None, help="run a single named suite")
-    p_verify.add_argument("--out", default=None)
-    p_verify.set_defaults(func=cmd_verify)
+    command("exact", cmd_exact, "exact spectrum for a monomial symbol", "--cap", "--dim", "--format", "--out")
+    command(
+        "approx", cmd_approx, "Galerkin compression spectrum",
+        "--degree", "--dim", "--format", "--out", "--dump-matrix",
+    )
+    command(
+        "boundary", cmd_boundary, "slice norms and essential-set prediction",
+        "--cap", "--degree", "--dim", "--samples", "--tol", "--format", "--out", "--coord",
+    )
+    command("verify", cmd_verify, "run cross-engine verification suites", "--suite", "--out", symbol=False)
 
     return parser
 

@@ -28,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .multiindex import (
-    DEFAULT_MAX_DIM,
     MultiIndex,
     as_multiindex,
     box_exceeds,
@@ -37,6 +36,7 @@ from .multiindex import (
     nonempty_subsets,
     normalize_subset,
 )
+from .rational import frac_str
 
 __all__ = [
     "MonomialSymbol",
@@ -54,6 +54,8 @@ __all__ = [
 
 # Closed-form evaluations one enumeration may make: (cap+2)^dim - 1 points.
 MAX_ENUM_POINTS = 100_000
+# Subset enumeration is exponential in dim; interesting cases live in dim <= 3.
+MAX_ENUM_DIM = 8
 # Tables stay int64 while every product they form is below this; else Python ints.
 _INT64_LIMIT = 2**62
 # Relative gap under which two float keys may misorder distinct fractions.
@@ -146,12 +148,6 @@ class SpectrumSet:
     def floats(self) -> list[float]:
         return [float(v) for v in self.values()]
 
-    def record_for(self, value: Fraction) -> EigenRecord | None:
-        for r in self.records:
-            if r.value == value:
-                return r
-        return None
-
     def to_json_obj(self) -> dict:
         return {
             "kind": self.kind,
@@ -161,7 +157,7 @@ class SpectrumSet:
             "note": self.note,
             "records": [
                 {
-                    "value": _frac_str(r.value),
+                    "value": frac_str(r.value),
                     "value_float": float(r.value),
                     "is_eigenvalue": r.is_eigenvalue,
                     "is_limit_point": r.is_limit_point,
@@ -174,11 +170,6 @@ class SpectrumSet:
                 for r in self.records
             ],
         }
-
-
-def _frac_str(v: Fraction) -> str:
-    # always "num/den", integers too: the "0/1" JSON values are pinned by tests and split on "/" by readers
-    return f"{v.numerator}/{v.denominator}"
 
 
 def lambda_value(n, m, alpha, subset) -> Fraction:
@@ -320,11 +311,11 @@ def _records(sym: MonomialSymbol, alpha_cap: int, symbol_class: SymbolClass) -> 
     return tuple(records)
 
 
-def _check_enum_args(sym: MonomialSymbol, alpha_cap: int, max_dim: int) -> None:
+def _check_enum_args(sym: MonomialSymbol, alpha_cap: int) -> None:
     if alpha_cap < 0:
         raise ValueError("alpha_cap must be >= 0")
-    if sym.dim > max_dim:
-        raise ValueError(f"dim {sym.dim} exceeds the subset-enumeration bound {max_dim}")
+    if sym.dim > MAX_ENUM_DIM:
+        raise ValueError(f"dim {sym.dim} exceeds the subset-enumeration bound {MAX_ENUM_DIM}")
     # every non-empty B with all (cap+1)^|B| multi-indices: (cap+2)^dim - 1 points
     if not sym.is_holomorphic and box_exceeds(alpha_cap + 2, sym.dim, MAX_ENUM_POINTS + 1):
         raise ValueError(
@@ -333,16 +324,14 @@ def _check_enum_args(sym: MonomialSymbol, alpha_cap: int, max_dim: int) -> None:
         )
 
 
-def enumerate_spectrum(
-    sym: MonomialSymbol, alpha_cap: int, *, max_dim: int = DEFAULT_MAX_DIM
-) -> SpectrumSet:
+def enumerate_spectrum(sym: MonomialSymbol, alpha_cap: int) -> SpectrumSet:
     """{0} union {lambda(n, m, alpha, B)} over alpha <= alpha_cap and non-empty B.
 
     The true spectrum is the closure of the diagonal eigenvalue family; the
     returned set is the exact finite sub-enumeration up to the cap, flagged
     truncated (except for the zero operator).
     """
-    _check_enum_args(sym, alpha_cap, max_dim)
+    _check_enum_args(sym, alpha_cap)
     cls = multiplicity_class(sym)
     if cls is SymbolClass.ZERO_OPERATOR:
         # its spectrum {0} is complete: the eigenvalue 0, with no provenance
@@ -379,8 +368,6 @@ def essential_part(sym: MonomialSymbol, spectrum: SpectrumSet) -> SpectrumSet:
     return replace(spectrum, records=tuple(records), kind="essential")
 
 
-def enumerate_essential_spectrum(
-    sym: MonomialSymbol, alpha_cap: int, *, max_dim: int = DEFAULT_MAX_DIM
-) -> SpectrumSet:
+def enumerate_essential_spectrum(sym: MonomialSymbol, alpha_cap: int) -> SpectrumSet:
     """Essential spectrum enumeration for a monomial symbol (see essential_part)."""
-    return essential_part(sym, enumerate_spectrum(sym, alpha_cap, max_dim=max_dim))
+    return essential_part(sym, enumerate_spectrum(sym, alpha_cap))

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -37,7 +36,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from .multiindex import MultiIndex, as_multiindex, box_exceeds, graded_lex_box, is_nonnegative, weight
-from .rational import CRat, CR_ZERO
+from .rational import CRat, CR_ZERO, frac_str
 from .symbols import MAX_COORDINATE, PolySymbol
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "CompressionMatrix",
     "KernelVector",
     "default_inner_caps",
-    "hankel_gram_entry",
     "assemble",
     "assemble_via_toeplitz",
     "matrices_equal",
@@ -253,25 +251,6 @@ def scaled_gram_entry(sym: PolySymbol, alpha, beta):
     if pairs is None:
         return CR_ZERO if sym.is_exact else 0j
     return _gram_block(pairs, alpha, alpha, sym.is_exact).item()
-
-
-def hankel_gram_entry(sym: PolySymbol, alpha, beta):
-    """<H_psi e_alpha, H_psi e_beta> in the orthonormal basis.
-
-    Exact symbols yield an exact CRat whenever sqrt(w_alpha * w_beta) is an
-    integer (in particular on the diagonal); otherwise the square-root factor
-    forces a float.  Equals <H*_psi H_psi e_alpha, e_beta>, exactly: the kernel
-    sums the projection over every target gamma = alpha + n - m >= 0 of the
-    symbol's terms, so no projection cap can cut it short.
-    """
-    scaled = scaled_gram_entry(sym, alpha, beta)
-    w = weight(as_multiindex(alpha)) * weight(as_multiindex(beta))
-    root = math.isqrt(w)
-    if isinstance(scaled, CRat):
-        if root * root == w:
-            return scaled * root
-        return complex(scaled) * math.sqrt(w)
-    return scaled * math.sqrt(w)
 
 
 @dataclass(frozen=True)
@@ -694,13 +673,12 @@ def dump_matrix(mat: CompressionMatrix, fileobj) -> None:
         f"symbol={mat.symbol_hash} exact={int(exact)}\n"
     )
     if exact:
-        # always "num/den", integers too: the format is frozen and readers split on "/".
+        # frac_str writes "num/den", integers too: the format is frozen and readers split on "/".
         # Most cells are the shared CR_ZERO; the identity test spares formatting them.
         for row in mat.scaled:
             fileobj.write(
                 " ".join([
-                    "0/1,0/1" if c is CR_ZERO or not c
-                    else f"{c.re.numerator}/{c.re.denominator},{c.im.numerator}/{c.im.denominator}"
+                    "0/1,0/1" if c is CR_ZERO or not c else f"{frac_str(c.re)},{frac_str(c.im)}"
                     for c in row
                 ])
                 + "\n"

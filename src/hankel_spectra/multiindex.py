@@ -13,9 +13,6 @@ from math import prod
 MultiIndex = tuple[int, ...]
 Winding = tuple[int, ...]
 
-# Subset enumeration is exponential in dim; interesting cases live in dim <= 3.
-DEFAULT_MAX_DIM = 8
-
 
 class DimensionMismatch(ValueError):
     pass

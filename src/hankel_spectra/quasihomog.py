@@ -23,25 +23,19 @@ from .multiindex import (
     add,
     as_multiindex,
     as_winding,
-    graded_lex_box,
     is_nonnegative,
     scale,
     weight,
 )
-from .rational import frac_str
 
 __all__ = [
-    "MonomialNorm",
-    "PiValue",
     "RadialProfile",
     "QuasiHomogeneousSymbol",
     "QhBranch",
     "QhEigenvalue",
-    "QhSpectrum",
     "monomial_norm_sq",
     "radial_integral",
     "qh_eigenvalue",
-    "qh_spectrum",
 ]
 
 DEFAULT_NODES = 64
@@ -50,47 +44,9 @@ PolyCoeffs = tuple[Fraction, ...]
 RadialFn = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class MonomialNorm:
-    """||z^beta||^2 on the polydisc: an exact rational multiple of pi^dim."""
-
-    beta: MultiIndex
-    pi_coeff: Fraction
-
-    @property
-    def pi_power(self) -> int:
-        return len(self.beta)
-
-    @property
-    def value(self) -> float:
-        return float(self.pi_coeff) * float(np.pi) ** self.pi_power
-
-
-def monomial_norm_sq(beta) -> MonomialNorm:
-    """||z^beta||^2_{L^2(D^n)} = pi^n / prod(beta_k + 1)."""
-    beta = as_multiindex(beta, name="beta")
-    return MonomialNorm(beta, Fraction(1, weight(beta)))
-
-
-@dataclass(frozen=True)
-class PiValue:
-    """A scalar coeff * pi^power; coeff is a Fraction on the exact path."""
-
-    coeff: Fraction | float | complex
-    power: int
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.coeff, Fraction)
-
-    def __complex__(self) -> complex:
-        return complex(self.coeff) * float(np.pi) ** self.power
-
-    def __float__(self) -> float:
-        c = complex(self)
-        if abs(c.imag) > 1e-12 * max(1.0, abs(c.real)):
-            raise ValueError(f"{self!r} is not real")
-        return c.real
+def monomial_norm_sq(beta) -> Fraction:
+    """||z^beta||^2_{L^2(D^n)} = pi^n / prod(beta_k + 1), as its pi^n coefficient."""
+    return Fraction(1, weight(as_multiindex(beta, name="beta")))
 
 
 @lru_cache(maxsize=None)
@@ -136,24 +92,6 @@ class RadialProfile:
     @property
     def is_polynomial(self) -> bool:
         return all(_poly_coeffs(f) is not None for f in self.factors)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.is_polynomial and all(
-            all(c == 0 for c in f) for f in self.factors
-        )
-
-    def to_json_obj(self) -> dict:
-        """Coefficient-list serialization; polynomial profiles only."""
-        if not self.is_polynomial:
-            raise ValueError("only polynomial profiles serialize to JSON")
-        return {
-            "factors": [[frac_str(c) for c in f] for f in self.factors],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "RadialProfile":
-        return cls.polynomial([[Fraction(c) for c in f] for f in obj["factors"]])
 
     def squared_modulus(self) -> "RadialProfile":
         """The profile |f|^2, formed symbolically for polynomial factors."""
@@ -217,12 +155,12 @@ def _factor_integral_quad(fn: RadialFn, p: int, nodes: int):
     return total.real if abs(total.imag) < 1e-15 * max(1.0, abs(total.real)) else total
 
 
-def radial_integral(profile: RadialProfile, exponent, *, nodes: int = DEFAULT_NODES) -> PiValue:
-    """integral over D^n of |w|^exponent f(|w|) dV(w), as a multiple of pi^n.
+def radial_integral(profile: RadialProfile, exponent, *, nodes: int = DEFAULT_NODES) -> Fraction | float | complex:
+    """integral over D^n of |w|^exponent f(|w|) dV(w), as its pi^n coefficient.
 
     The profile factors into 2*pi * integral_0^1 r^{p_k+1} f_k(r) dr per
     coordinate (the 2^n is folded into the returned pi^n coefficient); the
-    result is exact when every factor is a rational polynomial.
+    coefficient is an exact Fraction when every factor is a rational polynomial.
     """
     exponent = as_winding(exponent, dim=profile.dim)
     exact = profile.is_polynomial
@@ -234,7 +172,7 @@ def radial_integral(profile: RadialProfile, exponent, *, nodes: int = DEFAULT_NO
             coeff = coeff * part if exact else coeff * float(part)
         else:
             coeff = coeff * _factor_integral_quad(f, p, nodes)
-    return PiValue(coeff, profile.dim)
+    return coeff
 
 
 class QhBranch(Enum):
@@ -255,13 +193,6 @@ class QuasiHomogeneousSymbol:
     @property
     def dim(self) -> int:
         return self.profile.dim
-
-    def to_json_obj(self) -> dict:
-        return {"profile": self.profile.to_json_obj(), "winding": list(self.winding)}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "QuasiHomogeneousSymbol":
-        return cls(RadialProfile.from_json_obj(obj["profile"]), tuple(obj["winding"]))
 
     @classmethod
     def from_monomial(cls, holo, antiholo) -> "QuasiHomogeneousSymbol":
@@ -307,16 +238,16 @@ def qh_eigenvalue(
     """
     alpha = as_multiindex(alpha, dim=sym.dim, name="alpha")
     shifted = add(alpha, sym.winding)
-    norm_a = monomial_norm_sq(alpha).pi_coeff
+    norm_a = monomial_norm_sq(alpha)
 
-    first = _ratio(radial_integral(sym.profile.squared_modulus(), scale(alpha, 2), nodes=nodes).coeff, norm_a)
+    first = _ratio(radial_integral(sym.profile.squared_modulus(), scale(alpha, 2), nodes=nodes), norm_a)
 
     if not is_nonnegative(shifted):
         value = first
         branch = QhBranch.KERNEL
     else:
-        cross = radial_integral(sym.profile, add(scale(alpha, 2), sym.winding), nodes=nodes).coeff
-        norm_ak = monomial_norm_sq(shifted).pi_coeff
+        cross = radial_integral(sym.profile, add(scale(alpha, 2), sym.winding), nodes=nodes)
+        norm_ak = monomial_norm_sq(shifted)
         if isinstance(cross, Fraction):
             second = cross * cross / (norm_a * norm_ak)
         else:
@@ -346,30 +277,3 @@ def _check_cauchy_schwarz(first, second) -> None:
         s = float(np.real(complex(second)))
         if s > f + 1e-12 * max(1.0, abs(f)):
             raise AssertionError("Cauchy-Schwarz violated beyond quadrature tolerance")
-
-
-@dataclass(frozen=True)
-class QhSpectrum:
-    """Eigenvalue sweep over a box of multi-indices, sorted ascending."""
-
-    records: tuple[QhEigenvalue, ...]
-    alpha_cap: int
-
-    def values(self) -> list:
-        return [r.value for r in self.records]
-
-    def floats(self) -> list[float]:
-        return [float(r.value) for r in self.records]
-
-    @property
-    def is_exact(self) -> bool:
-        return all(r.is_exact for r in self.records)
-
-
-def qh_spectrum(sym: QuasiHomogeneousSymbol, alpha_cap: int, *, nodes: int = DEFAULT_NODES) -> QhSpectrum:
-    """All eigenvalues for alpha <= alpha_cap componentwise, sorted ascending."""
-    if alpha_cap < 0:
-        raise ValueError("alpha_cap must be >= 0")
-    evs = [qh_eigenvalue(sym, a, nodes=nodes) for a in graded_lex_box(alpha_cap, sym.dim)]
-    evs.sort(key=lambda e: (float(e.value), e.alpha))
-    return QhSpectrum(tuple(evs), alpha_cap)

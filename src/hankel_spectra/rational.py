@@ -138,8 +138,8 @@ CR_ZERO = CRat(0)
 
 
 def frac_str(v: Fraction) -> str:
-    """"num/den", or just "num" for an integer."""
-    return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
+    """"num/den", integers too: the exact JSON and the matrix dump are read by splitting on "/"."""
+    return f"{v.numerator}/{v.denominator}"
 
 
 def as_coeff(value):

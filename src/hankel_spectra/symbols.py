@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .core import MonomialSymbol
 from .multiindex import MultiIndex, as_multiindex, common_dim
-from .rational import CRat, as_coeff, coeff_is_exact, frac_str
+from .rational import CRat, as_coeff, coeff_is_exact
 
 __all__ = ["PolySymbol", "SymbolParseError", "parse_symbol"]
 
@@ -80,14 +80,6 @@ class PolySymbol:
 
     # -- constructors ---------------------------------------------------------
 
-    @classmethod
-    def zero(cls, dim: int) -> "PolySymbol":
-        return cls((), dim=dim)
-
-    @classmethod
-    def monomial(cls, coeff, holo, antiholo) -> "PolySymbol":
-        return cls([(coeff, tuple(holo), tuple(antiholo))])
-
     def padded(self, dim: int) -> "PolySymbol":
         """Embed into a higher ambient dimension by appending zero exponents."""
         if dim < self.dim:
@@ -139,17 +131,6 @@ class PolySymbol:
         return MonomialSymbol(holo, antiholo)
 
     # -- degrees --------------------------------------------------------------
-
-    def z_degrees(self) -> tuple[int, ...]:
-        """Per-coordinate maximum holomorphic degree (0 for the zero symbol)."""
-        return tuple(
-            max((h[k] for _, h, _ in self.terms), default=0) for k in range(self.dim)
-        )
-
-    def zbar_degrees(self) -> tuple[int, ...]:
-        return tuple(
-            max((a[k] for _, _, a in self.terms), default=0) for k in range(self.dim)
-        )
 
     def coordinate_degrees(self) -> tuple[int, ...]:
         """Per-coordinate maximum of n_k + m_k over the terms."""
@@ -273,7 +254,7 @@ class PolySymbol:
     def to_json_obj(self) -> dict:
         def enc(c):
             if isinstance(c, CRat):
-                return [frac_str(c.re), frac_str(c.im)]
+                return [str(c.re), str(c.im)]
             return [c.real, c.imag]
 
         return {
@@ -384,7 +365,7 @@ def _monomial_str(h: MultiIndex, a: MultiIndex) -> str | None:
 
 
 def _frac_coeff_str(v: Fraction, imag: bool) -> str:
-    s = frac_str(v)
+    s = str(v)
     if imag:
         if v == 1:
             return "i"
@@ -401,7 +382,7 @@ def _coeff_str(c: CRat) -> str:
         return _frac_coeff_str(c.im, True)
     im = _frac_coeff_str(abs(c.im), True)
     sign = "+" if c.im > 0 else "-"
-    return f"({frac_str(c.re)}{sign}{im})"
+    return f"({c.re}{sign}{im})"
 
 
 # -- expression parsing ----------------------------------------------------------

@@ -10,7 +10,8 @@ point at a time (``core._lambda_unchecked``) into Fraction buckets, the way
 the package did before it switched to integer tables.  The reference slice
 profile slices psi at every circle sample and solves one compression each,
 the way the package did before it evaluated the profile as a matrix
-trigonometric polynomial in theta.
+trigonometric polynomial in theta.  The torus sup norm is a grid proxy used
+by the Lipschitz check of the profile.
 """
 
 from __future__ import annotations
@@ -168,3 +169,19 @@ def reference_profile_values(sym, coord: int, num_samples: int, trunc: BasisTrun
         sliced = slice_symbol(sym.as_float(), cmath.exp(1j * (2.0 * math.pi * j / num_samples)), coord)
         values.append(0.0 if sliced.is_zero else float(eigenvalues(assemble(sliced, slice_trunc))[-1]))
     return values
+
+
+def sup_norm_on_torus(sym, samples: int) -> float:
+    """max |psi| over a grid of the distinguished boundary (torus).
+
+    A grid proxy for the polydisc sup norm of the low-degree slice differences
+    used in the Lipschitz check; exact extrema are not needed there.
+    """
+    if samples**sym.dim > 4_000_000:
+        raise ValueError("torus grid too large; reduce samples or dim")
+    thetas = [2.0 * math.pi * j / samples for j in range(samples)]
+    best = 0.0
+    for combo in product(thetas, repeat=sym.dim):
+        z = tuple(cmath.exp(1j * t) for t in combo)
+        best = max(best, abs(sym.evaluate(z)))
+    return best

@@ -24,10 +24,9 @@ from hankel_spectra import (
     slice_norm_profile,
     slice_symbol,
 )
-from hankel_spectra.boundary import sup_norm_on_torus
 from hankel_spectra.rational import CRat
 from hankel_spectra.symbols import PolySymbol
-from oracles import reference_profile_values
+from oracles import reference_profile_values, sup_norm_on_torus
 
 
 def test_slice_symbol_exact_points():
@@ -191,11 +190,9 @@ def test_profile_keeps_the_non_finite_guard():
 
 def test_samples_are_bounded(monkeypatch, capsys):
     from hankel_spectra import boundary
-    from hankel_spectra.cli import RunConfig, main
+    from hankel_spectra.cli import main
 
-    with pytest.raises(ValueError, match="samples must be <= 65536"):
-        RunConfig(samples=65537)
-    assert boundary.MAX_SAMPLES == RunConfig(samples=65536).samples
+    assert boundary.MAX_SAMPLES == 65536
 
     def no_slicing(*args):
         raise AssertionError("an over-budget profile sliced a sample")
@@ -212,6 +209,46 @@ def test_samples_are_bounded(monkeypatch, capsys):
 def test_profile_holomorphic_zero():
     prof = slice_norm_profile(parse_symbol("z1*z2"), 2, 8, BasisTruncation(6, 2))
     assert prof.constant and prof.vmax <= 1e-12
+
+
+def test_profile_zero_floor_is_relative_to_the_symbol(capsys):
+    from hankel_spectra.cli import main
+
+    # the unit-scale profile spans [0.0833, 2.1233]; at 1e-7 it spans 1e-14 times that, still an interval
+    out = {}
+    for scale in ("1", "1/10000000"):
+        assert main(["boundary", f"{scale}*(zb1*zb2 - zb1 + z1*zb1*zb2)", "--coord", "2", "--samples", "64"]) == 0
+        out[scale] = json.loads(capsys.readouterr().out)
+    unit, small = out["1"], out["1/10000000"]
+    assert not small["constant"] and small["prediction"]["points"] == []
+    (iv,), (unit_iv,) = small["prediction"]["intervals"], unit["prediction"]["intervals"]
+    assert abs(unit_iv["lo"] - 0.0833) < 1e-4 and abs(unit_iv["hi"] - 2.1233) < 1e-4
+    assert iv["lo"] == pytest.approx(1e-14 * unit_iv["lo"], rel=1e-9)
+    assert iv["hi"] == pytest.approx(1e-14 * unit_iv["hi"], rel=1e-9)
+
+
+_terms_2d = st.lists(
+    st.tuples(
+        st.complex_numbers(min_magnitude=1e-2, max_magnitude=1e2, allow_nan=False, allow_infinity=False),
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_terms_2d, st.integers(-40, 40))
+@example([(1 + 0j, (1, 1), (0, 0))], -40)  # holomorphic: a zero profile of rounding noise
+@example([(1 + 0j, (0, 0), (1, 1))], 40)  # a monomial in z2: constant bit for bit
+@example([(1 + 0j, (0, 0), (1, 1)), (1 + 0j, (0, 0), (1, 0))], -40)  # zb1*(zb2+1): not constant
+def test_profile_constant_flag_is_invariant_under_power_of_two_scaling(terms, k):
+    sym = PolySymbol(terms, dim=2)
+    trunc = BasisTruncation(3, 2)
+    base = slice_norm_profile(sym, 2, 8, trunc)
+    scaled = slice_norm_profile(sym * 2.0**k, 2, 8, trunc)
+    assert scaled.constant == base.constant
 
 
 def test_profile_scaling_law():

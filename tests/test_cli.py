@@ -192,6 +192,13 @@ def test_usage_error_exit_codes(capsys):
         # the projection cap is derived from the symbol, not an option
         ["approx", "zb1", "--inner-cap", "5"],
         ["boundary", "zb1*(zb2+1)", "--inner-cap", "5"],
+        # a subcommand refuses the flags it does not read
+        ["approx", "zb1", "--samples", "8"],
+        ["approx", "zb1", "--tol", "1e-9"],
+        ["approx", "zb1", "--cap", "3"],
+        ["exact", "zb1", "--tol", "1e-9"],
+        ["exact", "zb1", "--samples", "8"],
+        ["exact", "zb1", "--degree", "4"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -199,15 +206,76 @@ def test_usage_error_exit_codes(capsys):
 
 
 def test_readme_flags_sentence_names_every_option():
+    # one README sentence per subcommand, "`approx` takes ...", names exactly the options it registers
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    sentence = re.split(r"\.\s", readme.split("Flags:", 1)[1], maxsplit=1)[0]
-    named = set(re.findall(r"--[a-z][a-z-]*", sentence))
     subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    options = {
-        s for p in subparsers.choices.values() for a in p._actions for s in a.option_strings
-        if s.startswith("--") and s != "--help"
-    }
-    assert named == options
+    assert sorted(subparsers.choices) == ["approx", "boundary", "exact", "verify"]
+    for name, p in subparsers.choices.items():
+        (sentence,) = re.findall(rf"`{name}` takes ([^.]*)\.", readme)
+        options = {s for a in p._actions for s in a.option_strings if s.startswith("--") and s != "--help"}
+        assert set(re.findall(r"--[a-z][a-z-]*", sentence)) == options, name
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["exact", "zb1", "--cap", "-1"], "caps must be non-negative"),
+        (["approx", "zb1", "--degree", "-1"], "caps must be non-negative"),
+        (["boundary", "zb1*zb2", "--cap", "-1"], "caps must be non-negative"),
+        (["boundary", "zb1*zb2", "--degree", "-1"], "caps must be non-negative"),
+        (["boundary", "zb1*zb2", "--tol", "1"], "tol must lie in (0, 1)"),
+        (["boundary", "zb1*zb2", "--samples", "3"], "samples must be >= 4"),
+    ],
+)
+def test_flag_ranges_are_checked_where_they_are_read(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _float_symbol(terms) -> str:
+    """A dim-2 JSON symbol with float coefficients from (complex, holo, antiholo) terms."""
+    return json.dumps({"dim": 2, "terms": [
+        {"coeff": [c.real, c.imag], "holo": list(h), "antiholo": list(a)} for c, h, a in terms
+    ]})
+
+
+def _prediction_source(capsys, symbol) -> str:
+    assert main(["boundary", symbol, "--coord", "2", "--degree", "4", "--samples", "8"]) == 0
+    return json.loads(capsys.readouterr().out)["prediction_source"]
+
+
+def test_factorization_tolerance_is_relative_to_the_coefficients(capsys):
+    # 1e-13*(zb1 + z1 + zb1*zb2) + 2e-13*z1*zb2 is no product, however small
+    tiny = [(1e-13 + 0j, (0, 0), (1, 0)), (1e-13 + 0j, (1, 0), (0, 0)),
+            (1e-13 + 0j, (0, 0), (1, 1)), (2e-13 + 0j, (1, 0), (0, 1))]
+    assert _prediction_source(capsys, _float_symbol(tiny)) == "slice-profile"
+    # ((0.22+0.36i)*zb1 + (0.67-0.62i)*z1) * 1e6 * (1 - (0.97+0.39i)*zb2) is one, however large
+    a, b, r = (0.22 + 0.36j) * 1e6, (0.67 - 0.62j) * 1e6, 0.97 + 0.39j
+    large = [(a, (0, 0), (1, 0)), (b, (1, 0), (0, 0)), (-a * r, (0, 0), (1, 1)), (-b * r, (1, 0), (0, 1))]
+    assert _prediction_source(capsys, _float_symbol(large)) == "product-factorization"
+
+
+_small_coefficients = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(_small_coefficients, st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=3),
+    st.lists(st.tuples(_small_coefficients, st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=2),
+    st.one_of(st.none(), _small_coefficients),
+    st.integers(-60, 60),
+)
+def test_factorization_is_invariant_under_power_of_two_scaling(phi, chi, nudge, k):
+    from hankel_spectra.cli import _factor_across
+    from hankel_spectra.symbols import PolySymbol
+
+    sym = PolySymbol([(c, (h, 0), (a, 0)) for c, h, a in phi], dim=2) * PolySymbol(
+        [(c, (0, h), (0, a)) for c, h, a in chi], dim=2
+    )
+    if nudge is not None:  # a term off the product, most often
+        sym = sym + PolySymbol([(nudge, (1, 1), (0, 0))], dim=2)
+    factors = _factor_across(sym, 2) is not None
+    assert (_factor_across(sym * 2.0**k, 2) is not None) == factors
 
 
 def test_boundary_refuses_chi_degree_before_the_profile(capsys):
@@ -412,7 +480,8 @@ def test_non_finite_input_exits_2(capsys, command, coeff, message):
     symbol = (
         '{"dim": 2, "terms": [{"coeff": [%s, 0], "holo": [0, 0], "antiholo": [1, 1]}]}' % coeff
     )
-    assert main([command, symbol, "--degree", "3", "--samples", "8"]) == 2
+    samples = ["--samples", "8"] if command == "boundary" else []
+    assert main([command, symbol, "--degree", "3"] + samples) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
@@ -425,7 +494,8 @@ def test_symmetrisation_overflow_exits_2(capsys, command):
         '{"dim":2,"terms":[{"coeff":[1e154,0],"holo":[0,0],"antiholo":[1,1]},'
         '{"coeff":[1e154,0],"holo":[0,0],"antiholo":[1,0]}]}'
     )
-    assert main([command, symbol, "--degree", "4", "--samples", "8"]) == 2
+    samples = ["--samples", "8"] if command == "boundary" else []
+    assert main([command, symbol, "--degree", "4"] + samples) == 2
     assert capsys.readouterr().err == (
         "error: compression of ((1e+154+0j))*zb1 + ((1e+154+0j))*zb1*zb2 has non-finite entries;"
         " coefficients too large for floats?\n"

@@ -121,14 +121,18 @@ def test_enumerate_spectrum_holomorphic():
     assert zero.is_eigenvalue and zero.multiplicity is MultiplicityClass.INFINITE
 
 
+def _record(spec, value):
+    return next(r for r in spec.records if r.value == value)
+
+
 def test_enumerate_spectrum_two_variable():
     spec = enumerate_spectrum(MonomialSymbol((0, 0), (1, 1)), 2)
     values = spec.value_set()
     assert Fraction(1, 2) in values and Fraction(1, 4) in values
-    half = spec.record_for(Fraction(1, 2))
+    half = _record(spec, Fraction(1, 2))
     subsets = {p.subset for p in half.provenance}
     assert frozenset({1}) in subsets and frozenset({2}) in subsets
-    quarter = spec.record_for(Fraction(1, 4))
+    quarter = _record(spec, Fraction(1, 4))
     assert {p.subset for p in quarter.provenance} == {frozenset({1, 2})}
     assert quarter.is_eigenvalue and not quarter.is_limit_point
     assert quarter.multiplicity is MultiplicityClass.FINITE
@@ -138,7 +142,7 @@ def test_enumerate_spectrum_two_variable():
 def test_enumerate_merges_provenance_across_subsets():
     # for zb1 on D^2 the trivial second coordinate duplicates every value
     spec = enumerate_spectrum(MonomialSymbol((0, 0), (1, 0)), 2)
-    half = spec.record_for(Fraction(1, 2))
+    half = _record(spec, Fraction(1, 2))
     subsets = {p.subset for p in half.provenance}
     assert frozenset({1}) in subsets and frozenset({1, 2}) in subsets
     assert half.is_eigenvalue and half.is_limit_point
@@ -147,7 +151,7 @@ def test_enumerate_merges_provenance_across_subsets():
 
 def test_zero_value_flags_when_not_an_eigenvalue():
     spec = enumerate_spectrum(MonomialSymbol((0,), (1,)), 2)
-    zero = spec.record_for(Fraction(0))
+    zero = _record(spec, Fraction(0))
     assert zero.is_limit_point and not zero.is_eigenvalue
     assert zero.multiplicity is None
 
@@ -246,9 +250,9 @@ def test_enumeration_guards():
     with pytest.raises(ValueError):
         enumerate_spectrum(sym, -1)
     wide = MonomialSymbol((0,) * 9, (1,) * 9)
-    with pytest.raises(ValueError):
-        enumerate_spectrum(wide, 1)
-    assert enumerate_spectrum(wide, 0, max_dim=9).contains_zero
+    with pytest.raises(ValueError, match="subset-enumeration bound 8"):
+        enumerate_spectrum(wide, 0)
+    assert enumerate_spectrum(MonomialSymbol((0,) * 8, (1,) * 8), 0).contains_zero
 
 
 def test_enumeration_budget():

@@ -15,7 +15,6 @@ from hankel_spectra import (
     assemble,
     assemble_via_toeplitz,
     eigenvalues,
-    hankel_gram_entry,
     lambda_value,
     matrices_equal,
     parse_symbol,
@@ -35,20 +34,20 @@ def test_truncation_ordering_is_graded_lex():
 
 def test_gram_entry_zbar_diagonal():
     sym = parse_symbol("zb1")
-    assert hankel_gram_entry(sym, (0,), (0,)) == CRat(Fraction(1, 2))
-    assert hankel_gram_entry(sym, (1,), (1,)) == CRat(Fraction(1, 6))
+    assert assemble(sym, BasisTruncation(1, 1)).exact_diagonal() == [Fraction(1, 2), Fraction(1, 6)]
+    assert scaled_gram_entry(sym, (1,), (1,)) == CRat(Fraction(1, 12))  # 1/6 over w = 2
 
 
 def test_gram_entry_holomorphic_zero():
     sym = parse_symbol("z1")
     for a, b in product(range(3), repeat=2):
-        assert hankel_gram_entry(sym, (a,), (b,)) == CRat(0)
+        assert scaled_gram_entry(sym, (a,), (b,)) == CRat(0)
 
 
 def test_gram_entry_product_symbol_fixture():
-    # frozen from the brute-force monomial-integration oracle: 3/4
+    # frozen from the brute-force monomial-integration oracle: 3/4 (w = 1 at the origin)
     sym = parse_symbol("zb1*(zb2+1)")
-    got = hankel_gram_entry(sym, (0, 0), (0, 0))
+    got = scaled_gram_entry(sym, (0, 0), (0, 0))
     assert got == CRat(Fraction(3, 4))
     oracle = hankel_entry_oracle(
         [(1.0, (0, 0), (1, 1)), (1.0, (0, 0), (1, 0))], (0, 0), (0, 0), 4
@@ -57,10 +56,11 @@ def test_gram_entry_product_symbol_fixture():
 
 
 def test_gram_entry_offdiagonal_carries_sqrt_weight():
-    # orthonormal entries are rational times sqrt(w_a w_b); here sqrt(2)/4
+    # orthonormal entries are rational times sqrt(w_a w_b); here 1/4 * sqrt(2)
     sym = parse_symbol("zb1*(zb2+1)")
-    got = hankel_gram_entry(sym, (0, 0), (0, 1))
-    assert isinstance(got, complex)
+    assert scaled_gram_entry(sym, (0, 0), (0, 1)) == CRat(Fraction(1, 4))
+    trunc = BasisTruncation(1, 2)
+    got = assemble(sym, trunc).dense[trunc.index_of[(0, 0)], trunc.index_of[(0, 1)]]
     assert abs(got - math.sqrt(2) / 4) < 1e-14
     oracle = hankel_entry_oracle(
         [(1.0, (0, 0), (1, 1)), (1.0, (0, 0), (1, 0))], (0, 0), (0, 1), 4

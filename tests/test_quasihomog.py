@@ -13,17 +13,17 @@ from hankel_spectra import (
     lambda_value,
     monomial_norm_sq,
     qh_eigenvalue,
-    qh_spectrum,
     radial_integral,
 )
 from oracles import radial_integral_oracle
 
 
 def test_monomial_norms():
-    assert monomial_norm_sq((0, 0)).pi_coeff == 1  # pi^2
-    assert monomial_norm_sq((1,)).pi_coeff == Fraction(1, 2)  # pi/2
-    assert monomial_norm_sq((2, 3, 4)).pi_coeff == Fraction(1, 60)  # pi^3/60
-    assert abs(monomial_norm_sq((2, 3, 4)).value - np.pi**3 / 60) < 1e-12
+    # the pi^n coefficient, an exact Fraction
+    assert monomial_norm_sq((0, 0)) == 1  # pi^2
+    assert monomial_norm_sq((1,)) == Fraction(1, 2)  # pi/2
+    assert monomial_norm_sq((2, 3, 4)) == Fraction(1, 60)  # pi^3/60
+    assert isinstance(monomial_norm_sq((2, 3, 4)), Fraction)
 
 
 def test_radial_integral_matches_norm_formula():
@@ -31,23 +31,22 @@ def test_radial_integral_matches_norm_formula():
     ones = RadialProfile.polynomial([[1]])
     for a in range(6):
         got = radial_integral(ones, (2 * a,))
-        assert got.coeff == Fraction(1, a + 1)
-        assert got.power == 1
+        assert got == Fraction(1, a + 1) and isinstance(got, Fraction)  # pi^1 coefficient
 
 
 def test_radial_integral_polynomial_factor():
     prof = RadialProfile.polynomial([[0, 0, 1]])  # f(r) = r^2
     got = radial_integral(prof, (0,))
-    assert got.coeff == Fraction(1, 2)  # value pi/2
+    assert got == Fraction(1, 2)  # value pi/2
 
 
 def test_radial_integral_separable_two_factors():
     # f = (r, 1): (2 pi * 1/4)(2 pi * 1/2) = pi^2/2
     prof = RadialProfile.polynomial([[0, 1], [1]])
     got = radial_integral(prof, (1, 0))
-    assert got.coeff == Fraction(1, 2) and got.power == 2
+    assert got == Fraction(1, 2)  # value pi^2/2
     oracle = radial_integral_oracle([lambda r: r, lambda r: np.ones_like(r)], (1, 0))
-    assert abs(float(got) - oracle) < 1e-12
+    assert abs(float(got) * np.pi**2 - oracle) < 1e-12
 
 
 def test_radial_integral_float_path_matches_exact():
@@ -56,7 +55,10 @@ def test_radial_integral_float_path_matches_exact():
     fn = lambda r: sum(float(c) * r**k for k, c in enumerate(coeffs))
     prof_quad = RadialProfile.from_callables([fn])
     for p in (-1, 0, 3, 8):
-        assert abs(float(radial_integral(prof_exact, (p,))) - float(radial_integral(prof_quad, (p,)))) < 1e-13
+        exact = radial_integral(prof_exact, (p,))
+        assert isinstance(exact, Fraction)
+        # compared as values, coefficient times pi
+        assert abs(float(exact) - radial_integral(prof_quad, (p,))) * np.pi < 1e-13
 
 
 def test_radial_integral_integrability_guard():
@@ -65,7 +67,7 @@ def test_radial_integral_integrability_guard():
         radial_integral(prof, (-2,))
     # r^2 factor shifts the integrable range
     shifted = RadialProfile.polynomial([[0, 0, 1]])
-    assert radial_integral(shifted, (-2,)).coeff == Fraction(1)
+    assert radial_integral(shifted, (-2,)) == Fraction(1)
     fn = RadialProfile.from_callables([lambda r: np.ones_like(r)])
     with pytest.raises(ValueError):
         radial_integral(fn, (-2,))
@@ -160,13 +162,13 @@ def test_qh_spectrum_matches_enumeration_diagonal():
 
     n, m = (1, 0), (1, 1)
     sym = QuasiHomogeneousSymbol.from_monomial(n, m)
-    spec = qh_spectrum(sym, 3)
-    assert spec.is_exact
+    evs = [qh_eigenvalue(sym, alpha) for alpha in product(range(4), repeat=2)]
+    assert all(e.is_exact for e in evs)
     diag = {
         lambda_value(n, m, alpha, full_set(2))
         for alpha in product(range(4), repeat=2)
     }
-    assert set(spec.values()) == diag
+    assert {e.value for e in evs} == diag
     # diagonal family values all appear in the core enumeration
     core_vals = enumerate_spectrum(MonomialSymbol(n, m), 3).value_set()
     assert diag <= core_vals
@@ -174,8 +176,8 @@ def test_qh_spectrum_matches_enumeration_diagonal():
 
 def test_qh_spectrum_zero_profile():
     sym = QuasiHomogeneousSymbol(RadialProfile.polynomial([[0]]), (1,))
-    spec = qh_spectrum(sym, 3)
-    assert set(spec.values()) == {Fraction(0)}
+    values = {qh_eigenvalue(sym, (a,)).value for a in range(4)}
+    assert values == {Fraction(0)}
 
 
 def test_quadrature_doubling_stability():
@@ -188,13 +190,3 @@ def test_quadrature_doubling_stability():
         v128 = qh_eigenvalue(sym, (a,), nodes=128).value
         assert abs(v64 - v128) < 1e-10
 
-
-def test_profile_json_roundtrip():
-    sym = QuasiHomogeneousSymbol(
-        RadialProfile.polynomial([[Fraction(1, 2), 0, 1], [0, 1]]), (2, -1)
-    )
-    again = QuasiHomogeneousSymbol.from_json_obj(sym.to_json_obj())
-    assert again.winding == sym.winding
-    assert again.profile.factors == sym.profile.factors
-    with pytest.raises(ValueError):
-        RadialProfile.from_callables([lambda r: r]).to_json_obj()
