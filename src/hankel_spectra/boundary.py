@@ -45,7 +45,8 @@ CONSTANCY_RTOL = 1e-8
 PROFILE_ZERO_FLOOR = 1e-12  # times (sum |c|)^2: profiles below solver noise count as identically zero
 MAX_CIRCLE_DEGREE = 128  # reduced degree D of chi on the circle: np.roots solves a 2D x 2D companion, ~0.2 s at 128
 UNIT_MODULUS_TOL = 1e-14
-POINT_RTOL = 1e-12  # a predicted interval shorter than this times max(1, |hi|) is a point
+POINT_RTOL = 1e-12  # a predicted interval shorter than this times max(|c|^2, |hi|) is a point
+POINT_MATCH_RTOL = 1e-9  # a predicted point is matched when its gap is at most this times |c|^2
 
 
 def slice_symbol(sym: PolySymbol, q, coord: int) -> PolySymbol:
@@ -247,75 +248,74 @@ class EssentialSetPrediction:
         }
 
 
-def _prediction_entries(mus, t_lo: float, t_hi: float, source: str):
+def coefficient_scale(sym: PolySymbol) -> float:
+    """|c|^2, the largest |coefficient|^2 of sym: its predicted values and eigenvalues scale alike."""
+    c = max((abs(c) for c, _, _ in sym.as_float().terms), default=0.0)
+    return c * c  # inf past the float range, where ** would raise OverflowError
+
+
+def _prediction_entries(mus, t_lo: float, t_hi: float, source: str, unit: float):
     points, intervals = [], []
     for mu in mus:
         lo, hi = mu * t_lo, mu * t_hi
-        if hi - lo <= POINT_RTOL * max(1.0, abs(hi)):
+        if hi - lo <= POINT_RTOL * max(unit, abs(hi)):
             points.append(PredictedPoint((lo + hi) / 2.0, mu, source))
         else:
             intervals.append(PredictedInterval(lo, hi, mu, source))
     return points, intervals
 
 
-def _spectrum_of(phi: PolySymbol, alpha_cap: int, trunc: BasisTruncation | None):
-    """(mu values, source tag): exact enumeration for monomials, else compression."""
+def _spectrum_of(phi: PolySymbol, trunc: BasisTruncation):
+    """(mu values, source tag) over the box alpha <= trunc.degree_cap: exact enumeration
+    for monomials, else the compression at trunc."""
     if phi.is_plain_monomial:
-        mono = phi.to_monomial_symbol()
-        spec = enumerate_spectrum(mono, alpha_cap)
-        return spec.floats(), f"exact-monomial(cap={alpha_cap})"
+        spec = enumerate_spectrum(phi.to_monomial_symbol(), trunc.degree_cap)
+        return spec.floats(), f"exact-monomial(cap={trunc.degree_cap})"
     if phi.is_zero or phi.is_holomorphic:
         return [0.0], "holomorphic"
-    t = trunc if trunc is not None else BasisTruncation(10, phi.dim)
-    w = eigenvalues(assemble(phi.as_float(), t))
-    return [float(x) for x in w], f"compression(N={t.degree_cap})"
+    w = eigenvalues(assemble(phi.as_float(), trunc))
+    return [float(x) for x in w], f"compression(N={trunc.degree_cap})"
 
 
 def product_essential_prediction(
-    phi: PolySymbol,
-    chi: PolySymbol,
-    num_samples: int = DEFAULT_SAMPLES,
-    *,
-    alpha_cap: int = 6,
-    trunc: BasisTruncation | None = None,
+    phi: PolySymbol, chi: PolySymbol, num_samples: int, trunc: BasisTruncation
 ) -> EssentialSetPrediction:
     """Prediction {|chi(q)|^2 mu} for the product symbol phi(z') chi(z_n).
 
-    mu runs over the spectrum of the lower-dimensional Hermitian square (exact
-    for monomial phi, else a compression approximation, labeled as such); the
-    q-image is the interval [mu min|chi|^2, mu max|chi|^2].
+    mu runs over the spectrum of the lower-dimensional Hermitian square on the
+    box alpha <= trunc.degree_cap (exact for monomial phi, else the compression
+    at trunc, labeled as such); the q-image is the interval
+    [mu min|chi|^2, mu max|chi|^2].
     """
     if chi.dim != 1:
         raise ValueError("chi must be univariate")
     t_lo, t_hi = circle_abs_sq_range(chi, num_samples)  # refuses a bad chi before phi's spectrum
-    mus, source = _spectrum_of(phi, alpha_cap, trunc)
-    points, intervals = _prediction_entries(sorted(set(mus)), t_lo, t_hi, source)
+    mus, source = _spectrum_of(phi, trunc)
+    unit = coefficient_scale(phi) * coefficient_scale(chi)  # |c|^2 of the product: its terms do not merge
+    points, intervals = _prediction_entries(sorted(set(mus)), t_lo, t_hi, source, unit)
     return EssentialSetPrediction(tuple(points), tuple(intervals))
 
 
 def separable_essential_prediction(
-    factors: list[PolySymbol],
-    num_samples: int = DEFAULT_SAMPLES,
-    *,
-    alpha_cap: int = 6,
-    trunc: BasisTruncation | None = None,
+    factors: list[PolySymbol], num_samples: int, trunc: BasisTruncation
 ) -> EssentialSetPrediction:
-    """Union over j of {mu_j prod_{k != j} t_k} for separable psi = prod chi_k(z_k)."""
+    """Union over j of {mu_j prod_{k != j} t_k} for separable psi = prod chi_k(z_k); trunc has dim 1."""
     if len(factors) < 2:
         raise ValueError("separable prediction needs >= 2 factors")
     for f in factors:
         if f.dim != 1:
             raise ValueError("every factor must be univariate")
     ranges = [circle_abs_sq_range(f, num_samples) for f in factors]
+    unit = math.prod(map(coefficient_scale, factors))
     if any(f.is_zero for f in factors):
         return EssentialSetPrediction((PredictedPoint(0.0, 0.0, "zero-factor"),), ())
     points: list[PredictedPoint] = []
     intervals: list[PredictedInterval] = []
     for j, factor in enumerate(factors):
-        mus, source = _spectrum_of(factor, alpha_cap, trunc)
+        mus, source = _spectrum_of(factor, trunc)
         t_lo = math.prod(r[0] for k, r in enumerate(ranges) if k != j)
         t_hi = math.prod(r[1] for k, r in enumerate(ranges) if k != j)
-        p, iv = _prediction_entries(sorted(set(mus)), t_lo, t_hi, f"factor-{j + 1}: {source}")
+        p, iv = _prediction_entries(sorted(set(mus)), t_lo, t_hi, f"factor-{j + 1}: {source}", unit)
         points.extend(p)
         intervals.extend(iv)
     return EssentialSetPrediction(tuple(points), tuple(intervals))
@@ -329,10 +329,11 @@ def containment_report(
     For points: the nearest eigenvalue and its gap.  For intervals: the max
     gap between consecutive eigenvalues inside the interval (or the interval
     length when fewer than two fall inside).  Finite-section caveat: the
-    compression only approximates the operator spectrum at this N.
+    compression only approximates the operator spectrum at this N.  A point
+    is matched when its gap is at most tol (>= 0).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if tol < 0:
+        raise ValueError("tol must be non-negative")
     eigs = np.sort(np.asarray(compression_spectrum, dtype=float))
     report: dict = {"tol": tol, "points": [], "intervals": []}
     for p in prediction.points:

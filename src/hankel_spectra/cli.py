@@ -16,6 +16,8 @@ import sys
 
 from .boundary import (
     MAX_SAMPLES,
+    POINT_MATCH_RTOL,
+    coefficient_scale,
     containment_report,
     product_essential_prediction,
     slice_norm_profile,
@@ -24,9 +26,9 @@ from .boundary import (
     PredictedPoint,
 )
 from .core import MonomialSymbol, SpectrumSet, enumerate_spectrum, essential_part, multiplicity_class
-from .galerkin import BasisTruncation, Exactness, _check_dump_size, assemble, default_inner_caps, dump_matrix, eigenvalues
+from .galerkin import BasisTruncation, Exactness, _check_basis_size, _check_dump_size, assemble, default_inner_caps, dump_matrix, eigenvalues
 from .rational import CRat, frac_str
-from .symbols import PolySymbol, SymbolParseError, parse_symbol
+from .symbols import PolySymbol, parse_symbol
 from .verify import run_verify
 
 __all__ = ["main"]
@@ -83,17 +85,6 @@ def _spectrum_csv(spec_obj: dict) -> str:
         ["value", "value_float", "is_eigenvalue", "is_limit_point", "multiplicity", "in_essential", "provenance"],
         rows,
     )
-
-
-def _parse_or_fail(expr: str, dim: int | None) -> PolySymbol:
-    try:
-        return parse_symbol(expr, dim=dim)
-    except SymbolParseError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _json_list(items: list[str], indent: int) -> str:
@@ -180,9 +171,9 @@ def _exact_json(symbol: str, mono: MonomialSymbol, alpha_cap: int, spectrum: Spe
 
 def cmd_exact(args) -> int:
     _check_caps(args.cap)
-    sym = _parse_or_fail(args.symbol, args.dim)
+    sym = parse_symbol(args.symbol, dim=args.dim)
     if not sym.is_plain_monomial:
-        raise _UsageError(
+        raise ValueError(
             f"{args.symbol!r} is not a single unit-coefficient monomial; "
             "use the 'approx' command for general polynomial symbols"
         )
@@ -205,7 +196,7 @@ def cmd_exact(args) -> int:
 
 def cmd_approx(args) -> int:
     _check_caps(args.degree)
-    sym = _parse_or_fail(args.symbol, args.dim)
+    sym = parse_symbol(args.symbol, dim=args.dim)
     trunc = BasisTruncation(args.degree, sym.dim)
     mat = assemble(sym.as_float(), trunc)
     w = eigenvalues(mat)
@@ -281,27 +272,23 @@ def _proportionality(part: PolySymbol, base: PolySymbol):
 
 
 def cmd_boundary(args) -> int:
-    _check_caps(args.cap, args.degree)
-    if not 0 < args.tol < 1:
-        raise ValueError("tol must lie in (0, 1)")
+    _check_caps(args.degree)
     if args.samples < 4:
         raise ValueError("samples must be >= 4")
     if args.samples > MAX_SAMPLES:
         raise ValueError(f"samples must be <= {MAX_SAMPLES}")
-    sym = _parse_or_fail(args.symbol, args.dim)
+    sym = parse_symbol(args.symbol, dim=args.dim)
     if sym.dim < 2:
-        raise _UsageError("boundary analysis needs dim >= 2")
+        raise ValueError("boundary analysis needs dim >= 2")
     coord = args.coord if args.coord is not None else sym.dim
     if not 1 <= coord <= sym.dim:
-        raise _UsageError(f"--coord must lie in 1..{sym.dim}")
+        raise ValueError(f"--coord must lie in 1..{sym.dim}")
+    _check_basis_size(args.degree, sym.dim)  # first: a monomial phi is then enumerated within its budget
     # the product prediction first: it refuses a bad chi before the compression and the profile
     factored = _factor_across(sym, coord)
     if factored is not None:
         phi, chi = factored
-        prediction = product_essential_prediction(
-            phi, chi, args.samples, alpha_cap=args.cap,
-            trunc=BasisTruncation(args.degree, phi.dim),
-        )
+        prediction = product_essential_prediction(phi, chi, args.samples, BasisTruncation(args.degree, phi.dim))
         prediction_source = "product-factorization"
     trunc = BasisTruncation(args.degree, sym.dim)
     w = [float(x) for x in eigenvalues(assemble(sym.as_float(), trunc))]
@@ -319,7 +306,7 @@ def cmd_boundary(args) -> int:
             )
         prediction_source = "slice-profile"
 
-    report = containment_report(prediction, w, args.tol)
+    report = containment_report(prediction, w, POINT_MATCH_RTOL * coefficient_scale(sym))
     obj = {
         "command": "boundary",
         "symbol": str(sym),
@@ -357,7 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--degree": dict(type=int, default=8, help="Galerkin degree cap N"),
         "--dim": dict(type=int, default=None, help="force ambient dimension"),
         "--samples": dict(type=int, default=256, help="boundary circle samples"),
-        "--tol": dict(type=float, default=1e-9, help="matching tolerance"),
         "--format": dict(choices=("json", "csv"), default="json"),
         "--out": dict(default=None, help="output path (default stdout)"),
         "--dump-matrix": dict(default=None, help="write the matrix dump here"),
@@ -381,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     command(
         "boundary", cmd_boundary, "slice norms and essential-set prediction",
-        "--cap", "--degree", "--dim", "--samples", "--tol", "--format", "--out", "--coord",
+        "--degree", "--dim", "--samples", "--format", "--out", "--coord",
     )
     command("verify", cmd_verify, "run cross-engine verification suites", "--suite", "--out", symbol=False)
 
@@ -393,9 +379,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -191,7 +191,7 @@ def lambda_value(n, m, alpha, subset) -> Fraction:
 
 
 def _lambda_unchecked(n, m, alpha, members) -> Fraction:
-    # hot path for the enumerations; callers have validated the inputs
+    # the one-point form behind lambda_value (and the tests' oracle); callers have validated the inputs
     first = Fraction(1)
     first_case = False
     for k in members:

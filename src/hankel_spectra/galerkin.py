@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -35,6 +36,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
+from .core import _INT64_LIMIT
 from .multiindex import MultiIndex, as_multiindex, box_exceeds, graded_lex_box, is_nonnegative, weight
 from .rational import CRat, CR_ZERO, frac_str
 from .symbols import MAX_COORDINATE, PolySymbol
@@ -219,14 +221,16 @@ def _gram_block(pairs, lo, hi, exact: bool) -> np.ndarray:
                 = (gamma_j+1) / ((gamma_j+m_sj+1)(gamma_j+m_tj+1)),  if gamma >= 0
 
     and the entry is prod first - prod second.  Exact symbols get Fraction
-    factors and a CRat block; float symbols get float64 factors, each one
-    rounded integer division, so rationals that cancel exactly (e.g. for
+    factors and a CRat block; float symbols get float factors, each one
+    correctly rounded integer division, so rationals that cancel exactly (e.g. for
     holomorphic symbols) cancel exactly here too.  Every pair contributes its
     scalar coefficient c_s conj(c_t); a slice profile varies with the circle
     point only through phases that top_eigenvalues applies to whole blocks.
     """
     ratio = _exact_ratios if exact else np.true_divide
-    alphas = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+    # every factor below is at most top; Python ints (object arrays) where top^2 could wrap int64
+    top = max(hi) + 2 * max(max(ns + ms + nt + mt) for _, ns, ms, _, nt, mt in pairs) + 1
+    alphas = [np.arange(a, b + 1).astype(object if top * top >= _INT64_LIMIT else np.int64) for a, b in zip(lo, hi)]
     block = 0
     for cs, ns, ms, ct, nt, mt in pairs:
         first, second = [], []
@@ -298,13 +302,13 @@ class CompressionMatrix:
         return tuple(map(tuple, self._graded_lex(self.scaled_blocks, CR_ZERO)))
 
     def exact_diagonal(self) -> list[Fraction]:
-        """Orthonormal diagonal <H e_a, H e_a>, exactly rational."""
-        if self.scaled is None:
+        """Orthonormal diagonal <H e_a, H e_a>, exactly rational, read off the sector blocks."""
+        if self.scaled_blocks is None:
             raise ValueError("matrix was assembled on the float path")
-        out = []
-        for i, alpha in enumerate(self.trunc.indices):
-            out.append((self.scaled[i][i] * weight(alpha)).real_fraction())
-        return out
+        diag = np.empty(self.size, dtype=object)
+        for g, b in zip(self.sectors, self.scaled_blocks):
+            diag[g] = np.diagonal(b, axis1=1, axis2=2)
+        return [(c * weight(alpha)).real_fraction() for c, alpha in zip(diag, self.trunc.indices)]
 
     def hermiticity_defect(self) -> float:
         return float(_defects([b[None] for b in self.blocks])[0])
@@ -449,8 +453,11 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation) -> Compressio
     _check_dump_size(trunc.size)
     indices = trunc.indices
     size = trunc.size
+    inner_caps = default_inner_caps(sym, trunc)
+    if math.prod(c + 1 for c in inner_caps) > MAX_STORED_ENTRIES:
+        raise ValueError(f"inner basis of caps {inner_caps} holds more than {MAX_STORED_ENTRIES} indices")
 
-    inner_indices = graded_lex_box(default_inner_caps(sym, trunc), trunc.dim)
+    inner_indices = graded_lex_box(inner_caps, trunc.dim)
     inner_index_of = {a: i for i, a in enumerate(inner_indices)}
     inner_weights = [weight(a) for a in inner_indices]
 

@@ -158,7 +158,7 @@ def _suite_slice_constancy() -> tuple[bool, dict]:
 def _suite_interval_prediction() -> tuple[bool, dict]:
     phi = parse_symbol("zb1")
     chi = parse_symbol("zb1 + 1")
-    pred = product_essential_prediction(phi, chi, 128, alpha_cap=4)
+    pred = product_essential_prediction(phi, chi, 128, BasisTruncation(4, 1))
     t_lo, t_hi = circle_abs_sq_range(chi, 128)
     checks = {
         "chi_range": abs(t_lo) <= 1e-10 and abs(t_hi - 4.0) <= 1e-10,

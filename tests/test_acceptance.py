@@ -204,7 +204,7 @@ def test_criterion_7_interval_evidence():
     """zb1*(zb2+1): prediction contains [0,2]; gaps in [0.2,1.8] shrink over N in {8,12,16}."""
     start = time.perf_counter()
     pred = product_essential_prediction(
-        parse_symbol("zb1"), parse_symbol("zb1+1"), 256, alpha_cap=6
+        parse_symbol("zb1"), parse_symbol("zb1+1"), 256, BasisTruncation(6, 1)
     )
     ok = pred.covers_interval(0.0, 2.0, tol=1e-9)
     sym = parse_symbol("zb1*(zb2+1)")

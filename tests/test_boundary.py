@@ -1,13 +1,17 @@
 """Boundary slices, slice-norm profiles, and essential-set predictions."""
 
 import cmath
+import contextlib
+import inspect
+import io
 import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hankel_spectra import (
@@ -24,6 +28,8 @@ from hankel_spectra import (
     slice_norm_profile,
     slice_symbol,
 )
+from hankel_spectra.boundary import PredictedPoint
+from hankel_spectra.cli import main
 from hankel_spectra.rational import CRat
 from hankel_spectra.symbols import PolySymbol
 from oracles import reference_profile_values, sup_norm_on_torus
@@ -400,7 +406,7 @@ def test_circle_range_takes_four_samples(capsys):
 
 def test_product_prediction_interval():
     pred = product_essential_prediction(
-        parse_symbol("zb1"), parse_symbol("zb1+1"), 128, alpha_cap=4
+        parse_symbol("zb1"), parse_symbol("zb1+1"), 128, BasisTruncation(4, 1)
     )
     assert pred.covers_interval(0.0, 2.0, tol=1e-9)
     half = [iv for iv in pred.intervals if abs(iv.mu - 0.5) < 1e-12]
@@ -410,7 +416,7 @@ def test_product_prediction_interval():
 def test_product_prediction_unimodular_chi():
     spec = enumerate_spectrum(MonomialSymbol((0,), (1,)), 4)
     pred = product_essential_prediction(
-        parse_symbol("zb1"), parse_symbol("zb1"), 64, alpha_cap=4
+        parse_symbol("zb1"), parse_symbol("zb1"), 64, BasisTruncation(4, 1)
     )
     assert not pred.intervals
     got = sorted(p.value for p in pred.points)
@@ -420,7 +426,7 @@ def test_product_prediction_unimodular_chi():
 
 def test_product_prediction_holomorphic_phi():
     pred = product_essential_prediction(
-        parse_symbol("z1^2"), parse_symbol("zb1+1"), 64, alpha_cap=3
+        parse_symbol("z1^2"), parse_symbol("zb1+1"), 64, BasisTruncation(3, 1)
     )
     vals = [p.value for p in pred.points] + [iv.lo for iv in pred.intervals] + [
         iv.hi for iv in pred.intervals
@@ -430,16 +436,16 @@ def test_product_prediction_holomorphic_phi():
 
 def test_separable_prediction():
     zb = parse_symbol("zb1")
-    pred = separable_essential_prediction([zb, zb], 64, alpha_cap=3)
+    pred = separable_essential_prediction([zb, zb], 64, BasisTruncation(3, 1))
     # |zb|^2 = 1 on the circle: points are exactly the one-variable spectrum, twice
     spec_vals = sorted(set(enumerate_spectrum(MonomialSymbol((0,), (1,)), 3).floats()))
     got = sorted({round(p.value, 14) for p in pred.points})
     assert np.allclose(got, spec_vals, atol=1e-12)
 
-    pred2 = separable_essential_prediction([zb, parse_symbol("zb1+1")], 64, alpha_cap=3)
+    pred2 = separable_essential_prediction([zb, parse_symbol("zb1+1")], 64, BasisTruncation(3, 1))
     assert pred2.covers_interval(0.0, 2.0, tol=1e-9)
 
-    pred3 = separable_essential_prediction([zb, parse_symbol("0", dim=1)], 64)
+    pred3 = separable_essential_prediction([zb, parse_symbol("0", dim=1)], 64, BasisTruncation(3, 1))
     assert [p.value for p in pred3.points] == [0.0] and not pred3.intervals
 
 
@@ -447,7 +453,7 @@ def test_containment_report_points_match_diagonal():
     sym = parse_symbol("zb1", dim=2)
     w = eigenvalues(assemble(sym, BasisTruncation(20, 2)))
     pred = product_essential_prediction(
-        parse_symbol("zb1"), parse_symbol("zb1"), 64, alpha_cap=6
+        parse_symbol("zb1"), parse_symbol("zb1"), 64, BasisTruncation(6, 1)
     )
     report = containment_report(pred, w, 1e-10)
     # every nonzero predicted point is a diagonal entry of the compression;
@@ -461,7 +467,7 @@ def test_containment_report_points_match_diagonal():
 def test_containment_report_gap_trend():
     sym = parse_symbol("zb1*(zb2+1)")
     pred = product_essential_prediction(
-        parse_symbol("zb1"), parse_symbol("zb1+1"), 64, alpha_cap=2
+        parse_symbol("zb1"), parse_symbol("zb1+1"), 64, BasisTruncation(2, 1)
     )
     gaps = []
     for n in (8, 12):
@@ -479,3 +485,84 @@ def test_containment_report_empty_prediction():
     assert report["points"] == [] and report["intervals"] == []
     with pytest.raises(ValueError):
         containment_report(EssentialSetPrediction((), ()), [], -1.0)
+    # tol 0 is the zero symbol's: its one point has gap exactly 0
+    report = containment_report(EssentialSetPrediction((PredictedPoint(0.0, 0.0, "holomorphic"),), ()), [0.0], 0.0)
+    assert report["tol"] == 0.0 and report["all_points_matched"]
+
+
+def test_prediction_has_one_truncation():
+    for fn in (product_essential_prediction, separable_essential_prediction):
+        params = inspect.signature(fn).parameters
+        assert "alpha_cap" not in params and params["trunc"].default is inspect.Parameter.empty
+    # a monomial phi is enumerated over the box alpha <= N that its compression covers
+    pred = product_essential_prediction(parse_symbol("zb1"), parse_symbol("zb1"), 8, BasisTruncation(5, 1))
+    want = enumerate_spectrum(MonomialSymbol((0,), (1,)), 5).floats()
+    assert [p.value for p in pred.points] == pytest.approx(want, abs=1e-15)
+    assert {p.source for p in pred.points} == {"exact-monomial(cap=5)"}
+
+
+def _boundary_json(symbol, *options) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["boundary", *options, "--", symbol]) == 0  # "--": the symbol may start with "-"
+    return json.loads(out.getvalue())
+
+
+def test_point_match_tolerance_follows_the_coefficients():
+    args = ("--coord", "2", "--degree", "8", "--samples", "16")
+    # an absolute 1e-9 matched every point of 1/100000*zb1*zb2 (gaps up to 5e-12)
+    small = _boundary_json("1/100000*zb1*zb2", *args)["containment"]
+    assert small["tol"] == pytest.approx(1e-19, rel=1e-12) and not small["all_points_matched"]
+    assert max(p["gap"] for p in small["points"]) == pytest.approx(5e-12, rel=1e-9)
+    assert _boundary_json("1000*zb1*zb2", *args)["containment"]["tol"] == pytest.approx(1e-3, rel=1e-12)
+    assert _boundary_json("zb1*(zb2+1)", *args)["containment"]["tol"] == 1e-9
+    zero = _boundary_json("0", "--dim", "2", *args)["containment"]
+    assert zero["tol"] == 0.0 and zero["all_points_matched"] and [p["gap"] for p in zero["points"]] == [0.0]
+
+
+_gaussian = st.builds(
+    lambda re, d, im: CRat(Fraction(re, d), im), st.integers(-3, 3), st.sampled_from([1, 2, 4]), st.integers(-3, 3)
+).filter(bool)
+_factor_terms = st.lists(st.tuples(_gaussian, st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_factor_terms, _factor_terms, st.one_of(st.none(), _gaussian), st.integers(-20, 20))
+# (-2+4i)*z1*zb1*zb2^2 + (1-2i)*z1*z2^2*zb1: with an absolute point floor its
+# intervals turned into points at 2^-20
+@example([(CRat(1), 1, 1)], [(CRat(-2, 4), 0, 2), (CRat(1, -2), 2, 0)], None, -20)
+def test_point_matching_is_invariant_under_power_of_two_scaling(phi, chi, nudge, k):
+    sym = PolySymbol([(c, (h, 0), (a, 0)) for c, h, a in phi], dim=2) * PolySymbol(
+        [(c, (0, h), (0, a)) for c, h, a in chi], dim=2
+    )
+    if nudge is not None:  # most often no product any more: the slice-profile route
+        sym = sym + PolySymbol([(nudge, (1, 1), (0, 0))], dim=2)
+    args = ("--dim", "2", "--coord", "2", "--degree", "4", "--samples", "8")
+    base = _boundary_json(sym.to_expression(), *args)
+    scaled = _boundary_json((sym * CRat(Fraction(2) ** k)).to_expression(), *args)
+
+    def sources(obj):
+        return sorted(e["source"] for part in obj["prediction"].values() for e in part)
+
+    # a phi with coefficient exactly 1 is enumerated, any other one compressed
+    assume(sources(scaled) == sources(base))
+    b, s = base["containment"], scaled["containment"]
+    unit = 4.0**k * b["tol"] / 1e-9  # |c|^2 of the scaled symbol
+    assert s["tol"] == b["tol"] * 4.0**k
+    assert len(s["points"]) == len(b["points"]) and len(s["intervals"]) == len(b["intervals"])
+    for p, q in zip(b["points"], s["points"]):
+        assert q["gap"] == pytest.approx(p["gap"] * 4.0**k, rel=1e-12, abs=1e-12 * unit)
+        assert q["matched"] == p["matched"]
+    for p, q in zip(b["intervals"], s["intervals"]):
+        assert (q["lo"], q["hi"]) == pytest.approx((p["lo"] * 4.0**k, p["hi"] * 4.0**k), rel=1e-12, abs=1e-12 * unit)
+    assert s["all_points_matched"] == b["all_points_matched"]
+
+
+def test_boundary_degree_over_the_basis_budget_exits_2_at_once(capsys):
+    # a monomial phi is enumerated with cap N: the basis guard refuses N before the enumeration budget is reached
+    for symbol, degree, dim in (("zb1*zb2*zb3", 400, 3), ("zb1*zb2", 99998, 2)):
+        start = time.perf_counter()
+        assert main(["boundary", symbol, "--degree", str(degree)]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert err == f"error: basis size (N+1)^dim exceeds guard 20000 (N={degree}, dim={dim})\n"

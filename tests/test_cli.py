@@ -102,7 +102,7 @@ def test_approx_dump_matrix(tmp_path, capsys):
 def test_boundary_product(capsys):
     code, out = run_cli(
         capsys, "boundary", "zb1*(zb2+1)", "--coord", "2",
-        "--degree", "6", "--samples", "16", "--cap", "4",
+        "--degree", "6", "--samples", "16",
     )
     assert code == 0
     obj = json.loads(out)
@@ -134,6 +134,21 @@ def test_boundary_nonseparable_uses_profile(capsys):
 def test_boundary_rejects_dim1(capsys):
     code = main(["boundary", "zb1", "--degree", "4"])
     assert code == 2
+
+
+@pytest.mark.parametrize("coord", ["0", "3"])
+def test_boundary_rejects_a_coord_outside_the_dim(capsys, coord):
+    assert main(["boundary", "zb1*zb2", "--coord", coord, "--degree", "2"]) == 2
+    assert capsys.readouterr().err == "error: --coord must lie in 1..2\n"
+
+
+def test_approx_csv_rows_are_the_json_eigenvalues(capsys):
+    args = ["approx", "zb1*(zb2+1)", "--degree", "3"]
+    _, text = run_cli(capsys, *args)
+    _, table = run_cli(capsys, *args, "--format", "csv")
+    lines = table.splitlines()
+    assert lines[0] == "index,eigenvalue"
+    assert lines[1:] == [f"{i},{x!r}" for i, x in enumerate(json.loads(text)["eigenvalues"])]
 
 
 def test_boundary_csv(capsys):
@@ -199,6 +214,11 @@ def test_usage_error_exit_codes(capsys):
         ["exact", "zb1", "--tol", "1e-9"],
         ["exact", "zb1", "--samples", "8"],
         ["exact", "zb1", "--degree", "4"],
+        # boundary derives its enumeration cap and match tolerance from the request
+        ["boundary", "zb1*zb2", "--cap", "-1"],
+        ["boundary", "zb1*zb2", "--tol", "1"],
+        ["boundary", "zb1*zb2", "--cap", "4"],
+        ["boundary", "zb1*zb2", "--tol", "1e-9"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -216,15 +236,18 @@ def test_readme_flags_sentence_names_every_option():
         assert set(re.findall(r"--[a-z][a-z-]*", sentence)) == options, name
 
 
+# explicit ids: a row keeps its test name when a row before it is removed
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["exact", "zb1", "--cap", "-1"], "caps must be non-negative"),
-        (["approx", "zb1", "--degree", "-1"], "caps must be non-negative"),
-        (["boundary", "zb1*zb2", "--cap", "-1"], "caps must be non-negative"),
-        (["boundary", "zb1*zb2", "--degree", "-1"], "caps must be non-negative"),
-        (["boundary", "zb1*zb2", "--tol", "1"], "tol must lie in (0, 1)"),
-        (["boundary", "zb1*zb2", "--samples", "3"], "samples must be >= 4"),
+        pytest.param(["exact", "zb1", "--cap", "-1"], "caps must be non-negative",
+                     id="argv0-caps must be non-negative"),
+        pytest.param(["approx", "zb1", "--degree", "-1"], "caps must be non-negative",
+                     id="argv1-caps must be non-negative"),
+        pytest.param(["boundary", "zb1*zb2", "--degree", "-1"], "caps must be non-negative",
+                     id="argv3-caps must be non-negative"),
+        pytest.param(["boundary", "zb1*zb2", "--samples", "3"], "samples must be >= 4",
+                     id="argv5-samples must be >= 4"),
     ],
 )
 def test_flag_ranges_are_checked_where_they_are_read(capsys, argv, message):
@@ -460,6 +483,17 @@ def test_json_symbol_padded_past_dim_limit_exits_2(capsys):
     assert capsys.readouterr().err == "error: dim 9 exceeds 8\n"
 
 
+def test_json_symbol_takes_a_larger_dim_and_refuses_a_smaller_one(capsys):
+    zb1 = '{"dim": 1, "terms": [{"coeff": [1, 0], "holo": [0], "antiholo": [1]}]}'
+    code, out = run_cli(capsys, "approx", zb1, "--dim", "2", "--degree", "2")
+    assert code == 0
+    _, want = run_cli(capsys, "approx", "zb1", "--dim", "2", "--degree", "2")
+    assert json.loads(out)["eigenvalues"] == json.loads(want)["eigenvalues"] and json.loads(out)["dim"] == 2
+    two = '{"dim": 2, "terms": [{"coeff": [1, 0], "holo": [0, 0], "antiholo": [1, 1]}]}'
+    assert main(["approx", two, "--dim", "1", "--degree", "2"]) == 2
+    assert capsys.readouterr().err == "error: cannot shrink symbol of dim 2 to 1\n"
+
+
 def test_enumeration_budget_exits_2(capsys):
     # (cap+2)^dim - 1 = 1e10 closed-form evaluations: refused before the first one
     assert main(["exact", "zb1*zb2", "--cap", "100000"]) == 2
@@ -505,6 +539,12 @@ def test_coefficient_too_large_for_float_exits_2(capsys):
     assert main(["approx", "10^400*zb1", "--degree", "2"]) == 2
     err = capsys.readouterr().err
     assert err == "error: coefficient of zb1 is too large for a float\n"
+    # a holomorphic phi has no compression to refuse it; its coefficient scale does
+    assert main(["boundary", "10^400*z1*zb2", "--coord", "2", "--degree", "2", "--samples", "8"]) == 2
+    assert capsys.readouterr().err == "error: coefficient of z1 is too large for a float\n"
+    # a scale past the float range is inf, not an OverflowError; the compression then refuses it
+    assert main(["boundary", "10^200*z1*zb2", "--coord", "2", "--degree", "2", "--samples", "8"]) == 2
+    assert "non-finite entries" in capsys.readouterr().err
 
 
 def _reference_exact_json(symbol, mono, cap, spectrum, essential) -> str:

@@ -1,6 +1,7 @@
 """Compression assembly, the Toeplitz identity, eigensolution, and Weyl residuals."""
 
 import io
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -429,3 +430,56 @@ def test_toeplitz_route_refuses_a_dense_fill_over_budget(monkeypatch):
     monkeypatch.setattr(galerkin, "_toeplitz_map", no_fill)
     with pytest.raises(ValueError, match="entries"):
         assemble_via_toeplitz(parse_symbol("zb1", dim=2), BasisTruncation(140, 2))
+
+
+@pytest.mark.parametrize("power", [3_100_000_000, 5_000_000_000])
+def test_kernel_keeps_huge_exponents_exact(capsys, power):
+    # (gamma + m_s + 1) * (gamma + m_t + 1) passes int64 once gamma is about 3.04e9
+    from hankel_spectra.cli import main
+
+    sym = parse_symbol(f"zb1*z2^{power}")
+    trunc = BasisTruncation(1, 2)
+    want = [lambda_value((0, power), (1, 0), alpha, {1, 2}) for alpha in trunc.indices]
+    assert assemble(sym, trunc).exact_diagonal() == want
+    want = np.sort(np.array(want, dtype=float))
+    assert main(["approx", str(sym), "--degree", "1"]) == 0
+    got = json.loads(capsys.readouterr().out)["eigenvalues"]
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+    assert main(["boundary", str(sym), "--coord", "1", "--degree", "1", "--samples", "8"]) == 0
+    got = json.loads(capsys.readouterr().out)["compression"]["eigenvalues"]
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+    # its inner basis (2 x (power + 2) indices) is refused before it is built
+    with pytest.raises(ValueError, match="inner basis"):
+        assemble_via_toeplitz(sym, trunc)
+
+
+def test_exact_diagonal_reads_the_sector_blocks(monkeypatch):
+    from hankel_spectra.galerkin import CompressionMatrix
+    from hankel_spectra.multiindex import weight
+
+    cases = [("zb1*zb2", 6), ("(1/2+i)*zb1*(zb2+1) - 3/4*z1*zb2", 4), ("zb1^2 + 2*z1*zb1 + zb2", 3)]
+    mats = [assemble(parse_symbol(expr, dim=2), BasisTruncation(n, 2)) for expr, n in cases]
+    want = [[(m.scaled[i][i] * weight(a)).real_fraction() for i, a in enumerate(m.trunc.indices)] for m in mats]
+
+    def no_full_matrix(*args):
+        raise AssertionError("exact_diagonal built the full matrix")
+
+    monkeypatch.setattr(CompressionMatrix, "_graded_lex", no_full_matrix)
+    fresh = [assemble(parse_symbol(expr, dim=2), BasisTruncation(n, 2)) for expr, n in cases]
+    assert [m.exact_diagonal() for m in fresh] == want
+
+
+def test_matrices_equal_on_the_float_path_and_across_truncations():
+    sym = parse_symbol("zb1*(zb2+1)") * (0.3 + 0.4j)
+    mat = assemble(sym, BasisTruncation(3, 2))
+    assert mat.scaled is None
+    assert matrices_equal(mat, assemble(sym, BasisTruncation(3, 2)))
+    assert not matrices_equal(mat, assemble(sym * 2, BasisTruncation(3, 2)))
+    exact = parse_symbol("zb1*(zb2+1)")
+    assert not matrices_equal(assemble(exact, BasisTruncation(2, 2)), assemble(exact, BasisTruncation(3, 2)))
+
+
+def test_load_matrix_rejects_a_short_row():
+    dump = "hankel-spectra-matrix v1 dim=1 N=1 symbol=x exact=0\n0.5,0.0 0.0,0.0\n0.0,0.0\n"
+    with pytest.raises(ValueError, match="row 1: expected 2 entries, got 1"):
+        load_matrix(io.StringIO(dump))
