@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import enumerate_spectrum
+from .core import MonomialSymbol, enumerate_spectrum
 from .galerkin import BasisTruncation, assemble, eigenvalues, top_eigenvalues
 from .rational import CRat
 from .symbols import PolySymbol
@@ -266,11 +266,22 @@ def _prediction_entries(mus, t_lo: float, t_hi: float, source: str, unit: float)
 
 
 def _spectrum_of(phi: PolySymbol, trunc: BasisTruncation):
-    """(mu values, source tag) over the box alpha <= trunc.degree_cap: exact enumeration
-    for monomials, else the compression at trunc."""
-    if phi.is_plain_monomial:
-        spec = enumerate_spectrum(phi.to_monomial_symbol(), trunc.degree_cap)
-        return spec.floats(), f"exact-monomial(cap={trunc.degree_cap})"
+    """(mu values, source tag) over the box alpha <= trunc.degree_cap: for one term
+    c z^n zbar^m, |c|^2 times the exact enumeration of z^n zbar^m (formed exactly for
+    an exact c, then rounded once), else the compression at trunc."""
+    if len(phi.terms) == 1:
+        c, n, m = phi.terms[0]
+        scale = c.abs2() if isinstance(c, CRat) else abs(c) * abs(c)
+        spec = enumerate_spectrum(MonomialSymbol(n, m), trunc.degree_cap)
+        try:
+            mus = [float(v * scale) for v in spec.values()]
+        except OverflowError:
+            mus = [math.inf]
+        if not all(map(math.isfinite, mus)):
+            raise ValueError(
+                f"the enumerated spectrum of {phi} has non-finite entries; coefficients too large for floats?"
+            )
+        return mus, f"exact-monomial(cap={trunc.degree_cap})"
     if phi.is_zero or phi.is_holomorphic:
         return [0.0], "holomorphic"
     w = eigenvalues(assemble(phi.as_float(), trunc))
@@ -283,7 +294,7 @@ def product_essential_prediction(
     """Prediction {|chi(q)|^2 mu} for the product symbol phi(z') chi(z_n).
 
     mu runs over the spectrum of the lower-dimensional Hermitian square on the
-    box alpha <= trunc.degree_cap (exact for monomial phi, else the compression
+    box alpha <= trunc.degree_cap (exact for a one-term phi, else the compression
     at trunc, labeled as such); the q-image is the interval
     [mu min|chi|^2, mu max|chi|^2].
     """

@@ -7,21 +7,24 @@ Entries are
     <H e_a, H e_b> = <psi e_a, psi e_b> - sum_gamma <psi e_a, e_gamma><e_gamma, psi e_b>
 
 with the projection sum exact for polynomial symbols once the intermediate cap
-covers N plus the symbol degree.  One vectorised kernel (_gram_block) computes
-the scaled Gram matrix  g[a][b] = <H z^a, H z^b> / pi^n  one winding-offset
-block at a time; the orthonormal entry is g[a][b] * sqrt(w_a w_b) with the
-integer weights w_a = prod(alpha_k + 1), so diagonal entries are rational while
-off-diagonal entries generally carry a square-root factor.  The arithmetic
-follows the symbol: exact symbols run the kernel on Fractions and keep g
-(Gaussian-rational, Hermitian), float symbols run it on float64.  Callers that
-only need floats pass a float copy of an exact symbol (PolySymbol.as_float).
+covers N plus the symbol degree.  One vectorised kernel computes the scaled
+Gram matrix  g[a][b] = <H z^a, H z^b> / pi^n  one winding-offset block at a
+time from integer factors (_pair_factors); the orthonormal entry is
+g[a][b] * sqrt(w_a w_b) with the integer weights w_a = prod(alpha_k + 1), so
+diagonal entries are rational while off-diagonal entries generally carry a
+square-root factor.  The arithmetic follows the symbol: exact symbols sum the
+factors on reduced integer tables of Python ints (_gram_tables) and keep g
+(Gaussian-rational, Hermitian), float symbols divide them in float64
+(_gram_block).  Callers that only need floats pass a float copy of an exact
+symbol (PolySymbol.as_float).
 
 The compression is stored as sector blocks.  Entry (a, b) vanishes unless
 b - a is a winding offset k_s - k_t of two terms, so the connected components
 of the graph a ~ a + delta on the box (the sectors, see _sectors) index
 diagonal blocks of a permuted matrix with nothing between them.  The spectrum
 is the union of the block spectra; monomial symbols give 1x1 blocks, the
-paper's diagonal case.  The full matrix is built only when a caller reads it.
+paper's diagonal case.  The full matrix is built only when a caller reads it;
+the matrix dump is written row by row from the blocks.
 """
 
 from __future__ import annotations
@@ -204,46 +207,95 @@ def _sectors(trunc: BasisTruncation, offsets: frozenset):
     return tuple(groups), row_start, col_pos
 
 
-def _exact_ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num/den as a Fraction object array: the kernel's factors for exact symbols."""
-    return np.array([Fraction(int(p), int(q)) for p, q in zip(num, den)], dtype=object)
+def _pair_factors(pairs, lo, hi, exact: bool):
+    """Per term pair (s, t) of _gram_block: (c_s, c_t, [(d1, n2, d2) per coordinate j]).
+
+    Over lo_j <= a <= hi_j, with gamma = a + n_sj - m_sj, the integer arrays are
+    d1 = gamma+m_sj+m_tj+1, n2 = [gamma >= 0](gamma+1), d2 = (gamma+m_sj+1)(gamma+m_tj+1),
+    all positive but n2.  They are Python ints (object arrays) on the exact path
+    and where d2 could wrap int64, else int64.
+    """
+    # every factor below is at most top
+    top = max(hi) + 2 * max(max(ns + ms + nt + mt) for _, ns, ms, _, nt, mt in pairs) + 1
+    dtype = object if exact or top * top >= _INT64_LIMIT else np.int64
+    alphas = [np.arange(a, b + 1).astype(dtype) for a, b in zip(lo, hi)]
+    for cs, ns, ms, ct, nt, mt in pairs:
+        factors = []
+        for a, nsj, msj, mtj in zip(alphas, ns, ms, mt):
+            gamma = a + (nsj - msj)
+            d2 = (gamma + msj + 1) * (gamma + mtj + 1)
+            factors.append((gamma + msj + mtj + 1, np.where(gamma >= 0, gamma + 1, 0), d2))
+        yield cs, ct, factors
 
 
-def _gram_block(pairs, lo, hi, exact: bool) -> np.ndarray:
-    """Scaled Gram block <H z^alpha, H z^(alpha+delta)>/pi^n over the box lo <= alpha <= hi.
+def _gram_block(pairs, lo, hi) -> np.ndarray:
+    """Scaled Gram block <H z^alpha, H z^(alpha+delta)>/pi^n over the box lo <= alpha <= hi, as floats.
 
     pairs are the ordered term pairs (s, t) of one winding offset
     delta = k_s - k_t (k = n - m).  With gamma = alpha + k_s = beta + k_t,
     each coordinate j contributes to c_s conj(c_t) times
 
-        first:  2/(a_j+b_j+n_sj+m_sj+n_tj+m_tj+2) = 1/(gamma_j+m_sj+m_tj+1)
+        first:  2/(a_j+b_j+n_sj+m_sj+n_tj+m_tj+2) = 1/(gamma_j+m_sj+m_tj+1) = 1/d1
         second: v_s(alpha) v_t(beta) w(gamma)
-                = (gamma_j+1) / ((gamma_j+m_sj+1)(gamma_j+m_tj+1)),  if gamma >= 0
+                = (gamma_j+1) / ((gamma_j+m_sj+1)(gamma_j+m_tj+1)) = n2/d2,  if gamma >= 0
 
-    and the entry is prod first - prod second.  Exact symbols get Fraction
-    factors and a CRat block; float symbols get float factors, each one
-    correctly rounded integer division, so rationals that cancel exactly (e.g. for
-    holomorphic symbols) cancel exactly here too.  Every pair contributes its
-    scalar coefficient c_s conj(c_t); a slice profile varies with the circle
-    point only through phases that top_eigenvalues applies to whole blocks.
+    and the entry is prod first - prod second.  Each factor is one correctly
+    rounded integer division, so rationals that cancel exactly (e.g. for
+    holomorphic symbols) cancel exactly here too; _gram_tables is the exact
+    form of the same sum.  Every pair contributes its scalar coefficient
+    c_s conj(c_t); a slice profile varies with the circle point only through
+    phases that top_eigenvalues applies to whole blocks.
     """
-    ratio = _exact_ratios if exact else np.true_divide
-    # every factor below is at most top; Python ints (object arrays) where top^2 could wrap int64
-    top = max(hi) + 2 * max(max(ns + ms + nt + mt) for _, ns, ms, _, nt, mt in pairs) + 1
-    alphas = [np.arange(a, b + 1).astype(object if top * top >= _INT64_LIMIT else np.int64) for a, b in zip(lo, hi)]
     block = 0
-    for cs, ns, ms, ct, nt, mt in pairs:
-        first, second = [], []
-        for a, nsj, msj, mtj in zip(alphas, ns, ms, mt):
-            gamma = a + (nsj - msj)
-            first.append(ratio(np.ones_like(gamma), gamma + msj + mtj + 1))
-            second.append(
-                ratio(np.where(gamma >= 0, gamma + 1, 0), (gamma + msj + 1) * (gamma + mtj + 1))
-            )
+    for cs, ct, factors in _pair_factors(pairs, lo, hi, False):
+        first = [np.true_divide(np.ones_like(d1), d1) for d1, _, _ in factors]
+        second = [np.true_divide(n2, d2) for _, n2, d2 in factors]
         outer = reduce(np.multiply.outer, first) - reduce(np.multiply.outer, second)
-        coeff = cs * ct.conjugate() if exact else complex(cs) * complex(ct).conjugate()
-        block = block + coeff * outer
+        block = block + complex(cs) * complex(ct).conjugate() * outer
     return block
+
+
+def _sum_reduced(acc, num, den):
+    """acc[0]/acc[1] + num/den entrywise, in lowest terms: the integer tables' one step."""
+    p, q = acc[0] * den + num * acc[1], acc[1] * den
+    g = np.gcd(p, q)
+    return p // g, q // g
+
+
+def _gram_tables(pairs, lo, hi) -> tuple[np.ndarray, ...]:
+    """_gram_block of exact pairs as reduced integer tables (re_num, re_den, im_num, im_den).
+
+    With the outer products D1, N2, D2 of the factors over the coordinates, a
+    pair contributes c_s conj(c_t) (D2 - N2 D1) / (D1 D2).  Real and imaginary
+    parts are summed over the pairs on common denominators, reduced by their
+    gcd after every pair, so each entry is num/den in lowest terms with den > 0;
+    the arrays hold Python ints, which no product can wrap.
+    """
+    shape = tuple(b - a + 1 for a, b in zip(lo, hi))
+    parts = [(np.zeros(shape, dtype=object), np.ones(shape, dtype=object)) for _ in range(2)]
+    for cs, ct, factors in _pair_factors(pairs, lo, hi, True):
+        d1, n2, d2 = (reduce(np.multiply.outer, f) for f in zip(*factors))
+        num, den = d2 - n2 * d1, d1 * d2
+        c = cs * ct.conjugate()
+        parts = [
+            _sum_reduced(part, num * v.numerator, den * v.denominator) if v else part
+            for part, v in zip(parts, (c.re, c.im))
+        ]
+    (re_num, re_den), (im_num, im_den) = parts
+    return re_num, re_den, im_num, im_den
+
+
+def _crats(re_num, re_den, im_num, im_den) -> list[CRat]:
+    """One CRat per entry of reduced integer tables."""
+    return [CRat(Fraction(a, b), Fraction(c, d)) for a, b, c, d in zip(re_num, re_den, im_num, im_den)]
+
+
+def _complex(re_num, re_den, im_num, im_den) -> np.ndarray:
+    """The complex of reduced integer tables, each part a correctly rounded division, as complex(CRat)."""
+    out = np.empty(np.shape(re_num), dtype=complex)
+    out.real = np.true_divide(re_num, re_den)
+    out.imag = np.true_divide(im_num, im_den)
+    return out
 
 
 def scaled_gram_entry(sym: PolySymbol, alpha, beta):
@@ -254,7 +306,9 @@ def scaled_gram_entry(sym: PolySymbol, alpha, beta):
     pairs = _pair_offsets(sym.terms, sym.terms).get(delta)
     if pairs is None:
         return CR_ZERO if sym.is_exact else 0j
-    return _gram_block(pairs, alpha, alpha, sym.is_exact).item()
+    if sym.is_exact:
+        return _crats(*(t.ravel() for t in _gram_tables(pairs, alpha, alpha)))[0]
+    return _gram_block(pairs, alpha, alpha).item()
 
 
 @dataclass(frozen=True)
@@ -361,8 +415,8 @@ def _symbol_hash(sym: PolySymbol) -> str:
 
 def _kernel_blocks(offsets, trunc: BasisTruncation, row_start, col_pos, exact: bool):
     """(at, rows, cols, block, weighted) per winding offset with a non-empty box: the
-    offset's _gram_block, its orthonormal entries (c * w_a) * w_b and their flat
-    positions in the sector layout of _sectors.
+    offset's _gram_tables if exact, else its _gram_block, its orthonormal entries
+    (c * w_a) * w_b and their flat positions in the sector layout of _sectors.
     """
     w = trunc.weights_sqrt
     for delta, pairs in offsets.items():
@@ -371,22 +425,29 @@ def _kernel_blocks(offsets, trunc: BasisTruncation, row_start, col_pos, exact: b
         if box is None:
             continue
         lo, hi, rows, cols = box
-        block = _gram_block(pairs, lo, hi, exact)
+        if exact:
+            block = _gram_tables(pairs, lo, hi)
+            values = _complex(*block)
+        else:
+            block = values = _gram_block(pairs, lo, hi)
         at = row_start[rows] + col_pos[cols]
-        yield at, rows, cols, block, np.asarray(block, dtype=complex) * w[rows] * w[cols]
+        yield at, rows, cols, block, np.asarray(values, dtype=complex) * w[rows] * w[cols]
 
 
 def assemble(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
     """Assemble the Hermitian compression of H*_psi H_psi as sector blocks.
 
-    One kernel (_gram_block) computes the matrix one winding-offset block at
-    a time, in the arithmetic of the symbol, and each block is scattered
-    straight into the sector blocks: exact symbols also keep the scaled Gram
-    blocks, float symbols leave scaled_blocks as None.  Callers that only need
-    floats pass sym.as_float().  For a unit-coefficient monomial symbol the
-    exact result is diagonal with the closed-form spectrum values on the
-    diagonal.  Coefficients too large for floats leave inf/nan entries in
-    the blocks, which eigenvalues() rejects.
+    One kernel computes the matrix one winding-offset block at a time, in the
+    arithmetic of the symbol, and each block is scattered straight into the
+    sector blocks.  Exact symbols go through reduced integer tables
+    (_gram_tables): their Hermitian symmetry is checked on the tables, the
+    orthonormal blocks take each entry's correctly rounded float value, and
+    scaled_blocks holds one CRat per non-zero entry (CR_ZERO elsewhere).
+    Float symbols run _gram_block and leave scaled_blocks as None; callers that
+    only need floats pass sym.as_float().  For a unit-coefficient monomial
+    symbol the exact result is diagonal with the closed-form spectrum values
+    on the diagonal.  Coefficients too large for floats leave inf/nan entries
+    in the blocks, which eigenvalues() rejects.
     """
     if sym.dim != trunc.dim:
         raise ValueError(f"symbol dim {sym.dim} != truncation dim {trunc.dim}")
@@ -395,18 +456,26 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
     offsets = _pair_offsets(sym.terms, sym.terms)
     groups, row_start, col_pos = _sectors(trunc, frozenset(offsets))
     flat = np.zeros(sum(g.size * g.shape[1] for g in groups), dtype=complex)
-    scaled = np.full(flat.size, CR_ZERO, dtype=object) if exact else None
+    # re_num, re_den, im_num, im_den of every stored entry: 0/1 between the kernel blocks
+    tables = [np.full(flat.size, fill, dtype=object) for fill in (0, 1, 0, 1)] if exact else ()
     written = []
     with np.errstate(over="ignore", invalid="ignore"):
         for at, rows, cols, block, weighted in _kernel_blocks(offsets, trunc, row_start, col_pos, exact):
             flat[at] = weighted
             if exact:
-                scaled[at] = block
+                for table, part in zip(tables, block):
+                    table[at] = part
                 written.append((at.ravel(), (row_start[cols] + col_pos[rows]).ravel()))
-    if written:
-        at, mirror = (np.concatenate(x) for x in zip(*written))
-        if any(b != a.conjugate() for a, b in zip(scaled[at], scaled[mirror])):
-            raise AssertionError("exact assembly lost Hermitian symmetry")  # pragma: no cover
+    scaled = None
+    if exact:
+        if written:
+            at, mirror = (np.concatenate(x) for x in zip(*written))
+            re_num, re_den, im_num, im_den = (t[mirror] for t in tables)
+            if not all(map(np.array_equal, (t[at] for t in tables), (re_num, re_den, -im_num, im_den))):
+                raise AssertionError("exact assembly lost Hermitian symmetry")
+        scaled = np.full(flat.size, CR_ZERO, dtype=object)
+        nonzero = np.flatnonzero((tables[0] != 0) | (tables[2] != 0))
+        scaled[nonzero] = _crats(*(t[nonzero] for t in tables))
     return CompressionMatrix(
         symbol=sym,
         trunc=trunc,
@@ -660,8 +729,10 @@ def weyl_residual(
 
 # -- dump format --------------------------------------------------------------
 # header: "hankel-spectra-matrix v1 dim=<d> N=<n> symbol=<hash> exact=<0|1>"
-# then one row per line; entries "re,im" with float repr (float mode) or
-# "num/den,num/den" (rational mode, scaled Gram entries); size^2 <= MAX_STORED_ENTRIES.
+# then one graded-lex row per line, size cells each; a cell is "re,im" with float
+# repr (float mode) or "num/den,num/den" (rational mode, scaled Gram entries);
+# size^2 <= MAX_STORED_ENTRIES.  The writer forms each row from its sector block:
+# the columns outside the row's sector are runs of the zero cell.
 
 
 def _check_dump_size(size: int, where: str = "") -> None:
@@ -672,6 +743,15 @@ def _check_dump_size(size: int, where: str = "") -> None:
         )
 
 
+def _cell(c) -> str:
+    """One dump cell: "num/den,num/den" for a CRat, float reprs "re,im" for a complex."""
+    if isinstance(c, CRat):
+        # frac_str writes "num/den", integers too: the format is frozen and readers split on "/".
+        # Most cells are the shared CR_ZERO; the identity test spares formatting them.
+        return "0/1,0/1" if c is CR_ZERO or not c else f"{frac_str(c.re)},{frac_str(c.im)}"
+    return f"{c.real!r},{c.imag!r}"
+
+
 def dump_matrix(mat: CompressionMatrix, fileobj) -> None:
     _check_dump_size(mat.size)
     exact = mat.scaled_blocks is not None
@@ -679,22 +759,21 @@ def dump_matrix(mat: CompressionMatrix, fileobj) -> None:
         f"hankel-spectra-matrix v1 dim={mat.trunc.dim} N={mat.trunc.degree_cap} "
         f"symbol={mat.symbol_hash} exact={int(exact)}\n"
     )
-    if exact:
-        # frac_str writes "num/den", integers too: the format is frozen and readers split on "/".
-        # Most cells are the shared CR_ZERO; the identity test spares formatting them.
-        for row in mat.scaled:
-            fileobj.write(
-                " ".join([
-                    "0/1,0/1" if c is CR_ZERO or not c else f"{frac_str(c.re)},{frac_str(c.im)}"
-                    for c in row
-                ])
-                + "\n"
-            )
-    else:
-        for row in mat.dense:
-            fileobj.write(
-                " ".join(f"{float(c.real)!r},{float(c.imag)!r}" for c in row) + "\n"
-            )
+    stacks = mat.scaled_blocks if exact else mat.blocks
+    zero = _cell(CR_ZERO if exact else 0j) + " "
+    # row i of the matrix is row p of block r of group k = group[i], r * s + p = place[i]
+    group, place = np.empty((2, mat.size), dtype=np.intp)
+    for k, g in enumerate(mat.sectors):
+        group[g] = k
+        place[g] = np.arange(g.size).reshape(g.shape)
+    for k, i in zip(group.tolist(), place.tolist()):
+        r, p = divmod(i, mat.sectors[k].shape[1])
+        row, last = [], 0
+        for j, c in zip(mat.sectors[k][r].tolist(), stacks[k][r, p].tolist()):
+            row += (zero * (j - last), _cell(c), " ")
+            last = j + 1
+        row.append(zero * (mat.size - last))
+        fileobj.write("".join(row)[:-1] + "\n")
 
 
 # longer dim= or N= fields could reach int()'s digit limit, whose message names no dump

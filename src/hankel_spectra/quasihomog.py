@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -194,6 +194,11 @@ class QuasiHomogeneousSymbol:
     def dim(self) -> int:
         return self.profile.dim
 
+    @cached_property
+    def squared_modulus(self) -> RadialProfile:
+        """|psi|^2 = |f|^2, formed once per symbol: every qh_eigenvalue call integrates it."""
+        return self.profile.squared_modulus()
+
     @classmethod
     def from_monomial(cls, holo, antiholo) -> "QuasiHomogeneousSymbol":
         """z^n zbar^m = |z|^{n+m} e^{i(n-m).theta}."""
@@ -240,7 +245,7 @@ def qh_eigenvalue(
     shifted = add(alpha, sym.winding)
     norm_a = monomial_norm_sq(alpha)
 
-    first = _ratio(radial_integral(sym.profile.squared_modulus(), scale(alpha, 2), nodes=nodes), norm_a)
+    first = _ratio(radial_integral(sym.squared_modulus, scale(alpha, 2), nodes=nodes), norm_a)
 
     if not is_nonnegative(shifted):
         value = first

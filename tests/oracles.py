@@ -10,8 +10,10 @@ point at a time (``core._lambda_unchecked``) into Fraction buckets, the way
 the package did before it switched to integer tables.  The reference slice
 profile slices psi at every circle sample and solves one compression each,
 the way the package did before it evaluated the profile as a matrix
-trigonometric polynomial in theta.  The torus sup norm is a grid proxy used
-by the Lipschitz check of the profile.
+trigonometric polynomial in theta.  The reference Gram block multiplies
+Fraction factors entry by entry, the way the package's exact kernel did
+before it summed reduced integer tables.  The torus sup norm is a grid proxy
+used by the Lipschitz check of the profile.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -155,6 +158,34 @@ def reference_records(sym: MonomialSymbol, alpha_cap: int) -> tuple[EigenRecord,
         is_lp = v == 0 or any(p.subset != full for p in prov)
         records.append(EigenRecord(v, prov, is_eig, is_lp, eigen_mult if is_eig else None))
     return tuple(records)
+
+
+def _exact_ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num/den as a Fraction object array."""
+    return np.array([Fraction(int(p), int(q)) for p, q in zip(num, den)], dtype=object)
+
+
+def reference_gram_block(pairs, lo, hi) -> np.ndarray:
+    """CRat object array of the scaled Gram block that galerkin._gram_tables gives for
+    the same term pairs of one winding offset over the box lo <= alpha <= hi.
+
+    Per coordinate j, with gamma = alpha_j + n_sj - m_sj, the pair contributes
+    c_s conj(c_t) times prod 1/(gamma+m_sj+m_tj+1) minus
+    prod [gamma >= 0](gamma+1)/((gamma+m_sj+1)(gamma+m_tj+1)), formed as Fractions.
+    """
+    alphas = [np.arange(a, b + 1).astype(object) for a, b in zip(lo, hi)]
+    block = 0
+    for cs, ns, ms, ct, nt, mt in pairs:
+        first, second = [], []
+        for a, nsj, msj, mtj in zip(alphas, ns, ms, mt):
+            gamma = a + (nsj - msj)
+            first.append(_exact_ratios(np.ones_like(gamma), gamma + msj + mtj + 1))
+            second.append(
+                _exact_ratios(np.where(gamma >= 0, gamma + 1, 0), (gamma + msj + 1) * (gamma + mtj + 1))
+            )
+        outer = reduce(np.multiply.outer, first) - reduce(np.multiply.outer, second)
+        block = block + cs * ct.conjugate() * outer
+    return block
 
 
 def reference_profile_values(sym, coord: int, num_samples: int, trunc: BasisTruncation) -> list[float]:

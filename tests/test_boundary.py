@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hankel_spectra import (
@@ -424,6 +424,22 @@ def test_product_prediction_unimodular_chi():
     assert np.allclose(got, want, atol=1e-12)
 
 
+def test_product_prediction_scales_a_one_term_phi():
+    # c * z^n zbar^m is enumerated like z^n zbar^m, its values |c|^2 times, rounded once
+    chi, trunc = parse_symbol("zb1"), BasisTruncation(4, 1)
+    spec = enumerate_spectrum(MonomialSymbol((0,), (2,)), 4)
+    for phi, scale in (("zb1^2", 1), ("2*zb1^2", 4), ("(1/3+i)*zb1^2", Fraction(10, 9))):
+        pred = product_essential_prediction(parse_symbol(phi), chi, 64, trunc)
+        assert not pred.intervals
+        assert {p.source for p in pred.points} == {"exact-monomial(cap=4)"}
+        assert sorted(p.value for p in pred.points) == sorted({float(v * scale) for v in spec.values()})
+    float_phi = parse_symbol("zb1^2").as_float() * (0.6 - 0.8j)  # |c| = 1 up to rounding
+    pred = product_essential_prediction(float_phi, chi, 64, trunc)
+    assert np.allclose(sorted(p.value for p in pred.points), sorted(set(spec.floats())), rtol=1e-15, atol=0)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        product_essential_prediction(parse_symbol("10^200*zb1^2"), chi, 64, trunc)
+
+
 def test_product_prediction_holomorphic_phi():
     pred = product_essential_prediction(
         parse_symbol("z1^2"), parse_symbol("zb1+1"), 64, BasisTruncation(3, 1)
@@ -531,6 +547,8 @@ _factor_terms = st.lists(st.tuples(_gaussian, st.integers(0, 2), st.integers(0, 
 # (-2+4i)*z1*zb1*zb2^2 + (1-2i)*z1*z2^2*zb1: with an absolute point floor its
 # intervals turned into points at 2^-20
 @example([(CRat(1), 1, 1)], [(CRat(-2, 4), 0, 2), (CRat(1, -2), 2, 0)], None, -20)
+# phi = zb1 was enumerated and 2*zb1 compressed, so the scaled prediction changed route
+@example([(CRat(1), 0, 1)], [(CRat(1), 0, 1), (CRat(1), 0, 0)], None, 1)
 def test_point_matching_is_invariant_under_power_of_two_scaling(phi, chi, nudge, k):
     sym = PolySymbol([(c, (h, 0), (a, 0)) for c, h, a in phi], dim=2) * PolySymbol(
         [(c, (0, h), (0, a)) for c, h, a in chi], dim=2
@@ -544,8 +562,8 @@ def test_point_matching_is_invariant_under_power_of_two_scaling(phi, chi, nudge,
     def sources(obj):
         return sorted(e["source"] for part in obj["prediction"].values() for e in part)
 
-    # a phi with coefficient exactly 1 is enumerated, any other one compressed
-    assume(sources(scaled) == sources(base))
+    # a one-term phi is enumerated whatever its coefficient, so scaling keeps every route
+    assert sources(scaled) == sources(base)
     b, s = base["containment"], scaled["containment"]
     unit = 4.0**k * b["tol"] / 1e-9  # |c|^2 of the scaled symbol
     assert s["tol"] == b["tol"] * 4.0**k

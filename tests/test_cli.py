@@ -335,7 +335,7 @@ def test_float_commands_skip_exact_assembly(capsys, monkeypatch, tmp_path):
     def refuse(*args):
         raise AssertionError("Gaussian-rational assembly entered")
 
-    monkeypatch.setattr(galerkin_mod, "_exact_ratios", refuse)
+    monkeypatch.setattr(galerkin_mod, "_gram_tables", refuse)
     code, without_dump = run_cli(capsys, *approx)
     assert code == 0 and without_dump == with_dump
     assert json.loads(without_dump)["exactness"] == "rational"

@@ -6,8 +6,12 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hankel_spectra import (
     BasisTruncation,
@@ -23,7 +27,8 @@ from hankel_spectra import (
 )
 from hankel_spectra.galerkin import dump_matrix, load_matrix, scaled_gram_entry
 from hankel_spectra.rational import CR_ZERO, CRat
-from oracles import hankel_entry_oracle
+from hankel_spectra.symbols import PolySymbol
+from oracles import hankel_entry_oracle, reference_gram_block
 
 
 def test_truncation_ordering_is_graded_lex():
@@ -483,3 +488,147 @@ def test_load_matrix_rejects_a_short_row():
     dump = "hankel-spectra-matrix v1 dim=1 N=1 symbol=x exact=0\n0.5,0.0 0.0,0.0\n0.0,0.0\n"
     with pytest.raises(ValueError, match="row 1: expected 2 entries, got 1"):
         load_matrix(io.StringIO(dump))
+
+
+_gaussian_rational = st.builds(
+    lambda a, b, c, d: CRat(Fraction(a, b), Fraction(c, d)),
+    st.integers(-8, 8), st.integers(1, 8), st.integers(-8, 8), st.integers(1, 8),
+)
+
+
+@st.composite
+def _exact_symbols(draw):
+    dim = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 3)] * dim)
+    terms = draw(st.lists(st.tuples(_gaussian_rational, exponents, exponents), min_size=1, max_size=3))
+    return PolySymbol(terms, dim=dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_symbols(), st.integers(0, 3))
+@example(parse_symbol("zb1*z2^3100000000"), 1)  # its factor products pass int64
+def test_gram_tables_match_the_fraction_oracle(sym, n_cap):
+    from hankel_spectra.galerkin import _gram_tables, _offset_block, _pair_offsets
+
+    trunc = BasisTruncation(n_cap, sym.dim)
+    w = trunc.weights_sqrt
+    want = np.zeros((trunc.size, trunc.size), dtype=complex)
+    want_scaled = np.full((trunc.size, trunc.size), CR_ZERO, dtype=object)
+    for delta, pairs in _pair_offsets(sym.terms, sym.terms).items():
+        box = _offset_block(trunc, delta)
+        if box is None:
+            continue
+        lo, hi, rows, cols = box
+        oracle = reference_gram_block(pairs, lo, hi)
+        got = list(zip(*(t.ravel() for t in _gram_tables(pairs, lo, hi))))
+        assert got == [(c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator) for c in oracle.ravel()]
+        want[rows, cols] = np.asarray(oracle, dtype=complex) * w[rows] * w[cols]
+        want_scaled[rows, cols] = oracle
+    mat = assemble(sym, trunc)
+    for g, b, sb in zip(mat.sectors, mat.blocks, mat.scaled_blocks):
+        assert b.tobytes() == want[g[:, :, None], g[:, None, :]].tobytes()
+        assert np.array_equal(sb, want_scaled[g[:, :, None], g[:, None, :]])
+        assert all(c is CR_ZERO for c in sb.ravel() if not c)
+
+
+def test_huge_exponent_dump_holds_the_closed_form_diagonal(capsys, tmp_path):
+    from hankel_spectra.cli import main
+
+    path = tmp_path / "mat.txt"
+    assert main(["approx", "zb1*z2^3100000000", "--degree", "1", "--dump-matrix", str(path)]) == 0
+    capsys.readouterr()
+    with open(path) as fh:
+        back = load_matrix(fh)
+    want = [lambda_value((0, 3_100_000_000), (1, 0), alpha, {1, 2}) for alpha in back.trunc.indices]
+    assert back.exact_diagonal() == want
+
+
+def test_exact_assembly_checks_hermitian_symmetry_on_the_tables(monkeypatch):
+    import hankel_spectra.galerkin as galerkin
+
+    original = galerkin._gram_tables
+
+    def corrupted(pairs, lo, hi):
+        re_num, re_den, im_num, im_den = original(pairs, lo, hi)
+        im_num.flat[0] += im_den.flat[0]  # one entry's imaginary part moves by 1
+        return re_num, re_den, im_num, im_den
+
+    monkeypatch.setattr(galerkin, "_gram_tables", corrupted)
+    for expr in ("zb1*zb2", "(1/2+i)*zb1*(zb2+1) - 3/4*z1*zb2"):
+        with pytest.raises(AssertionError, match="lost Hermitian symmetry"):
+            assemble(parse_symbol(expr), BasisTruncation(3, 2))
+
+
+# sha256 of approx --dump-matrix files, recorded before the writer read the sector blocks
+DUMP_DIGESTS = {
+    "exact-unequal-sectors": (
+        ["approx", "(1/3-2/7*i)*zb1^2*z2 + (5/8+i)*z1*zb2^3 - 2*zb1*zb2", "--degree", "5"],
+        "92f2fabe8775ff367eaedc889171dc7d860cbbc443e86a81c426880e69b7abc2",
+    ),
+    "float-json": (
+        ["approx", json.dumps({"dim": 2, "terms": [
+            {"coeff": [0.3, -0.7], "holo": [1, 0], "antiholo": [0, 2]},
+            {"coeff": [-1.25, 0.5], "holo": [0, 0], "antiholo": [1, 1]},
+        ]}), "--degree", "5"],
+        "2b82f03f6abbd255f327c9290d9431abdfe4a04d53fc956c33b6bbd7de1dd859",
+    ),
+    "exact-dim3": (
+        ["approx", "zb1*zb2*zb3 + 1/2*z1*zb3^2 + i*zb2", "--degree", "3"],
+        "fd43b18ce4c8e16c833eba6a8ac34cd5ede8dc335c8cf85d387cffe1f559678e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUMP_DIGESTS))
+def test_dump_digest(capsys, tmp_path, name):
+    from hankel_spectra.cli import main
+
+    argv, digest = DUMP_DIGESTS[name]
+    path = tmp_path / "mat.txt"
+    assert main([*argv, "--dump-matrix", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_dump_matrix_reads_the_sector_blocks(monkeypatch):
+    from hankel_spectra.galerkin import CompressionMatrix
+
+    cases = [
+        ("(1/2+i)*zb1*(zb2+1) - 3/4*z1*zb2", 4),
+        ("(1/3-2/7*i)*zb1^2*z2 + (5/8+i)*z1*zb2^3 - 2*zb1*zb2", 3),
+        ("zb1*zb2*zb3 + 1/2*z1*zb3^2 + i*zb2", 2),
+        ("zb1 + zb1^2", 3),  # one sector spans the basis
+    ]
+    syms = [parse_symbol(expr) for expr, _ in cases]
+    syms += [sym.as_float() * (0.3 - 0.1j) for sym in syms]
+
+    def header(m):
+        return (f"hankel-spectra-matrix v1 dim={m.trunc.dim} N={m.trunc.degree_cap} "
+                f"symbol={m.symbol_hash} exact={int(m.scaled is not None)}\n")
+
+    def per_cell(m):  # every cell of the full matrix formatted on its own
+        if m.scaled is not None:
+            rows = [[f"{c.re.numerator}/{c.re.denominator},{c.im.numerator}/{c.im.denominator}" for c in row]
+                    for row in m.scaled]
+        else:
+            rows = [[f"{float(c.real)!r},{float(c.imag)!r}" for c in row] for row in m.dense]
+        return header(m) + "".join(" ".join(row) + "\n" for row in rows)
+
+    truncs = [BasisTruncation(n, sym.dim) for sym, (_, n) in zip(syms, cases * 2)]
+    mats = [assemble(sym, trunc) for sym, trunc in zip(syms, truncs)]
+    want = [per_cell(m) for m in mats]
+    want += [per_cell(load_matrix(io.StringIO(text))) for text in want]
+    assert any("-0.0" in text for text in want)  # signed zeros inside the blocks are kept
+
+    def no_full_matrix(*args):
+        raise AssertionError("dump_matrix built the full matrix")
+
+    monkeypatch.setattr(CompressionMatrix, "_graded_lex", no_full_matrix)
+    fresh = [assemble(sym, trunc) for sym, trunc in zip(syms, truncs)]
+    fresh += [load_matrix(io.StringIO(text)) for text in want[:len(syms)]]
+    got = []
+    for m in fresh:
+        buf = io.StringIO()
+        dump_matrix(m, buf)
+        got.append(buf.getvalue())
+    assert got == want
