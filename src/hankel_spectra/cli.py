@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 from .boundary import (
@@ -105,38 +106,71 @@ def _json_bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-# One provenance entry and one record as json.dumps(..., indent=2) lays them out
-# inside the exact document ("spectrum" -> "records" -> [...] -> "provenance").
-_PROVENANCE_JSON = '{\n            "B": %s,\n            "alpha": %s\n          }'
-_RECORD_JSON = (
-    '{\n        %s"is_eigenvalue": %s,\n        "is_limit_point": %s,\n        "multiplicity": %s,\n'
-    '        "provenance": %s,\n        "value": "%s",\n        "value_float": %r\n      }'
+# A record of the exact document ("spectrum" or "essential" -> "records" -> [...])
+# as json.dumps(..., indent=2) lays it out: a head up to "provenance", the
+# provenance list, and a tail from "value" on.
+_RECORD_HEAD = (
+    '{\n        %s"is_eigenvalue": %s,\n        "is_limit_point": %s,\n'
+    '        "multiplicity": %s,\n        "provenance": '
 )
+_RECORD_TAIL = ',\n        "value": "%s",\n        "value_float": %s\n      }'
+_PROVENANCE = '{\n            "B": %s,\n            "alpha": %s\n          }'
+_PROVENANCE_SEP = ",\n          "
 
 
-def _spectrum_json(spec: SpectrumSet, in_essential: frozenset | None, prov_cache: dict) -> str:
-    """A SpectrumSet as a value of the top-level object: to_json_obj's schema, plus in_essential if given."""
+class _Templates(dict):
+    """(B, len(alpha)) -> a provenance entry with B rendered and one %d per alpha entry."""
+
+    def __missing__(self, key):
+        subset, width = key
+        text = self[key] = _PROVENANCE % (
+            _json_list([str(k) for k in sorted(subset)], 12), _json_list(["%d"] * width, 12)
+        )
+        return text
+
+
+class _Heads(dict):
+    """(in_essential, is_eigenvalue, is_limit_point, multiplicity) -> a record head."""
+
+    def __missing__(self, key):
+        in_essential, is_eigenvalue, is_limit_point, multiplicity = key
+        text = self[key] = _RECORD_HEAD % (
+            "" if in_essential is None else f'"in_essential": {_json_bool(in_essential)},\n        ',
+            _json_bool(is_eigenvalue),
+            _json_bool(is_limit_point),
+            f'"{multiplicity.value}"' if multiplicity else "null",
+        )
+        return text
+
+
+def _spectrum_json(
+    spec: SpectrumSet, essential_texts: set | None, templates: _Templates, heads: _Heads, values: dict
+) -> str:
+    """A SpectrumSet as a value of the top-level object: to_json_obj's schema, plus
+    in_essential when essential_texts, the essential records' value texts, is given.
+
+    A provenance entry is its (B, len(alpha)) template %-formatted with alpha; a
+    record is a head, its entries and a tail.  The caches are the caller's, one
+    set per document: values maps id(value) to the value's frac_str text and
+    tail, so a Fraction the essential and spectrum records share is rendered
+    once.  in_essential compares texts: frac_str is injective on reduced
+    Fractions, so it agrees with comparing values and hashes no Fraction.
+    """
     records = []
     for r in spec.records:
-        prov = []
-        for p in r.provenance:
-            text = prov_cache.get(p)
-            if text is None:
-                text = prov_cache[p] = _PROVENANCE_JSON % (
-                    _json_list([str(k) for k in sorted(p.subset)], 12),
-                    _json_list([str(a) for a in p.alpha], 12),
-                )
-            prov.append(text)
-        flag = "" if in_essential is None else f'"in_essential": {_json_bool(r.value in in_essential)},\n        '
-        records.append(_RECORD_JSON % (
-            flag,
-            _json_bool(r.is_eigenvalue),
-            _json_bool(r.is_limit_point),
-            f'"{r.multiplicity.value}"' if r.multiplicity else "null",
-            _json_list(prov, 8),
-            frac_str(r.value),
-            float(r.value),
-        ))
+        # keyed by id: the caller's records hold every value for the whole call
+        texts = values.get(id(r.value))
+        if texts is None:
+            text = frac_str(r.value)
+            texts = values[id(r.value)] = (text, _RECORD_TAIL % (text, repr(float(r.value))))
+        text, tail = texts
+        in_essential = None if essential_texts is None else text in essential_texts
+        head = heads[in_essential, r.is_eigenvalue, r.is_limit_point, r.multiplicity]
+        if r.provenance:
+            entries = _PROVENANCE_SEP.join([templates[subset, len(alpha)] % alpha for alpha, subset in r.provenance])
+            records.append(f"{head}[\n          {entries}\n        ]{tail}")
+        else:
+            records.append(f"{head}[]{tail}")
     return _json_object(
         (
             ("alpha_cap", str(spec.alpha_cap)),
@@ -152,17 +186,19 @@ def _spectrum_json(spec: SpectrumSet, in_essential: frozenset | None, prov_cache
 
 def _exact_json(symbol: str, mono: MonomialSymbol, alpha_cap: int, spectrum: SpectrumSet, essential: SpectrumSet) -> str:
     """The exact command's JSON, byte for byte json.dumps(obj, sort_keys=True, indent=2)."""
-    prov_cache: dict = {}  # the essential records reuse the spectrum's provenance
+    templates, heads, values = _Templates(), _Heads(), {}  # this document's: nothing is kept between calls
+    essential_json = _spectrum_json(essential, None, templates, heads, values)
+    essential_texts = {values[id(r.value)][0] for r in essential.records}
     return _json_object(
         (
             ("alpha_cap", str(alpha_cap)),
             ("command", '"exact"'),
             ("dim", str(mono.dim)),
-            ("essential", _spectrum_json(essential, None, prov_cache)),
+            ("essential", essential_json),
             ("m", _json_list([str(x) for x in mono.antiholo], 2)),
             ("multiplicity_class", f'"{multiplicity_class(mono).value}"'),
             ("n", _json_list([str(x) for x in mono.holo], 2)),
-            ("spectrum", _spectrum_json(spectrum, essential.value_set(), prov_cache)),
+            ("spectrum", _spectrum_json(spectrum, essential_texts, templates, heads, values)),
             ("symbol", json.dumps(symbol)),
         ),
         0,
@@ -188,8 +224,10 @@ def cmd_exact(args) -> int:
         _emit(_spectrum_csv(spec_obj), args.out)
     else:
         # json.dumps with indent runs CPython's pure-Python encoder, one call per
-        # value of a document that holds thousands of provenance entries; a
-        # writer that knows the schema emits the same bytes several times faster
+        # value of a document that holds thousands of provenance entries.  The
+        # writer knows the schema: each entry is one %-format of a template per
+        # (B, len(alpha)), each record a cached head plus its value's texts, and
+        # in_essential is looked up by value text, so no Fraction is hashed
         _emit(_exact_json(sym.to_expression(), mono, args.cap, spectrum, essential), args.out)
     return 0
 
@@ -333,6 +371,28 @@ def cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
+_SYMBOL_COMMANDS = ("exact", "approx", "boundary")
+# "-", then what a term can start with, and not a negative number (argparse
+# takes those as positionals already)
+_DASHED_SYMBOL = re.compile(r"-(?!\d+$|\d*\.\d+$)[zi\d(]")
+
+
+def _dashed_symbols_last(argv: list[str]) -> list[str]:
+    """argv with symbol texts that start with "-" moved behind a "--".
+
+    argparse reads "-zb1*zb2", which PolySymbol.to_expression writes, as an
+    unknown option.  After "--" every token is a positional; -h, the "--"
+    flags and any other "-x" are left where they are, and so is an argv that
+    has its own "--".
+    """
+    if not argv or argv[0] not in _SYMBOL_COMMANDS or "--" in argv:
+        return argv
+    dashed = [a for a in argv[1:] if _DASHED_SYMBOL.match(a)]
+    if not dashed:
+        return argv
+    return [a for a in argv if not _DASHED_SYMBOL.match(a)] + ["--"] + dashed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hankel-spectra",
@@ -352,9 +412,9 @@ def _build_parser() -> argparse.ArgumentParser:
     }
 
     # each subcommand registers only the flags it reads
-    def command(name, func, help, *flags, symbol=True):
+    def command(name, func, help, *flags):
         p = sub.add_parser(name, help=help)
-        if symbol:
+        if name in _SYMBOL_COMMANDS:
             p.add_argument("symbol")
         for flag in flags:
             p.add_argument(flag, **options[flag])
@@ -369,14 +429,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "boundary", cmd_boundary, "slice norms and essential-set prediction",
         "--degree", "--dim", "--samples", "--format", "--out", "--coord",
     )
-    command("verify", cmd_verify, "run cross-engine verification suites", "--suite", "--out", symbol=False)
+    command("verify", cmd_verify, "run cross-engine verification suites", "--suite", "--out")
 
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_dashed_symbols_last(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -22,10 +22,14 @@ class CRat:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Rational = 0, im: Rational = 0):
-        if not (_is_rat(re) and _is_rat(im)):
-            raise TypeError(f"CRat parts must be rational, got {re!r}, {im!r}")
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # parts that are exactly Fractions are kept as they are (they are
+        # immutable); only others pay for the abc check and the conversion
+        if type(re) is not Fraction or type(im) is not Fraction:
+            if not (_is_rat(re) and _is_rat(im)):
+                raise TypeError(f"CRat parts must be rational, got {re!r}, {im!r}")
+            re, im = Fraction(re), Fraction(im)
+        self.re = re
+        self.im = im
 
     # -- predicates ---------------------------------------------------------
 

@@ -520,7 +520,7 @@ def test_prediction_has_one_truncation():
 def _boundary_json(symbol, *options) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["boundary", *options, "--", symbol]) == 0  # "--": the symbol may start with "-"
+        assert main(["boundary", symbol, *options]) == 0  # the symbol may start with "-"
     return json.loads(out.getvalue())
 
 

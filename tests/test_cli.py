@@ -1,9 +1,11 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import re
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from hankel_spectra import core
 from hankel_spectra.cli import _build_parser, _exact_json, main
+from hankel_spectra.symbols import parse_symbol
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +57,35 @@ def test_exact_two_variable_quarter(capsys):
     rec = next(r for r in obj["spectrum"]["records"] if r["value"] == "1/4")
     assert rec["provenance"] == [{"alpha": [0, 0], "B": [1, 2]}]
     assert rec["in_essential"] is False
+
+
+# sha256 of the exact JSON at sizes where every subset B and both cases of
+# lambda recur thousands of times; recorded before the writer rendered
+# provenance from per-subset templates
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        pytest.param(
+            ["exact", "zb1*z2*zb2^2", "--cap", "40"],
+            "bce44c22377081ac1105a296c596a01e0ee715f0f1d0fd0e24aeb1d40f8b664f",
+            id="dim2-finite-cap40",
+        ),
+        pytest.param(
+            ["exact", "z1*zb1^2*zb2*zb3^3", "--cap", "12"],
+            "37f53d63a24c3fc2fb8a2d603b78a779b89ffa3919aa3b25a04d90283c411fae",
+            id="dim3-finite-cap12",
+        ),
+        pytest.param(
+            ["exact", "zb1*zb2^2", "--dim", "3", "--cap", "12"],
+            "ad2fb0de80f6bdda754f13b505abb8a7e8765bc5f9d65201777e213b523b976b",
+            id="dim3-all-infinite-cap12",
+        ),
+    ],
+)
+def test_exact_digest(capsys, argv, digest):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_exact_rejects_polynomials(capsys):
@@ -223,6 +255,47 @@ def test_usage_error_exit_codes(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["-zb1*zb2", "-1/2*zb1*zb2^2", "-i*zb1*zb2", "-2*z1*zb1*zb2^3", "(-2+i)*zb1*zb2 - z1"],
+)
+def test_printed_symbols_with_a_negative_leading_coefficient_pass_back(capsys, source):
+    text = parse_symbol(source).to_expression()
+    assert text.startswith("-")
+    for argv in (
+        ["boundary", text, "--coord", "2", "--degree", "2", "--samples", "8"],
+        ["approx", "--degree", "2", text],
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["symbol"] == text
+    # exact reads it too, and refuses it as a symbol, not as an option
+    assert main(["exact", text, "--cap", "2"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {text!r} is not a single unit-coefficient monomial")
+
+
+def test_dashed_symbols_leave_the_usage_errors_as_they_were(capsys):
+    # -h, unknown flags and a missing symbol keep argparse's messages and exit codes
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "-h"])
+    assert exc.value.code == 0 and "usage: hankel-spectra exact" in capsys.readouterr().out
+    for argv, message in (
+        (["exact"], "the following arguments are required: symbol"),
+        (["exact", "-x"], "the following arguments are required: symbol"),
+        (["exact", "zb1", "--bogus"], "unrecognized arguments: --bogus"),
+        (["exact", "zb1", "-x"], "unrecognized arguments: -x"),
+        (["exact", "zb1", "-zb2"], "unrecognized arguments: -zb2"),
+        (["exact", "--cap", "-zb1"], "argument --cap: expected one argument"),
+        (["verify", "-zb1"], "unrecognized arguments: -zb1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n"), argv
+    # a negative number was a positional already, also as an option's value
+    assert main(["exact", "zb1", "--dim", "-2"]) == 2
+    assert capsys.readouterr().err == "error: dim -2 smaller than highest coordinate 1\n"
 
 
 def test_readme_flags_sentence_names_every_option():
@@ -570,7 +643,9 @@ def _reference_exact_json(symbol, mono, cap, spectrum, essential) -> str:
 @st.composite
 def _spectra(draw):
     """(mono, cap, spectrum, essential): enumerated for small monomials of all
-    three classes, or drawn record by record (empty record lists included)."""
+    three classes, or drawn record by record (empty record lists included; the
+    alphas of one spectrum may differ in length, and an essential record may
+    hold an equal copy of its spectrum value)."""
     dim = draw(st.integers(1, 3))
     n = draw(st.tuples(*[st.integers(0, 3)] * dim))
     m = draw(st.tuples(*[st.integers(0, 3)] * dim))
@@ -578,7 +653,7 @@ def _spectra(draw):
     if draw(st.booleans()):
         spectrum = core.enumerate_spectrum(mono, cap)
         return mono, cap, spectrum, core.essential_part(mono, spectrum)
-    alphas = st.tuples(*[st.integers(0, 10**6)] * dim)
+    alphas = st.integers(1, 3).flatmap(lambda k: st.tuples(*[st.integers(0, 10**6)] * k))
     subsets = st.sets(st.integers(1, dim), min_size=1).map(frozenset)
     records = draw(st.lists(
         st.builds(
@@ -594,9 +669,19 @@ def _spectra(draw):
     ))
     notes = st.one_of(st.none(), st.just("zero operator: holomorphic symbol, essential spectrum is {0}"), st.text())
     spectrum = core.SpectrumSet(tuple(records), cap, draw(st.booleans()), draw(st.booleans()), "spectrum")
-    kept = tuple(r for r in records if draw(st.booleans()))
+    kept = tuple(
+        replace(r, value=_equal_copy(r.value)) if draw(st.booleans()) else r
+        for r in records
+        if draw(st.booleans())
+    )
     essential = core.SpectrumSet(kept, cap, True, draw(st.booleans()), "essential", draw(notes))
     return mono, cap, spectrum, essential
+
+
+def _equal_copy(value: Fraction) -> Fraction:
+    copy = Fraction(value.numerator, value.denominator)
+    assert copy == value and copy is not value
+    return copy
 
 
 @settings(max_examples=150, deadline=None)
@@ -607,3 +692,33 @@ def test_exact_writer_matches_json_dumps(drawn, symbol):
         symbol, mono, cap, spectrum, essential
     )
 
+
+def test_exact_writer_keeps_nothing_between_documents():
+    # B = {1} recurs at every dim: its provenance template must follow len(alpha)
+    # from one document to the next, and within one
+    for n, m, cap in [
+        ((0,), (2,), 6), ((1, 0), (0, 2), 4), ((0, 1, 0), (1, 0, 2), 2),
+        ((0,), (1,), 3), ((0, 0, 0), (0, 1, 1), 2), ((2, 0), (3, 0), 5), ((1,), (1,), 4),
+    ]:
+        mono = core.MonomialSymbol(n, m)
+        spectrum = core.enumerate_spectrum(mono, cap)
+        essential = core.essential_part(mono, spectrum)
+        assert _exact_json("s", mono, cap, spectrum, essential) == _reference_exact_json(
+            "s", mono, cap, spectrum, essential
+        )
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    records = (
+        core.EigenRecord(third, (core.Provenance((10**6,), frozenset({1})),), True, False, None),
+        core.EigenRecord(half, (
+            core.Provenance((999_999, 7), frozenset({1})),
+            core.Provenance((0, 10**6, 3), frozenset({1, 3})),
+            core.Provenance((10**6,), frozenset({1})),
+        ), True, True, core.MultiplicityClass.FINITE),
+    )
+    mono = core.MonomialSymbol((0, 0, 0), (1, 1, 1))
+    spectrum = core.SpectrumSet(records, 3, True, True, "spectrum")
+    # in_essential compares values: an equal copy of 1/2 counts, 1/3 is absent
+    essential = core.SpectrumSet((replace(records[1], value=_equal_copy(half)),), 3, True, True, "essential")
+    text = _exact_json("s", mono, 3, spectrum, essential)
+    assert text == _reference_exact_json("s", mono, 3, spectrum, essential)
+    assert [r["in_essential"] for r in json.loads(text)["spectrum"]["records"]] == [False, True]
