@@ -62,32 +62,6 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _spectrum_csv(spec_obj: dict) -> str:
-    rows = []
-    for rec in spec_obj["records"]:
-        prov = ";".join(
-            "alpha=({}) B=({})".format(
-                ",".join(map(str, p["alpha"])), ",".join(map(str, p["B"]))
-            )
-            for p in rec["provenance"]
-        )
-        rows.append(
-            [
-                rec["value"],
-                repr(rec["value_float"]),
-                rec["is_eigenvalue"],
-                rec["is_limit_point"],
-                rec["multiplicity"] or "",
-                rec.get("in_essential", ""),
-                prov,
-            ]
-        )
-    return _csv_text(
-        ["value", "value_float", "is_eigenvalue", "is_limit_point", "multiplicity", "in_essential", "provenance"],
-        rows,
-    )
-
-
 def _json_list(items: list[str], indent: int) -> str:
     """A list laid out as json.dumps(..., indent=2) does; items are rendered for indent + 2."""
     if not items:
@@ -107,25 +81,29 @@ def _json_bool(flag: bool) -> str:
 
 
 # A record of the exact document ("spectrum" or "essential" -> "records" -> [...])
-# as json.dumps(..., indent=2) lays it out: a head up to "provenance", the
-# provenance list, and a tail from "value" on.
+# as json.dumps(..., indent=2) lays it out: a head up to "provenance", then the
+# provenance list and the value's two fields.
 _RECORD_HEAD = (
     '{\n        %s"is_eigenvalue": %s,\n        "is_limit_point": %s,\n'
     '        "multiplicity": %s,\n        "provenance": '
 )
-_RECORD_TAIL = ',\n        "value": "%s",\n        "value_float": %s\n      }'
 _PROVENANCE = '{\n            "B": %s,\n            "alpha": %s\n          }'
 _PROVENANCE_SEP = ",\n          "
 
 
 class _Templates(dict):
-    """(B, len(alpha)) -> a provenance entry with B rendered and one %d per alpha entry."""
+    """(B, len(alpha)) -> a provenance entry with B rendered and one %d per alpha entry.
+
+    layout(B_texts, alpha_texts) lays an entry out in the document's format.
+    """
+
+    def __init__(self, layout):
+        super().__init__()
+        self.layout = layout
 
     def __missing__(self, key):
         subset, width = key
-        text = self[key] = _PROVENANCE % (
-            _json_list([str(k) for k in sorted(subset)], 12), _json_list(["%d"] * width, 12)
-        )
+        text = self[key] = self.layout([str(k) for k in sorted(subset)], ["%d"] * width)
         return text
 
 
@@ -143,34 +121,32 @@ class _Heads(dict):
         return text
 
 
+def _value_texts(values: dict, value) -> tuple[str, str]:
+    """(frac_str, float repr) of value, cached in values by id(value)."""
+    # keyed by id: the caller's records hold every value for the whole call
+    texts = values.get(id(value))
+    if texts is None:
+        texts = values[id(value)] = (frac_str(value), repr(float(value)))
+    return texts
+
+
 def _spectrum_json(
     spec: SpectrumSet, essential_texts: set | None, templates: _Templates, heads: _Heads, values: dict
 ) -> str:
-    """A SpectrumSet as a value of the top-level object: to_json_obj's schema, plus
-    in_essential when essential_texts, the essential records' value texts, is given.
+    """A SpectrumSet as a value of the exact document's top-level object ("spectrum"
+    or "essential"), plus in_essential when essential_texts is given.
 
-    A provenance entry is its (B, len(alpha)) template %-formatted with alpha; a
-    record is a head, its entries and a tail.  The caches are the caller's, one
-    set per document: values maps id(value) to the value's frac_str text and
-    tail, so a Fraction the essential and spectrum records share is rendered
-    once.  in_essential compares texts: frac_str is injective on reduced
-    Fractions, so it agrees with comparing values and hashes no Fraction.
+    A record is its cached head, its provenance entries and its value's texts.
+    The caches are the caller's, one set per document.
     """
     records = []
     for r in spec.records:
-        # keyed by id: the caller's records hold every value for the whole call
-        texts = values.get(id(r.value))
-        if texts is None:
-            text = frac_str(r.value)
-            texts = values[id(r.value)] = (text, _RECORD_TAIL % (text, repr(float(r.value))))
-        text, tail = texts
+        text, float_text = _value_texts(values, r.value)
         in_essential = None if essential_texts is None else text in essential_texts
         head = heads[in_essential, r.is_eigenvalue, r.is_limit_point, r.multiplicity]
-        if r.provenance:
-            entries = _PROVENANCE_SEP.join([templates[subset, len(alpha)] % alpha for alpha, subset in r.provenance])
-            records.append(f"{head}[\n          {entries}\n        ]{tail}")
-        else:
-            records.append(f"{head}[]{tail}")
+        entries = _PROVENANCE_SEP.join([templates[subset, len(alpha)] % alpha for alpha, subset in r.provenance])
+        provenance = f"[\n          {entries}\n        ]" if entries else "[]"
+        records.append(f'{head}{provenance},\n        "value": "{text}",\n        "value_float": {float_text}\n      }}')
     return _json_object(
         (
             ("alpha_cap", str(spec.alpha_cap)),
@@ -184,17 +160,44 @@ def _spectrum_json(
     )
 
 
-def _exact_json(symbol: str, mono: MonomialSymbol, alpha_cap: int, spectrum: SpectrumSet, essential: SpectrumSet) -> str:
-    """The exact command's JSON, byte for byte json.dumps(obj, sort_keys=True, indent=2)."""
-    templates, heads, values = _Templates(), _Heads(), {}  # this document's: nothing is kept between calls
-    essential_json = _spectrum_json(essential, None, templates, heads, values)
-    essential_texts = {values[id(r.value)][0] for r in essential.records}
+def _exact_document(
+    fmt: str, symbol: str, mono: MonomialSymbol, alpha_cap: int, spectrum: SpectrumSet, essential: SpectrumSet
+) -> str:
+    """The exact command's output in fmt: "json", byte for byte
+    json.dumps(obj, sort_keys=True, indent=2), or "csv", the spectrum records only.
+
+    Both render from one set of per-record texts, kept for this document only:
+    values maps id(value) to its frac_str and float repr, so a Fraction the
+    essential and spectrum records share is rendered once; in_essential looks
+    a value's text up in the essential records' texts (frac_str is injective on
+    reduced Fractions, so this agrees with comparing values and hashes no
+    Fraction); and a provenance entry is one %-format of its (B, len(alpha))
+    template in the format's layout.
+    """
+    values = {}
+    essential_texts = {_value_texts(values, r.value)[0] for r in essential.records}
+    if fmt == "csv":
+        templates = _Templates(lambda subset, alpha: f"alpha=({','.join(alpha)}) B=({','.join(subset)})")
+        rows = []
+        for r in spectrum.records:
+            text, float_text = _value_texts(values, r.value)
+            entries = ";".join([templates[subset, len(alpha)] % alpha for alpha, subset in r.provenance])
+            multiplicity = r.multiplicity.value if r.multiplicity else ""
+            rows.append(
+                (text, float_text, r.is_eigenvalue, r.is_limit_point, multiplicity, text in essential_texts, entries)
+            )
+        return _csv_text(
+            ["value", "value_float", "is_eigenvalue", "is_limit_point", "multiplicity", "in_essential", "provenance"],
+            rows,
+        )
+    templates = _Templates(lambda subset, alpha: _PROVENANCE % (_json_list(subset, 12), _json_list(alpha, 12)))
+    heads = _Heads()
     return _json_object(
         (
             ("alpha_cap", str(alpha_cap)),
             ("command", '"exact"'),
             ("dim", str(mono.dim)),
-            ("essential", essential_json),
+            ("essential", _spectrum_json(essential, None, templates, heads, values)),
             ("m", _json_list([str(x) for x in mono.antiholo], 2)),
             ("multiplicity_class", f'"{multiplicity_class(mono).value}"'),
             ("n", _json_list([str(x) for x in mono.holo], 2)),
@@ -213,22 +216,20 @@ def cmd_exact(args) -> int:
             f"{args.symbol!r} is not a single unit-coefficient monomial; "
             "use the 'approx' command for general polynomial symbols"
         )
+    if not sym.is_exact:
+        # refused before the enumeration, in either format: the JSON echoes the
+        # symbol's canonical expression, which only exact symbols have
+        raise ValueError(
+            f"{args.symbol!r} has a float coefficient; 'exact' takes integer or \"num/den\" coefficients"
+        )
     mono = sym.to_monomial_symbol()
     spectrum = enumerate_spectrum(mono, args.cap)
     essential = essential_part(mono, spectrum)
-    if args.format == "csv":
-        ess_values = essential.value_set()
-        spec_obj = spectrum.to_json_obj()
-        for rec, record in zip(spec_obj["records"], spectrum.records):
-            rec["in_essential"] = record.value in ess_values
-        _emit(_spectrum_csv(spec_obj), args.out)
-    else:
-        # json.dumps with indent runs CPython's pure-Python encoder, one call per
-        # value of a document that holds thousands of provenance entries.  The
-        # writer knows the schema: each entry is one %-format of a template per
-        # (B, len(alpha)), each record a cached head plus its value's texts, and
-        # in_essential is looked up by value text, so no Fraction is hashed
-        _emit(_exact_json(sym.to_expression(), mono, args.cap, spectrum, essential), args.out)
+    # json.dumps with indent runs CPython's pure-Python encoder, one call per
+    # value of a document that holds thousands of provenance entries, and a
+    # dict per record costs the CSV more than writing it: the renderer knows the
+    # schema and writes either format from one set of per-record texts
+    _emit(_exact_document(args.format, sym.to_expression(), mono, args.cap, spectrum, essential), args.out)
     return 0
 
 

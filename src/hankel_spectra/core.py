@@ -36,7 +36,6 @@ from .multiindex import (
     nonempty_subsets,
     normalize_subset,
 )
-from .rational import frac_str
 
 __all__ = [
     "MonomialSymbol",
@@ -147,29 +146,6 @@ class SpectrumSet:
 
     def floats(self) -> list[float]:
         return [float(v) for v in self.values()]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "alpha_cap": self.alpha_cap,
-            "contains_zero": self.contains_zero,
-            "truncated": self.truncated,
-            "note": self.note,
-            "records": [
-                {
-                    "value": frac_str(r.value),
-                    "value_float": float(r.value),
-                    "is_eigenvalue": r.is_eigenvalue,
-                    "is_limit_point": r.is_limit_point,
-                    "multiplicity": r.multiplicity.value if r.multiplicity else None,
-                    "provenance": [
-                        {"alpha": list(p.alpha), "B": sorted(p.subset)}
-                        for p in r.provenance
-                    ],
-                }
-                for r in self.records
-            ],
-        }
 
 
 def lambda_value(n, m, alpha, subset) -> Fraction:

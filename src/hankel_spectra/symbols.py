@@ -278,6 +278,8 @@ class PolySymbol:
         if "dim" not in obj:
             raise SymbolParseError('JSON symbol is missing "dim"')
         dim = _json_int(obj["dim"], '"dim"')
+        if dim < 1:
+            raise SymbolParseError(f"JSON symbol dim {dim} is below 1")
         raw_terms = obj.get("terms", [])
         if not isinstance(raw_terms, list):
             raise SymbolParseError('"terms" must be a list')

@@ -13,12 +13,16 @@ the way the package did before it evaluated the profile as a matrix
 trigonometric polynomial in theta.  The reference Gram block multiplies
 Fraction factors entry by entry, the way the package's exact kernel did
 before it summed reduced integer tables.  The torus sup norm is a grid proxy
-used by the Lipschitz check of the profile.
+used by the Lipschitz check of the profile.  The reference writers of the
+``exact`` document build a SpectrumSet as dicts, JSON-ready or as CSV rows,
+the way the package did before it rendered both formats from per-record texts.
 """
 
 from __future__ import annotations
 
 import cmath
+import csv
+import io
 import math
 from fractions import Fraction
 from functools import reduce
@@ -33,12 +37,14 @@ from hankel_spectra.core import (
     MonomialSymbol,
     MultiplicityClass,
     Provenance,
+    SpectrumSet,
     SymbolClass,
     _lambda_unchecked,
     multiplicity_class,
 )
 from hankel_spectra.galerkin import BasisTruncation, assemble, eigenvalues
 from hankel_spectra.multiindex import full_set, nonempty_subsets
+from hankel_spectra.rational import frac_str
 
 _RADIAL_NODES = 120
 _ANGULAR_NODES = 512
@@ -158,6 +164,68 @@ def reference_records(sym: MonomialSymbol, alpha_cap: int) -> tuple[EigenRecord,
         is_lp = v == 0 or any(p.subset != full for p in prov)
         records.append(EigenRecord(v, prov, is_eig, is_lp, eigen_mult if is_eig else None))
     return tuple(records)
+
+
+def spectrum_json_obj(spec: SpectrumSet) -> dict:
+    """A SpectrumSet as the JSON-ready dict of the exact document's "spectrum" and "essential"."""
+    return {
+        "kind": spec.kind,
+        "alpha_cap": spec.alpha_cap,
+        "contains_zero": spec.contains_zero,
+        "truncated": spec.truncated,
+        "note": spec.note,
+        "records": [
+            {
+                "value": frac_str(r.value),
+                "value_float": float(r.value),
+                "is_eigenvalue": r.is_eigenvalue,
+                "is_limit_point": r.is_limit_point,
+                "multiplicity": r.multiplicity.value if r.multiplicity else None,
+                "provenance": [
+                    {"alpha": list(p.alpha), "B": sorted(p.subset)}
+                    for p in r.provenance
+                ],
+            }
+            for r in spec.records
+        ],
+    }
+
+
+def spectrum_obj_with_in_essential(spectrum: SpectrumSet, essential: SpectrumSet) -> dict:
+    """spectrum_json_obj(spectrum), each record flagged in_essential by value."""
+    ess_values = essential.value_set()
+    spec_obj = spectrum_json_obj(spectrum)
+    for rec, record in zip(spec_obj["records"], spectrum.records):
+        rec["in_essential"] = record.value in ess_values
+    return spec_obj
+
+
+def reference_exact_csv(spectrum: SpectrumSet, essential: SpectrumSet) -> str:
+    """The exact command's CSV, built from spectrum_obj_with_in_essential."""
+    rows = []
+    for rec in spectrum_obj_with_in_essential(spectrum, essential)["records"]:
+        prov = ";".join(
+            "alpha=({}) B=({})".format(
+                ",".join(map(str, p["alpha"])), ",".join(map(str, p["B"]))
+            )
+            for p in rec["provenance"]
+        )
+        rows.append(
+            [
+                rec["value"],
+                repr(rec["value_float"]),
+                rec["is_eigenvalue"],
+                rec["is_limit_point"],
+                rec["multiplicity"] or "",
+                rec["in_essential"],
+                prov,
+            ]
+        )
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["value", "value_float", "is_eigenvalue", "is_limit_point", "multiplicity", "in_essential", "provenance"])
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _exact_ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:

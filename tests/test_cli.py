@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankel_spectra import core
-from hankel_spectra.cli import _build_parser, _exact_json, main
+from hankel_spectra import cli, core
+from hankel_spectra.cli import _build_parser, _exact_document, main
 from hankel_spectra.symbols import parse_symbol
+from oracles import reference_exact_csv, spectrum_json_obj, spectrum_obj_with_in_essential
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +85,40 @@ def test_exact_two_variable_quarter(capsys):
 )
 def test_exact_digest(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the exact CSV, recorded while it was still written from
+# SpectrumSet.to_json_obj dicts: quoted multi-entry provenance (D2), an
+# all-infinite D3 symbol, unquoted single entries (dim 1) and the zero operator
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        pytest.param(
+            ["exact", "z1^2*zb1*zb2^3", "--cap", "20"],
+            "6a4359859c7588ccabecb9da18c740a541f90724bafc5fe98fb8710086eb55f2",
+            id="dim2-quoted-provenance-cap20",
+        ),
+        pytest.param(
+            ["exact", "zb1*zb2^2", "--dim", "3", "--cap", "8"],
+            "998b1d9737741e3bc03af49bd32fff126d929c5236b780e2fba006653052fe8f",
+            id="dim3-all-infinite-cap8",
+        ),
+        pytest.param(
+            ["exact", "zb1^3", "--cap", "30"],
+            "4f656a2c3a598449d47dd96068d53096333327b1dc4bf10867849d6066b3af9e",
+            id="dim1-unquoted-cap30",
+        ),
+        pytest.param(
+            ["exact", "z1", "--dim", "2", "--cap", "3"],
+            "4fc8f3834e67009ef52890561ebee3a6b966df9743dd62afbe71accd35465cae",
+            id="zero-operator",
+        ),
+    ],
+)
+def test_exact_csv_digest(capsys, argv, digest):
+    code, out = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -551,6 +586,32 @@ def test_malformed_json_envelope_exits_2(capsys, symbol):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+@pytest.mark.parametrize(
+    "argv", [["approx", "--degree", "2"], ["exact", "--cap", "2"], ["boundary", "--degree", "2", "--samples", "8"]]
+)
+def test_json_symbol_dim_below_1_exits_2(capsys, argv, dim):
+    assert main([argv[0], '{"dim": %d, "terms": []}' % dim, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: JSON symbol dim {dim} is below 1\n"
+
+
+def test_exact_refuses_float_coefficients_before_enumerating(capsys, monkeypatch):
+    # a float 1.0 equals the unit coefficient, but the symbol has no exact expression
+    def enumerate_spectrum(*args):
+        raise AssertionError("enumerated a refused symbol")
+
+    monkeypatch.setattr(cli, "enumerate_spectrum", enumerate_spectrum)
+    symbol = '{"dim":1,"terms":[{"coeff":[1.0,0.0],"holo":[0],"antiholo":[1]}]}'
+    for fmt in ("json", "csv"):
+        assert main(["exact", symbol, "--cap", "2", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {symbol!r} has a float coefficient; 'exact' takes integer or \"num/den\" coefficients\n"
+        )
+
+
 def test_json_symbol_padded_past_dim_limit_exits_2(capsys):
     assert main(["approx", '{"dim": 1, "terms": []}', "--dim", "9", "--degree", "2"]) == 2
     assert capsys.readouterr().err == "error: dim 9 exceeds 8\n"
@@ -622,10 +683,6 @@ def test_coefficient_too_large_for_float_exits_2(capsys):
 
 def _reference_exact_json(symbol, mono, cap, spectrum, essential) -> str:
     """The exact command's document built as a dict and encoded by json.dumps."""
-    ess_values = essential.value_set()
-    spec_obj = spectrum.to_json_obj()
-    for rec, record in zip(spec_obj["records"], spectrum.records):
-        rec["in_essential"] = record.value in ess_values
     obj = {
         "command": "exact",
         "symbol": symbol,
@@ -634,8 +691,8 @@ def _reference_exact_json(symbol, mono, cap, spectrum, essential) -> str:
         "m": list(mono.antiholo),
         "alpha_cap": cap,
         "multiplicity_class": core.multiplicity_class(mono).value,
-        "spectrum": spec_obj,
-        "essential": essential.to_json_obj(),
+        "spectrum": spectrum_obj_with_in_essential(spectrum, essential),
+        "essential": spectrum_json_obj(essential),
     }
     return json.dumps(obj, sort_keys=True, indent=2)
 
@@ -688,9 +745,16 @@ def _equal_copy(value: Fraction) -> Fraction:
 @given(_spectra(), st.text())
 def test_exact_writer_matches_json_dumps(drawn, symbol):
     mono, cap, spectrum, essential = drawn
-    assert _exact_json(symbol, mono, cap, spectrum, essential) == _reference_exact_json(
+    assert _exact_document("json", symbol, mono, cap, spectrum, essential) == _reference_exact_json(
         symbol, mono, cap, spectrum, essential
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spectra(), st.text())
+def test_exact_csv_matches_the_dict_built_reference(drawn, symbol):
+    mono, cap, spectrum, essential = drawn
+    assert _exact_document("csv", symbol, mono, cap, spectrum, essential) == reference_exact_csv(spectrum, essential)
 
 
 def test_exact_writer_keeps_nothing_between_documents():
@@ -703,9 +767,10 @@ def test_exact_writer_keeps_nothing_between_documents():
         mono = core.MonomialSymbol(n, m)
         spectrum = core.enumerate_spectrum(mono, cap)
         essential = core.essential_part(mono, spectrum)
-        assert _exact_json("s", mono, cap, spectrum, essential) == _reference_exact_json(
+        assert _exact_document("json", "s", mono, cap, spectrum, essential) == _reference_exact_json(
             "s", mono, cap, spectrum, essential
         )
+        assert _exact_document("csv", "s", mono, cap, spectrum, essential) == reference_exact_csv(spectrum, essential)
     half, third = Fraction(1, 2), Fraction(1, 3)
     records = (
         core.EigenRecord(third, (core.Provenance((10**6,), frozenset({1})),), True, False, None),
@@ -719,6 +784,11 @@ def test_exact_writer_keeps_nothing_between_documents():
     spectrum = core.SpectrumSet(records, 3, True, True, "spectrum")
     # in_essential compares values: an equal copy of 1/2 counts, 1/3 is absent
     essential = core.SpectrumSet((replace(records[1], value=_equal_copy(half)),), 3, True, True, "essential")
-    text = _exact_json("s", mono, 3, spectrum, essential)
+    text = _exact_document("json", "s", mono, 3, spectrum, essential)
     assert text == _reference_exact_json("s", mono, 3, spectrum, essential)
     assert [r["in_essential"] for r in json.loads(text)["spectrum"]["records"]] == [False, True]
+    table = _exact_document("csv", "s", mono, 3, spectrum, essential)
+    assert table == reference_exact_csv(spectrum, essential)
+    assert table.splitlines()[2] == (
+        '1/2,0.5,True,True,finite,True,"alpha=(999999,7) B=(1);alpha=(0,1000000,3) B=(1,3);alpha=(1000000) B=(1)"'
+    )
