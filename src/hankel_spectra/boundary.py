@@ -67,6 +67,15 @@ def slice_symbol(sym: PolySymbol, q, coord: int) -> PolySymbol:
     return sym.substitute_coordinate(coord, q)
 
 
+def _circle_grid(num_samples: int) -> list[float]:
+    """The angles 2 pi j / num_samples, j < num_samples, of a sample count in 4..MAX_SAMPLES."""
+    if num_samples < 4:
+        raise ValueError("num_samples must be >= 4")
+    if num_samples > MAX_SAMPLES:
+        raise ValueError(f"num_samples must be <= {MAX_SAMPLES}")
+    return [2.0 * math.pi * j / num_samples for j in range(num_samples)]
+
+
 @dataclass(frozen=True)
 class SliceNormProfile:
     """Sampled theta -> lambda_q = ||H_{psi_q}||^2 (compression estimate)."""
@@ -119,16 +128,12 @@ def slice_norm_profile(
     at every sample in one batch.  A symbol that is a monomial in the sliced
     coordinate has d = 0 only, so its profile is constant bit for bit.
     """
-    if num_samples < 4:
-        raise ValueError("num_samples must be >= 4")
-    if num_samples > MAX_SAMPLES:
-        raise ValueError(f"num_samples must be <= {MAX_SAMPLES}")
+    thetas = _circle_grid(num_samples)
     if sym.dim < 2:
         raise ValueError("profiles need dim >= 2")
     if not 1 <= coord <= sym.dim:
         raise ValueError(f"coord {coord} out of range 1..{sym.dim}")
     slice_trunc = BasisTruncation(trunc.degree_cap, sym.dim - 1)
-    thetas = [2.0 * math.pi * j / num_samples for j in range(num_samples)]
     float_sym = sym.as_float()
     classes: dict[int, list] = {}
     for c, h, a in float_sym.terms:
@@ -161,17 +166,13 @@ def circle_abs_sq_range(chi: PolySymbol, num_samples: int = DEFAULT_SAMPLES) -> 
     """
     if chi.dim != 1:
         raise ValueError("chi must be univariate")
-    if num_samples < 4:
-        raise ValueError("num_samples must be >= 4")
-    if num_samples > MAX_SAMPLES:
-        raise ValueError(f"num_samples must be <= {MAX_SAMPLES}")
+    thetas = _circle_grid(num_samples)
     float_chi = chi.as_float()  # evaluate() converts every coefficient to complex anyway
     ks = [h[0] - a[0] for _, h, a in float_chi.terms]
     g = math.gcd(*(k - min(ks) for k in ks)) if ks else 0  # 0: |chi| is constant on the circle
     degree = (max(ks) - min(ks)) // g if g else 0
     if degree > MAX_CIRCLE_DEGREE:
         raise ValueError(f"chi has degree {degree} on the circle; at most {MAX_CIRCLE_DEGREE} is supported")
-    thetas = [2.0 * math.pi * j / num_samples for j in range(num_samples)]
     try:
         if degree:
             a = np.zeros(degree + 1, dtype=complex)

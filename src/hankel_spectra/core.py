@@ -8,13 +8,14 @@ sequence; values with B the full coordinate set are genuine eigenvalues with
 eigenvector z^alpha.  The essential spectrum is read off the spectrum's
 provenance, not enumerated again.
 
-Both cases of lambda are products of per-coordinate integer factors, so an
-enumeration builds, for each subset B, integer numerator and denominator
-tables over B's whole alpha grid (outer products of length-(cap+1) tables),
-reduces all of them with one gcd and groups equal fractions.  The tables are
-int64 while every product fits, Python ints beyond; float keys only order
-values that are far apart, and near-ties are ordered exactly.  So all
-arithmetic here stays exact rational; _lambda_unchecked is the one-point form.
+Both cases of lambda are products of per-coordinate integer factors, so
+_subset_table builds integer numerator and denominator tables over a grid of
+alpha values, one value range per coordinate of B, as outer products.  An
+enumeration takes 0..cap on every axis for each subset B, reduces all tables
+with one gcd and groups equal fractions; lambda_value takes a one-point grid.
+The tables are int64 while every product fits, Python ints beyond; float keys
+only order values that are far apart, and near-ties are ordered exactly.  So
+all arithmetic here stays exact rational.
 """
 
 from __future__ import annotations
@@ -144,9 +145,6 @@ class SpectrumSet:
     def value_set(self) -> frozenset[Fraction]:
         return frozenset(r.value for r in self.records)
 
-    def floats(self) -> list[float]:
-        return [float(v) for v in self.values()]
-
 
 def lambda_value(n, m, alpha, subset) -> Fraction:
     """The two-case closed-form spectrum value for the monomial symbol z^n zbar^m.
@@ -156,36 +154,17 @@ def lambda_value(n, m, alpha, subset) -> Fraction:
     Second case (alpha_k >= m_k - n_k for all k in B): the same product minus
         prod_{k in B} (alpha_k+1)(alpha_k+n_k-m_k+1)/(alpha_k+n_k+1)^2.
 
-    Returns a reduced Fraction in [0, 1].
+    Returns a reduced Fraction in [0, 1], read from the one-point table of
+    _subset_table, the tables enumerate_spectrum is built from.
     """
     n = as_multiindex(n, name="n")
     m = as_multiindex(m, name="m")
     alpha = as_multiindex(alpha, name="alpha")
     dim = common_dim(n, m, alpha)
-    members = sorted(normalize_subset(subset, dim))
-    return _lambda_unchecked(n, m, alpha, members)
-
-
-def _lambda_unchecked(n, m, alpha, members) -> Fraction:
-    # the one-point form behind lambda_value (and the tests' oracle); callers have validated the inputs
-    first = Fraction(1)
-    first_case = False
-    for k in members:
-        a, nk, mk = alpha[k - 1], n[k - 1], m[k - 1]
-        first *= Fraction(a + 1, a + nk + mk + 1)
-        if a < mk - nk:
-            first_case = True
-    if first_case:
-        return first
-
-    second = Fraction(1)
-    for k in members:
-        a, nk, mk = alpha[k - 1], n[k - 1], m[k - 1]
-        second *= Fraction((a + 1) * (a + nk - mk + 1), (a + nk + 1) ** 2)
-    value = first - second
-    if not (0 <= value <= 1):
-        raise AssertionError(f"lambda value {value} outside [0, 1]")  # pragma: no cover
-    return value
+    coords = sorted(normalize_subset(subset, dim))
+    axes = [range(alpha[k - 1], alpha[k - 1] + 1) for k in coords]
+    (num,), (den,) = _subset_table(n, m, coords, axes, _table_dtype(n, m, max(alpha)))
+    return Fraction(int(num), int(den))
 
 
 def multiplicity_class(sym: MonomialSymbol) -> SymbolClass:
@@ -197,23 +176,31 @@ def multiplicity_class(sym: MonomialSymbol) -> SymbolClass:
     return SymbolClass.ALL_FINITE
 
 
-def _subset_table(n, m, coords, alpha_cap: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Unreduced numerators and denominators of lambda(n, m, alpha, B) over B's grid.
+def _table_dtype(n, m, top: int):
+    """int64 when every product a table of z^n zbar^m forms with alpha entries up to top fits, else object."""
+    # each table entry is a product of at most 3*dim factors bounded by this base
+    return object if box_exceeds(top + max(n) + max(m) + 1, 3 * len(n), _INT64_LIMIT - 1) else np.int64
 
-    coords is B sorted; alpha runs over (cap+1)^|B| points in itertools.product
-    order.  Each case is a product of per-coordinate factors, built as outer
-    products of length-(cap+1) tables; see _lambda_unchecked for the formula.
+
+def _subset_table(n, m, coords, axes, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Unreduced numerators and denominators of lambda(n, m, alpha, B) over a grid.
+
+    coords is B sorted and axes holds one range of alpha values per coordinate
+    of B; alpha runs over the grid in itertools.product order.  Each case is a
+    product of per-coordinate factors, built as outer products of per-axis
+    tables; see lambda_value for the formula.
     """
-    a = np.arange(alpha_cap + 1).astype(dtype)
     tables = None
-    for k in coords:
+    for k, values in zip(coords, axes):
         nk, mk = n[k - 1], m[k - 1]
+        steps = np.arange(len(values))
+        a = steps.astype(dtype) + values.start
         factors = (
             a + 1,
             a + (nk + mk + 1),
             (a + 1) * (a + (nk - mk + 1)),
             (a + (nk + 1)) ** 2,
-            np.arange(alpha_cap + 1) < min(max(mk - nk, 0), alpha_cap + 1),  # a < m_k - n_k, bound kept in int64 range
+            steps < min(max(mk - nk - values.start, 0), len(values)),  # a < m_k - n_k, bound kept in int64 range
         )
         if tables is None:
             tables = factors
@@ -223,6 +210,8 @@ def _subset_table(n, m, coords, alpha_cap: int, dtype) -> tuple[np.ndarray, np.n
     num1, den1, num2, den2, first_case = tables
     num = np.where(first_case, num1, num1 * den2 - num2 * den1)
     den = np.where(first_case, den1, den1 * den2)
+    if not ((num >= 0) & (num <= den)).all():
+        raise AssertionError("lambda value outside [0, 1]")  # pragma: no cover
     return num, den
 
 
@@ -250,12 +239,10 @@ def _exact_order(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def _records(sym: MonomialSymbol, alpha_cap: int, symbol_class: SymbolClass) -> tuple[EigenRecord, ...]:
     """Sorted records with merged provenance, from one table per non-empty subset B."""
     n, m, dim = sym.holo, sym.antiholo, sym.dim
-    # each table entry is a product of at most 3*dim factors bounded by this base
-    fits_int64 = (alpha_cap + max(n) + max(m) + 1) ** (3 * dim) < _INT64_LIMIT
-    dtype = np.int64 if fits_int64 else object
+    dtype = _table_dtype(n, m, alpha_cap)
     nums, dens, provs = [], [], []
     for members in nonempty_subsets(dim):
-        num, den = _subset_table(n, m, sorted(members), alpha_cap, dtype)
+        num, den = _subset_table(n, m, sorted(members), [range(alpha_cap + 1)] * len(members), dtype)
         nums.append(num)
         dens.append(den)
         axes = [range(alpha_cap + 1) if k in members else (0,) for k in range(1, dim + 1)]
@@ -263,8 +250,6 @@ def _records(sym: MonomialSymbol, alpha_cap: int, symbol_class: SymbolClass) -> 
     num, den = np.concatenate(nums), np.concatenate(dens)
     g = np.gcd(num, den)
     num, den = num // g, den // g
-    if not ((num >= 0) & (num <= den)).all():
-        raise AssertionError("lambda value outside [0, 1]")  # pragma: no cover
 
     # (size, lexicographic) subsets with alpha in product order: provenance is
     # already in output order, and the stable sort keeps it within a value

@@ -36,11 +36,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
+from itertools import product
 
 import numpy as np
 
 from .core import _INT64_LIMIT
-from .multiindex import MultiIndex, as_multiindex, box_exceeds, graded_lex_box, is_nonnegative, weight
+from .multiindex import MultiIndex, as_multiindex, box_exceeds, is_nonnegative, weight
 from .rational import CRat, CR_ZERO, frac_str
 from .symbols import MAX_COORDINATE, PolySymbol
 
@@ -74,7 +75,10 @@ class Exactness(Enum):
 
 @dataclass(frozen=True)
 class BasisTruncation:
-    """Per-coordinate degree cap N; basis size (N+1)^dim, graded-lex ordered."""
+    """Per-coordinate degree cap N; basis size (N+1)^dim, graded-lex ordered.
+
+    positions fixes the order; indices and index_of are read off it.
+    """
 
     degree_cap: int
     dim: int
@@ -85,7 +89,9 @@ class BasisTruncation:
 
     @cached_property
     def indices(self) -> tuple[MultiIndex, ...]:
-        return graded_lex_box(self.degree_cap, self.dim)
+        """The basis multi-indices in graded-lex order: indices[positions[alpha]] == alpha."""
+        at = np.unravel_index(np.argsort(self.positions, axis=None), self.positions.shape)
+        return tuple(zip(*(axis.tolist() for axis in at)))
 
     @cached_property
     def index_of(self) -> dict[MultiIndex, int]:
@@ -93,7 +99,11 @@ class BasisTruncation:
 
     @cached_property
     def positions(self) -> np.ndarray:
-        """Graded-lex position of every multi-index: positions[alpha] == index_of[alpha]."""
+        """Graded-lex position of every multi-index alpha <= N, an array indexed by alpha.
+
+        Graded-lex orders by total degree, then lexicographically.  This ordering
+        is frozen: matrix dumps and CSV outputs rely on it.
+        """
         shape = (self.degree_cap + 1,) * self.dim
         grid = np.indices(shape).reshape(self.dim, -1)
         # lexsort's last key is the primary one: total degree, then alpha_1, alpha_2, ...
@@ -526,7 +536,7 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation) -> Compressio
     if math.prod(c + 1 for c in inner_caps) > MAX_STORED_ENTRIES:
         raise ValueError(f"inner basis of caps {inner_caps} holds more than {MAX_STORED_ENTRIES} indices")
 
-    inner_indices = graded_lex_box(inner_caps, trunc.dim)
+    inner_indices = tuple(product(*(range(c + 1) for c in inner_caps)))
     inner_index_of = {a: i for i, a in enumerate(inner_indices)}
     inner_weights = [weight(a) for a in inner_indices]
 

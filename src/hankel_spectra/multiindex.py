@@ -1,4 +1,4 @@
-"""Multi-index arithmetic, coordinate subsets, and basis orderings.
+"""Multi-index arithmetic and coordinate subsets.
 
 Multi-indices are plain tuples of non-negative ints; windings are tuples of
 signed ints.  Coordinate subsets are frozensets of 1-based indices drawn from
@@ -7,7 +7,7 @@ signed ints.  Coordinate subsets are frozensets of 1-based indices drawn from
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 from math import prod
 
 MultiIndex = tuple[int, ...]
@@ -20,8 +20,9 @@ class DimensionMismatch(ValueError):
 
 def as_multiindex(entries, *, dim: int | None = None, name: str = "multi-index") -> MultiIndex:
     """Validate and normalize a multi-index (non-negative integer entries)."""
-    t = tuple(int(e) for e in entries)
-    if any(int(e) != e for e in entries):
+    values = tuple(entries)  # one pass: a generator would be spent before the integer check
+    t = tuple(int(e) for e in values)
+    if any(int(e) != e for e in values):
         raise ValueError(f"{name} entries must be integers: {entries!r}")
     if len(t) < 1:
         raise ValueError(f"{name} must have length >= 1")
@@ -34,8 +35,9 @@ def as_multiindex(entries, *, dim: int | None = None, name: str = "multi-index")
 
 def as_winding(entries, *, dim: int | None = None) -> Winding:
     """Validate a signed integer exponent vector."""
-    t = tuple(int(e) for e in entries)
-    if any(int(e) != e for e in entries):
+    values = tuple(entries)
+    t = tuple(int(e) for e in values)
+    if any(int(e) != e for e in values):
         raise ValueError(f"winding entries must be integers: {entries!r}")
     if len(t) < 1:
         raise ValueError("winding must have length >= 1")
@@ -96,24 +98,3 @@ def nonempty_subsets(dim: int) -> list[frozenset[int]]:
         for combo in combinations(range(1, dim + 1), size):
             out.append(frozenset(combo))
     return out
-
-
-def box(cap, dim: int):
-    """Iterate multi-indices with per-coordinate entries bounded by cap.
-
-    cap may be a single int or a per-coordinate sequence.
-    """
-    caps = (cap,) * dim if isinstance(cap, int) else tuple(cap)
-    if len(caps) != dim:
-        raise DimensionMismatch(f"cap vector length {len(caps)} != dim {dim}")
-    if any(c < 0 for c in caps):
-        raise ValueError("caps must be non-negative")
-    return product(*(range(c + 1) for c in caps))
-
-
-def graded_lex_box(cap, dim: int) -> tuple[MultiIndex, ...]:
-    """Box multi-indices sorted graded-lexicographically (total degree, then lex).
-
-    This ordering is frozen: matrix dumps and CSV outputs rely on it.
-    """
-    return tuple(sorted(box(cap, dim), key=lambda a: (sum(a), a)))

@@ -5,12 +5,16 @@ Gauss-Legendre in each radius and a uniform trapezoid grid in each angle
 (exact for trigonometric polynomials of degree below the grid size).  Nothing
 here touches the package's own inner-product code.
 
-The reference enumeration of a monomial spectrum evaluates the closed form one
-point at a time (``core._lambda_unchecked``) into Fraction buckets, the way
-the package did before it switched to integer tables.  The reference slice
-profile slices psi at every circle sample and solves one compression each,
-the way the package did before it evaluated the profile as a matrix
-trigonometric polynomial in theta.  The reference Gram block multiplies
+The point closed form ``_lambda_unchecked`` multiplies Fraction factors one
+coordinate at a time, the way the package's lambda_value did before it read
+its point from the enumeration's integer tables.  The reference enumeration of
+a monomial spectrum evaluates it point by point into Fraction buckets, the way
+the package did before it switched to integer tables.  The order oracle
+``graded_lex_box`` sorts the basis box by (total degree, alpha), the way the
+package did before it read the order off BasisTruncation.positions.  The
+reference slice profile slices psi at every circle sample and solves one
+compression each, the way the package did before it evaluated the profile as
+a matrix trigonometric polynomial in theta.  The reference Gram block multiplies
 Fraction factors entry by entry, the way the package's exact kernel did
 before it summed reduced integer tables.  The torus sup norm is a grid proxy
 used by the Lipschitz check of the profile.  The reference writers of the
@@ -39,7 +43,6 @@ from hankel_spectra.core import (
     Provenance,
     SpectrumSet,
     SymbolClass,
-    _lambda_unchecked,
     multiplicity_class,
 )
 from hankel_spectra.galerkin import BasisTruncation, assemble, eigenvalues
@@ -127,6 +130,31 @@ def radial_integral_oracle(fn, exponents) -> float:
     for f, p in zip(fn, exponents):
         total *= 2.0 * np.pi * np.sum(wr * r ** (p + 1) * f(r))
     return float(total)
+
+
+def _lambda_unchecked(n, m, alpha, members) -> Fraction:
+    """lambda(n, m, alpha, B) for B = members, as a product of Fraction factors;
+    see core.lambda_value for the two cases.  The inputs are not validated."""
+    first = Fraction(1)
+    first_case = False
+    for k in members:
+        a, nk, mk = alpha[k - 1], n[k - 1], m[k - 1]
+        first *= Fraction(a + 1, a + nk + mk + 1)
+        if a < mk - nk:
+            first_case = True
+    if first_case:
+        return first
+
+    second = Fraction(1)
+    for k in members:
+        a, nk, mk = alpha[k - 1], n[k - 1], m[k - 1]
+        second *= Fraction((a + 1) * (a + nk - mk + 1), (a + nk + 1) ** 2)
+    return first - second
+
+
+def graded_lex_box(cap: int, dim: int) -> tuple[tuple[int, ...], ...]:
+    """The multi-indices alpha <= cap sorted graded-lexicographically (total degree, then lex)."""
+    return tuple(sorted(product(range(cap + 1), repeat=dim), key=lambda a: (sum(a), a)))
 
 
 def collect(sym: MonomialSymbol, alpha_cap: int) -> dict[Fraction, set[Provenance]]:

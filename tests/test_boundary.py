@@ -357,13 +357,22 @@ def test_circle_range_of_two_windings_is_closed_form(a, b, p, q, r, s, samples):
 @given(st.lists(st.tuples(_coefficients, _exponents, _exponents), min_size=1, max_size=4), st.integers(4, 64))
 # 1 + zbar + 6.7e-280i z: a leading critical-point coefficient 1e-279 of the others once lost the minimum 0
 @example([(1 + 0j, 0, 0), (1 + 0j, 0, 1), (-1 + 0j, 1, 0), (1 + 6.697432834898251e-280j, 1, 0)], 5)
+# 1 - 260 z + (260 + 2.5e-24i) z: the unmerged terms once summed to a grid minimum 1.2e-13 below 1
+@example([(1 + 0j, 0, 0), (-260 + 0j, 1, 0), (260 + 2.49e-24j, 1, 0)], 4)
+# 1 - 1000 z^6 zbar^6 + 1000 = 1 on the circle: the range, summed term by term, reads 1 - 2.7e-12
+@example([(1 + 0j, 0, 0), (-1000 + 0j, 6, 6), (1000 + 0j, 0, 0)], 16)
 def test_circle_range_brackets_a_dense_grid(terms, samples):
-    lo, hi = circle_abs_sq_range(PolySymbol([(c, (h,), (a,)) for c, h, a in terms], dim=1), samples)
-    dense = _grid_abs_sq(terms, 4096)
+    chi = PolySymbol([(c, (h,), (a,)) for c, h, a in terms], dim=1)
+    lo, hi = circle_abs_sq_range(chi, samples)
+    merged = [(c, h[0], a[0]) for c, h, a in chi.as_float().terms]
+    dense = _grid_abs_sq(merged, 4096)
     windings = [h - a for _, h, a in terms]
     # Bernstein: |f''| <= span^2 max f, and every extremum is within pi/4096 of a grid point
     over = 0.5 * (math.pi / 4096) ** 2 * (max(windings) - min(windings)) ** 2 * hi + 1e-13 * hi
-    slack = 1e-13 * max(1.0, hi)
+    # chi is summed term by term in floats: each term's rounding grows with |c| and its
+    # exponents, and |chi|^2 about doubles the error of |chi| <= sqrt(hi)
+    rounding = sum(abs(c) * (h + a + 1) for c, h, a in merged) * np.finfo(float).eps
+    slack = 1e-13 * max(1.0, hi) + 4 * rounding * max(1.0, math.sqrt(hi))
     assert lo <= dense.min() + slack and hi >= dense.max() - slack
     assert lo >= dense.min() - over - slack and hi <= dense.max() + over + slack
 
@@ -420,7 +429,7 @@ def test_product_prediction_unimodular_chi():
     )
     assert not pred.intervals
     got = sorted(p.value for p in pred.points)
-    want = sorted(set(spec.floats()))
+    want = sorted({float(v) for v in spec.values()})
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -435,7 +444,7 @@ def test_product_prediction_scales_a_one_term_phi():
         assert sorted(p.value for p in pred.points) == sorted({float(v * scale) for v in spec.values()})
     float_phi = parse_symbol("zb1^2").as_float() * (0.6 - 0.8j)  # |c| = 1 up to rounding
     pred = product_essential_prediction(float_phi, chi, 64, trunc)
-    assert np.allclose(sorted(p.value for p in pred.points), sorted(set(spec.floats())), rtol=1e-15, atol=0)
+    assert np.allclose(sorted(p.value for p in pred.points), sorted({float(v) for v in spec.values()}), rtol=1e-15, atol=0)
     with pytest.raises(ValueError, match="non-finite entries"):
         product_essential_prediction(parse_symbol("10^200*zb1^2"), chi, 64, trunc)
 
@@ -454,7 +463,7 @@ def test_separable_prediction():
     zb = parse_symbol("zb1")
     pred = separable_essential_prediction([zb, zb], 64, BasisTruncation(3, 1))
     # |zb|^2 = 1 on the circle: points are exactly the one-variable spectrum, twice
-    spec_vals = sorted(set(enumerate_spectrum(MonomialSymbol((0,), (1,)), 3).floats()))
+    spec_vals = sorted({float(v) for v in enumerate_spectrum(MonomialSymbol((0,), (1,)), 3).values()})
     got = sorted({round(p.value, 14) for p in pred.points})
     assert np.allclose(got, spec_vals, atol=1e-12)
 
@@ -512,7 +521,7 @@ def test_prediction_has_one_truncation():
         assert "alpha_cap" not in params and params["trunc"].default is inspect.Parameter.empty
     # a monomial phi is enumerated over the box alpha <= N that its compression covers
     pred = product_essential_prediction(parse_symbol("zb1"), parse_symbol("zb1"), 8, BasisTruncation(5, 1))
-    want = enumerate_spectrum(MonomialSymbol((0,), (1,)), 5).floats()
+    want = [float(v) for v in enumerate_spectrum(MonomialSymbol((0,), (1,)), 5).values()]
     assert [p.value for p in pred.points] == pytest.approx(want, abs=1e-15)
     assert {p.source for p in pred.points} == {"exact-monomial(cap=5)"}
 

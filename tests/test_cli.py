@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import inspect
 import json
 import re
 import time
@@ -255,6 +256,21 @@ def test_verify_corrupted_fixture_fails_named(capsys, monkeypatch):
     suite = obj["suites"][0]
     assert suite["suite"] == "fixtures" and not suite["passed"]
     assert suite["details"]["checks"]["lambda:z_bar:alpha0"] is False
+
+
+def test_verify_engines_agree_checks_the_enumerated_tables(monkeypatch):
+    # mutant: the second-case numerator factor (a+1)(a+n_k-m_k+1) loses its +1 where n_k = 2
+    from hankel_spectra.verify import run_verify
+
+    source = inspect.getsource(core._subset_table)
+    mutated = source.replace("(a + 1) * (a + (nk - mk + 1))", "(a + 1) * (a + (nk - mk + (nk != 2)))")
+    assert mutated != source
+    namespace = dict(vars(core))
+    exec(mutated, namespace)
+    monkeypatch.setattr(core, "_subset_table", namespace["_subset_table"])
+    report = run_verify("engines-agree")
+    assert report["passed"] is False
+    assert report["suites"][0]["details"]["tested"] == 756
 
 
 def test_output_determinism(capsys, tmp_path):

@@ -20,8 +20,8 @@ from hankel_spectra import (
     multiplicity_class,
 )
 from hankel_spectra import core
-from hankel_spectra.multiindex import DimensionMismatch, full_set, nonempty_subsets
-from oracles import reference_records
+from hankel_spectra.multiindex import DimensionMismatch, as_winding, full_set, nonempty_subsets
+from oracles import _lambda_unchecked, reference_records
 
 
 def test_lambda_one_variable_conjugate_families():
@@ -51,6 +51,30 @@ def test_lambda_errors():
         lambda_value((0,), (1,), (0,), {2})
     with pytest.raises(ValueError):
         lambda_value((-1,), (1,), (0,), {1})
+
+
+def test_lambda_refuses_generators_of_non_integers():
+    # each check sees the entries once, so a generator cannot skip the integer test
+    with pytest.raises(ValueError, match="alpha entries must be integers"):
+        lambda_value((0,), (1,), (x for x in [0.5]), {1})
+    with pytest.raises(ValueError, match="holo exponent entries must be integers"):
+        MonomialSymbol((x for x in [1.5, 2]), (0, 1))
+    assert lambda_value((x for x in [0]), (1,), (x for x in [1]), {1}) == Fraction(1, 6)
+    assert MonomialSymbol((x for x in [1, 2]), (0, 1)).holo == (1, 2)
+    with pytest.raises(ValueError, match="winding entries must be integers"):
+        as_winding(x for x in [1.5, -2])
+    assert as_winding(x for x in [1, -2]) == (1, -2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lambda_matches_the_point_oracle(data):
+    # entries up to 10^20 put the one-point table past int64: it holds Python ints
+    dim = data.draw(st.integers(1, 3))
+    entries = st.one_of(st.integers(0, 6), st.integers(0, 10**20))
+    n, m, alpha = (data.draw(st.tuples(*[entries] * dim)) for _ in range(3))
+    subset = data.draw(st.sets(st.integers(1, dim), min_size=1))
+    assert lambda_value(n, m, alpha, subset) == _lambda_unchecked(n, m, alpha, sorted(subset))
 
 
 def test_lambda_range_and_case_bound():
@@ -340,9 +364,9 @@ def test_huge_exponent_takes_the_python_int_tables(monkeypatch):
     dtypes = []
     real = core._subset_table
 
-    def recording(n, m, coords, cap, dtype):
+    def recording(n, m, coords, axes, dtype):
         dtypes.append(dtype)
-        return real(n, m, coords, cap, dtype)
+        return real(n, m, coords, axes, dtype)
 
     monkeypatch.setattr(core, "_subset_table", recording)
     sym = MonomialSymbol((0, 7), (100000, 0))

@@ -17,6 +17,7 @@ from hankel_spectra import (
 )
 from hankel_spectra.galerkin import default_inner_caps, dump_matrix, load_matrix, scaled_gram_entry
 from hankel_spectra.rational import CRat
+from oracles import graded_lex_box
 
 TOL = 1e-13
 
@@ -73,10 +74,13 @@ def test_scaled_gram_entry_matches_assembly(case, data):
 
 
 def test_basis_positions_follow_graded_lex_order():
-    for n_cap, dim in ((0, 1), (5, 1), (3, 2), (2, 3)):
+    for n_cap, dim in ((0, 1), (5, 1), (3, 2), (2, 3), (3, 4)):
         trunc = BasisTruncation(n_cap, dim)
-        for i, alpha in enumerate(trunc.indices):
+        order = graded_lex_box(n_cap, dim)
+        for i, alpha in enumerate(order):
             assert trunc.positions[alpha] == i
+        assert trunc.indices == order
+        assert trunc.index_of == {alpha: i for i, alpha in enumerate(order)}
 
 
 @settings(max_examples=60, deadline=None)
