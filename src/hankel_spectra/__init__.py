@@ -53,6 +53,7 @@ from .quasihomog import (
     RadialProfile,
     monomial_norm_sq,
     qh_eigenvalue,
+    qh_eigenvalue_box,
     radial_integral,
 )
 from .rational import CRat
@@ -95,6 +96,7 @@ __all__ = [
     "parse_symbol",
     "product_essential_prediction",
     "qh_eigenvalue",
+    "qh_eigenvalue_box",
     "radial_integral",
     "separable_essential_prediction",
     "slice_norm_profile",

@@ -29,6 +29,7 @@ the matrix dump is written row by row from the blocks.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
@@ -372,7 +373,7 @@ class CompressionMatrix:
         diag = np.empty(self.size, dtype=object)
         for g, b in zip(self.sectors, self.scaled_blocks):
             diag[g] = np.diagonal(b, axis1=1, axis2=2)
-        return [(c * weight(alpha)).real_fraction() for c, alpha in zip(diag, self.trunc.indices)]
+        return [c.real_fraction() * weight(alpha) for c, alpha in zip(diag, self.trunc.indices)]
 
     def hermiticity_defect(self) -> float:
         return float(_defects([b[None] for b in self.blocks])[0])
@@ -682,8 +683,8 @@ class KernelVector:
     degree_cap: int
 
     def __post_init__(self):
-        if abs(self.p) >= 1:
-            raise ValueError("kernel center must satisfy |p| < 1")
+        if not abs(self.p) < 1:  # NaN too
+            raise ValueError(f"kernel center must satisfy |p| < 1, got {self.p}")
 
     @cached_property
     def coefficients(self) -> np.ndarray:
@@ -709,10 +710,16 @@ def weyl_residual(
     g lives on the (dim-1)-dimensional slice basis at the same degree cap and
     must be normalized; k_p occupies the last coordinate.  Truncations holding
     less than MIN_KERNEL_NORM of the kernel mass are rejected, since the
-    residual would reflect lost mass rather than spectral distance.
+    residual would reflect lost mass rather than spectral distance, and so are
+    non-finite lam, p or g and a supplied matrix of another truncation or
+    symbol.  f is one outer product laid out by trunc.positions; M f is applied
+    one sector block at a time (einsum over each (k, s, s) stack), so neither
+    the dense matrix nor a BLAS matrix-vector product is formed.
     """
     if sym.dim < 2:
         raise ValueError("weyl_residual needs dim >= 2 (kernel occupies the last coordinate)")
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     kv = KernelVector(complex(p), trunc.degree_cap)
     if kv.truncated_norm < MIN_KERNEL_NORM:
         raise ValueError(
@@ -722,6 +729,8 @@ def weyl_residual(
     g = np.asarray(g_coeffs, dtype=complex)
     if g.shape != (slice_trunc.size,):
         raise ValueError(f"g must have {slice_trunc.size} coefficients, got {g.shape}")
+    if not np.isfinite(g).all():
+        raise ValueError("g must have finite coefficients")
     if abs(np.linalg.norm(g) - 1.0) > 1e-8:
         raise ValueError("g must be normalized")
 
@@ -729,12 +738,15 @@ def weyl_residual(
         mat = assemble(sym, trunc)
     elif mat.trunc != trunc:
         raise ValueError("supplied matrix truncation does not match")
+    elif mat.symbol_hash != _symbol_hash(sym):
+        raise ValueError(f"supplied matrix is of symbol {mat.symbol_hash}, not of {_symbol_hash(sym)}")
 
-    f = np.zeros(trunc.size, dtype=complex)
-    kc = kv.coefficients
-    for i, alpha in enumerate(trunc.indices):
-        f[i] = g[slice_trunc.index_of[alpha[:-1]]] * kc[alpha[-1]]
-    return float(np.linalg.norm(mat.dense @ f - lam * f))
+    f = np.empty(trunc.size, dtype=complex)
+    f[trunc.positions] = np.multiply.outer(g[slice_trunc.positions], kv.coefficients)
+    mf = np.empty_like(f)
+    for sector, block in zip(mat.sectors, mat.blocks):
+        mf[sector] = np.einsum("kij,kj->ki", block, f[sector])
+    return float(np.linalg.norm(mf - lam * f))
 
 
 # -- dump format --------------------------------------------------------------

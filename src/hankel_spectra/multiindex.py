@@ -53,16 +53,6 @@ def common_dim(*vectors) -> int:
     return dims.pop()
 
 
-def add(a, b) -> tuple[int, ...]:
-    """Componentwise sum; may be signed (multi-index plus winding)."""
-    common_dim(a, b)
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def scale(a, c: int) -> tuple[int, ...]:
-    return tuple(c * x for x in a)
-
-
 def is_nonnegative(a) -> bool:
     return all(x >= 0 for x in a)
 

@@ -2,9 +2,14 @@
 
 The operator acts diagonally on monomials z^alpha.  When alpha + k leaves the
 non-negative lattice the eigenvalue is a plain Rayleigh quotient of radial
-integrals; otherwise a projection correction is subtracted.  Separable radial
-profiles with rational polynomial factors run on an exact Fraction path; other
-profiles go through Gauss-Legendre quadrature.
+integrals; otherwise a projection correction is subtracted.  Both terms are
+products of per-coordinate factors, so qh_eigenvalue_box evaluates a whole box
+of alpha from one table per coordinate, indexed by the alpha value a: the
+integral of r^{2a+1} |f_k|^2 and, where a + k_k >= 0, the cross integral of
+r^{2a+k_k+1} f_k.  Each integral is taken once per (coordinate, exponent);
+qh_eigenvalue is the one-point box.  Separable radial profiles with rational
+polynomial factors run on an exact path (Python-int products, one Fraction
+per point); other profiles go through Gauss-Legendre quadrature.
 """
 
 from __future__ import annotations
@@ -13,18 +18,18 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import product
+from math import prod
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .multiindex import (
+    DimensionMismatch,
     MultiIndex,
     Winding,
-    add,
     as_multiindex,
     as_winding,
-    is_nonnegative,
-    scale,
     weight,
 )
 
@@ -36,6 +41,7 @@ __all__ = [
     "monomial_norm_sq",
     "radial_integral",
     "qh_eigenvalue",
+    "qh_eigenvalue_box",
 ]
 
 DEFAULT_NODES = 64
@@ -110,8 +116,10 @@ def _convolve(a: PolyCoeffs, b: PolyCoeffs) -> PolyCoeffs:
         return ()
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    out[i + j] += ca * cb
     return tuple(out)
 
 
@@ -155,6 +163,15 @@ def _factor_integral_quad(fn: RadialFn, p: int, nodes: int):
     return total.real if abs(total.imag) < 1e-15 * max(1.0, abs(total.real)) else total
 
 
+def _factor_integral(factor, p: int, exact: bool, nodes: int):
+    """2 * integral_0^1 r^{p+1} f(r) dr for one factor: a Fraction if exact, else a float or complex."""
+    coeffs = _poly_coeffs(factor)
+    if coeffs is None:
+        return _factor_integral_quad(factor, p, nodes)
+    part = _factor_integral_exact(coeffs, p)
+    return part if exact else float(part)
+
+
 def radial_integral(profile: RadialProfile, exponent, *, nodes: int = DEFAULT_NODES) -> Fraction | float | complex:
     """integral over D^n of |w|^exponent f(|w|) dV(w), as its pi^n coefficient.
 
@@ -166,12 +183,7 @@ def radial_integral(profile: RadialProfile, exponent, *, nodes: int = DEFAULT_NO
     exact = profile.is_polynomial
     coeff: Fraction | float | complex = Fraction(1) if exact else 1.0
     for f, p in zip(profile.factors, exponent):
-        poly = _poly_coeffs(f)
-        if poly is not None:
-            part = _factor_integral_exact(poly, p)
-            coeff = coeff * part if exact else coeff * float(part)
-        else:
-            coeff = coeff * _factor_integral_quad(f, p, nodes)
+        coeff = coeff * _factor_integral(f, p, exact, nodes)
     return coeff
 
 
@@ -196,7 +208,7 @@ class QuasiHomogeneousSymbol:
 
     @cached_property
     def squared_modulus(self) -> RadialProfile:
-        """|psi|^2 = |f|^2, formed once per symbol: every qh_eigenvalue call integrates it."""
+        """|psi|^2 = |f|^2, formed once per symbol: every box of qh_eigenvalue_box integrates it."""
         return self.profile.squared_modulus()
 
     @classmethod
@@ -225,60 +237,94 @@ class QhEigenvalue:
         return isinstance(self.value, Fraction)
 
 
-def _ratio(num, den: Fraction):
-    if isinstance(num, Fraction):
-        return num / den
-    return num / float(den)
+def _coordinate_table(factor, square, k: int, axis, exact: bool, nodes: int) -> list[tuple]:
+    """One entry per alpha value a of one coordinate with factor f and winding k.
+
+    Exact: (p, q, s, t), Python ints with p/q = (a+1) * I(|f|^2, 2a) and
+    s/t = (a+1)(a+k+1) * I(f, 2a+k)^2, where I(g, e) = 2 integral_0^1 r^{e+1} g;
+    s and t are None where a + k < 0.  Float: (I(|f|^2, 2a), I(f, 2a+k), a+1,
+    a+k+1), the cross integral None where a + k < 0; _float_point divides by
+    the norms as floats.
+    """
+    table = []
+    for a in axis:
+        first = _factor_integral(square, 2 * a, exact, nodes)
+        cross = _factor_integral(factor, 2 * a + k, exact, nodes) if a + k >= 0 else None
+        if not exact:
+            table.append((first, cross, a + 1, a + k + 1))
+            continue
+        first = first * (a + 1)
+        second = (None, None) if cross is None else (cross * cross * ((a + 1) * (a + k + 1))).as_integer_ratio()
+        table.append(first.as_integer_ratio() + second)
+    return table
+
+
+def _exact_point(entries) -> tuple[Fraction, QhBranch]:
+    """The eigenvalue at one alpha from its per-coordinate exact table entries."""
+    ps, qs, ss, ts = zip(*entries)
+    p, q = prod(ps), prod(qs)
+    if None in ss:
+        value, branch = Fraction(p, q), QhBranch.KERNEL
+    else:
+        s, t = prod(ss), prod(ts)
+        # the subtracted projection term s/t can never exceed the Rayleigh quotient p/q
+        if s * q > p * t:
+            raise AssertionError("Cauchy-Schwarz violated on the exact path")  # pragma: no cover
+        value, branch = Fraction(p * t - s * q, q * t), QhBranch.PROJECTION
+    if value < 0:
+        raise AssertionError(f"negative exact eigenvalue {value}")  # pragma: no cover
+    return value, branch
+
+
+def _float_point(entries) -> tuple[float, QhBranch]:
+    """The eigenvalue at one alpha from its per-coordinate float table entries.
+
+    The Rayleigh quotient is prod I(|f|^2, 2a) / ||z^alpha||^2, the norm taken
+    as the float 1/prod(a+1); the projection term |prod I(f, 2a+k)|^2 over the
+    float of 1/(||z^alpha||^2 ||z^{alpha+k}||^2) is subtracted.  The integrals
+    of |f|^2 are real, so the quotient is.
+    """
+    firsts, crosses, w, wk = zip(*entries)
+    value, branch = prod(firsts, start=1.0) / (1 / prod(w)), QhBranch.KERNEL
+    if None not in crosses:
+        second = abs(prod(crosses, start=1.0)) ** 2 / (1 / (prod(w) * prod(wk)))
+        # the subtracted projection term can never exceed the Rayleigh quotient
+        if second > value + 1e-12 * max(1.0, abs(value)):
+            raise AssertionError("Cauchy-Schwarz violated beyond quadrature tolerance")
+        value, branch = value - second, QhBranch.PROJECTION
+    if value < -1e-12:
+        raise AssertionError(f"eigenvalue {value} below -1e-12")
+    return max(float(value), 0.0), branch
+
+
+def qh_eigenvalue_box(sym: QuasiHomogeneousSymbol, axes, *, nodes: int = DEFAULT_NODES) -> list[QhEigenvalue]:
+    """Eigenvalues on z^alpha for alpha over the box axes[0] x ... x axes[dim-1].
+
+    Each axis lists the non-negative alpha values of one coordinate; the
+    result is in itertools.product order.  For alpha + k not in N_0^n (kernel
+    branch) the eigenvalue is ||z^alpha psi||^2 / ||z^alpha||^2; otherwise
+    (projection branch) the same quotient minus
+        |integral |w|^{2 alpha + k} f|^2 / (||z^alpha||^2 ||z^{alpha+k}||^2).
+    Both are products over the coordinates, read from one table per
+    coordinate (_coordinate_table), so each radial integral is taken once per
+    (coordinate, exponent).  The Cauchy-Schwarz and negativity checks run at
+    every point.
+    """
+    axes = [as_multiindex(axis, name="alpha axis") for axis in axes]
+    if len(axes) != sym.dim:
+        raise DimensionMismatch(f"{len(axes)} alpha axes for a symbol of dim {sym.dim}")
+    exact = sym.profile.is_polynomial
+    factors = zip(sym.profile.factors, sym.squared_modulus.factors, sym.winding, axes)
+    tables = [_coordinate_table(f, sq, k, axis, exact, nodes) for f, sq, k, axis in factors]
+    point = _exact_point if exact else _float_point
+    return [QhEigenvalue(alpha, *point(entries)) for alpha, entries in zip(product(*axes), product(*tables))]
 
 
 def qh_eigenvalue(
     sym: QuasiHomogeneousSymbol, alpha, *, nodes: int = DEFAULT_NODES
 ) -> QhEigenvalue:
-    """Eigenvalue of the Hermitian square on the eigenvector z^alpha.
-
-    Kernel branch (alpha + k not in N_0^n):
-        ||z^alpha psi||^2 / ||z^alpha||^2
-    Projection branch: the same quotient minus
-        |integral |w|^{2 alpha + k} f|^2 / (||z^alpha||^2 ||z^{alpha+k}||^2).
+    """Eigenvalue of the Hermitian square on the eigenvector z^alpha: the one-point box
+    of qh_eigenvalue_box, which states the two branches.
     """
     alpha = as_multiindex(alpha, dim=sym.dim, name="alpha")
-    shifted = add(alpha, sym.winding)
-    norm_a = monomial_norm_sq(alpha)
-
-    first = _ratio(radial_integral(sym.squared_modulus, scale(alpha, 2), nodes=nodes), norm_a)
-
-    if not is_nonnegative(shifted):
-        value = first
-        branch = QhBranch.KERNEL
-    else:
-        cross = radial_integral(sym.profile, add(scale(alpha, 2), sym.winding), nodes=nodes)
-        norm_ak = monomial_norm_sq(shifted)
-        if isinstance(cross, Fraction):
-            second = cross * cross / (norm_a * norm_ak)
-        else:
-            second = abs(cross) ** 2 / float(norm_a * norm_ak)
-        _check_cauchy_schwarz(first, second)
-        value = first - second
-        branch = QhBranch.PROJECTION
-
-    if isinstance(value, Fraction):
-        if value < 0:
-            raise AssertionError(f"negative exact eigenvalue {value}")  # pragma: no cover
-    else:
-        value = float(np.real(value))
-        if value < -1e-12:
-            raise AssertionError(f"eigenvalue {value} below -1e-12")
-        value = max(value, 0.0)
-    return QhEigenvalue(alpha, value, branch)
-
-
-def _check_cauchy_schwarz(first, second) -> None:
-    # The subtracted projection term can never exceed the Rayleigh quotient.
-    if isinstance(first, Fraction) and isinstance(second, Fraction):
-        if second > first:
-            raise AssertionError("Cauchy-Schwarz violated on the exact path")  # pragma: no cover
-    else:
-        f = float(np.real(complex(first)))
-        s = float(np.real(complex(second)))
-        if s > f + 1e-12 * max(1.0, abs(f)):
-            raise AssertionError("Cauchy-Schwarz violated beyond quadrature tolerance")
+    return qh_eigenvalue_box(sym, [(a,) for a in alpha], nodes=nodes)[0]

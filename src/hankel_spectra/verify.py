@@ -35,6 +35,7 @@ from .quasihomog import (
     RadialProfile,
     monomial_norm_sq,
     qh_eigenvalue,
+    qh_eigenvalue_box,
 )
 from .rational import CRat
 from .symbols import PolySymbol, parse_symbol
@@ -87,27 +88,28 @@ def _suite_engines_agree() -> tuple[bool, dict]:
 
     lambda comes from the full-B provenance of enumerate_spectrum, the tables
     `exact` prints; an alpha missing there is a mismatch.  The zero operator's
-    spectrum carries no provenance: its lambda is 0 at every alpha.
+    spectrum carries no provenance: its lambda is 0 at every alpha.  Each
+    symbol gets one enumeration, one qh box and one Galerkin diagonal over
+    alpha <= 2.
     """
     mismatches = []
     tested = 0
     for dim in (1, 2):
         full = frozenset(range(1, dim + 1))
+        trunc = BasisTruncation(2, dim)
         for n in product(range(3), repeat=dim):
             for m in product(range(3), repeat=dim):
                 sym = MonomialSymbol(n, m)
                 spec = enumerate_spectrum(sym, 2)
                 enumerated = {p.alpha: r.value for r in spec.records for p in r.provenance if p.subset == full}
-                qh = QuasiHomogeneousSymbol.from_monomial(n, m)
-                trunc = BasisTruncation(2, dim)
+                qh = qh_eigenvalue_box(QuasiHomogeneousSymbol.from_monomial(n, m), [range(3)] * dim)
                 diagonal = assemble(PolySymbol([(CRat(1), n, m)], dim=dim), trunc).exact_diagonal()
-                for alpha in product(range(3), repeat=dim):
+                for ev in qh:
                     tested += 1
-                    lam = Fraction(0) if sym.is_holomorphic else enumerated.get(alpha)
-                    qv = qh_eigenvalue(qh, alpha).value
-                    gd = diagonal[trunc.index_of[alpha]]
-                    if not (lam == qv == gd):
-                        mismatches.append({"n": n, "m": m, "alpha": alpha})
+                    lam = Fraction(0) if sym.is_holomorphic else enumerated.get(ev.alpha)
+                    gd = diagonal[trunc.index_of[ev.alpha]]
+                    if not (lam == ev.value == gd):
+                        mismatches.append({"n": n, "m": m, "alpha": ev.alpha})
     return not mismatches, {"tested": tested, "mismatches": mismatches[:5]}
 
 
@@ -189,10 +191,8 @@ def _suite_hygiene() -> tuple[bool, dict]:
         return sum(ck * r**k for k, ck in enumerate(c))
 
     qh = QuasiHomogeneousSymbol(RadialProfile.from_callables([f]), (1,))
-    drift = max(
-        abs(qh_eigenvalue(qh, (a,), nodes=64).value - qh_eigenvalue(qh, (a,), nodes=128).value)
-        for a in range(5)
-    )
+    coarse, fine = (qh_eigenvalue_box(qh, [range(5)], nodes=nodes) for nodes in (64, 128))
+    drift = max(abs(a.value - b.value) for a, b in zip(coarse, fine))
     checks["quadrature_doubling"] = drift < 1e-10
     return all(checks.values()), {"checks": checks, "quadrature_drift": drift}
 

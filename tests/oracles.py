@@ -20,6 +20,12 @@ before it summed reduced integer tables.  The torus sup norm is a grid proxy
 used by the Lipschitz check of the profile.  The reference writers of the
 ``exact`` document build a SpectrumSet as dicts, JSON-ready or as CSV rows,
 the way the package did before it rendered both formats from per-record texts.
+The quasi-homogeneous point formula takes the two whole-profile radial
+integrals of one alpha and divides by the monomial norms, the way the
+package's qh_eigenvalue did before it read a box of alpha off per-coordinate
+tables.  The dense Weyl residual multiplies the graded-lex matrix by a test
+vector filled entry by entry, the way the package's weyl_residual did before
+it applied the sector blocks.
 """
 
 from __future__ import annotations
@@ -45,8 +51,9 @@ from hankel_spectra.core import (
     SymbolClass,
     multiplicity_class,
 )
-from hankel_spectra.galerkin import BasisTruncation, assemble, eigenvalues
+from hankel_spectra.galerkin import BasisTruncation, KernelVector, assemble, eigenvalues
 from hankel_spectra.multiindex import full_set, nonempty_subsets
+from hankel_spectra.quasihomog import QhBranch, monomial_norm_sq, radial_integral
 from hankel_spectra.rational import frac_str
 
 _RADIAL_NODES = 120
@@ -130,6 +137,37 @@ def radial_integral_oracle(fn, exponents) -> float:
     for f, p in zip(fn, exponents):
         total *= 2.0 * np.pi * np.sum(wr * r ** (p + 1) * f(r))
     return float(total)
+
+
+def qh_point_oracle(sym, alpha, nodes: int = 64):
+    """(value, branch) of the quasi-homogeneous eigenvalue on z^alpha, from
+    radial_integral over the whole profile, one point at a time."""
+    shifted = tuple(a + k for a, k in zip(alpha, sym.winding))
+    norm_a = monomial_norm_sq(alpha)
+    first = radial_integral(sym.squared_modulus, [2 * a for a in alpha], nodes=nodes)
+    first = first / norm_a if isinstance(first, Fraction) else first / float(norm_a)
+    if min(shifted) < 0:
+        value, branch = first, QhBranch.KERNEL
+    else:
+        cross = radial_integral(sym.profile, [2 * a + k for a, k in zip(alpha, sym.winding)], nodes=nodes)
+        norm_ak = monomial_norm_sq(shifted)
+        if isinstance(cross, Fraction):
+            second = cross * cross / (norm_a * norm_ak)
+        else:
+            second = abs(cross) ** 2 / float(norm_a * norm_ak)
+        value, branch = first - second, QhBranch.PROJECTION
+    if not isinstance(value, Fraction):
+        value = max(float(np.real(value)), 0.0)
+    return value, branch
+
+
+def dense_weyl_residual(mat, lam, g, p) -> float:
+    """||(M - lam I)(g (x) k_p)|| with the dense graded-lex matrix of mat."""
+    trunc = mat.trunc
+    slice_index = {a: i for i, a in enumerate(graded_lex_box(trunc.degree_cap, trunc.dim - 1))}
+    kc = KernelVector(complex(p), trunc.degree_cap).coefficients
+    f = np.array([g[slice_index[a[:-1]]] * kc[a[-1]] for a in graded_lex_box(trunc.degree_cap, trunc.dim)])
+    return float(np.linalg.norm(mat.dense @ f - lam * f))
 
 
 def _lambda_unchecked(n, m, alpha, members) -> Fraction:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankel_spectra import cli, core
+from hankel_spectra import cli, core, quasihomog
 from hankel_spectra.cli import _build_parser, _exact_document, main
 from hankel_spectra.symbols import parse_symbol
 from oracles import reference_exact_csv, spectrum_json_obj, spectrum_obj_with_in_essential
@@ -271,6 +271,43 @@ def test_verify_engines_agree_checks_the_enumerated_tables(monkeypatch):
     report = run_verify("engines-agree")
     assert report["passed"] is False
     assert report["suites"][0]["details"]["tested"] == 756
+
+
+# mutants of the qh box: its projection term dropped (756 comparisons, some fail),
+# (a+1) left out of its first table (the Cauchy-Schwarz check stops the suite)
+@pytest.mark.parametrize(
+    "function, original, mutant, details",
+    [
+        ("_exact_point", "Fraction(p * t - s * q, q * t)", "Fraction(p, q)", {"tested": 756}),
+        ("_coordinate_table", "first = first * (a + 1)", "first = first",
+         {"error": "AssertionError: Cauchy-Schwarz violated on the exact path"}),
+    ],
+    ids=["second-term-dropped", "no-a-plus-1"],
+)
+def test_verify_engines_agree_checks_the_qh_box(monkeypatch, function, original, mutant, details):
+    from hankel_spectra.verify import run_verify
+
+    source = inspect.getsource(getattr(quasihomog, function))
+    mutated = source.replace(original, mutant)
+    assert mutated != source
+    namespace = dict(vars(quasihomog))
+    exec(mutated, namespace)
+    monkeypatch.setattr(quasihomog, function, namespace[function])
+    report = run_verify("engines-agree")
+    assert report["passed"] is False
+    assert details.items() <= report["suites"][0]["details"].items()
+
+
+# sha256 of `verify` stdout (every suite), recorded before engines-agree read
+# whole qh boxes and weyl_residual applied the sector blocks; the same with one
+# OpenBLAS thread
+VERIFY_DIGEST = "d9e05d6ed2b7de6b4aa0d16f3aecb6c2fbe696b892de00d8b317ede8864a454c"
+
+
+def test_verify_digest(capsys):
+    code, out = run_cli(capsys, "verify")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGEST
 
 
 def test_output_determinism(capsys, tmp_path):

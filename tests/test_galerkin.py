@@ -28,7 +28,7 @@ from hankel_spectra import (
 from hankel_spectra.galerkin import dump_matrix, load_matrix, scaled_gram_entry
 from hankel_spectra.rational import CR_ZERO, CRat
 from hankel_spectra.symbols import PolySymbol
-from oracles import hankel_entry_oracle, reference_gram_block
+from oracles import dense_weyl_residual, hankel_entry_oracle, reference_gram_block
 
 
 def test_truncation_ordering_is_graded_lex():
@@ -184,8 +184,9 @@ def test_kernel_vector_mass():
         kv = KernelVector(p, 60)
         assert kv.truncated_norm <= 1.0 + 1e-12
         assert abs(kv.truncated_norm - 1.0) < 1e-6
-    with pytest.raises(ValueError):
-        KernelVector(1.0, 10)
+    for p in (1.0, math.nan, complex(math.inf, 0)):
+        with pytest.raises(ValueError, match="kernel center"):
+            KernelVector(p, 10)
     short = KernelVector(0.9, 3)
     assert short.truncated_norm < 0.99
 
@@ -226,6 +227,59 @@ def test_weyl_residual_rejects_thin_truncation():
         weyl_residual(sym, 0.5, g, 0.95, trunc)
     with pytest.raises(ValueError):
         weyl_residual(sym, 0.5, g * 2.0, 0.1, trunc)  # unnormalized g
+
+
+def test_weyl_residual_rejects_a_matrix_of_another_symbol():
+    sym = parse_symbol("zb1", dim=2)
+    trunc = BasisTruncation(14, 2)
+    g = np.zeros(trunc.degree_cap + 1, dtype=complex)
+    g[0] = 1.0
+    other = assemble(parse_symbol("3*zb2^2", dim=2), trunc)
+    with pytest.raises(ValueError, match="supplied matrix is of symbol"):
+        weyl_residual(sym, 0.5, g, 0.5, trunc, mat=other)
+    with pytest.raises(ValueError, match="truncation does not match"):
+        weyl_residual(sym, 0.5, g, 0.5, trunc, mat=assemble(sym, BasisTruncation(13, 2)))
+
+
+@pytest.mark.parametrize(
+    "lam, g0, p, message",
+    [
+        (0.5, math.nan, 0.5, "g must have finite coefficients"),
+        (math.nan, 1.0, 0.5, "lam must be finite"),
+        (math.inf, 1.0, 0.5, "lam must be finite"),
+        (0.5, 1.0, math.nan, r"kernel center must satisfy \|p\| < 1, got \(nan"),
+        (0.5, 1.0, complex(0.1, math.nan), "kernel center"),
+    ],
+)
+def test_weyl_residual_refuses_non_finite_input(lam, g0, p, message):
+    sym = parse_symbol("zb1", dim=2)
+    trunc = BasisTruncation(6, 2)
+    g = np.zeros(trunc.degree_cap + 1, dtype=complex)
+    g[0] = g0
+    with pytest.raises(ValueError, match=message) as info:
+        weyl_residual(sym, lam, g, p, trunc)
+    assert "\n" not in str(info.value)
+
+
+def test_weyl_residual_reads_the_sector_blocks(monkeypatch):
+    from hankel_spectra.galerkin import CompressionMatrix
+
+    cases = [
+        (parse_symbol("zb1", dim=2), 0.5, 0.5),
+        (parse_symbol("zb1*(zb2+1) + 1/2*z1*zb2^2"), 1.25, 0.3 + 0.2j),
+        (parse_symbol("zb1*zb3 + zb2"), 0.75, -0.2),
+    ]
+    truncs = [BasisTruncation(4, sym.dim) for sym, _, _ in cases]
+    gs = [np.arange(1.0, 5 ** (sym.dim - 1) + 1) * (1 - 0.5j) for sym, _, _ in cases]
+    gs = [g / np.linalg.norm(g) for g in gs]
+    want = [dense_weyl_residual(assemble(sym, trunc), lam, g, p) for (sym, lam, p), trunc, g in zip(cases, truncs, gs)]
+
+    def no_full_matrix(*args):
+        raise AssertionError("weyl_residual built the full matrix")
+
+    monkeypatch.setattr(CompressionMatrix, "_graded_lex", no_full_matrix)
+    for (sym, lam, p), trunc, g, w in zip(cases, truncs, gs, want):
+        assert abs(weyl_residual(sym, lam, g, p, trunc) - w) <= 1e-14 * max(1.0, w)
 
 
 def test_dump_and_load_roundtrip():
@@ -632,3 +686,32 @@ def test_dump_matrix_reads_the_sector_blocks(monkeypatch):
         dump_matrix(m, buf)
         got.append(buf.getvalue())
     assert got == want
+
+
+_unit_parts = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _exact_symbols().filter(lambda sym: sym.dim >= 2),
+    st.integers(2, 4),
+    st.booleans(),
+    st.lists(st.tuples(_unit_parts, _unit_parts), min_size=25, max_size=25),
+    st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+    st.floats(-5.0, 5.0),
+)
+def test_blockwise_weyl_residual_matches_the_dense_product(sym, n_cap, as_float, parts, p, lam):
+    if as_float:
+        sym = sym.as_float() * (0.3 - 0.7j)
+    trunc = BasisTruncation(n_cap, sym.dim)
+    g = np.array([complex(*z) for z in parts[: (n_cap + 1) ** (sym.dim - 1)]])
+    if np.linalg.norm(g) < 0.1:
+        g[0] += 1.0
+    g /= np.linalg.norm(g)
+    p = complex(*p)
+    mat = assemble(sym, trunc)
+    got = weyl_residual(sym, lam, g, p, trunc, mat=mat)
+    want = dense_weyl_residual(mat, lam, g, p)
+    # relative to the residual, or to the size of its terms where they cancel (||f|| <= 1)
+    scale = float(np.abs(mat.dense).sum(axis=1).max()) + abs(lam)
+    assert abs(got - want) <= 1e-14 * max(want, scale)

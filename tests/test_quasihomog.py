@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hankel_spectra import (
     QhBranch,
@@ -13,9 +15,10 @@ from hankel_spectra import (
     lambda_value,
     monomial_norm_sq,
     qh_eigenvalue,
+    qh_eigenvalue_box,
     radial_integral,
 )
-from oracles import radial_integral_oracle
+from oracles import qh_point_oracle, radial_integral_oracle
 
 
 def test_monomial_norms():
@@ -190,3 +193,70 @@ def test_quadrature_doubling_stability():
         v128 = qh_eigenvalue(sym, (a,), nodes=128).value
         assert abs(v64 - v128) < 1e-10
 
+
+_coeffs = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5), min_size=1, max_size=4)
+
+
+@st.composite
+def _qh_boxes(draw):
+    """A polynomial profile (monomial factors among them), a winding, a box of alpha, and
+    whether the factors run as callables (the quadrature path)."""
+    dim = draw(st.integers(1, 3))
+    factors = [draw(st.one_of(_coeffs, st.integers(0, 4).map(lambda d: [0] * d + [1]))) for _ in range(dim)]
+    winding = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+    starts = draw(st.lists(st.integers(0, 3), min_size=dim, max_size=dim))
+    lengths = draw(st.lists(st.integers(1, (5, 3, 2)[dim - 1]), min_size=dim, max_size=dim))
+    return factors, winding, [range(a, a + n) for a, n in zip(starts, lengths)], draw(st.booleans())
+
+
+def _profile(factors, callables: bool) -> RadialProfile:
+    if not callables:
+        return RadialProfile.polynomial(factors)
+    fns = [lambda r, c=tuple(map(float, cs)): sum(ck * r**k for k, ck in enumerate(c)) for cs in factors]
+    return RadialProfile.from_callables(fns)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_qh_boxes())
+@example(([[0, 1]], [-2], [range(4)], False))  # kernel branch at a < 2, projection from a = 2
+@example(([[1, 0, Fraction(-1, 2)], [0, 0, 1]], [1, -1], [range(3), range(3)], False))
+@example(([[1, 0, Fraction(-1, 2)], [0, 0, 1]], [1, -1], [range(3), range(3)], True))
+@example(([[0]], [1], [range(3)], False))  # the zero profile
+def test_box_matches_the_point_oracle(case):
+    factors, winding, axes, callables = case
+    sym = QuasiHomogeneousSymbol(_profile(factors, callables), winding)
+    got = qh_eigenvalue_box(sym, axes)
+    alphas = list(product(*axes))
+    assert [ev.alpha for ev in got] == alphas
+    for ev, alpha in zip(got, alphas):
+        value, branch = qh_point_oracle(sym, alpha)
+        assert ev.branch is branch
+        assert ev.value == value and type(ev.value) is type(value)
+        assert qh_eigenvalue(sym, alpha) == ev
+
+
+def test_box_examples_cover_both_branches():
+    sym = QuasiHomogeneousSymbol(RadialProfile.polynomial([[0, 1]]), (-2,))
+    branches = [ev.branch for ev in qh_eigenvalue_box(sym, [range(4)])]
+    assert branches == [QhBranch.KERNEL] * 2 + [QhBranch.PROJECTION] * 2
+
+
+def test_box_integrates_each_callable_exponent_once():
+    calls = []
+
+    def f(r):
+        calls.append(len(np.atleast_1d(r)))
+        return r**2
+
+    sym = QuasiHomogeneousSymbol(RadialProfile.from_callables([f, f]), (1, -1))
+    qh_eigenvalue_box(sym, [range(4), range(3)])
+    # the probe radii and the nodes per integral: 4 + 3 exponents of |f|^2, 4 + 2 cross exponents
+    assert len(calls) == 2 * (4 + 3 + 4 + 2)
+
+
+def test_box_rejects_bad_axes():
+    sym = QuasiHomogeneousSymbol.from_monomial((0, 1), (1, 0))
+    with pytest.raises(ValueError, match="alpha axis entries must be non-negative"):
+        qh_eigenvalue_box(sym, [range(-1, 2), range(2)])
+    with pytest.raises(ValueError, match="3 alpha axes for a symbol of dim 2"):
+        qh_eigenvalue_box(sym, [range(2)] * 3)
