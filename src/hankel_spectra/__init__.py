@@ -28,7 +28,6 @@ from .core import (
 from .galerkin import (
     BasisTruncation,
     CompressionMatrix,
-    Exactness,
     KernelVector,
     assemble,
     assemble_via_toeplitz,
@@ -67,7 +66,6 @@ __all__ = [
     "CompressionMatrix",
     "EigenRecord",
     "EssentialSetPrediction",
-    "Exactness",
     "KernelVector",
     "MonomialSymbol",
     "MultiplicityClass",

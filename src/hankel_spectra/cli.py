@@ -27,7 +27,7 @@ from .boundary import (
     PredictedPoint,
 )
 from .core import MonomialSymbol, SpectrumSet, enumerate_spectrum, essential_part, multiplicity_class
-from .galerkin import BasisTruncation, Exactness, _check_basis_size, _check_dump_size, assemble, default_inner_caps, dump_matrix, eigenvalues
+from .galerkin import BasisTruncation, _check_dump_size, assemble, default_inner_caps, dump_matrix, eigenvalues
 from .rational import CRat, frac_str
 from .symbols import PolySymbol, parse_symbol
 from .verify import run_verify
@@ -234,14 +234,19 @@ def cmd_exact(args) -> int:
 
 
 def cmd_approx(args) -> int:
+    """Eigenvalues of the float compression, and the matrix dump with --dump-matrix.
+
+    The basis budget (BasisTruncation's) and the dump budget are checked before
+    any assembly and before PATH is opened."""
     _check_caps(args.degree)
     sym = parse_symbol(args.symbol, dim=args.dim)
+    float_sym = sym.as_float()  # a coefficient too large for floats is reported before the budgets
     trunc = BasisTruncation(args.degree, sym.dim)
-    mat = assemble(sym.as_float(), trunc)
-    w = eigenvalues(mat)
-    exactness = Exactness.RATIONAL if sym.is_exact else Exactness.FLOAT
     if args.dump_matrix:
-        _check_dump_size(trunc.size)  # before the exact assembly and before PATH is truncated
+        _check_dump_size(trunc.size)
+    mat = assemble(float_sym, trunc)
+    w = eigenvalues(mat)
+    if args.dump_matrix:
         if sym.is_exact:
             # dump format v1 stores the exact scaled Gram matrix for exact symbols
             mat = assemble(sym, trunc)
@@ -254,7 +259,7 @@ def cmd_approx(args) -> int:
         "degree_cap": args.degree,
         "inner_caps": list(default_inner_caps(sym, trunc)),
         "basis_size": mat.size,
-        "exactness": exactness.value,
+        "exactness": "rational" if sym.is_exact else "float",
         "note": f"compression spectrum at N={args.degree}; approximates the operator spectrum",
         "eigenvalues": [float(x) for x in w],
     }
@@ -322,14 +327,13 @@ def cmd_boundary(args) -> int:
     coord = args.coord if args.coord is not None else sym.dim
     if not 1 <= coord <= sym.dim:
         raise ValueError(f"--coord must lie in 1..{sym.dim}")
-    _check_basis_size(args.degree, sym.dim)  # first: a monomial phi is then enumerated within its budget
+    trunc = BasisTruncation(args.degree, sym.dim)  # first: a monomial phi is then enumerated within its budget
     # the product prediction first: it refuses a bad chi before the compression and the profile
     factored = _factor_across(sym, coord)
     if factored is not None:
         phi, chi = factored
         prediction = product_essential_prediction(phi, chi, args.samples, BasisTruncation(args.degree, phi.dim))
         prediction_source = "product-factorization"
-    trunc = BasisTruncation(args.degree, sym.dim)
     w = [float(x) for x in eigenvalues(assemble(sym.as_float(), trunc))]
     profile = slice_norm_profile(sym, coord, args.samples, trunc)
     if factored is None:

@@ -34,7 +34,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import product
@@ -48,7 +47,6 @@ from .symbols import MAX_COORDINATE, PolySymbol
 
 __all__ = [
     "BasisTruncation",
-    "Exactness",
     "CompressionMatrix",
     "KernelVector",
     "default_inner_caps",
@@ -69,16 +67,13 @@ EIGEN_FLOOR = -1e-10
 MIN_KERNEL_NORM = 0.99
 
 
-class Exactness(Enum):
-    RATIONAL = "rational"
-    FLOAT = "float"
-
-
 @dataclass(frozen=True)
 class BasisTruncation:
     """Per-coordinate degree cap N; basis size (N+1)^dim, graded-lex ordered.
 
-    positions fixes the order; indices and index_of are read off it.
+    A box over MAX_BASIS_SIZE is refused at construction, so every route that
+    takes a truncation works within the basis budget.  positions fixes the
+    order; indices and index_of are read off it.
     """
 
     degree_cap: int
@@ -87,6 +82,10 @@ class BasisTruncation:
     def __post_init__(self):
         if self.degree_cap < 0 or self.dim < 1:
             raise ValueError("degree_cap must be >= 0 and dim >= 1")
+        if box_exceeds(self.degree_cap + 1, self.dim, MAX_BASIS_SIZE):  # no power of a huge N or dim
+            raise ValueError(
+                f"basis size (N+1)^dim exceeds guard {MAX_BASIS_SIZE} (N={self.degree_cap}, dim={self.dim})"
+            )
 
     @cached_property
     def indices(self) -> tuple[MultiIndex, ...]:
@@ -125,14 +124,6 @@ class BasisTruncation:
     @property
     def size(self) -> int:
         return (self.degree_cap + 1) ** self.dim
-
-
-def _check_basis_size(n_cap: int, dim: int) -> None:
-    """Reject (N+1)^dim > MAX_BASIS_SIZE without building the power of a huge N or dim."""
-    if box_exceeds(n_cap + 1, dim, MAX_BASIS_SIZE):
-        raise ValueError(
-            f"basis size (N+1)^dim exceeds guard {MAX_BASIS_SIZE} (N={n_cap}, dim={dim})"
-        )
 
 
 def default_inner_caps(sym: PolySymbol, trunc: BasisTruncation) -> tuple[int, ...]:
@@ -341,10 +332,6 @@ class CompressionMatrix:
     scaled_blocks: tuple[np.ndarray, ...] | None
 
     @property
-    def exactness(self) -> Exactness:
-        return Exactness.FLOAT if self.scaled_blocks is None else Exactness.RATIONAL
-
-    @property
     def size(self) -> int:
         return self.trunc.size
 
@@ -462,7 +449,6 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
     """
     if sym.dim != trunc.dim:
         raise ValueError(f"symbol dim {sym.dim} != truncation dim {trunc.dim}")
-    _check_basis_size(trunc.degree_cap, trunc.dim)
     exact = sym.is_exact
     offsets = _pair_offsets(sym.terms, sym.terms)
     groups, row_start, col_pos = _sectors(trunc, frozenset(offsets))
@@ -527,7 +513,6 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation) -> Compressio
     """
     if sym.dim != trunc.dim:
         raise ValueError(f"symbol dim {sym.dim} != truncation dim {trunc.dim}")
-    _check_basis_size(trunc.degree_cap, trunc.dim)
     offsets = frozenset(_pair_offsets(sym.terms, sym.terms))
     # the fill below is n x n whatever the sectors; this also implies _sectors' stored-entry guard
     _check_dump_size(trunc.size)
@@ -644,7 +629,6 @@ def top_eigenvalues(fourier, thetas, trunc: BasisTruncation, name_of) -> np.ndar
     for phi in fourier.values():
         if phi.is_exact or phi.dim != trunc.dim:
             raise ValueError("top_eigenvalues needs float symbols of the basis dim")
-    _check_basis_size(trunc.degree_cap, trunc.dim)
     by_phase: dict[int, dict] = {}
     for w, phi in fourier.items():
         for v, chi in fourier.items():
@@ -751,10 +735,10 @@ def weyl_residual(
 
 # -- dump format --------------------------------------------------------------
 # header: "hankel-spectra-matrix v1 dim=<d> N=<n> symbol=<hash> exact=<0|1>"
-# then one graded-lex row per line, size cells each; a cell is "re,im" with float
-# repr (float mode) or "num/den,num/den" (rational mode, scaled Gram entries);
-# size^2 <= MAX_STORED_ENTRIES.  The writer forms each row from its sector block:
-# the columns outside the row's sector are runs of the zero cell.
+# then one graded-lex row per line, size cells each, then only blank lines; a cell
+# is "re,im" with float repr (float mode) or "num/den,num/den" (rational mode,
+# scaled Gram entries); size^2 <= MAX_STORED_ENTRIES.  The writer forms each row
+# from its sector block: the columns outside the row's sector are runs of the zero cell.
 
 
 def _check_dump_size(size: int, where: str = "") -> None:
@@ -855,6 +839,8 @@ def load_matrix(fileobj) -> CompressionMatrix:
         if len(cells) != size:
             raise ValueError(f"row {i}: expected {size} entries, got {len(cells)}")
         full[i] = [_read_cell(cell, exact, i, j) for j, cell in enumerate(cells)]
+    if any(line.strip() for line in fileobj):  # a second dump or a stray line is not this matrix
+        raise ValueError(f"matrix dump: unexpected content after row {size - 1}")
     return _from_dense(
         full,
         exact,

@@ -3,11 +3,13 @@
 Every exact quantity in this package is either a `fractions.Fraction` or a
 `CRat` (a complex number with Fraction real and imaginary parts).  Mixing a
 `CRat` with a float or complex deliberately degrades to ordinary `complex`
-arithmetic, which is how the float paths are fed.
+arithmetic, which is how the float paths are fed: a coefficient is exact when it
+is a `CRat`.  `_power` is the one integer power, of `CRat`s and of symbols alike.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from numbers import Rational
 
@@ -110,12 +112,7 @@ class CRat:
         return inv * other
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("CRat powers must be non-negative integers")
-        out = CRat(1)
-        for _ in range(exponent):
-            out = out * self
-        return out
+        return _power(self, exponent, CRat(1))
 
     # -- comparison ---------------------------------------------------------
 
@@ -159,5 +156,15 @@ def as_coeff(value):
     raise TypeError(f"unsupported coefficient type: {type(value).__name__}")
 
 
-def coeff_is_exact(c) -> bool:
-    return isinstance(c, CRat)
+def _power(base, exponent: int, one, product=operator.mul):
+    """base^exponent by repeated squaring from the identity one: at most 2*exponent.bit_length() products."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("powers must be non-negative integers")
+    out = one
+    while exponent:
+        if exponent & 1:
+            out = product(out, base)
+        exponent >>= 1
+        if exponent:
+            base = product(base, base)
+    return out

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .core import MonomialSymbol
 from .multiindex import MultiIndex, as_multiindex, common_dim
-from .rational import CRat, as_coeff, coeff_is_exact
+from .rational import CRat, _power, as_coeff
 
 __all__ = ["PolySymbol", "SymbolParseError", "parse_symbol"]
 
@@ -60,7 +60,7 @@ class PolySymbol:
                 raise ValueError(f"term dimension {d} != symbol dimension {inferred}")
             key = (holo, antiholo)
             c = as_coeff(coeff)
-            exact = exact and coeff_is_exact(c)
+            exact = exact and isinstance(c, CRat)
             if key in merged:
                 merged[key] = merged[key] + c
             else:
@@ -76,7 +76,7 @@ class PolySymbol:
         self.dim = inferred
         self.terms = tuple(cleaned)
         # a symbol whose terms all cancel is exact when every coefficient it was built from was
-        self.is_exact = all(coeff_is_exact(c) for c, _, _ in cleaned) if cleaned else exact
+        self.is_exact = all(isinstance(c, CRat) for c, _, _ in cleaned) if cleaned else exact
 
     # -- constructors ---------------------------------------------------------
 
@@ -172,7 +172,7 @@ class PolySymbol:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "PolySymbol":
-        return _power(self, exponent, PolySymbol.__mul__)
+        return _power(self, exponent, _one(self.dim))
 
     def modulus_squared(self) -> "PolySymbol":
         """The symbol |psi|^2 = conj(psi) * psi."""
@@ -308,18 +308,8 @@ class PolySymbol:
             raise SymbolParseError(str(exc)) from exc
 
 
-def _power(base: PolySymbol, exponent: int, product) -> PolySymbol:
-    """base^exponent by repeated squaring: about 2*log2(exponent) calls product(a, b)."""
-    if not isinstance(exponent, int) or exponent < 0:
-        raise ValueError("symbol powers must be non-negative integers")
-    out = PolySymbol([(CRat(1), (0,) * base.dim, (0,) * base.dim)], dim=base.dim)
-    while exponent:
-        if exponent & 1:
-            out = product(out, base)
-        exponent >>= 1
-        if exponent:
-            base = product(base, base)
-    return out
+def _one(dim: int) -> PolySymbol:
+    return PolySymbol([(CRat(1), (0,) * dim, (0,) * dim)], dim=dim)
 
 
 def _keep_float(result: PolySymbol, *sources: PolySymbol) -> PolySymbol:
@@ -473,7 +463,7 @@ class _Parser:
             kind, val = self.take()
             if kind != "int":
                 raise SymbolParseError("exponent must be a non-negative integer")
-            sym = _power(sym, int(val), self.product)
+            sym = _power(sym, int(val), _one(self.dim), self.product)
         return sym * -1 if negate else sym
 
     @staticmethod

@@ -554,6 +554,17 @@ def test_stored_entry_budget_exits_2_before_allocating(capsys, tmp_path):
     assert dump.read_text() == "kept\n"
 
 
+def test_approx_dump_budget_is_checked_before_any_assembly(capsys, tmp_path, monkeypatch):
+    def no_assembly(*args):
+        raise AssertionError("assembled a compression whose dump is over budget")
+
+    monkeypatch.setattr(cli, "assemble", no_assembly)
+    dump = tmp_path / "never.txt"
+    assert main(["approx", "zb1*(zb2+1)", "--degree", "100", "--dump-matrix", str(dump)]) == 2
+    assert "dense matrix dump of basis size 10201" in capsys.readouterr().err
+    assert not dump.exists()
+
+
 def test_approx_solves_sector_blocks(capsys, monkeypatch):
     # zb1*(zb2+1) couples z^a only to z^(a +- (0, 1)): 13 blocks of 13 at N = 12;
     # a monomial couples nothing, so every block is 1x1

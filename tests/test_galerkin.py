@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from hankel_spectra import (
     BasisTruncation,
-    Exactness,
     KernelVector,
     assemble,
     assemble_via_toeplitz,
@@ -78,7 +77,7 @@ def test_assemble_monomial_is_diagonal_with_core_values():
     sym = parse_symbol("zb1*zb2")
     trunc = BasisTruncation(2, 2)
     mat = assemble(sym, trunc)
-    assert mat.exactness is Exactness.RATIONAL
+    assert mat.scaled_blocks is not None
     diag = mat.exact_diagonal()
     for i, alpha in enumerate(trunc.indices):
         assert diag[i] == lambda_value((0, 0), (1, 1), alpha, {1, 2})
@@ -126,7 +125,7 @@ def test_assemble_guards():
 def test_hermiticity_and_psd_float_path():
     sym = parse_symbol("zb1*(zb2+1)") * (0.5 + 0.25j)
     mat = assemble(sym, BasisTruncation(6, 2))
-    assert mat.exactness is Exactness.FLOAT
+    assert mat.scaled_blocks is None
     assert mat.hermiticity_defect() <= 1e-13 * max(1.0, mat.scale())
     w = eigenvalues(mat)
     assert w[0] >= -1e-10
@@ -291,7 +290,7 @@ def test_dump_and_load_roundtrip():
         buf.seek(0)
         back = load_matrix(buf)
         assert back.trunc == mat.trunc
-        assert (back.exactness is Exactness.RATIONAL) == exact
+        assert (back.scaled_blocks is not None) == exact
         if exact:
             assert back.scaled == mat.scaled
         assert np.array_equal(back.dense, mat.dense)
@@ -542,6 +541,28 @@ def test_load_matrix_rejects_a_short_row():
     dump = "hankel-spectra-matrix v1 dim=1 N=1 symbol=x exact=0\n0.5,0.0 0.0,0.0\n0.0,0.0\n"
     with pytest.raises(ValueError, match="row 1: expected 2 entries, got 1"):
         load_matrix(io.StringIO(dump))
+
+
+def test_load_matrix_refuses_content_after_the_last_row():
+    mat = assemble(parse_symbol("zb1*(zb2+1)"), BasisTruncation(1, 2))
+    buf = io.StringIO()
+    dump_matrix(mat, buf)
+    text = buf.getvalue()
+    # a second dump, a stray line, a fifth row: each would load as the first 4 rows alone
+    for tail in (text, "garbage\n", "0/1,0/1 0/1,0/1 0/1,0/1 0/1,0/1"):
+        with pytest.raises(ValueError, match=r"^matrix dump: unexpected content after row 3$"):
+            load_matrix(io.StringIO(text + tail))
+    assert load_matrix(io.StringIO(text + "\n \n")).scaled == mat.scaled
+
+
+def test_basis_truncation_refuses_a_box_over_the_basis_budget():
+    with pytest.raises(ValueError) as err:
+        BasisTruncation(200, 2)
+    assert str(err.value) == "basis size (N+1)^dim exceeds guard 20000 (N=200, dim=2)"
+    assert BasisTruncation(140, 2).size == 19881  # the largest dim-2 box inside the budget
+    for n_cap, dim in ((1, 15), (10**9, 8)):  # over the budget by dim alone, and by N
+        with pytest.raises(ValueError, match=rf"exceeds guard 20000 \(N={n_cap}, dim={dim}\)$"):
+            BasisTruncation(n_cap, dim)
 
 
 _gaussian_rational = st.builds(

@@ -1,12 +1,15 @@
-"""CRat construction: which parts are kept, coerced or refused."""
+"""CRat construction (which parts are kept, coerced or refused) and integer powers."""
 
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankel_spectra.rational import CRat
+from hankel_spectra.symbols import PolySymbol
 
 
 def test_fraction_parts_are_kept_as_they_are():
@@ -51,3 +54,57 @@ def test_other_rational_parts_become_fractions(re, im, want):
 def test_non_rational_parts_are_refused(re, im):
     with pytest.raises(TypeError, match="CRat parts must be rational"):
         CRat(re, im)
+
+
+def test_power_squares_repeatedly(monkeypatch):
+    calls = []
+    real = CRat.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(CRat, "__mul__", counting)
+    assert CRat(0, 1) ** 4096 == CRat(1)
+    assert CRat(Fraction(1, 2), 1) ** 0 == CRat(1)
+    assert len(calls) <= 2 * (4096).bit_length()
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+_crat = st.builds(CRat, _small, _small)
+
+
+def _repeated(base, exponent, one):
+    out = one
+    for _ in range(exponent):
+        out = out * base
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(_crat, st.integers(0, 40))
+def test_crat_power_equals_repeated_multiplication(base, exponent):
+    assert base**exponent == _repeated(base, exponent, CRat(1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 2).flatmap(
+        lambda dim: st.lists(
+            st.tuples(_crat, *(st.lists(st.integers(0, 2), min_size=dim, max_size=dim) for _ in range(2))),
+            min_size=1,
+            max_size=2,
+        ).map(lambda terms: PolySymbol([(c, tuple(n), tuple(m)) for c, n, m in terms], dim=dim))
+    ),
+    st.integers(0, 40),
+)
+def test_symbol_power_equals_repeated_multiplication(sym, exponent):
+    one = PolySymbol([(CRat(1), (0,) * sym.dim, (0,) * sym.dim)], dim=sym.dim)
+    assert sym**exponent == _repeated(sym, exponent, one)
+
+
+@pytest.mark.parametrize("base", [CRat(1, 2), PolySymbol([(CRat(1), (0,), (1,))])])
+@pytest.mark.parametrize("exponent", [-1, 0.5])
+def test_power_refuses_other_exponents(base, exponent):
+    with pytest.raises(ValueError, match="^powers must be non-negative integers$"):
+        base**exponent
