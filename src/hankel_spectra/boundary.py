@@ -11,6 +11,10 @@ as closed intervals [mu * min|chi|^2, mu * max|chi|^2], with the extrema of
 
 lambda_q is approximated from below by the top eigenvalue of the slice
 Galerkin compression; every report carries the truncation degree.
+
+boundary_report decides between the two routes: the product prediction when
+psi factors across the sliced coordinate, else the connected image of the
+slice profile {lambda_q}.  It returns the document the boundary command prints.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "product_essential_prediction",
     "separable_essential_prediction",
     "containment_report",
+    "boundary_report",
 ]
 
 DEFAULT_SAMPLES = 256
@@ -374,3 +379,83 @@ def containment_report(
     report["all_points_matched"] = all(p["matched"] for p in report["points"])
     return report
 
+
+def _factor_across(sym: PolySymbol, coord: int):
+    """Split psi = phi(z without coord) * chi(z_coord) when possible, else None."""
+    k = coord - 1
+    groups: dict[tuple[int, int], list] = {}
+    for c, h, a in sym.terms:
+        groups.setdefault((h[k], a[k]), []).append((c, h[:k] + h[k + 1:], a[:k] + a[k + 1:]))
+    if not groups:
+        return None
+    rest_dim = sym.dim - 1
+    base_key = min(groups)
+    base = PolySymbol(groups[base_key], dim=rest_dim)
+    chi_terms = []
+    for (nc, mc), terms in groups.items():
+        part = PolySymbol(terms, dim=rest_dim)
+        ratio = _proportionality(part, base)
+        if ratio is None:
+            return None
+        chi_terms.append((ratio, (nc,), (mc,)))
+    return base, PolySymbol(chi_terms, dim=1)
+
+
+def _proportionality(part: PolySymbol, base: PolySymbol):
+    """Scalar s with part == s * base, or None.
+
+    Float coefficients match to 1e-12 of the largest |coefficient| of part:
+    the rounding of s * base scales with the coefficients, so the test does too.
+    A term of s * base that underflows to 0 is dropped: the term counts differ.
+    An s that overflows makes NaN coefficients, which match nothing.
+    """
+    if len(part.terms) != len(base.terms):
+        return None
+    c0, h0, a0 = base.terms[0]
+    match = [t for t in part.terms if t[1] == h0 and t[2] == a0]
+    if not match:
+        return None
+    s = match[0][0] / c0
+    if isinstance(s, CRat):
+        return s if part == base * s else None
+    scaled = base * s
+    if len(scaled.terms) != len(part.terms):
+        return None
+    tol = 1e-12 * max(abs(complex(c)) for c, _, _ in part.terms)
+    for (cp, hp, ap), (cs, hs, as_) in zip(part.terms, scaled.terms):
+        if hp != hs or ap != as_ or not abs(complex(cp) - complex(cs)) <= tol:
+            return None
+    return s
+
+
+def boundary_report(sym: PolySymbol, coord: int, num_samples: int, trunc: BasisTruncation) -> dict:
+    """The boundary document without its command, symbol, dim and coord fields.
+
+    A symbol that factors as phi(z') chi(z_coord) is predicted by
+    {|chi(q)|^2 mu}; that prediction runs first, so a bad chi is refused before
+    any solve.  Any other symbol is predicted by the connected image of the
+    slice profile {lambda_q} (ThmGenSym): one point when the profile is
+    constant, else the interval [min, max].  The prediction is compared with
+    the compression spectrum at trunc to POINT_MATCH_RTOL * coefficient_scale(sym).
+    """
+    factored = _factor_across(sym, coord)
+    if factored is not None:
+        phi, chi = factored
+        prediction = product_essential_prediction(phi, chi, num_samples, BasisTruncation(trunc.degree_cap, phi.dim))
+    w = [float(x) for x in eigenvalues(assemble(sym.as_float(), trunc))]
+    profile = slice_norm_profile(sym, coord, num_samples, trunc)
+    if factored is None:
+        lo, hi = profile.vmin, profile.vmax
+        if profile.constant:
+            mid = (lo + hi) / 2.0
+            prediction = EssentialSetPrediction((PredictedPoint(mid, mid, "slice-profile"),), ())
+        else:
+            prediction = EssentialSetPrediction((), (PredictedInterval(lo, hi, 1.0, "slice-profile"),))
+    return {
+        "profile": profile.to_json_obj(),
+        "constant": profile.constant,
+        "prediction": prediction.to_json_obj(),
+        "prediction_source": "slice-profile" if factored is None else "product-factorization",
+        "compression": {"degree_cap": trunc.degree_cap, "eigenvalues": w},
+        "containment": containment_report(prediction, w, POINT_MATCH_RTOL * coefficient_scale(sym)),
+    }

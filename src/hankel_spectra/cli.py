@@ -15,21 +15,11 @@ import json
 import re
 import sys
 
-from .boundary import (
-    MAX_SAMPLES,
-    POINT_MATCH_RTOL,
-    coefficient_scale,
-    containment_report,
-    product_essential_prediction,
-    slice_norm_profile,
-    EssentialSetPrediction,
-    PredictedInterval,
-    PredictedPoint,
-)
+from .boundary import DEFAULT_SAMPLES, MAX_SAMPLES, boundary_report
 from .core import MonomialSymbol, SpectrumSet, enumerate_spectrum, essential_part, multiplicity_class
 from .galerkin import BasisTruncation, _check_dump_size, assemble, default_inner_caps, dump_matrix, eigenvalues
-from .rational import CRat, frac_str
-from .symbols import PolySymbol, parse_symbol
+from .rational import frac_str
+from .symbols import parse_symbol
 from .verify import run_verify
 
 __all__ = ["main"]
@@ -271,51 +261,8 @@ def cmd_approx(args) -> int:
     return 0
 
 
-def _factor_across(sym: PolySymbol, coord: int):
-    """Split psi = phi(z without coord) * chi(z_coord) when possible, else None."""
-    k = coord - 1
-    groups: dict[tuple[int, int], list] = {}
-    for c, h, a in sym.terms:
-        groups.setdefault((h[k], a[k]), []).append((c, h[:k] + h[k + 1:], a[:k] + a[k + 1:]))
-    if not groups:
-        return None
-    rest_dim = sym.dim - 1
-    base_key = min(groups)
-    base = PolySymbol(groups[base_key], dim=rest_dim)
-    chi_terms = []
-    for (nc, mc), terms in groups.items():
-        part = PolySymbol(terms, dim=rest_dim)
-        ratio = _proportionality(part, base)
-        if ratio is None:
-            return None
-        chi_terms.append((ratio, (nc,), (mc,)))
-    return base, PolySymbol(chi_terms, dim=1)
-
-
-def _proportionality(part: PolySymbol, base: PolySymbol):
-    """Scalar s with part == s * base, or None.
-
-    Float coefficients match to 1e-12 of the largest |coefficient| of part:
-    the rounding of s * base scales with the coefficients, so the test does too.
-    """
-    if len(part.terms) != len(base.terms):
-        return None
-    c0, h0, a0 = base.terms[0]
-    match = [t for t in part.terms if t[1] == h0 and t[2] == a0]
-    if not match:
-        return None
-    s = match[0][0] / c0
-    if isinstance(s, CRat):
-        return s if part == base * s else None
-    scaled = base * s
-    tol = 1e-12 * max(abs(complex(c)) for c, _, _ in part.terms)
-    for (cp, hp, ap), (cs, hs, as_) in zip(part.terms, scaled.terms):
-        if hp != hs or ap != as_ or abs(complex(cp) - complex(cs)) > tol:
-            return None
-    return s
-
-
 def cmd_boundary(args) -> int:
+    """Check the flags, then print the document of boundary_report, which decides the prediction."""
     _check_caps(args.degree)
     if args.samples < 4:
         raise ValueError("samples must be >= 4")
@@ -327,46 +274,12 @@ def cmd_boundary(args) -> int:
     coord = args.coord if args.coord is not None else sym.dim
     if not 1 <= coord <= sym.dim:
         raise ValueError(f"--coord must lie in 1..{sym.dim}")
-    trunc = BasisTruncation(args.degree, sym.dim)  # first: a monomial phi is then enumerated within its budget
-    # the product prediction first: it refuses a bad chi before the compression and the profile
-    factored = _factor_across(sym, coord)
-    if factored is not None:
-        phi, chi = factored
-        prediction = product_essential_prediction(phi, chi, args.samples, BasisTruncation(args.degree, phi.dim))
-        prediction_source = "product-factorization"
-    w = [float(x) for x in eigenvalues(assemble(sym.as_float(), trunc))]
-    profile = slice_norm_profile(sym, coord, args.samples, trunc)
-    if factored is None:
-        # ThmGenSym route: the connected image {lambda_q} is itself a prediction.
-        lo, hi = profile.vmin, profile.vmax
-        if profile.constant:
-            prediction = EssentialSetPrediction(
-                (PredictedPoint((lo + hi) / 2.0, (lo + hi) / 2.0, "slice-profile"),), ()
-            )
-        else:
-            prediction = EssentialSetPrediction(
-                (), (PredictedInterval(lo, hi, 1.0, "slice-profile"),)
-            )
-        prediction_source = "slice-profile"
-
-    report = containment_report(prediction, w, POINT_MATCH_RTOL * coefficient_scale(sym))
-    obj = {
-        "command": "boundary",
-        "symbol": str(sym),
-        "dim": sym.dim,
-        "coord": coord,
-        "profile": profile.to_json_obj(),
-        "constant": profile.constant,
-        "prediction": prediction.to_json_obj(),
-        "prediction_source": prediction_source,
-        "compression": {"degree_cap": args.degree, "eigenvalues": w},
-        "containment": report,
-    }
+    report = boundary_report(sym, coord, args.samples, BasisTruncation(args.degree, sym.dim))
     if args.format == "csv":
-        rows = [[repr(t), repr(v)] for t, v in zip(profile.thetas, profile.values)]
+        rows = [[repr(s["theta"]), repr(s["lambda_q"])] for s in report["profile"]["samples"]]
         _emit(_csv_text(["theta", "lambda_q"], rows), args.out)
     else:
-        _emit(_json_dump(obj), args.out)
+        _emit(_json_dump({"command": "boundary", "symbol": str(sym), "dim": sym.dim, "coord": coord} | report), args.out)
     return 0
 
 
@@ -408,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cap": dict(type=int, default=6, help="alpha enumeration cap"),
         "--degree": dict(type=int, default=8, help="Galerkin degree cap N"),
         "--dim": dict(type=int, default=None, help="force ambient dimension"),
-        "--samples": dict(type=int, default=256, help="boundary circle samples"),
+        "--samples": dict(type=int, default=DEFAULT_SAMPLES, help="boundary circle samples"),
         "--format": dict(choices=("json", "csv"), default="json"),
         "--out": dict(default=None, help="output path (default stdout)"),
         "--dump-matrix": dict(default=None, help="write the matrix dump here"),

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hankel_spectra import (
@@ -28,7 +28,7 @@ from hankel_spectra import (
     slice_norm_profile,
     slice_symbol,
 )
-from hankel_spectra.boundary import PredictedPoint
+from hankel_spectra.boundary import PredictedPoint, _factor_across
 from hankel_spectra.cli import main
 from hankel_spectra.rational import CRat
 from hankel_spectra.symbols import PolySymbol
@@ -583,6 +583,64 @@ def test_point_matching_is_invariant_under_power_of_two_scaling(phi, chi, nudge,
     for p, q in zip(b["intervals"], s["intervals"]):
         assert (q["lo"], q["hi"]) == pytest.approx((p["lo"] * 4.0**k, p["hi"] * 4.0**k), rel=1e-12, abs=1e-12 * unit)
     assert s["all_points_matched"] == b["all_points_matched"]
+
+
+_wide = st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300, allow_nan=False, allow_infinity=False)
+_exponent = st.tuples(st.integers(0, 2))
+_wide_terms = st.lists(st.tuples(st.one_of(_gaussian, _wide), _exponent, _exponent), min_size=1, max_size=3)
+_pair = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+def _embed(terms, dim: int, coords: list[int]) -> PolySymbol:
+    """A symbol of dim coordinates whose terms (c, h, a) have their exponents at the 0-based coords."""
+
+    def place(exponents):
+        out = [0] * dim
+        for k, e in zip(coords, exponents):
+            out[k] = e
+        return tuple(out)
+
+    return PolySymbol([(c, place(h), place(a)) for c, h, a in terms], dim=dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _wide_terms,
+    _wide_terms,
+    st.lists(st.tuples(st.one_of(_gaussian, _wide), _pair, _pair), max_size=2),
+    st.sampled_from([1, 2]),
+)
+# 1e-30 * (zb1 + 1e-300*z1) drops its z1 term, and 7*z1*zb2 went unchecked
+@example(
+    [(1.0 + 0j, (0,), (1,)), (1e-300 + 0j, (1,), (0,))],
+    [(1.0 + 0j, (0,), (0,)), (1e-30 + 0j, (0,), (1,))],
+    [(7.0 + 0j, (1, 0), (0, 1))],
+    2,
+)
+# 1e-300*i * (1 + inf*zb1): the ratio of the zb1 part to the constant overflows, and NaN matched everything
+@example(
+    [(1e-300 + 0j, (0,), (0,)), (179769314 + 179769314j, (0,), (1,))], [(CRat(0, 1), (0,), (0,))], [], 1
+)
+def test_factorization_multiplies_back_to_the_symbol(phi, chi, extra, coord):
+    psi = _embed(phi, 2, [0]) * _embed(chi, 2, [1]) + PolySymbol(extra, dim=2)
+    assume(all(cmath.isfinite(complex(c)) for c, _, _ in psi.terms))
+    factored = _factor_across(psi, coord)
+    if factored is None:
+        return
+    k = coord - 1
+    back = _embed(factored[0].terms, 2, [1 - k]) * _embed(factored[1].terms, 2, [k])
+    if psi.is_exact:
+        assert back == psi
+        return
+    # per term, to the factorization's 1e-12 * max|c| over the terms of psi with the same z_coord exponents
+    scale: dict = {}
+    for c, h, a in psi.terms:
+        scale[h[k], a[k]] = max(scale.get((h[k], a[k]), 0.0), abs(complex(c)))
+    want = {(h, a): c for c, h, a in psi.terms}
+    got = {(h, a): c for c, h, a in back.terms}
+    assert got.keys() == want.keys()
+    for (h, a), c in want.items():
+        assert abs(complex(got[h, a]) - complex(c)) <= 1e-12 * scale[h[k], a[k]]
 
 
 def test_boundary_degree_over_the_basis_budget_exits_2_at_once(capsys):

@@ -439,6 +439,14 @@ def test_factorization_tolerance_is_relative_to_the_coefficients(capsys):
     assert _prediction_source(capsys, _float_symbol(large)) == "product-factorization"
 
 
+def test_factorization_sees_a_term_that_underflows_in_the_ratio_product(capsys):
+    # the zb2 part 1e-30*zb1 + 7*z1 is no multiple of the base zb1 + 1e-300*z1, but 1e-30 * base
+    # drops its z1 term (1e-330 underflows to 0), and a term-by-term match stopped before 7*z1
+    terms = [(1.0 + 0j, (0, 0), (1, 0)), (1e-300 + 0j, (1, 0), (0, 0)),
+             (1e-30 + 0j, (0, 0), (1, 1)), (7.0 + 0j, (1, 0), (0, 1))]
+    assert _prediction_source(capsys, _float_symbol(terms)) == "slice-profile"
+
+
 _small_coefficients = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 
 
@@ -450,7 +458,7 @@ _small_coefficients = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, 
     st.integers(-60, 60),
 )
 def test_factorization_is_invariant_under_power_of_two_scaling(phi, chi, nudge, k):
-    from hankel_spectra.cli import _factor_across
+    from hankel_spectra.boundary import _factor_across
     from hankel_spectra.symbols import PolySymbol
 
     sym = PolySymbol([(c, (h, 0), (a, 0)) for c, h, a in phi], dim=2) * PolySymbol(
