@@ -41,7 +41,6 @@ from .boundary import (
     circle_abs_sq_range,
     containment_report,
     product_essential_prediction,
-    separable_essential_prediction,
     slice_norm_profile,
     slice_symbol,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "qh_eigenvalue",
     "qh_eigenvalue_box",
     "radial_integral",
-    "separable_essential_prediction",
     "slice_norm_profile",
     "slice_symbol",
     "weyl_residual",

@@ -39,7 +39,6 @@ __all__ = [
     "slice_norm_profile",
     "circle_abs_sq_range",
     "product_essential_prediction",
-    "separable_essential_prediction",
     "containment_report",
     "boundary_report",
 ]
@@ -191,6 +190,10 @@ def circle_abs_sq_range(chi: PolySymbol, num_samples: int = DEFAULT_SAMPLES) -> 
             # coefficients below the convolution's rounding error are noise; a leading one that
             # np.roots divides by loses every root near the circle once it is ~1e-18 of the largest
             slopes[sizes < np.finfo(float).eps * sizes.max()] = 0
+            # scale by a power of two, exactly: np.roots divides by the leading slope, and a
+            # complex division by a subnormal overflows (2.0**k itself overflows past k = 1023)
+            shift = -np.frexp(sizes.max())[1]
+            slopes.real, slopes.imag = np.ldexp(slopes.real, shift), np.ldexp(slopes.imag, shift)
             thetas += (np.angle(np.roots(slopes)) / g).tolist()
         vals = [abs(float_chi.evaluate((cmath.exp(1j * t),))) ** 2 for t in thetas]
         if not np.isfinite(vals).all():
@@ -304,37 +307,10 @@ def product_essential_prediction(
     at trunc, labeled as such); the q-image is the interval
     [mu min|chi|^2, mu max|chi|^2].
     """
-    if chi.dim != 1:
-        raise ValueError("chi must be univariate")
     t_lo, t_hi = circle_abs_sq_range(chi, num_samples)  # refuses a bad chi before phi's spectrum
     mus, source = _spectrum_of(phi, trunc)
     unit = coefficient_scale(phi) * coefficient_scale(chi)  # |c|^2 of the product: its terms do not merge
     points, intervals = _prediction_entries(sorted(set(mus)), t_lo, t_hi, source, unit)
-    return EssentialSetPrediction(tuple(points), tuple(intervals))
-
-
-def separable_essential_prediction(
-    factors: list[PolySymbol], num_samples: int, trunc: BasisTruncation
-) -> EssentialSetPrediction:
-    """Union over j of {mu_j prod_{k != j} t_k} for separable psi = prod chi_k(z_k); trunc has dim 1."""
-    if len(factors) < 2:
-        raise ValueError("separable prediction needs >= 2 factors")
-    for f in factors:
-        if f.dim != 1:
-            raise ValueError("every factor must be univariate")
-    ranges = [circle_abs_sq_range(f, num_samples) for f in factors]
-    unit = math.prod(map(coefficient_scale, factors))
-    if any(f.is_zero for f in factors):
-        return EssentialSetPrediction((PredictedPoint(0.0, 0.0, "zero-factor"),), ())
-    points: list[PredictedPoint] = []
-    intervals: list[PredictedInterval] = []
-    for j, factor in enumerate(factors):
-        mus, source = _spectrum_of(factor, trunc)
-        t_lo = math.prod(r[0] for k, r in enumerate(ranges) if k != j)
-        t_hi = math.prod(r[1] for k, r in enumerate(ranges) if k != j)
-        p, iv = _prediction_entries(sorted(set(mus)), t_lo, t_hi, f"factor-{j + 1}: {source}", unit)
-        points.extend(p)
-        intervals.extend(iv)
     return EssentialSetPrediction(tuple(points), tuple(intervals))
 
 
@@ -381,51 +357,48 @@ def containment_report(
 
 
 def _factor_across(sym: PolySymbol, coord: int):
-    """Split psi = phi(z without coord) * chi(z_coord) when possible, else None."""
-    k = coord - 1
-    groups: dict[tuple[int, int], list] = {}
-    for c, h, a in sym.terms:
-        groups.setdefault((h[k], a[k]), []).append((c, h[:k] + h[k + 1:], a[:k] + a[k + 1:]))
-    if not groups:
-        return None
-    rest_dim = sym.dim - 1
-    base_key = min(groups)
-    base = PolySymbol(groups[base_key], dim=rest_dim)
-    chi_terms = []
-    for (nc, mc), terms in groups.items():
-        part = PolySymbol(terms, dim=rest_dim)
-        ratio = _proportionality(part, base)
-        if ratio is None:
-            return None
-        chi_terms.append((ratio, (nc,), (mc,)))
-    return base, PolySymbol(chi_terms, dim=1)
+    """Split psi = phi(z without coord) * chi(z_coord) when possible, else None.
 
-
-def _proportionality(part: PolySymbol, base: PolySymbol):
-    """Scalar s with part == s * base, or None.
-
-    Float coefficients match to 1e-12 of the largest |coefficient| of part:
-    the rounding of s * base scales with the coefficients, so the test does too.
-    A term of s * base that underflows to 0 is dropped: the term counts differ.
-    An s that overflows makes NaN coefficients, which match nothing.
+    The coefficients of psi form a table rows[(n_c, m_c)][(h', a')], one row per
+    pair of z_coord exponents, and psi is a product exactly when the table is
+    chi (x) phi.  phi is the lowest-key row and chi_r = rows[r][s0] / phi[s0],
+    with s0 the first term of phi.  Every row must have the support of phi and
+    equal chi_r * phi: exactly for an exact chi_r, else to 1e-12 of the row's
+    largest |c|, where a product that is 0 or non-finite matches nothing.
     """
-    if len(part.terms) != len(base.terms):
+    k = coord - 1
+    rows: dict[tuple[int, int], dict] = {}
+    for c, h, a in sym.terms:
+        rows.setdefault((h[k], a[k]), {})[h[:k] + h[k + 1:], a[:k] + a[k + 1:]] = c
+    if not rows:
         return None
-    c0, h0, a0 = base.terms[0]
-    match = [t for t in part.terms if t[1] == h0 and t[2] == a0]
-    if not match:
+    key = min(rows)
+    if any(row.keys() != rows[key].keys() for row in rows.values()):
         return None
-    s = match[0][0] / c0
-    if isinstance(s, CRat):
-        return s if part == base * s else None
-    scaled = base * s
-    if len(scaled.terms) != len(part.terms):
-        return None
-    tol = 1e-12 * max(abs(complex(c)) for c, _, _ in part.terms)
-    for (cp, hp, ap), (cs, hs, as_) in zip(part.terms, scaled.terms):
-        if hp != hs or ap != as_ or not abs(complex(cp) - complex(cs)) <= tol:
-            return None
-    return s
+
+    def row_symbol(r) -> PolySymbol:
+        return PolySymbol([(c, h, a) for (h, a), c in rows[r].items()], dim=sym.dim - 1)
+
+    phi = row_symbol(key)
+    s0 = phi.terms[0][1:]
+    chi = {r: row[s0] / rows[key][s0] for r, row in rows.items()}
+    if not all(isinstance(x, CRat) or cmath.isfinite(x) for x in chi.values()):
+        # a ratio overflowed: pivot on the largest |c| instead, so that every |chi_r| <= 1
+        _, key, s0 = max((abs(complex(c)), r, s) for r, row in rows.items() for s, c in row.items())
+        phi = row_symbol(key)
+        chi = {r: row[s0] / rows[key][s0] for r, row in rows.items()}
+    for r, row in rows.items():
+        x = chi[r]
+        if isinstance(x, CRat):
+            if any(c != x * rows[key][s] for s, c in row.items()):
+                return None
+            continue
+        tol = 1e-12 * max(abs(complex(c)) for c in row.values())
+        for s, c in row.items():
+            p = x * rows[key][s]
+            if p == 0 or not cmath.isfinite(p) or not abs(complex(c) - p) <= tol:
+                return None
+    return phi, PolySymbol([(x, (n,), (m,)) for (n, m), x in chi.items()], dim=1)
 
 
 def boundary_report(sym: PolySymbol, coord: int, num_samples: int, trunc: BasisTruncation) -> dict:

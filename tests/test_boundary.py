@@ -24,7 +24,6 @@ from hankel_spectra import (
     eigenvalues,
     parse_symbol,
     product_essential_prediction,
-    separable_essential_prediction,
     slice_norm_profile,
     slice_symbol,
 )
@@ -413,6 +412,21 @@ def test_circle_range_takes_four_samples(capsys):
     assert len(out["profile"]["samples"]) == 4
 
 
+def test_circle_range_of_a_subnormal_coefficient(capsys):
+    from hankel_spectra.cli import main
+
+    # np.roots divided by the subnormal leading slope, and numpy's complex division overflowed
+    for tiny in (3e-309, 5e-324):
+        chi = PolySymbol([(1.0 + 0j, (0,), (0,)), (tiny + 0j, (0,), (1,))], dim=1)
+        assert circle_abs_sq_range(chi, 8) == (1.0, 1.0)
+    symbol = (
+        '{"dim":2,"terms":[{"coeff":[1.0,0.0],"holo":[0,0],"antiholo":[1,0]},'
+        '{"coeff":[3e-309,0.0],"holo":[0,0],"antiholo":[1,1]}]}'
+    )
+    assert main(["boundary", symbol, "--coord", "2", "--degree", "4", "--samples", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["prediction_source"] == "product-factorization"
+
+
 def test_product_prediction_interval():
     pred = product_essential_prediction(
         parse_symbol("zb1"), parse_symbol("zb1+1"), 128, BasisTruncation(4, 1)
@@ -459,21 +473,6 @@ def test_product_prediction_holomorphic_phi():
     assert max(abs(v) for v in vals) < 1e-12
 
 
-def test_separable_prediction():
-    zb = parse_symbol("zb1")
-    pred = separable_essential_prediction([zb, zb], 64, BasisTruncation(3, 1))
-    # |zb|^2 = 1 on the circle: points are exactly the one-variable spectrum, twice
-    spec_vals = sorted({float(v) for v in enumerate_spectrum(MonomialSymbol((0,), (1,)), 3).values()})
-    got = sorted({round(p.value, 14) for p in pred.points})
-    assert np.allclose(got, spec_vals, atol=1e-12)
-
-    pred2 = separable_essential_prediction([zb, parse_symbol("zb1+1")], 64, BasisTruncation(3, 1))
-    assert pred2.covers_interval(0.0, 2.0, tol=1e-9)
-
-    pred3 = separable_essential_prediction([zb, parse_symbol("0", dim=1)], 64, BasisTruncation(3, 1))
-    assert [p.value for p in pred3.points] == [0.0] and not pred3.intervals
-
-
 def test_containment_report_points_match_diagonal():
     sym = parse_symbol("zb1", dim=2)
     w = eigenvalues(assemble(sym, BasisTruncation(20, 2)))
@@ -516,9 +515,8 @@ def test_containment_report_empty_prediction():
 
 
 def test_prediction_has_one_truncation():
-    for fn in (product_essential_prediction, separable_essential_prediction):
-        params = inspect.signature(fn).parameters
-        assert "alpha_cap" not in params and params["trunc"].default is inspect.Parameter.empty
+    params = inspect.signature(product_essential_prediction).parameters
+    assert "alpha_cap" not in params and params["trunc"].default is inspect.Parameter.empty
     # a monomial phi is enumerated over the box alpha <= N that its compression covers
     pred = product_essential_prediction(parse_symbol("zb1"), parse_symbol("zb1"), 8, BasisTruncation(5, 1))
     want = [float(v) for v in enumerate_spectrum(MonomialSymbol((0,), (1,)), 5).values()]
@@ -585,13 +583,15 @@ def test_point_matching_is_invariant_under_power_of_two_scaling(phi, chi, nudge,
     assert s["all_points_matched"] == b["all_points_matched"]
 
 
-_wide = st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300, allow_nan=False, allow_infinity=False)
+_wide = st.one_of(
+    _gaussian, st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300, allow_nan=False, allow_infinity=False)
+)
 _exponent = st.tuples(st.integers(0, 2))
-_wide_terms = st.lists(st.tuples(st.one_of(_gaussian, _wide), _exponent, _exponent), min_size=1, max_size=3)
 _pair = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_triple = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
 
 
-def _embed(terms, dim: int, coords: list[int]) -> PolySymbol:
+def _embed(terms, dim: int, coords) -> PolySymbol:
     """A symbol of dim coordinates whose terms (c, h, a) have their exponents at the 0-based coords."""
 
     def place(exponents):
@@ -605,30 +605,35 @@ def _embed(terms, dim: int, coords: list[int]) -> PolySymbol:
 
 @settings(max_examples=200, deadline=None)
 @given(
-    _wide_terms,
-    _wide_terms,
-    st.lists(st.tuples(st.one_of(_gaussian, _wide), _pair, _pair), max_size=2),
-    st.sampled_from([1, 2]),
+    st.lists(st.tuples(_wide, _pair, _pair), min_size=1, max_size=3),
+    st.lists(st.tuples(_wide, _exponent, _exponent), min_size=1, max_size=3),
+    st.lists(st.tuples(_wide, _triple, _triple), max_size=2),
+    st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]),
 )
 # 1e-30 * (zb1 + 1e-300*z1) drops its z1 term, and 7*z1*zb2 went unchecked
 @example(
     [(1.0 + 0j, (0,), (1,)), (1e-300 + 0j, (1,), (0,))],
     [(1.0 + 0j, (0,), (0,)), (1e-30 + 0j, (0,), (1,))],
     [(7.0 + 0j, (1, 0), (0, 1))],
-    2,
+    (2, 2),
 )
-# 1e-300*i * (1 + inf*zb1): the ratio of the zb1 part to the constant overflows, and NaN matched everything
+# 1e-300*i * (1 + inf*zb1): the ratio of the zb1 row to the constant overflows, so the
+# factorization pivots on the largest |c|
 @example(
-    [(1e-300 + 0j, (0,), (0,)), (179769314 + 179769314j, (0,), (1,))], [(CRat(0, 1), (0,), (0,))], [], 1
+    [(1e-300 + 0j, (0,), (0,)), (179769314 + 179769314j, (0,), (1,))], [(CRat(0, 1), (0,), (0,))], [], (2, 1)
 )
-def test_factorization_multiplies_back_to_the_symbol(phi, chi, extra, coord):
-    psi = _embed(phi, 2, [0]) * _embed(chi, 2, [1]) + PolySymbol(extra, dim=2)
+def test_factorization_multiplies_back_to_the_symbol(phi, chi, extra, shape):
+    # phi lives on all coordinates but the last and chi on the last; in dim 3 a middle coord
+    # splits the exponents on both sides of the sliced one
+    dim, coord = shape
+    psi = _embed(phi, dim, range(dim - 1)) * _embed(chi, dim, [dim - 1]) + _embed(extra, dim, range(dim))
     assume(all(cmath.isfinite(complex(c)) for c, _, _ in psi.terms))
     factored = _factor_across(psi, coord)
     if factored is None:
         return
     k = coord - 1
-    back = _embed(factored[0].terms, 2, [1 - k]) * _embed(factored[1].terms, 2, [k])
+    rest = [j for j in range(dim) if j != k]
+    back = _embed(factored[0].terms, dim, rest) * _embed(factored[1].terms, dim, [k])
     if psi.is_exact:
         assert back == psi
         return

@@ -447,6 +447,18 @@ def test_factorization_sees_a_term_that_underflows_in_the_ratio_product(capsys):
     assert _prediction_source(capsys, _float_symbol(terms)) == "slice-profile"
 
 
+def test_factorization_pivots_when_a_ratio_overflows(capsys):
+    from hankel_spectra.boundary import _factor_across
+    from hankel_spectra.symbols import PolySymbol
+
+    # 1e-300i + (-179769314+179769314i)*zb2 is a constant times chi(z2), but the ratio of the
+    # zb2 row to the lowest-key row 1e-300i overflows to inf+infj
+    terms = [(1e-300j, (0, 0), (0, 0)), (-179769314 + 179769314j, (0, 0), (0, 1))]
+    assert _prediction_source(capsys, _float_symbol(terms)) == "product-factorization"
+    phi, chi = _factor_across(PolySymbol(terms, dim=2), 2)
+    assert phi.terms[0][0] == terms[1][0] and max(abs(c) for c, _, _ in chi.terms) <= 1.0
+
+
 _small_coefficients = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 
 
