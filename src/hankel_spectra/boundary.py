@@ -80,6 +80,16 @@ def _circle_grid(num_samples: int) -> list[float]:
     return [2.0 * math.pi * j / num_samples for j in range(num_samples)]
 
 
+def _profile_grid(sym: PolySymbol, coord: int, num_samples: int) -> list[float]:
+    """The circle grid of a profile of sym over z_coord, after checking the request."""
+    thetas = _circle_grid(num_samples)
+    if sym.dim < 2:
+        raise ValueError("profiles need dim >= 2")
+    if not 1 <= coord <= sym.dim:
+        raise ValueError(f"coord {coord} out of range 1..{sym.dim}")
+    return thetas
+
+
 @dataclass(frozen=True)
 class SliceNormProfile:
     """Sampled theta -> lambda_q = ||H_{psi_q}||^2 (compression estimate)."""
@@ -132,11 +142,7 @@ def slice_norm_profile(
     at every sample in one batch.  A symbol that is a monomial in the sliced
     coordinate has d = 0 only, so its profile is constant bit for bit.
     """
-    thetas = _circle_grid(num_samples)
-    if sym.dim < 2:
-        raise ValueError("profiles need dim >= 2")
-    if not 1 <= coord <= sym.dim:
-        raise ValueError(f"coord {coord} out of range 1..{sym.dim}")
+    thetas = _profile_grid(sym, coord, num_samples)
     slice_trunc = BasisTruncation(trunc.degree_cap, sym.dim - 1)
     float_sym = sym.as_float()
     classes: dict[int, list] = {}
@@ -363,8 +369,10 @@ def _factor_across(sym: PolySymbol, coord: int):
     pair of z_coord exponents, and psi is a product exactly when the table is
     chi (x) phi.  phi is the lowest-key row and chi_r = rows[r][s0] / phi[s0],
     with s0 the first term of phi.  Every row must have the support of phi and
-    equal chi_r * phi: exactly for an exact chi_r, else to 1e-12 of the row's
-    largest |c|, where a product that is 0 or non-finite matches nothing.
+    equal chi_r * phi: exactly for an exact chi_r, else row[s] phi[s0] =
+    row[s0] phi[s] to 1e-12 of the row's largest |c| times |phi[s0]|, and
+    chi_r * phi[s] non-zero, finite and as close plus |phi[s]| times 2**-1074,
+    the spacing to which a subnormal chi_r rounds the ratio.
     """
     k = coord - 1
     rows: dict[tuple[int, int], dict] = {}
@@ -387,6 +395,11 @@ def _factor_across(sym: PolySymbol, coord: int):
         _, key, s0 = max((abs(complex(c)), r, s) for r, row in rows.items() for s, c in row.items())
         phi = row_symbol(key)
         chi = {r: row[s0] / rows[key][s0] for r, row in rows.items()}
+    if not all(isinstance(x, CRat) for x in chi.values()):
+        # phi times the power of two that puts its largest part in [0.5, 1), exactly: no product below overflows
+        e = -math.frexp(max(max(abs(complex(c).real), abs(complex(c).imag)) for c in rows[key].values()))[1]
+        phi_s = {s: complex(math.ldexp(complex(c).real, e), math.ldexp(complex(c).imag, e))
+                 for s, c in rows[key].items()}
     for r, row in rows.items():
         x = chi[r]
         if isinstance(x, CRat):
@@ -396,7 +409,9 @@ def _factor_across(sym: PolySymbol, coord: int):
         tol = 1e-12 * max(abs(complex(c)) for c in row.values())
         for s, c in row.items():
             p = x * rows[key][s]
-            if p == 0 or not cmath.isfinite(p) or not abs(complex(c) - p) <= tol:
+            near = abs(complex(c) - p) <= tol + math.ulp(0.0) * abs(complex(rows[key][s]))
+            rank_one = abs(complex(c) * phi_s[s0] - complex(row[s0]) * phi_s[s]) <= tol * abs(phi_s[s0])
+            if p == 0 or not cmath.isfinite(p) or not (near and rank_one):
                 return None
     return phi, PolySymbol([(x, (n,), (m,)) for (n, m), x in chi.items()], dim=1)
 
@@ -411,6 +426,7 @@ def boundary_report(sym: PolySymbol, coord: int, num_samples: int, trunc: BasisT
     constant, else the interval [min, max].  The prediction is compared with
     the compression spectrum at trunc to POINT_MATCH_RTOL * coefficient_scale(sym).
     """
+    _profile_grid(sym, coord, num_samples)  # refuses a bad request before any work
     factored = _factor_across(sym, coord)
     if factored is not None:
         phi, chi = factored

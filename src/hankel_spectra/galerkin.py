@@ -680,27 +680,20 @@ class KernelVector:
         return float(np.linalg.norm(self.coefficients))
 
 
-def weyl_residual(
-    sym: PolySymbol,
-    lam: float,
-    g_coeffs,
-    p: complex,
-    trunc: BasisTruncation,
-    *,
-    mat: CompressionMatrix | None = None,
-) -> float:
-    """||(M - lam I) f|| for the product test vector f = g (x) k_p.
+def weyl_residual(mat: CompressionMatrix, lam: float, g_coeffs, p: complex) -> float:
+    """||(M - lam I) f|| for the compression M = mat and the test vector f = g (x) k_p.
 
-    g lives on the (dim-1)-dimensional slice basis at the same degree cap and
-    must be normalized; k_p occupies the last coordinate.  Truncations holding
-    less than MIN_KERNEL_NORM of the kernel mass are rejected, since the
-    residual would reflect lost mass rather than spectral distance, and so are
-    non-finite lam, p or g and a supplied matrix of another truncation or
-    symbol.  f is one outer product laid out by trunc.positions; M f is applied
-    one sector block at a time (einsum over each (k, s, s) stack), so neither
-    the dense matrix nor a BLAS matrix-vector product is formed.
+    This is the compression's residual: rows of H*_psi H_psi f outside the box
+    mat.trunc are not counted.  g lives on the (dim-1)-dimensional slice basis
+    at the same degree cap and must be normalized; k_p occupies the last
+    coordinate.  A truncation holding less than MIN_KERNEL_NORM of the kernel
+    mass is rejected (the residual would reflect lost mass, not spectral
+    distance), and so are non-finite lam, p or g.  M f is applied one sector
+    block at a time (einsum over each (k, s, s) stack): no dense matrix and no
+    BLAS matrix-vector product is formed.
     """
-    if sym.dim < 2:
+    trunc = mat.trunc
+    if trunc.dim < 2:
         raise ValueError("weyl_residual needs dim >= 2 (kernel occupies the last coordinate)")
     if not cmath.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
@@ -717,13 +710,6 @@ def weyl_residual(
         raise ValueError("g must have finite coefficients")
     if abs(np.linalg.norm(g) - 1.0) > 1e-8:
         raise ValueError("g must be normalized")
-
-    if mat is None:
-        mat = assemble(sym, trunc)
-    elif mat.trunc != trunc:
-        raise ValueError("supplied matrix truncation does not match")
-    elif mat.symbol_hash != _symbol_hash(sym):
-        raise ValueError(f"supplied matrix is of symbol {mat.symbol_hash}, not of {_symbol_hash(sym)}")
 
     f = np.empty(trunc.size, dtype=complex)
     f[trunc.positions] = np.multiply.outer(g[slice_trunc.positions], kv.coefficients)

@@ -22,6 +22,8 @@ from .core import (
     multiplicity_class,
 )
 from .galerkin import (
+    EIGEN_FLOOR,
+    HERMITICITY_TOL,
     BasisTruncation,
     assemble,
     assemble_via_toeplitz,
@@ -180,9 +182,9 @@ def _suite_hygiene() -> tuple[bool, dict]:
     checks = {}
     sym = parse_symbol("zb1*(zb2+1)")
     mat = assemble(sym, BasisTruncation(6, 2))
-    checks["hermitian"] = mat.hermiticity_defect() <= 1e-13 * max(1.0, mat.scale())
+    checks["hermitian"] = mat.hermiticity_defect() <= HERMITICITY_TOL * max(1.0, mat.scale())
     w = eigenvalues(mat)
-    checks["psd_floor"] = bool(w[0] >= -1e-10)
+    checks["psd_floor"] = bool(w[0] >= EIGEN_FLOOR)
 
     # quadrature doubling on a degree-8 polynomial profile, forced float path
     coeffs = [0.25, 0, Fraction(1, 3), 0, 0, 0, 0, 0, 1]
@@ -218,17 +220,13 @@ def _suite_matrix_roundtrip() -> tuple[bool, dict]:
 
 
 def _suite_weyl() -> tuple[bool, dict]:
-    sym = parse_symbol("zb1", dim=2)
-    trunc = BasisTruncation(14, 2)
-    mat = assemble(sym, trunc)
-    g = np.zeros(trunc.degree_cap + 1, dtype=complex)
+    mat = assemble(parse_symbol("zb1", dim=2), BasisTruncation(14, 2))
+    g = np.zeros(mat.trunc.degree_cap + 1, dtype=complex)
     g[0] = 1.0
-    residuals = [
-        weyl_residual(sym, 0.5, g, p, trunc, mat=mat) for p in (0.3, 0.5, 0.7)
-    ]
+    residuals = [weyl_residual(mat, 0.5, g, p) for p in (0.3, 0.5, 0.7)]
     non_increasing = all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
     tiny = all(r <= 1e-12 for r in residuals)
-    far = weyl_residual(sym, 10.0, g, 0.5, trunc, mat=mat)
+    far = weyl_residual(mat, 10.0, g, 0.5)
     return non_increasing and tiny and far > 8.0, {
         "residuals": residuals,
         "far_residual": far,

@@ -237,7 +237,7 @@ def test_criterion_8_weyl_residual_trend():
     mat = assemble(sym, trunc)
     g = np.zeros(n_cap + 1, dtype=complex)
     g[0] = g[1] = 1.0 / np.sqrt(2.0)
-    residuals = [weyl_residual(sym, 0.5, g, p, trunc, mat=mat) for p in (0.5, 0.7, 0.9)]
+    residuals = [weyl_residual(mat, 0.5, g, p) for p in (0.5, 0.7, 0.9)]
     ok = residuals[0] > residuals[1] > residuals[2]
     _report(
         f"criterion-8 Weyl residual trend (N={n_cap}, residuals={['%.6g' % r for r in residuals]})",

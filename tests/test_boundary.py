@@ -622,6 +622,8 @@ def _embed(terms, dim: int, coords) -> PolySymbol:
 @example(
     [(1e-300 + 0j, (0,), (0,)), (179769314 + 179769314j, (0,), (1,))], [(CRat(0, 1), (0,), (0,))], [], (2, 1)
 )
+# zb1 * (1e150 + 1e-170*zb2): chi's ratio 1e-320 is subnormal, so chi_r * phi misses the symbol by 1e-5
+@example([(1.0 + 0j, (0, 0), (1, 0))], [(1e150 + 0j, (0,), (0,)), (1e-170 + 0j, (0,), (1,))], [], (2, 2))
 def test_factorization_multiplies_back_to_the_symbol(phi, chi, extra, shape):
     # phi lives on all coordinates but the last and chi on the last; in dim 3 a middle coord
     # splits the exponents on both sides of the sliced one
@@ -637,15 +639,46 @@ def test_factorization_multiplies_back_to_the_symbol(phi, chi, extra, shape):
     if psi.is_exact:
         assert back == psi
         return
-    # per term, to the factorization's 1e-12 * max|c| over the terms of psi with the same z_coord exponents
+    # per term, to the factorization's 1e-12 * max|c| over the terms of psi with the same z_coord
+    # exponents, plus |phi| times the spacing 2**-1074 that a subnormal chi coefficient is rounded to
     scale: dict = {}
     for c, h, a in psi.terms:
         scale[h[k], a[k]] = max(scale.get((h[k], a[k]), 0.0), abs(complex(c)))
+    phi_of = {(h, a): abs(complex(c)) for c, h, a in factored[0].terms}
     want = {(h, a): c for c, h, a in psi.terms}
     got = {(h, a): c for c, h, a in back.terms}
     assert got.keys() == want.keys()
     for (h, a), c in want.items():
-        assert abs(complex(got[h, a]) - complex(c)) <= 1e-12 * scale[h[k], a[k]]
+        slack = math.ulp(0.0) * phi_of[h[:k] + h[k + 1:], a[:k] + a[k + 1:]]
+        assert abs(complex(got[h, a]) - complex(c)) <= 1e-12 * scale[h[k], a[k]] + slack
+
+
+def test_a_subnormal_ratio_keeps_the_rank_one_resolution():
+    # zb1*(1 + 2*z1)*(1e150 + 1e-170*zb2) factors over z2.  Raising the z1*zb1*zb2 coefficient by
+    # 5e-5 of its row breaks the product, though the subnormal ratio 1e-320 holds that row only to 1e-5
+    def sym(c):
+        return PolySymbol([(1e150 + 0j, (0, 0), (1, 0)), (2e150 + 0j, (1, 0), (1, 0)),
+                           (1e-170 + 0j, (0, 0), (1, 1)), (c, (1, 0), (1, 1))])
+
+    assert _factor_across(sym(2e-170 + 0j), 2) is not None
+    assert _factor_across(sym(2.0001e-170 + 0j), 2) is None
+
+
+def test_boundary_report_checks_its_request_first(monkeypatch):
+    from hankel_spectra import boundary
+
+    def no_assembly(*args):
+        raise AssertionError("boundary_report started work on a bad request")
+
+    monkeypatch.setattr(boundary, "assemble", no_assembly)
+    for sym, coord, samples, message in (
+        (parse_symbol("zb1*(zb2+1)"), 3, 16, r"coord 3 out of range 1\.\.2"),
+        (parse_symbol("zb1"), 1, 16, "profiles need dim >= 2"),
+        (parse_symbol("zb1*zb2 + z1"), 2, 3, "num_samples must be >= 4"),
+    ):
+        with pytest.raises(ValueError, match=message) as info:
+            boundary.boundary_report(sym, coord, samples, BasisTruncation(4, sym.dim))
+        assert "\n" not in str(info.value)
 
 
 def test_boundary_degree_over_the_basis_budget_exits_2_at_once(capsys):

@@ -459,6 +459,14 @@ def test_factorization_pivots_when_a_ratio_overflows(capsys):
     assert phi.terms[0][0] == terms[1][0] and max(abs(c) for c, _, _ in chi.terms) <= 1.0
 
 
+def test_factorization_tests_a_subnormal_ratio_without_forming_it(capsys):
+    # zb1 * (1e150 + 1e-170*zb2): the ratio 1e-320 of the zb2 row to the lowest-key row is
+    # subnormal, so 1e-320 * 1e150 misses 1e-170 by 1e-5; the rank-one test does not form it
+    symbol = _float_symbol([(1e150 + 0j, (0, 0), (1, 0)), (1e-170 + 0j, (0, 0), (1, 1))])
+    assert main(["boundary", symbol, "--coord", "2", "--degree", "3", "--samples", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["prediction_source"] == "product-factorization"
+
+
 _small_coefficients = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 
 

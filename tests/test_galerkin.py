@@ -196,7 +196,7 @@ def test_weyl_residual_eigenvector_is_annihilated():
     mat = assemble(sym, trunc)
     g = np.zeros(trunc.degree_cap + 1, dtype=complex)
     g[0] = 1.0
-    residuals = [weyl_residual(sym, 0.5, g, p, trunc, mat=mat) for p in (0.3, 0.5, 0.7)]
+    residuals = [weyl_residual(mat, 0.5, g, p) for p in (0.3, 0.5, 0.7)]
     assert all(r < 1e-12 for r in residuals)
     assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
 
@@ -206,7 +206,7 @@ def test_weyl_residual_far_lambda_lower_bound():
     trunc = BasisTruncation(14, 2)
     g = np.zeros(trunc.degree_cap + 1, dtype=complex)
     g[0] = 1.0
-    assert weyl_residual(sym, 10.0, g, 0.5, trunc) > 8.0
+    assert weyl_residual(assemble(sym, trunc), 10.0, g, 0.5) > 8.0
 
 
 def test_weyl_residual_holomorphic_zero():
@@ -214,7 +214,7 @@ def test_weyl_residual_holomorphic_zero():
     trunc = BasisTruncation(10, 2)
     g = np.zeros(trunc.degree_cap + 1, dtype=complex)
     g[0] = 1.0
-    assert weyl_residual(sym, 0.0, g, 0.5, trunc) == 0.0
+    assert weyl_residual(assemble(sym, trunc), 0.0, g, 0.5) == 0.0
 
 
 def test_weyl_residual_rejects_thin_truncation():
@@ -222,22 +222,16 @@ def test_weyl_residual_rejects_thin_truncation():
     trunc = BasisTruncation(4, 2)
     g = np.zeros(trunc.degree_cap + 1, dtype=complex)
     g[0] = 1.0
+    mat = assemble(sym, trunc)
     with pytest.raises(ValueError):
-        weyl_residual(sym, 0.5, g, 0.95, trunc)
+        weyl_residual(mat, 0.5, g, 0.95)
     with pytest.raises(ValueError):
-        weyl_residual(sym, 0.5, g * 2.0, 0.1, trunc)  # unnormalized g
-
-
-def test_weyl_residual_rejects_a_matrix_of_another_symbol():
-    sym = parse_symbol("zb1", dim=2)
-    trunc = BasisTruncation(14, 2)
-    g = np.zeros(trunc.degree_cap + 1, dtype=complex)
-    g[0] = 1.0
-    other = assemble(parse_symbol("3*zb2^2", dim=2), trunc)
-    with pytest.raises(ValueError, match="supplied matrix is of symbol"):
-        weyl_residual(sym, 0.5, g, 0.5, trunc, mat=other)
-    with pytest.raises(ValueError, match="truncation does not match"):
-        weyl_residual(sym, 0.5, g, 0.5, trunc, mat=assemble(sym, BasisTruncation(13, 2)))
+        weyl_residual(mat, 0.5, g * 2.0, 0.1)  # unnormalized g
+    # the slice size of g and the dim check come from the matrix's own truncation
+    with pytest.raises(ValueError, match=r"g must have 5 coefficients, got \(6,\)"):
+        weyl_residual(mat, 0.5, np.append(g, 0.0), 0.1)
+    with pytest.raises(ValueError, match="needs dim >= 2"):
+        weyl_residual(assemble(parse_symbol("zb1"), BasisTruncation(4, 1)), 0.5, g[:1], 0.1)
 
 
 @pytest.mark.parametrize(
@@ -256,7 +250,7 @@ def test_weyl_residual_refuses_non_finite_input(lam, g0, p, message):
     g = np.zeros(trunc.degree_cap + 1, dtype=complex)
     g[0] = g0
     with pytest.raises(ValueError, match=message) as info:
-        weyl_residual(sym, lam, g, p, trunc)
+        weyl_residual(assemble(sym, trunc), lam, g, p)
     assert "\n" not in str(info.value)
 
 
@@ -271,14 +265,29 @@ def test_weyl_residual_reads_the_sector_blocks(monkeypatch):
     truncs = [BasisTruncation(4, sym.dim) for sym, _, _ in cases]
     gs = [np.arange(1.0, 5 ** (sym.dim - 1) + 1) * (1 - 0.5j) for sym, _, _ in cases]
     gs = [g / np.linalg.norm(g) for g in gs]
-    want = [dense_weyl_residual(assemble(sym, trunc), lam, g, p) for (sym, lam, p), trunc, g in zip(cases, truncs, gs)]
+    mats = [assemble(sym, trunc) for (sym, _, _), trunc in zip(cases, truncs)]
+    want = [dense_weyl_residual(mat, lam, g, p) for mat, (_, lam, p), g in zip(mats, cases, gs)]
 
     def no_full_matrix(*args):
         raise AssertionError("weyl_residual built the full matrix")
 
     monkeypatch.setattr(CompressionMatrix, "_graded_lex", no_full_matrix)
-    for (sym, lam, p), trunc, g, w in zip(cases, truncs, gs, want):
-        assert abs(weyl_residual(sym, lam, g, p, trunc) - w) <= 1e-14 * max(1.0, w)
+    for mat, (_, lam, p), g, w in zip(mats, cases, gs, want):
+        assert abs(weyl_residual(mat, lam, g, p) - w) <= 1e-14 * max(1.0, w)
+
+
+def test_weyl_residual_of_a_loaded_dump():
+    exact = parse_symbol("zb1*(zb2+1) + 1/2*z1*zb2^2")
+    g = np.arange(1.0, 6.0) * (1 - 0.5j)
+    g /= np.linalg.norm(g)
+    for sym in (exact, exact.as_float() * (0.3 + 0.4j)):
+        mat = assemble(sym, BasisTruncation(4, 2))
+        buf = io.StringIO()
+        dump_matrix(mat, buf)
+        buf.seek(0)
+        back = load_matrix(buf)
+        assert back.symbol is None
+        assert weyl_residual(back, 1.25, g, 0.3 + 0.2j) == weyl_residual(mat, 1.25, g, 0.3 + 0.2j)
 
 
 def test_dump_and_load_roundtrip():
@@ -731,7 +740,7 @@ def test_blockwise_weyl_residual_matches_the_dense_product(sym, n_cap, as_float,
     g /= np.linalg.norm(g)
     p = complex(*p)
     mat = assemble(sym, trunc)
-    got = weyl_residual(sym, lam, g, p, trunc, mat=mat)
+    got = weyl_residual(mat, lam, g, p)
     want = dense_weyl_residual(mat, lam, g, p)
     # relative to the residual, or to the size of its terms where they cancel (||f|| <= 1)
     scale = float(np.abs(mat.dense).sum(axis=1).max()) + abs(lam)
