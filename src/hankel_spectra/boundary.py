@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -362,6 +363,11 @@ def containment_report(
     return report
 
 
+def _rational(c) -> CRat:
+    """A float coefficient as the fraction it stores."""
+    return CRat(Fraction(complex(c).real), Fraction(complex(c).imag))
+
+
 def _factor_across(sym: PolySymbol, coord: int):
     """Split psi = phi(z without coord) * chi(z_coord) when possible, else None.
 
@@ -370,9 +376,9 @@ def _factor_across(sym: PolySymbol, coord: int):
     chi (x) phi.  phi is the lowest-key row and chi_r = rows[r][s0] / phi[s0],
     with s0 the first term of phi.  Every row must have the support of phi and
     equal chi_r * phi: exactly for an exact chi_r, else row[s] phi[s0] =
-    row[s0] phi[s] to 1e-12 of the row's largest |c| times |phi[s0]|, and
-    chi_r * phi[s] non-zero, finite and as close plus |phi[s]| times 2**-1074,
-    the spacing to which a subnormal chi_r rounds the ratio.
+    row[s0] phi[s] in exact rationals (no product overflows or rounds) to 1e-12
+    of the row's largest |c| times |phi[s0]|, and chi_r * phi[s] non-zero,
+    finite and as close plus |phi[s]| 2**-1074, a subnormal chi_r's spacing.
     """
     k = coord - 1
     rows: dict[tuple[int, int], dict] = {}
@@ -395,11 +401,6 @@ def _factor_across(sym: PolySymbol, coord: int):
         _, key, s0 = max((abs(complex(c)), r, s) for r, row in rows.items() for s, c in row.items())
         phi = row_symbol(key)
         chi = {r: row[s0] / rows[key][s0] for r, row in rows.items()}
-    if not all(isinstance(x, CRat) for x in chi.values()):
-        # phi times the power of two that puts its largest part in [0.5, 1), exactly: no product below overflows
-        e = -math.frexp(max(max(abs(complex(c).real), abs(complex(c).imag)) for c in rows[key].values()))[1]
-        phi_s = {s: complex(math.ldexp(complex(c).real, e), math.ldexp(complex(c).imag, e))
-                 for s, c in rows[key].items()}
     for r, row in rows.items():
         x = chi[r]
         if isinstance(x, CRat):
@@ -407,10 +408,12 @@ def _factor_across(sym: PolySymbol, coord: int):
                 return None
             continue
         tol = 1e-12 * max(abs(complex(c)) for c in row.values())
+        q, phi_q = ({s: _rational(c) for s, c in t.items()} for t in (row, rows[key]))
+        bound = max(v.abs2() for v in q.values()) * phi_q[s0].abs2() / 10**24
         for s, c in row.items():
             p = x * rows[key][s]
             near = abs(complex(c) - p) <= tol + math.ulp(0.0) * abs(complex(rows[key][s]))
-            rank_one = abs(complex(c) * phi_s[s0] - complex(row[s0]) * phi_s[s]) <= tol * abs(phi_s[s0])
+            rank_one = (q[s] * phi_q[s0] - q[s0] * phi_q[s]).abs2() <= bound
             if p == 0 or not cmath.isfinite(p) or not (near and rank_one):
                 return None
     return phi, PolySymbol([(x, (n,), (m,)) for (n, m), x in chi.items()], dim=1)

@@ -686,11 +686,10 @@ def weyl_residual(mat: CompressionMatrix, lam: float, g_coeffs, p: complex) -> f
     This is the compression's residual: rows of H*_psi H_psi f outside the box
     mat.trunc are not counted.  g lives on the (dim-1)-dimensional slice basis
     at the same degree cap and must be normalized; k_p occupies the last
-    coordinate.  A truncation holding less than MIN_KERNEL_NORM of the kernel
-    mass is rejected (the residual would reflect lost mass, not spectral
-    distance), and so are non-finite lam, p or g.  M f is applied one sector
-    block at a time (einsum over each (k, s, s) stack): no dense matrix and no
-    BLAS matrix-vector product is formed.
+    coordinate.  Refused: a truncation holding less than MIN_KERNEL_NORM of the
+    kernel mass (the residual would reflect lost mass, not spectral distance)
+    and non-finite lam, p or g.  M f is applied one sector block at a time
+    (einsum over each (k, s, s) stack), with no dense matrix and no BLAS product.
     """
     trunc = mat.trunc
     if trunc.dim < 2:
@@ -699,9 +698,7 @@ def weyl_residual(mat: CompressionMatrix, lam: float, g_coeffs, p: complex) -> f
         raise ValueError(f"lam must be finite, got {lam}")
     kv = KernelVector(complex(p), trunc.degree_cap)
     if kv.truncated_norm < MIN_KERNEL_NORM:
-        raise ValueError(
-            f"truncated kernel norm {kv.truncated_norm:.4f} < {MIN_KERNEL_NORM}; increase N"
-        )
+        raise ValueError(f"truncated kernel norm {kv.truncated_norm:.4f} < {MIN_KERNEL_NORM}; increase N")
     slice_trunc = BasisTruncation(trunc.degree_cap, trunc.dim - 1)
     g = np.asarray(g_coeffs, dtype=complex)
     if g.shape != (slice_trunc.size,):

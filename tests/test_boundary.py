@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -624,13 +625,25 @@ def _embed(terms, dim: int, coords) -> PolySymbol:
 )
 # zb1 * (1e150 + 1e-170*zb2): chi's ratio 1e-320 is subnormal, so chi_r * phi misses the symbol by 1e-5
 @example([(1.0 + 0j, (0, 0), (1, 0))], [(1e150 + 0j, (0,), (0,)), (1e-170 + 0j, (0,), (1,))], [], (2, 2))
+# (1e-170 + 1e150*zb1) * 1: phi's first term is 1e-320 of its largest, a subnormal at any common scale
+@example([(1e-170 + 0j, (0,), (0,)), (1e150 + 0j, (0,), (1,))], [(1.0 + 0j, (0,), (0,))], [], (2, 2))
 def test_factorization_multiplies_back_to_the_symbol(phi, chi, extra, shape):
     # phi lives on all coordinates but the last and chi on the last; in dim 3 a middle coord
     # splits the exponents on both sides of the sliced one
     dim, coord = shape
-    psi = _embed(phi, dim, range(dim - 1)) * _embed(chi, dim, [dim - 1]) + _embed(extra, dim, range(dim))
+    phi_sym, chi_sym = _embed(phi, dim, range(dim - 1)), _embed(chi, dim, [dim - 1])
+    psi = phi_sym * chi_sym + _embed(extra, dim, range(dim))
     assume(all(cmath.isfinite(complex(c)) for c, _, _ in psi.terms))
     factored = _factor_across(psi, coord)
+    # psi = phi * chi across coord with no term lost to underflow: with every |c| normal, below 2**1000
+    # and within 2**1070 of each other, every ratio the factorization forms is finite and non-zero.
+    # A symbol that mixes exact and float coefficients is left out: an exact ratio is matched exactly
+    mags = [abs(complex(c)) for c, _, _ in psi.terms]
+    if (not extra and coord == dim and mags and len(mags) == len(phi_sym.terms) * len(chi_sym.terms)
+            and len({isinstance(c, CRat) for c, _, _ in psi.terms}) == 1
+            and sys.float_info.min <= min(mags) and max(mags) <= 2.0**1000
+            and math.log2(max(mags)) - math.log2(min(mags)) <= 1070):
+        assert factored is not None
     if factored is None:
         return
     k = coord - 1

@@ -467,6 +467,14 @@ def test_factorization_tests_a_subnormal_ratio_without_forming_it(capsys):
     assert json.loads(capsys.readouterr().out)["prediction_source"] == "product-factorization"
 
 
+def test_factorization_keeps_a_first_term_far_below_the_largest(capsys):
+    # (1e-170 + 1e150*zb1) * 1: at any one power-of-two scale of phi, its first term 1e-170 is
+    # subnormal and loses bits, so a rank-one test on the scaled copy misses phi's own row
+    symbol = _float_symbol([(1e-170 + 0j, (0, 0), (0, 0)), (1e150 + 0j, (0, 0), (1, 0))])
+    assert main(["boundary", symbol, "--coord", "2", "--degree", "3", "--samples", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["prediction_source"] == "product-factorization"
+
+
 _small_coefficients = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 
 
