@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -368,17 +369,30 @@ def _rational(c) -> CRat:
     return CRat(Fraction(complex(c).real), Fraction(complex(c).imag))
 
 
+def _quotient(a, b):
+    """a / b of two coefficients.  Python's complex division rounds subnormal
+    intermediates, so float coefficients with a subnormal part are divided as
+    copies scaled up by one power of two (exactly); any other pair as they are."""
+    if isinstance(a, complex) and isinstance(b, complex):
+        parts = (a.real, a.imag, b.real, b.imag)
+        if any(0.0 < abs(x) < sys.float_info.min for x in parts):
+            k = max(0, -math.frexp(max(map(abs, parts)))[1])  # the largest part to [1/2, 1)
+            a, b = (complex(math.ldexp(z.real, k), math.ldexp(z.imag, k)) for z in (a, b))
+    return a / b
+
+
 def _factor_across(sym: PolySymbol, coord: int):
     """Split psi = phi(z without coord) * chi(z_coord) when possible, else None.
 
     The coefficients of psi form a table rows[(n_c, m_c)][(h', a')], one row per
     pair of z_coord exponents, and psi is a product exactly when the table is
-    chi (x) phi.  phi is the lowest-key row and chi_r = rows[r][s0] / phi[s0],
-    with s0 the first term of phi.  Every row must have the support of phi and
-    equal chi_r * phi: exactly for an exact chi_r, else row[s] phi[s0] =
-    row[s0] phi[s] in exact rationals (no product overflows or rounds) to 1e-12
-    of the row's largest |c| times |phi[s0]|, and chi_r * phi[s] non-zero,
-    finite and as close plus |phi[s]| 2**-1074, a subnormal chi_r's spacing.
+    chi (x) phi.  phi is the lowest-key row and chi_r = rows[r][s0] / phi[s0]
+    (_quotient), with s0 the first term of phi.  Every row must have the
+    support of phi and equal chi_r * phi: exactly for an exact chi_r, else
+    row[s] phi[s0] = row[s0] phi[s] in exact rationals (no product overflows or
+    rounds) to 1e-12 of the row's largest |c| times |phi[s0]|, and chi_r * phi[s]
+    non-zero, finite and as close plus |phi[s]| 2**-1074, a subnormal chi_r's
+    spacing.
     """
     k = coord - 1
     rows: dict[tuple[int, int], dict] = {}
@@ -395,12 +409,12 @@ def _factor_across(sym: PolySymbol, coord: int):
 
     phi = row_symbol(key)
     s0 = phi.terms[0][1:]
-    chi = {r: row[s0] / rows[key][s0] for r, row in rows.items()}
+    chi = {r: _quotient(row[s0], rows[key][s0]) for r, row in rows.items()}
     if not all(isinstance(x, CRat) or cmath.isfinite(x) for x in chi.values()):
         # a ratio overflowed: pivot on the largest |c| instead, so that every |chi_r| <= 1
         _, key, s0 = max((abs(complex(c)), r, s) for r, row in rows.items() for s, c in row.items())
         phi = row_symbol(key)
-        chi = {r: row[s0] / rows[key][s0] for r, row in rows.items()}
+        chi = {r: _quotient(row[s0], rows[key][s0]) for r, row in rows.items()}
     for r, row in rows.items():
         x = chi[r]
         if isinstance(x, CRat):

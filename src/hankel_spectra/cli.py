@@ -3,7 +3,7 @@
 Outputs are deterministic: JSON is emitted with sorted keys and Python's
 shortest-round-trip float repr; exact rationals are printed as "num/den" and
 never converted to float in exact mode.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure, 2 usage error, 141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 
@@ -30,11 +31,19 @@ def _check_caps(*caps: int) -> None:
         raise ValueError("caps must be non-negative")
 
 
+class _StdoutClosed(Exception):
+    """The reader of stdout went away (e.g. `| head`); main exits 141, as a SIGPIPE death would."""
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text)
+            if not text.endswith("\n"):
+                sys.stdout.write("\n")
+            sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's last flush
+        except BrokenPipeError:
+            raise _StdoutClosed from None
     else:
         with open(out, "w") as fh:
             fh.write(text)
@@ -357,6 +366,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(_dashed_symbols_last(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
+    except _StdoutClosed:
+        # the recipe of Python's signal docs: stdout at devnull, so that the final flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

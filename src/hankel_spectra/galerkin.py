@@ -23,8 +23,10 @@ b - a is a winding offset k_s - k_t of two terms, so the connected components
 of the graph a ~ a + delta on the box (the sectors, see _sectors) index
 diagonal blocks of a permuted matrix with nothing between them.  The spectrum
 is the union of the block spectra; monomial symbols give 1x1 blocks, the
-paper's diagonal case.  The full matrix is built only when a caller reads it;
-the matrix dump is written row by row from the blocks.
+paper's diagonal case.  An exact compression keeps its reduced integer tables,
+split by sector like the blocks, as its storage; the CRat view of them and the
+full matrix are built only when a caller reads them.  The matrix dump is
+written from the blocks or the tables in chunks of about 1 MiB.
 """
 
 from __future__ import annotations
@@ -36,13 +38,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
 from .core import _INT64_LIMIT
 from .multiindex import MultiIndex, as_multiindex, box_exceeds, is_nonnegative, weight
-from .rational import CRat, CR_ZERO, frac_str
+from .rational import CRat, CR_ZERO
 from .symbols import MAX_COORDINATE, PolySymbol
 
 __all__ = [
@@ -319,9 +321,12 @@ class CompressionMatrix:
 
     sectors groups the index sets of the diagonal blocks by size (see _sectors);
     nothing lies between them.  blocks[g][r] is the orthonormal block (complex)
-    of the indices sectors[g][r]; for exact symbols scaled_blocks holds the
+    of the indices sectors[g][r].  For exact symbols tables[g] holds the
     Gaussian-rational scaled Gram blocks alike (see the module docstring for the
-    sqrt-weight relation), else None.  dense and scaled are built on first read.
+    sqrt-weight relation) as a (4, k, s, s) object array of Python ints, the
+    reduced re_num, re_den, im_num, im_den of every entry (0/1 for a zero part);
+    for float symbols tables is None.  scaled_blocks (the tables as CRat), dense
+    and scaled are built on first read.
     """
 
     symbol: PolySymbol | None
@@ -329,7 +334,7 @@ class CompressionMatrix:
     symbol_hash: str
     sectors: tuple[np.ndarray, ...]
     blocks: tuple[np.ndarray, ...]
-    scaled_blocks: tuple[np.ndarray, ...] | None
+    tables: tuple[np.ndarray, ...] | None
 
     @property
     def size(self) -> int:
@@ -344,23 +349,39 @@ class CompressionMatrix:
         return out
 
     @cached_property
+    def scaled_blocks(self) -> tuple[np.ndarray, ...] | None:
+        """The tables as CRat blocks, CR_ZERO for every zero entry; None on the float path."""
+        if self.tables is None:
+            return None
+        out = []
+        for t in self.tables:
+            b = np.full(t.shape[1:], CR_ZERO, dtype=object)
+            nonzero = (t[0] != 0) | (t[2] != 0)
+            b[nonzero] = _crats(*(x[nonzero] for x in t))
+            out.append(b)
+        return tuple(out)
+
+    @cached_property
     def dense(self) -> np.ndarray:
         return self._graded_lex(self.blocks, 0)
 
     @cached_property
     def scaled(self) -> tuple[tuple[CRat, ...], ...] | None:
-        if self.scaled_blocks is None:
+        if self.tables is None:
             return None
         return tuple(map(tuple, self._graded_lex(self.scaled_blocks, CR_ZERO)))
 
     def exact_diagonal(self) -> list[Fraction]:
-        """Orthonormal diagonal <H e_a, H e_a>, exactly rational, read off the sector blocks."""
-        if self.scaled_blocks is None:
+        """Orthonormal diagonal <H e_a, H e_a>, exactly rational, read off the tables' diagonals."""
+        if self.tables is None:
             raise ValueError("matrix was assembled on the float path")
-        diag = np.empty(self.size, dtype=object)
-        for g, b in zip(self.sectors, self.scaled_blocks):
-            diag[g] = np.diagonal(b, axis1=1, axis2=2)
-        return [c.real_fraction() * weight(alpha) for c, alpha in zip(diag, self.trunc.indices)]
+        diag = np.empty((4, self.size), dtype=object)
+        for g, t in zip(self.sectors, self.tables):
+            diag[:, g] = np.diagonal(t, axis1=2, axis2=3)
+        re_num, re_den, im_num, _ = diag.tolist()
+        if any(im_num):
+            raise ValueError("matrix has a diagonal entry that is not real")
+        return [Fraction(n * weight(alpha), d) for n, d, alpha in zip(re_num, re_den, self.trunc.indices)]
 
     def hermiticity_defect(self) -> float:
         return float(_defects([b[None] for b in self.blocks])[0])
@@ -393,17 +414,21 @@ def _from_dense(full: np.ndarray, exact: bool, offsets: frozenset, **fields) -> 
     parts = tuple(full[g[:, :, None], g[:, None, :]] for g in groups)
     if sum(map(np.count_nonzero, parts)) != np.count_nonzero(full):
         raise ValueError("matrix has non-zero entries outside its sector blocks")
+    if not exact:
+        return CompressionMatrix(sectors=groups, blocks=parts, tables=None, **fields)
+    tables = []
+    for b in parts:
+        t = np.empty((4,) + b.shape, dtype=object)
+        t.reshape(4, -1).T[:] = [
+            (c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator) for c in b.ravel().tolist()
+        ]
+        tables.append(t)
     w = fields["trunc"].weights_sqrt
-    blocks = tuple(np.asarray(b, dtype=complex) for b in parts) if exact else parts
-    for g, b in zip(groups, blocks if exact else ()):  # in place, as (c * w_i) * w_j in assemble
+    blocks = tuple(_complex(*t) for t in tables)
+    for g, b in zip(groups, blocks):  # in place, as (c * w_i) * w_j in assemble
         b *= w[g][:, :, None]
         b *= w[g][:, None, :]
-    return CompressionMatrix(
-        sectors=groups,
-        blocks=blocks,
-        scaled_blocks=parts if exact else None,
-        **fields,
-    )
+    return CompressionMatrix(sectors=groups, blocks=blocks, tables=tuple(tables), **fields)
 
 
 def _symbol_hash(sym: PolySymbol) -> str:
@@ -438,10 +463,11 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
     One kernel computes the matrix one winding-offset block at a time, in the
     arithmetic of the symbol, and each block is scattered straight into the
     sector blocks.  Exact symbols go through reduced integer tables
-    (_gram_tables): their Hermitian symmetry is checked on the tables, the
-    orthonormal blocks take each entry's correctly rounded float value, and
-    scaled_blocks holds one CRat per non-zero entry (CR_ZERO elsewhere).
-    Float symbols run _gram_block and leave scaled_blocks as None; callers that
+    (_gram_tables), which the result keeps as its tables, split by sector like
+    the blocks: their Hermitian symmetry is checked on the tables and the
+    orthonormal blocks take each entry's correctly rounded float value; no
+    CRat is built until a caller reads scaled_blocks or scaled.
+    Float symbols run _gram_block and leave tables as None; callers that
     only need floats pass sym.as_float().  For a unit-coefficient monomial
     symbol the exact result is diagonal with the closed-form spectrum values
     on the diagonal.  Coefficients too large for floats leave inf/nan entries
@@ -454,7 +480,7 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
     groups, row_start, col_pos = _sectors(trunc, frozenset(offsets))
     flat = np.zeros(sum(g.size * g.shape[1] for g in groups), dtype=complex)
     # re_num, re_den, im_num, im_den of every stored entry: 0/1 between the kernel blocks
-    tables = [np.full(flat.size, fill, dtype=object) for fill in (0, 1, 0, 1)] if exact else ()
+    tables = np.repeat(np.array([[0], [1], [0], [1]], dtype=object), flat.size, axis=1) if exact else None
     written = []
     with np.errstate(over="ignore", invalid="ignore"):
         for at, rows, cols, block, weighted in _kernel_blocks(offsets, trunc, row_start, col_pos, exact):
@@ -463,23 +489,18 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
                 for table, part in zip(tables, block):
                     table[at] = part
                 written.append((at.ravel(), (row_start[cols] + col_pos[rows]).ravel()))
-    scaled = None
-    if exact:
-        if written:
-            at, mirror = (np.concatenate(x) for x in zip(*written))
-            re_num, re_den, im_num, im_den = (t[mirror] for t in tables)
-            if not all(map(np.array_equal, (t[at] for t in tables), (re_num, re_den, -im_num, im_den))):
-                raise AssertionError("exact assembly lost Hermitian symmetry")
-        scaled = np.full(flat.size, CR_ZERO, dtype=object)
-        nonzero = np.flatnonzero((tables[0] != 0) | (tables[2] != 0))
-        scaled[nonzero] = _crats(*(t[nonzero] for t in tables))
+    if written:
+        at, mirror = (np.concatenate(x) for x in zip(*written))
+        re_num, re_den, im_num, im_den = tables[:, mirror]
+        if not all(map(np.array_equal, tables[:, at], (re_num, re_den, -im_num, im_den))):
+            raise AssertionError("exact assembly lost Hermitian symmetry")
     return CompressionMatrix(
         symbol=sym,
         trunc=trunc,
         symbol_hash=_symbol_hash(sym),
         sectors=groups,
         blocks=_split(flat, groups),
-        scaled_blocks=_split(scaled, groups) if exact else None,
+        tables=_split(tables, groups) if exact else None,
     )
 
 
@@ -720,8 +741,12 @@ def weyl_residual(mat: CompressionMatrix, lam: float, g_coeffs, p: complex) -> f
 # header: "hankel-spectra-matrix v1 dim=<d> N=<n> symbol=<hash> exact=<0|1>"
 # then one graded-lex row per line, size cells each, then only blank lines; a cell
 # is "re,im" with float repr (float mode) or "num/den,num/den" (rational mode,
-# scaled Gram entries); size^2 <= MAX_STORED_ENTRIES.  The writer forms each row
-# from its sector block: the columns outside the row's sector are runs of the zero cell.
+# scaled Gram entries, integers too: readers split on "/"); size^2 <= MAX_STORED_ENTRIES.
+# The writer formats only the cells whose text is not the zero cell, straight from the
+# blocks or the tables, and fills the other columns with runs of the zero cell; it
+# passes about _DUMP_CHUNK characters of whole rows to each write().
+
+_DUMP_CHUNK = 2**20
 
 
 def _check_dump_size(size: int, where: str = "") -> None:
@@ -732,37 +757,66 @@ def _check_dump_size(size: int, where: str = "") -> None:
         )
 
 
-def _cell(c) -> str:
-    """One dump cell: "num/den,num/den" for a CRat, float reprs "re,im" for a complex."""
-    if isinstance(c, CRat):
-        # frac_str writes "num/den", integers too: the format is frozen and readers split on "/".
-        # Most cells are the shared CR_ZERO; the identity test spares formatting them.
-        return "0/1,0/1" if c is CR_ZERO or not c else f"{frac_str(c.re)},{frac_str(c.im)}"
-    return f"{c.real!r},{c.imag!r}"
+def _nonzero_cells(mat: CompressionMatrix):
+    """(rows, cols, values) of the cells whose dump text is not the zero cell, row-major.
+
+    One vectorised pass per sector group.  A table cell is the zero cell when both
+    numerators are 0 (a zero part is 0/1), and values is a (4, n) object array of
+    the cells' table ints; a float cell when both parts are +0.0, so -0.0 and NaN
+    cells are kept, and values holds the n complex entries.
+    """
+    exact = mat.tables is not None
+    rows, cols, values = [], [], []
+    for g, stack in zip(mat.sectors, mat.tables if exact else mat.blocks):
+        if exact:
+            r, p, q = np.nonzero((stack[0] != 0) | (stack[2] != 0))
+        else:
+            r, p, q = np.nonzero((stack != 0) | np.signbit(stack.real) | np.signbit(stack.imag))
+        rows.append(g[r, p])
+        cols.append(g[r, q])
+        values.append(stack[..., r, p, q])
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")  # a sector's row lists its columns ascending
+    return rows[order], np.concatenate(cols)[order], np.concatenate(values, axis=-1)[..., order]
+
+
+def _cell_texts(values: np.ndarray, exact: bool) -> list[str]:
+    """The dump cells of _nonzero_cells' values: frac_str's "num/den" of the table ints, or float reprs."""
+    if exact:
+        return [f"{a}/{b},{c}/{d}" for a, b, c, d in zip(*values.tolist())]
+    return [f"{z.real!r},{z.imag!r}" for z in values.tolist()]
 
 
 def dump_matrix(mat: CompressionMatrix, fileobj) -> None:
+    """Write mat in dump format v1.  Beyond the matrix it holds the positions and
+    values of the non-zero cells (_nonzero_cells) and one chunk of text."""
     _check_dump_size(mat.size)
-    exact = mat.scaled_blocks is not None
+    exact = mat.tables is not None
+    size = mat.size
     fileobj.write(
         f"hankel-spectra-matrix v1 dim={mat.trunc.dim} N={mat.trunc.degree_cap} "
         f"symbol={mat.symbol_hash} exact={int(exact)}\n"
     )
-    stacks = mat.scaled_blocks if exact else mat.blocks
-    zero = _cell(CR_ZERO if exact else 0j) + " "
-    # row i of the matrix is row p of block r of group k = group[i], r * s + p = place[i]
-    group, place = np.empty((2, mat.size), dtype=np.intp)
-    for k, g in enumerate(mat.sectors):
-        group[g] = k
-        place[g] = np.arange(g.size).reshape(g.shape)
-    for k, i in zip(group.tolist(), place.tolist()):
-        r, p = divmod(i, mat.sectors[k].shape[1])
-        row, last = [], 0
-        for j, c in zip(mat.sectors[k][r].tolist(), stacks[k][r, p].tolist()):
-            row += (zero * (j - last), _cell(c), " ")
-            last = j + 1
-        row.append(zero * (mat.size - last))
-        fileobj.write("".join(row)[:-1] + "\n")
+    zero = "0/1,0/1" if exact else "0.0,0.0"
+    run = zero + " "
+    rows, cols, values = _nonzero_cells(mat)
+    counts = np.bincount(rows, minlength=size).tolist()
+    # every cell has at least 7 characters, so every chunk but the last holds _DUMP_CHUNK or more
+    step = -(-_DUMP_CHUNK // (len(run) * size))
+    edges = np.searchsorted(rows, range(0, size + step, step)).tolist()
+    for top, lo, hi in zip(range(0, size, step), edges, edges[1:]):
+        cells = zip(cols[lo:hi].tolist(), _cell_texts(values[..., lo:hi], exact))
+        chunk = []
+        for n in counts[top:top + step]:
+            last = 0
+            for j, text in islice(cells, n):
+                chunk += (run * (j - last), text, " ")
+                last = j + 1
+            if last < size:
+                chunk += (run * (size - 1 - last), zero, "\n")
+            else:
+                chunk[-1] = "\n"
+        fileobj.write("".join(chunk))
 
 
 # longer dim= or N= fields could reach int()'s digit limit, whose message names no dump

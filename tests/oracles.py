@@ -25,7 +25,9 @@ integrals of one alpha and divides by the monomial norms, the way the
 package's qh_eigenvalue did before it read a box of alpha off per-coordinate
 tables.  The dense Weyl residual multiplies the graded-lex matrix by a test
 vector filled entry by entry, the way the package's weyl_residual did before
-it applied the sector blocks.
+it applied the sector blocks.  The reference scaled blocks turn an exact
+compression's integer tables into CRat entries in one flat pass, the way
+assemble did before it kept the tables and built scaled_blocks on first read.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from hankel_spectra.core import (
 from hankel_spectra.galerkin import BasisTruncation, KernelVector, assemble, eigenvalues
 from hankel_spectra.multiindex import full_set, nonempty_subsets
 from hankel_spectra.quasihomog import QhBranch, monomial_norm_sq, radial_integral
-from hankel_spectra.rational import frac_str
+from hankel_spectra.rational import CR_ZERO, CRat, frac_str
 
 _RADIAL_NODES = 120
 _ANGULAR_NODES = 512
@@ -320,6 +322,20 @@ def reference_gram_block(pairs, lo, hi) -> np.ndarray:
         outer = reduce(np.multiply.outer, first) - reduce(np.multiply.outer, second)
         block = block + cs * ct.conjugate() * outer
     return block
+
+
+def reference_scaled_blocks(mat) -> tuple[np.ndarray, ...] | None:
+    """CompressionMatrix.scaled_blocks from its tables: one CRat per non-zero entry of the
+    flat sector layout, the shared CR_ZERO elsewhere, split into the sector stacks."""
+    from hankel_spectra.galerkin import _split
+
+    if mat.tables is None:
+        return None
+    tables = np.concatenate([t.reshape(4, -1) for t in mat.tables], axis=1)
+    scaled = np.full(tables.shape[1], CR_ZERO, dtype=object)
+    nonzero = np.flatnonzero((tables[0] != 0) | (tables[2] != 0))
+    scaled[nonzero] = [CRat(Fraction(a, b), Fraction(c, d)) for a, b, c, d in zip(*tables[:, nonzero].tolist())]
+    return _split(scaled, mat.sectors)
 
 
 def reference_profile_values(sym, coord: int, num_samples: int, trunc: BasisTruncation) -> list[float]:

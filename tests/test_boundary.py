@@ -627,6 +627,13 @@ def _embed(terms, dim: int, coords) -> PolySymbol:
 @example([(1.0 + 0j, (0, 0), (1, 0))], [(1e150 + 0j, (0,), (0,)), (1e-170 + 0j, (0,), (1,))], [], (2, 2))
 # (1e-170 + 1e150*zb1) * 1: phi's first term is 1e-320 of its largest, a subnormal at any common scale
 @example([(1e-170 + 0j, (0,), (0,)), (1e150 + 0j, (0,), (1,))], [(1.0 + 0j, (0,), (0,))], [], (2, 2))
+# (1e-315+2e-316i + zb1) * (1 + b*zb2): the ratio of two subnormal coefficients is divided at a normal scale
+@example(
+    [(1e-315 + 2e-316j, (0,), (0,)), (1.0 + 0j, (0,), (1,))],
+    [(1.0 + 0j, (0,), (0,)), (1.1211538497387457 + 0.10576923035629128j, (0,), (1,))],
+    [],
+    (2, 2),
+)
 def test_factorization_multiplies_back_to_the_symbol(phi, chi, extra, shape):
     # phi lives on all coordinates but the last and chi on the last; in dim 3 a middle coord
     # splits the exponents on both sides of the sliced one

@@ -475,6 +475,37 @@ def test_factorization_keeps_a_first_term_far_below_the_largest(capsys):
     assert json.loads(capsys.readouterr().out)["prediction_source"] == "product-factorization"
 
 
+def test_factorization_divides_subnormal_coefficients_at_a_normal_scale(capsys):
+    # (1e-315+2e-316i + zb1) * (1 + (1.1211538497387457+0.10576923035629128i)*zb2): chi's ratio of the
+    # two subnormal zb1^0 coefficients, divided as they are, is 2e-9 relative off and fails chi_r * phi
+    b = 1.1211538497387457 + 0.10576923035629128j
+    phi = [(1e-315 + 2e-316j, (0, 0), (0, 0)), (1.0 + 0j, (0, 0), (1, 0))]
+    symbol = _float_symbol(phi + [(c * b, h, (a[0], 1)) for c, h, a in phi])
+    assert main(["boundary", symbol, "--coord", "2", "--degree", "3", "--samples", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["prediction_source"] == "product-factorization"
+
+
+def test_a_closed_stdout_exits_141_in_silence(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import hankel_spectra
+
+    env = dict(os.environ, PYTHONPATH=str(Path(hankel_spectra.__file__).parents[1]))
+    # 3.6 MB of JSON: the write blocks on the full pipe until the reader has gone
+    argv = [sys.executable, "-m", "hankel_spectra.cli", "exact", "z1*zb1^3*zb2^2", "--dim", "2", "--cap", "90"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(50).startswith(b"{")
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 141
+    # an error writing --out keeps its one-line message and exit 2
+    out = subprocess.run(argv + ["--out", str(tmp_path / "missing" / "x.json")], capture_output=True, env=env)
+    assert out.returncode == 2 and out.stdout == b""
+    assert out.stderr.decode().startswith("error: [Errno 2] No such file or directory") and out.stderr.count(b"\n") == 1
+
+
 _small_coefficients = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 
 

@@ -27,7 +27,7 @@ from hankel_spectra import (
 from hankel_spectra.galerkin import dump_matrix, load_matrix, scaled_gram_entry
 from hankel_spectra.rational import CR_ZERO, CRat
 from hankel_spectra.symbols import PolySymbol
-from oracles import dense_weyl_residual, hankel_entry_oracle, reference_gram_block
+from oracles import dense_weyl_residual, hankel_entry_oracle, reference_gram_block, reference_scaled_blocks
 
 
 def test_truncation_ordering_is_graded_lex():
@@ -384,8 +384,8 @@ def test_eigenvalues_rejects_non_finite_matrix():
 
 def test_exact_dump_bytes_match_per_cell_formatting():
     # zero cells are written as a constant; the bytes must equal formatting every cell,
-    # for assembled matrices (shared CR_ZERO) and loaded ones (fresh CRat zeros inside
-    # the sector blocks, CR_ZERO between them)
+    # for assembled matrices and loaded ones, whose sector blocks (taken from the dump's
+    # non-zero pattern) also hold zero entries that the writer must find in the tables
     mat = assemble(parse_symbol("(1/2+i)*zb1*(zb2+1) - 3/4*z1*zb2"), BasisTruncation(4, 2))
     buf = io.StringIO()
     dump_matrix(mat, buf)
@@ -400,7 +400,7 @@ def test_exact_dump_bytes_match_per_cell_formatting():
 
     assert buf.getvalue() == per_cell(mat)
     back = load_matrix(io.StringIO(buf.getvalue()))
-    assert back.scaled == mat.scaled and any(c is not CR_ZERO and not c for row in back.scaled for c in row)
+    assert back.scaled == mat.scaled and any(((t[0] == 0) & (t[2] == 0)).any() for t in back.tables)
     again = io.StringIO()
     dump_matrix(back, again)
     assert again.getvalue() == buf.getvalue() == per_cell(back)
@@ -674,34 +674,35 @@ def test_dump_digest(capsys, tmp_path, name):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def _per_cell_dump(m) -> str:
+    """The dump of m with every cell of the full matrix formatted on its own."""
+    header = (f"hankel-spectra-matrix v1 dim={m.trunc.dim} N={m.trunc.degree_cap} "
+              f"symbol={m.symbol_hash} exact={int(m.scaled is not None)}\n")
+    if m.scaled is not None:
+        rows = [[f"{c.re.numerator}/{c.re.denominator},{c.im.numerator}/{c.im.denominator}" for c in row]
+                for row in m.scaled]
+    else:
+        rows = [[f"{float(c.real)!r},{float(c.imag)!r}" for c in row] for row in m.dense]
+    return header + "".join(" ".join(row) + "\n" for row in rows)
+
+
+_DUMP_CASES = [
+    ("(1/2+i)*zb1*(zb2+1) - 3/4*z1*zb2", 4),
+    ("(1/3-2/7*i)*zb1^2*z2 + (5/8+i)*z1*zb2^3 - 2*zb1*zb2", 3),
+    ("zb1*zb2*zb3 + 1/2*z1*zb3^2 + i*zb2", 2),
+    ("zb1 + zb1^2", 3),  # one sector spans the basis
+]
+
+
 def test_dump_matrix_reads_the_sector_blocks(monkeypatch):
     from hankel_spectra.galerkin import CompressionMatrix
 
-    cases = [
-        ("(1/2+i)*zb1*(zb2+1) - 3/4*z1*zb2", 4),
-        ("(1/3-2/7*i)*zb1^2*z2 + (5/8+i)*z1*zb2^3 - 2*zb1*zb2", 3),
-        ("zb1*zb2*zb3 + 1/2*z1*zb3^2 + i*zb2", 2),
-        ("zb1 + zb1^2", 3),  # one sector spans the basis
-    ]
-    syms = [parse_symbol(expr) for expr, _ in cases]
+    syms = [parse_symbol(expr) for expr, _ in _DUMP_CASES]
     syms += [sym.as_float() * (0.3 - 0.1j) for sym in syms]
-
-    def header(m):
-        return (f"hankel-spectra-matrix v1 dim={m.trunc.dim} N={m.trunc.degree_cap} "
-                f"symbol={m.symbol_hash} exact={int(m.scaled is not None)}\n")
-
-    def per_cell(m):  # every cell of the full matrix formatted on its own
-        if m.scaled is not None:
-            rows = [[f"{c.re.numerator}/{c.re.denominator},{c.im.numerator}/{c.im.denominator}" for c in row]
-                    for row in m.scaled]
-        else:
-            rows = [[f"{float(c.real)!r},{float(c.imag)!r}" for c in row] for row in m.dense]
-        return header(m) + "".join(" ".join(row) + "\n" for row in rows)
-
-    truncs = [BasisTruncation(n, sym.dim) for sym, (_, n) in zip(syms, cases * 2)]
+    truncs = [BasisTruncation(n, sym.dim) for sym, (_, n) in zip(syms, _DUMP_CASES * 2)]
     mats = [assemble(sym, trunc) for sym, trunc in zip(syms, truncs)]
-    want = [per_cell(m) for m in mats]
-    want += [per_cell(load_matrix(io.StringIO(text))) for text in want]
+    want = [_per_cell_dump(m) for m in mats]
+    want += [_per_cell_dump(load_matrix(io.StringIO(text))) for text in want]
     assert any("-0.0" in text for text in want)  # signed zeros inside the blocks are kept
 
     def no_full_matrix(*args):
@@ -745,3 +746,71 @@ def test_blockwise_weyl_residual_matches_the_dense_product(sym, n_cap, as_float,
     # relative to the residual, or to the size of its terms where they cancel (||f|| <= 1)
     scale = float(np.abs(mat.dense).sum(axis=1).max()) + abs(lam)
     assert abs(got - want) <= 1e-14 * max(want, scale)
+
+
+def test_exact_paths_build_no_crat_per_entry(monkeypatch):
+    import hankel_spectra.galerkin as galerkin
+
+    mats = [assemble(parse_symbol(expr), BasisTruncation(n, parse_symbol(expr).dim)) for expr, n in _DUMP_CASES]
+    want = [(m.exact_diagonal(), _per_cell_dump(m)) for m in mats]
+
+    def no_crats(*args):
+        raise AssertionError("a CRat per entry was built")
+
+    monkeypatch.setattr(galerkin, "_crats", no_crats)
+    for (expr, n), (diagonal, dump) in zip(_DUMP_CASES, want):
+        mat = assemble(parse_symbol(expr), BasisTruncation(n, parse_symbol(expr).dim))
+        buf = io.StringIO()
+        dump_matrix(mat, buf)
+        assert mat.exact_diagonal() == diagonal and buf.getvalue() == dump
+    assert "scaled_blocks" not in vars(mat)  # nothing above read the CRat view
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_symbols(), st.integers(0, 3))
+def test_lazy_scaled_blocks_match_the_eager_construction(sym, n_cap):
+    mat = assemble(sym, BasisTruncation(n_cap, sym.dim))
+    want = reference_scaled_blocks(mat)
+    got = mat.scaled_blocks
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+        assert [c is CR_ZERO for c in a.ravel()] == [c is CR_ZERO for c in b.ravel()]
+    assert mat.scaled_blocks is got
+
+
+class _CountingWrites(io.StringIO):
+    """A text buffer that records the length of every write()."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return super().write(text)
+
+
+def test_dump_matrix_writes_in_chunks_of_about_one_mib():
+    # the benchmark's D2 N=22 exact dump (2.2 MB), and a float dump with -0.0 cells
+    exact = parse_symbol("(2-i)*z2*zb2 + (-1-i)*z1*z2*zb1^2*zb2^2")
+    for sym in (exact, exact.as_float() * (0.3 - 0.1j)):
+        mat = assemble(sym, BasisTruncation(22, 2))
+        buf = _CountingWrites()
+        dump_matrix(mat, buf)
+        text = buf.getvalue()
+        assert text == _per_cell_dump(mat) and ("-0.0" in text) == (not sym.is_exact)
+        assert len(text) > 2**21 and len(buf.writes) <= 2 + len(text) // 2**20
+        assert max(buf.writes) < 2**21  # never the whole dump in one string
+
+
+def test_a_loaded_dump_holds_the_assembled_tables():
+    for expr, n in _DUMP_CASES:
+        mat = assemble(parse_symbol(expr), BasisTruncation(n, parse_symbol(expr).dim))
+        buf = io.StringIO()
+        dump_matrix(mat, buf)
+        back = load_matrix(io.StringIO(buf.getvalue()))
+        assert [g.tolist() for g in back.sectors] == [g.tolist() for g in mat.sectors]
+        for a, b in zip(back.tables, mat.tables):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(back.blocks, mat.blocks))
