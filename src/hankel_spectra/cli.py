@@ -16,10 +16,12 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from .boundary import DEFAULT_SAMPLES, MAX_SAMPLES, boundary_report
-from .core import MonomialSymbol, SpectrumSet, enumerate_spectrum, essential_part, multiplicity_class
+from .core import MULTIPLICITIES, MonomialSymbol, SpectrumSet, enumerate_spectrum, essential_part, multiplicity_class
 from .galerkin import BasisTruncation, _check_dump_size, assemble, default_inner_caps, dump_matrix, eigenvalues
-from .rational import frac_str
+from .multiindex import nonempty_subsets
 from .symbols import parse_symbol
 from .verify import run_verify
 
@@ -88,63 +90,90 @@ _RECORD_HEAD = (
 )
 _PROVENANCE = '{\n            "B": %s,\n            "alpha": %s\n          }'
 _PROVENANCE_SEP = ",\n          "
+# Below this, both parts of a value convert to float64 exactly.
+_FLOAT64_EXACT = 2**53
 
 
-class _Templates(dict):
-    """(B, len(alpha)) -> a provenance entry with B rendered and one %d per alpha entry.
+def _json_witness(subset: list[str], alpha: list[str]) -> str:
+    """A provenance entry of the JSON document, from the texts of B's members and alpha's entries."""
+    return _PROVENANCE % (_json_list(subset, 12), _json_list(alpha, 12))
 
-    layout(B_texts, alpha_texts) lays an entry out in the document's format.
-    """
 
-    def __init__(self, layout):
-        super().__init__()
-        self.layout = layout
-
-    def __missing__(self, key):
-        subset, width = key
-        text = self[key] = self.layout([str(k) for k in sorted(subset)], ["%d"] * width)
-        return text
+def _csv_witness(subset: list[str], alpha: list[str]) -> str:
+    """The same in the CSV's provenance column."""
+    return f"alpha=({','.join(alpha)}) B=({','.join(subset)})"
 
 
 class _Heads(dict):
-    """(in_essential, is_eigenvalue, is_limit_point, multiplicity) -> a record head."""
+    """(in_essential, is_eigenvalue, is_limit_point, multiplicity code) -> a record head."""
 
     def __missing__(self, key):
-        in_essential, is_eigenvalue, is_limit_point, multiplicity = key
+        in_essential, is_eigenvalue, is_limit_point, code = key
         text = self[key] = _RECORD_HEAD % (
             "" if in_essential is None else f'"in_essential": {_json_bool(in_essential)},\n        ',
             _json_bool(is_eigenvalue),
             _json_bool(is_limit_point),
-            f'"{multiplicity.value}"' if multiplicity else "null",
+            f'"{MULTIPLICITIES[code].value}"' if code else "null",
         )
         return text
 
 
-def _value_texts(values: dict, value) -> tuple[str, str]:
-    """(frac_str, float repr) of value, cached in values by id(value)."""
-    # keyed by id: the caller's records hold every value for the whole call
-    texts = values.get(id(value))
-    if texts is None:
-        texts = values[id(value)] = (frac_str(value), repr(float(value)))
-    return texts
+def _value_texts(spec: SpectrumSet) -> list[str]:
+    """frac_str's "num/den" of every value, from the int tables."""
+    return [f"{n}/{d}" for n, d in zip(spec.num.tolist(), spec.den.tolist())]
 
 
-def _spectrum_json(
-    spec: SpectrumSet, essential_texts: set | None, templates: _Templates, heads: _Heads, values: dict
-) -> str:
+def _float_texts(spec: SpectrumSet) -> list[str]:
+    """repr(float(Fraction(num, den))) of every value, with no Fraction.
+
+    Where both parts convert to float64 exactly, the one rounding of a float64
+    division is the correctly rounded quotient, as is Python's int true
+    division, which float(Fraction) performs and which divides the rest.
+    """
+    num, den = spec.num, spec.den
+    fits = np.asarray((abs(num) <= _FLOAT64_EXACT) & (den <= _FLOAT64_EXACT), dtype=bool)
+    out = np.empty(len(num))
+    out[fits] = num[fits].astype(np.float64) / den[fits].astype(np.float64)
+    wide = np.flatnonzero(~fits)
+    out[wide] = [n / d for n, d in zip(num[wide].tolist(), den[wide].tolist())]
+    return list(map(repr, out.tolist()))
+
+
+def _record_texts(spec: SpectrumSet, texts: list[str], witness, sep: str, essential_texts: set | None):
+    """(value text, float repr, is_eigenvalue, is_limit_point, multiplicity code,
+    in_essential, provenance entries joined by sep) of every record, read off the tables.
+
+    texts are _value_texts(spec).  Each entry is one %-format of its subset's
+    template, witness's layout with a %d per alpha entry; in_essential is None
+    without essential_texts.
+    """
+    dim = spec.alpha.shape[1]
+    templates = [witness([str(k) for k in sorted(b)], ["%d"] * dim) for b in nonempty_subsets(dim)]
+    entries = [templates[s] % a for s, a in zip(spec.subset.tolist(), zip(*spec.alpha.T.tolist()))]
+    bounds = spec.starts.tolist()
+    return zip(
+        texts,
+        _float_texts(spec),
+        spec.is_eigenvalue.tolist(),
+        spec.is_limit_point.tolist(),
+        spec.multiplicity.tolist(),
+        [None] * len(texts) if essential_texts is None else [t in essential_texts for t in texts],
+        [sep.join(entries[s:e]) for s, e in zip(bounds, bounds[1:])],
+    )
+
+
+def _spectrum_json(spec: SpectrumSet, texts: list[str], essential_texts: set | None, heads: _Heads) -> str:
     """A SpectrumSet as a value of the exact document's top-level object ("spectrum"
     or "essential"), plus in_essential when essential_texts is given.
 
     A record is its cached head, its provenance entries and its value's texts.
-    The caches are the caller's, one set per document.
     """
     records = []
-    for r in spec.records:
-        text, float_text = _value_texts(values, r.value)
-        in_essential = None if essential_texts is None else text in essential_texts
-        head = heads[in_essential, r.is_eigenvalue, r.is_limit_point, r.multiplicity]
-        entries = _PROVENANCE_SEP.join([templates[subset, len(alpha)] % alpha for alpha, subset in r.provenance])
+    for text, float_text, eig, lp, code, in_essential, entries in _record_texts(
+        spec, texts, _json_witness, _PROVENANCE_SEP, essential_texts
+    ):
         provenance = f"[\n          {entries}\n        ]" if entries else "[]"
+        head = heads[in_essential, eig, lp, code]
         records.append(f'{head}{provenance},\n        "value": "{text}",\n        "value_float": {float_text}\n      }}')
     return _json_object(
         (
@@ -165,42 +194,37 @@ def _exact_document(
     """The exact command's output in fmt: "json", byte for byte
     json.dumps(obj, sort_keys=True, indent=2), or "csv", the spectrum records only.
 
-    Both render from one set of per-record texts, kept for this document only:
-    values maps id(value) to its frac_str and float repr, so a Fraction the
-    essential and spectrum records share is rendered once; in_essential looks
-    a value's text up in the essential records' texts (frac_str is injective on
-    reduced Fractions, so this agrees with comparing values and hashes no
-    Fraction); and a provenance entry is one %-format of its (B, len(alpha))
-    template in the format's layout.
+    Both render straight from the SpectrumSet tables, with one set of
+    per-record texts (see _record_texts) and no Fraction or record object.
+    in_essential looks a value's text up in the essential values' texts
+    ("num/den" of reduced values is injective, so this agrees with comparing
+    values).
     """
-    values = {}
-    essential_texts = {_value_texts(values, r.value)[0] for r in essential.records}
+    essential_values = _value_texts(essential)
+    essential_texts = set(essential_values)
     if fmt == "csv":
-        templates = _Templates(lambda subset, alpha: f"alpha=({','.join(alpha)}) B=({','.join(subset)})")
-        rows = []
-        for r in spectrum.records:
-            text, float_text = _value_texts(values, r.value)
-            entries = ";".join([templates[subset, len(alpha)] % alpha for alpha, subset in r.provenance])
-            multiplicity = r.multiplicity.value if r.multiplicity else ""
-            rows.append(
-                (text, float_text, r.is_eigenvalue, r.is_limit_point, multiplicity, text in essential_texts, entries)
+        multiplicities = [m.value if m else "" for m in MULTIPLICITIES]
+        rows = [
+            (text, float_text, eig, lp, multiplicities[code], in_essential, entries)
+            for text, float_text, eig, lp, code, in_essential, entries in _record_texts(
+                spectrum, _value_texts(spectrum), _csv_witness, ";", essential_texts
             )
+        ]
         return _csv_text(
             ["value", "value_float", "is_eigenvalue", "is_limit_point", "multiplicity", "in_essential", "provenance"],
             rows,
         )
-    templates = _Templates(lambda subset, alpha: _PROVENANCE % (_json_list(subset, 12), _json_list(alpha, 12)))
     heads = _Heads()
     return _json_object(
         (
             ("alpha_cap", str(alpha_cap)),
             ("command", '"exact"'),
             ("dim", str(mono.dim)),
-            ("essential", _spectrum_json(essential, None, templates, heads, values)),
+            ("essential", _spectrum_json(essential, essential_values, None, heads)),
             ("m", _json_list([str(x) for x in mono.antiholo], 2)),
             ("multiplicity_class", f'"{multiplicity_class(mono).value}"'),
             ("n", _json_list([str(x) for x in mono.holo], 2)),
-            ("spectrum", _spectrum_json(spectrum, essential_texts, templates, heads, values)),
+            ("spectrum", _spectrum_json(spectrum, _value_texts(spectrum), essential_texts, heads)),
             ("symbol", json.dumps(symbol)),
         ),
         0,

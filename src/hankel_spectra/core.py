@@ -16,6 +16,12 @@ with one gcd and groups equal fractions; lambda_value takes a one-point grid.
 The tables are int64 while every product fits, Python ints beyond; float keys
 only order values that are far apart, and near-ties are ordered exactly.  So
 all arithmetic here stays exact rational.
+
+A SpectrumSet keeps the enumeration as those integer tables: the reduced value
+of each record, its flags and witness range, and one alpha row and subset id
+per witness.  essential_part is a mask over them.  SpectrumSet.records builds
+the EigenRecord, Provenance and Fraction objects on first read; the exact
+command renders from the tables and builds none of them.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -65,6 +72,10 @@ _NEAR = 1e-12
 class MultiplicityClass(Enum):
     FINITE = "finite"
     INFINITE = "infinite"
+
+
+# SpectrumSet.multiplicity holds codes: a record's class is MULTIPLICITIES[code].
+MULTIPLICITIES = (None, MultiplicityClass.FINITE, MultiplicityClass.INFINITE)
 
 
 class SymbolClass(Enum):
@@ -123,27 +134,52 @@ class EigenRecord:
     multiplicity: MultiplicityClass | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumSet:
-    """Finite enumeration of a (necessarily truncated) spectrum.
+    """Finite enumeration of a (necessarily truncated) spectrum, stored as its tables.
 
-    records are deduplicated by exact value, sorted ascending, with merged
-    provenance lists.  `truncated` is False only for the zero operator, whose
-    spectrum {0} is complete.
+    One record per distinct exact value, in ascending order; record i is
+    num[i]/den[i] (reduced; int64 or object arrays of Python ints) with the
+    flags is_eigenvalue[i], is_limit_point[i] and MULTIPLICITIES[multiplicity[i]]
+    (MultiplicityClass or None), and it holds the witnesses
+    starts[i]:starts[i + 1] (starts has one entry more than there are records).
+    Witness w is the pair (alpha[w], nonempty_subsets(dim)[subset[w]]), alpha
+    an int64 row of length dim.  records builds the EigenRecord view on first
+    read; compare spectra by their records (a SpectrumSet equals only itself).
+    `truncated` is False only for the zero operator, whose spectrum {0} is
+    complete.
     """
 
-    records: tuple[EigenRecord, ...]
+    num: np.ndarray
+    den: np.ndarray
+    is_eigenvalue: np.ndarray
+    is_limit_point: np.ndarray
+    multiplicity: np.ndarray
+    starts: np.ndarray
+    alpha: np.ndarray
+    subset: np.ndarray
     alpha_cap: int
     contains_zero: bool
     truncated: bool
     kind: str  # "spectrum" | "essential"
     note: str | None = None
 
+    @cached_property
+    def records(self) -> tuple[EigenRecord, ...]:
+        """The records with merged provenance, as EigenRecord and Provenance objects."""
+        subsets = nonempty_subsets(self.alpha.shape[1])
+        witnesses = tuple(map(Provenance, zip(*self.alpha.T.tolist()), map(subsets.__getitem__, self.subset.tolist())))
+        bounds = self.starts.tolist()
+        provenance = [witnesses[s:e] for s, e in zip(bounds, bounds[1:])]
+        multiplicity = map(MULTIPLICITIES.__getitem__, self.multiplicity.tolist())
+        flags = (self.is_eigenvalue.tolist(), self.is_limit_point.tolist(), multiplicity)
+        return tuple(map(EigenRecord, self.values(), provenance, *flags))
+
     def values(self) -> list[Fraction]:
-        return [r.value for r in self.records]
+        return list(map(Fraction, self.num.tolist(), self.den.tolist()))
 
     def value_set(self) -> frozenset[Fraction]:
-        return frozenset(r.value for r in self.records)
+        return frozenset(self.values())
 
 
 def lambda_value(n, m, alpha, subset) -> Fraction:
@@ -221,11 +257,11 @@ def _exact_order(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     Float keys order the bulk; a run of keys within _NEAR of each other that
     holds distinct fractions is ordered again with exact Fraction keys.
     """
-    key = (num / den).astype(np.float64)
+    key = np.asarray(num / den, dtype=np.float64)
     order = np.argsort(key, kind="stable")
     k, sn, sd = key[order], num[order], den[order]
-    near = np.diff(k) <= _NEAR * k[1:]
-    mixed = np.flatnonzero(near & ((sn[1:] != sn[:-1]) | (sd[1:] != sd[:-1])))
+    near = k[1:] - k[:-1] <= _NEAR * k[1:]
+    mixed = (near & ((sn[1:] != sn[:-1]) | (sd[1:] != sd[:-1]))).nonzero()[0]
     if not mixed.size:
         return order
     runs = np.flatnonzero(np.concatenate(([True], ~near)))  # starts of chained near-ties
@@ -236,40 +272,56 @@ def _exact_order(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return order
 
 
-def _records(sym: MonomialSymbol, alpha_cap: int, symbol_class: SymbolClass) -> tuple[EigenRecord, ...]:
-    """Sorted records with merged provenance, from one table per non-empty subset B."""
+def _spectrum_tables(sym: MonomialSymbol, alpha_cap: int, symbol_class: SymbolClass) -> dict:
+    """The SpectrumSet tables of the enumeration, from one table per non-empty subset B."""
     n, m, dim = sym.holo, sym.antiholo, sym.dim
     dtype = _table_dtype(n, m, alpha_cap)
-    nums, dens, provs = [], [], []
-    for members in nonempty_subsets(dim):
-        num, den = _subset_table(n, m, sorted(members), [range(alpha_cap + 1)] * len(members), dtype)
-        nums.append(num)
-        dens.append(den)
-        axes = [range(alpha_cap + 1) if k in members else (0,) for k in range(1, dim + 1)]
-        provs.extend(Provenance(alpha, members) for alpha in product(*axes))
-    num, den = np.concatenate(nums), np.concatenate(dens)
+    side = alpha_cap + 1
+    subsets = nonempty_subsets(dim)
+    tables = [_subset_table(n, m, sorted(b), [range(side)] * len(b), dtype) for b in subsets]
+    num, den = np.concatenate([t[0] for t in tables]), np.concatenate([t[1] for t in tables])
     g = np.gcd(num, den)
     num, den = num // g, den // g
 
-    # (size, lexicographic) subsets with alpha in product order: provenance is
-    # already in output order, and the stable sort keeps it within a value
+    # (size, lexicographic) subsets with alpha in product order: the witnesses
+    # are already in output order, and the stable sort keeps it within a value
     order = _exact_order(num, den)
     num, den = num[order], den[order]
-    starts = np.flatnonzero(np.concatenate(([True], (num[1:] != num[:-1]) | (den[1:] != den[:-1]))))
-    # the full subset comes last in nonempty_subsets, with (cap+1)^dim points
-    is_full = order >= len(order) - (alpha_cap + 1) ** dim
-    fulls = np.add.reduceat(is_full.astype(np.int64), starts).tolist()
-    starts = starts.tolist()
-    ends = starts[1:] + [len(order)]
-    num, den = num.tolist(), den.tolist()
-    provs = [provs[i] for i in order.tolist()]
+    # witness w is point place[w] of its subset's table, in product order over
+    # sorted B: alpha_k is the base-side digit of place of weight side^(members
+    # of B above k) for k in B, and 0 outside B, where the weight side^dim > place
+    sizes, weights = [], []
+    for b in subsets:
+        sizes.append(side ** len(b))
+        weights.append([side**dim] * dim)
+        for e, k in enumerate(sorted(b, reverse=True)):
+            weights[-1][k - 1] = side**e
+    subset = np.arange(len(subsets)).repeat(sizes)[order]
+    place = order - np.array([0, *accumulate(sizes)])[subset]
+    alpha = place[:, None] // np.array(weights)[subset] % side
 
+    starts = ((num[1:] != num[:-1]) | (den[1:] != den[:-1])).nonzero()[0] + 1
+    # 0 lies in every spectrum: if no witness reaches it, a record with the
+    # empty witness range 0:0 comes first
+    no_zero = num[0] != 0
+    bounds = np.concatenate(([0, 0] if no_zero else [0], starts, [len(order)]))
+    # the full subset comes last in nonempty_subsets
+    fulls = np.add.reduceat(subset == len(subsets) - 1, bounds[:-1])
+    num, den = num[bounds[:-1]], den[bounds[:-1]]
+    if no_zero:  # reduceat and the gather read witness 0 for the range 0:0
+        num[0], den[0], fulls[0] = 0, 1, 0
+    is_eigenvalue = fulls > 0
     eigen_mult = MultiplicityClass.FINITE if symbol_class is SymbolClass.ALL_FINITE else MultiplicityClass.INFINITE
-    records = [] if num[0] == 0 else [EigenRecord(Fraction(0), (), False, True, None)]
-    for s, e, f in zip(starts, ends, fulls):
-        v = Fraction(num[s], den[s])
-        records.append(EigenRecord(v, tuple(provs[s:e]), f > 0, not v or f < e - s, eigen_mult if f else None))
-    return tuple(records)
+    return dict(
+        num=num,
+        den=den,
+        is_eigenvalue=is_eigenvalue,
+        is_limit_point=(num == 0) | (fulls < bounds[1:] - bounds[:-1]),
+        multiplicity=is_eigenvalue * np.int8(MULTIPLICITIES.index(eigen_mult)),
+        starts=bounds,
+        alpha=alpha,
+        subset=subset,
+    )
 
 
 def _check_enum_args(sym: MonomialSymbol, alpha_cap: int) -> None:
@@ -295,10 +347,21 @@ def enumerate_spectrum(sym: MonomialSymbol, alpha_cap: int) -> SpectrumSet:
     _check_enum_args(sym, alpha_cap)
     cls = multiplicity_class(sym)
     if cls is SymbolClass.ZERO_OPERATOR:
-        # its spectrum {0} is complete: the eigenvalue 0, with no provenance
-        zero = EigenRecord(Fraction(0), (), True, True, MultiplicityClass.INFINITE)
-        return SpectrumSet((zero,), alpha_cap, True, False, "spectrum")
-    return SpectrumSet(_records(sym, alpha_cap, cls), alpha_cap, True, True, "spectrum")
+        # its spectrum {0} is complete: the eigenvalue 0, with no witness
+        tables = dict(
+            num=np.array([0]),
+            den=np.array([1]),
+            is_eigenvalue=np.array([True]),
+            is_limit_point=np.array([True]),
+            multiplicity=np.array([MULTIPLICITIES.index(MultiplicityClass.INFINITE)], dtype=np.int8),
+            starts=np.array([0, 0]),
+            alpha=np.zeros((0, sym.dim), dtype=np.int64),
+            subset=np.zeros(0, dtype=np.int64),
+        )
+    else:
+        tables = _spectrum_tables(sym, alpha_cap, cls)
+    truncated = cls is not SymbolClass.ZERO_OPERATOR
+    return SpectrumSet(**tables, alpha_cap=alpha_cap, contains_zero=True, truncated=truncated, kind="spectrum")
 
 
 def essential_part(sym: MonomialSymbol, spectrum: SpectrumSet) -> SpectrumSet:
@@ -320,13 +383,22 @@ def essential_part(sym: MonomialSymbol, spectrum: SpectrumSet) -> SpectrumSet:
         )
     if cls is SymbolClass.ALL_INFINITE:
         return replace(spectrum, kind="essential")
-    full = full_set(sym.dim)
-    records = []
-    for r in spectrum.records:
-        proper = tuple(p for p in r.provenance if p.subset != full)
-        if proper or r.value == 0:
-            records.append(replace(r, provenance=proper))
-    return replace(spectrum, records=tuple(records), kind="essential")
+    # a mask over the tables: drop the full-B witnesses, keep a record that keeps a witness or is 0
+    proper = spectrum.subset != nonempty_subsets(sym.dim).index(full_set(sym.dim))
+    kept = np.diff(np.concatenate(([0], np.cumsum(proper)))[spectrum.starts])
+    keep = (kept > 0) | (spectrum.num == 0)
+    return replace(
+        spectrum,
+        num=spectrum.num[keep],
+        den=spectrum.den[keep],
+        is_eigenvalue=spectrum.is_eigenvalue[keep],
+        is_limit_point=spectrum.is_limit_point[keep],
+        multiplicity=spectrum.multiplicity[keep],
+        starts=np.concatenate(([0], np.cumsum(kept[keep]))),
+        alpha=spectrum.alpha[proper],
+        subset=spectrum.subset[proper],
+        kind="essential",
+    )
 
 
 def enumerate_essential_spectrum(sym: MonomialSymbol, alpha_cap: int) -> SpectrumSet:

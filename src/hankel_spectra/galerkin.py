@@ -871,11 +871,13 @@ def load_matrix(fileobj) -> CompressionMatrix:
     trunc, symbol_hash, exact = _read_header(fileobj.readline())
     size = trunc.size
     full = np.empty((size, size), dtype=object if exact else complex)
+    # the exact zero cell dump_matrix writes is read as the constant it is, with no Fraction parsed
+    zero = "0/1,0/1" if exact else None
     for i in range(size):
         cells = fileobj.readline().split()
         if len(cells) != size:
             raise ValueError(f"row {i}: expected {size} entries, got {len(cells)}")
-        full[i] = [_read_cell(cell, exact, i, j) for j, cell in enumerate(cells)]
+        full[i] = [CR_ZERO if cell == zero else _read_cell(cell, exact, i, j) for j, cell in enumerate(cells)]
     if any(line.strip() for line in fileobj):  # a second dump or a stray line is not this matrix
         raise ValueError(f"matrix dump: unexpected content after row {size - 1}")
     return _from_dense(

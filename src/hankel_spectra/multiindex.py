@@ -7,6 +7,7 @@ signed ints.  Coordinate subsets are frozensets of 1-based indices drawn from
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import prod
 
@@ -81,10 +82,10 @@ def normalize_subset(subset, dim: int) -> frozenset[int]:
     return members
 
 
-def nonempty_subsets(dim: int) -> list[frozenset[int]]:
-    """All non-empty subsets of {1, ..., dim} in (size, lexicographic) order."""
-    out = []
-    for size in range(1, dim + 1):
-        for combo in combinations(range(1, dim + 1), size):
-            out.append(frozenset(combo))
-    return out
+@lru_cache(maxsize=16)
+def nonempty_subsets(dim: int) -> tuple[frozenset[int], ...]:
+    """All non-empty subsets of {1, ..., dim} in (size, lexicographic) order.
+
+    Built once per dim: the subset ids of a SpectrumSet index this tuple.
+    """
+    return tuple(frozenset(combo) for size in range(1, dim + 1) for combo in combinations(range(1, dim + 1), size))

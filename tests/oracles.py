@@ -18,8 +18,9 @@ a matrix trigonometric polynomial in theta.  The reference Gram block multiplies
 Fraction factors entry by entry, the way the package's exact kernel did
 before it summed reduced integer tables.  The torus sup norm is a grid proxy
 used by the Lipschitz check of the profile.  The reference writers of the
-``exact`` document build a SpectrumSet as dicts, JSON-ready or as CSV rows,
-the way the package did before it rendered both formats from per-record texts.
+``exact`` document build a SpectrumSet's records as dicts, JSON-ready or as CSV
+rows, the way the package did before it rendered both formats from per-record
+texts; spectrum_from_records stores hand-built records in a SpectrumSet's tables.
 The quasi-homogeneous point formula takes the two whole-profile radial
 integrals of one alpha and divides by the monomial norms, the way the
 package's qh_eigenvalue did before it read a box of alpha off per-coordinate
@@ -45,6 +46,7 @@ import numpy as np
 from hankel_spectra.boundary import slice_symbol
 
 from hankel_spectra.core import (
+    MULTIPLICITIES,
     EigenRecord,
     MonomialSymbol,
     MultiplicityClass,
@@ -232,6 +234,30 @@ def reference_records(sym: MonomialSymbol, alpha_cap: int) -> tuple[EigenRecord,
         is_lp = v == 0 or any(p.subset != full for p in prov)
         records.append(EigenRecord(v, prov, is_eig, is_lp, eigen_mult if is_eig else None))
     return tuple(records)
+
+
+def spectrum_from_records(
+    records, dim: int, alpha_cap: int, contains_zero: bool, truncated: bool, kind: str, note=None
+) -> SpectrumSet:
+    """The SpectrumSet whose tables hold records, in their order: every alpha has
+    length dim and every subset is one of nonempty_subsets(dim)."""
+    subsets = nonempty_subsets(dim)
+    witnesses = [p for r in records for p in r.provenance]
+    return SpectrumSet(
+        num=np.array([r.value.numerator for r in records], dtype=object),
+        den=np.array([r.value.denominator for r in records], dtype=object),
+        is_eigenvalue=np.array([r.is_eigenvalue for r in records], dtype=bool),
+        is_limit_point=np.array([r.is_limit_point for r in records], dtype=bool),
+        multiplicity=np.array([MULTIPLICITIES.index(r.multiplicity) for r in records], dtype=np.int8),
+        starts=np.cumsum([0] + [len(r.provenance) for r in records]),
+        alpha=np.array([p.alpha for p in witnesses], dtype=np.int64).reshape(len(witnesses), dim),
+        subset=np.array([subsets.index(p.subset) for p in witnesses], dtype=np.int64),
+        alpha_cap=alpha_cap,
+        contains_zero=contains_zero,
+        truncated=truncated,
+        kind=kind,
+        note=note,
+    )
 
 
 def spectrum_json_obj(spec: SpectrumSet) -> dict:

@@ -1,8 +1,10 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
 import argparse
+import csv
 import hashlib
 import inspect
+import io
 import json
 import re
 import time
@@ -10,6 +12,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 from hankel_spectra import cli, core, quasihomog
 from hankel_spectra.cli import _build_parser, _exact_document, main
 from hankel_spectra.symbols import parse_symbol
-from oracles import reference_exact_csv, spectrum_json_obj, spectrum_obj_with_in_essential
+from oracles import reference_exact_csv, spectrum_from_records, spectrum_json_obj, spectrum_obj_with_in_essential
 
 
 def run_cli(capsys, *argv):
@@ -672,6 +675,38 @@ def test_exact_enumerates_once(capsys, monkeypatch):
     assert sum(sizes) == (6 + 2) ** 2 - 1
 
 
+def test_exact_builds_no_record_objects(capsys, monkeypatch):
+    # exact renders from the SpectrumSet tables: no EigenRecord or Provenance is
+    # built, for a finite, an all-infinite and a zero-operator symbol
+    cases = [["z1*zb1^3*zb2^2", "--cap", "6"], ["zb1^2", "--dim", "2", "--cap", "5"], ["z1^2*z2", "--cap", "4"]]
+    argvs = [["exact", *case, "--format", fmt] for case in cases for fmt in ("json", "csv")]
+    want = [run_cli(capsys, *argv) for argv in argvs]
+
+    def no_objects(*args):
+        raise AssertionError("a record object was built")
+
+    monkeypatch.setattr(core, "EigenRecord", no_objects)
+    monkeypatch.setattr(core, "Provenance", no_objects)
+    assert [run_cli(capsys, *argv) for argv in argvs] == want
+    assert all(code == 0 for code, _ in want)
+
+
+@pytest.mark.parametrize("symbol", ["z1^997*z2^991*zb1*zb2^2", "z1^5000*z2^4999*zb1*zb2^3"])
+def test_value_float_rounds_values_past_2_53_once(capsys, symbol):
+    # int64 and object tables with denominators past 2**53: there a float64
+    # division of the two parts rounds twice, and misses float(Fraction) on one value
+    code, out = run_cli(capsys, "exact", symbol, "--cap", "2")
+    obj = json.loads(out)
+    records = obj["spectrum"]["records"] + obj["essential"]["records"]
+    values = [Fraction(r["value"]) for r in records]
+    assert code == 0 and max(v.denominator for v in values) > 2**53
+    assert any(float(np.float64(v.numerator) / np.float64(v.denominator)) != float(v) for v in values)
+    assert [r["value_float"] for r in records] == [float(v) for v in values]
+    _, table = run_cli(capsys, "exact", symbol, "--cap", "2", "--format", "csv")
+    rows = list(csv.DictReader(io.StringIO(table)))
+    assert [row["value_float"] for row in rows] == [repr(float(Fraction(row["value"]))) for row in rows]
+
+
 @pytest.mark.parametrize(
     "term",
     [
@@ -831,9 +866,9 @@ def _reference_exact_json(symbol, mono, cap, spectrum, essential) -> str:
 @st.composite
 def _spectra(draw):
     """(mono, cap, spectrum, essential): enumerated for small monomials of all
-    three classes, or drawn record by record (empty record lists included; the
-    alphas of one spectrum may differ in length, and an essential record may
-    hold an equal copy of its spectrum value)."""
+    three classes, or drawn record by record and stored in the tables (empty
+    record lists included; an essential record may hold an equal copy of its
+    spectrum value)."""
     dim = draw(st.integers(1, 3))
     n = draw(st.tuples(*[st.integers(0, 3)] * dim))
     m = draw(st.tuples(*[st.integers(0, 3)] * dim))
@@ -841,7 +876,7 @@ def _spectra(draw):
     if draw(st.booleans()):
         spectrum = core.enumerate_spectrum(mono, cap)
         return mono, cap, spectrum, core.essential_part(mono, spectrum)
-    alphas = st.integers(1, 3).flatmap(lambda k: st.tuples(*[st.integers(0, 10**6)] * k))
+    alphas = st.tuples(*[st.integers(0, 10**6)] * dim)
     subsets = st.sets(st.integers(1, dim), min_size=1).map(frozenset)
     records = draw(st.lists(
         st.builds(
@@ -856,13 +891,13 @@ def _spectra(draw):
         unique_by=lambda r: r.value,
     ))
     notes = st.one_of(st.none(), st.just("zero operator: holomorphic symbol, essential spectrum is {0}"), st.text())
-    spectrum = core.SpectrumSet(tuple(records), cap, draw(st.booleans()), draw(st.booleans()), "spectrum")
+    spectrum = spectrum_from_records(records, dim, cap, draw(st.booleans()), draw(st.booleans()), "spectrum")
     kept = tuple(
         replace(r, value=_equal_copy(r.value)) if draw(st.booleans()) else r
         for r in records
         if draw(st.booleans())
     )
-    essential = core.SpectrumSet(kept, cap, True, draw(st.booleans()), "essential", draw(notes))
+    essential = spectrum_from_records(kept, dim, cap, True, draw(st.booleans()), "essential", draw(notes))
     return mono, cap, spectrum, essential
 
 
@@ -889,8 +924,8 @@ def test_exact_csv_matches_the_dict_built_reference(drawn, symbol):
 
 
 def test_exact_writer_keeps_nothing_between_documents():
-    # B = {1} recurs at every dim: its provenance template must follow len(alpha)
-    # from one document to the next, and within one
+    # B = {1} recurs at every dim: its provenance template must follow the dim
+    # from one document to the next
     for n, m, cap in [
         ((0,), (2,), 6), ((1, 0), (0, 2), 4), ((0, 1, 0), (1, 0, 2), 2),
         ((0,), (1,), 3), ((0, 0, 0), (0, 1, 1), 2), ((2, 0), (3, 0), 5), ((1,), (1,), 4),
@@ -904,22 +939,22 @@ def test_exact_writer_keeps_nothing_between_documents():
         assert _exact_document("csv", "s", mono, cap, spectrum, essential) == reference_exact_csv(spectrum, essential)
     half, third = Fraction(1, 2), Fraction(1, 3)
     records = (
-        core.EigenRecord(third, (core.Provenance((10**6,), frozenset({1})),), True, False, None),
+        core.EigenRecord(third, (core.Provenance((10**6, 0, 0), frozenset({1})),), True, False, None),
         core.EigenRecord(half, (
-            core.Provenance((999_999, 7), frozenset({1})),
+            core.Provenance((999_999, 7, 0), frozenset({1})),
             core.Provenance((0, 10**6, 3), frozenset({1, 3})),
-            core.Provenance((10**6,), frozenset({1})),
+            core.Provenance((10**6, 0, 0), frozenset({1})),
         ), True, True, core.MultiplicityClass.FINITE),
     )
     mono = core.MonomialSymbol((0, 0, 0), (1, 1, 1))
-    spectrum = core.SpectrumSet(records, 3, True, True, "spectrum")
+    spectrum = spectrum_from_records(records, 3, 3, True, True, "spectrum")
     # in_essential compares values: an equal copy of 1/2 counts, 1/3 is absent
-    essential = core.SpectrumSet((replace(records[1], value=_equal_copy(half)),), 3, True, True, "essential")
+    essential = spectrum_from_records((replace(records[1], value=_equal_copy(half)),), 3, 3, True, True, "essential")
     text = _exact_document("json", "s", mono, 3, spectrum, essential)
     assert text == _reference_exact_json("s", mono, 3, spectrum, essential)
     assert [r["in_essential"] for r in json.loads(text)["spectrum"]["records"]] == [False, True]
     table = _exact_document("csv", "s", mono, 3, spectrum, essential)
     assert table == reference_exact_csv(spectrum, essential)
     assert table.splitlines()[2] == (
-        '1/2,0.5,True,True,finite,True,"alpha=(999999,7) B=(1);alpha=(0,1000000,3) B=(1,3);alpha=(1000000) B=(1)"'
+        '1/2,0.5,True,True,finite,True,"alpha=(999999,7,0) B=(1);alpha=(0,1000000,3) B=(1,3);alpha=(1000000,0,0) B=(1)"'
     )

@@ -355,6 +355,36 @@ def test_load_matrix_rejects_bad_cell(exact, cell):
         load_matrix(io.StringIO(dump))
 
 
+def test_zero_cells_of_a_loaded_exact_dump_build_no_fraction(monkeypatch):
+    import hankel_spectra.galerkin as galerkin_mod
+
+    mat = assemble(parse_symbol("zb1*(zb2+1) + 1/2*z1*zb2^2"), BasisTruncation(4, 2))
+    buf = io.StringIO()
+    dump_matrix(mat, buf)
+    text = buf.getvalue()
+    cells = [cell for line in text.splitlines()[1:] for cell in line.split()]
+    assert cells.count("0/1,0/1") > len(cells) // 2
+    parsed = []
+    real = galerkin_mod.Fraction
+
+    def counting(*args):
+        parsed.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(galerkin_mod, "Fraction", counting)
+    back = load_matrix(io.StringIO(text))
+    # two parts of every non-zero cell, none of a zero cell
+    assert len(parsed) == 2 * sum(cell != "0/1,0/1" for cell in cells)
+    assert back.scaled == mat.scaled
+    # every other spelling of zero is still parsed, to the same matrix
+    header = "hankel-spectra-matrix v1 dim=1 N=1 symbol=x exact=1\n"
+    want = load_matrix(io.StringIO(header + "0/1,0/1 1/2,0/1\n1/2,0/1 0/1,0/1\n"))
+    for zero in ("0,0", "-0/3,0/1", "0/1,-0", "0/1,0"):
+        got = load_matrix(io.StringIO(header + f"{zero} 1/2,0/1\n1/2,0/1 {zero}\n"))
+        assert got.scaled == want.scaled
+        assert all(np.array_equal(a, b) for a, b in zip(got.tables, want.tables))
+
+
 def test_gram_entry_complex_coefficient_orientation():
     # complex coefficients expose the conjugation orientation that pure
     # Hermiticity checks cannot (both orientations are Hermitian)
