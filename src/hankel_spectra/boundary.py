@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -365,20 +364,10 @@ def containment_report(
 
 
 def _rational(c) -> CRat:
-    """A float coefficient as the fraction it stores."""
+    """A coefficient as the Gaussian rational it stores: a CRat as it is, a float exactly."""
+    if isinstance(c, CRat):
+        return c
     return CRat(Fraction(complex(c).real), Fraction(complex(c).imag))
-
-
-def _quotient(a, b):
-    """a / b of two coefficients.  Python's complex division rounds subnormal
-    intermediates, so float coefficients with a subnormal part are divided as
-    copies scaled up by one power of two (exactly); any other pair as they are."""
-    if isinstance(a, complex) and isinstance(b, complex):
-        parts = (a.real, a.imag, b.real, b.imag)
-        if any(0.0 < abs(x) < sys.float_info.min for x in parts):
-            k = max(0, -math.frexp(max(map(abs, parts)))[1])  # the largest part to [1/2, 1)
-            a, b = (complex(math.ldexp(z.real, k), math.ldexp(z.imag, k)) for z in (a, b))
-    return a / b
 
 
 def _factor_across(sym: PolySymbol, coord: int):
@@ -386,11 +375,14 @@ def _factor_across(sym: PolySymbol, coord: int):
 
     The coefficients of psi form a table rows[(n_c, m_c)][(h', a')], one row per
     pair of z_coord exponents, and psi is a product exactly when the table is
-    chi (x) phi.  phi is the lowest-key row and chi_r = rows[r][s0] / phi[s0]
-    (_quotient), with s0 the first term of phi.  Every row must have the
-    support of phi and equal chi_r * phi: exactly for an exact chi_r, else
-    row[s] phi[s0] = row[s0] phi[s] in exact rationals (no product overflows or
-    rounds) to 1e-12 of the row's largest |c| times |phi[s0]|, and chi_r * phi[s]
+    chi (x) phi.  phi is the lowest-key row and chi_r = rows[r][s0] / phi[s0],
+    with s0 the first term of phi, both read as the exact rationals they store
+    (_rational).  A float or mixed symbol emits each chi_r rounded once, and
+    when one overflows floats phi pivots to the row of the largest |c|, so that
+    every |chi_r| <= 1.  Every row must have the support of phi and pass the
+    rank-one test row[s] phi[s0] = row[s0] phi[s] in exact rationals: exactly
+    for an exact symbol, else to 1e-12 of the row's largest |c| times
+    |phi[s0]|.  For any other symbol the emitted chi_r * phi[s] must also be
     non-zero, finite and as close plus |phi[s]| 2**-1074, a subnormal chi_r's
     spacing.
     """
@@ -403,33 +395,42 @@ def _factor_across(sym: PolySymbol, coord: int):
     key = min(rows)
     if any(row.keys() != rows[key].keys() for row in rows.values()):
         return None
+    q = {r: {s: _rational(c) for s, c in row.items()} for r, row in rows.items()}
 
     def row_symbol(r) -> PolySymbol:
         return PolySymbol([(c, h, a) for (h, a), c in rows[r].items()], dim=sym.dim - 1)
 
+    def ratios(key, s0) -> dict:
+        chi = {r: row[s0] / q[key][s0] for r, row in q.items()}
+        return chi if sym.is_exact else {r: complex(x) for r, x in chi.items()}
+
     phi = row_symbol(key)
     s0 = phi.terms[0][1:]
-    chi = {r: _quotient(row[s0], rows[key][s0]) for r, row in rows.items()}
-    if not all(isinstance(x, CRat) or cmath.isfinite(x) for x in chi.values()):
-        # a ratio overflowed: pivot on the largest |c| instead, so that every |chi_r| <= 1
-        _, key, s0 = max((abs(complex(c)), r, s) for r, row in rows.items() for s, c in row.items())
+    try:
+        chi = ratios(key, s0)
+    except OverflowError:
+        # a ratio overflows floats: pivot on the largest |c| instead, so that every |chi_r| <= 1
+        _, key, s0 = max((v.abs2(), r, s) for r, row in q.items() for s, v in row.items())
         phi = row_symbol(key)
-        chi = {r: _quotient(row[s0], rows[key][s0]) for r, row in rows.items()}
-    for r, row in rows.items():
-        x = chi[r]
-        if isinstance(x, CRat):
-            if any(c != x * rows[key][s] for s, c in row.items()):
-                return None
-            continue
-        tol = 1e-12 * max(abs(complex(c)) for c in row.values())
-        q, phi_q = ({s: _rational(c) for s, c in t.items()} for t in (row, rows[key]))
-        bound = max(v.abs2() for v in q.values()) * phi_q[s0].abs2() / 10**24
-        for s, c in row.items():
-            p = x * rows[key][s]
-            near = abs(complex(c) - p) <= tol + math.ulp(0.0) * abs(complex(rows[key][s]))
-            rank_one = (q[s] * phi_q[s0] - q[s0] * phi_q[s]).abs2() <= bound
-            if p == 0 or not cmath.isfinite(p) or not (near and rank_one):
-                return None
+        chi = ratios(key, s0)
+    slack = 0 if sym.is_exact else Fraction(1, 10**24)
+    pivot = q[key][s0]
+    for r, row in q.items():
+        bound = slack * max(v.abs2() for v in row.values()) * pivot.abs2()
+        if any((row[s] * pivot - row[s0] * q[key][s]).abs2() > bound for s in row):
+            return None
+    if not sym.is_exact:
+        try:
+            f = {r: {s: complex(c) for s, c in row.items()} for r, row in rows.items()}
+            tol = {r: 1e-12 * max(map(abs, row.values())) for r, row in f.items()}
+        except OverflowError:  # a coefficient too large for floats, which as_float refuses later
+            return None
+        for r, row in f.items():
+            for s, c in row.items():
+                p = chi[r] * f[key][s]
+                near = abs(c - p) <= tol[r] + math.ulp(0.0) * abs(f[key][s])
+                if p == 0 or not cmath.isfinite(p) or not near:
+                    return None
     return phi, PolySymbol([(x, (n,), (m,)) for (n, m), x in chi.items()], dim=1)
 
 

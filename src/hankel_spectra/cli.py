@@ -16,8 +16,6 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from .boundary import DEFAULT_SAMPLES, MAX_SAMPLES, boundary_report
 from .core import MULTIPLICITIES, MonomialSymbol, SpectrumSet, enumerate_spectrum, essential_part, multiplicity_class
 from .galerkin import BasisTruncation, _check_dump_size, assemble, default_inner_caps, dump_matrix, eigenvalues
@@ -90,8 +88,6 @@ _RECORD_HEAD = (
 )
 _PROVENANCE = '{\n            "B": %s,\n            "alpha": %s\n          }'
 _PROVENANCE_SEP = ",\n          "
-# Below this, both parts of a value convert to float64 exactly.
-_FLOAT64_EXACT = 2**53
 
 
 def _json_witness(subset: list[str], alpha: list[str]) -> str:
@@ -119,24 +115,14 @@ class _Heads(dict):
 
 
 def _value_texts(spec: SpectrumSet) -> list[str]:
-    """frac_str's "num/den" of every value, from the int tables."""
+    """The "num/den" text of every value, integers too, from the int tables."""
     return [f"{n}/{d}" for n, d in zip(spec.num.tolist(), spec.den.tolist())]
 
 
 def _float_texts(spec: SpectrumSet) -> list[str]:
-    """repr(float(Fraction(num, den))) of every value, with no Fraction.
-
-    Where both parts convert to float64 exactly, the one rounding of a float64
-    division is the correctly rounded quotient, as is Python's int true
-    division, which float(Fraction) performs and which divides the rest.
-    """
-    num, den = spec.num, spec.den
-    fits = np.asarray((abs(num) <= _FLOAT64_EXACT) & (den <= _FLOAT64_EXACT), dtype=bool)
-    out = np.empty(len(num))
-    out[fits] = num[fits].astype(np.float64) / den[fits].astype(np.float64)
-    wide = np.flatnonzero(~fits)
-    out[wide] = [n / d for n, d in zip(num[wide].tolist(), den[wide].tolist())]
-    return list(map(repr, out.tolist()))
+    """repr(float(Fraction(num, den))) of every value, with no Fraction: Python's
+    int true division, which float(Fraction) performs, is correctly rounded."""
+    return [repr(n / d) for n, d in zip(spec.num.tolist(), spec.den.tolist())]
 
 
 def _record_texts(spec: SpectrumSet, texts: list[str], witness, sep: str, essential_texts: set | None):

@@ -781,7 +781,7 @@ def _nonzero_cells(mat: CompressionMatrix):
 
 
 def _cell_texts(values: np.ndarray, exact: bool) -> list[str]:
-    """The dump cells of _nonzero_cells' values: frac_str's "num/den" of the table ints, or float reprs."""
+    """The dump cells of _nonzero_cells' values: "num/den" of the table ints, integers too, or float reprs."""
     if exact:
         return [f"{a}/{b},{c}/{d}" for a, b, c, d in zip(*values.tolist())]
     return [f"{z.real!r},{z.imag!r}" for z in values.tolist()]

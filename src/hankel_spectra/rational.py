@@ -43,12 +43,6 @@ class CRat:
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
-    def real_fraction(self) -> Fraction:
-        """The value as a Fraction; requires a vanishing imaginary part."""
-        if self.im != 0:
-            raise ValueError(f"{self!r} is not real")
-        return self.re
-
     # -- algebra ------------------------------------------------------------
 
     def conjugate(self) -> "CRat":
@@ -136,11 +130,6 @@ class CRat:
 
 
 CR_ZERO = CRat(0)
-
-
-def frac_str(v: Fraction) -> str:
-    """"num/den", integers too: the exact JSON and the matrix dump are read by splitting on "/"."""
-    return f"{v.numerator}/{v.denominator}"
 
 
 def as_coeff(value):

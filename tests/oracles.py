@@ -58,7 +58,7 @@ from hankel_spectra.core import (
 from hankel_spectra.galerkin import BasisTruncation, KernelVector, assemble, eigenvalues
 from hankel_spectra.multiindex import full_set, nonempty_subsets
 from hankel_spectra.quasihomog import QhBranch, monomial_norm_sq, radial_integral
-from hankel_spectra.rational import CR_ZERO, CRat, frac_str
+from hankel_spectra.rational import CR_ZERO, CRat
 
 _RADIAL_NODES = 120
 _ANGULAR_NODES = 512
@@ -270,7 +270,7 @@ def spectrum_json_obj(spec: SpectrumSet) -> dict:
         "note": spec.note,
         "records": [
             {
-                "value": frac_str(r.value),
+                "value": f"{r.value.numerator}/{r.value.denominator}",
                 "value_float": float(r.value),
                 "is_eigenvalue": r.is_eigenvalue,
                 "is_limit_point": r.is_limit_point,

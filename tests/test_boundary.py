@@ -627,13 +627,18 @@ def _embed(terms, dim: int, coords) -> PolySymbol:
 @example([(1.0 + 0j, (0, 0), (1, 0))], [(1e150 + 0j, (0,), (0,)), (1e-170 + 0j, (0,), (1,))], [], (2, 2))
 # (1e-170 + 1e150*zb1) * 1: phi's first term is 1e-320 of its largest, a subnormal at any common scale
 @example([(1e-170 + 0j, (0,), (0,)), (1e150 + 0j, (0,), (1,))], [(1.0 + 0j, (0,), (0,))], [], (2, 2))
-# (1e-315+2e-316i + zb1) * (1 + b*zb2): the ratio of two subnormal coefficients is divided at a normal scale
+# (1e-315+2e-316i + zb1) * (1 + b*zb2): the ratio of two subnormal coefficients is formed exactly and rounded once
 @example(
     [(1e-315 + 2e-316j, (0,), (0,)), (1.0 + 0j, (0,), (1,))],
     [(1.0 + 0j, (0,), (0,)), (1.1211538497387457 + 0.10576923035629128j, (0,), (1,))],
     [],
     (2, 2),
 )
+# (1 + 0.1*zb1) * (1 + 1/10*zb2) and (1 + 0.1*zb1) * (3 + 1/3*zb2) mix exact and float coefficients; in the
+# second the exact ratio 1/9 of the zb2 row's exact entries, times the float 0.30000000000000004, misses
+# the float product 0.1 * 1/3 in its last bit, and a per-row exact match refused the product
+@example([(CRat(1), (0,), (0,)), (0.1 + 0j, (0,), (1,))], [(CRat(1), (0,), (0,)), (CRat(Fraction(1, 10)), (0,), (1,))], [], (2, 2))
+@example([(CRat(1), (0,), (0,)), (0.1 + 0j, (0,), (1,))], [(CRat(3), (0,), (0,)), (CRat(Fraction(1, 3)), (0,), (1,))], [], (2, 2))
 def test_factorization_multiplies_back_to_the_symbol(phi, chi, extra, shape):
     # phi lives on all coordinates but the last and chi on the last; in dim 3 a middle coord
     # splits the exponents on both sides of the sliced one
@@ -643,11 +648,9 @@ def test_factorization_multiplies_back_to_the_symbol(phi, chi, extra, shape):
     assume(all(cmath.isfinite(complex(c)) for c, _, _ in psi.terms))
     factored = _factor_across(psi, coord)
     # psi = phi * chi across coord with no term lost to underflow: with every |c| normal, below 2**1000
-    # and within 2**1070 of each other, every ratio the factorization forms is finite and non-zero.
-    # A symbol that mixes exact and float coefficients is left out: an exact ratio is matched exactly
+    # and within 2**1070 of each other, every ratio the factorization forms is finite and non-zero
     mags = [abs(complex(c)) for c, _, _ in psi.terms]
     if (not extra and coord == dim and mags and len(mags) == len(phi_sym.terms) * len(chi_sym.terms)
-            and len({isinstance(c, CRat) for c, _, _ in psi.terms}) == 1
             and sys.float_info.min <= min(mags) and max(mags) <= 2.0**1000
             and math.log2(max(mags)) - math.log2(min(mags)) <= 1070):
         assert factored is not None
@@ -682,6 +685,26 @@ def test_a_subnormal_ratio_keeps_the_rank_one_resolution():
 
     assert _factor_across(sym(2e-170 + 0j), 2) is not None
     assert _factor_across(sym(2.0001e-170 + 0j), 2) is None
+
+
+def test_a_ratio_that_rounds_to_zero_is_no_factorization():
+    # 1e300*(1 + zb1) + 1e-30*(1 + zb1)*zb2 is 1e300*(1 + zb1)*(1 + 1e-330*zb2) and passes the exact
+    # rank-one test, but the ratio 1e-330 rounds to 0.0, and a chi without its zb2 term is no factor
+    sym = PolySymbol([(1e300 + 0j, (0, 0), (0, 0)), (1e300 + 0j, (0, 0), (1, 0)),
+                      (1e-30 + 0j, (0, 0), (0, 1)), (1e-30 + 0j, (0, 0), (1, 1))])
+    assert _factor_across(sym, 2) is None
+
+
+def test_a_float_chi_is_the_exact_ratio_rounded_once():
+    # (0.1+0.2i + zb1) * (1 + (0.3-0.7i)*zb2) in floats: chi's zb2 coefficient is the ratio of the
+    # stored floats, the zb2 row's constant to 0.1+0.2i, rounded once; complex division gave 0.3-0.7i
+    a = PolySymbol([(0.1 + 0.2j, (0, 0), (0, 0)), (1.0 + 0j, (0, 0), (1, 0))])
+    b = PolySymbol([(1.0 + 0j, (0, 0), (0, 0)), (0.3 - 0.7j, (0, 0), (0, 1))])
+    psi = a * b
+    row = {(h, a): c for c, h, a in psi.terms}[(0, 0), (0, 1)]
+    ratio = CRat(Fraction(row.real), Fraction(row.imag)) / CRat(Fraction(0.1), Fraction(0.2))
+    _, chi = _factor_across(psi, 2)
+    assert {(h, a): c for c, h, a in chi.terms}[(0,), (1,)] == complex(ratio) == 0.3 - 0.6999999999999998j
 
 
 def test_boundary_report_checks_its_request_first(monkeypatch):

@@ -455,7 +455,7 @@ def test_factorization_pivots_when_a_ratio_overflows(capsys):
     from hankel_spectra.symbols import PolySymbol
 
     # 1e-300i + (-179769314+179769314i)*zb2 is a constant times chi(z2), but the ratio of the
-    # zb2 row to the lowest-key row 1e-300i overflows to inf+infj
+    # zb2 row to the lowest-key row 1e-300i overflows floats
     terms = [(1e-300j, (0, 0), (0, 0)), (-179769314 + 179769314j, (0, 0), (0, 1))]
     assert _prediction_source(capsys, _float_symbol(terms)) == "product-factorization"
     phi, chi = _factor_across(PolySymbol(terms, dim=2), 2)
@@ -480,12 +480,34 @@ def test_factorization_keeps_a_first_term_far_below_the_largest(capsys):
 
 def test_factorization_divides_subnormal_coefficients_at_a_normal_scale(capsys):
     # (1e-315+2e-316i + zb1) * (1 + (1.1211538497387457+0.10576923035629128i)*zb2): chi's ratio of the
-    # two subnormal zb1^0 coefficients, divided as they are, is 2e-9 relative off and fails chi_r * phi
+    # two subnormal zb1^0 coefficients, by Python's complex division, is 2e-9 relative off and fails
+    # chi_r * phi; formed exactly from the stored floats and rounded once, it passes
     b = 1.1211538497387457 + 0.10576923035629128j
     phi = [(1e-315 + 2e-316j, (0, 0), (0, 0)), (1.0 + 0j, (0, 0), (1, 0))]
     symbol = _float_symbol(phi + [(c * b, h, (a[0], 1)) for c, h, a in phi])
     assert main(["boundary", symbol, "--coord", "2", "--degree", "3", "--samples", "8"]) == 0
     assert json.loads(capsys.readouterr().out)["prediction_source"] == "product-factorization"
+
+
+def test_factorization_takes_a_product_of_exact_and_float_coefficients(capsys):
+    # (1 + 0.1*zb1) * (1 + 1/10*zb2) with its exact parts exact: the zb2 row's exact entries gave the
+    # exact ratio 1/10, and an exact match of 1/10 * 0.1 against the float 0.01 refused the product
+    symbol = json.dumps({"dim": 2, "terms": [
+        {"coeff": [1, 0], "holo": [0, 0], "antiholo": [0, 0]},
+        {"coeff": [0.1, 0.0], "holo": [0, 0], "antiholo": [1, 0]},
+        {"coeff": ["1/10", 0], "holo": [0, 0], "antiholo": [0, 1]},
+        {"coeff": [0.01, 0.0], "holo": [0, 0], "antiholo": [1, 1]},
+    ]})
+    assert _prediction_source(capsys, symbol) == "product-factorization"
+
+
+def test_boundary_refuses_a_float_coefficient_whose_modulus_overflows(capsys):
+    # 1.5e308+1.5e308i is a pair of finite floats whose modulus is not: the factorization took
+    # abs() of it and raised OverflowError, a traceback; the compression now refuses it in one line
+    symbol = _float_symbol([(1.5e308 + 1.5e308j, (0, 0), (0, 0)), (1.0 + 0j, (0, 0), (0, 1))])
+    assert main(["boundary", symbol, "--coord", "2", "--degree", "4", "--samples", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_a_closed_stdout_exits_141_in_silence(tmp_path):

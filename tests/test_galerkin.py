@@ -510,8 +510,8 @@ def test_sector_blocks_hold_the_dense_matrix():
         assert np.array_equal(b, mat.dense[g[:, :, None], g[:, None, :]])
         assert all(sb[r, p, q] == mat.scaled[i][j] for r, row in enumerate(g)
                    for p, i in enumerate(row) for q, j in enumerate(row))
-    assert mat.exact_diagonal() == [(mat.scaled[i][i] * w).real_fraction()
-                                    for i, w in enumerate(np.prod(np.array(trunc.indices) + 1, axis=1))]
+    diagonal = [mat.scaled[i][i] * w for i, w in enumerate(np.prod(np.array(trunc.indices) + 1, axis=1))]
+    assert all(d.im == 0 for d in diagonal) and mat.exact_diagonal() == [d.re for d in diagonal]
     assert mat.scale() == np.max(np.abs(mat.dense))
     assert mat.hermiticity_defect() == np.max(np.abs(mat.dense - mat.dense.conj().T))
 
@@ -556,7 +556,9 @@ def test_exact_diagonal_reads_the_sector_blocks(monkeypatch):
 
     cases = [("zb1*zb2", 6), ("(1/2+i)*zb1*(zb2+1) - 3/4*z1*zb2", 4), ("zb1^2 + 2*z1*zb1 + zb2", 3)]
     mats = [assemble(parse_symbol(expr, dim=2), BasisTruncation(n, 2)) for expr, n in cases]
-    want = [[(m.scaled[i][i] * weight(a)).real_fraction() for i, a in enumerate(m.trunc.indices)] for m in mats]
+    diagonals = [[m.scaled[i][i] * weight(a) for i, a in enumerate(m.trunc.indices)] for m in mats]
+    assert all(d.im == 0 for diagonal in diagonals for d in diagonal)
+    want = [[d.re for d in diagonal] for diagonal in diagonals]
 
     def no_full_matrix(*args):
         raise AssertionError("exact_diagonal built the full matrix")
