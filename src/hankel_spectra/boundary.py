@@ -416,8 +416,9 @@ def _factor_across(sym: PolySymbol, coord: int):
     slack = 0 if sym.is_exact else Fraction(1, 10**24)
     pivot = q[key][s0]
     for r, row in q.items():
-        bound = slack * max(v.abs2() for v in row.values()) * pivot.abs2()
-        if any((row[s] * pivot - row[s0] * q[key][s]).abs2() > bound for s in row):
+        # an exact symbol's slack is 0: no bound, and the test is an equality
+        bound = slack and slack * max(v.abs2() for v in row.values()) * pivot.abs2()
+        if any((lhs := row[s] * pivot) != (rhs := row[s0] * q[key][s]) and (lhs - rhs).abs2() > bound for s in row):
             return None
     if not sym.is_exact:
         try:

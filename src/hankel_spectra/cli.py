@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import re
@@ -61,57 +62,33 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _json_list(items: list[str], indent: int) -> str:
-    """A list laid out as json.dumps(..., indent=2) does; items are rendered for indent + 2."""
-    if not items:
-        return "[]"
-    pad = "\n" + " " * (indent + 2)
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
-
-
-def _json_object(fields, indent: int) -> str:
-    """The same for an object; fields are (key, rendered value) pairs in sorted key order."""
-    pad = "\n" + " " * (indent + 2)
-    return "{" + pad + ("," + pad).join(f'"{k}": {v}' for k, v in fields) + "\n" + " " * indent + "}"
-
-
-def _json_bool(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
-# A record of the exact document ("spectrum" or "essential" -> "records" -> [...])
-# as json.dumps(..., indent=2) lays it out: a head up to "provenance", then the
-# provenance list and the value's two fields.
-_RECORD_HEAD = (
-    '{\n        %s"is_eigenvalue": %s,\n        "is_limit_point": %s,\n'
-    '        "multiplicity": %s,\n        "provenance": '
-)
-_PROVENANCE = '{\n            "B": %s,\n            "alpha": %s\n          }'
-_PROVENANCE_SEP = ",\n          "
-
-
-def _json_witness(subset: list[str], alpha: list[str]) -> str:
-    """A provenance entry of the JSON document, from the texts of B's members and alpha's entries."""
-    return _PROVENANCE % (_json_list(subset, 12), _json_list(alpha, 12))
-
-
-def _csv_witness(subset: list[str], alpha: list[str]) -> str:
-    """The same in the CSV's provenance column."""
-    return f"alpha=({','.join(alpha)}) B=({','.join(subset)})"
-
-
-class _Heads(dict):
-    """(in_essential, is_eigenvalue, is_limit_point, multiplicity code) -> a record head."""
-
-    def __missing__(self, key):
-        in_essential, is_eigenvalue, is_limit_point, code = key
-        text = self[key] = _RECORD_HEAD % (
-            "" if in_essential is None else f'"in_essential": {_json_bool(in_essential)},\n        ',
-            _json_bool(is_eigenvalue),
-            _json_bool(is_limit_point),
-            f'"{MULTIPLICITIES[code].value}"' if code else "null",
-        )
-        return text
+# The head of a record of the exact document ("spectrum" or "essential" ->
+# "records" -> [...]) as json.dumps(..., indent=2) lays it out, up to its
+# provenance list, per (in_essential, is_eigenvalue, is_limit_point,
+# multiplicity code); in_essential None leaves that field out.
+_RECORD_HEADS = {
+    (ess, eig, lp, code): "{\n        " + ("" if ess is None else f'"in_essential": {json.dumps(ess)},\n        ')
+    + f'"is_eigenvalue": {json.dumps(eig)},\n        "is_limit_point": {json.dumps(lp)},\n        '
+    + f'"multiplicity": {json.dumps(m and m.value)},\n        "provenance": '
+    for ess, eig, lp, (code, m) in itertools.product(
+        (None, False, True), (False, True), (False, True), enumerate(MULTIPLICITIES)
+    )
+}
+# A provenance entry per format: a template of the texts of B's members and of
+# alpha's entries, each joined by the format's item separator, and the
+# separator of a record's entries.
+_WITNESS = {
+    "json": (
+        '{\n            "B": [\n              %(B)s\n            ],'
+        '\n            "alpha": [\n              %(alpha)s\n            ]\n          }',
+        ",\n              ",
+        ",\n          ",
+    ),
+    "csv": ("alpha=(%(alpha)s) B=(%(B)s)", ",", ";"),
+}
+# Each "records" value of the exact document's frame, and the pair its text is split on
+_HOLE = "\0"
+_RECORDS_HOLE = '"records": ' + json.dumps(_HOLE)
 
 
 def _value_texts(spec: SpectrumSet) -> list[str]:
@@ -125,16 +102,19 @@ def _float_texts(spec: SpectrumSet) -> list[str]:
     return [repr(n / d) for n, d in zip(spec.num.tolist(), spec.den.tolist())]
 
 
-def _record_texts(spec: SpectrumSet, texts: list[str], witness, sep: str, essential_texts: set | None):
+def _record_texts(spec: SpectrumSet, texts: list[str], fmt: str, essential_texts: set | None):
     """(value text, float repr, is_eigenvalue, is_limit_point, multiplicity code,
-    in_essential, provenance entries joined by sep) of every record, read off the tables.
+    in_essential, provenance entries) of every record, read off the tables.
 
-    texts are _value_texts(spec).  Each entry is one %-format of its subset's
-    template, witness's layout with a %d per alpha entry; in_essential is None
-    without essential_texts.
+    texts are _value_texts(spec).  The entries are fmt's witness layouts joined
+    by its separator; in_essential is None without essential_texts.
     """
     dim = spec.alpha.shape[1]
-    templates = [witness([str(k) for k in sorted(b)], ["%d"] * dim) for b in nonempty_subsets(dim)]
+    template, item_sep, entry_sep = _WITNESS[fmt]
+    templates = [
+        template % {"B": item_sep.join(map(str, sorted(b))), "alpha": item_sep.join(["%d"] * dim)}
+        for b in nonempty_subsets(dim)
+    ]
     entries = [templates[s] % a for s, a in zip(spec.subset.tolist(), zip(*spec.alpha.T.tolist()))]
     bounds = spec.starts.tolist()
     return zip(
@@ -144,33 +124,7 @@ def _record_texts(spec: SpectrumSet, texts: list[str], witness, sep: str, essent
         spec.is_limit_point.tolist(),
         spec.multiplicity.tolist(),
         [None] * len(texts) if essential_texts is None else [t in essential_texts for t in texts],
-        [sep.join(entries[s:e]) for s, e in zip(bounds, bounds[1:])],
-    )
-
-
-def _spectrum_json(spec: SpectrumSet, texts: list[str], essential_texts: set | None, heads: _Heads) -> str:
-    """A SpectrumSet as a value of the exact document's top-level object ("spectrum"
-    or "essential"), plus in_essential when essential_texts is given.
-
-    A record is its cached head, its provenance entries and its value's texts.
-    """
-    records = []
-    for text, float_text, eig, lp, code, in_essential, entries in _record_texts(
-        spec, texts, _json_witness, _PROVENANCE_SEP, essential_texts
-    ):
-        provenance = f"[\n          {entries}\n        ]" if entries else "[]"
-        head = heads[in_essential, eig, lp, code]
-        records.append(f'{head}{provenance},\n        "value": "{text}",\n        "value_float": {float_text}\n      }}')
-    return _json_object(
-        (
-            ("alpha_cap", str(spec.alpha_cap)),
-            ("contains_zero", _json_bool(spec.contains_zero)),
-            ("kind", f'"{spec.kind}"'),
-            ("note", json.dumps(spec.note)),
-            ("records", _json_list(records, 4)),
-            ("truncated", _json_bool(spec.truncated)),
-        ),
-        2,
+        [entry_sep.join(entries[s:e]) for s, e in zip(bounds, bounds[1:])],
     )
 
 
@@ -180,11 +134,15 @@ def _exact_document(
     """The exact command's output in fmt: "json", byte for byte
     json.dumps(obj, sort_keys=True, indent=2), or "csv", the spectrum records only.
 
-    Both render straight from the SpectrumSet tables, with one set of
-    per-record texts (see _record_texts) and no Fraction or record object.
-    in_essential looks a value's text up in the essential values' texts
-    ("num/den" of reduced values is injective, so this agrees with comparing
-    values).
+    Both write the records straight from the SpectrumSet tables, with one set of
+    per-record texts (see _record_texts) and no Fraction or record object.  For
+    "json", json.dumps lays out the frame, the document with each "records"
+    held as _HOLE; it splits into three parts on _RECORDS_HOLE, which no string
+    value holds, since json.dumps escapes every '"' in one.  The parts and each
+    record's pieces (cached head, provenance entries, value texts) go into one
+    list, joined once.  in_essential looks a value's text up in the essential
+    values' texts ("num/den" of reduced values is injective, so this agrees with
+    comparing values).
     """
     essential_values = _value_texts(essential)
     essential_texts = set(essential_values)
@@ -193,28 +151,47 @@ def _exact_document(
         rows = [
             (text, float_text, eig, lp, multiplicities[code], in_essential, entries)
             for text, float_text, eig, lp, code, in_essential, entries in _record_texts(
-                spectrum, _value_texts(spectrum), _csv_witness, ";", essential_texts
+                spectrum, _value_texts(spectrum), "csv", essential_texts
             )
         ]
         return _csv_text(
             ["value", "value_float", "is_eigenvalue", "is_limit_point", "multiplicity", "in_essential", "provenance"],
             rows,
         )
-    heads = _Heads()
-    return _json_object(
-        (
-            ("alpha_cap", str(alpha_cap)),
-            ("command", '"exact"'),
-            ("dim", str(mono.dim)),
-            ("essential", _spectrum_json(essential, essential_values, None, heads)),
-            ("m", _json_list([str(x) for x in mono.antiholo], 2)),
-            ("multiplicity_class", f'"{multiplicity_class(mono).value}"'),
-            ("n", _json_list([str(x) for x in mono.holo], 2)),
-            ("spectrum", _spectrum_json(spectrum, _value_texts(spectrum), essential_texts, heads)),
-            ("symbol", json.dumps(symbol)),
-        ),
-        0,
-    )
+
+    def frame(spec: SpectrumSet) -> dict:
+        fields = ("alpha_cap", "contains_zero", "kind", "note", "truncated")
+        return {key: getattr(spec, key) for key in fields} | {"records": _HOLE}
+
+    head, between, tail = _json_dump(
+        {
+            "alpha_cap": alpha_cap,
+            "command": "exact",
+            "dim": mono.dim,
+            "essential": frame(essential),
+            "m": list(mono.antiholo),
+            "multiplicity_class": multiplicity_class(mono).value,
+            "n": list(mono.holo),
+            "spectrum": frame(spectrum),
+            "symbol": symbol,
+        }
+    ).split(_RECORDS_HOLE)
+    pieces = [head]
+    for spec, texts, in_essential_texts, rest in (
+        (essential, essential_values, None, between),
+        (spectrum, _value_texts(spectrum), essential_texts, tail),
+    ):
+        pieces.append('"records": [\n      ')
+        for text, float_text, eig, lp, code, in_essential, entries in _record_texts(
+            spec, texts, "json", in_essential_texts
+        ):
+            provenance = f"[\n          {entries}\n        ]" if entries else "[]"
+            pieces += (_RECORD_HEADS[in_essential, eig, lp, code], provenance, ',\n        "value": "', text)
+            pieces += ('",\n        "value_float": ', float_text, "\n      },\n      ")
+        # the last piece is the separator after the last record, or the opener of an empty list
+        pieces[-1] = "\n      }\n    ]" if len(spec.num) else '"records": []'
+        pieces.append(rest)
+    return "".join(pieces)
 
 
 def cmd_exact(args) -> int:
@@ -236,8 +213,9 @@ def cmd_exact(args) -> int:
     essential = essential_part(mono, spectrum)
     # json.dumps with indent runs CPython's pure-Python encoder, one call per
     # value of a document that holds thousands of provenance entries, and a
-    # dict per record costs the CSV more than writing it: the renderer knows the
-    # schema and writes either format from one set of per-record texts
+    # dict per record costs the CSV more than writing it: json.dumps lays out
+    # only the document's frame, and the records of either format are written
+    # from one set of per-record texts
     _emit(_exact_document(args.format, sym.to_expression(), mono, args.cap, spectrum, essential), args.out)
     return 0
 

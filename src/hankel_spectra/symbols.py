@@ -12,6 +12,7 @@ parentheses, e.g. "zb1*(zb2+1)".
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from fractions import Fraction
@@ -298,14 +299,24 @@ class PolySymbol:
             if isinstance(re_v, Fraction) and isinstance(im_v, Fraction):
                 c = CRat(re_v, im_v)
             else:
-                c = complex(float(re_v), float(im_v))
+                try:
+                    c = complex(float(re_v), float(im_v))
+                except OverflowError:
+                    raise SymbolParseError(f"{where}: coefficient part is too large for a float") from None
             holo = _json_exponents(t["holo"], f'{where}: "holo"')
             antiholo = _json_exponents(t["antiholo"], f'{where}: "antiholo"')
             terms.append((c, holo, antiholo))
         try:
-            return cls(terms, dim=dim)
+            sym = cls(terms, dim=dim)
+        except OverflowError:
+            # an exact coefficient past the float range merged with a float one
+            sym = None
         except ValueError as exc:
             raise SymbolParseError(str(exc)) from exc
+        # terms of one monomial merge into their sum, which may leave the float range
+        if sym is None or any(isinstance(c, complex) and not cmath.isfinite(c) for c, _, _ in sym.terms):
+            raise SymbolParseError("the coefficients of a monomial sum past the float range")
+        return sym
 
 
 def _one(dim: int) -> PolySymbol:

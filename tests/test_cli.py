@@ -1,6 +1,7 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import inspect
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hankel_spectra import cli, core, quasihomog
@@ -869,6 +870,114 @@ def test_coefficient_too_large_for_float_exits_2(capsys):
     assert "non-finite entries" in capsys.readouterr().err
 
 
+def _json_terms(*coeffs, antiholo=(1, 0)) -> str:
+    """A dim-2 JSON symbol whose terms hold coeffs, all on the monomial zb^antiholo."""
+    return json.dumps({"dim": 2, "terms": [{"coeff": c, "holo": [0, 0], "antiholo": list(antiholo)} for c in coeffs]})
+
+
+# JSON coefficients past the float range: a float part paired with an exact part
+# past it (an integer or a "num/den" string), and terms of one monomial whose sum
+# leaves it (an exact part past it plus a float, or two floats)
+_PAST_FLOAT_SYMBOLS = [
+    pytest.param(_json_terms([0.5, 10**400]), "term 0: coefficient part is too large for a float", id="int"),
+    pytest.param(_json_terms([0.5, f"{10**400}/3"]), "term 0: coefficient part is too large for a float", id="num/den"),
+    pytest.param(
+        _json_terms([10**400, 0], [0.5, 0.0]),
+        "the coefficients of a monomial sum past the float range",
+        id="exact+float",
+    ),
+    pytest.param(
+        _json_terms([0.0, 1.7e308], [0.0, 1.7e308], antiholo=(1, 1)),
+        "the coefficients of a monomial sum past the float range",
+        id="float+float",
+    ),
+]
+
+
+@pytest.mark.parametrize(("symbol", "message"), _PAST_FLOAT_SYMBOLS)
+@pytest.mark.parametrize(
+    "argv",
+    [["approx", "--degree", "2"], ["boundary", "--degree", "2", "--samples", "8"], ["exact"]],
+    ids=lambda argv: argv[0],
+)
+def test_json_coefficient_past_the_float_range_exits_2(capsys, argv, symbol, message):
+    assert main([argv[0], symbol, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+# Symbol texts from the parser's grammar: variables of coordinates 1-3, i,
+# integers and fractions (a zero denominator and a value past the float range
+# too), joined by the operators, unary minus (one: "--" starts an option),
+# powers and parentheses.
+_TEXT_SYMBOLS = st.recursive(
+    st.one_of(
+        st.sampled_from(["z1", "z2", "z3", "zb1", "zb2", "zb3", "i", str(10**400)]),
+        st.integers(0, 99).map(str),
+        st.builds("{}/{}".format, st.integers(0, 99), st.integers(0, 9)),
+    ),
+    lambda inner: st.one_of(
+        st.builds("{}{}{}".format, inner, st.sampled_from(["+", "-", "*"]), inner),
+        st.builds("{}^{}".format, inner, st.integers(0, 3)),
+        inner.map("({})".format),
+        inner.filter(lambda text: not text.startswith("-")).map("-{}".format),
+    ),
+    max_leaves=5,
+)
+# JSON coefficient parts at the edges of their kinds: subnormal, huge and
+# non-finite floats, integers past the float range, "num/den" strings
+_PARTS = st.one_of(
+    st.sampled_from([0.0, 1.0, -0.5, 5e-324, 2.2e-308, 1e-300, 1.7e308, -1.7e308, 10**400, -(10**400), 0, 1, 3]),
+    st.floats(),
+    st.builds("{}/{}".format, st.sampled_from([1, -7, 10**400]), st.sampled_from([0, 3, 10**400])),
+)
+
+
+@st.composite
+def _json_symbols(draw):
+    dim = draw(st.sampled_from([2, 1, 3, 0]))
+    exponents = st.lists(st.integers(0, 3), min_size=dim, max_size=dim)
+    coeff = st.tuples(_PARTS, _PARTS).map(list)
+    terms = st.fixed_dictionaries({"coeff": coeff, "holo": exponents, "antiholo": exponents})
+    return json.dumps({"dim": dim, "terms": draw(st.lists(terms, max_size=3))})
+
+
+@st.composite
+def _symbol_argvs(draw):
+    """argv of exact, approx or boundary with a drawn symbol and flags drawn near their bounds."""
+    command = draw(st.sampled_from(["exact", "approx", "boundary"]))
+    argv = [command, draw(st.one_of(_TEXT_SYMBOLS, _json_symbols()))]
+    degrees = st.sampled_from([2, 0, 1, 3, 6, -1])
+    flags = {
+        "exact": {"--cap": degrees},
+        "approx": {"--degree": degrees},
+        "boundary": {"--degree": degrees, "--samples": st.sampled_from([8, 4, 16, 3]), "--coord": st.integers(0, 4)},
+    }[command]
+    # not --dim 8: exact at cap 2 prints a document of some 40 MB there
+    flags |= {"--dim": st.sampled_from([2, 1, 3, 0, 9]), "--format": st.sampled_from(["json", "csv"])}
+    for flag, values in flags.items():
+        # --samples always: its default is a 256-sample profile
+        if flag == "--samples" or draw(st.booleans()):
+            argv += [flag, str(draw(values))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symbol_argvs())
+@example(["approx", _json_terms([0.5, 10**400]), "--degree", "2"])
+@example(["boundary", _json_terms([0.0, 1.7e308], [0.0, 1.7e308], antiholo=(1, 1)), "--samples", "8"])
+def test_symbol_commands_end_in_a_result_or_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    assert err.getvalue().count("\n") <= 1
+    assert (code == 2) == err.getvalue().startswith("error: ")
+    if code == 0 and "csv" not in argv:
+        json.loads(out.getvalue())
+
+
 def _reference_exact_json(symbol, mono, cap, spectrum, essential) -> str:
     """The exact command's document built as a dict and encoded by json.dumps."""
     obj = {
@@ -929,8 +1038,29 @@ def _equal_copy(value: Fraction) -> Fraction:
     return copy
 
 
+def _enumerated(n, m, cap):
+    mono = core.MonomialSymbol(n, m)
+    spectrum = core.enumerate_spectrum(mono, cap)
+    return mono, cap, spectrum, core.essential_part(mono, spectrum)
+
+
+# Renderer regression inputs: empty SpectrumSets must still print "records": [],
+# and a symbol may hold the frame's "records" sentinel, or the whole pair the
+# frame is split on.
+_NO_RECORDS = (
+    core.MonomialSymbol((0,), (1,)),
+    2,
+    spectrum_from_records((), 1, 2, True, True, "spectrum"),
+    spectrum_from_records((), 1, 2, True, False, "essential"),
+)
+_D2 = _enumerated((1, 0), (0, 2), 2)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_spectra(), st.text())
+@example(_NO_RECORDS, "s")
+@example(_D2, "\0")
+@example(_D2, '"records": "\u0000"')
 def test_exact_writer_matches_json_dumps(drawn, symbol):
     mono, cap, spectrum, essential = drawn
     assert _exact_document("json", symbol, mono, cap, spectrum, essential) == _reference_exact_json(
@@ -940,6 +1070,9 @@ def test_exact_writer_matches_json_dumps(drawn, symbol):
 
 @settings(max_examples=150, deadline=None)
 @given(_spectra(), st.text())
+@example(_NO_RECORDS, "s")
+@example(_D2, "\0")
+@example(_D2, '"records": "\u0000"')
 def test_exact_csv_matches_the_dict_built_reference(drawn, symbol):
     mono, cap, spectrum, essential = drawn
     assert _exact_document("csv", symbol, mono, cap, spectrum, essential) == reference_exact_csv(spectrum, essential)
