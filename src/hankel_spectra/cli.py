@@ -308,8 +308,15 @@ def _dashed_symbols_last(argv: list[str]) -> list[str]:
     return [a for a in argv if not _DASHED_SYMBOL.match(a)] + ["--"] + dashed
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors reach main's error path: one error line, exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hankel-spectra",
         description="Spectra of Hermitian squares of Hankel operators on the polydisc Bergman space",
     )
@@ -350,9 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_dashed_symbols_last(sys.argv[1:] if argv is None else list(argv)))
     try:
+        args = _build_parser().parse_args(_dashed_symbols_last(sys.argv[1:] if argv is None else list(argv)))
         return args.func(args)
     except _StdoutClosed:
         # the recipe of Python's signal docs: stdout at devnull, so that the final flush cannot fail

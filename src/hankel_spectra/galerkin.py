@@ -24,9 +24,10 @@ of the graph a ~ a + delta on the box (the sectors, see _sectors) index
 diagonal blocks of a permuted matrix with nothing between them.  The spectrum
 is the union of the block spectra; monomial symbols give 1x1 blocks, the
 paper's diagonal case.  An exact compression keeps its reduced integer tables,
-split by sector like the blocks, as its storage; the CRat view of them and the
-full matrix are built only when a caller reads them.  The matrix dump is
-written from the blocks or the tables in chunks of about 1 MiB.
+split by sector like the blocks, as its only exact form: exact comparisons read
+them, and the graded-lex CRat matrix (scaled) and the full float matrix (dense)
+are built only when a caller reads them.  The matrix dump is written from the
+blocks or the tables in chunks of about 1 MiB.
 """
 
 from __future__ import annotations
@@ -294,11 +295,23 @@ def _crats(re_num, re_den, im_num, im_den) -> list[CRat]:
     return [CRat(Fraction(a, b), Fraction(c, d)) for a, b, c, d in zip(re_num, re_den, im_num, im_den)]
 
 
+def _ratio(num: int, den: int) -> float:
+    """num / den of a reduced table entry (den > 0), correctly rounded; +-inf past the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+_ratios = np.frompyfunc(_ratio, 2, 1)
+
+
 def _complex(re_num, re_den, im_num, im_den) -> np.ndarray:
-    """The complex of reduced integer tables, each part a correctly rounded division, as complex(CRat)."""
+    """The complex of reduced integer tables, each part as in complex(CRat), but +-inf past
+    the float range, which eigenvalues() rejects."""
     out = np.empty(np.shape(re_num), dtype=complex)
-    out.real = np.true_divide(re_num, re_den)
-    out.imag = np.true_divide(im_num, im_den)
+    out.real = _ratios(re_num, re_den)
+    out.imag = _ratios(im_num, im_den)
     return out
 
 
@@ -325,8 +338,8 @@ class CompressionMatrix:
     Gaussian-rational scaled Gram blocks alike (see the module docstring for the
     sqrt-weight relation) as a (4, k, s, s) object array of Python ints, the
     reduced re_num, re_den, im_num, im_den of every entry (0/1 for a zero part);
-    for float symbols tables is None.  scaled_blocks (the tables as CRat), dense
-    and scaled are built on first read.
+    for float symbols tables is None.  The graded-lex views dense and scaled
+    (the tables as CRat) are built on first read.
     """
 
     symbol: PolySymbol | None
@@ -348,18 +361,9 @@ class CompressionMatrix:
             out[g[:, :, None], g[:, None, :]] = b
         return out
 
-    @cached_property
-    def scaled_blocks(self) -> tuple[np.ndarray, ...] | None:
-        """The tables as CRat blocks, CR_ZERO for every zero entry; None on the float path."""
-        if self.tables is None:
-            return None
-        out = []
-        for t in self.tables:
-            b = np.full(t.shape[1:], CR_ZERO, dtype=object)
-            nonzero = (t[0] != 0) | (t[2] != 0)
-            b[nonzero] = _crats(*(x[nonzero] for x in t))
-            out.append(b)
-        return tuple(out)
+    def _graded_lex_tables(self) -> list[np.ndarray]:
+        """re_num, re_den, im_num, im_den of every entry, graded-lex: 0/1 between the sectors."""
+        return [self._graded_lex([t[p] for t in self.tables], fill) for p, fill in enumerate((0, 1, 0, 1))]
 
     @cached_property
     def dense(self) -> np.ndarray:
@@ -367,9 +371,14 @@ class CompressionMatrix:
 
     @cached_property
     def scaled(self) -> tuple[tuple[CRat, ...], ...] | None:
+        """The tables as graded-lex CRat rows, CR_ZERO for every zero entry; None on the float path."""
         if self.tables is None:
             return None
-        return tuple(map(tuple, self._graded_lex(self.scaled_blocks, CR_ZERO)))
+        parts = self._graded_lex_tables()
+        out = np.full((self.size, self.size), CR_ZERO, dtype=object)
+        nonzero = (parts[0] != 0) | (parts[2] != 0)
+        out[nonzero] = _crats(*(x[nonzero] for x in parts))
+        return tuple(map(tuple, out))
 
     def exact_diagonal(self) -> list[Fraction]:
         """Orthonormal diagonal <H e_a, H e_a>, exactly rational, read off the tables' diagonals."""
@@ -425,9 +434,10 @@ def _from_dense(full: np.ndarray, exact: bool, offsets: frozenset, **fields) -> 
         tables.append(t)
     w = fields["trunc"].weights_sqrt
     blocks = tuple(_complex(*t) for t in tables)
-    for g, b in zip(groups, blocks):  # in place, as (c * w_i) * w_j in assemble
-        b *= w[g][:, :, None]
-        b *= w[g][:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # as in assemble: eigenvalues() rejects inf/nan
+        for g, b in zip(groups, blocks):  # in place, as (c * w_i) * w_j in assemble
+            b *= w[g][:, :, None]
+            b *= w[g][:, None, :]
     return CompressionMatrix(sectors=groups, blocks=blocks, tables=tuple(tables), **fields)
 
 
@@ -466,7 +476,7 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
     (_gram_tables), which the result keeps as its tables, split by sector like
     the blocks: their Hermitian symmetry is checked on the tables and the
     orthonormal blocks take each entry's correctly rounded float value; no
-    CRat is built until a caller reads scaled_blocks or scaled.
+    CRat is built until a caller reads scaled.
     Float symbols run _gram_block and leave tables as None; callers that
     only need floats pass sym.as_float().  For a unit-coefficient monomial
     symbol the exact result is diagonal with the closed-form spectrum values
@@ -575,11 +585,12 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation) -> Compressio
 
 
 def matrices_equal(m1: CompressionMatrix, m2: CompressionMatrix) -> bool:
-    """Entrywise equality: exact on the rational path, bitwise on the float path."""
+    """Entrywise equality: bitwise on the float path; exact on the rational path, on the graded-lex
+    tables, which are reduced with den > 0, so equal integers are equal rationals."""
     if m1.trunc != m2.trunc:
         return False
-    if m1.scaled is not None and m2.scaled is not None:
-        return m1.scaled == m2.scaled
+    if m1.tables is not None and m2.tables is not None:
+        return all(map(np.array_equal, m1._graded_lex_tables(), m2._graded_lex_tables()))
     return bool(np.array_equal(m1.dense, m2.dense))
 
 

@@ -28,7 +28,7 @@ tables.  The dense Weyl residual multiplies the graded-lex matrix by a test
 vector filled entry by entry, the way the package's weyl_residual did before
 it applied the sector blocks.  The reference scaled blocks turn an exact
 compression's integer tables into CRat entries in one flat pass, the way
-assemble did before it kept the tables and built scaled_blocks on first read.
+assemble did before it kept the tables and built CRat entries only on request.
 """
 
 from __future__ import annotations
@@ -351,8 +351,9 @@ def reference_gram_block(pairs, lo, hi) -> np.ndarray:
 
 
 def reference_scaled_blocks(mat) -> tuple[np.ndarray, ...] | None:
-    """CompressionMatrix.scaled_blocks from its tables: one CRat per non-zero entry of the
-    flat sector layout, the shared CR_ZERO elsewhere, split into the sector stacks."""
+    """The sector blocks of CRat entries an exact compression's tables stand for: one CRat per
+    non-zero entry of the flat sector layout, the shared CR_ZERO elsewhere, split into the
+    sector stacks; None on the float path."""
     from hankel_spectra.galerkin import _split
 
     if mat.tables is None:

@@ -326,6 +326,7 @@ def test_output_determinism(capsys, tmp_path):
 
 def test_usage_error_exit_codes(capsys):
     assert main(["exact", "zb9", "--cap", "2"]) == 2
+    capsys.readouterr()
     for argv in (
         ["bogus-command"],
         # the projection cap is derived from the symbol, not an option
@@ -344,9 +345,8 @@ def test_usage_error_exit_codes(capsys):
         ["boundary", "zb1*zb2", "--cap", "4"],
         ["boundary", "zb1*zb2", "--tol", "1e-9"],
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        assert main(argv) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -368,7 +368,7 @@ def test_printed_symbols_with_a_negative_leading_coefficient_pass_back(capsys, s
 
 
 def test_dashed_symbols_leave_the_usage_errors_as_they_were(capsys):
-    # -h, unknown flags and a missing symbol keep argparse's messages and exit codes
+    # -h, unknown flags and a missing symbol keep argparse's messages, as one error line, and exit codes
     with pytest.raises(SystemExit) as exc:
         main(["exact", "-h"])
     assert exc.value.code == 0 and "usage: hankel-spectra exact" in capsys.readouterr().out
@@ -381,13 +381,28 @@ def test_dashed_symbols_leave_the_usage_errors_as_they_were(capsys):
         (["exact", "--cap", "-zb1"], "argument --cap: expected one argument"),
         (["verify", "-zb1"], "unrecognized arguments: -zb1"),
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith(f"error: {message}\n"), argv
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n", argv
     # a negative number was a positional already, also as an option's value
     assert main(["exact", "zb1", "--dim", "-2"]) == 2
     assert capsys.readouterr().err == "error: dim -2 smaller than highest coordinate 1\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["exact", "zb1", "--bogus"], "unrecognized arguments: --bogus"),
+        (["approx", "zb1", "--degree", "abc"], "argument --degree: invalid int value: 'abc'"),
+        # a symbol text that starts with "--" is taken for an option
+        (["exact", "--z1"], "the following arguments are required: symbol"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["unknown-flag", "not-an-int", "dashed-symbol", "no-command"],
+)
+def test_argparse_usage_errors_are_one_error_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_readme_flags_sentence_names_every_option():
@@ -909,8 +924,8 @@ def test_json_coefficient_past_the_float_range_exits_2(capsys, argv, symbol, mes
 
 # Symbol texts from the parser's grammar: variables of coordinates 1-3, i,
 # integers and fractions (a zero denominator and a value past the float range
-# too), joined by the operators, unary minus (one: "--" starts an option),
-# powers and parentheses.
+# too), joined by the operators, unary minus (twice too: a text that starts
+# with "--" is taken for an option), powers and parentheses.
 _TEXT_SYMBOLS = st.recursive(
     st.one_of(
         st.sampled_from(["z1", "z2", "z3", "zb1", "zb2", "zb3", "i", str(10**400)]),
@@ -921,7 +936,7 @@ _TEXT_SYMBOLS = st.recursive(
         st.builds("{}{}{}".format, inner, st.sampled_from(["+", "-", "*"]), inner),
         st.builds("{}^{}".format, inner, st.integers(0, 3)),
         inner.map("({})".format),
-        inner.filter(lambda text: not text.startswith("-")).map("-{}".format),
+        inner.map("-{}".format),
     ),
     max_leaves=5,
 )
@@ -960,6 +975,12 @@ def _symbol_argvs(draw):
         # --samples always: its default is a 256-sample profile
         if flag == "--samples" or draw(st.booleans()):
             argv += [flag, str(draw(values))]
+    # argparse's own usage errors, now and then: an unknown flag anywhere, or an int flag's non-integer value
+    usage_error = draw(st.sampled_from([None, None, None, "unknown flag", "not an int"]))
+    if usage_error == "unknown flag":
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "--tol", "--inner-cap=5", "-x"])))
+    elif usage_error == "not an int":
+        argv += [draw(st.sampled_from([f for f in flags if f != "--format"])), draw(st.sampled_from(["abc", "2.5", ""]))]
     return argv
 
 
@@ -967,6 +988,9 @@ def _symbol_argvs(draw):
 @given(_symbol_argvs())
 @example(["approx", _json_terms([0.5, 10**400]), "--degree", "2"])
 @example(["boundary", _json_terms([0.0, 1.7e308], [0.0, 1.7e308], antiholo=(1, 1)), "--samples", "8"])
+@example(["exact", "zb1", "--bogus"])
+@example(["approx", "zb1", "--degree", "abc"])
+@example(["exact", "--z1"])
 def test_symbol_commands_end_in_a_result_or_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -3,9 +3,12 @@
 import io
 import json
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
+import dataclasses
+import functools
 import hashlib
 
 import numpy as np
@@ -77,7 +80,7 @@ def test_assemble_monomial_is_diagonal_with_core_values():
     sym = parse_symbol("zb1*zb2")
     trunc = BasisTruncation(2, 2)
     mat = assemble(sym, trunc)
-    assert mat.scaled_blocks is not None
+    assert mat.tables is not None
     diag = mat.exact_diagonal()
     for i, alpha in enumerate(trunc.indices):
         assert diag[i] == lambda_value((0, 0), (1, 1), alpha, {1, 2})
@@ -125,7 +128,7 @@ def test_assemble_guards():
 def test_hermiticity_and_psd_float_path():
     sym = parse_symbol("zb1*(zb2+1)") * (0.5 + 0.25j)
     mat = assemble(sym, BasisTruncation(6, 2))
-    assert mat.scaled_blocks is None
+    assert mat.tables is None and mat.scaled is None
     assert mat.hermiticity_defect() <= 1e-13 * max(1.0, mat.scale())
     w = eigenvalues(mat)
     assert w[0] >= -1e-10
@@ -299,7 +302,7 @@ def test_dump_and_load_roundtrip():
         buf.seek(0)
         back = load_matrix(buf)
         assert back.trunc == mat.trunc
-        assert (back.scaled_blocks is not None) == exact
+        assert (back.tables is not None) == exact
         if exact:
             assert back.scaled == mat.scaled
         assert np.array_equal(back.dense, mat.dense)
@@ -402,8 +405,6 @@ def test_gram_entry_complex_coefficient_orientation():
 
 
 def test_eigenvalues_rejects_non_finite_matrix():
-    import dataclasses
-
     mat = assemble(parse_symbol("zb1*(zb2+1)") * (0.5 + 0j), BasisTruncation(2, 2))
     for bad in (math.nan, math.inf):
         blocks = [b.copy() for b in mat.blocks]
@@ -506,7 +507,7 @@ def test_sector_blocks_hold_the_dense_matrix():
     mat = assemble(sym, trunc)
     ref = assemble_via_toeplitz(sym, trunc)
     assert matrices_equal(mat, ref) and np.array_equal(mat.dense, ref.dense)
-    for g, b, sb in zip(mat.sectors, mat.blocks, mat.scaled_blocks):
+    for g, b, sb in zip(mat.sectors, mat.blocks, reference_scaled_blocks(mat)):
         assert np.array_equal(b, mat.dense[g[:, :, None], g[:, None, :]])
         assert all(sb[r, p, q] == mat.scaled[i][j] for r, row in enumerate(g)
                    for p, i in enumerate(row) for q, j in enumerate(row))
@@ -641,7 +642,7 @@ def test_gram_tables_match_the_fraction_oracle(sym, n_cap):
         want[rows, cols] = np.asarray(oracle, dtype=complex) * w[rows] * w[cols]
         want_scaled[rows, cols] = oracle
     mat = assemble(sym, trunc)
-    for g, b, sb in zip(mat.sectors, mat.blocks, mat.scaled_blocks):
+    for g, b, sb in zip(mat.sectors, mat.blocks, reference_scaled_blocks(mat)):
         assert b.tobytes() == want[g[:, :, None], g[:, None, :]].tobytes()
         assert np.array_equal(sb, want_scaled[g[:, :, None], g[:, None, :]])
         assert all(c is CR_ZERO for c in sb.ravel() if not c)
@@ -782,6 +783,7 @@ def test_blockwise_weyl_residual_matches_the_dense_product(sym, n_cap, as_float,
 
 def test_exact_paths_build_no_crat_per_entry(monkeypatch):
     import hankel_spectra.galerkin as galerkin
+    from hankel_spectra.verify import run_verify
 
     mats = [assemble(parse_symbol(expr), BasisTruncation(n, parse_symbol(expr).dim)) for expr, n in _DUMP_CASES]
     want = [(m.exact_diagonal(), _per_cell_dump(m)) for m in mats]
@@ -795,20 +797,37 @@ def test_exact_paths_build_no_crat_per_entry(monkeypatch):
         buf = io.StringIO()
         dump_matrix(mat, buf)
         assert mat.exact_diagonal() == diagonal and buf.getvalue() == dump
-    assert "scaled_blocks" not in vars(mat)  # nothing above read the CRat view
+        assert matrices_equal(load_matrix(io.StringIO(dump)), mat)
+    assert "scaled" not in vars(mat)  # nothing above read the CRat view
+    assert run_verify("matrix-roundtrip")["passed"]
 
 
 @settings(max_examples=60, deadline=None)
 @given(_exact_symbols(), st.integers(0, 3))
-def test_lazy_scaled_blocks_match_the_eager_construction(sym, n_cap):
+def test_scaled_is_the_graded_lex_layout_of_the_reference_scaled_blocks(sym, n_cap):
     mat = assemble(sym, BasisTruncation(n_cap, sym.dim))
-    want = reference_scaled_blocks(mat)
-    got = mat.scaled_blocks
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.shape == b.shape and np.array_equal(a, b)
-        assert [c is CR_ZERO for c in a.ravel()] == [c is CR_ZERO for c in b.ravel()]
-    assert mat.scaled_blocks is got
+    want = np.full((mat.size, mat.size), CR_ZERO, dtype=object)
+    for g, b in zip(mat.sectors, reference_scaled_blocks(mat)):
+        want[g[:, :, None], g[:, None, :]] = b
+    got = mat.scaled
+    assert got == tuple(map(tuple, want))
+    assert [c is CR_ZERO for row in got for c in row] == [c is CR_ZERO for c in want.ravel()]
+    assert mat.scaled is got
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_symbols(), st.integers(0, 3), st.data())
+def test_matrices_equal_catches_one_changed_table_entry(sym, n_cap, data):
+    # a/b -> (a + b)/b stays reduced, so the tables still hold a valid exact matrix, one entry off
+    mat = assemble(sym, BasisTruncation(n_cap, sym.dim))
+    group = data.draw(st.integers(0, len(mat.tables) - 1))
+    part = data.draw(st.sampled_from([0, 2]))
+    entry = tuple(data.draw(st.integers(0, n - 1)) for n in mat.tables[group].shape[1:])
+    tables = [t.copy() for t in mat.tables]
+    tables[group][(part,) + entry] += tables[group][(part + 1,) + entry]
+    changed = dataclasses.replace(mat, tables=tuple(tables))
+    assert matrices_equal(mat, dataclasses.replace(mat, tables=tuple(t.copy() for t in mat.tables)))
+    assert not matrices_equal(mat, changed) and not matrices_equal(changed, mat)
 
 
 class _CountingWrites(io.StringIO):
@@ -846,3 +865,76 @@ def test_a_loaded_dump_holds_the_assembled_tables():
         for a, b in zip(back.tables, mat.tables):
             assert a.shape == b.shape and np.array_equal(a, b)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(back.blocks, mat.blocks))
+
+
+# an exact dump of one entry whose real part, 10**400, is past the float range
+_PAST_FLOAT_DUMP = f"hankel-spectra-matrix v1 dim=1 N=0 symbol=x exact=1\n{10**400}/1,0/1\n"
+
+
+def test_an_assembled_entry_past_the_float_range_is_refused_as_non_finite():
+    from hankel_spectra.galerkin import _complex
+
+    # each table part is divided on its own: +-inf past the float range, the others as before
+    parts = [np.array(x, dtype=object) for x in ([10**400, -(10**400), 1], [1, 3, 2], [0, 1, -(10**400)], [1, 2, 1])]
+    assert _complex(*parts).tolist() == [complex(math.inf, 0), complex(-math.inf, 0.5), complex(0.5, -math.inf)]
+    mat = assemble(parse_symbol("10^200*zb1"), BasisTruncation(2, 1))
+    assert mat.exact_diagonal()[0] == Fraction(10**400, 2) and not np.isfinite(np.diagonal(mat.dense)).any()
+    with pytest.raises(ValueError, match="non-finite entries"):
+        eigenvalues(mat)
+
+
+def test_a_loaded_exact_cell_past_the_float_range_is_refused_as_non_finite():
+    mat = load_matrix(io.StringIO(_PAST_FLOAT_DUMP))
+    assert mat.exact_diagonal() == [Fraction(10**400)] and not np.isfinite(mat.dense).any()
+    with pytest.raises(ValueError, match="compression of dumped symbol x has non-finite entries"):
+        eigenvalues(mat)
+
+
+@functools.cache
+def _real_dumps() -> tuple[str, ...]:
+    """Dumps of exact and float compressions: several sectors, one sector, dim 1 and 3."""
+    dumps = []
+    for expr, n_cap in (("(1/2+i)*zb1*(zb2+1) - 3/4*z1*zb2", 2), ("zb1 + 2*zb1^2", 3), ("zb1*zb2*zb3", 1)):
+        sym = parse_symbol(expr)
+        for s in (sym, sym.as_float() * (0.3 - 0.4j)):
+            buf = io.StringIO()
+            dump_matrix(assemble(s, BasisTruncation(n_cap, s.dim)), buf)
+            dumps.append(buf.getvalue())
+    return tuple(dumps)
+
+
+_CELL_PARTS = st.sampled_from(["0", "1/0", "nan", "inf", str(10**400), "1/2", "-0.0", "0.25"])
+
+
+@st.composite
+def _mutated_dumps(draw):
+    """A real dump with a truncation, a replaced cell, an edited header field or trailing content."""
+    lines = draw(st.sampled_from(_real_dumps())).splitlines(keepends=True)
+    kind = draw(st.sampled_from(["truncate", "cell", "header", "trailing"]))
+    if kind == "truncate":  # at a line end or inside a line
+        text = "".join(lines)
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if kind == "cell":
+        i = draw(st.integers(1, len(lines) - 1))
+        cells = lines[i].split()
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(
+            st.one_of(st.sampled_from([",", "1,2,3", ""]), st.builds("{},{}".format, _CELL_PARTS, _CELL_PARTS))
+        )
+        lines[i] = " ".join(cells) + "\n"
+    elif kind == "header":
+        key = draw(st.sampled_from(["dim", "N", "exact", "symbol"]))
+        value = draw(st.sampled_from(["0", "1", "2", "3", "9", "-1", "x", "", "99999", "1" * 12]))
+        lines[0] = re.sub(rf"\b{key}=\S*", f"{key}={value}", lines[0])
+    else:
+        lines.append(draw(st.sampled_from(["x", "0/1,0/1\n", " \n\t\n", lines[0], lines[-1]])))
+    return "".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_dumps())
+@example(_PAST_FLOAT_DUMP)
+def test_a_mutated_dump_loads_and_solves_or_raises_value_error(text):
+    try:
+        eigenvalues(load_matrix(io.StringIO(text)))
+    except ValueError:
+        pass
