@@ -36,6 +36,7 @@ import cmath
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -45,7 +46,7 @@ import numpy as np
 
 from .core import _INT64_LIMIT
 from .multiindex import MultiIndex, as_multiindex, box_exceeds, is_nonnegative, weight
-from .rational import CRat, CR_ZERO
+from .rational import CRat, CR_ZERO, read_rational
 from .symbols import MAX_COORDINATE, PolySymbol
 
 __all__ = [
@@ -830,44 +831,31 @@ def dump_matrix(mat: CompressionMatrix, fileobj) -> None:
         fileobj.write("".join(chunk))
 
 
-# longer dim= or N= fields could reach int()'s digit limit, whose message names no dump
-_MAX_HEADER_DIGITS = 9
+# the one header dump_matrix writes, matched against its whitespace-split words; nine
+# digits keep dim and N off int()'s digit limit, whose message names no dump
+_HEADER_RE = re.compile(
+    r"hankel-spectra-matrix v1 dim=([0-9]{1,9}) N=([0-9]{1,9}) symbol=(\S+) exact=([01])"
+)
 
 
 def _read_header(line: str) -> tuple[BasisTruncation, str, bool]:
     """(truncation, symbol hash, exact) from a v1 header; checked before anything is allocated."""
-    header = line.split()
-    if not header or header[0] != "hankel-spectra-matrix":
-        raise ValueError("not a matrix dump")
-    fields = {}
-    for part in header[2:]:
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"matrix dump header: field {part!r} is not key=value")
-        fields[key] = value
-    for key in ("dim", "N", "symbol", "exact"):
-        if key not in fields:
-            raise ValueError(f"matrix dump header: missing field {key!r}")
-    for key in ("dim", "N"):
-        if not (fields[key].isascii() and fields[key].isdigit()):
-            raise ValueError(f"matrix dump header: {key}={fields[key]!r} is not a non-negative integer")
-        if len(fields[key]) > _MAX_HEADER_DIGITS:
-            raise ValueError(f"matrix dump header: {key} has {len(fields[key])} digits")
-    dim, n_cap = int(fields["dim"]), int(fields["N"])
+    m = _HEADER_RE.fullmatch(" ".join(line.split()))
+    if m is None:
+        raise ValueError("matrix dump header: not 'hankel-spectra-matrix v1 dim=<d> N=<n> symbol=<hash> exact=<0|1>'")
+    dim, n_cap = int(m[1]), int(m[2])
     if not 1 <= dim <= MAX_COORDINATE:
         raise ValueError(f"matrix dump header: dim must be in 1..{MAX_COORDINATE}")
-    if fields["exact"] not in ("0", "1"):
-        raise ValueError(f"matrix dump header: exact={fields['exact']!r} is not 0 or 1")
     _check_dump_size((n_cap + 1) ** dim, "matrix dump header: ")  # implies size <= MAX_BASIS_SIZE
-    return BasisTruncation(n_cap, dim), fields["symbol"], fields["exact"] == "1"
+    return BasisTruncation(n_cap, dim), m[3], m[4] == "1"
 
 
 def _read_cell(cell: str, exact: bool, i: int, j: int):
-    """One "re,im" entry: a CRat of two fractions (exact dump) or a complex of two floats."""
+    """One "re,im" entry: a CRat of two read_rational parts (exact dump) or a complex of two floats."""
     try:
         re_s, im_s = cell.split(",")
-        return CRat(Fraction(re_s), Fraction(im_s)) if exact else complex(float(re_s), float(im_s))
-    except (ValueError, ZeroDivisionError):
+        return CRat(read_rational(re_s), read_rational(im_s)) if exact else complex(float(re_s), float(im_s))
+    except ValueError:
         raise ValueError(f"matrix dump row {i}, column {j}: bad entry {cell!r}") from None
 
 
@@ -882,7 +870,7 @@ def load_matrix(fileobj) -> CompressionMatrix:
     trunc, symbol_hash, exact = _read_header(fileobj.readline())
     size = trunc.size
     full = np.empty((size, size), dtype=object if exact else complex)
-    # the exact zero cell dump_matrix writes is read as the constant it is, with no Fraction parsed
+    # the exact zero cell dump_matrix writes is read as the constant it is, with no text parsed
     zero = "0/1,0/1" if exact else None
     for i in range(size):
         cells = fileobj.readline().split()

@@ -4,14 +4,29 @@ Every exact quantity in this package is either a `fractions.Fraction` or a
 `CRat` (a complex number with Fraction real and imaginary parts).  Mixing a
 `CRat` with a float or complex deliberately degrades to ordinary `complex`
 arithmetic, which is how the float paths are fed: a coefficient is exact when it
-is a `CRat`.  `_power` is the one integer power, of `CRat`s and of symbols alike.
+is a `CRat`.  `_power` is the one integer power, of `CRat`s and of symbols alike,
+and `read_rational` the one reader of exact number text.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
 from numbers import Rational
+
+
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
+def read_rational(text: str) -> Fraction:
+    """The Fraction of an exact number text: an optionally signed integer or "num/den"
+    in ASCII digits with den > 0, the forms the program writes.  Anything else, and
+    a part past int()'s digit limit, is a ValueError."""
+    m = _RATIONAL_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(f"{text!r} is not an integer or num/den with den > 0")
+    return Fraction(int(m[1]), int(m[2] or 1))
 
 
 def _is_rat(x) -> bool:

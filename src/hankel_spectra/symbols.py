@@ -7,7 +7,9 @@ the float paths.
 
 The textual mini-language accepts tokens z1..z8 and zb1..zb8, complex rational
 coefficients (e.g. 3, 1/2, i, 2/3i), +, -, *, integer powers with ^, and
-parentheses, e.g. "zb1*(zb2+1)".
+parentheses, e.g. "zb1*(zb2+1)".  A number is one token, an integer or num/den
+(spaces may surround the "/"), read by rational.read_rational like the strings
+of JSON coefficients; an exponent is an integer.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ from fractions import Fraction
 
 from .core import MonomialSymbol
 from .multiindex import MultiIndex, as_multiindex, common_dim
-from .rational import CRat, _power, as_coeff
+from .rational import CRat, _power, as_coeff, read_rational
 
 __all__ = ["PolySymbol", "SymbolParseError", "parse_symbol"]
 
 MAX_COORDINATE = 8
 MAX_NESTING = 100  # parenthesis depth; keeps the recursive-descent parser off the recursion limit
 MAX_TERM_PAIRS = 4096  # term pairs one product in a parsed symbol may form (about 0.2 s of CRat products)
+MAX_COEFF_BITS = 2**14  # bits of a coefficient part one product may reach (about 4900 digits)
 
 
 class SymbolParseError(ValueError):
@@ -271,8 +274,9 @@ class PolySymbol:
     def from_json_obj(cls, obj) -> "PolySymbol":
         """Inverse of to_json_obj; malformed input raises SymbolParseError.
 
-        Coefficient parts are "num/den" strings or integers (exact), or finite
-        floats (which make the symbol inexact).
+        Coefficient parts are integers or strings of an integer or "num/den" in
+        ASCII digits, the numbers of symbol text (exact, read by read_rational),
+        or finite floats (which make the symbol inexact).
         """
         if not isinstance(obj, dict):
             raise SymbolParseError("JSON symbol must be an object")
@@ -347,8 +351,8 @@ def _dec_part(p, where: str):
     """One coefficient part: a Fraction for strings and ints, else a finite float."""
     if isinstance(p, str):
         try:
-            return Fraction(p)
-        except (ValueError, ZeroDivisionError):
+            return read_rational(p)
+        except ValueError:
             raise SymbolParseError(f"{where}: bad coefficient part {p!r}") from None
     if isinstance(p, bool):
         raise SymbolParseError(f"{where}: bad coefficient part {p!r}")
@@ -391,7 +395,7 @@ def _coeff_str(c: CRat) -> str:
 # -- expression parsing ----------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<var>zb?[1-8])(?![0-9a-zA-Z])|(?P<int>\d+)|(?P<imag>i)(?![0-9a-zA-Z])"
+    r"\s*(?:(?P<var>zb?[1-8])(?![0-9a-zA-Z])|(?P<num>[0-9]+(?:\s*/\s*[0-9]+)?)|(?P<imag>i)(?![0-9a-zA-Z])"
     r"|(?P<op>[-+*^/()]))"
 )
 
@@ -405,11 +409,8 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
             if text[pos:].strip() == "":
                 break
             raise SymbolParseError(f"unexpected input at {text[pos:pos + 12]!r}")
-        for kind in ("var", "int", "imag", "op"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind, val))
-                break
+        # a number token drops the spaces around its "/"
+        tokens.append((m.lastgroup, "".join(m[m.lastgroup].split())))
         pos = m.end()
     return tokens
 
@@ -472,18 +473,21 @@ class _Parser:
         if kind == "op" and val == "^":
             self.take()
             kind, val = self.take()
-            if kind != "int":
+            if kind != "num" or "/" in val:
                 raise SymbolParseError("exponent must be a non-negative integer")
             sym = _power(sym, int(val), _one(self.dim), self.product)
         return sym * -1 if negate else sym
 
     @staticmethod
     def product(a: PolySymbol, b: PolySymbol) -> PolySymbol:
-        """a * b, refused before it is formed when it takes over MAX_TERM_PAIRS term pairs."""
+        """a * b, refused before it is formed when it takes over MAX_TERM_PAIRS term pairs
+        or when the widest coefficient parts of a and b together take over MAX_COEFF_BITS bits."""
         if len(a.terms) * len(b.terms) > MAX_TERM_PAIRS:
             raise SymbolParseError(
                 f"a product of {len(a.terms)} by {len(b.terms)} terms exceeds {MAX_TERM_PAIRS} term pairs"
             )
+        if _coeff_bits(a) + _coeff_bits(b) > MAX_COEFF_BITS:
+            raise SymbolParseError(f"a product's coefficients exceed {MAX_COEFF_BITS} bits")
         return a * b
 
     def atom(self) -> PolySymbol:
@@ -495,8 +499,8 @@ class _Parser:
             if val.startswith("zb"):
                 return PolySymbol([(CRat(1), (0,) * self.dim, tuple(expo))])
             return PolySymbol([(CRat(1), tuple(expo), (0,) * self.dim)])
-        if kind == "int":
-            return self.number(int(val))
+        if kind == "num":
+            return self.number(val)
         if kind == "imag":
             return PolySymbol([(CRat(0, 1), (0,) * self.dim, (0,) * self.dim)])
         if kind == "op" and val == "(":
@@ -509,18 +513,11 @@ class _Parser:
             return sym
         raise SymbolParseError(f"unexpected token {val!r}")
 
-    def number(self, numerator: int) -> PolySymbol:
-        value = Fraction(numerator)
-        kind, val = self.peek()
-        if kind == "op" and val == "/":
-            # fraction only when a digit follows; otherwise leave '/' unconsumed
-            nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else (None, None)
-            if nxt[0] == "int":
-                self.take()
-                _, den = self.take()
-                if int(den) == 0:
-                    raise SymbolParseError("zero denominator")
-                value = Fraction(numerator, int(den))
+    def number(self, text: str) -> PolySymbol:
+        try:
+            value = read_rational(text)
+        except ValueError as exc:
+            raise SymbolParseError(str(exc)) from None
         kind, val = self.peek()
         if kind == "imag":
             self.take()
@@ -528,6 +525,12 @@ class _Parser:
         else:
             coeff = CRat(value)
         return PolySymbol([(coeff, (0,) * self.dim, (0,) * self.dim)])
+
+
+def _coeff_bits(sym: PolySymbol) -> int:
+    """The bit length of the widest numerator or denominator of sym's exact coefficients."""
+    parts = (p for c, _, _ in sym.terms for p in (c.re, c.im))
+    return max((max(p.numerator.bit_length(), p.denominator.bit_length()) for p in parts), default=0)
 
 
 def _max_coordinate(tokens) -> int:

@@ -474,6 +474,13 @@ def test_product_prediction_holomorphic_phi():
     assert max(abs(v) for v in vals) < 1e-12
 
 
+def test_a_holomorphic_phi_of_several_terms_predicts_the_point_zero(capsys):
+    assert main(["boundary", "(z1+z1^2)*zb2", "--coord", "2", "--degree", "3", "--samples", "8"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["prediction_source"] == "product-factorization"
+    assert obj["prediction"] == {"intervals": [], "points": [{"mu": 0.0, "source": "holomorphic", "value": 0.0}]}
+
+
 def test_containment_report_points_match_diagonal():
     sym = parse_symbol("zb1", dim=2)
     w = eigenvalues(assemble(sym, BasisTruncation(20, 2)))

@@ -922,6 +922,16 @@ def test_json_coefficient_past_the_float_range_exits_2(capsys, argv, symbol, mes
     assert captured.err == f"error: {message}\n"
 
 
+# JSON coefficient strings take the integers and num/den of symbol text and nothing
+# else: no decimals, exponents, digit separators or surrounding spaces
+@pytest.mark.parametrize("part", ["0.5", "1e3", "1_0", " 1/2 ", "1e30000000"])
+def test_json_coefficient_string_outside_the_number_grammar_exits_2(capsys, part):
+    assert main(["approx", _json_terms([part, 0]), "--degree", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: term 0: bad coefficient part {part!r}\n"
+
+
 # Symbol texts from the parser's grammar: variables of coordinates 1-3, i,
 # integers and fractions (a zero denominator and a value past the float range
 # too), joined by the operators, unary minus (twice too: a text that starts
@@ -941,11 +951,13 @@ _TEXT_SYMBOLS = st.recursive(
     max_leaves=5,
 )
 # JSON coefficient parts at the edges of their kinds: subnormal, huge and
-# non-finite floats, integers past the float range, "num/den" strings
+# non-finite floats, integers past the float range, "num/den" strings, and
+# decimal and exponent strings, which are refused
 _PARTS = st.one_of(
     st.sampled_from([0.0, 1.0, -0.5, 5e-324, 2.2e-308, 1e-300, 1.7e308, -1.7e308, 10**400, -(10**400), 0, 1, 3]),
     st.floats(),
     st.builds("{}/{}".format, st.sampled_from([1, -7, 10**400]), st.sampled_from([0, 3, 10**400])),
+    st.sampled_from(["0.5", "-1.25", "1e3", "1e30000000", "2E-7/1", "1/3e2"]),
 )
 
 
@@ -991,6 +1003,8 @@ def _symbol_argvs(draw):
 @example(["exact", "zb1", "--bogus"])
 @example(["approx", "zb1", "--degree", "abc"])
 @example(["exact", "--z1"])
+@example(["approx", json.dumps({"dim": 1, "terms": [{"coeff": ["1e30000000", 0], "holo": [0], "antiholo": [1]}]}), "--degree", "2"])
+@example(["approx", "10^999999999*zb1"])
 def test_symbol_commands_end_in_a_result_or_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -1,4 +1,5 @@
-"""CRat construction (which parts are kept, coerced or refused) and integer powers."""
+"""CRat construction (which parts are kept, coerced or refused), integer powers and the
+reader of exact number text."""
 
 from decimal import Decimal
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankel_spectra.rational import CRat
+from hankel_spectra.rational import CRat, read_rational
 from hankel_spectra.symbols import PolySymbol
 
 
@@ -108,3 +109,25 @@ def test_symbol_power_equals_repeated_multiplication(sym, exponent):
 def test_power_refuses_other_exponents(base, exponent):
     with pytest.raises(ValueError, match="^powers must be non-negative integers$"):
         base**exponent
+
+
+@pytest.mark.parametrize(
+    ("text", "want"),
+    [("3", Fraction(3)), ("-3/4", Fraction(-3, 4)), ("+0", Fraction(0)), ("-0/5", Fraction(0)), ("10/4", Fraction(5, 2))],
+)
+def test_read_rational_reads_integers_and_num_den(text, want):
+    assert read_rational(text) == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "1/0", "0.5", "1e3", "1e30000000", "1_0", " 1/2", "1/2\n", "1/-2", "/2", "1/", "\u0663", "9" * 5000],
+)
+def test_read_rational_refuses_other_text(text):
+    with pytest.raises(ValueError):
+        read_rational(text)
+
+
+@given(st.fractions())
+def test_read_rational_reads_what_str_writes(value):
+    assert read_rational(str(value)) == value

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hankel_spectra import MonomialSymbol, PolySymbol, SymbolParseError, parse_symbol
 from hankel_spectra.rational import CRat
@@ -61,7 +63,7 @@ def test_parse_unary_minus_and_powers():
 
 
 def test_parse_errors():
-    for bad in ("", "z9", "zb1^", "zb1*", "1/0", "z1 $ z2", "(z1", "zb1^-2"):
+    for bad in ("", "z9", "zb1^", "zb1*", "1/0", "z1 $ z2", "(z1", "zb1^-2", "zb1^4/2", "\u0663*zb1"):
         with pytest.raises(SymbolParseError):
             parse_symbol(bad)
 
@@ -215,6 +217,23 @@ def test_parser_refuses_products_over_the_term_pair_budget(monkeypatch, capsys):
     assert "term pairs" in capsys.readouterr().err
     # library algebra has no budget
     assert len(parse_symbol(wide).modulus_squared().terms) == 65 * 65
+
+
+def test_parser_refuses_products_over_the_coefficient_budget():
+    for text in ("2^20000*zb1", "(1/3+i)^2000000", "10^999999999*zb1", "(1/2)^20000"):
+        with pytest.raises(SymbolParseError, match="16384 bits"):
+            parse_symbol(text)
+    assert parse_symbol("2^10000*zb1").terms == ((crat(2**10000), (0,), (1,)),)
+
+
+_WHITESPACE = st.text(st.sampled_from([c for c in map(chr, range(0x3001)) if c.isspace()]), max_size=3)
+
+
+@given(st.integers(0, 10**30), st.integers(1, 10**30), _WHITESPACE, _WHITESPACE)
+def test_a_number_is_one_token_with_spaces_around_its_slash(p, q, before, after):
+    value = Fraction(p, q)
+    assert parse_symbol(f"{p}{before}/{after}{q}*zb1") == PolySymbol([(crat(value), (0,), (1,))])
+    assert parse_symbol(f"{p}/{q}i") == PolySymbol([(crat(0, value), (0,), (0,))])
 
 
 def test_float_zero_stays_float():
