@@ -29,7 +29,7 @@ import numpy as np
 from .core import MonomialSymbol, enumerate_spectrum
 from .galerkin import BasisTruncation, assemble, eigenvalues, top_eigenvalues
 from .rational import CRat
-from .symbols import PolySymbol
+from .symbols import PolySymbol, _monomial_str
 
 __all__ = [
     "SliceNormProfile",
@@ -293,9 +293,10 @@ def _spectrum_of(phi: PolySymbol, trunc: BasisTruncation):
             mus = [float(v * scale) for v in spec.values()]
         except OverflowError:
             mus = [math.inf]
-        if not all(map(math.isfinite, mus)):
+        if not all(map(math.isfinite, mus)):  # named by its monomial: str() may not print c
             raise ValueError(
-                f"the enumerated spectrum of {phi} has non-finite entries; coefficients too large for floats?"
+                f"the enumerated spectrum of the {_monomial_str(n, m) or '1'} term has non-finite entries: "
+                "its coefficient's squared modulus is past the float range"
             )
         return mus, f"exact-monomial(cap={trunc.degree_cap})"
     if phi.is_zero or phi.is_holomorphic:

@@ -13,6 +13,7 @@ _subset_table builds integer numerator and denominator tables over a grid of
 alpha values, one value range per coordinate of B, as outer products.  An
 enumeration takes 0..cap on every axis for each subset B, reduces all tables
 with one gcd and groups equal fractions; lambda_value takes a one-point grid.
+Past dim MAX_COORDINATE or MAX_ENUM_POINTS evaluations it is refused at once.
 The tables are int64 while every product fits, Python ints beyond; float keys
 only order values that are far apart, and near-ties are ordered exactly.  So
 all arithmetic here stays exact rational.
@@ -36,6 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .multiindex import (
+    MAX_COORDINATE,
     MultiIndex,
     as_multiindex,
     box_exceeds,
@@ -61,8 +63,6 @@ __all__ = [
 
 # Closed-form evaluations one enumeration may make: (cap+2)^dim - 1 points.
 MAX_ENUM_POINTS = 100_000
-# Subset enumeration is exponential in dim; interesting cases live in dim <= 3.
-MAX_ENUM_DIM = 8
 # Tables stay int64 while every product they form is below this; else Python ints.
 _INT64_LIMIT = 2**62
 # Relative gap under which two float keys may misorder distinct fractions.
@@ -327,8 +327,8 @@ def _spectrum_tables(sym: MonomialSymbol, alpha_cap: int, symbol_class: SymbolCl
 def _check_enum_args(sym: MonomialSymbol, alpha_cap: int) -> None:
     if alpha_cap < 0:
         raise ValueError("alpha_cap must be >= 0")
-    if sym.dim > MAX_ENUM_DIM:
-        raise ValueError(f"dim {sym.dim} exceeds the subset-enumeration bound {MAX_ENUM_DIM}")
+    if sym.dim > MAX_COORDINATE:  # subset enumeration is exponential in dim
+        raise ValueError(f"dim {sym.dim} exceeds the subset-enumeration bound {MAX_COORDINATE}")
     # every non-empty B with all (cap+1)^|B| multi-indices: (cap+2)^dim - 1 points
     if not sym.is_holomorphic and box_exceeds(alpha_cap + 2, sym.dim, MAX_ENUM_POINTS + 1):
         raise ValueError(

@@ -45,9 +45,9 @@ from itertools import islice, product
 import numpy as np
 
 from .core import _INT64_LIMIT
-from .multiindex import MultiIndex, as_multiindex, box_exceeds, is_nonnegative, weight
+from .multiindex import MAX_COORDINATE, MultiIndex, as_multiindex, box_exceeds, is_nonnegative, weight
 from .rational import CRat, CR_ZERO, read_rational
-from .symbols import MAX_COORDINATE, PolySymbol
+from .symbols import PolySymbol
 
 __all__ = [
     "BasisTruncation",
@@ -354,31 +354,26 @@ class CompressionMatrix:
     def size(self) -> int:
         return self.trunc.size
 
-    def _graded_lex(self, stacks, fill) -> np.ndarray:
-        if stacks[0].shape[1] == self.size:  # one sector spans the basis: its block is the matrix
-            return stacks[0][0]
-        out = np.full((self.size, self.size), fill, dtype=stacks[0].dtype)
-        for g, b in zip(self.sectors, stacks):
+    def _graded_lex(self) -> np.ndarray:
+        if self.blocks[0].shape[1] == self.size:  # one sector spans the basis: its block is the matrix
+            return self.blocks[0][0]
+        out = np.zeros((self.size, self.size), dtype=self.blocks[0].dtype)
+        for g, b in zip(self.sectors, self.blocks):
             out[g[:, :, None], g[:, None, :]] = b
         return out
 
-    def _graded_lex_tables(self) -> list[np.ndarray]:
-        """re_num, re_den, im_num, im_den of every entry, graded-lex: 0/1 between the sectors."""
-        return [self._graded_lex([t[p] for t in self.tables], fill) for p, fill in enumerate((0, 1, 0, 1))]
-
     @cached_property
     def dense(self) -> np.ndarray:
-        return self._graded_lex(self.blocks, 0)
+        return self._graded_lex()
 
     @cached_property
     def scaled(self) -> tuple[tuple[CRat, ...], ...] | None:
         """The tables as graded-lex CRat rows, CR_ZERO for every zero entry; None on the float path."""
         if self.tables is None:
             return None
-        parts = self._graded_lex_tables()
+        rows, cols, values = _nonzero_cells(self)
         out = np.full((self.size, self.size), CR_ZERO, dtype=object)
-        nonzero = (parts[0] != 0) | (parts[2] != 0)
-        out[nonzero] = _crats(*(x[nonzero] for x in parts))
+        out[rows, cols] = _crats(*values)
         return tuple(map(tuple, out))
 
     def exact_diagonal(self) -> list[Fraction]:
@@ -586,12 +581,13 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation) -> Compressio
 
 
 def matrices_equal(m1: CompressionMatrix, m2: CompressionMatrix) -> bool:
-    """Entrywise equality: bitwise on the float path; exact on the rational path, on the graded-lex
-    tables, which are reduced with den > 0, so equal integers are equal rationals."""
+    """Entrywise equality: bitwise on the float path; exact on the rational path, on the
+    row-major listings of the non-zero cells (_nonzero_cells), whose table ints are reduced
+    with den > 0, so equal integers are equal rationals whatever the sector layouts."""
     if m1.trunc != m2.trunc:
         return False
     if m1.tables is not None and m2.tables is not None:
-        return all(map(np.array_equal, m1._graded_lex_tables(), m2._graded_lex_tables()))
+        return all(map(np.array_equal, _nonzero_cells(m1), _nonzero_cells(m2)))
     return bool(np.array_equal(m1.dense, m2.dense))
 
 
@@ -850,13 +846,21 @@ def _read_header(line: str) -> tuple[BasisTruncation, str, bool]:
     return BasisTruncation(n_cap, dim), m[3], m[4] == "1"
 
 
+# a float part in one of the forms repr() writes, so float() never sees its wider grammar
+_FLOAT_RE = re.compile(r"-?(?:[0-9]+\.[0-9]+(?:e[+-][0-9]+)?|[0-9]+e[+-][0-9]+|inf)|nan")
+
+
 def _read_cell(cell: str, exact: bool, i: int, j: int):
-    """One "re,im" entry: a CRat of two read_rational parts (exact dump) or a complex of two floats."""
+    """One "re,im" entry: a CRat of two read_rational parts (exact dump) or a complex of two float reprs."""
     try:
         re_s, im_s = cell.split(",")
-        return CRat(read_rational(re_s), read_rational(im_s)) if exact else complex(float(re_s), float(im_s))
+        if exact:
+            return CRat(read_rational(re_s), read_rational(im_s))
+        if _FLOAT_RE.fullmatch(re_s) and _FLOAT_RE.fullmatch(im_s):
+            return complex(float(re_s), float(im_s))
     except ValueError:
-        raise ValueError(f"matrix dump row {i}, column {j}: bad entry {cell!r}") from None
+        pass
+    raise ValueError(f"matrix dump row {i}, column {j}: bad entry {cell!r}")
 
 
 def _pattern_offsets(trunc: BasisTruncation, full: np.ndarray) -> frozenset:

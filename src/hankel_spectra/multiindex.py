@@ -1,8 +1,9 @@
 """Multi-index arithmetic and coordinate subsets.
 
 Multi-indices are plain tuples of non-negative ints; windings are tuples of
-signed ints.  Coordinate subsets are frozensets of 1-based indices drawn from
-{1, ..., dim}.
+signed ints, validated by as_winding (as_multiindex adds the sign check).
+Coordinate subsets are frozensets of 1-based indices drawn from {1, ..., dim},
+with dim <= MAX_COORDINATE in symbols, enumerations and matrix dumps alike.
 """
 
 from __future__ import annotations
@@ -14,36 +15,31 @@ from math import prod
 MultiIndex = tuple[int, ...]
 Winding = tuple[int, ...]
 
+MAX_COORDINATE = 8  # the largest dim: coordinates z1..z8, and 2^8 - 1 subsets per enumeration
+
 
 class DimensionMismatch(ValueError):
     pass
 
 
 def as_multiindex(entries, *, dim: int | None = None, name: str = "multi-index") -> MultiIndex:
-    """Validate and normalize a multi-index (non-negative integer entries)."""
+    """Validate and normalize a multi-index: a winding with non-negative entries."""
+    t = as_winding(entries, dim=dim, name=name)
+    if any(e < 0 for e in t):
+        raise ValueError(f"{name} entries must be non-negative: {t}")
+    return t
+
+
+def as_winding(entries, *, dim: int | None = None, name: str = "winding") -> Winding:
+    """Validate a signed integer exponent vector, of length dim when dim is given."""
     values = tuple(entries)  # one pass: a generator would be spent before the integer check
     t = tuple(int(e) for e in values)
     if any(int(e) != e for e in values):
         raise ValueError(f"{name} entries must be integers: {entries!r}")
     if len(t) < 1:
         raise ValueError(f"{name} must have length >= 1")
-    if any(e < 0 for e in t):
-        raise ValueError(f"{name} entries must be non-negative: {t}")
     if dim is not None and len(t) != dim:
         raise DimensionMismatch(f"{name} has length {len(t)}, expected {dim}")
-    return t
-
-
-def as_winding(entries, *, dim: int | None = None) -> Winding:
-    """Validate a signed integer exponent vector."""
-    values = tuple(entries)
-    t = tuple(int(e) for e in values)
-    if any(int(e) != e for e in values):
-        raise ValueError(f"winding entries must be integers: {entries!r}")
-    if len(t) < 1:
-        raise ValueError("winding must have length >= 1")
-    if dim is not None and len(t) != dim:
-        raise DimensionMismatch(f"winding has length {len(t)}, expected {dim}")
     return t
 
 

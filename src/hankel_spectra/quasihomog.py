@@ -215,10 +215,7 @@ class QuasiHomogeneousSymbol:
     def from_monomial(cls, holo, antiholo) -> "QuasiHomogeneousSymbol":
         """z^n zbar^m = |z|^{n+m} e^{i(n-m).theta}."""
         n = as_multiindex(holo, name="n")
-        m = as_multiindex(antiholo, name="m")
-        dim = len(n)
-        if len(m) != dim:
-            raise ValueError("exponent dimension mismatch")
+        m = as_multiindex(antiholo, dim=len(n), name="m")
         coeffs = []
         for nk, mk in zip(n, m):
             c = [Fraction(0)] * (nk + mk) + [Fraction(1)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from fractions import Fraction
 from numbers import Rational
 
@@ -26,6 +27,9 @@ def read_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"{text!r} is not an integer or num/den with den > 0")
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and max(len(m[1].lstrip("+-")), len(m[2] or "")) > limit:
+        raise ValueError(f"a number has a part of more than {limit} digits")
     return Fraction(int(m[1]), int(m[2] or 1))
 
 

@@ -5,11 +5,12 @@ coefficients are CRat (Gaussian rationals); anything inexact degrades the
 symbol to complex-float coefficients, which routes downstream computations to
 the float paths.
 
-The textual mini-language accepts tokens z1..z8 and zb1..zb8, complex rational
-coefficients (e.g. 3, 1/2, i, 2/3i), +, -, *, integer powers with ^, and
-parentheses, e.g. "zb1*(zb2+1)".  A number is one token, an integer or num/den
-(spaces may surround the "/"), read by rational.read_rational like the strings
-of JSON coefficients; an exponent is an integer.
+The textual mini-language accepts tokens z1..z8 and zb1..zb8 (8 is
+MAX_COORDINATE), complex rational coefficients (e.g. 3, 1/2, i, 2/3i), +, -, *,
+integer powers with ^, and parentheses, e.g. "zb1*(zb2+1)".  A number is one
+token, an integer or num/den (spaces may surround the "/"), read by
+rational.read_rational like the strings of JSON coefficients; an exponent is
+such a token without "/".  _Parser.product bounds each product's work.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ import re
 from fractions import Fraction
 
 from .core import MonomialSymbol
-from .multiindex import MultiIndex, as_multiindex, common_dim
+from .multiindex import MAX_COORDINATE, MultiIndex, as_multiindex, common_dim
 from .rational import CRat, _power, as_coeff, read_rational
 
 __all__ = ["PolySymbol", "SymbolParseError", "parse_symbol"]
 
-MAX_COORDINATE = 8
 MAX_NESTING = 100  # parenthesis depth; keeps the recursive-descent parser off the recursion limit
-MAX_TERM_PAIRS = 4096  # term pairs one product in a parsed symbol may form (about 0.2 s of CRat products)
+MAX_TERM_PAIRS = 4096  # work of one product in a parsed symbol, in term pairs of 64 coefficient bits (about 0.2 s)
 MAX_COEFF_BITS = 2**14  # bits of a coefficient part one product may reach (about 4900 digits)
 
 
@@ -395,7 +395,7 @@ def _coeff_str(c: CRat) -> str:
 # -- expression parsing ----------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<var>zb?[1-8])(?![0-9a-zA-Z])|(?P<num>[0-9]+(?:\s*/\s*[0-9]+)?)|(?P<imag>i)(?![0-9a-zA-Z])"
+    rf"\s*(?:(?P<var>zb?[1-{MAX_COORDINATE}])(?![0-9a-zA-Z])|(?P<num>[0-9]+(?:\s*/\s*[0-9]+)?)|(?P<imag>i)(?![0-9a-zA-Z])"
     r"|(?P<op>[-+*^/()]))"
 )
 
@@ -473,21 +473,24 @@ class _Parser:
         if kind == "op" and val == "^":
             self.take()
             kind, val = self.take()
-            if kind != "num" or "/" in val:
+            if kind != "num" or "/" in val:  # 4/2 would read as the integer 2
                 raise SymbolParseError("exponent must be a non-negative integer")
-            sym = _power(sym, int(val), _one(self.dim), self.product)
+            sym = _power(sym, _read_number(val).numerator, _one(self.dim), self.product)
         return sym * -1 if negate else sym
 
     @staticmethod
     def product(a: PolySymbol, b: PolySymbol) -> PolySymbol:
-        """a * b, refused before it is formed when it takes over MAX_TERM_PAIRS term pairs
-        or when the widest coefficient parts of a and b together take over MAX_COEFF_BITS bits."""
-        if len(a.terms) * len(b.terms) > MAX_TERM_PAIRS:
-            raise SymbolParseError(
-                f"a product of {len(a.terms)} by {len(b.terms)} terms exceeds {MAX_TERM_PAIRS} term pairs"
-            )
-        if _coeff_bits(a) + _coeff_bits(b) > MAX_COEFF_BITS:
+        """a * b, refused before it is formed when the widest coefficient parts of a and b
+        together take over MAX_COEFF_BITS bits, or when its term pairs times those bits (at
+        least 64) are more work than MAX_TERM_PAIRS pairs of 64 bits."""
+        bits = _coeff_bits(a) + _coeff_bits(b)
+        if bits > MAX_COEFF_BITS:
             raise SymbolParseError(f"a product's coefficients exceed {MAX_COEFF_BITS} bits")
+        if len(a.terms) * len(b.terms) * max(bits, 64) > MAX_TERM_PAIRS * 64:
+            raise SymbolParseError(
+                f"a product of {len(a.terms)} by {len(b.terms)} terms with {bits}-bit coefficient pairs "
+                f"exceeds the work of {MAX_TERM_PAIRS} term pairs of 64 bits"
+            )
         return a * b
 
     def atom(self) -> PolySymbol:
@@ -514,10 +517,7 @@ class _Parser:
         raise SymbolParseError(f"unexpected token {val!r}")
 
     def number(self, text: str) -> PolySymbol:
-        try:
-            value = read_rational(text)
-        except ValueError as exc:
-            raise SymbolParseError(str(exc)) from None
+        value = _read_number(text)
         kind, val = self.peek()
         if kind == "imag":
             self.take()
@@ -525,6 +525,13 @@ class _Parser:
         else:
             coeff = CRat(value)
         return PolySymbol([(coeff, (0,) * self.dim, (0,) * self.dim)])
+
+
+def _read_number(text: str) -> Fraction:
+    try:
+        return read_rational(text)
+    except ValueError as exc:
+        raise SymbolParseError(str(exc)) from None
 
 
 def _coeff_bits(sym: PolySymbol) -> int:

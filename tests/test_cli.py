@@ -885,6 +885,32 @@ def test_coefficient_too_large_for_float_exits_2(capsys):
     assert "non-finite entries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["boundary", "2^15000*zb1*zb2", "--degree", "1", "--samples", "4"],
+        ["boundary", "2^14300*zb1*zb2", "--degree", "1", "--samples", "4"],
+        ["approx", "zb1^" + "9" * 4301],
+        ["approx", "1" * 4301 + "*zb1"],
+    ],
+)
+def test_numbers_past_the_digit_limit_end_in_one_error_line(capsys, argv):
+    # str() of a coefficient or int() of a number text past 4300 digits would end in
+    # Python's own message, which names neither the input nor a flag
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "set_int_max_str_digits" not in err
+
+
+# 8 terms with coefficient parts of about 7900 bits by 8 unit terms: over the parser's work budget
+_WIDE_FACTOR = "({})*({})".format(
+    "+".join(f"((1/7)^{2790 + k}+(1/3)^{5000 + k}*i)*zb1^{k}" for k in range(8)),
+    "+".join(f"zb2^{k}" for k in range(8)),
+)
+
+
 def _json_terms(*coeffs, antiholo=(1, 0)) -> str:
     """A dim-2 JSON symbol whose terms hold coeffs, all on the monomial zb^antiholo."""
     return json.dumps({"dim": 2, "terms": [{"coeff": c, "holo": [0, 0], "antiholo": list(antiholo)} for c in coeffs]})
@@ -1005,6 +1031,8 @@ def _symbol_argvs(draw):
 @example(["exact", "--z1"])
 @example(["approx", json.dumps({"dim": 1, "terms": [{"coeff": ["1e30000000", 0], "holo": [0], "antiholo": [1]}]}), "--degree", "2"])
 @example(["approx", "10^999999999*zb1"])
+@example(["approx", _WIDE_FACTOR])
+@example(["boundary", "2^15000*zb1*zb2", "--degree", "1", "--samples", "4"])
 def test_symbol_commands_end_in_a_result_or_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

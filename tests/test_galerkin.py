@@ -355,6 +355,11 @@ def test_load_matrix_rejects_bad_header(header):
         (0, "1.5"),
         (0, "1.5,x"),
         (0, "1.5,2.5,3.5"),
+        (0, "1_0,0.0"),
+        (0, "infinity,0.0"),
+        (0, "\u0663,0.0"),
+        (0, "1e3,0.0"),
+        (0, "+1.0,0.0"),
     ],
 )
 def test_load_matrix_rejects_bad_cell(exact, cell):
@@ -362,6 +367,16 @@ def test_load_matrix_rejects_bad_cell(exact, cell):
     dump = f"hankel-spectra-matrix v1 dim=1 N=1 symbol=x exact={exact}\n{good} {good}\n{good} {cell}\n"
     with pytest.raises(ValueError, match="matrix dump row 1, column 1: "):
         load_matrix(io.StringIO(dump))
+
+
+@given(st.floats(), st.floats())
+@example(-0.0, math.inf)
+@example(5e-324, -math.inf)
+def test_load_matrix_reads_every_float_repr_back(re_part, im_part):
+    dump = f"hankel-spectra-matrix v1 dim=1 N=0 symbol=x exact=0\n{re_part!r},{im_part!r}\n"
+    got = complex(load_matrix(io.StringIO(dump)).dense[0, 0])
+    # repr tells every two floats apart but NaN payloads, and 'nan' reads back as a NaN
+    assert (repr(got.real), repr(got.imag)) == (repr(re_part), repr(im_part))
 
 
 def test_zero_cells_of_a_loaded_exact_dump_build_no_fraction(monkeypatch):
@@ -592,6 +607,22 @@ def test_matrices_equal_on_the_float_path_and_across_truncations():
     assert not matrices_equal(mat, assemble(sym * 2, BasisTruncation(3, 2)))
     exact = parse_symbol("zb1*(zb2+1)")
     assert not matrices_equal(assemble(exact, BasisTruncation(2, 2)), assemble(exact, BasisTruncation(3, 2)))
+
+
+def test_matrices_equal_across_sector_layouts():
+    # z1 is holomorphic, so H_{z1+zb2} = H_{zb2}: the pairs with z1 assemble sectors 1 to 4 wide
+    # whose off-diagonal entries all vanish, and the loaded dump is blocked into sixteen 1x1 sectors
+    exact = parse_symbol("z1 + zb2")
+    for sym in (exact, exact.as_float() * (0.3 - 0.4j)):
+        mat = assemble(sym, BasisTruncation(3, 2))
+        buf = io.StringIO()
+        dump_matrix(mat, buf)
+        back = load_matrix(io.StringIO(buf.getvalue()))
+        assert sorted(g.shape[1] for g in mat.sectors) == [1, 2, 3, 4]
+        assert [g.shape for g in back.sectors] == [(16, 1)]
+        assert matrices_equal(mat, back) and matrices_equal(back, mat)
+        other = assemble(sym * 2, BasisTruncation(3, 2))
+        assert not matrices_equal(other, back) and not matrices_equal(back, other)
 
 
 def test_load_matrix_rejects_a_short_row():

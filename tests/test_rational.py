@@ -131,3 +131,11 @@ def test_read_rational_refuses_other_text(text):
 @given(st.fractions())
 def test_read_rational_reads_what_str_writes(value):
     assert read_rational(str(value)) == value
+
+
+def test_read_rational_names_the_digit_limit_itself():
+    # int()'s own message would point at sys.set_int_max_str_digits
+    for text in ("9" * 4301, "-" + "9" * 4301, "1/" + "0" * 4300 + "1"):
+        with pytest.raises(ValueError, match="^a number has a part of more than 4300 digits$"):
+            read_rational(text)
+    assert read_rational("-" + "9" * 4300 + "/1") == 1 - 10**4300

@@ -1,6 +1,7 @@
 """Symbol algebra, the expression mini-language, and serialization round-trips."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,38 @@ def test_parser_refuses_products_over_the_coefficient_budget():
         with pytest.raises(SymbolParseError, match="16384 bits"):
             parse_symbol(text)
     assert parse_symbol("2^10000*zb1").terms == ((crat(2**10000), (0,), (1,)),)
+
+
+def _wide_factor(wide: int) -> str:
+    """A product of `wide` terms whose coefficient parts take about 7900 bits by 8 unit terms."""
+    wide_sum = "+".join(f"((1/7)^{2790 + k}+(1/3)^{5000 + k}*i)*zb1^{k}" for k in range(wide))
+    return f"({wide_sum})*({'+'.join(f'zb2^{k}' for k in range(8))})"
+
+
+def test_parser_refuses_products_over_the_work_budget():
+    # 64 pairs of 7937 bits are as much work as some 7900 pairs of unit coefficients
+    q = _wide_factor(8)
+    for text in (q, f"{q}*{q}"):
+        start = time.perf_counter()
+        with pytest.raises(SymbolParseError, match="8 by 8 terms with 7937-bit coefficient pairs"):
+            parse_symbol(text)
+        assert time.perf_counter() - start < 1.0
+    # 32 pairs of at most 7937 + 1 bits stay within 4096 * 64, 40 pairs do not
+    assert len(parse_symbol(_wide_factor(4)).terms) == 32
+    with pytest.raises(SymbolParseError, match="5 by 8 terms"):
+        parse_symbol(_wide_factor(5))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["zb1^" + "9" * 4301, "1" * 4301 + "*zb1", "zb1^" + "0" * 4300 + "1"],
+    ids=["exponent", "coefficient", "zero-padded-exponent"],
+)
+def test_a_number_past_the_digit_limit_is_one_parse_error(text):
+    with pytest.raises(SymbolParseError) as info:
+        parse_symbol(text)
+    message = str(info.value)
+    assert "4300 digits" in message and "\n" not in message and "set_int_max_str_digits" not in message
 
 
 _WHITESPACE = st.text(st.sampled_from([c for c in map(chr, range(0x3001)) if c.isspace()]), max_size=3)
