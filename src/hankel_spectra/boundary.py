@@ -302,7 +302,7 @@ def _spectrum_of(phi: PolySymbol, trunc: BasisTruncation):
     if phi.is_zero or phi.is_holomorphic:
         return [0.0], "holomorphic"
     w = eigenvalues(assemble(phi.as_float(), trunc))
-    return [float(x) for x in w], f"compression(N={trunc.degree_cap})"
+    return w.tolist(), f"compression(N={trunc.degree_cap})"
 
 
 def product_essential_prediction(
@@ -451,7 +451,7 @@ def boundary_report(sym: PolySymbol, coord: int, num_samples: int, trunc: BasisT
     if factored is not None:
         phi, chi = factored
         prediction = product_essential_prediction(phi, chi, num_samples, BasisTruncation(trunc.degree_cap, phi.dim))
-    w = [float(x) for x in eigenvalues(assemble(sym.as_float(), trunc))]
+    w = eigenvalues(assemble(sym.as_float(), trunc)).tolist()
     profile = slice_norm_profile(sym, coord, num_samples, trunc)
     if factored is None:
         lo, hi = profile.vmin, profile.vmax

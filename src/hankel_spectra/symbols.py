@@ -10,7 +10,9 @@ MAX_COORDINATE), complex rational coefficients (e.g. 3, 1/2, i, 2/3i), +, -, *,
 integer powers with ^, and parentheses, e.g. "zb1*(zb2+1)".  A number is one
 token, an integer or num/den (spaces may surround the "/"), read by
 rational.read_rational like the strings of JSON coefficients; an exponent is
-such a token without "/".  _Parser.product bounds each product's work.
+such a token without "/", at most MAX_EXPONENT.  _Parser.product bounds each
+product's work, and _Parser.charge the work of the whole parse: its products
+and the terms its sums merge.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import re
 from fractions import Fraction
 
-from .core import MonomialSymbol
+from .core import _INT64_LIMIT, MonomialSymbol
 from .multiindex import MAX_COORDINATE, MultiIndex, as_multiindex, common_dim
 from .rational import CRat, _power, as_coeff, read_rational
 
@@ -29,6 +31,10 @@ __all__ = ["PolySymbol", "SymbolParseError", "parse_symbol"]
 MAX_NESTING = 100  # parenthesis depth; keeps the recursive-descent parser off the recursion limit
 MAX_TERM_PAIRS = 4096  # work of one product in a parsed symbol, in term pairs of 64 coefficient bits (about 0.2 s)
 MAX_COEFF_BITS = 2**14  # bits of a coefficient part one product may reach (about 4900 digits)
+MAX_PARSE_WORK = 2 * MAX_TERM_PAIRS  # work of a whole parse, in the same unit: its products plus the terms its sums merge
+# the largest exponent of symbol text or a JSON term, 2^62 - 1 (19 digits): below
+# core's int64 table limit, and refused before a power squares its way past it
+MAX_EXPONENT = _INT64_LIMIT - 1
 
 
 class SymbolParseError(ValueError):
@@ -344,7 +350,13 @@ def _json_int(v, what: str) -> int:
 def _json_exponents(v, what: str) -> tuple[int, ...]:
     if not isinstance(v, list):
         raise SymbolParseError(f"{what} must be a list of integers, got {v!r}")
-    return tuple(_json_int(e, what + " entry") for e in v)
+    return tuple(_exponent(_json_int(e, what + " entry"), what + " entry") for e in v)
+
+
+def _exponent(e: int, what: str = "an exponent") -> int:
+    if e > MAX_EXPONENT:
+        raise SymbolParseError(f"{what} exceeds the exponent bound {MAX_EXPONENT}")
+    return e
 
 
 def _dec_part(p, where: str):
@@ -421,6 +433,12 @@ class _Parser:
         self.pos = 0
         self.dim = dim
         self.depth = 0
+        self.work = 0  # in term pairs of 64 bits, the unit of MAX_TERM_PAIRS
+
+    def charge(self, work: int) -> None:
+        self.work += work
+        if self.work > MAX_PARSE_WORK:
+            raise SymbolParseError(f"the symbol text takes more than the work of {MAX_PARSE_WORK} term pairs of 64 bits")
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -442,15 +460,20 @@ class _Parser:
         return sym
 
     def expr(self) -> PolySymbol:
-        out = self.term()
+        """A sum, merged once: adding one summand at a time would rebuild the running
+        sum for each, quadratic in the number of summands."""
+        parts = [self.term()]
         while True:
             kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                out = out + rhs if val == "+" else out - rhs
-            else:
-                return out
+            if kind != "op" or val not in "+-":
+                break
+            self.take()
+            parts.append(self.term() if val == "+" else self.term() * -1)
+        if len(parts) == 1:
+            return parts[0]
+        terms = [t for part in parts for t in part.terms]
+        self.charge(len(terms))
+        return PolySymbol(terms, dim=self.dim)
 
     def term(self) -> PolySymbol:
         out = self.factor()
@@ -475,22 +498,24 @@ class _Parser:
             kind, val = self.take()
             if kind != "num" or "/" in val:  # 4/2 would read as the integer 2
                 raise SymbolParseError("exponent must be a non-negative integer")
-            sym = _power(sym, _read_number(val).numerator, _one(self.dim), self.product)
+            sym = _power(sym, _exponent(_read_number(val).numerator), _one(self.dim), self.product)
         return sym * -1 if negate else sym
 
-    @staticmethod
-    def product(a: PolySymbol, b: PolySymbol) -> PolySymbol:
+    def product(self, a: PolySymbol, b: PolySymbol) -> PolySymbol:
         """a * b, refused before it is formed when the widest coefficient parts of a and b
         together take over MAX_COEFF_BITS bits, or when its term pairs times those bits (at
-        least 64) are more work than MAX_TERM_PAIRS pairs of 64 bits."""
+        least 64) are more work than MAX_TERM_PAIRS pairs of 64 bits.  An admitted product's
+        work is charged to the whole parse."""
         bits = _coeff_bits(a) + _coeff_bits(b)
         if bits > MAX_COEFF_BITS:
             raise SymbolParseError(f"a product's coefficients exceed {MAX_COEFF_BITS} bits")
-        if len(a.terms) * len(b.terms) * max(bits, 64) > MAX_TERM_PAIRS * 64:
+        work = len(a.terms) * len(b.terms) * max(bits, 64)
+        if work > MAX_TERM_PAIRS * 64:
             raise SymbolParseError(
                 f"a product of {len(a.terms)} by {len(b.terms)} terms with {bits}-bit coefficient pairs "
                 f"exceeds the work of {MAX_TERM_PAIRS} term pairs of 64 bits"
             )
+        self.charge(work // 64)
         return a * b
 
     def atom(self) -> PolySymbol:

@@ -7,7 +7,11 @@ import hashlib
 import inspect
 import io
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -1179,3 +1183,84 @@ def test_exact_writer_keeps_nothing_between_documents():
     assert table.splitlines()[2] == (
         '1/2,0.5,True,True,finite,True,"alpha=(999999,7,0) B=(1);alpha=(0,1000000,3) B=(1,3);alpha=(1000000,0,0) B=(1)"'
     )
+
+
+# floats json.dumps writes in each of its forms, and the non-finite ones it leaves to its frame
+_LAYOUT_FLOATS = st.sampled_from([-0.0, 5e-324, 1e16, 1e-05, math.inf, -math.inf, math.nan]) | st.floats()
+# quotes, non-ASCII text, "%" (the flat-dict templates are %-formats), and strings whose JSON
+# text holds the hole's: the hole itself, a quote before it, and "\x000", whose text starts like it
+_LAYOUT_STRINGS = st.sampled_from(['"', 'a"b', "\u00e9\u6f22", "\x000", "\x00", '"\x00', "%s", "%", ""]) | st.text(max_size=4)
+_LAYOUT_KEYS = st.sampled_from(["theta", "lambda_q", "%d", "%%", 'q"', "\u00e9", "\x00"])
+_FLAT_DICTS = st.dictionaries(_LAYOUT_KEYS, _LAYOUT_FLOATS, max_size=3)
+_LAYOUT_LEAVES = st.one_of(
+    _LAYOUT_FLOATS, st.integers(), st.booleans(), st.none(), _LAYOUT_STRINGS,
+    st.lists(_LAYOUT_FLOATS, max_size=3),
+    st.lists(_LAYOUT_FLOATS | st.integers() | st.booleans(), max_size=3),
+    st.lists(_FLAT_DICTS, max_size=3),  # unequal keys
+    st.lists(st.fixed_dictionaries({"theta": _LAYOUT_FLOATS, "lambda_q": _LAYOUT_FLOATS}), max_size=3),
+    st.lists(_FLAT_DICTS | _LAYOUT_FLOATS | _LAYOUT_STRINGS, max_size=3),
+)
+_LAYOUT_DOCS = st.dictionaries(
+    _LAYOUT_STRINGS,
+    st.recursive(
+        _LAYOUT_LEAVES,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_LAYOUT_STRINGS, inner, max_size=3),
+        max_leaves=12,
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LAYOUT_DOCS)
+@example({"eigenvalues": [0.5, 1e-05], "symbol": "\x00"})
+@example({"eigenvalues": [0.5], "\x00": '"\x00', "m": [[1.0]], "s": ["\x000"]})
+@example({"samples": [{"theta": 0.0, "lambda_q": 5e-324}, {"lambda_q": -0.0, "theta": 1e16}], "x": [{}], "y": []})
+@example({"samples": [{"%%": 1.0, 'q"': 0.5}], "other": [{"%d": 2.0, "theta": 1e-05}]})
+def test_json_dump_is_json_dumps(doc):
+    assert cli._json_dump(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_json_dump_lays_out_only_finite_float_lists_by_hand():
+    runs = []
+    doc = {
+        "eigenvalues": [0.5, 1.0],
+        "profile": {"samples": [{"theta": 0.0, "lambda_q": 1.0}]},
+        "m": [1, 2],
+        "wide": [math.inf, 1.0],
+        "mixed": [[1.0], [1, 2.0]],
+        "empty": [],
+    }
+    frame = cli._holed(doc, 0, runs)
+    assert frame == {
+        "eigenvalues": cli._HOLE,
+        "empty": [],
+        "m": [1, 2],
+        "mixed": [cli._HOLE, [1, 2.0]],
+        "profile": {"samples": cli._HOLE},
+        "wide": [math.inf, 1.0],
+    }
+    assert runs == [
+        "[\n    0.5,\n    1.0\n  ]",
+        "[\n      1.0\n    ]",
+        '[\n      {\n        "lambda_q": 1.0,\n        "theta": 0.0\n      }\n    ]',
+    ]
+
+
+def test_sequential_main_calls_share_one_parser_and_print_what_a_fresh_process_prints(capsys):
+    import hankel_spectra
+
+    assert _build_parser() is _build_parser()
+    env = dict(os.environ, PYTHONPATH=str(Path(hankel_spectra.__file__).parents[1]))
+    for argv in (
+        ["exact", "zb1", "--bogus"],
+        ["approx", "zb1*(zb2+1)", "--degree", "4"],
+        ["boundary", "zb1*(zb2+1)", "--coord", "1", "--degree", "3", "--samples", "8"],
+        ["exact", "zb1^2*zb2", "--cap", "3", "--format", "csv"],
+        ["verify", "--suite", "fixtures"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "hankel_spectra.cli", *argv], capture_output=True, env=env)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode())
+    assert _build_parser() is _build_parser()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hankel_spectra import MonomialSymbol, PolySymbol, SymbolParseError, parse_symbol
 from hankel_spectra.rational import CRat
+from hankel_spectra.symbols import MAX_EXPONENT, MAX_PARSE_WORK
 
 
 def crat(re, im=0):
@@ -257,6 +258,53 @@ def test_a_number_past_the_digit_limit_is_one_parse_error(text):
         parse_symbol(text)
     message = str(info.value)
     assert "4300 digits" in message and "\n" not in message and "set_int_max_str_digits" not in message
+
+
+def test_an_exponent_past_the_bound_is_refused_at_once(capsys):
+    # 4300 nines once took 0.5 s of squarings, and approx then printed Python's own digit-limit line
+    for text in ("zb1^" + "9" * 4300, f"z1*zb2^{MAX_EXPONENT + 1}"):
+        start = time.perf_counter()
+        with pytest.raises(SymbolParseError, match=f"exceeds the exponent bound {MAX_EXPONENT}"):
+            parse_symbol(text)
+        assert time.perf_counter() - start < 0.1
+    for key in ("holo", "antiholo"):
+        term = {"coeff": [1, 0], "holo": [0, 0], "antiholo": [1, 0]} | {key: [0, MAX_EXPONENT + 1]}
+        with pytest.raises(SymbolParseError, match=f'term 0: "{key}" entry exceeds the exponent bound'):
+            parse_symbol(json.dumps({"dim": 2, "terms": [term]}))
+    from hankel_spectra.cli import main
+
+    assert main(["approx", "zb1^" + "9" * 4300]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "set_int_max_str_digits" not in err
+
+
+def test_the_largest_exponent_parses():
+    assert MAX_EXPONENT == 2**62 - 1
+    assert parse_symbol(f"zb1^{MAX_EXPONENT}").terms == ((crat(1), (0,), (MAX_EXPONENT,)),)
+    term = {"coeff": [1, 0], "holo": [MAX_EXPONENT], "antiholo": [0]}
+    assert parse_symbol(json.dumps({"dim": 1, "terms": [term]})).terms == ((crat(1), (MAX_EXPONENT,), (0,)),)
+    assert parse_symbol("z1*zb2^3100000000").terms == ((crat(1), (1, 0), (0, 3100000000)),)
+
+
+_UNIT_PRODUCT = "({})*({})".format("+".join(f"z1^{k}" for k in range(64)), "+".join(f"zb2^{k}" for k in range(64)))
+
+
+def test_parser_refuses_texts_over_the_whole_parse_budget():
+    # each copy is one admitted product of 4096 unit pairs; ten of them once parsed in 1.8 s
+    assert len(parse_symbol(_UNIT_PRODUCT).terms) == 4096
+    start = time.perf_counter()
+    with pytest.raises(SymbolParseError, match=f"more than the work of {MAX_PARSE_WORK} term pairs"):
+        parse_symbol("+".join([_UNIT_PRODUCT] * 10))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_a_text_just_inside_the_whole_parse_budget_parses():
+    # a sum of n summands merges n terms once: MAX_PARSE_WORK of them are the whole budget
+    assert parse_symbol("+".join(["zb1"] * MAX_PARSE_WORK)).terms == ((crat(MAX_PARSE_WORK), (0,), (1,)),)
+    with pytest.raises(SymbolParseError, match="more than the work of"):
+        parse_symbol("+".join(["zb1"] * (MAX_PARSE_WORK + 1)))
+    # a sum is merged once, so its cost grows with its summands, not their square
+    assert len(parse_symbol("+".join(f"z1^{k}" for k in range(300))).terms) == 300
 
 
 _WHITESPACE = st.text(st.sampled_from([c for c in map(chr, range(0x3001)) if c.isspace()]), max_size=3)
