@@ -7,9 +7,11 @@ failure, 2 usage error, 141 stdout closed by its reader (128 + SIGPIPE).
 
 A request's fixed work is done once per process: the argument parser is built
 by the first main call and reused by every later one.  Its bulk output is laid
-out in one pass: lists of finite floats (eigenvalues, profile samples) are
-joined from their float reprs by hand, byte for byte what json.dumps(...,
-indent=2) writes, and json.dumps lays out the rest.
+out in one pass: in approx and boundary documents, lists of finite floats
+(eigenvalues, profile samples) are joined from their float reprs by hand, byte
+for byte what json.dumps(..., indent=2) writes, and json.dumps lays out the
+rest.  The exact frame and verify documents hold no such list: json.dumps lays
+them out directly.
 """
 
 from __future__ import annotations
@@ -259,7 +261,7 @@ def _exact_document(
         fields = ("alpha_cap", "contains_zero", "kind", "note", "truncated")
         return {key: getattr(spec, key) for key in fields} | {"records": _HOLE}
 
-    head, between, tail = _json_dump(
+    head, between, tail = json.dumps(
         {
             "alpha_cap": alpha_cap,
             "command": "exact",
@@ -270,7 +272,9 @@ def _exact_document(
             "n": list(mono.holo),
             "spectrum": frame(spectrum),
             "symbol": symbol,
-        }
+        },
+        sort_keys=True,
+        indent=2,
     ).split(_RECORDS_HOLE)
     pieces = [head]
     for spec, texts, in_essential_texts, rest in (
@@ -378,7 +382,7 @@ def cmd_boundary(args) -> int:
 
 def cmd_verify(args) -> int:
     report = run_verify(args.suite)
-    _emit(_json_dump(report), args.out)
+    _emit(json.dumps(report, sort_keys=True, indent=2), args.out)
     return 0 if report["passed"] else 1
 
 

@@ -26,8 +26,10 @@ is the union of the block spectra; monomial symbols give 1x1 blocks, the
 paper's diagonal case.  An exact compression keeps its reduced integer tables,
 split by sector like the blocks, as its only exact form: exact comparisons read
 them, and the graded-lex CRat matrix (scaled) and the full float matrix (dense)
-are built only when a caller reads them.  The matrix dump is written from the
-blocks or the tables in chunks of about 1 MiB.
+are built only when a caller reads them.  Every route lays out its non-zero
+cells through one constructor, _from_cells, the inverse of the dump's listing
+(_nonzero_cells); the dump is written from the blocks or the tables in chunks
+of about 1 MiB and read back without an n x n array.
 """
 
 from __future__ import annotations
@@ -169,14 +171,15 @@ def _offset_block(trunc: BasisTruncation, delta):
 
 @lru_cache(maxsize=32)
 def _sectors(trunc: BasisTruncation, offsets: frozenset):
-    """(groups, row_start, col_pos): the sectors of the box for the coupling offsets.
+    """(groups, row_start, col_pos, label): the sectors of the box for the coupling offsets.
 
     A sector is a connected component of the graph on the basis box with an
     edge alpha ~ alpha + delta for every offset delta whose ends both lie in
-    the box.  groups holds one read-only (k, s) array per sector size s,
-    ascending in s: row r holds the graded-lex indices of one sector, ascending.
-    Laid end to end as (k, s, s) stacks, the blocks hold entry (i, j) at flat
-    position row_start[i] + col_pos[j]; over MAX_STORED_ENTRIES raise ValueError.
+    the box; entry (i, j) lies in a block when label[i] == label[j].  groups
+    holds one read-only (k, s) array per sector size s, ascending in s: row r
+    holds the graded-lex indices of one sector, ascending.  Laid end to end as
+    (k, s, s) stacks, the blocks hold entry (i, j) at flat position
+    row_start[i] + col_pos[j]; over MAX_STORED_ENTRIES raise ValueError.
     """
     boxes = [_offset_block(trunc, d) for d in offsets if any(d)]
     ends = [(rows.ravel(), cols.ravel()) for _, _, rows, cols in filter(None, boxes)]
@@ -209,8 +212,8 @@ def _sectors(trunc: BasisTruncation, offsets: frozenset):
             f"sector blocks hold {stored} entries (largest block {s}x{s}), above the guard "
             f"{MAX_STORED_ENTRIES} (N={trunc.degree_cap}, dim={trunc.dim})"
         )
-    row_start.flags.writeable = col_pos.flags.writeable = False
-    return tuple(groups), row_start, col_pos
+    row_start.flags.writeable = col_pos.flags.writeable = label.flags.writeable = False
+    return tuple(groups), row_start, col_pos, label
 
 
 def _pair_factors(pairs, lo, hi, exact: bool):
@@ -411,30 +414,37 @@ def _split(flat: np.ndarray, groups) -> tuple[np.ndarray, ...]:
     return tuple(p.reshape(p.shape[:-1] + g.shape + g.shape[1:]) for p, g in zip(parts, groups))
 
 
-def _from_dense(full: np.ndarray, exact: bool, offsets: frozenset, **fields) -> CompressionMatrix:
-    """Block a full graded-lex matrix (CRat scaled Gram entries if exact, else orthonormal
-    ones) by the sectors of the offsets; a non-zero entry outside them raises ValueError.
+def _nonzero(values: np.ndarray, exact: bool) -> np.ndarray:
+    """Which of _from_cells' values are not zero: -0.0 is zero, a table entry with both numerators 0 too."""
+    return (values[0] != 0) | (values[2] != 0) if exact else values != 0
+
+
+def _from_cells(trunc: BasisTruncation, rows, cols, values, exact: bool, offsets: frozenset, **fields) -> CompressionMatrix:
+    """The compression whose non-zero cells are (rows, cols, values): the inverse of _nonzero_cells.
+
+    values holds the cells' (4, n) table ints if exact, else their n orthonormal entries;
+    every other entry is zero.  The sectors are those of offsets: a non-zero cell outside
+    them raises ValueError, a zero one (-0.0, or a zero table entry) is dropped.  An exact
+    block entry is (c * w_i) * w_j for the float value c of its tables.
     """
-    groups = _sectors(fields["trunc"], offsets)[0]
-    parts = tuple(full[g[:, :, None], g[:, None, :]] for g in groups)
-    if sum(map(np.count_nonzero, parts)) != np.count_nonzero(full):
-        raise ValueError("matrix has non-zero entries outside its sector blocks")
-    if not exact:
-        return CompressionMatrix(sectors=groups, blocks=parts, tables=None, **fields)
-    tables = []
-    for b in parts:
-        t = np.empty((4,) + b.shape, dtype=object)
-        t.reshape(4, -1).T[:] = [
-            (c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator) for c in b.ravel().tolist()
-        ]
-        tables.append(t)
-    w = fields["trunc"].weights_sqrt
-    blocks = tuple(_complex(*t) for t in tables)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in assemble: eigenvalues() rejects inf/nan
-        for g, b in zip(groups, blocks):  # in place, as (c * w_i) * w_j in assemble
-            b *= w[g][:, :, None]
-            b *= w[g][:, None, :]
-    return CompressionMatrix(sectors=groups, blocks=blocks, tables=tuple(tables), **fields)
+    groups, row_start, col_pos, label = _sectors(trunc, offsets)
+    inside = label[rows] == label[cols]
+    if not inside.all():
+        if _nonzero(values[..., ~inside], exact).any():
+            raise ValueError("matrix has non-zero entries outside its sector blocks")
+        rows, cols, values = rows[inside], cols[inside], values[..., inside]
+    at = row_start[rows] + col_pos[cols]
+    flat = np.zeros(sum(g.size * g.shape[1] for g in groups), dtype=complex)
+    if exact:
+        # re_num, re_den, im_num, im_den of every stored entry: 0/1 between the cells
+        tables = np.repeat(np.array([[0], [1], [0], [1]], dtype=object), flat.size, axis=1)
+        tables[:, at] = values
+        w = trunc.weights_sqrt
+        with np.errstate(over="ignore", invalid="ignore"):  # eigenvalues() rejects the inf/nan
+            values = _complex(*values) * w[rows] * w[cols]
+    flat[at] = values
+    tables = _split(tables, groups) if exact else None
+    return CompressionMatrix(trunc=trunc, sectors=groups, blocks=_split(flat, groups), tables=tables, **fields)
 
 
 def _symbol_hash(sym: PolySymbol) -> str:
@@ -442,10 +452,11 @@ def _symbol_hash(sym: PolySymbol) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _kernel_blocks(offsets, trunc: BasisTruncation, row_start, col_pos, exact: bool):
-    """(at, rows, cols, block, weighted) per winding offset with a non-empty box: the
-    offset's _gram_tables if exact, else its _gram_block, its orthonormal entries
-    (c * w_a) * w_b and their flat positions in the sector layout of _sectors.
+def _kernel_blocks(offsets, trunc: BasisTruncation, exact: bool):
+    """(delta, rows, cols, values) per winding offset delta with a non-empty box, raveled:
+    the graded-lex positions of alpha and alpha + delta, and the offset's _gram_tables as a
+    (4, n) array if exact, else its _gram_block's orthonormal entries (c * w_a) * w_b.
+    The box of -delta lists the mirror cells, (rows, cols) swapped, in the same order.
     """
     w = trunc.weights_sqrt
     for delta, pairs in offsets.items():
@@ -454,25 +465,23 @@ def _kernel_blocks(offsets, trunc: BasisTruncation, row_start, col_pos, exact: b
         if box is None:
             continue
         lo, hi, rows, cols = box
+        rows, cols = rows.ravel(), cols.ravel()
         if exact:
-            block = _gram_tables(pairs, lo, hi)
-            values = _complex(*block)
+            yield delta, rows, cols, np.stack(_gram_tables(pairs, lo, hi)).reshape(4, -1)
         else:
-            block = values = _gram_block(pairs, lo, hi)
-        at = row_start[rows] + col_pos[cols]
-        yield at, rows, cols, block, np.asarray(values, dtype=complex) * w[rows] * w[cols]
+            yield delta, rows, cols, np.asarray(_gram_block(pairs, lo, hi), dtype=complex).ravel() * w[rows] * w[cols]
 
 
 def assemble(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
     """Assemble the Hermitian compression of H*_psi H_psi as sector blocks.
 
     One kernel computes the matrix one winding-offset block at a time, in the
-    arithmetic of the symbol, and each block is scattered straight into the
-    sector blocks.  Exact symbols go through reduced integer tables
-    (_gram_tables), which the result keeps as its tables, split by sector like
-    the blocks: their Hermitian symmetry is checked on the tables and the
-    orthonormal blocks take each entry's correctly rounded float value; no
-    CRat is built until a caller reads scaled.
+    arithmetic of the symbol, and _from_cells lays the cells of all blocks out
+    as the sector blocks of the symbol's offsets.  Exact symbols go through
+    reduced integer tables (_gram_tables), which the result keeps as its
+    tables, split by sector like the blocks: their Hermitian symmetry is
+    checked on the kernel's cells and the orthonormal blocks take each entry's
+    correctly rounded float value; no CRat is built until a caller reads scaled.
     Float symbols run _gram_block and leave tables as None; callers that
     only need floats pass sym.as_float().  For a unit-coefficient monomial
     symbol the exact result is diagonal with the closed-form spectrum values
@@ -482,32 +491,22 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
     if sym.dim != trunc.dim:
         raise ValueError(f"symbol dim {sym.dim} != truncation dim {trunc.dim}")
     exact = sym.is_exact
-    offsets = _pair_offsets(sym.terms, sym.terms)
-    groups, row_start, col_pos = _sectors(trunc, frozenset(offsets))
-    flat = np.zeros(sum(g.size * g.shape[1] for g in groups), dtype=complex)
-    # re_num, re_den, im_num, im_den of every stored entry: 0/1 between the kernel blocks
-    tables = np.repeat(np.array([[0], [1], [0], [1]], dtype=object), flat.size, axis=1) if exact else None
-    written = []
+    pairs = _pair_offsets(sym.terms, sym.terms)
+    offsets = frozenset(pairs)
+    _sectors(trunc, offsets)  # its stored-entry guard, before any kernel work
+    fields = {"symbol": sym, "symbol_hash": _symbol_hash(sym)}
     with np.errstate(over="ignore", invalid="ignore"):
-        for at, rows, cols, block, weighted in _kernel_blocks(offsets, trunc, row_start, col_pos, exact):
-            flat[at] = weighted
-            if exact:
-                for table, part in zip(tables, block):
-                    table[at] = part
-                written.append((at.ravel(), (row_start[cols] + col_pos[rows]).ravel()))
-    if written:
-        at, mirror = (np.concatenate(x) for x in zip(*written))
-        re_num, re_den, im_num, im_den = tables[:, mirror]
-        if not all(map(np.array_equal, tables[:, at], (re_num, re_den, -im_num, im_den))):
+        cells = {delta: cell for delta, *cell in _kernel_blocks(pairs, trunc, exact)}
+    if not cells:  # a symbol without terms: no cells, the zero matrix
+        none = np.empty(0, dtype=np.intp)
+        return _from_cells(trunc, none, none, np.empty((4, 0) if exact else 0), exact, offsets, **fields)
+    rows, cols, values = (np.concatenate(x, axis=-1) for x in zip(*cells.values()))
+    if exact:  # every cell (i, j) and its mirror (j, i) hold conjugate tables
+        mirrors = [cells[tuple(-d for d in delta)][2] for delta in cells]
+        re_num, re_den, im_num, im_den = np.concatenate(mirrors, axis=-1)
+        if not all(map(np.array_equal, values, (re_num, re_den, -im_num, im_den))):
             raise AssertionError("exact assembly lost Hermitian symmetry")
-    return CompressionMatrix(
-        symbol=sym,
-        trunc=trunc,
-        symbol_hash=_symbol_hash(sym),
-        sectors=groups,
-        blocks=_split(flat, groups),
-        tables=_split(tables, groups) if exact else None,
-    )
+    return _from_cells(trunc, rows, cols, values, exact, offsets, **fields)
 
 
 def _toeplitz_map(phi: PolySymbol, in_indices, out_index_of) -> list[list]:
@@ -536,7 +535,8 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation) -> Compressio
     The intermediate basis is capped at default_inner_caps, which holds every
     projection target, so for polynomial symbols the two assemblies agree
     entrywise and exactly on the scaled Gram representation.  Entries are CRat for exact
-    symbols; float coefficients degrade them to complex.  Fills the full matrix.
+    symbols; float coefficients degrade them to complex.  Fills the full matrix
+    and passes its non-zero cells to _from_cells.
     """
     if sym.dim != trunc.dim:
         raise ValueError(f"symbol dim {sym.dim} != truncation dim {trunc.dim}")
@@ -570,14 +570,10 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation) -> Compressio
         full = full.astype(complex)
         full *= trunc.weights_sqrt[:, None]  # in place: no n x n temporaries
         full *= trunc.weights_sqrt
-    return _from_dense(
-        full,
-        sym.is_exact,
-        offsets,
-        symbol=sym,
-        trunc=trunc,
-        symbol_hash=_symbol_hash(sym),
-    )
+    # nonzero drops no -0.0 here: a zero part of the fill is a cancelled sum, +0.0, also once weighted
+    rows, cols = np.nonzero(full)
+    values = _table_ints((c.re, c.im) for c in full[rows, cols].tolist()) if sym.is_exact else full[rows, cols]
+    return _from_cells(trunc, rows, cols, values, sym.is_exact, offsets, symbol=sym, symbol_hash=_symbol_hash(sym))
 
 
 def matrices_equal(m1: CompressionMatrix, m2: CompressionMatrix) -> bool:
@@ -664,7 +660,7 @@ def top_eigenvalues(fourier, thetas, trunc: BasisTruncation, name_of) -> np.ndar
             for delta, pairs in _pair_offsets(phi.terms, chi.terms).items():
                 by_phase.setdefault(w - v, {}).setdefault(delta, []).extend(pairs)
     offsets = frozenset(delta for part in by_phase.values() for delta in part)
-    groups, row_start, col_pos = _sectors(trunc, offsets)
+    groups, row_start, col_pos, _ = _sectors(trunc, offsets)
     stored = sum(g.size * g.shape[1] for g in groups)
     step = MAX_STORED_ENTRIES // stored
     thetas = np.asarray(thetas, dtype=float)
@@ -676,9 +672,10 @@ def top_eigenvalues(fourier, thetas, trunc: BasisTruncation, name_of) -> np.ndar
         with np.errstate(over="ignore", invalid="ignore"):
             for d, part in by_phase.items():
                 phase = np.exp(1j * d * chunk)[:, None]
-                for at, _, _, _, weighted in _kernel_blocks(part, trunc, row_start, col_pos, False):
-                    flat[:, at.ravel()] += phase * weighted.ravel()
-                    size[at.ravel()] += np.abs(weighted).ravel()
+                for _, rows, cols, weighted in _kernel_blocks(part, trunc, False):
+                    at = row_start[rows] + col_pos[cols]
+                    flat[:, at] += phase * weighted
+                    size[at] += np.abs(weighted)
         tops.append(_checked_eigenvalues(_split(flat, groups), lambda i: name_of(start + i), size.max())[:, -1])
     return np.concatenate(tops) if tops else np.empty(0)
 
@@ -771,7 +768,7 @@ def _nonzero_cells(mat: CompressionMatrix):
     One vectorised pass per sector group.  A table cell is the zero cell when both
     numerators are 0 (a zero part is 0/1), and values is a (4, n) object array of
     the cells' table ints; a float cell when both parts are +0.0, so -0.0 and NaN
-    cells are kept, and values holds the n complex entries.
+    cells are kept, and values holds the n complex entries.  _from_cells is its inverse.
     """
     exact = mat.tables is not None
     rows, cols, values = [], [], []
@@ -851,11 +848,11 @@ _FLOAT_RE = re.compile(r"-?(?:[0-9]+\.[0-9]+(?:e[+-][0-9]+)?|[0-9]+e[+-][0-9]+|i
 
 
 def _read_cell(cell: str, exact: bool, i: int, j: int):
-    """One "re,im" entry: a CRat of two read_rational parts (exact dump) or a complex of two float reprs."""
+    """One "re,im" entry: the two read_rational parts (exact dump) or a complex of two float reprs."""
     try:
         re_s, im_s = cell.split(",")
         if exact:
-            return CRat(read_rational(re_s), read_rational(im_s))
+            return read_rational(re_s), read_rational(im_s)
         if _FLOAT_RE.fullmatch(re_s) and _FLOAT_RE.fullmatch(im_s):
             return complex(float(re_s), float(im_s))
     except ValueError:
@@ -863,31 +860,31 @@ def _read_cell(cell: str, exact: bool, i: int, j: int):
     raise ValueError(f"matrix dump row {i}, column {j}: bad entry {cell!r}")
 
 
-def _pattern_offsets(trunc: BasisTruncation, full: np.ndarray) -> frozenset:
-    """The offsets beta - alpha of the non-zero entries of a full graded-lex matrix."""
-    indices = np.array(trunc.indices, dtype=np.intp)
-    rows, cols = np.nonzero(full)
-    return frozenset(map(tuple, np.unique(indices[cols] - indices[rows], axis=0).tolist()))
+def _table_ints(parts) -> np.ndarray:
+    """The (4, n) table ints re_num, re_den, im_num, im_den of n (re, im) Fraction pairs, an iterable."""
+    ints = [(re.numerator, re.denominator, im.numerator, im.denominator) for re, im in parts]
+    return np.array(ints, dtype=object).reshape(-1, 4).T
 
 
 def load_matrix(fileobj) -> CompressionMatrix:
+    """Read a v1 dump: only the cells whose text is not the zero cell are parsed and kept, as
+    arrays row by row, and the offsets beta - alpha of the non-zero ones give the sectors."""
     trunc, symbol_hash, exact = _read_header(fileobj.readline())
     size = trunc.size
-    full = np.empty((size, size), dtype=object if exact else complex)
-    # the exact zero cell dump_matrix writes is read as the constant it is, with no text parsed
-    zero = "0/1,0/1" if exact else None
+    zero = "0/1,0/1" if exact else "0.0,0.0"
+    indices = np.array(trunc.indices, dtype=np.intp)
+    cols, values, offsets = [], [], set()
     for i in range(size):
         cells = fileobj.readline().split()
         if len(cells) != size:
             raise ValueError(f"row {i}: expected {size} entries, got {len(cells)}")
-        full[i] = [CR_ZERO if cell == zero else _read_cell(cell, exact, i, j) for j, cell in enumerate(cells)]
+        found = np.array([j for j, cell in enumerate(cells) if cell != zero], dtype=np.intp)
+        row = [_read_cell(cells[j], exact, i, j) for j in found.tolist()]
+        cols.append(found)
+        values.append(_table_ints(row) if exact else np.array(row, dtype=complex))
+        offsets.update(map(tuple, (indices[found[_nonzero(values[-1], exact)]] - indices[i]).tolist()))
     if any(line.strip() for line in fileobj):  # a second dump or a stray line is not this matrix
         raise ValueError(f"matrix dump: unexpected content after row {size - 1}")
-    return _from_dense(
-        full,
-        exact,
-        _pattern_offsets(trunc, full),
-        symbol=None,
-        trunc=trunc,
-        symbol_hash=symbol_hash,
-    )
+    rows = np.repeat(np.arange(size), [c.size for c in cols])
+    cols, values = np.concatenate(cols), np.concatenate(values, axis=-1)
+    return _from_cells(trunc, rows, cols, values, exact, frozenset(offsets), symbol=None, symbol_hash=symbol_hash)

@@ -991,6 +991,10 @@ _PARTS = st.one_of(
 )
 
 
+# values of the wrong JSON type for an exponent or a coefficient part
+_WRONG_TYPES = st.sampled_from(["1", "x", 1.0, 2.5, True, False, None, [1], [[0, 1]], {}])
+
+
 @st.composite
 def _json_symbols(draw):
     dim = draw(st.sampled_from([2, 1, 3, 0]))
@@ -1001,10 +1005,42 @@ def _json_symbols(draw):
 
 
 @st.composite
-def _symbol_argvs(draw):
-    """argv of exact, approx or boundary with a drawn symbol and flags drawn near their bounds."""
+def _malformed_json_symbols(draw):
+    """_json_symbols' documents with faults drawn in: wrong types, wrong arity, negative
+    exponents and missing keys.  A draw may still come out well-formed."""
+    dim = draw(st.sampled_from([2, 1, 3, 0]))
+    exponents = st.one_of(
+        st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
+        # negative exponents and wrong types among the entries
+        st.lists(st.one_of(st.integers(0, 3), st.integers(-3, -1), _WRONG_TYPES), min_size=dim, max_size=dim),
+        # one entry too many or too few
+        st.lists(st.integers(0, 3), min_size=dim + 1, max_size=dim + 1),
+        st.lists(st.integers(0, 3), min_size=max(dim - 1, 0), max_size=max(dim - 1, 0)),
+        _WRONG_TYPES,
+    )
+    coeff = st.one_of(
+        st.tuples(_PARTS, _PARTS).map(list),
+        st.tuples(st.one_of(_PARTS, _WRONG_TYPES), st.one_of(_PARTS, _WRONG_TYPES)).map(list),
+        st.lists(_PARTS, min_size=1, max_size=1),
+        st.lists(_PARTS, min_size=3, max_size=3),
+    )
+    fields = {"coeff": coeff, "holo": exponents, "antiholo": exponents}
+    terms = st.one_of(
+        st.fixed_dictionaries(fields),
+        # any of the keys missing
+        st.fixed_dictionaries({}, optional=fields),
+    )
+    obj = {"dim": dim, "terms": draw(st.lists(terms, max_size=3))}
+    for key in draw(st.sampled_from([(), (), (), ("dim",), ("terms",)])):
+        del obj[key]
+    return json.dumps(obj)
+
+
+@st.composite
+def _symbol_argvs(draw, symbols=st.one_of(_TEXT_SYMBOLS, _json_symbols())):
+    """argv of exact, approx or boundary with a symbol drawn from symbols and flags drawn near their bounds."""
     command = draw(st.sampled_from(["exact", "approx", "boundary"]))
-    argv = [command, draw(st.one_of(_TEXT_SYMBOLS, _json_symbols()))]
+    argv = [command, draw(symbols)]
     degrees = st.sampled_from([2, 0, 1, 3, 6, -1])
     flags = {
         "exact": {"--cap": degrees},
@@ -1038,6 +1074,16 @@ def _symbol_argvs(draw):
 @example(["approx", _WIDE_FACTOR])
 @example(["boundary", "2^15000*zb1*zb2", "--degree", "1", "--samples", "4"])
 def test_symbol_commands_end_in_a_result_or_one_error_line(argv):
+    _assert_a_result_or_one_error_line(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_symbol_argvs(_malformed_json_symbols()))
+def test_malformed_json_symbols_end_in_a_result_or_one_error_line(argv):
+    _assert_a_result_or_one_error_line(argv)
+
+
+def _assert_a_result_or_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -468,18 +468,19 @@ def test_exact_dump_bytes_match_per_cell_formatting():
 
 
 def test_eigenvalues_rejects_entry_between_sectors():
-    # blocks have no room for such an entry: the dense-to-blocks constructor rejects it
-    from hankel_spectra.galerkin import _from_dense, _pair_offsets
+    # blocks have no room for such an entry: the cells-to-blocks constructor rejects it
+    from hankel_spectra.galerkin import _from_cells, _nonzero_cells, _pair_offsets
 
     sym = parse_symbol("zb1*(zb2+1)") * (0.5 + 0j)
     mat = assemble(sym, BasisTruncation(3, 2))
     i, j = mat.sectors[0][0][0], mat.sectors[0][1][0]
-    dense = mat.dense.copy()
-    dense[i, j] = dense[j, i] = 1e-3  # Hermitian, so only the sector check can see it
+    rows, cols, values = _nonzero_cells(mat)
+    # Hermitian, so only the sector check can see it
+    rows, cols, values = np.append(rows, [i, j]), np.append(cols, [j, i]), np.append(values, [1e-3, 1e-3])
     with pytest.raises(ValueError, match="outside its sector blocks"):
-        _from_dense(
-            dense, False, frozenset(_pair_offsets(sym.terms, sym.terms)),
-            symbol=sym, trunc=mat.trunc, symbol_hash=mat.symbol_hash,
+        _from_cells(
+            mat.trunc, rows, cols, values, False, frozenset(_pair_offsets(sym.terms, sym.terms)),
+            symbol=sym, symbol_hash=mat.symbol_hash,
         )
 
 
@@ -692,6 +693,86 @@ def test_gram_tables_match_the_fraction_oracle(sym, n_cap):
         assert b.tobytes() == want[g[:, :, None], g[:, None, :]].tobytes()
         assert np.array_equal(sb, want_scaled[g[:, :, None], g[:, None, :]])
         assert all(c is CR_ZERO for c in sb.ravel() if not c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_symbols(), st.integers(0, 3), st.booleans(), st.data())
+@example(parse_symbol("zb1*z2^3100000000"), 1, False, None)
+def test_from_cells_rebuilds_the_matrix_nonzero_cells_lists(sym, n_cap, as_float, data):
+    # the inverse of _nonzero_cells: bit-equal blocks, -0.0 entries among them, and equal
+    # tables and sectors, for exact and float symbols
+    from hankel_spectra.galerkin import _from_cells, _nonzero_cells, _pair_offsets
+
+    if as_float:
+        sym = sym.as_float()
+    mat = assemble(sym, BasisTruncation(n_cap, sym.dim))
+    if as_float:
+        blocks = [b.copy() for b in mat.blocks]
+        for _ in range(data.draw(st.integers(0, 3))):
+            g = data.draw(st.integers(0, len(blocks) - 1))
+            blocks[g].flat[data.draw(st.integers(0, blocks[g].size - 1))] = data.draw(
+                st.sampled_from([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j])
+            )
+        mat = dataclasses.replace(mat, blocks=tuple(blocks))
+    back = _from_cells(
+        mat.trunc, *_nonzero_cells(mat), not as_float, frozenset(_pair_offsets(sym.terms, sym.terms)),
+        symbol=sym, symbol_hash=mat.symbol_hash,
+    )
+    assert [g.tolist() for g in back.sectors] == [g.tolist() for g in mat.sectors]
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(back.blocks, mat.blocks))
+    if as_float:
+        assert back.tables is None
+    else:
+        assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(back.tables, mat.tables))
+
+
+def test_a_zero_cell_between_sectors_is_dropped():
+    from hankel_spectra.galerkin import _from_cells, _nonzero_cells, _pair_offsets
+
+    for sym in (parse_symbol("zb1*(zb2+1)"), parse_symbol("zb1*(zb2+1)") * (0.5 + 0j)):
+        exact = sym.is_exact
+        mat = assemble(sym, BasisTruncation(3, 2))
+        i, j = mat.sectors[0][0][0], mat.sectors[0][1][0]
+        rows, cols, values = _nonzero_cells(mat)
+        # a -0.0 float cell, and an exact one of the tables 0/1, 0/1
+        zero = np.array([[0], [1], [0], [1]], dtype=object) if exact else np.array([complex(-0.0, -0.0)])
+        back = _from_cells(
+            mat.trunc, np.append(rows, i), np.append(cols, j), np.append(values, zero, axis=-1), exact,
+            frozenset(_pair_offsets(sym.terms, sym.terms)), symbol=sym, symbol_hash=mat.symbol_hash,
+        )
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(back.blocks, mat.blocks))
+        assert matrices_equal(back, mat)
+        # a dump's -0.0 cell between its sectors is dropped too
+        if not exact:
+            buf = io.StringIO()
+            dump_matrix(mat, buf)
+            lines = buf.getvalue().splitlines(keepends=True)
+            cells = lines[1 + i].split()
+            assert cells[j] == "0.0,0.0"
+            cells[j] = "-0.0,-0.0"
+            lines[1 + i] = " ".join(cells) + "\n"
+            loaded = load_matrix(io.StringIO("".join(lines)))
+            assert [g.tolist() for g in loaded.sectors] == [g.tolist() for g in mat.sectors]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(loaded.blocks, mat.blocks))
+
+
+def test_load_matrix_allocates_no_n_by_n_array(tmp_path):
+    # a full complex matrix of the basis alone takes 16 n^2 bytes
+    import tracemalloc
+
+    mat = assemble(parse_symbol("(1/2+i)*zb1*(zb2+1) - 3/4*z1*zb2").as_float(), BasisTruncation(32, 2))
+    path = tmp_path / "mat.txt"
+    with open(path, "w") as fh:
+        dump_matrix(mat, fh)
+    with open(path) as fh:
+        tracemalloc.start()
+        try:
+            back = load_matrix(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 16 * mat.size**2
+    assert matrices_equal(back, mat)
 
 
 def test_huge_exponent_dump_holds_the_closed_form_diagonal(capsys, tmp_path):
