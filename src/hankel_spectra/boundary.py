@@ -149,7 +149,7 @@ def slice_norm_profile(
     classes: dict[int, list] = {}
     for c, h, a in float_sym.terms:
         classes.setdefault(h[coord - 1] - a[coord - 1], []).append((c, h, a))
-    fourier = {w: slice_symbol(PolySymbol(terms, dim=sym.dim), 1, coord) for w, terms in classes.items()}
+    fourier = {w: slice_symbol(PolySymbol._of_terms(terms, sym.dim), 1, coord) for w, terms in classes.items()}
 
     def name_of(j: int) -> PolySymbol:
         return slice_symbol(float_sym, cmath.exp(1j * thetas[j]), coord)
@@ -399,7 +399,7 @@ def _factor_across(sym: PolySymbol, coord: int):
     q = {r: {s: _rational(c) for s, c in row.items()} for r, row in rows.items()}
 
     def row_symbol(r) -> PolySymbol:
-        return PolySymbol([(c, h, a) for (h, a), c in rows[r].items()], dim=sym.dim - 1)
+        return PolySymbol._of_terms([(c, h, a) for (h, a), c in rows[r].items()], sym.dim - 1)
 
     def ratios(key, s0) -> dict:
         chi = {r: row[s0] / q[key][s0] for r, row in q.items()}
@@ -433,7 +433,7 @@ def _factor_across(sym: PolySymbol, coord: int):
                 near = abs(c - p) <= tol[r] + math.ulp(0.0) * abs(f[key][s])
                 if p == 0 or not cmath.isfinite(p) or not near:
                     return None
-    return phi, PolySymbol([(x, (n,), (m,)) for (n, m), x in chi.items()], dim=1)
+    return phi, PolySymbol._of_terms([(x, (n,), (m,)) for (n, m), x in chi.items()], 1)
 
 
 def boundary_report(sym: PolySymbol, coord: int, num_samples: int, trunc: BasisTruncation) -> dict:

@@ -12,6 +12,12 @@ out in one pass: in approx and boundary documents, lists of finite floats
 for byte what json.dumps(..., indent=2) writes, and json.dumps lays out the
 rest.  The exact frame and verify documents hold no such list: json.dumps lays
 them out directly.
+
+A process imports what its subcommands run.  Importing this module loads numpy
+and core, multiindex, rational and symbols, all that exact needs; approx
+imports galerkin when it first runs, boundary galerkin and boundary, and verify
+every engine.  The names these commands use stay attributes of this module,
+readable and replaceable before the first command runs (see _LAZY).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import importlib
 import io
 import itertools
 import json
@@ -26,14 +33,41 @@ import os
 import re
 import sys
 
-from .boundary import DEFAULT_SAMPLES, MAX_SAMPLES, boundary_report
 from .core import MULTIPLICITIES, MonomialSymbol, SpectrumSet, enumerate_spectrum, essential_part, multiplicity_class
-from .galerkin import BasisTruncation, _check_dump_size, assemble, default_inner_caps, dump_matrix, eigenvalues
 from .multiindex import nonempty_subsets
 from .symbols import parse_symbol
-from .verify import run_verify
 
 __all__ = ["main"]
+
+# The names that approx, boundary and verify use, by the module that defines them.
+# Each module is imported, and its names bound as globals here, by the first command
+# that runs it (_bind) or by the first read of one of its names from outside
+# (__getattr__, which hasattr and monkeypatch.setattr reach).  A name bound already,
+# e.g. a replacement, is kept: a command calls what the module attribute holds when
+# it runs.
+_LAZY = {
+    "galerkin": ("BasisTruncation", "_check_dump_size", "assemble", "default_inner_caps", "dump_matrix", "eigenvalues"),
+    "boundary": ("DEFAULT_SAMPLES", "MAX_SAMPLES", "boundary_report"),
+    "verify": ("run_verify",),
+}
+_HOMES = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def _bind(*modules: str) -> None:
+    """Import modules and bind those of their _LAZY names that are not bound yet."""
+    bound = globals()
+    for module in modules:
+        home = importlib.import_module("." + module, __package__)
+        for name in _LAZY[module]:
+            if name not in bound:
+                bound[name] = getattr(home, name)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_HOMES[name])
+    return globals()[name]
 
 
 def _check_caps(*caps: int) -> None:
@@ -325,6 +359,7 @@ def cmd_approx(args) -> int:
 
     The basis budget (BasisTruncation's) and the dump budget are checked before
     any assembly and before PATH is opened."""
+    _bind("galerkin")
     _check_caps(args.degree)
     sym = parse_symbol(args.symbol, dim=args.dim)
     float_sym = sym.as_float()  # a coefficient too large for floats is reported before the budgets
@@ -360,10 +395,12 @@ def cmd_approx(args) -> int:
 
 def cmd_boundary(args) -> int:
     """Check the flags, then print the document of boundary_report, which decides the prediction."""
+    _bind("galerkin", "boundary")
     _check_caps(args.degree)
-    if args.samples < 4:
+    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+    if samples < 4:
         raise ValueError("samples must be >= 4")
-    if args.samples > MAX_SAMPLES:
+    if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be <= {MAX_SAMPLES}")
     sym = parse_symbol(args.symbol, dim=args.dim)
     if sym.dim < 2:
@@ -371,7 +408,7 @@ def cmd_boundary(args) -> int:
     coord = args.coord if args.coord is not None else sym.dim
     if not 1 <= coord <= sym.dim:
         raise ValueError(f"--coord must lie in 1..{sym.dim}")
-    report = boundary_report(sym, coord, args.samples, BasisTruncation(args.degree, sym.dim))
+    report = boundary_report(sym, coord, samples, BasisTruncation(args.degree, sym.dim))
     if args.format == "csv":
         rows = [[repr(s["theta"]), repr(s["lambda_q"])] for s in report["profile"]["samples"]]
         _emit(_csv_text(["theta", "lambda_q"], rows), args.out)
@@ -381,6 +418,7 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _bind("verify")
     report = run_verify(args.suite)
     _emit(json.dumps(report, sort_keys=True, indent=2), args.out)
     return 0 if report["passed"] else 1
@@ -430,7 +468,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cap": dict(type=int, default=6, help="alpha enumeration cap"),
         "--degree": dict(type=int, default=8, help="Galerkin degree cap N"),
         "--dim": dict(type=int, default=None, help="force ambient dimension"),
-        "--samples": dict(type=int, default=DEFAULT_SAMPLES, help="boundary circle samples"),
+        # None: cmd_boundary's DEFAULT_SAMPLES, which the parser must not import boundary for
+        "--samples": dict(type=int, default=None, help="boundary circle samples"),
         "--format": dict(choices=("json", "csv"), default="json"),
         "--out": dict(default=None, help="output path (default stdout)"),
         "--dump-matrix": dict(default=None, help="write the matrix dump here"),

@@ -35,8 +35,6 @@ of about 1 MiB and read back without an n x n array.
 from __future__ import annotations
 
 import cmath
-import hashlib
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -343,19 +341,30 @@ class CompressionMatrix:
     sqrt-weight relation) as a (4, k, s, s) object array of Python ints, the
     reduced re_num, re_den, im_num, im_den of every entry (0/1 for a zero part);
     for float symbols tables is None.  The graded-lex views dense and scaled
-    (the tables as CRat) are built on first read.
+    (the tables as CRat) and the symbol_hash of the dump header are built on
+    first read.  A loaded dump has no symbol, only its header's dumped_hash.
     """
 
     symbol: PolySymbol | None
     trunc: BasisTruncation
-    symbol_hash: str
     sectors: tuple[np.ndarray, ...]
     blocks: tuple[np.ndarray, ...]
     tables: tuple[np.ndarray, ...] | None
+    dumped_hash: str | None = None
 
     @property
     def size(self) -> int:
         return self.trunc.size
+
+    @cached_property
+    def symbol_hash(self) -> str:
+        """The first 12 hex digits of the sha256 of the symbol's sorted JSON; a loaded dump's dumped_hash."""
+        if self.symbol is None:
+            return self.dumped_hash
+        import hashlib
+        import json
+
+        return hashlib.sha256(json.dumps(self.symbol.to_json_obj(), sort_keys=True).encode()).hexdigest()[:12]
 
     def _graded_lex(self) -> np.ndarray:
         if self.blocks[0].shape[1] == self.size:  # one sector spans the basis: its block is the matrix
@@ -447,11 +456,6 @@ def _from_cells(trunc: BasisTruncation, rows, cols, values, exact: bool, offsets
     return CompressionMatrix(trunc=trunc, sectors=groups, blocks=_split(flat, groups), tables=tables, **fields)
 
 
-def _symbol_hash(sym: PolySymbol) -> str:
-    blob = json.dumps(sym.to_json_obj(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
-
-
 def _kernel_blocks(offsets, trunc: BasisTruncation, exact: bool):
     """(delta, rows, cols, values) per winding offset delta with a non-empty box, raveled:
     the graded-lex positions of alpha and alpha + delta, and the offset's _gram_tables as a
@@ -494,19 +498,18 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
     pairs = _pair_offsets(sym.terms, sym.terms)
     offsets = frozenset(pairs)
     _sectors(trunc, offsets)  # its stored-entry guard, before any kernel work
-    fields = {"symbol": sym, "symbol_hash": _symbol_hash(sym)}
     with np.errstate(over="ignore", invalid="ignore"):
         cells = {delta: cell for delta, *cell in _kernel_blocks(pairs, trunc, exact)}
     if not cells:  # a symbol without terms: no cells, the zero matrix
         none = np.empty(0, dtype=np.intp)
-        return _from_cells(trunc, none, none, np.empty((4, 0) if exact else 0), exact, offsets, **fields)
+        return _from_cells(trunc, none, none, np.empty((4, 0) if exact else 0), exact, offsets, symbol=sym)
     rows, cols, values = (np.concatenate(x, axis=-1) for x in zip(*cells.values()))
     if exact:  # every cell (i, j) and its mirror (j, i) hold conjugate tables
         mirrors = [cells[tuple(-d for d in delta)][2] for delta in cells]
         re_num, re_den, im_num, im_den = np.concatenate(mirrors, axis=-1)
         if not all(map(np.array_equal, values, (re_num, re_den, -im_num, im_den))):
             raise AssertionError("exact assembly lost Hermitian symmetry")
-    return _from_cells(trunc, rows, cols, values, exact, offsets, **fields)
+    return _from_cells(trunc, rows, cols, values, exact, offsets, symbol=sym)
 
 
 def _toeplitz_map(phi: PolySymbol, in_indices, out_index_of) -> list[list]:
@@ -573,7 +576,7 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation) -> Compressio
     # nonzero drops no -0.0 here: a zero part of the fill is a cancelled sum, +0.0, also once weighted
     rows, cols = np.nonzero(full)
     values = _table_ints((c.re, c.im) for c in full[rows, cols].tolist()) if sym.is_exact else full[rows, cols]
-    return _from_cells(trunc, rows, cols, values, sym.is_exact, offsets, symbol=sym, symbol_hash=_symbol_hash(sym))
+    return _from_cells(trunc, rows, cols, values, sym.is_exact, offsets, symbol=sym)
 
 
 def matrices_equal(m1: CompressionMatrix, m2: CompressionMatrix) -> bool:
@@ -632,7 +635,7 @@ def eigenvalues(mat: CompressionMatrix) -> np.ndarray:
     returning.  The spectrum is the union of the blocks' spectra: blocks of
     one size go to LAPACK's Hermitian eigensolver as one batched call.
     """
-    name = mat.symbol if mat.symbol is not None else f"dumped symbol {mat.symbol_hash}"
+    name = mat.symbol if mat.symbol is not None else f"dumped symbol {mat.dumped_hash}"
     return _checked_eigenvalues([b[None] for b in mat.blocks], lambda i: name)[0]
 
 
@@ -887,4 +890,4 @@ def load_matrix(fileobj) -> CompressionMatrix:
         raise ValueError(f"matrix dump: unexpected content after row {size - 1}")
     rows = np.repeat(np.arange(size), [c.size for c in cols])
     cols, values = np.concatenate(cols), np.concatenate(values, axis=-1)
-    return _from_cells(trunc, rows, cols, values, exact, frozenset(offsets), symbol=None, symbol_hash=symbol_hash)
+    return _from_cells(trunc, rows, cols, values, exact, frozenset(offsets), symbol=None, dumped_hash=symbol_hash)

@@ -57,33 +57,52 @@ class PolySymbol:
     __slots__ = ("dim", "terms", "is_exact")
 
     def __init__(self, terms, dim: int | None = None):
-        merged: dict[tuple[MultiIndex, MultiIndex], object] = {}
-        inferred = dim
-        exact = True
+        """The symbol of outside terms (coeff, holo, antiholo): each exponent tuple is
+        validated, all must have one length (dim when given) and each coeff is
+        converted by as_coeff.  Terms of one monomial are summed."""
+        self.dim = dim
+        self._merge(self._checked(terms))
+        if self.dim is None:
+            raise ValueError("dimension must be given for the empty symbol")
+
+    @classmethod
+    def _of_terms(cls, terms, dim: int) -> "PolySymbol":
+        """The symbol of terms derived from built symbols: exponent tuples of length dim
+        with non-negative int entries and CRat or complex coefficients, checked already."""
+        sym = cls.__new__(cls)
+        sym.dim = dim
+        sym._merge(terms)
+        return sym
+
+    def _checked(self, terms):
+        """Each of terms validated as __init__ says, in turn; the first sets self.dim when it is None."""
         for coeff, holo, antiholo in terms:
             holo = as_multiindex(holo, name="holo exponent")
             antiholo = as_multiindex(antiholo, name="antiholo exponent")
             d = common_dim(holo, antiholo)
-            if inferred is None:
-                inferred = d
-            elif d != inferred:
-                raise ValueError(f"term dimension {d} != symbol dimension {inferred}")
-            key = (holo, antiholo)
-            c = as_coeff(coeff)
+            if self.dim is None:
+                self.dim = d
+            elif d != self.dim:
+                raise ValueError(f"term dimension {d} != symbol dimension {self.dim}")
+            yield as_coeff(coeff), holo, antiholo
+
+    def _merge(self, terms) -> None:
+        """Set terms to the non-zero sums of the coefficients per monomial, in canonical order."""
+        merged: dict[tuple[MultiIndex, MultiIndex], object] = {}
+        exact = True
+        for c, holo, antiholo in terms:
             exact = exact and isinstance(c, CRat)
+            key = (holo, antiholo)
             if key in merged:
                 merged[key] = merged[key] + c
             else:
                 merged[key] = c
-        if inferred is None:
-            raise ValueError("dimension must be given for the empty symbol")
         cleaned = [
             (c, h, a)
             for (h, a), c in merged.items()
             if (bool(c) if isinstance(c, CRat) else c != 0)
         ]
         cleaned.sort(key=lambda t: (sum(t[1]) + sum(t[2]), t[1], t[2]))
-        self.dim = inferred
         self.terms = tuple(cleaned)
         # a symbol whose terms all cancel is exact when every coefficient it was built from was
         self.is_exact = all(isinstance(c, CRat) for c, _, _ in cleaned) if cleaned else exact
@@ -97,7 +116,7 @@ class PolySymbol:
         if dim == self.dim:
             return self
         return _keep_float(
-            PolySymbol([(c, _pad(h, dim), _pad(a, dim)) for c, h, a in self.terms], dim=dim), self
+            PolySymbol._of_terms([(c, _pad(h, dim), _pad(a, dim)) for c, h, a in self.terms], dim), self
         )
 
     # -- predicates -----------------------------------------------------------
@@ -132,7 +151,7 @@ class PolySymbol:
                     f"coefficient of {_monomial_str(h, a) or '1'} is too large for a float"
                 ) from None
         # the zero symbol is built from one zero float coefficient: dropped, but counted
-        return PolySymbol(terms or [(0j, (0,) * self.dim, (0,) * self.dim)], dim=self.dim)
+        return PolySymbol._of_terms(terms or [(0j, (0,) * self.dim, (0,) * self.dim)], self.dim)
 
     def to_monomial_symbol(self) -> MonomialSymbol:
         if not self.is_plain_monomial:
@@ -153,7 +172,7 @@ class PolySymbol:
 
     def conjugate(self) -> "PolySymbol":
         return _keep_float(
-            PolySymbol([(c.conjugate(), a, h) for c, h, a in self.terms], dim=self.dim), self
+            PolySymbol._of_terms([(c.conjugate(), a, h) for c, h, a in self.terms], self.dim), self
         )
 
     def __add__(self, other: "PolySymbol") -> "PolySymbol":
@@ -161,7 +180,7 @@ class PolySymbol:
             return NotImplemented
         if other.dim != self.dim:
             raise ValueError("dimension mismatch in symbol sum")
-        return _keep_float(PolySymbol(self.terms + other.terms, dim=self.dim), self, other)
+        return _keep_float(PolySymbol._of_terms(self.terms + other.terms, self.dim), self, other)
 
     def __sub__(self, other: "PolySymbol") -> "PolySymbol":
         return self + (other * -1)
@@ -175,9 +194,9 @@ class PolySymbol:
                 for c1, h1, a1 in self.terms
                 for c2, h2, a2 in other.terms
             ]
-            return _keep_float(PolySymbol(terms, dim=self.dim), self, other)
+            return _keep_float(PolySymbol._of_terms(terms, self.dim), self, other)
         scal = as_coeff(other)
-        return _keep_float(PolySymbol([(c * scal, h, a) for c, h, a in self.terms], dim=self.dim), self)
+        return _keep_float(PolySymbol._of_terms([(c * scal, h, a) for c, h, a in self.terms], self.dim), self)
 
     __rmul__ = __mul__
 
@@ -212,7 +231,7 @@ class PolySymbol:
         for c, h, a in self.terms:
             factor = qc ** h[k] * qc.conjugate() ** a[k]
             terms.append((c * factor, h[:k] + h[k + 1:], a[:k] + a[k + 1:]))
-        return _keep_float(PolySymbol(terms, dim=self.dim - 1), self)
+        return _keep_float(PolySymbol._of_terms(terms, self.dim - 1), self)
 
     # -- identity ---------------------------------------------------------------
 
@@ -330,7 +349,7 @@ class PolySymbol:
 
 
 def _one(dim: int) -> PolySymbol:
-    return PolySymbol([(CRat(1), (0,) * dim, (0,) * dim)], dim=dim)
+    return PolySymbol._of_terms([(CRat(1), (0,) * dim, (0,) * dim)], dim)
 
 
 def _keep_float(result: PolySymbol, *sources: PolySymbol) -> PolySymbol:
@@ -473,7 +492,7 @@ class _Parser:
             return parts[0]
         terms = [t for part in parts for t in part.terms]
         self.charge(len(terms))
-        return PolySymbol(terms, dim=self.dim)
+        return PolySymbol._of_terms(terms, self.dim)
 
     def term(self) -> PolySymbol:
         out = self.factor()
@@ -525,12 +544,12 @@ class _Parser:
             expo = [0] * self.dim
             expo[coord - 1] = 1
             if val.startswith("zb"):
-                return PolySymbol([(CRat(1), (0,) * self.dim, tuple(expo))])
-            return PolySymbol([(CRat(1), tuple(expo), (0,) * self.dim)])
+                return PolySymbol._of_terms([(CRat(1), (0,) * self.dim, tuple(expo))], self.dim)
+            return PolySymbol._of_terms([(CRat(1), tuple(expo), (0,) * self.dim)], self.dim)
         if kind == "num":
             return self.number(val)
         if kind == "imag":
-            return PolySymbol([(CRat(0, 1), (0,) * self.dim, (0,) * self.dim)])
+            return PolySymbol._of_terms([(CRat(0, 1), (0,) * self.dim, (0,) * self.dim)], self.dim)
         if kind == "op" and val == "(":
             if self.depth == MAX_NESTING:
                 raise SymbolParseError(f"parentheses nested deeper than {MAX_NESTING}")
@@ -549,7 +568,7 @@ class _Parser:
             coeff = CRat(0, value)
         else:
             coeff = CRat(value)
-        return PolySymbol([(coeff, (0,) * self.dim, (0,) * self.dim)])
+        return PolySymbol._of_terms([(coeff, (0,) * self.dim, (0,) * self.dim)], self.dim)
 
 
 def _read_number(text: str) -> Fraction:

@@ -480,7 +480,7 @@ def test_eigenvalues_rejects_entry_between_sectors():
     with pytest.raises(ValueError, match="outside its sector blocks"):
         _from_cells(
             mat.trunc, rows, cols, values, False, frozenset(_pair_offsets(sym.terms, sym.terms)),
-            symbol=sym, symbol_hash=mat.symbol_hash,
+            symbol=sym,
         )
 
 
@@ -716,7 +716,7 @@ def test_from_cells_rebuilds_the_matrix_nonzero_cells_lists(sym, n_cap, as_float
         mat = dataclasses.replace(mat, blocks=tuple(blocks))
     back = _from_cells(
         mat.trunc, *_nonzero_cells(mat), not as_float, frozenset(_pair_offsets(sym.terms, sym.terms)),
-        symbol=sym, symbol_hash=mat.symbol_hash,
+        symbol=sym,
     )
     assert [g.tolist() for g in back.sectors] == [g.tolist() for g in mat.sectors]
     assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(back.blocks, mat.blocks))
@@ -738,7 +738,7 @@ def test_a_zero_cell_between_sectors_is_dropped():
         zero = np.array([[0], [1], [0], [1]], dtype=object) if exact else np.array([complex(-0.0, -0.0)])
         back = _from_cells(
             mat.trunc, np.append(rows, i), np.append(cols, j), np.append(values, zero, axis=-1), exact,
-            frozenset(_pair_offsets(sym.terms, sym.terms)), symbol=sym, symbol_hash=mat.symbol_hash,
+            frozenset(_pair_offsets(sym.terms, sym.terms)), symbol=sym,
         )
         assert all(a.tobytes() == b.tobytes() for a, b in zip(back.blocks, mat.blocks))
         assert matrices_equal(back, mat)

@@ -1,0 +1,111 @@
+"""What a process imports: each subcommand loads only the modules it runs.
+
+Every test runs in a fresh interpreter, since this one has imported every
+module of the package already.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ENGINES = ("hankel_spectra.galerkin", "hankel_spectra.boundary", "hankel_spectra.quasihomog", "hankel_spectra.verify")
+
+# prints which of ENGINES and hashlib the process has loaded
+LOADED = "print(sorted(m for m in sys.modules if m in %r or m == 'hashlib'))" % (ENGINES,)
+
+
+def fresh(code: str) -> str:
+    """The stdout of code run in a new interpreter that imports the package from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_importing_the_cli_and_running_exact_load_no_engine():
+    out = fresh(
+        "import contextlib, io, sys\n"
+        "import hankel_spectra.cli as cli\n"
+        f"{LOADED}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['exact', 'zb1^2*zb2', '--cap', '3']) == 0\n"
+        "    assert cli.main(['exact', 'zb1', '--dim', '2', '--cap', '2', '--format', 'csv']) == 0\n"
+        f"{LOADED}\n"
+    )
+    assert out == "[]\n[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["approx", "zb1*(zb2+1)", "--degree", "3"], ["hankel_spectra.galerkin"]),
+        (["boundary", "zb1*(zb2+1)", "--degree", "2", "--samples", "8"], ["hankel_spectra.boundary", "hankel_spectra.galerkin"]),
+    ],
+)
+def test_approx_and_boundary_load_only_what_they_run(argv, loaded):
+    # approx without --dump-matrix reads no symbol hash, so hashlib stays unloaded too
+    out = fresh(
+        "import contextlib, io, sys\n"
+        "import hankel_spectra.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        f"{LOADED}\n"
+    )
+    assert out == f"{loaded}\n"
+
+
+def test_a_dump_reads_the_symbol_hash(tmp_path):
+    # the control of the test above: the dump header's hash is where hashlib comes in
+    out = fresh(
+        "import contextlib, io, sys\n"
+        "import hankel_spectra.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['approx', 'zb1', '--degree', '2', '--dump-matrix', {str(tmp_path / 'm.txt')!r}]) == 0\n"
+        f"{LOADED}\n"
+    )
+    assert out == "['hankel_spectra.galerkin', 'hashlib']\n"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("assemble", ["approx", "zb1", "--degree", "2"]),
+        ("boundary_report", ["boundary", "zb1*zb2", "--degree", "2", "--samples", "8"]),
+        ("run_verify", ["verify", "--suite", "fixtures"]),
+    ],
+)
+@pytest.mark.parametrize("seen", [False, True], ids=["assigned", "read-then-assigned"])
+def test_a_name_replaced_before_its_command_first_runs_is_the_one_called(name, argv, seen):
+    # "read-then-assigned" is monkeypatch.setattr's order: hasattr, then the assignment
+    out = fresh(
+        "import hankel_spectra.cli as cli\n"
+        + (f"assert hasattr(cli, {name!r})\n" if seen else "")
+        + "def replaced(*args):\n"
+        "    print('the replacement ran')\n"
+        "    raise ValueError('stop')\n"
+        f"cli.{name} = replaced\n"
+        f"print(cli.main({argv!r}))\n"
+    )
+    assert out == "the replacement ran\n2\n"
+
+
+def test_the_package_resolves_its_names_on_first_access():
+    out = fresh(
+        "import sys\n"
+        "import hankel_spectra\n"
+        "print(sorted(m for m in sys.modules if m.startswith('hankel_spectra.')))\n"
+        "assert set(hankel_spectra.__all__) <= set(dir(hankel_spectra))\n"
+        "names = {}\n"
+        "exec('from hankel_spectra import *', names)\n"
+        "assert set(hankel_spectra.__all__) <= set(names)\n"
+        "assert all(names[n] is getattr(hankel_spectra, n) for n in hankel_spectra.__all__)\n"
+        "try:\n"
+        "    hankel_spectra.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert out == "[]\nmodule 'hankel_spectra' has no attribute 'no_such_name'\n"

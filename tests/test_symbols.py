@@ -329,3 +329,76 @@ def test_float_zero_stays_float():
     exact_zero = parse_symbol("zb1 - zb1", dim=2)
     assert exact_zero.conjugate().is_exact and (exact_zero * one).is_exact
     assert zero == exact_zero  # equality and hashing compare terms only
+
+
+def _json_term(holo, antiholo):
+    return {"coeff": [1, 0], "holo": holo, "antiholo": antiholo}
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        # PolySymbol(...) validates every outside term
+        (lambda: PolySymbol([(1, (1, -1), (0, 0))]), ValueError, "holo exponent entries must be non-negative: (1, -1)"),
+        (lambda: PolySymbol([(1, (0, 0), (2, -1))]), ValueError, "antiholo exponent entries must be non-negative: (2, -1)"),
+        (lambda: PolySymbol([(1, (1.5, 0), (0, 0))]), ValueError, "holo exponent entries must be integers: (1.5, 0)"),
+        (lambda: PolySymbol([(1, (1, 0), (1,))]), ValueError, "mixed dimensions: [1, 2]"),
+        (lambda: PolySymbol([(1, (1, 0), (0, 0)), (1, (1,), (0,))]), ValueError, "term dimension 1 != symbol dimension 2"),
+        (lambda: PolySymbol([(1, (1, 0), (0, 0))], dim=3), ValueError, "term dimension 2 != symbol dimension 3"),
+        (lambda: PolySymbol([]), ValueError, "dimension must be given for the empty symbol"),
+        (lambda: PolySymbol([("x", (1,), (0,))]), TypeError, "unsupported coefficient type: str"),
+        # JSON terms
+        (lambda: parse_symbol(json.dumps({"dim": 2, "terms": [_json_term([1, -1], [0, 0])]})),
+         SymbolParseError, "holo exponent entries must be non-negative: (1, -1)"),
+        (lambda: parse_symbol(json.dumps({"dim": 2, "terms": [_json_term([1.5, 0], [0, 0])]})),
+         SymbolParseError, 'term 0: "holo" entry must be an integer, got 1.5'),
+        (lambda: parse_symbol(json.dumps({"dim": 2, "terms": [_json_term([1, 0], [1])]})),
+         SymbolParseError, "mixed dimensions: [1, 2]"),
+        (lambda: parse_symbol(json.dumps({"dim": 2, "terms": [_json_term([1, 0], [0, 0]), _json_term([1], [0])]})),
+         SymbolParseError, "term dimension 1 != symbol dimension 2"),
+        (lambda: parse_symbol(json.dumps({"dim": 2, "terms": [_json_term([1, 0, 0], [0, 0, 0])]})),
+         SymbolParseError, "term dimension 3 != symbol dimension 2"),
+        # symbol text: exponents are non-negative integer tokens, coordinates within dim
+        (lambda: parse_symbol("zb1^-1"), SymbolParseError, "exponent must be a non-negative integer"),
+        (lambda: parse_symbol("zb1^3/2"), SymbolParseError, "exponent must be a non-negative integer"),
+        (lambda: parse_symbol("zb1^(1/2)"), SymbolParseError, "exponent must be a non-negative integer"),
+        (lambda: parse_symbol("zb1^1.5"), SymbolParseError, "unexpected input at '.5'"),
+        (lambda: parse_symbol("z1*zb3", dim=2), SymbolParseError, "dim 2 smaller than highest coordinate 3"),
+    ],
+)
+def test_outside_terms_are_refused_with_their_messages(build, error, message):
+    # terms derived from built symbols skip these checks (PolySymbol._of_terms); outside ones must not
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+_coefficients = st.one_of(
+    st.integers(-3, 3), st.fractions(max_denominator=5), st.complex_numbers(max_magnitude=4, allow_nan=False)
+)
+_terms = st.lists(
+    st.tuples(_coefficients, st.tuples(st.integers(0, 2), st.integers(0, 2)), st.tuples(st.integers(0, 2), st.integers(0, 2))),
+    max_size=4,
+)
+
+
+@given(_terms, _terms, _coefficients)
+def test_the_algebra_builds_what_the_validating_constructor_builds(a, b, scalar):
+    p, q = PolySymbol(a, dim=2), PolySymbol(b, dim=2)
+
+    def same(sym, terms, dim=2):
+        # the algebra's terms skip validation (PolySymbol._of_terms); PolySymbol(...) validates them
+        again = PolySymbol(terms, dim=dim)
+        assert (sym.dim, sym.terms) == (again.dim, again.terms)
+        assert not sym.terms or sym.is_exact == again.is_exact
+
+    def add(x, y):
+        return tuple(map(sum, zip(x, y)))
+
+    same(p * q, [(c1 * c2, add(h1, h2), add(a1, a2)) for c1, h1, a1 in p.terms for c2, h2, a2 in q.terms])
+    same(p + q, p.terms + q.terms)
+    same(p.conjugate(), [(c.conjugate(), m, n) for c, n, m in p.terms])
+    same(p * scalar, [(c * scalar, n, m) for c, n, m in p.terms])
+    same(p.as_float(), [(complex(c), n, m) for c, n, m in p.terms])
+    same(p.padded(3), [(c, n + (0,), m + (0,)) for c, n, m in p.terms], dim=3)
+    same(p.substitute_coordinate(1, 1j), [(c * (1j ** n[0] * (-1j) ** m[0]), n[1:], m[1:]) for c, n, m in p.terms], dim=1)
