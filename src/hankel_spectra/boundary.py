@@ -141,7 +141,8 @@ def slice_norm_profile(
     at q = 1.  The slice compression is then the matrix trigonometric
     polynomial sum_d e^{i d theta} G_d, which galerkin.top_eigenvalues solves
     at every sample in one batch.  A symbol that is a monomial in the sliced
-    coordinate has d = 0 only, so its profile is constant bit for bit.
+    coordinate, or any whose slice has pairs of phase d = 0 only, is the same
+    matrix at every sample: it is solved once and its value repeated.
     """
     thetas = _profile_grid(sym, coord, num_samples)
     slice_trunc = BasisTruncation(trunc.degree_cap, sym.dim - 1)

@@ -139,24 +139,32 @@ def _holed(obj, depth: int, runs: list[str]):
 
 
 _NON_FINITE = {"inf", "-inf", "nan"}
+# json.dumps's text of a value by its exact type; bool is a type of its own, so True is never read as 1
+_LEAF_TEXT = {
+    float: float.__repr__,
+    str: json.encoder.encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: int.__repr__,
+    type(None): lambda _: "null",
+}
 
 
 def _float_run(items, depth: int) -> str | None:
     """The text json.dumps(..., indent=2) writes for the list items at depth, when
-    they are finite floats or flat dicts of finite floats under string keys;
+    they are finite floats or flat dicts of one key set (see _flat_dict_texts);
     None for any other list, and for an empty one."""
     pad = "\n" + "  " * (depth + 1)
     first = items[0] if items else None
     try:
         if isinstance(first, float):
-            texts = _finite_reprs(items)
-        elif type(first) is dict and isinstance(next(iter(first.values()), None), float):
-            texts = _flat_dict_texts(items, pad + "  ")
+            body = ("," + pad).join(_finite_reprs(items))
+        elif type(first) is dict:
+            body = _flat_dict_texts(items, pad)
         else:
             return None
-    except TypeError:
+    except (KeyError, TypeError):
         return None
-    return "[" + pad + ("," + pad).join(texts) + pad[:-2] + "]"
+    return "[" + pad + body + pad[:-2] + "]"
 
 
 def _finite_reprs(values) -> list[str]:
@@ -167,24 +175,23 @@ def _finite_reprs(values) -> list[str]:
     return texts
 
 
-def _flat_dict_texts(dicts, pad: str) -> list[str]:
-    """json.dumps's text of each dict, its items at pad, when all are non-empty dicts
-    of finite floats under string keys; else a TypeError."""
-    layouts = {}  # key tuple -> (sorted keys, %-template of the dict's text)
-    texts = []
-    for d in dicts:
-        if type(d) is not dict:
-            raise TypeError("not a dict")
-        keys = tuple(d)
-        if keys not in layouts:
-            if not keys or not all(type(k) is str for k in keys):
-                raise TypeError("not a dict under string keys")
-            ordered = sorted(keys)
-            items = ("," + pad).join(json.dumps(k).replace("%", "%%") + ": %s" for k in ordered)
-            layouts[keys] = ordered, "{" + pad + items + pad[:-2] + "}"
-        ordered, template = layouts[keys]
-        texts.append(template % tuple(_finite_reprs([d[k] for k in ordered])))
-    return texts
+def _flat_dict_texts(dicts, pad: str) -> str:
+    """json.dumps's text of the dicts, each at pad and joined by "," + pad, when all are
+    dicts under the first one's non-empty set of string keys and every value is a str, int,
+    bool, None or finite float; else a KeyError or TypeError.  One %-template of a dict,
+    repeated for every dict, takes the texts of all values in one %."""
+    keys = dicts[0].keys()
+    if not keys or not all(type(k) is str for k in keys):
+        raise TypeError("not a dict under string keys")
+    if not all(type(d) is dict and d.keys() == keys for d in dicts):
+        raise TypeError("dicts under different keys")
+    ordered = sorted(keys)
+    inner = pad + "  "
+    items = ("," + inner).join(json.dumps(k).replace("%", "%%") + ": %s" for k in ordered)
+    texts = [_LEAF_TEXT[type(v)](v) for d in dicts for v in map(d.__getitem__, ordered)]
+    if not _NON_FINITE.isdisjoint(texts):
+        raise TypeError("a non-finite float")
+    return ("," + pad).join(["{" + inner + items + pad + "}"] * len(dicts)) % tuple(texts)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:

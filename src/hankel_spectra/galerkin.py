@@ -643,16 +643,19 @@ def top_eigenvalues(fourier, thetas, trunc: BasisTruncation, name_of) -> np.ndar
     """Top eigenvalue of the compression of sum_w e^{i w theta} phi_w, for every theta, in one batch.
 
     fourier maps a winding w to a float symbol phi_w of the basis dim (the
-    Fourier symbols of a slice profile).  A pair of terms of phi_w and phi_v
-    carries the phase e^{i d theta}, d = w - v, so the compression is the
-    matrix trigonometric polynomial sum_d e^{i d theta} G_d: _gram_block
-    computes G_d one winding offset at a time, and the samples share the
-    sectors of the union of the offsets.  Blocks of one size are solved by one
-    eigvalsh call over all samples, and every sample keeps the guards of
-    eigenvalues(), relative to the largest sum of |e^{i d theta} G_d| over one
-    entry; name_of(i) names sample i in the non-finite message.
+    Fourier symbols of a slice profile); thetas are finite angles.  A pair of
+    terms of phi_w and phi_v carries the phase e^{i d theta}, d = w - v, so the
+    compression is the matrix trigonometric polynomial sum_d e^{i d theta} G_d:
+    _gram_block computes G_d one winding offset at a time, once per call, and
+    the samples share the sectors of the union of the offsets.  Blocks of one
+    size are solved by one eigvalsh call over all samples, and every sample
+    keeps the guards of eigenvalues(), relative to the largest sum of
+    |e^{i d theta} G_d| over one entry; name_of(i) names sample i in the
+    non-finite message.
     Samples go in chunks of at most MAX_STORED_ENTRIES stored entries, the
-    budget of one assemble.
+    budget of one assemble.  Without a pair of phase d != 0 (one winding, or
+    none) every sample is the same matrix, bit for bit: only thetas[:1] is
+    solved, and its value repeated for every theta.
     """
     for phi in fourier.values():
         if phi.is_exact or phi.dim != trunc.dim:
@@ -666,21 +669,29 @@ def top_eigenvalues(fourier, thetas, trunc: BasisTruncation, name_of) -> np.ndar
     groups, row_start, col_pos, _ = _sectors(trunc, offsets)
     stored = sum(g.size * g.shape[1] for g in groups)
     step = MAX_STORED_ENTRIES // stored
+    size = np.zeros(stored)
+    phases = []  # (d, [(flat positions, entries) of each offset block of G_d])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d, part in by_phase.items():
+            cells = [(row_start[r] + col_pos[c], weighted) for _, r, c, weighted in _kernel_blocks(part, trunc, False)]
+            for at, weighted in cells:
+                size[at] += np.abs(weighted)
+            phases.append((d, cells))
     thetas = np.asarray(thetas, dtype=float)
+    copies = 1
+    if set(by_phase) <= {0}:  # every sample is the same matrix: solve the first, repeat its top
+        copies, thetas = thetas.size, thetas[:1]
     tops = []
     for start in range(0, thetas.size, step):
         chunk = thetas[start:start + step]
         flat = np.zeros((chunk.size, stored), dtype=complex)
-        size = np.zeros(stored)
         with np.errstate(over="ignore", invalid="ignore"):
-            for d, part in by_phase.items():
+            for d, cells in phases:
                 phase = np.exp(1j * d * chunk)[:, None]
-                for _, rows, cols, weighted in _kernel_blocks(part, trunc, False):
-                    at = row_start[rows] + col_pos[cols]
+                for at, weighted in cells:
                     flat[:, at] += phase * weighted
-                    size[at] += np.abs(weighted)
         tops.append(_checked_eigenvalues(_split(flat, groups), lambda i: name_of(start + i), size.max())[:, -1])
-    return np.concatenate(tops) if tops else np.empty(0)
+    return np.concatenate(tops).repeat(copies) if tops else np.empty(0)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,10 @@ the package did before it switched to integer tables.  The order oracle
 package did before it read the order off BasisTruncation.positions.  The
 reference slice profile slices psi at every circle sample and solves one
 compression each, the way the package did before it evaluated the profile as
-a matrix trigonometric polynomial in theta.  The reference Gram block multiplies
+a matrix trigonometric polynomial in theta; the one-angle profile builds the
+same Fourier symbols and calls top_eigenvalues with one circle sample per
+call, so it solves every sample of a profile that does not depend on theta,
+which the package solves once.  The reference Gram block multiplies
 Fraction factors entry by entry, the way the package's exact kernel did
 before it summed reduced integer tables.  The torus sup norm is a grid proxy
 used by the Lipschitz check of the profile.  The reference writers of the
@@ -55,10 +58,11 @@ from hankel_spectra.core import (
     SymbolClass,
     multiplicity_class,
 )
-from hankel_spectra.galerkin import BasisTruncation, KernelVector, assemble, eigenvalues
+from hankel_spectra.galerkin import BasisTruncation, KernelVector, assemble, eigenvalues, top_eigenvalues
 from hankel_spectra.multiindex import full_set, nonempty_subsets
 from hankel_spectra.quasihomog import QhBranch, monomial_norm_sq, radial_integral
 from hankel_spectra.rational import CR_ZERO, CRat
+from hankel_spectra.symbols import PolySymbol
 
 _RADIAL_NODES = 120
 _ANGULAR_NODES = 512
@@ -377,6 +381,31 @@ def reference_profile_values(sym, coord: int, num_samples: int, trunc: BasisTrun
         sliced = slice_symbol(sym.as_float(), cmath.exp(1j * (2.0 * math.pi * j / num_samples)), coord)
         values.append(0.0 if sliced.is_zero else float(eigenvalues(assemble(sliced, slice_trunc))[-1]))
     return values
+
+
+def profile_fourier_symbols(sym, coord: int) -> dict:
+    """winding w -> phi_w, the terms of sym of winding w in z_coord, sliced at q = 1, as floats."""
+    classes: dict[int, list] = {}
+    for c, h, a in sym.as_float().terms:
+        classes.setdefault(h[coord - 1] - a[coord - 1], []).append((c, h, a))
+    return {w: slice_symbol(PolySymbol(terms, dim=sym.dim), 1, coord) for w, terms in classes.items()}
+
+
+def one_angle_profile_values(sym, coord: int, num_samples: int, trunc: BasisTruncation) -> list[float]:
+    """slice_norm_profile(...).values from the same Fourier symbols, one top_eigenvalues call per sample.
+
+    Where at most one Fourier symbol is non-zero, every sample is the same
+    matrix and the two agree bit for bit.  Otherwise they agree up to rounding:
+    numpy's complex multiply of a batch of phases by a block may round unlike
+    that of a single phase (a vectorised loop), while LAPACK solves each matrix
+    of a batch as it solves it alone.
+    """
+    slice_trunc = BasisTruncation(trunc.degree_cap, sym.dim - 1)
+    fourier = profile_fourier_symbols(sym, coord)
+    return [
+        float(top_eigenvalues(fourier, [2.0 * math.pi * j / num_samples], slice_trunc, str)[0])
+        for j in range(num_samples)
+    ]
 
 
 def sup_norm_on_torus(sym, samples: int) -> float:

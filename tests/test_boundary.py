@@ -32,7 +32,7 @@ from hankel_spectra.boundary import PredictedPoint, _factor_across
 from hankel_spectra.cli import main
 from hankel_spectra.rational import CRat
 from hankel_spectra.symbols import PolySymbol
-from oracles import reference_profile_values, sup_norm_on_torus
+from oracles import one_angle_profile_values, profile_fourier_symbols, reference_profile_values, sup_norm_on_torus
 
 
 def test_slice_symbol_exact_points():
@@ -62,7 +62,7 @@ def test_slice_symbol_guards():
 
 def test_profile_monomial_constant():
     # conjugate monomials have constant slice norms in every coordinate; a monomial has one
-    # winding in the sliced coordinate, so every sample solves the same matrix, bit for bit
+    # winding in the sliced coordinate, so its profile solves one sample and repeats the value
     trunc = BasisTruncation(8, 2)
     for n in (1, 2, 3):
         for m in (1, 2, 3):
@@ -139,6 +139,45 @@ def test_profile_equals_per_sample_solves_bitwise(case):
     _assert_matches_reference(got, reference_profile_values(sym, coord, samples, trunc), unit)
 
 
+# one winding in coord 2 (zb2 throughout); one winding whose slice at q = 1 cancels to zero, so
+# the zero symbol is its Fourier symbol; the same beside a winding that does not cancel
+@settings(max_examples=40, deadline=None)
+@given(_profile_cases())
+@example((parse_symbol("zb1^2*zb2 + z1*zb1*zb2"), 2, 16, BasisTruncation(6, 2), 1))
+@example((parse_symbol("zb1*zb2 - z2*zb1*zb2^2"), 2, 8, BasisTruncation(4, 2), 1))
+@example((parse_symbol("zb1*zb2 - z2*zb1*zb2^2 + zb1^2*zb2^2"), 2, 12, BasisTruncation(5, 2), 1))
+@example((parse_symbol("zb1*(zb2 + 1) + z1*zb1^2*zb3"), 2, 16, BasisTruncation(3, 3), 1))
+def test_profile_equals_one_angle_solves(case):
+    sym, coord, samples, trunc, unit = case
+    got = slice_norm_profile(sym, coord, samples, trunc).values
+    want = one_angle_profile_values(sym, coord, samples, trunc)
+    if sum(not phi.is_zero for phi in profile_fourier_symbols(sym, coord).values()) <= 1:
+        # no phase d != 0: the profile solves sample 0 and repeats it, bit for bit what each angle solves
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+    else:
+        _assert_matches_reference(got, want, unit)
+
+
+@pytest.mark.parametrize(
+    "text, coord, solved",
+    [("zb1^2*zb2", 1, 1), ("zb1*(zb2+1)", 2, 256), ("zb1*zb2 - z2*zb1*zb2^2 + zb1^2*zb2^2", 2, 1)],
+)
+def test_profile_solves_a_theta_independent_slice_once(monkeypatch, text, coord, solved):
+    from hankel_spectra import galerkin
+
+    handed = []
+    real = galerkin._checked_eigenvalues
+
+    def counting(stacks, *rest):
+        handed.append(stacks[0].shape[0])
+        return real(stacks, *rest)
+
+    monkeypatch.setattr(galerkin, "_checked_eigenvalues", counting)
+    prof = slice_norm_profile(parse_symbol(text), coord, 256, BasisTruncation(6, 2))
+    assert handed == [solved] and len(prof.values) == 256
+    assert prof.constant == (solved == 1)
+
+
 def test_profile_passes_the_guards_where_large_blocks_cancel():
     # at q = e^{+-2 pi i / 3} the slice vanishes: G_0 ~ 1.5e8 cancels to noise ~1e-9, below the
     # absolute PSD floor -1e-10, so the guards are taken relative to the blocks' size
@@ -186,8 +225,13 @@ def test_profile_chunks_keep_the_values(monkeypatch):
 
 def test_profile_keeps_the_non_finite_guard():
     trunc = BasisTruncation(4, 2)
-    with pytest.raises(ValueError, match="non-finite entries"):
+    # every sample of this one-winding profile is the same matrix, solved once: sample 0 is the
+    # first failing sample, and its slice is the one the message names
+    with pytest.raises(ValueError) as failed:
         slice_norm_profile(PolySymbol([(1e200 + 0j, (0, 0), (1, 1))]), 2, 8, trunc)
+    assert str(failed.value) == (
+        "compression of ((1e+200+0j))*zb1 has non-finite entries; coefficients too large for floats?"
+    )
     # 7e153 * zb1 * (zb2 + 1) is finite, but its slice at q = 1 squares to 1.96e308
     sym = PolySymbol([(7e153 + 0j, (0, 0), (1, 1)), (7e153 + 0j, (0, 0), (1, 0))])
     with pytest.raises(ValueError, match=r"compression of \(\(1\.4e\+154\+0j\)\)\*zb1 has non-finite"):

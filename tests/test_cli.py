@@ -1233,17 +1233,23 @@ def test_exact_writer_keeps_nothing_between_documents():
 
 # floats json.dumps writes in each of its forms, and the non-finite ones it leaves to its frame
 _LAYOUT_FLOATS = st.sampled_from([-0.0, 5e-324, 1e16, 1e-05, math.inf, -math.inf, math.nan]) | st.floats()
-# quotes, non-ASCII text, "%" (the flat-dict templates are %-formats), and strings whose JSON
-# text holds the hole's: the hole itself, a quote before it, and "\x000", whose text starts like it
-_LAYOUT_STRINGS = st.sampled_from(['"', 'a"b', "\u00e9\u6f22", "\x000", "\x00", '"\x00', "%s", "%", ""]) | st.text(max_size=4)
+# quotes, backslashes, non-ASCII text, "%" (the flat-dict templates are %-formats), and strings whose
+# JSON text holds the hole's: the hole itself, a quote before it, and "\x000", whose text starts like it
+_LAYOUT_STRINGS = st.sampled_from(
+    ['"', 'a"b', "\\", 'a\\"', "\u00e9\u6f22", "\x000", "\x00", '"\x00', "%s", "%", ""]
+) | st.text(max_size=4)
 _LAYOUT_KEYS = st.sampled_from(["theta", "lambda_q", "%d", "%%", 'q"', "\u00e9", "\x00"])
-_FLAT_DICTS = st.dictionaries(_LAYOUT_KEYS, _LAYOUT_FLOATS, max_size=3)
+# every value a flat dict may hold: bool before int matters, True must not read as 1
+_FLAT_VALUES = _LAYOUT_FLOATS | st.integers() | st.booleans() | st.none() | _LAYOUT_STRINGS
+_FLAT_DICTS = st.dictionaries(_LAYOUT_KEYS, _FLAT_VALUES, max_size=3)
 _LAYOUT_LEAVES = st.one_of(
     _LAYOUT_FLOATS, st.integers(), st.booleans(), st.none(), _LAYOUT_STRINGS,
     st.lists(_LAYOUT_FLOATS, max_size=3),
     st.lists(_LAYOUT_FLOATS | st.integers() | st.booleans(), max_size=3),
     st.lists(_FLAT_DICTS, max_size=3),  # unequal keys
     st.lists(st.fixed_dictionaries({"theta": _LAYOUT_FLOATS, "lambda_q": _LAYOUT_FLOATS}), max_size=3),
+    # one key set, values of every kind, like boundary's prediction and containment lists
+    st.lists(st.fixed_dictionaries({"source": _FLAT_VALUES, "matched": _FLAT_VALUES, "%d": _FLAT_VALUES}), max_size=4),
     st.lists(_FLAT_DICTS | _LAYOUT_FLOATS | _LAYOUT_STRINGS, max_size=3),
 )
 _LAYOUT_DOCS = st.dictionaries(
@@ -1263,6 +1269,8 @@ _LAYOUT_DOCS = st.dictionaries(
 @example({"eigenvalues": [0.5], "\x00": '"\x00', "m": [[1.0]], "s": ["\x000"]})
 @example({"samples": [{"theta": 0.0, "lambda_q": 5e-324}, {"lambda_q": -0.0, "theta": 1e16}], "x": [{}], "y": []})
 @example({"samples": [{"%%": 1.0, 'q"': 0.5}], "other": [{"%d": 2.0, "theta": 1e-05}]})
+@example({"points": [{"mu": -0.0, "source": 'a\\"\u00e9\x00', "n": 3, "ok": True}, {"mu": 1.0, "n": -1, "ok": False, "source": None}]})
+@example({"points": [{"matched": True, "gap": math.nan}, {"matched": 1, "gap": 0.5}], "q": [{"x": "%s"}, {"y": "%%"}]})
 def test_json_dump_is_json_dumps(doc):
     assert cli._json_dump(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
@@ -1276,19 +1284,28 @@ def test_json_dump_lays_out_only_finite_float_lists_by_hand():
         "wide": [math.inf, 1.0],
         "mixed": [[1.0], [1, 2.0]],
         "empty": [],
+        "points": [{"ok": True, "n": 2, "source": "a\x00", "x": None}, {"x": -0.0, "source": "", "n": 1, "ok": False}],
+        "keys": [{"a": 1.0}, {"b": 1.0}],
+        "nested": [{"a": [1.0]}],
     }
     frame = cli._holed(doc, 0, runs)
     assert frame == {
         "eigenvalues": cli._HOLE,
         "empty": [],
+        "keys": [{"a": 1.0}, {"b": 1.0}],
         "m": [1, 2],
         "mixed": [cli._HOLE, [1, 2.0]],
+        "nested": [{"a": cli._HOLE}],
+        "points": cli._HOLE,
         "profile": {"samples": cli._HOLE},
         "wide": [math.inf, 1.0],
     }
     assert runs == [
         "[\n    0.5,\n    1.0\n  ]",
         "[\n      1.0\n    ]",
+        "[\n        1.0\n      ]",
+        '[\n    {\n      "n": 2,\n      "ok": true,\n      "source": "a\\u0000",\n      "x": null\n    },'
+        '\n    {\n      "n": 1,\n      "ok": false,\n      "source": "",\n      "x": -0.0\n    }\n  ]',
         '[\n      {\n        "lambda_q": 1.0,\n        "theta": 0.0\n      }\n    ]',
     ]
 

@@ -54,6 +54,15 @@ CASES = {
         ["boundary", "zb1*(zb2+1)*(zb3+z3^2)", "--degree", "4", "--samples", "64"],
         "f6c3c3cfe1083794b472b8d30d738d3e64da873fd8edfb721e4d5309dddd161c",
     ),
+    # one winding in the sliced coordinate: every circle sample is the same slice
+    "boundary-one-winding": (
+        ["boundary", "zb1^2*zb2 + z1*zb1*zb2 + z2*zb1*zb2^2", "--coord", "2", "--degree", "6", "--samples", "64"],
+        "8aa3e94b5ee7400f6460fb8965a6879291f39714bf6053f8a72c468e0a6a5329",
+    ),
+    "boundary-one-winding-product": (
+        ["boundary", "zb1^2*zb2 + 3*zb1*zb2", "--coord", "2", "--degree", "6", "--samples", "64"],
+        "37ff4312405b0c6faee4cdd2cb6f8cbf4b22c2d4507accde2a4648b2e265983b",
+    ),
     "boundary-csv": (
         ["boundary", "(zb1+z1)*(zb2+1)", "--coord", "2", "--degree", "5", "--samples", "32", "--format", "csv"],
         "db0e2df0549f3b8f5c107b9135362153d51973438478b47694c987d547285374",
