@@ -178,6 +178,14 @@ class SpectrumSet:
     def values(self) -> list[Fraction]:
         return list(map(Fraction, self.num.tolist(), self.den.tolist()))
 
+    def full_witness_values(self) -> dict[tuple[int, ...], Fraction]:
+        """alpha -> the value of its record, for every witness whose subset is the full set."""
+        dim = self.alpha.shape[1]
+        full = self.subset == nonempty_subsets(dim).index(full_set(dim))
+        record = np.repeat(np.arange(len(self.num)), np.diff(self.starts))[full]
+        values = self.values()
+        return dict(zip(map(tuple, self.alpha[full].tolist()), map(values.__getitem__, record.tolist())))
+
     def value_set(self) -> frozenset[Fraction]:
         return frozenset(self.values())
 

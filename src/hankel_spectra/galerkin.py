@@ -24,9 +24,10 @@ of the graph a ~ a + delta on the box (the sectors, see _sectors) index
 diagonal blocks of a permuted matrix with nothing between them.  The spectrum
 is the union of the block spectra; monomial symbols give 1x1 blocks, the
 paper's diagonal case.  An exact compression keeps its reduced integer tables,
-split by sector like the blocks, as its only exact form: exact comparisons read
-them, and the graded-lex CRat matrix (scaled) and the full float matrix (dense)
-are built only when a caller reads them.  Every route lays out its non-zero
+split by sector like the blocks, as its only exact form: exact comparisons, the
+exact dump and the exact diagonal read them, and its float blocks, the
+graded-lex CRat matrix (scaled) and the full float matrix (dense) are built
+only when a caller reads them.  Every route lays out its non-zero
 cells through one constructor, _from_cells, the inverse of the dump's listing
 (_nonzero_cells); the dump is written from the blocks or the tables in chunks
 of about 1 MiB and read back without an n x n array.
@@ -262,11 +263,10 @@ def _gram_block(pairs, lo, hi) -> np.ndarray:
     return block
 
 
-def _sum_reduced(acc, num, den):
-    """acc[0]/acc[1] + num/den entrywise, in lowest terms: the integer tables' one step."""
-    p, q = acc[0] * den + num * acc[1], acc[1] * den
-    g = np.gcd(p, q)
-    return p // g, q // g
+def _reduced(num, den):
+    """num/den entrywise in lowest terms (den > 0 stays positive): the integer tables' one step."""
+    g = np.gcd(num, den)
+    return num // g, den // g
 
 
 def _gram_tables(pairs, lo, hi) -> tuple[np.ndarray, ...]:
@@ -274,21 +274,26 @@ def _gram_tables(pairs, lo, hi) -> tuple[np.ndarray, ...]:
 
     With the outer products D1, N2, D2 of the factors over the coordinates, a
     pair contributes c_s conj(c_t) (D2 - N2 D1) / (D1 D2).  Real and imaginary
-    parts are summed over the pairs on common denominators, reduced by their
-    gcd after every pair, so each entry is num/den in lowest terms with den > 0;
-    the arrays hold Python ints, which no product can wrap.
+    parts are summed over the pairs on common denominators, each starting from
+    its first pair with a non-zero part and reduced by their gcd after every
+    pair, so each entry is num/den in lowest terms with den > 0 (0/1 for a part
+    no pair reaches); the arrays hold Python ints, which no product can wrap.
     """
-    shape = tuple(b - a + 1 for a, b in zip(lo, hi))
-    parts = [(np.zeros(shape, dtype=object), np.ones(shape, dtype=object)) for _ in range(2)]
+    parts = [None, None]
     for cs, ct, factors in _pair_factors(pairs, lo, hi, True):
         d1, n2, d2 = (reduce(np.multiply.outer, f) for f in zip(*factors))
         num, den = d2 - n2 * d1, d1 * d2
         c = cs * ct.conjugate()
-        parts = [
-            _sum_reduced(part, num * v.numerator, den * v.denominator) if v else part
-            for part, v in zip(parts, (c.re, c.im))
-        ]
-    (re_num, re_den), (im_num, im_den) = parts
+        for i, v in enumerate((c.re, c.im)):
+            if v:
+                p, q = num * v.numerator, den * v.denominator
+                if parts[i] is not None:
+                    acc_p, acc_q = parts[i]
+                    p, q = acc_p * q + p * acc_q, acc_q * q
+                parts[i] = _reduced(p, q)
+    shape = tuple(b - a + 1 for a, b in zip(lo, hi))
+    zero = np.zeros(shape, dtype=object), np.ones(shape, dtype=object)
+    (re_num, re_den), (im_num, im_den) = (zero if part is None else part for part in parts)
     return re_num, re_den, im_num, im_den
 
 
@@ -339,16 +344,18 @@ class CompressionMatrix:
     of the indices sectors[g][r].  For exact symbols tables[g] holds the
     Gaussian-rational scaled Gram blocks alike (see the module docstring for the
     sqrt-weight relation) as a (4, k, s, s) object array of Python ints, the
-    reduced re_num, re_den, im_num, im_den of every entry (0/1 for a zero part);
-    for float symbols tables is None.  The graded-lex views dense and scaled
+    reduced re_num, re_den, im_num, im_den of every entry (0/1 for a zero part),
+    and stored_blocks is None: the float blocks of an exact compression are a
+    view of its tables built on first read.  For float symbols stored_blocks
+    holds the blocks and tables is None.  The graded-lex views dense and scaled
     (the tables as CRat) and the symbol_hash of the dump header are built on
-    first read.  A loaded dump has no symbol, only its header's dumped_hash.
+    first read too.  A loaded dump has no symbol, only its header's dumped_hash.
     """
 
     symbol: PolySymbol | None
     trunc: BasisTruncation
     sectors: tuple[np.ndarray, ...]
-    blocks: tuple[np.ndarray, ...]
+    stored_blocks: tuple[np.ndarray, ...] | None
     tables: tuple[np.ndarray, ...] | None
     dumped_hash: str | None = None
 
@@ -365,6 +372,23 @@ class CompressionMatrix:
         import json
 
         return hashlib.sha256(json.dumps(self.symbol.to_json_obj(), sort_keys=True).encode()).hexdigest()[:12]
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The orthonormal sector blocks: stored_blocks, or for an exact compression the float
+        (c * w_i) * w_j of every non-zero table entry (i, j), c its value as _complex rounds
+        it and w the sqrt weights, and +0.0 elsewhere."""
+        if self.stored_blocks is not None:
+            return self.stored_blocks
+        w = self.trunc.weights_sqrt
+        blocks = []
+        for g, t in zip(self.sectors, self.tables):
+            r, i, j = np.nonzero(_nonzero(t, True))
+            block = np.zeros(t.shape[1:], dtype=complex)
+            with np.errstate(over="ignore", invalid="ignore"):  # eigenvalues() rejects the inf/nan
+                block[r, i, j] = _complex(*t[:, r, i, j]) * w[g[r, i]] * w[g[r, j]]
+            blocks.append(block)
+        return tuple(blocks)
 
     def _graded_lex(self) -> np.ndarray:
         if self.blocks[0].shape[1] == self.size:  # one sector spans the basis: its block is the matrix
@@ -434,7 +458,7 @@ def _from_cells(trunc: BasisTruncation, rows, cols, values, exact: bool, offsets
     values holds the cells' (4, n) table ints if exact, else their n orthonormal entries;
     every other entry is zero.  The sectors are those of offsets: a non-zero cell outside
     them raises ValueError, a zero one (-0.0, or a zero table entry) is dropped.  An exact
-    block entry is (c * w_i) * w_j for the float value c of its tables.
+    compression stores only its tables; its float blocks are built when first read.
     """
     groups, row_start, col_pos, label = _sectors(trunc, offsets)
     inside = label[rows] == label[cols]
@@ -443,17 +467,17 @@ def _from_cells(trunc: BasisTruncation, rows, cols, values, exact: bool, offsets
             raise ValueError("matrix has non-zero entries outside its sector blocks")
         rows, cols, values = rows[inside], cols[inside], values[..., inside]
     at = row_start[rows] + col_pos[cols]
-    flat = np.zeros(sum(g.size * g.shape[1] for g in groups), dtype=complex)
+    stored = sum(g.size * g.shape[1] for g in groups)
     if exact:
         # re_num, re_den, im_num, im_den of every stored entry: 0/1 between the cells
-        tables = np.repeat(np.array([[0], [1], [0], [1]], dtype=object), flat.size, axis=1)
-        tables[:, at] = values
-        w = trunc.weights_sqrt
-        with np.errstate(over="ignore", invalid="ignore"):  # eigenvalues() rejects the inf/nan
-            values = _complex(*values) * w[rows] * w[cols]
-    flat[at] = values
-    tables = _split(tables, groups) if exact else None
-    return CompressionMatrix(trunc=trunc, sectors=groups, blocks=_split(flat, groups), tables=tables, **fields)
+        flat = np.repeat(np.array([[0], [1], [0], [1]], dtype=object), stored, axis=1)
+    else:
+        flat = np.zeros(stored, dtype=complex)
+    flat[..., at] = values
+    split = _split(flat, groups)
+    return CompressionMatrix(
+        trunc=trunc, sectors=groups, stored_blocks=None if exact else split, tables=split if exact else None, **fields
+    )
 
 
 def _kernel_blocks(offsets, trunc: BasisTruncation, exact: bool):
@@ -484,8 +508,9 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
     as the sector blocks of the symbol's offsets.  Exact symbols go through
     reduced integer tables (_gram_tables), which the result keeps as its
     tables, split by sector like the blocks: their Hermitian symmetry is
-    checked on the kernel's cells and the orthonormal blocks take each entry's
-    correctly rounded float value; no CRat is built until a caller reads scaled.
+    checked on the kernel's cells, the orthonormal blocks, built on first
+    read, take each entry's correctly rounded float value, and no CRat is
+    built until a caller reads scaled.
     Float symbols run _gram_block and leave tables as None; callers that
     only need floats pass sym.as_float().  For a unit-coefficient monomial
     symbol the exact result is diagonal with the closed-form spectrum values

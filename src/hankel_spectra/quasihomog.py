@@ -8,8 +8,10 @@ of alpha from one table per coordinate, indexed by the alpha value a: the
 integral of r^{2a+1} |f_k|^2 and, where a + k_k >= 0, the cross integral of
 r^{2a+k_k+1} f_k.  Each integral is taken once per (coordinate, exponent);
 qh_eigenvalue is the one-point box.  Separable radial profiles with rational
-polynomial factors run on an exact path (Python-int products, one Fraction
-per point); other profiles go through Gauss-Legendre quadrature.
+polynomial factors run on an exact path: each integral is a reduced pair of
+Python ints (_integral_ratio), the tables and their per-point products stay
+integers, and each point makes one Fraction.  Other profiles go through
+Gauss-Legendre quadrature.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import prod
+from math import gcd, prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,6 +50,7 @@ DEFAULT_NODES = 64
 
 PolyCoeffs = tuple[Fraction, ...]
 RadialFn = Callable[[np.ndarray], np.ndarray]
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def monomial_norm_sq(beta) -> Fraction:
@@ -127,18 +130,25 @@ def _abs_sq_wrap(fn: RadialFn) -> RadialFn:
     return lambda r: np.abs(fn(r)) ** 2
 
 
-def _factor_integral_exact(coeffs: PolyCoeffs, p: int) -> Fraction:
-    """2 * integral_0^1 r^{p+1} f(r) dr for a polynomial factor, exactly."""
-    total = Fraction(0)
+def _integral_ratio(coeffs: PolyCoeffs, p: int) -> tuple[int, int]:
+    """2 * integral_0^1 r^{p+1} f(r) dr for a polynomial factor, as (num, den) in lowest terms, den > 0.
+
+    Each non-zero coefficient c_d adds c_d * 2/(p+d+2) on Python ints, and the
+    sum is reduced after every term.
+    """
+    num, den = 0, 1
     for d, c in enumerate(coeffs):
-        if c == 0:
+        if not c:
             continue
         if p + d + 1 < 0:
             raise ValueError(
                 f"non-integrable exponent: r^{p + d + 1} near 0 (power {p}, degree {d})"
             )
-        total += c * Fraction(2, p + d + 2)
-    return total
+        n, q = 2 * c.numerator, c.denominator * (p + d + 2)
+        num, den = num * q + n * den, den * q
+        g = gcd(num, den)
+        num, den = num // g, den // g
+    return num, den
 
 
 # Small-radius probes for the boundedness screen: quadrature nodes never reach
@@ -163,13 +173,14 @@ def _factor_integral_quad(fn: RadialFn, p: int, nodes: int):
     return total.real if abs(total.imag) < 1e-15 * max(1.0, abs(total.real)) else total
 
 
-def _factor_integral(factor, p: int, exact: bool, nodes: int):
-    """2 * integral_0^1 r^{p+1} f(r) dr for one factor: a Fraction if exact, else a float or complex."""
+def _factor_integral(factor, p: int, nodes: int) -> float | complex:
+    """2 * integral_0^1 r^{p+1} f(r) dr for one factor of a float-path profile: a polynomial
+    factor's exact integral correctly rounded, else quadrature."""
     coeffs = _poly_coeffs(factor)
     if coeffs is None:
         return _factor_integral_quad(factor, p, nodes)
-    part = _factor_integral_exact(coeffs, p)
-    return part if exact else float(part)
+    num, den = _integral_ratio(coeffs, p)
+    return num / den
 
 
 def radial_integral(profile: RadialProfile, exponent, *, nodes: int = DEFAULT_NODES) -> Fraction | float | complex:
@@ -177,13 +188,16 @@ def radial_integral(profile: RadialProfile, exponent, *, nodes: int = DEFAULT_NO
 
     The profile factors into 2*pi * integral_0^1 r^{p_k+1} f_k(r) dr per
     coordinate (the 2^n is folded into the returned pi^n coefficient); the
-    coefficient is an exact Fraction when every factor is a rational polynomial.
+    coefficient is an exact Fraction when every factor is a rational polynomial,
+    the one Fraction of the products of the factors' integer ratios.
     """
     exponent = as_winding(exponent, dim=profile.dim)
-    exact = profile.is_polynomial
-    coeff: Fraction | float | complex = Fraction(1) if exact else 1.0
+    if profile.is_polynomial:
+        nums, dens = zip(*map(_integral_ratio, profile.factors, exponent))
+        return Fraction(prod(nums), prod(dens))
+    coeff: float | complex = 1.0
     for f, p in zip(profile.factors, exponent):
-        coeff = coeff * _factor_integral(f, p, exact, nodes)
+        coeff = coeff * _factor_integral(f, p, nodes)
     return coeff
 
 
@@ -216,11 +230,8 @@ class QuasiHomogeneousSymbol:
         """z^n zbar^m = |z|^{n+m} e^{i(n-m).theta}."""
         n = as_multiindex(holo, name="n")
         m = as_multiindex(antiholo, dim=len(n), name="m")
-        coeffs = []
-        for nk, mk in zip(n, m):
-            c = [Fraction(0)] * (nk + mk) + [Fraction(1)]
-            coeffs.append(c)
-        return cls(RadialProfile.polynomial(coeffs), tuple(x - y for x, y in zip(n, m)))
+        factors = [(_ZERO,) * (nk + mk) + (_ONE,) for nk, mk in zip(n, m)]
+        return cls(RadialProfile(len(factors), factors), tuple(x - y for x, y in zip(n, m)))
 
 
 @dataclass(frozen=True)
@@ -238,21 +249,31 @@ def _coordinate_table(factor, square, k: int, axis, exact: bool, nodes: int) -> 
     """One entry per alpha value a of one coordinate with factor f and winding k.
 
     Exact: (p, q, s, t), Python ints with p/q = (a+1) * I(|f|^2, 2a) and
-    s/t = (a+1)(a+k+1) * I(f, 2a+k)^2, where I(g, e) = 2 integral_0^1 r^{e+1} g;
-    s and t are None where a + k < 0.  Float: (I(|f|^2, 2a), I(f, 2a+k), a+1,
-    a+k+1), the cross integral None where a + k < 0; _float_point divides by
-    the norms as floats.
+    s/t = (a+1)(a+k+1) * I(f, 2a+k)^2, where I(g, e) = 2 integral_0^1 r^{e+1} g,
+    formed from the integrals' reduced integer ratios (_integral_ratio) and not
+    reduced again; s and t are None where a + k < 0.  Float: (I(|f|^2, 2a),
+    I(f, 2a+k), a+1, a+k+1), the cross integral None where a + k < 0;
+    _float_point divides by the norms as floats.
     """
+    if not exact:
+        return [
+            (
+                _factor_integral(square, 2 * a, nodes),
+                _factor_integral(factor, 2 * a + k, nodes) if a + k >= 0 else None,
+                a + 1,
+                a + k + 1,
+            )
+            for a in axis
+        ]
     table = []
     for a in axis:
-        first = _factor_integral(square, 2 * a, exact, nodes)
-        cross = _factor_integral(factor, 2 * a + k, exact, nodes) if a + k >= 0 else None
-        if not exact:
-            table.append((first, cross, a + 1, a + k + 1))
-            continue
-        first = first * (a + 1)
-        second = (None, None) if cross is None else (cross * cross * ((a + 1) * (a + k + 1))).as_integer_ratio()
-        table.append(first.as_integer_ratio() + second)
+        p, q = _integral_ratio(square, 2 * a)
+        first = (p * (a + 1), q)
+        if a + k < 0:
+            table.append(first + (None, None))
+        else:
+            s, t = _integral_ratio(factor, 2 * a + k)
+            table.append(first + (s * s * ((a + 1) * (a + k + 1)), t * t))
     return table
 
 

@@ -88,29 +88,32 @@ def _suite_fixtures() -> tuple[bool, dict]:
 def _suite_engines_agree() -> tuple[bool, dict]:
     """Exact agreement of the enumerated spectrum, qh eigenvalue, and Galerkin diagonal.
 
-    lambda comes from the full-B provenance of enumerate_spectrum, the tables
-    `exact` prints; an alpha missing there is a mismatch.  The zero operator's
-    spectrum carries no provenance: its lambda is 0 at every alpha.  Each
-    symbol gets one enumeration, one qh box and one Galerkin diagonal over
-    alpha <= 2.
+    lambda comes from the full-B witnesses of enumerate_spectrum, read off its
+    tables (the ones `exact` prints) by SpectrumSet.full_witness_values; an
+    alpha missing there is a mismatch.  The zero operator's spectrum carries no
+    witness: its lambda is 0 at every alpha, so a holomorphic symbol gets no
+    enumeration.  Every other symbol gets one, and each symbol one qh box and
+    one Galerkin diagonal over alpha <= 2.
     """
     mismatches = []
     tested = 0
     for dim in (1, 2):
-        full = frozenset(range(1, dim + 1))
         trunc = BasisTruncation(2, dim)
+        box = list(product(range(3), repeat=dim))  # the qh box's order
+        at = [trunc.index_of[alpha] for alpha in box]
         for n in product(range(3), repeat=dim):
             for m in product(range(3), repeat=dim):
                 sym = MonomialSymbol(n, m)
-                spec = enumerate_spectrum(sym, 2)
-                enumerated = {p.alpha: r.value for r in spec.records for p in r.provenance if p.subset == full}
+                if sym.is_holomorphic:
+                    lams = [Fraction(0)] * len(box)
+                else:
+                    enumerated = enumerate_spectrum(sym, 2).full_witness_values()
+                    lams = list(map(enumerated.get, box))
                 qh = qh_eigenvalue_box(QuasiHomogeneousSymbol.from_monomial(n, m), [range(3)] * dim)
                 diagonal = assemble(PolySymbol([(CRat(1), n, m)], dim=dim), trunc).exact_diagonal()
-                for ev in qh:
+                for ev, lam, i in zip(qh, lams, at):
                     tested += 1
-                    lam = Fraction(0) if sym.is_holomorphic else enumerated.get(ev.alpha)
-                    gd = diagonal[trunc.index_of[ev.alpha]]
-                    if not (lam == ev.value == gd):
+                    if not (lam == ev.value == diagonal[i]):
                         mismatches.append({"n": n, "m": m, "alpha": ev.alpha})
     return not mismatches, {"tested": tested, "mismatches": mismatches[:5]}
 

@@ -32,6 +32,12 @@ vector filled entry by entry, the way the package's weyl_residual did before
 it applied the sector blocks.  The reference scaled blocks turn an exact
 compression's integer tables into CRat entries in one flat pass, the way
 assemble did before it kept the tables and built CRat entries only on request.
+The reference coordinate table sums each radial integral of a polynomial
+factor in Fractions and reads its per-coordinate ratios off them, the way
+quasihomog._coordinate_table did before it summed reduced integer pairs.  The
+eager exact blocks divide the non-zero table cells one Python division at a
+time and weight them, the way an exact compression's constructor filled its
+float blocks before they were built on first read.
 """
 
 from __future__ import annotations
@@ -167,6 +173,58 @@ def qh_point_oracle(sym, alpha, nodes: int = 64):
     if not isinstance(value, Fraction):
         value = max(float(np.real(value)), 0.0)
     return value, branch
+
+
+def reference_factor_integral(coeffs, p: int) -> Fraction:
+    """2 * integral_0^1 r^{p+1} f(r) dr for a polynomial factor, summed in Fractions."""
+    total = Fraction(0)
+    for d, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if p + d + 1 < 0:
+            raise ValueError(
+                f"non-integrable exponent: r^{p + d + 1} near 0 (power {p}, degree {d})"
+            )
+        total += c * Fraction(2, p + d + 2)
+    return total
+
+
+def reference_coordinate_table(factor, square, k: int, axis) -> list[tuple]:
+    """The exact (p, q, s, t) of quasihomog._coordinate_table for one coordinate, from
+    Fraction integrals, each ratio reduced: p/q = (a+1) * I(|f|^2, 2a) and
+    s/t = (a+1)(a+k+1) * I(f, 2a+k)^2, s and t None where a + k < 0."""
+    table = []
+    for a in axis:
+        first = reference_factor_integral(square, 2 * a) * (a + 1)
+        if a + k < 0:
+            second = (None, None)
+        else:
+            cross = reference_factor_integral(factor, 2 * a + k)
+            second = (cross * cross * ((a + 1) * (a + k + 1))).as_integer_ratio()
+        table.append(first.as_integer_ratio() + second)
+    return table
+
+
+def _rounded(num: int, den: int) -> float:
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def eager_exact_blocks(mat) -> tuple[np.ndarray, ...]:
+    """The float sector blocks of an exact compression, laid out cell by cell: (c * w_i) * w_j
+    for every non-zero table cell (i, j), c each part num / den in one Python division (+-inf
+    past the float range) and w the sqrt weights, +0.0 elsewhere."""
+    from hankel_spectra.galerkin import _nonzero_cells
+
+    rows, cols, values = _nonzero_cells(mat)
+    c = np.array([complex(_rounded(a, b), _rounded(p, q)) for a, b, p, q in zip(*values.tolist())], dtype=complex)
+    w = mat.trunc.weights_sqrt
+    dense = np.zeros((mat.size, mat.size), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense[rows, cols] = c * w[rows] * w[cols]
+    return tuple(dense[g[:, :, None], g[:, None, :]] for g in mat.sectors)
 
 
 def dense_weyl_residual(mat, lam, g, p) -> float:

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -281,13 +282,41 @@ def test_verify_engines_agree_checks_the_enumerated_tables(monkeypatch):
     assert report["suites"][0]["details"]["tested"] == 756
 
 
+def test_verify_engines_agree_reads_the_spectrum_tables(monkeypatch):
+    from hankel_spectra.verify import run_verify
+
+    def no_records(self):
+        raise AssertionError("engines-agree built the records view")
+
+    monkeypatch.setattr(core.SpectrumSet, "records", property(no_records))
+    report = run_verify("engines-agree")
+    assert report["passed"] is True
+    assert report["suites"][0]["details"] == {"tested": 756, "mismatches": []}
+
+
+def test_verify_engines_agree_checks_each_witness_value(monkeypatch):
+    # mutant: every full-B witness is handed the value of the next record (cyclically)
+    from hankel_spectra.verify import run_verify
+
+    source = textwrap.dedent(inspect.getsource(core.SpectrumSet.full_witness_values))
+    mutated = source.replace("record.tolist()", "((record + 1) % len(values)).tolist()")
+    assert mutated != source
+    namespace = dict(vars(core))
+    exec(mutated, namespace)
+    monkeypatch.setattr(core.SpectrumSet, "full_witness_values", namespace["full_witness_values"])
+    report = run_verify("engines-agree")
+    assert report["passed"] is False
+    details = report["suites"][0]["details"]
+    assert details["tested"] == 756 and details["mismatches"]
+
+
 # mutants of the qh box: its projection term dropped (756 comparisons, some fail),
 # (a+1) left out of its first table (the Cauchy-Schwarz check stops the suite)
 @pytest.mark.parametrize(
     "function, original, mutant, details",
     [
         ("_exact_point", "Fraction(p * t - s * q, q * t)", "Fraction(p, q)", {"tested": 756}),
-        ("_coordinate_table", "first = first * (a + 1)", "first = first",
+        ("_coordinate_table", "first = (p * (a + 1), q)", "first = (p, q)",
          {"error": "AssertionError: Cauchy-Schwarz violated on the exact path"}),
     ],
     ids=["second-term-dropped", "no-a-plus-1"],

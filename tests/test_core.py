@@ -214,6 +214,19 @@ def monomial_cases(draw):
     return MonomialSymbol(draw(exponents), draw(exponents)), draw(st.integers(0, 6))
 
 
+@settings(max_examples=120, deadline=None)
+@given(monomial_cases())
+def test_full_witness_values_match_the_records(case):
+    sym, cap = case
+    spec = enumerate_spectrum(sym, cap)
+    full = full_set(sym.dim)
+    want = {p.alpha: r.value for r in spec.records for p in r.provenance if p.subset == full}
+    assert spec.full_witness_values() == want
+    if not sym.is_holomorphic:  # every alpha in the box has its full-B witness
+        box = product(range(cap + 1), repeat=sym.dim)
+        assert want == {alpha: lambda_value(sym.holo, sym.antiholo, alpha, full) for alpha in box}
+
+
 def _essential_brute_force(sym, cap):
     """Essential records built directly: proper-subset values and 0, full-B values as eigenvalues."""
     full = full_set(sym.dim)

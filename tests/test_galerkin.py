@@ -30,7 +30,13 @@ from hankel_spectra import (
 from hankel_spectra.galerkin import dump_matrix, load_matrix, scaled_gram_entry
 from hankel_spectra.rational import CR_ZERO, CRat
 from hankel_spectra.symbols import PolySymbol
-from oracles import dense_weyl_residual, hankel_entry_oracle, reference_gram_block, reference_scaled_blocks
+from oracles import (
+    dense_weyl_residual,
+    eager_exact_blocks,
+    hankel_entry_oracle,
+    reference_gram_block,
+    reference_scaled_blocks,
+)
 
 
 def test_truncation_ordering_is_graded_lex():
@@ -440,7 +446,7 @@ def test_eigenvalues_rejects_non_finite_matrix():
         blocks = [b.copy() for b in mat.blocks]
         blocks[-1][0, 1, 1] = bad  # NaN passes the Hermiticity guard: NaN > tol is false
         with pytest.raises(ValueError, match="non-finite entries"):
-            eigenvalues(dataclasses.replace(mat, blocks=tuple(blocks)))
+            eigenvalues(dataclasses.replace(mat, stored_blocks=tuple(blocks)))
 
 
 def test_exact_dump_bytes_match_per_cell_formatting():
@@ -491,7 +497,7 @@ def test_eigenvalues_rejects_non_hermitian_entry_inside_a_block():
     blocks = [b.copy() for b in mat.blocks]
     blocks[0][1, 0, 1] += 1e-6  # entry (i, j) for i, j = mat.sectors[0][1][:2]
     with pytest.raises(ValueError, match="not Hermitian"):
-        eigenvalues(dataclasses.replace(mat, blocks=tuple(blocks)))
+        eigenvalues(dataclasses.replace(mat, stored_blocks=tuple(blocks)))
 
 
 def test_guards_take_the_samples_in_order():
@@ -713,7 +719,7 @@ def test_from_cells_rebuilds_the_matrix_nonzero_cells_lists(sym, n_cap, as_float
             blocks[g].flat[data.draw(st.integers(0, blocks[g].size - 1))] = data.draw(
                 st.sampled_from([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j])
             )
-        mat = dataclasses.replace(mat, blocks=tuple(blocks))
+        mat = dataclasses.replace(mat, stored_blocks=tuple(blocks))
     back = _from_cells(
         mat.trunc, *_nonzero_cells(mat), not as_float, frozenset(_pair_offsets(sym.terms, sym.terms)),
         symbol=sym,
@@ -955,6 +961,85 @@ def test_matrices_equal_catches_one_changed_table_entry(sym, n_cap, data):
     changed = dataclasses.replace(mat, tables=tuple(tables))
     assert matrices_equal(mat, dataclasses.replace(mat, tables=tuple(t.copy() for t in mat.tables)))
     assert not matrices_equal(mat, changed) and not matrices_equal(changed, mat)
+
+
+# integer parts below, at and past 2^53, and past the float range (10**400 and 2**1024)
+_table_parts = st.one_of(
+    st.integers(-(2**60), 2**60),
+    st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 3, 10**400, -(10**400), 2**1024, 3 * 2**1023]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_table_parts, _table_parts.filter(bool), _table_parts, _table_parts.filter(bool)),
+        max_size=6,
+    )
+)
+@example([(1, 3, -2, 7), (2**53 - 1, 5, 0, 1)])  # every int below 2^53, an exact double
+@example([(1, 3, 2**53 + 1, 7)])  # past 2^53: made a double first, the int would lose its 1 and misround
+@example([(10**400, 3, 1, 1), (-(10**400), 7, 2**1024, -1)])  # past the float range: +-inf
+@example([(1, 10**400, -1, 2**1100)])  # quotients that round to +-0.0
+def test_complex_of_tables_is_complex_of_crat(entries):
+    from hankel_spectra.galerkin import _complex, _table_ints
+
+    crats = [CRat(Fraction(a, b), Fraction(c, d)) for a, b, c, d in entries]
+    got = _complex(*_table_ints((c.re, c.im) for c in crats))
+    assert got.shape == (len(crats),)
+
+    def part(x: Fraction) -> float:
+        try:
+            return float(x)
+        except OverflowError:
+            return math.inf if x > 0 else -math.inf
+
+    for z, c in zip(got.tolist(), crats):
+        try:
+            want = complex(c)
+        except OverflowError:  # a part past the float range, which _complex leaves at +-inf
+            want = complex(part(c.re), part(c.im))
+        assert (z.real.hex(), z.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+# multipliers of the corpus: table ints past 2^53, tiny parts, and parts past the float range
+_SCALES = [1, 2**60 + 1, Fraction(1, 3**40), 10**400, CRat(10**200, -(10**400))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_symbols(), st.integers(0, 3), st.sampled_from(_SCALES))
+@example(parse_symbol("zb1*z2^3100000000"), 1, 1)
+@example(parse_symbol("zb1*(zb2+1)"), 2, 10**400)
+def test_exact_blocks_built_on_read_equal_the_eager_blocks(sym, n_cap, scale):
+    mat = assemble(sym * scale, BasisTruncation(n_cap, sym.dim))
+    assert mat.stored_blocks is None and "blocks" not in vars(mat)
+    want = eager_exact_blocks(mat)
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(mat.blocks, want))
+    assert mat.blocks is mat.blocks  # built once
+
+
+def test_exact_reads_build_no_float_blocks(monkeypatch):
+    from hankel_spectra.galerkin import CompressionMatrix
+
+    cases = [(parse_symbol(expr), n) for expr, n in _DUMP_CASES]
+    want = []
+    for sym, n in cases:
+        mat = assemble(sym, BasisTruncation(n, sym.dim))
+        want.append((mat.exact_diagonal(), _per_cell_dump(mat)))
+
+    def no_blocks(self):
+        raise AssertionError("the float blocks were built")
+
+    monkeypatch.setattr(CompressionMatrix, "blocks", property(no_blocks))
+    for (sym, n), (diagonal, dump) in zip(cases, want):
+        trunc = BasisTruncation(n, sym.dim)
+        mat = assemble(sym, trunc)
+        buf = io.StringIO()
+        dump_matrix(mat, buf)
+        assert buf.getvalue() == dump and mat.exact_diagonal() == diagonal
+        loaded = load_matrix(io.StringIO(dump))
+        assert matrices_equal(loaded, mat) and matrices_equal(mat, assemble_via_toeplitz(sym, trunc))
+        assert loaded.exact_diagonal() == diagonal
 
 
 class _CountingWrites(io.StringIO):

@@ -1,5 +1,6 @@
 """Radial-integral engine: norms, integrals, and quasi-homogeneous eigenvalues."""
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -18,7 +19,12 @@ from hankel_spectra import (
     qh_eigenvalue_box,
     radial_integral,
 )
-from oracles import qh_point_oracle, radial_integral_oracle
+from oracles import (
+    qh_point_oracle,
+    radial_integral_oracle,
+    reference_coordinate_table,
+    reference_factor_integral,
+)
 
 
 def test_monomial_norms():
@@ -260,3 +266,50 @@ def test_box_rejects_bad_axes():
         qh_eigenvalue_box(sym, [range(-1, 2), range(2)])
     with pytest.raises(ValueError, match="3 alpha axes for a symbol of dim 2"):
         qh_eigenvalue_box(sym, [range(2)] * 3)
+
+
+# 200 coefficients, zeros and negatives among them: a sum kept unreduced would show in its ints
+_LONG_FACTOR = [Fraction((-1) ** d * (d % 7), d % 11 + 1) for d in range(200)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), min_size=1, max_size=8),
+    st.integers(-3, 3),
+    st.lists(st.integers(0, 6), min_size=1, max_size=4),
+)
+@example([0, 0, 1], -3, [0, 1, 2, 3])  # the kernel branch below a = 3
+@example([Fraction(-1, 2), 0, 3], 2, [0, 5])
+@example([0], 1, [0, 2])  # the zero factor
+@example(_LONG_FACTOR, 3, [0, 4])
+@example(_LONG_FACTOR, -3, [0, 1, 6])
+def test_integer_tables_match_the_fraction_oracle(coeffs, k, axis):
+    from hankel_spectra.quasihomog import _coordinate_table, _integral_ratio
+
+    prof = RadialProfile.polynomial([coeffs])
+    factor, square = prof.factors[0], prof.squared_modulus().factors[0]
+    got = _coordinate_table(factor, square, k, axis, True, 64)
+    want = reference_coordinate_table(factor, square, k, axis)
+    assert len(got) == len(want)
+    for (p, q, s, t), (wp, wq, ws, wt) in zip(got, want):
+        assert q > 0 and p * wq == wp * q
+        assert (s is None) == (t is None) == (ws is None)
+        if s is not None:
+            assert t > 0 and s * wt == ws * t
+    # each integral is the reduced pair of the Fraction sum, and radial_integral its Fraction
+    for c, e in [(square, 2 * a) for a in axis] + [(factor, 2 * a + k) for a in axis] + [(factor, -3)]:
+        try:
+            want = reference_factor_integral(c, e)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                _integral_ratio(c, e)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                radial_integral(RadialProfile(1, [c]), (e,))
+            continue
+        assert _integral_ratio(c, e) == want.as_integer_ratio()
+        got_integral = radial_integral(RadialProfile(1, [c]), (e,))
+        assert type(got_integral) is Fraction and got_integral == want
+    a = axis[0]
+    both = radial_integral(RadialProfile(2, [factor, square]), (2 * a, 2 * a + 1))
+    assert type(both) is Fraction
+    assert both == reference_factor_integral(factor, 2 * a) * reference_factor_integral(square, 2 * a + 1)
