@@ -13,24 +13,24 @@ time from integer factors (_pair_factors); the orthonormal entry is
 g[a][b] * sqrt(w_a w_b) with the integer weights w_a = prod(alpha_k + 1), so
 diagonal entries are rational while off-diagonal entries generally carry a
 square-root factor.  The arithmetic follows the symbol: exact symbols sum the
-factors on reduced integer tables of Python ints (_gram_tables) and keep g
-(Gaussian-rational, Hermitian), float symbols divide them in float64
-(_gram_block).  Callers that only need floats pass a float copy of an exact
-symbol (PolySymbol.as_float).
+factors on reduced integer tables of Python ints (_gram_tables) and keep the
+non-zero entries of g (Gaussian-rational, Hermitian), float symbols divide them
+in float64 (_gram_block).  Callers that only need floats pass a float copy of
+an exact symbol (PolySymbol.as_float).
 
 The compression is stored as sector blocks.  Entry (a, b) vanishes unless
 b - a is a winding offset k_s - k_t of two terms, so the connected components
 of the graph a ~ a + delta on the box (the sectors, see _sectors) index
 diagonal blocks of a permuted matrix with nothing between them.  The spectrum
 is the union of the block spectra; monomial symbols give 1x1 blocks, the
-paper's diagonal case.  An exact compression keeps its reduced integer tables,
-split by sector like the blocks, as its only exact form: exact comparisons, the
-exact dump and the exact diagonal read them, and its float blocks, the
-graded-lex CRat matrix (scaled) and the full float matrix (dense) are built
-only when a caller reads them.  Every route lays out its non-zero
-cells through one constructor, _from_cells, the inverse of the dump's listing
-(_nonzero_cells); the dump is written from the blocks or the tables in chunks
-of about 1 MiB and read back without an n x n array.
+paper's diagonal case.  An exact compression keeps only the row-major listing
+of its non-zero cells and their reduced table ints (cells), its one exact form:
+exact comparisons, the exact dump and the exact diagonal read it, and its float
+blocks, the graded-lex CRat matrix (scaled) and the full float matrix (dense)
+are built only when a caller reads them.  Every route passes its non-zero cells
+to one constructor, _from_cells, the inverse of the dump's listing
+(_nonzero_cells); the dump is written in chunks of about 1 MiB and read back
+without an n x n array.
 """
 
 from __future__ import annotations
@@ -136,11 +136,6 @@ def default_inner_caps(sym: PolySymbol, trunc: BasisTruncation) -> tuple[int, ..
     return tuple(trunc.degree_cap + d for d in sym.coordinate_degrees())
 
 
-def _inner_factor(total: int) -> Fraction:
-    # <z^a zbar^b, z^c zbar^d> per coordinate = pi * 2/(a+b+c+d+2) when a-b=c-d
-    return Fraction(2, total + 2)
-
-
 def _pair_offsets(left, right) -> dict[tuple[int, ...], list]:
     """Group the pairs (s, t), s of left and t of right, of (coefficient, n, m) terms by the
     column offset beta - alpha they couple."""
@@ -176,9 +171,8 @@ def _sectors(trunc: BasisTruncation, offsets: frozenset):
     edge alpha ~ alpha + delta for every offset delta whose ends both lie in
     the box; entry (i, j) lies in a block when label[i] == label[j].  groups
     holds one read-only (k, s) array per sector size s, ascending in s: row r
-    holds the graded-lex indices of one sector, ascending.  Laid end to end as
-    (k, s, s) stacks, the blocks hold entry (i, j) at flat position
-    row_start[i] + col_pos[j]; over MAX_STORED_ENTRIES raise ValueError.
+    holds the graded-lex indices of one sector, ascending.  row_start and col_pos
+    lay their blocks out end to end (_layout); over MAX_STORED_ENTRIES raise ValueError.
     """
     boxes = [_offset_block(trunc, d) for d in offsets if any(d)]
     ends = [(rows.ravel(), cols.ravel()) for _, _, rows, cols in filter(None, boxes)]
@@ -196,23 +190,30 @@ def _sectors(trunc: BasisTruncation, offsets: frozenset):
                 label = label[label]
     order = np.argsort(label, kind="stable")
     _, starts, counts = np.unique(label[order], return_index=True, return_counts=True)
-    groups = []
-    row_start, col_pos = np.empty((2, trunc.size), dtype=np.intp)
-    stored = 0
-    for s in np.unique(counts):
-        g = order[starts[counts == s][:, None] + np.arange(s)]
-        row_start[g] = stored + np.arange(g.size).reshape(g.shape) * s
-        col_pos[g] = np.arange(s)
-        stored += g.size * s
-        g.flags.writeable = False
-        groups.append(g)
+    groups = tuple(order[starts[counts == s][:, None] + np.arange(s)] for s in np.unique(counts))
+    row_start, col_pos, stored = _layout(groups, trunc.size)
     if stored > MAX_STORED_ENTRIES:
+        s = groups[-1].shape[1]
         raise ValueError(
             f"sector blocks hold {stored} entries (largest block {s}x{s}), above the guard "
             f"{MAX_STORED_ENTRIES} (N={trunc.degree_cap}, dim={trunc.dim})"
         )
-    row_start.flags.writeable = col_pos.flags.writeable = label.flags.writeable = False
-    return tuple(groups), row_start, col_pos, label
+    for a in groups + (row_start, col_pos, label):
+        a.flags.writeable = False
+    return groups, row_start, col_pos, label
+
+
+def _layout(groups, size: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(row_start, col_pos, stored) of the sector groups' (k, s, s) stacks laid end to end:
+    entry (i, j) of a block sits at flat position row_start[i] + col_pos[j] of stored entries."""
+    row_start, col_pos = np.empty((2, size), dtype=np.intp)
+    stored = 0
+    for g in groups:
+        s = g.shape[1]
+        row_start[g] = stored + np.arange(g.size).reshape(g.shape) * s
+        col_pos[g] = np.arange(s)
+        stored += g.size * s
+    return row_start, col_pos, stored
 
 
 def _pair_factors(pairs, lo, hi, exact: bool):
@@ -341,22 +342,22 @@ class CompressionMatrix:
 
     sectors groups the index sets of the diagonal blocks by size (see _sectors);
     nothing lies between them.  blocks[g][r] is the orthonormal block (complex)
-    of the indices sectors[g][r].  For exact symbols tables[g] holds the
-    Gaussian-rational scaled Gram blocks alike (see the module docstring for the
-    sqrt-weight relation) as a (4, k, s, s) object array of Python ints, the
-    reduced re_num, re_den, im_num, im_den of every entry (0/1 for a zero part),
-    and stored_blocks is None: the float blocks of an exact compression are a
-    view of its tables built on first read.  For float symbols stored_blocks
-    holds the blocks and tables is None.  The graded-lex views dense and scaled
-    (the tables as CRat) and the symbol_hash of the dump header are built on
-    first read too.  A loaded dump has no symbol, only its header's dumped_hash.
+    of the indices sectors[g][r].  For exact symbols cells = (rows, cols, values)
+    lists the non-zero entries of the Gaussian-rational scaled Gram matrix (see
+    the module docstring for the sqrt-weight relation) row-major: their graded-lex
+    positions and a (4, n) object array of their reduced Python ints re_num,
+    re_den, im_num, im_den (0/1 for a zero part).  stored_blocks is then None: the
+    float blocks are built from the cells on first read.  For float symbols
+    stored_blocks holds the blocks and cells is None.  The graded-lex views dense
+    and scaled (the cells as CRat) and the symbol_hash of the dump header are
+    built on first read too.  A loaded dump has no symbol, only its header's dumped_hash.
     """
 
     symbol: PolySymbol | None
     trunc: BasisTruncation
     sectors: tuple[np.ndarray, ...]
     stored_blocks: tuple[np.ndarray, ...] | None
-    tables: tuple[np.ndarray, ...] | None
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     dumped_hash: str | None = None
 
     @property
@@ -376,19 +377,17 @@ class CompressionMatrix:
     @cached_property
     def blocks(self) -> tuple[np.ndarray, ...]:
         """The orthonormal sector blocks: stored_blocks, or for an exact compression the float
-        (c * w_i) * w_j of every non-zero table entry (i, j), c its value as _complex rounds
-        it and w the sqrt weights, and +0.0 elsewhere."""
+        (c * w_i) * w_j of every cell (i, j), c its value as _complex rounds it and w the
+        sqrt weights, and +0.0 elsewhere."""
         if self.stored_blocks is not None:
             return self.stored_blocks
+        rows, cols, values = self.cells
+        row_start, col_pos, stored = _layout(self.sectors, self.size)
         w = self.trunc.weights_sqrt
-        blocks = []
-        for g, t in zip(self.sectors, self.tables):
-            r, i, j = np.nonzero(_nonzero(t, True))
-            block = np.zeros(t.shape[1:], dtype=complex)
-            with np.errstate(over="ignore", invalid="ignore"):  # eigenvalues() rejects the inf/nan
-                block[r, i, j] = _complex(*t[:, r, i, j]) * w[g[r, i]] * w[g[r, j]]
-            blocks.append(block)
-        return tuple(blocks)
+        flat = np.zeros(stored, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # eigenvalues() rejects the inf/nan
+            flat[row_start[rows] + col_pos[cols]] = _complex(*values) * w[rows] * w[cols]
+        return _split(flat, self.sectors)
 
     def _graded_lex(self) -> np.ndarray:
         if self.blocks[0].shape[1] == self.size:  # one sector spans the basis: its block is the matrix
@@ -404,21 +403,21 @@ class CompressionMatrix:
 
     @cached_property
     def scaled(self) -> tuple[tuple[CRat, ...], ...] | None:
-        """The tables as graded-lex CRat rows, CR_ZERO for every zero entry; None on the float path."""
-        if self.tables is None:
+        """The cells as graded-lex CRat rows, CR_ZERO for every other entry; None on the float path."""
+        if self.cells is None:
             return None
-        rows, cols, values = _nonzero_cells(self)
+        rows, cols, values = self.cells
         out = np.full((self.size, self.size), CR_ZERO, dtype=object)
         out[rows, cols] = _crats(*values)
         return tuple(map(tuple, out))
 
     def exact_diagonal(self) -> list[Fraction]:
-        """Orthonormal diagonal <H e_a, H e_a>, exactly rational, read off the tables' diagonals."""
-        if self.tables is None:
+        """Orthonormal diagonal <H e_a, H e_a>, exactly rational, read off the diagonal cells."""
+        if self.cells is None:
             raise ValueError("matrix was assembled on the float path")
-        diag = np.empty((4, self.size), dtype=object)
-        for g, t in zip(self.sectors, self.tables):
-            diag[:, g] = np.diagonal(t, axis1=2, axis2=3)
+        rows, cols, values = self.cells
+        diag = np.repeat(np.array([[0], [1], [0], [1]], dtype=object), self.size, axis=1)  # 0/1, 0/1
+        diag[:, rows[rows == cols]] = values[:, rows == cols]
         re_num, re_den, im_num, _ = diag.tolist()
         if any(im_num):
             raise ValueError("matrix has a diagonal entry that is not real")
@@ -448,7 +447,7 @@ def _split(flat: np.ndarray, groups) -> tuple[np.ndarray, ...]:
 
 
 def _nonzero(values: np.ndarray, exact: bool) -> np.ndarray:
-    """Which of _from_cells' values are not zero: -0.0 is zero, a table entry with both numerators 0 too."""
+    """Which of _from_cells' values are not zero: -0.0 is zero, a cell with both numerators 0 too."""
     return (values[0] != 0) | (values[2] != 0) if exact else values != 0
 
 
@@ -458,7 +457,7 @@ def _from_cells(trunc: BasisTruncation, rows, cols, values, exact: bool, offsets
     values holds the cells' (4, n) table ints if exact, else their n orthonormal entries;
     every other entry is zero.  The sectors are those of offsets: a non-zero cell outside
     them raises ValueError, a zero one (-0.0, or a zero table entry) is dropped.  An exact
-    compression stores only its tables; its float blocks are built when first read.
+    compression keeps only its non-zero cells, sorted row-major (cells); a float one its blocks.
     """
     groups, row_start, col_pos, label = _sectors(trunc, offsets)
     inside = label[rows] == label[cols]
@@ -466,18 +465,14 @@ def _from_cells(trunc: BasisTruncation, rows, cols, values, exact: bool, offsets
         if _nonzero(values[..., ~inside], exact).any():
             raise ValueError("matrix has non-zero entries outside its sector blocks")
         rows, cols, values = rows[inside], cols[inside], values[..., inside]
-    at = row_start[rows] + col_pos[cols]
-    stored = sum(g.size * g.shape[1] for g in groups)
     if exact:
-        # re_num, re_den, im_num, im_den of every stored entry: 0/1 between the cells
-        flat = np.repeat(np.array([[0], [1], [0], [1]], dtype=object), stored, axis=1)
-    else:
-        flat = np.zeros(stored, dtype=complex)
-    flat[..., at] = values
-    split = _split(flat, groups)
-    return CompressionMatrix(
-        trunc=trunc, sectors=groups, stored_blocks=None if exact else split, tables=split if exact else None, **fields
-    )
+        keep = np.flatnonzero(_nonzero(values, True))
+        keep = keep[np.lexsort((cols[keep], rows[keep]))]  # row-major
+        cells = rows[keep], cols[keep], values[:, keep]
+        return CompressionMatrix(trunc=trunc, sectors=groups, stored_blocks=None, cells=cells, **fields)
+    flat = np.zeros(sum(g.size * g.shape[1] for g in groups), dtype=complex)
+    flat[row_start[rows] + col_pos[cols]] = values
+    return CompressionMatrix(trunc=trunc, sectors=groups, stored_blocks=_split(flat, groups), cells=None, **fields)
 
 
 def _kernel_blocks(offsets, trunc: BasisTruncation, exact: bool):
@@ -504,14 +499,14 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
     """Assemble the Hermitian compression of H*_psi H_psi as sector blocks.
 
     One kernel computes the matrix one winding-offset block at a time, in the
-    arithmetic of the symbol, and _from_cells lays the cells of all blocks out
-    as the sector blocks of the symbol's offsets.  Exact symbols go through
-    reduced integer tables (_gram_tables), which the result keeps as its
-    tables, split by sector like the blocks: their Hermitian symmetry is
-    checked on the kernel's cells, the orthonormal blocks, built on first
-    read, take each entry's correctly rounded float value, and no CRat is
-    built until a caller reads scaled.
-    Float symbols run _gram_block and leave tables as None; callers that
+    arithmetic of the symbol, and _from_cells keeps the cells of all blocks
+    in the sectors of the symbol's offsets.  Exact symbols go through
+    reduced integer tables (_gram_tables), whose non-zero entries the result
+    keeps as its cells: their Hermitian symmetry is checked on the kernel's
+    cells, the orthonormal blocks, built on first read, take each entry's
+    correctly rounded float value, and no CRat is built until a caller reads
+    scaled.
+    Float symbols run _gram_block and leave cells as None; callers that
     only need floats pass sym.as_float().  For a unit-coefficient monomial
     symbol the exact result is diagonal with the closed-form spectrum values
     on the diagonal.  Coefficients too large for floats leave inf/nan entries
@@ -527,7 +522,7 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
         cells = {delta: cell for delta, *cell in _kernel_blocks(pairs, trunc, exact)}
     if not cells:  # a symbol without terms: no cells, the zero matrix
         none = np.empty(0, dtype=np.intp)
-        return _from_cells(trunc, none, none, np.empty((4, 0) if exact else 0), exact, offsets, symbol=sym)
+        return _from_cells(trunc, none, none, np.empty((4, 0) if exact else 0, dtype=object), exact, offsets, symbol=sym)
     rows, cols, values = (np.concatenate(x, axis=-1) for x in zip(*cells.values()))
     if exact:  # every cell (i, j) and its mirror (j, i) hold conjugate tables
         mirrors = [cells[tuple(-d for d in delta)][2] for delta in cells]
@@ -538,7 +533,8 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
 
 
 def _toeplitz_map(phi: PolySymbol, in_indices, out_index_of) -> list[list]:
-    """Sparse rows of <phi z^a, z^gamma>/pi^n from the in-basis to the out-basis."""
+    """Sparse rows of <phi z^a, z^gamma>/pi^n from the in-basis to the out-basis: a term c z^n zbar^m
+    adds c 2^dim / prod(a_k+n_k+m_k+gamma_k+2), as <z^a zbar^b, z^c zbar^d> = pi 2/(a+b+c+d+2) if a-b = c-d."""
     out = []
     for alpha in in_indices:
         acc: dict[int, object] = {}
@@ -549,9 +545,7 @@ def _toeplitz_map(phi: PolySymbol, in_indices, out_index_of) -> list[list]:
             g = out_index_of.get(gamma)
             if g is None:
                 continue
-            val = Fraction(1)
-            for a, nk, mk, gk in zip(alpha, n, m, gamma):
-                val *= _inner_factor(a + nk + mk + gk)
+            val = Fraction(2**phi.dim, math.prod(a + nk + mk + gk + 2 for a, nk, mk, gk in zip(alpha, n, m, gamma)))
             acc[g] = acc.get(g, CR_ZERO) + c * val
         out.append(sorted(acc.items()))
     return out
@@ -606,12 +600,12 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation) -> Compressio
 
 def matrices_equal(m1: CompressionMatrix, m2: CompressionMatrix) -> bool:
     """Entrywise equality: bitwise on the float path; exact on the rational path, on the
-    row-major listings of the non-zero cells (_nonzero_cells), whose table ints are reduced
-    with den > 0, so equal integers are equal rationals whatever the sector layouts."""
+    row-major cells, whose table ints are reduced with den > 0, so equal integers are
+    equal rationals whatever the sector layouts."""
     if m1.trunc != m2.trunc:
         return False
-    if m1.tables is not None and m2.tables is not None:
-        return all(map(np.array_equal, _nonzero_cells(m1), _nonzero_cells(m2)))
+    if m1.cells is not None and m2.cells is not None:
+        return all(map(np.array_equal, m1.cells, m2.cells))
     return bool(np.array_equal(m1.dense, m2.dense))
 
 
@@ -681,6 +675,9 @@ def top_eigenvalues(fourier, thetas, trunc: BasisTruncation, name_of) -> np.ndar
     budget of one assemble.  Without a pair of phase d != 0 (one winding, or
     none) every sample is the same matrix, bit for bit: only thetas[:1] is
     solved, and its value repeated for every theta.
+    With a phase d != 0 a sample's last bit can depend on the batch: numpy may multiply a
+    (k, 1) phase column by a one-entry block on different paths for k > 1 and k = 1, so a theta
+    solved alone can differ in the last ulp from one in a batch; compare bits within one layout.
     """
     for phi in fourier.values():
         if phi.is_exact or phi.dim != trunc.dim:
@@ -787,7 +784,7 @@ def weyl_residual(mat: CompressionMatrix, lam: float, g_coeffs, p: complex) -> f
 # is "re,im" with float repr (float mode) or "num/den,num/den" (rational mode,
 # scaled Gram entries, integers too: readers split on "/"); size^2 <= MAX_STORED_ENTRIES.
 # The writer formats only the cells whose text is not the zero cell, straight from the
-# blocks or the tables, and fills the other columns with runs of the zero cell; it
+# blocks or the cells, and fills the other columns with runs of the zero cell; it
 # passes about _DUMP_CHUNK characters of whole rows to each write().
 
 _DUMP_CHUNK = 2**20
@@ -804,24 +801,22 @@ def _check_dump_size(size: int, where: str = "") -> None:
 def _nonzero_cells(mat: CompressionMatrix):
     """(rows, cols, values) of the cells whose dump text is not the zero cell, row-major.
 
-    One vectorised pass per sector group.  A table cell is the zero cell when both
-    numerators are 0 (a zero part is 0/1), and values is a (4, n) object array of
-    the cells' table ints; a float cell when both parts are +0.0, so -0.0 and NaN
-    cells are kept, and values holds the n complex entries.  _from_cells is its inverse.
+    An exact compression's stored cells, whose values are a (4, n) object array of
+    table ints.  A float cell is the zero cell when both parts are +0.0, so -0.0 and
+    NaN cells are kept, and values holds the n complex entries, found in one
+    vectorised pass per sector group.  _from_cells is its inverse.
     """
-    exact = mat.tables is not None
+    if mat.cells is not None:
+        return mat.cells
     rows, cols, values = [], [], []
-    for g, stack in zip(mat.sectors, mat.tables if exact else mat.blocks):
-        if exact:
-            r, p, q = np.nonzero((stack[0] != 0) | (stack[2] != 0))
-        else:
-            r, p, q = np.nonzero((stack != 0) | np.signbit(stack.real) | np.signbit(stack.imag))
+    for g, stack in zip(mat.sectors, mat.blocks):
+        r, p, q = np.nonzero((stack != 0) | np.signbit(stack.real) | np.signbit(stack.imag))
         rows.append(g[r, p])
         cols.append(g[r, q])
-        values.append(stack[..., r, p, q])
+        values.append(stack[r, p, q])
     rows = np.concatenate(rows)
     order = np.argsort(rows, kind="stable")  # a sector's row lists its columns ascending
-    return rows[order], np.concatenate(cols)[order], np.concatenate(values, axis=-1)[..., order]
+    return rows[order], np.concatenate(cols)[order], np.concatenate(values)[order]
 
 
 def _cell_texts(values: np.ndarray, exact: bool) -> list[str]:
@@ -835,7 +830,7 @@ def dump_matrix(mat: CompressionMatrix, fileobj) -> None:
     """Write mat in dump format v1.  Beyond the matrix it holds the positions and
     values of the non-zero cells (_nonzero_cells) and one chunk of text."""
     _check_dump_size(mat.size)
-    exact = mat.tables is not None
+    exact = mat.cells is not None
     size = mat.size
     fileobj.write(
         f"hankel-spectra-matrix v1 dim={mat.trunc.dim} N={mat.trunc.degree_cap} "

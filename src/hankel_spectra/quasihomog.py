@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -115,15 +115,17 @@ class RadialProfile:
 
 
 def _convolve(a: PolyCoeffs, b: PolyCoeffs) -> PolyCoeffs:
+    """The product's coefficients, convolved on integer numerators over each factor's lcm denominator."""
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return tuple(out)
+    den_a, den_b = (lcm(*(c.denominator for c in f)) for f in (a, b))
+    terms_a, terms_b = ([(j, c.numerator * (den // c.denominator)) for j, c in enumerate(f) if c]
+                        for f, den in ((a, den_a), (b, den_b)))
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in terms_a:
+        for j, y in terms_b:
+            out[i + j] += x * y
+    return tuple(Fraction(c, den_a * den_b) for c in out)
 
 
 def _abs_sq_wrap(fn: RadialFn) -> RadialFn:

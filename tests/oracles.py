@@ -189,6 +189,38 @@ def reference_factor_integral(coeffs, p: int) -> Fraction:
     return total
 
 
+def reference_convolve(a, b) -> tuple:
+    """The coefficients of the product of two polynomial factors, one Fraction product and sum per pair."""
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    out[i + j] += ca * cb
+    return tuple(out)
+
+
+def reference_toeplitz_map(phi, in_indices, out_index_of) -> list[list]:
+    """Sparse rows of <phi z^a, z^gamma>/pi^n, each coefficient a product of one Fraction
+    2/(a_k+n_k+m_k+gamma_k+2) per coordinate."""
+    out = []
+    for alpha in in_indices:
+        acc = {}
+        for c, n, m in phi.terms:
+            gamma = tuple(a + nk - mk for a, nk, mk in zip(alpha, n, m))
+            if min(gamma) < 0 or gamma not in out_index_of:
+                continue
+            val = Fraction(1)
+            for a, nk, mk, gk in zip(alpha, n, m, gamma):
+                val *= Fraction(2, a + nk + mk + gk + 2)
+            g = out_index_of[gamma]
+            acc[g] = acc.get(g, CR_ZERO) + c * val
+        out.append(sorted(acc.items()))
+    return out
+
+
 def reference_coordinate_table(factor, square, k: int, axis) -> list[tuple]:
     """The exact (p, q, s, t) of quasihomog._coordinate_table for one coordinate, from
     Fraction integrals, each ratio reduced: p/q = (a+1) * I(|f|^2, 2a) and
@@ -413,18 +445,15 @@ def reference_gram_block(pairs, lo, hi) -> np.ndarray:
 
 
 def reference_scaled_blocks(mat) -> tuple[np.ndarray, ...] | None:
-    """The sector blocks of CRat entries an exact compression's tables stand for: one CRat per
-    non-zero entry of the flat sector layout, the shared CR_ZERO elsewhere, split into the
-    sector stacks; None on the float path."""
-    from hankel_spectra.galerkin import _split
-
-    if mat.tables is None:
+    """The sector blocks of CRat entries an exact compression's cells stand for: one CRat per
+    listed cell, the shared CR_ZERO elsewhere, cut out of the n x n layout sector by sector;
+    None on the float path."""
+    if mat.cells is None:
         return None
-    tables = np.concatenate([t.reshape(4, -1) for t in mat.tables], axis=1)
-    scaled = np.full(tables.shape[1], CR_ZERO, dtype=object)
-    nonzero = np.flatnonzero((tables[0] != 0) | (tables[2] != 0))
-    scaled[nonzero] = [CRat(Fraction(a, b), Fraction(c, d)) for a, b, c, d in zip(*tables[:, nonzero].tolist())]
-    return _split(scaled, mat.sectors)
+    rows, cols, values = mat.cells
+    scaled = np.full((mat.size, mat.size), CR_ZERO, dtype=object)
+    scaled[rows, cols] = [CRat(Fraction(a, b), Fraction(c, d)) for a, b, c, d in zip(*values.tolist())]
+    return tuple(scaled[g[:, :, None], g[:, None, :]] for g in mat.sectors)
 
 
 def reference_profile_values(sym, coord: int, num_samples: int, trunc: BasisTruncation) -> list[float]:

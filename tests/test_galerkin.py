@@ -36,6 +36,7 @@ from oracles import (
     hankel_entry_oracle,
     reference_gram_block,
     reference_scaled_blocks,
+    reference_toeplitz_map,
 )
 
 
@@ -86,7 +87,7 @@ def test_assemble_monomial_is_diagonal_with_core_values():
     sym = parse_symbol("zb1*zb2")
     trunc = BasisTruncation(2, 2)
     mat = assemble(sym, trunc)
-    assert mat.tables is not None
+    assert mat.cells is not None
     diag = mat.exact_diagonal()
     for i, alpha in enumerate(trunc.indices):
         assert diag[i] == lambda_value((0, 0), (1, 1), alpha, {1, 2})
@@ -134,7 +135,7 @@ def test_assemble_guards():
 def test_hermiticity_and_psd_float_path():
     sym = parse_symbol("zb1*(zb2+1)") * (0.5 + 0.25j)
     mat = assemble(sym, BasisTruncation(6, 2))
-    assert mat.tables is None and mat.scaled is None
+    assert mat.cells is None and mat.scaled is None
     assert mat.hermiticity_defect() <= 1e-13 * max(1.0, mat.scale())
     w = eigenvalues(mat)
     assert w[0] >= -1e-10
@@ -308,7 +309,7 @@ def test_dump_and_load_roundtrip():
         buf.seek(0)
         back = load_matrix(buf)
         assert back.trunc == mat.trunc
-        assert (back.tables is not None) == exact
+        assert (back.cells is not None) == exact
         if exact:
             assert back.scaled == mat.scaled
         assert np.array_equal(back.dense, mat.dense)
@@ -412,7 +413,7 @@ def test_zero_cells_of_a_loaded_exact_dump_build_no_fraction(monkeypatch):
     for zero in ("0,0", "-0/3,0/1", "0/1,-0", "0/1,0"):
         got = load_matrix(io.StringIO(header + f"{zero} 1/2,0/1\n1/2,0/1 {zero}\n"))
         assert got.scaled == want.scaled
-        assert all(np.array_equal(a, b) for a, b in zip(got.tables, want.tables))
+        assert all(np.array_equal(a, b) for a, b in zip(got.cells, want.cells))
 
 
 def test_gram_entry_complex_coefficient_orientation():
@@ -451,8 +452,8 @@ def test_eigenvalues_rejects_non_finite_matrix():
 
 def test_exact_dump_bytes_match_per_cell_formatting():
     # zero cells are written as a constant; the bytes must equal formatting every cell,
-    # for assembled matrices and loaded ones, whose sector blocks (taken from the dump's
-    # non-zero pattern) also hold zero entries that the writer must find in the tables
+    # for assembled matrices and loaded ones, whose cells (taken from the dump's non-zero
+    # pattern) must be the assembled listing, with no zero cell among them
     mat = assemble(parse_symbol("(1/2+i)*zb1*(zb2+1) - 3/4*z1*zb2"), BasisTruncation(4, 2))
     buf = io.StringIO()
     dump_matrix(mat, buf)
@@ -467,7 +468,8 @@ def test_exact_dump_bytes_match_per_cell_formatting():
 
     assert buf.getvalue() == per_cell(mat)
     back = load_matrix(io.StringIO(buf.getvalue()))
-    assert back.scaled == mat.scaled and any(((t[0] == 0) & (t[2] == 0)).any() for t in back.tables)
+    assert back.scaled == mat.scaled and all(map(np.array_equal, back.cells, mat.cells))
+    assert ((back.cells[2][0] != 0) | (back.cells[2][2] != 0)).all()
     again = io.StringIO()
     dump_matrix(back, again)
     assert again.getvalue() == buf.getvalue() == per_cell(back)
@@ -675,6 +677,27 @@ def _exact_symbols(draw):
 
 
 @settings(max_examples=60, deadline=None)
+@given(_exact_symbols(), st.integers(0, 3), st.booleans())
+def test_toeplitz_map_matches_the_per_factor_oracle(sym, n_cap, as_float):
+    # one Fraction 2^dim / prod(...) per term: the same rationals, so the same CRat and
+    # bit-equal complex rows as a product of one Fraction per coordinate
+    from hankel_spectra.galerkin import _toeplitz_map
+
+    if as_float:
+        sym = sym.as_float()
+    trunc = BasisTruncation(n_cap, sym.dim)
+    inner = BasisTruncation(n_cap + 3, sym.dim)
+    for phi in (sym, sym.modulus_squared(), sym.conjugate()):
+        for out_index_of in (trunc.index_of, inner.index_of):
+            got = _toeplitz_map(phi, trunc.indices, out_index_of)
+            want = reference_toeplitz_map(phi, trunc.indices, out_index_of)
+            assert got == want
+            assert [[type(v) for _, v in row] for row in got] == [[type(v) for _, v in row] for row in want]
+            if as_float:
+                assert repr(got) == repr(want)
+
+
+@settings(max_examples=60, deadline=None)
 @given(_exact_symbols(), st.integers(0, 3))
 @example(parse_symbol("zb1*z2^3100000000"), 1)  # its factor products pass int64
 def test_gram_tables_match_the_fraction_oracle(sym, n_cap):
@@ -706,7 +729,7 @@ def test_gram_tables_match_the_fraction_oracle(sym, n_cap):
 @example(parse_symbol("zb1*z2^3100000000"), 1, False, None)
 def test_from_cells_rebuilds_the_matrix_nonzero_cells_lists(sym, n_cap, as_float, data):
     # the inverse of _nonzero_cells: bit-equal blocks, -0.0 entries among them, and equal
-    # tables and sectors, for exact and float symbols
+    # cells and sectors, for exact and float symbols
     from hankel_spectra.galerkin import _from_cells, _nonzero_cells, _pair_offsets
 
     if as_float:
@@ -727,9 +750,9 @@ def test_from_cells_rebuilds_the_matrix_nonzero_cells_lists(sym, n_cap, as_float
     assert [g.tolist() for g in back.sectors] == [g.tolist() for g in mat.sectors]
     assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(back.blocks, mat.blocks))
     if as_float:
-        assert back.tables is None
+        assert back.cells is None
     else:
-        assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(back.tables, mat.tables))
+        assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(back.cells, mat.cells))
 
 
 def test_a_zero_cell_between_sectors_is_dropped():
@@ -740,7 +763,7 @@ def test_a_zero_cell_between_sectors_is_dropped():
         mat = assemble(sym, BasisTruncation(3, 2))
         i, j = mat.sectors[0][0][0], mat.sectors[0][1][0]
         rows, cols, values = _nonzero_cells(mat)
-        # a -0.0 float cell, and an exact one of the tables 0/1, 0/1
+        # a -0.0 float cell, and an exact one of the table ints 0/1, 0/1
         zero = np.array([[0], [1], [0], [1]], dtype=object) if exact else np.array([complex(-0.0, -0.0)])
         back = _from_cells(
             mat.trunc, np.append(rows, i), np.append(cols, j), np.append(values, zero, axis=-1), exact,
@@ -779,6 +802,28 @@ def test_load_matrix_allocates_no_n_by_n_array(tmp_path):
             tracemalloc.stop()
     assert peak < 16 * mat.size**2
     assert matrices_equal(back, mat)
+
+
+def test_an_exact_compression_holds_only_its_nonzero_cells():
+    # 625 basis rows in one sector of 390 625 stored entries, 3 025 of them non-zero: a padded
+    # sector table of those entries, four Python-int references each, took over 13 MB
+    import tracemalloc
+
+    import hankel_spectra.galerkin as galerkin
+
+    trunc = BasisTruncation(24, 2)
+    galerkin._sectors.cache_clear()
+    tracemalloc.start()
+    try:
+        mat = assemble(parse_symbol("zb1 + zb2 + zb1*zb2"), trunc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows, cols, values = mat.cells
+    assert rows.size == cols.size == values.shape[1] == 3025
+    assert np.array_equal(np.stack([rows, cols]), np.stack(np.nonzero(mat.dense)))
+    assert galerkin._nonzero_cells(mat) is mat.cells
+    assert peak < 4 * 2**20
 
 
 def test_huge_exponent_dump_holds_the_closed_form_diagonal(capsys, tmp_path):
@@ -951,15 +996,20 @@ def test_scaled_is_the_graded_lex_layout_of_the_reference_scaled_blocks(sym, n_c
 @settings(max_examples=60, deadline=None)
 @given(_exact_symbols(), st.integers(0, 3), st.data())
 def test_matrices_equal_catches_one_changed_table_entry(sym, n_cap, data):
-    # a/b -> (a + b)/b stays reduced, so the tables still hold a valid exact matrix, one entry off
+    # a/b -> (a + b)/b stays reduced, so the cells still hold a valid exact matrix, one entry
+    # of the sector blocks off; an entry the listing leaves out is 0/1, 0/1, inserted in place
     mat = assemble(sym, BasisTruncation(n_cap, sym.dim))
-    group = data.draw(st.integers(0, len(mat.tables) - 1))
+    g = mat.sectors[data.draw(st.integers(0, len(mat.sectors) - 1))]
     part = data.draw(st.sampled_from([0, 2]))
-    entry = tuple(data.draw(st.integers(0, n - 1)) for n in mat.tables[group].shape[1:])
-    tables = [t.copy() for t in mat.tables]
-    tables[group][(part,) + entry] += tables[group][(part + 1,) + entry]
-    changed = dataclasses.replace(mat, tables=tuple(tables))
-    assert matrices_equal(mat, dataclasses.replace(mat, tables=tuple(t.copy() for t in mat.tables)))
+    r, p, q = (data.draw(st.integers(0, n - 1)) for n in g.shape + g.shape[1:])
+    i, j = g[r, p], g[r, q]
+    rows, cols, values = (a.copy() for a in mat.cells)
+    at = np.searchsorted(rows * mat.size + cols, i * mat.size + j)
+    if at == rows.size or (rows[at], cols[at]) != (i, j):
+        rows, cols, values = np.insert(rows, at, i), np.insert(cols, at, j), np.insert(values, at, [0, 1, 0, 1], axis=1)
+    values[part, at] += values[part + 1, at]
+    changed = dataclasses.replace(mat, cells=(rows, cols, values))
+    assert matrices_equal(mat, dataclasses.replace(mat, cells=tuple(a.copy() for a in mat.cells)))
     assert not matrices_equal(mat, changed) and not matrices_equal(changed, mat)
 
 
@@ -1074,7 +1124,7 @@ def test_a_loaded_dump_holds_the_assembled_tables():
         dump_matrix(mat, buf)
         back = load_matrix(io.StringIO(buf.getvalue()))
         assert [g.tolist() for g in back.sectors] == [g.tolist() for g in mat.sectors]
-        for a, b in zip(back.tables, mat.tables):
+        for a, b in zip(back.cells, mat.cells):
             assert a.shape == b.shape and np.array_equal(a, b)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(back.blocks, mat.blocks))
 

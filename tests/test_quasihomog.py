@@ -22,6 +22,7 @@ from hankel_spectra import (
 from oracles import (
     qh_point_oracle,
     radial_integral_oracle,
+    reference_convolve,
     reference_coordinate_table,
     reference_factor_integral,
 )
@@ -270,6 +271,18 @@ def test_box_rejects_bad_axes():
 
 # 200 coefficients, zeros and negatives among them: a sum kept unreduced would show in its ints
 _LONG_FACTOR = [Fraction((-1) ** d * (d % 7), d % 11 + 1) for d in range(200)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(*[st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=8)] * 2)
+@example(_LONG_FACTOR, _LONG_FACTOR)
+@example([0, 0], [Fraction(1, 3)])
+def test_convolve_matches_the_fraction_oracle(a, b):
+    from hankel_spectra.quasihomog import _convolve
+
+    a, b = tuple(map(Fraction, a)), tuple(map(Fraction, b))
+    got = _convolve(a, b)
+    assert got == reference_convolve(a, b) and all(type(c) is Fraction for c in got)
 
 
 @settings(max_examples=100, deadline=None)
