@@ -334,7 +334,7 @@ def containment_report(
     compression only approximates the operator spectrum at this N.  A point
     is matched when its gap is at most tol (>= 0).
     """
-    if tol < 0:
+    if not tol >= 0:  # NaN too: no gap is <= NaN
         raise ValueError("tol must be non-negative")
     eigs = np.sort(np.asarray(compression_spectrum, dtype=float))
     report: dict = {"tol": tol, "points": [], "intervals": []}

@@ -18,19 +18,19 @@ non-zero entries of g (Gaussian-rational, Hermitian), float symbols divide them
 in float64 (_gram_block).  Callers that only need floats pass a float copy of
 an exact symbol (PolySymbol.as_float).
 
-The compression is stored as sector blocks.  Entry (a, b) vanishes unless
+The compression is stored as its non-zero cells.  Entry (a, b) vanishes unless
 b - a is a winding offset k_s - k_t of two terms, so the connected components
 of the graph a ~ a + delta on the box (the sectors, see _sectors) index
 diagonal blocks of a permuted matrix with nothing between them.  The spectrum
 is the union of the block spectra; monomial symbols give 1x1 blocks, the
-paper's diagonal case.  An exact compression keeps only the row-major listing
-of its non-zero cells and their reduced table ints (cells), its one exact form:
-exact comparisons, the exact dump and the exact diagonal read it, and its float
-blocks, the graded-lex CRat matrix (scaled) and the full float matrix (dense)
-are built only when a caller reads them.  Every route passes its non-zero cells
-to one constructor, _from_cells, the inverse of the dump's listing
-(_nonzero_cells); the dump is written in chunks of about 1 MiB and read back
-without an n x n array.
+paper's diagonal case.  Every compression keeps only the row-major listing of
+the cells the dump writes (cells): the reduced table ints of an exact
+compression, the orthonormal complex entries of a float one.  Comparisons, the
+dump and the exact diagonal read it; the float sector blocks, the graded-lex
+CRat matrix (scaled) and the full float matrix (dense) are built only when a
+caller reads them.  Every route passes its non-zero cells to one constructor,
+_from_cells; the dump is written from the listing in chunks of about 1 MiB and
+read back without an n x n array.
 """
 
 from __future__ import annotations
@@ -338,31 +338,37 @@ def scaled_gram_entry(sym: PolySymbol, alpha, beta):
 
 @dataclass(frozen=True)
 class CompressionMatrix:
-    """Hermitian compression of H*_psi H_psi on a truncated basis, stored as sector blocks.
+    """Hermitian compression of H*_psi H_psi on a truncated basis, stored as its non-zero cells.
 
     sectors groups the index sets of the diagonal blocks by size (see _sectors);
-    nothing lies between them.  blocks[g][r] is the orthonormal block (complex)
-    of the indices sectors[g][r].  For exact symbols cells = (rows, cols, values)
-    lists the non-zero entries of the Gaussian-rational scaled Gram matrix (see
-    the module docstring for the sqrt-weight relation) row-major: their graded-lex
-    positions and a (4, n) object array of their reduced Python ints re_num,
-    re_den, im_num, im_den (0/1 for a zero part).  stored_blocks is then None: the
-    float blocks are built from the cells on first read.  For float symbols
-    stored_blocks holds the blocks and cells is None.  The graded-lex views dense
-    and scaled (the cells as CRat) and the symbol_hash of the dump header are
-    built on first read too.  A loaded dump has no symbol, only its header's dumped_hash.
+    nothing lies between them.  cells = (rows, cols, values) lists the cells the
+    dump writes, row-major: their graded-lex positions and their values.  For
+    exact symbols values is a (4, n) object array of the reduced Python ints
+    re_num, re_den, im_num, im_den of the Gaussian-rational scaled Gram entries
+    (0/1 for a zero part; see the module docstring for the sqrt-weight relation),
+    listed when a numerator is non-zero.  For float symbols values holds the n
+    orthonormal complex entries, listed unless both parts are +0.0, so -0.0 and
+    NaN cells stay.  is_exact reads the kind off the listing.  The orthonormal
+    sector blocks (blocks[g][r] is the complex block of the indices sectors[g][r]),
+    the graded-lex views dense and scaled (the exact cells as CRat) and the
+    symbol_hash of the dump header are built on first read.  A loaded dump has no
+    symbol, only its header's dumped_hash.
     """
 
     symbol: PolySymbol | None
     trunc: BasisTruncation
     sectors: tuple[np.ndarray, ...]
-    stored_blocks: tuple[np.ndarray, ...] | None
-    cells: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray]
     dumped_hash: str | None = None
 
     @property
     def size(self) -> int:
         return self.trunc.size
+
+    @property
+    def is_exact(self) -> bool:
+        """Whether the cells hold table ints, a (4, n) array, rather than n complex entries."""
+        return self.cells[2].ndim == 2
 
     @cached_property
     def symbol_hash(self) -> str:
@@ -376,17 +382,17 @@ class CompressionMatrix:
 
     @cached_property
     def blocks(self) -> tuple[np.ndarray, ...]:
-        """The orthonormal sector blocks: stored_blocks, or for an exact compression the float
-        (c * w_i) * w_j of every cell (i, j), c its value as _complex rounds it and w the
-        sqrt weights, and +0.0 elsewhere."""
-        if self.stored_blocks is not None:
-            return self.stored_blocks
+        """The orthonormal sector blocks: every listed cell (i, j) at its place and +0.0 elsewhere.
+        An exact cell is the float (c * w_i) * w_j, c its value as _complex rounds it and w the
+        sqrt weights."""
         rows, cols, values = self.cells
+        if self.is_exact:
+            w = self.trunc.weights_sqrt
+            with np.errstate(over="ignore", invalid="ignore"):  # eigenvalues() rejects the inf/nan
+                values = _complex(*values) * w[rows] * w[cols]
         row_start, col_pos, stored = _layout(self.sectors, self.size)
-        w = self.trunc.weights_sqrt
         flat = np.zeros(stored, dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):  # eigenvalues() rejects the inf/nan
-            flat[row_start[rows] + col_pos[cols]] = _complex(*values) * w[rows] * w[cols]
+        flat[row_start[rows] + col_pos[cols]] = values
         return _split(flat, self.sectors)
 
     def _graded_lex(self) -> np.ndarray:
@@ -404,7 +410,7 @@ class CompressionMatrix:
     @cached_property
     def scaled(self) -> tuple[tuple[CRat, ...], ...] | None:
         """The cells as graded-lex CRat rows, CR_ZERO for every other entry; None on the float path."""
-        if self.cells is None:
+        if not self.is_exact:
             return None
         rows, cols, values = self.cells
         out = np.full((self.size, self.size), CR_ZERO, dtype=object)
@@ -413,7 +419,7 @@ class CompressionMatrix:
 
     def exact_diagonal(self) -> list[Fraction]:
         """Orthonormal diagonal <H e_a, H e_a>, exactly rational, read off the diagonal cells."""
-        if self.cells is None:
+        if not self.is_exact:
             raise ValueError("matrix was assembled on the float path")
         rows, cols, values = self.cells
         diag = np.repeat(np.array([[0], [1], [0], [1]], dtype=object), self.size, axis=1)  # 0/1, 0/1
@@ -452,14 +458,16 @@ def _nonzero(values: np.ndarray, exact: bool) -> np.ndarray:
 
 
 def _from_cells(trunc: BasisTruncation, rows, cols, values, exact: bool, offsets: frozenset, **fields) -> CompressionMatrix:
-    """The compression whose non-zero cells are (rows, cols, values): the inverse of _nonzero_cells.
+    """The compression whose non-zero cells are (rows, cols, values), each cell listed once;
+    _from_cells(trunc, *mat.cells, ...) rebuilds mat.
 
-    values holds the cells' (4, n) table ints if exact, else their n orthonormal entries;
-    every other entry is zero.  The sectors are those of offsets: a non-zero cell outside
-    them raises ValueError, a zero one (-0.0, or a zero table entry) is dropped.  An exact
-    compression keeps only its non-zero cells, sorted row-major (cells); a float one its blocks.
+    values holds the cells' (4, n) table ints if exact, else their n orthonormal complex
+    entries; every other entry is zero.  The sectors are those of offsets: a non-zero cell
+    outside them raises ValueError, a zero one (-0.0, or a zero table entry) is dropped.
+    The compression keeps the cells the dump writes, sorted row-major: an exact cell with
+    a non-zero numerator, a float cell unless both its parts are +0.0.
     """
-    groups, row_start, col_pos, label = _sectors(trunc, offsets)
+    groups, _, _, label = _sectors(trunc, offsets)
     inside = label[rows] == label[cols]
     if not inside.all():
         if _nonzero(values[..., ~inside], exact).any():
@@ -467,12 +475,10 @@ def _from_cells(trunc: BasisTruncation, rows, cols, values, exact: bool, offsets
         rows, cols, values = rows[inside], cols[inside], values[..., inside]
     if exact:
         keep = np.flatnonzero(_nonzero(values, True))
-        keep = keep[np.lexsort((cols[keep], rows[keep]))]  # row-major
-        cells = rows[keep], cols[keep], values[:, keep]
-        return CompressionMatrix(trunc=trunc, sectors=groups, stored_blocks=None, cells=cells, **fields)
-    flat = np.zeros(sum(g.size * g.shape[1] for g in groups), dtype=complex)
-    flat[row_start[rows] + col_pos[cols]] = values
-    return CompressionMatrix(trunc=trunc, sectors=groups, stored_blocks=_split(flat, groups), cells=None, **fields)
+    else:  # -0.0 and NaN parts are written as such
+        keep = np.flatnonzero((values != 0) | np.signbit(values.real) | np.signbit(values.imag))
+    keep = keep[np.argsort(rows[keep] * trunc.size + cols[keep])]  # row-major: one key per cell
+    return CompressionMatrix(trunc=trunc, sectors=groups, cells=(rows[keep], cols[keep], values[..., keep]), **fields)
 
 
 def _kernel_blocks(offsets, trunc: BasisTruncation, exact: bool):
@@ -496,7 +502,7 @@ def _kernel_blocks(offsets, trunc: BasisTruncation, exact: bool):
 
 
 def assemble(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
-    """Assemble the Hermitian compression of H*_psi H_psi as sector blocks.
+    """Assemble the Hermitian compression of H*_psi H_psi as the non-zero cells of its sector blocks.
 
     One kernel computes the matrix one winding-offset block at a time, in the
     arithmetic of the symbol, and _from_cells keeps the cells of all blocks
@@ -506,11 +512,12 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
     cells, the orthonormal blocks, built on first read, take each entry's
     correctly rounded float value, and no CRat is built until a caller reads
     scaled.
-    Float symbols run _gram_block and leave cells as None; callers that
-    only need floats pass sym.as_float().  For a unit-coefficient monomial
-    symbol the exact result is diagonal with the closed-form spectrum values
-    on the diagonal.  Coefficients too large for floats leave inf/nan entries
-    in the blocks, which eigenvalues() rejects.
+    Float symbols run _gram_block and keep its orthonormal entries as their
+    cells, blocks again built on first read; callers that only need floats
+    pass sym.as_float().  For a unit-coefficient monomial symbol the exact
+    result is diagonal with the closed-form spectrum values on the diagonal.
+    Coefficients too large for floats leave inf/nan entries in the blocks,
+    which eigenvalues() rejects.
     """
     if sym.dim != trunc.dim:
         raise ValueError(f"symbol dim {sym.dim} != truncation dim {trunc.dim}")
@@ -522,7 +529,8 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
         cells = {delta: cell for delta, *cell in _kernel_blocks(pairs, trunc, exact)}
     if not cells:  # a symbol without terms: no cells, the zero matrix
         none = np.empty(0, dtype=np.intp)
-        return _from_cells(trunc, none, none, np.empty((4, 0) if exact else 0, dtype=object), exact, offsets, symbol=sym)
+        values = np.empty((4, 0), dtype=object) if exact else np.empty(0, dtype=complex)
+        return _from_cells(trunc, none, none, values, exact, offsets, symbol=sym)
     rows, cols, values = (np.concatenate(x, axis=-1) for x in zip(*cells.values()))
     if exact:  # every cell (i, j) and its mirror (j, i) hold conjugate tables
         mirrors = [cells[tuple(-d for d in delta)][2] for delta in cells]
@@ -599,12 +607,12 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation) -> Compressio
 
 
 def matrices_equal(m1: CompressionMatrix, m2: CompressionMatrix) -> bool:
-    """Entrywise equality: bitwise on the float path; exact on the rational path, on the
-    row-major cells, whose table ints are reduced with den > 0, so equal integers are
-    equal rationals whatever the sector layouts."""
+    """Entrywise equality.  Two exact matrices compare their row-major cells, whose table
+    ints are reduced with den > 0, so equal integers are equal rationals whatever the
+    sector layouts; otherwise dense == dense, so -0.0 equals 0.0 and NaN equals nothing."""
     if m1.trunc != m2.trunc:
         return False
-    if m1.cells is not None and m2.cells is not None:
+    if m1.is_exact and m2.is_exact:
         return all(map(np.array_equal, m1.cells, m2.cells))
     return bool(np.array_equal(m1.dense, m2.dense))
 
@@ -783,8 +791,8 @@ def weyl_residual(mat: CompressionMatrix, lam: float, g_coeffs, p: complex) -> f
 # then one graded-lex row per line, size cells each, then only blank lines; a cell
 # is "re,im" with float repr (float mode) or "num/den,num/den" (rational mode,
 # scaled Gram entries, integers too: readers split on "/"); size^2 <= MAX_STORED_ENTRIES.
-# The writer formats only the cells whose text is not the zero cell, straight from the
-# blocks or the cells, and fills the other columns with runs of the zero cell; it
+# The writer formats only the listed cells, whose text is not the zero cell, straight
+# from the cells, and fills the other columns with runs of the zero cell; it
 # passes about _DUMP_CHUNK characters of whole rows to each write().
 
 _DUMP_CHUNK = 2**20
@@ -798,39 +806,18 @@ def _check_dump_size(size: int, where: str = "") -> None:
         )
 
 
-def _nonzero_cells(mat: CompressionMatrix):
-    """(rows, cols, values) of the cells whose dump text is not the zero cell, row-major.
-
-    An exact compression's stored cells, whose values are a (4, n) object array of
-    table ints.  A float cell is the zero cell when both parts are +0.0, so -0.0 and
-    NaN cells are kept, and values holds the n complex entries, found in one
-    vectorised pass per sector group.  _from_cells is its inverse.
-    """
-    if mat.cells is not None:
-        return mat.cells
-    rows, cols, values = [], [], []
-    for g, stack in zip(mat.sectors, mat.blocks):
-        r, p, q = np.nonzero((stack != 0) | np.signbit(stack.real) | np.signbit(stack.imag))
-        rows.append(g[r, p])
-        cols.append(g[r, q])
-        values.append(stack[r, p, q])
-    rows = np.concatenate(rows)
-    order = np.argsort(rows, kind="stable")  # a sector's row lists its columns ascending
-    return rows[order], np.concatenate(cols)[order], np.concatenate(values)[order]
-
-
 def _cell_texts(values: np.ndarray, exact: bool) -> list[str]:
-    """The dump cells of _nonzero_cells' values: "num/den" of the table ints, integers too, or float reprs."""
+    """The dump cells of listed values: "num/den" of the table ints, integers too, or float reprs."""
     if exact:
         return [f"{a}/{b},{c}/{d}" for a, b, c, d in zip(*values.tolist())]
     return [f"{z.real!r},{z.imag!r}" for z in values.tolist()]
 
 
 def dump_matrix(mat: CompressionMatrix, fileobj) -> None:
-    """Write mat in dump format v1.  Beyond the matrix it holds the positions and
-    values of the non-zero cells (_nonzero_cells) and one chunk of text."""
+    """Write mat in dump format v1, read off its row-major cells: beyond the matrix it
+    holds one chunk of text, and it builds no blocks."""
     _check_dump_size(mat.size)
-    exact = mat.cells is not None
+    exact = mat.is_exact
     size = mat.size
     fileobj.write(
         f"hankel-spectra-matrix v1 dim={mat.trunc.dim} N={mat.trunc.degree_cap} "
@@ -838,7 +825,7 @@ def dump_matrix(mat: CompressionMatrix, fileobj) -> None:
     )
     zero = "0/1,0/1" if exact else "0.0,0.0"
     run = zero + " "
-    rows, cols, values = _nonzero_cells(mat)
+    rows, cols, values = mat.cells
     counts = np.bincount(rows, minlength=size).tolist()
     # every cell has at least 7 characters, so every chunk but the last holds _DUMP_CHUNK or more
     step = -(-_DUMP_CHUNK // (len(run) * size))

@@ -248,9 +248,7 @@ def eager_exact_blocks(mat) -> tuple[np.ndarray, ...]:
     """The float sector blocks of an exact compression, laid out cell by cell: (c * w_i) * w_j
     for every non-zero table cell (i, j), c each part num / den in one Python division (+-inf
     past the float range) and w the sqrt weights, +0.0 elsewhere."""
-    from hankel_spectra.galerkin import _nonzero_cells
-
-    rows, cols, values = _nonzero_cells(mat)
+    rows, cols, values = mat.cells
     c = np.array([complex(_rounded(a, b), _rounded(p, q)) for a, b, p, q in zip(*values.tolist())], dtype=complex)
     w = mat.trunc.weights_sqrt
     dense = np.zeros((mat.size, mat.size), dtype=complex)
@@ -448,7 +446,7 @@ def reference_scaled_blocks(mat) -> tuple[np.ndarray, ...] | None:
     """The sector blocks of CRat entries an exact compression's cells stand for: one CRat per
     listed cell, the shared CR_ZERO elsewhere, cut out of the n x n layout sector by sector;
     None on the float path."""
-    if mat.cells is None:
+    if not mat.is_exact:
         return None
     rows, cols, values = mat.cells
     scaled = np.full((mat.size, mat.size), CR_ZERO, dtype=object)

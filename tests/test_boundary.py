@@ -566,6 +566,15 @@ def test_containment_report_empty_prediction():
     assert report["tol"] == 0.0 and report["all_points_matched"]
 
 
+def test_containment_report_refuses_a_nan_tol():
+    # no gap is <= NaN, so a NaN tol would report every point unmatched, with "tol": NaN
+    from hankel_spectra import EssentialSetPrediction
+
+    prediction = EssentialSetPrediction((PredictedPoint(0.0, 0.0, "holomorphic"),), ())
+    with pytest.raises(ValueError, match="tol must be non-negative"):
+        containment_report(prediction, [0.0], math.nan)
+
+
 def test_prediction_has_one_truncation():
     params = inspect.signature(product_essential_prediction).parameters
     assert "alpha_cap" not in params and params["trunc"].default is inspect.Parameter.empty

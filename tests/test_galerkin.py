@@ -87,7 +87,7 @@ def test_assemble_monomial_is_diagonal_with_core_values():
     sym = parse_symbol("zb1*zb2")
     trunc = BasisTruncation(2, 2)
     mat = assemble(sym, trunc)
-    assert mat.cells is not None
+    assert mat.is_exact
     diag = mat.exact_diagonal()
     for i, alpha in enumerate(trunc.indices):
         assert diag[i] == lambda_value((0, 0), (1, 1), alpha, {1, 2})
@@ -135,7 +135,7 @@ def test_assemble_guards():
 def test_hermiticity_and_psd_float_path():
     sym = parse_symbol("zb1*(zb2+1)") * (0.5 + 0.25j)
     mat = assemble(sym, BasisTruncation(6, 2))
-    assert mat.cells is None and mat.scaled is None
+    assert not mat.is_exact and mat.scaled is None
     assert mat.hermiticity_defect() <= 1e-13 * max(1.0, mat.scale())
     w = eigenvalues(mat)
     assert w[0] >= -1e-10
@@ -309,7 +309,7 @@ def test_dump_and_load_roundtrip():
         buf.seek(0)
         back = load_matrix(buf)
         assert back.trunc == mat.trunc
-        assert (back.cells is not None) == exact
+        assert back.is_exact == exact
         if exact:
             assert back.scaled == mat.scaled
         assert np.array_equal(back.dense, mat.dense)
@@ -441,13 +441,26 @@ def test_a_float_gram_entry_is_the_exact_entry_rounded():
         assert type(got) is complex and abs(got - want) <= 1e-15 * max(1.0, abs(want))
 
 
+def _with_cell(mat, i, j, value):
+    """mat with cell (i, j) set to value (a complex, or a table-int column if exact), inserted
+    at its row-major place when the listing leaves it out."""
+    rows, cols, values = (a.copy() for a in mat.cells)
+    at = np.searchsorted(rows * mat.size + cols, i * mat.size + j)
+    if at == rows.size or (rows[at], cols[at]) != (i, j):
+        return dataclasses.replace(
+            mat, cells=(np.insert(rows, at, i), np.insert(cols, at, j), np.insert(values, at, value, axis=-1))
+        )
+    values[..., at] = value
+    return dataclasses.replace(mat, cells=(rows, cols, values))
+
+
 def test_eigenvalues_rejects_non_finite_matrix():
     mat = assemble(parse_symbol("zb1*(zb2+1)") * (0.5 + 0j), BasisTruncation(2, 2))
+    i = mat.sectors[-1][0, 1]
     for bad in (math.nan, math.inf):
-        blocks = [b.copy() for b in mat.blocks]
-        blocks[-1][0, 1, 1] = bad  # NaN passes the Hermiticity guard: NaN > tol is false
+        # entry (1, 1) of the last group's first block; NaN passes the Hermiticity guard: NaN > tol is false
         with pytest.raises(ValueError, match="non-finite entries"):
-            eigenvalues(dataclasses.replace(mat, stored_blocks=tuple(blocks)))
+            eigenvalues(_with_cell(mat, i, i, bad))
 
 
 def test_exact_dump_bytes_match_per_cell_formatting():
@@ -477,12 +490,12 @@ def test_exact_dump_bytes_match_per_cell_formatting():
 
 def test_eigenvalues_rejects_entry_between_sectors():
     # blocks have no room for such an entry: the cells-to-blocks constructor rejects it
-    from hankel_spectra.galerkin import _from_cells, _nonzero_cells, _pair_offsets
+    from hankel_spectra.galerkin import _from_cells, _pair_offsets
 
     sym = parse_symbol("zb1*(zb2+1)") * (0.5 + 0j)
     mat = assemble(sym, BasisTruncation(3, 2))
     i, j = mat.sectors[0][0][0], mat.sectors[0][1][0]
-    rows, cols, values = _nonzero_cells(mat)
+    rows, cols, values = mat.cells
     # Hermitian, so only the sector check can see it
     rows, cols, values = np.append(rows, [i, j]), np.append(cols, [j, i]), np.append(values, [1e-3, 1e-3])
     with pytest.raises(ValueError, match="outside its sector blocks"):
@@ -493,13 +506,10 @@ def test_eigenvalues_rejects_entry_between_sectors():
 
 
 def test_eigenvalues_rejects_non_hermitian_entry_inside_a_block():
-    import dataclasses
-
     mat = assemble(parse_symbol("zb1*(zb2+1)") * (0.5 + 0j), BasisTruncation(3, 2))
-    blocks = [b.copy() for b in mat.blocks]
-    blocks[0][1, 0, 1] += 1e-6  # entry (i, j) for i, j = mat.sectors[0][1][:2]
+    i, j = mat.sectors[0][1][:2]  # entry (0, 1) of the first group's second block
     with pytest.raises(ValueError, match="not Hermitian"):
-        eigenvalues(dataclasses.replace(mat, stored_blocks=tuple(blocks)))
+        eigenvalues(_with_cell(mat, i, j, mat.blocks[0][1, 0, 1] + 1e-6))
 
 
 def test_guards_take_the_samples_in_order():
@@ -728,41 +738,58 @@ def test_gram_tables_match_the_fraction_oracle(sym, n_cap):
 @given(_exact_symbols(), st.integers(0, 3), st.booleans(), st.data())
 @example(parse_symbol("zb1*z2^3100000000"), 1, False, None)
 def test_from_cells_rebuilds_the_matrix_nonzero_cells_lists(sym, n_cap, as_float, data):
-    # the inverse of _nonzero_cells: bit-equal blocks, -0.0 entries among them, and equal
-    # cells and sectors, for exact and float symbols
-    from hankel_spectra.galerkin import _from_cells, _nonzero_cells, _pair_offsets
+    # _from_cells(trunc, *mat.cells, ...) gives back mat: equal cells and sectors and bit-equal
+    # blocks, for exact and float symbols.  A float listing, built here from every entry of the
+    # sector blocks in a drawn order, is row-major and leaves out exactly the cells the dump
+    # writes as "0.0,0.0": -0.0 and NaN cells drawn into the blocks stay listed
+    from hankel_spectra.galerkin import _from_cells, _pair_offsets
 
     if as_float:
         sym = sym.as_float()
+    offsets = frozenset(_pair_offsets(sym.terms, sym.terms))
     mat = assemble(sym, BasisTruncation(n_cap, sym.dim))
+    assert "blocks" not in vars(mat)
     if as_float:
-        blocks = [b.copy() for b in mat.blocks]
+        dense = mat.dense.copy()
         for _ in range(data.draw(st.integers(0, 3))):
-            g = data.draw(st.integers(0, len(blocks) - 1))
-            blocks[g].flat[data.draw(st.integers(0, blocks[g].size - 1))] = data.draw(
-                st.sampled_from([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j])
-            )
-        mat = dataclasses.replace(mat, stored_blocks=tuple(blocks))
-    back = _from_cells(
-        mat.trunc, *_nonzero_cells(mat), not as_float, frozenset(_pair_offsets(sym.terms, sym.terms)),
-        symbol=sym,
-    )
+            g = mat.sectors[data.draw(st.integers(0, len(mat.sectors) - 1))]
+            r, p, q = (data.draw(st.integers(0, n - 1)) for n in g.shape + g.shape[1:])
+            dense[g[r, p], g[r, q]] = data.draw(st.sampled_from(
+                [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j, complex(math.nan, -0.0)]
+            ))
+        rows = np.concatenate([np.repeat(g, g.shape[1], axis=1).ravel() for g in mat.sectors])
+        cols = np.concatenate([np.tile(g, g.shape[1]).ravel() for g in mat.sectors])
+        order = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(rows.size)
+        rows, cols = rows[order], cols[order]
+        mat = _from_cells(mat.trunc, rows, cols, dense[rows, cols], False, offsets, symbol=sym)
+        want = sorted((i, j, z) for i, j, z in zip(rows.tolist(), cols.tolist(), dense[rows, cols].tolist())
+                      if (repr(z.real), repr(z.imag)) != ("0.0", "0.0"))
+        got_rows, got_cols, got_values = mat.cells
+        assert [(i, j) for i, j, _ in want] == list(zip(got_rows.tolist(), got_cols.tolist()))
+        assert np.array([z for *_, z in want], dtype=complex).tobytes() == got_values.tobytes()
+        assert all(a.tobytes() == dense[g[:, :, None], g[:, None, :]].tobytes() for g, a in zip(mat.sectors, mat.blocks))
+    assert mat.is_exact != as_float
+    rows, cols, _ = mat.cells
+    assert (np.diff(rows * mat.size + cols) > 0).all()  # row-major, each cell once
+    back = _from_cells(mat.trunc, *mat.cells, not as_float, offsets, symbol=sym)
     assert [g.tolist() for g in back.sectors] == [g.tolist() for g in mat.sectors]
     assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(back.blocks, mat.blocks))
+    assert back.is_exact == mat.is_exact
+    assert all(a.shape == b.shape and a.dtype == b.dtype for a, b in zip(back.cells, mat.cells))
     if as_float:
-        assert back.cells is None
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(back.cells, mat.cells))
     else:
-        assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(back.cells, mat.cells))
+        assert all(np.array_equal(a, b) for a, b in zip(back.cells, mat.cells))
 
 
 def test_a_zero_cell_between_sectors_is_dropped():
-    from hankel_spectra.galerkin import _from_cells, _nonzero_cells, _pair_offsets
+    from hankel_spectra.galerkin import _from_cells, _pair_offsets
 
     for sym in (parse_symbol("zb1*(zb2+1)"), parse_symbol("zb1*(zb2+1)") * (0.5 + 0j)):
         exact = sym.is_exact
         mat = assemble(sym, BasisTruncation(3, 2))
         i, j = mat.sectors[0][0][0], mat.sectors[0][1][0]
-        rows, cols, values = _nonzero_cells(mat)
+        rows, cols, values = mat.cells
         # a -0.0 float cell, and an exact one of the table ints 0/1, 0/1
         zero = np.array([[0], [1], [0], [1]], dtype=object) if exact else np.array([complex(-0.0, -0.0)])
         back = _from_cells(
@@ -821,8 +848,9 @@ def test_an_exact_compression_holds_only_its_nonzero_cells():
         tracemalloc.stop()
     rows, cols, values = mat.cells
     assert rows.size == cols.size == values.shape[1] == 3025
+    dump_matrix(mat, io.StringIO())  # the dump reads the stored listing: it builds no blocks
+    assert "blocks" not in vars(mat)
     assert np.array_equal(np.stack([rows, cols]), np.stack(np.nonzero(mat.dense)))
-    assert galerkin._nonzero_cells(mat) is mat.cells
     assert peak < 4 * 2**20
 
 
@@ -1062,7 +1090,7 @@ _SCALES = [1, 2**60 + 1, Fraction(1, 3**40), 10**400, CRat(10**200, -(10**400))]
 @example(parse_symbol("zb1*(zb2+1)"), 2, 10**400)
 def test_exact_blocks_built_on_read_equal_the_eager_blocks(sym, n_cap, scale):
     mat = assemble(sym * scale, BasisTruncation(n_cap, sym.dim))
-    assert mat.stored_blocks is None and "blocks" not in vars(mat)
+    assert mat.is_exact and "blocks" not in vars(mat)
     want = eager_exact_blocks(mat)
     assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(mat.blocks, want))
     assert mat.blocks is mat.blocks  # built once

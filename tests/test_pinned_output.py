@@ -8,13 +8,24 @@ recorded with numpy 2.4 and its bundled OpenBLAS; another LAPACK may round the
 last digit of an eigenvalue differently.  The boundary digests were recorded
 again when the slice profile became one matrix trigonometric polynomial in
 theta: its values moved by at most 2.5e-15 relative.
+
+The pinned digests do not depend on the OpenBLAS thread count (CI runs them
+again on one thread).  Other outputs can: a batched eigensolve may round the
+last digits of an eigenvalue differently with more threads, which
+test_thread_count_moves_eigenvalues_only_by_rounding bounds.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hankel_spectra import BasisTruncation, assemble, parse_symbol
 from hankel_spectra.cli import main
 
 FLOAT_SYMBOL = json.dumps({
@@ -110,3 +121,25 @@ def test_exact_dump_digest(capsys, tmp_path):
     assert main(DUMP_ARGS + ["--dump-matrix", str(path)]) == 0
     assert _digest(capsys.readouterr().out) == DUMP_STDOUT
     assert _digest(path.read_text()) == DUMP_FILE
+
+
+def test_thread_count_moves_eigenvalues_only_by_rounding():
+    # this request prints different bytes with one OpenBLAS thread than with two (its largest
+    # eigenvalue, about 3.6, moved by 4.9e-15 on a 2-core host): its eigenvalues must still agree
+    # within s * eps * max|lambda|, s the size of the largest sector block
+    import hankel_spectra
+
+    symbol = "(2-1/2i)*z2*zb1^2*zb2 + (1+i)*zb1 + (-1/2-i)*z2*zb2^2"
+    argv = ["boundary", symbol, "--dim", "2", "--coord", "1", "--degree", "14", "--samples", "128"]
+    env = dict(os.environ, PYTHONPATH=str(Path(hankel_spectra.__file__).parents[1]))
+    eigs = []
+    for threads in ("1", "2"):
+        run = subprocess.run(
+            [sys.executable, "-m", "hankel_spectra.cli", *argv],
+            capture_output=True, env=dict(env, OPENBLAS_NUM_THREADS=threads), timeout=120,
+        )
+        assert (run.returncode, run.stderr) == (0, b"")
+        eigs.append(np.array(json.loads(run.stdout)["compression"]["eigenvalues"]))
+    s = max(g.shape[1] for g in assemble(parse_symbol(symbol).as_float(), BasisTruncation(14, 2)).sectors)
+    assert eigs[0].shape == eigs[1].shape == (225,)
+    assert np.abs(eigs[0] - eigs[1]).max() <= s * np.finfo(float).eps * np.abs(eigs[0]).max()
