@@ -31,6 +31,12 @@ CRat matrix (scaled) and the full float matrix (dense) are built only when a
 caller reads them.  Every route passes its non-zero cells to one constructor,
 _from_cells; the dump is written from the listing in chunks of about 1 MiB and
 read back without an n x n array.
+
+The blocks lie end to end in one flat layout (_layout), computed once per
+cached set of sectors.  One guarded solve (_checked_eigenvalues) serves a
+compression and a batch of slice samples alike: it reads the listed entries
+and the entries at their mirror positions, guards and symmetrises them there,
+and scatters the result into one zeroed layout for the batched eigensolve.
 """
 
 from __future__ import annotations
@@ -165,14 +171,15 @@ def _offset_block(trunc: BasisTruncation, delta):
 
 @lru_cache(maxsize=32)
 def _sectors(trunc: BasisTruncation, offsets: frozenset):
-    """(groups, row_start, col_pos, label): the sectors of the box for the coupling offsets.
+    """(groups, layout, label): the sectors of the box for the coupling offsets.
 
     A sector is a connected component of the graph on the basis box with an
     edge alpha ~ alpha + delta for every offset delta whose ends both lie in
     the box; entry (i, j) lies in a block when label[i] == label[j].  groups
     holds one read-only (k, s) array per sector size s, ascending in s: row r
-    holds the graded-lex indices of one sector, ascending.  row_start and col_pos
-    lay their blocks out end to end (_layout); over MAX_STORED_ENTRIES raise ValueError.
+    holds the graded-lex indices of one sector, ascending.  layout is
+    (row_start, col_pos, stored), their blocks laid out end to end (_layout),
+    computed once per cache entry; over MAX_STORED_ENTRIES raise ValueError.
     """
     boxes = [_offset_block(trunc, d) for d in offsets if any(d)]
     ends = [(rows.ravel(), cols.ravel()) for _, _, rows, cols in filter(None, boxes)]
@@ -200,7 +207,7 @@ def _sectors(trunc: BasisTruncation, offsets: frozenset):
         )
     for a in groups + (row_start, col_pos, label):
         a.flags.writeable = False
-    return groups, row_start, col_pos, label
+    return groups, (row_start, col_pos, stored), label
 
 
 def _layout(groups, size: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -340,7 +347,8 @@ def scaled_gram_entry(sym: PolySymbol, alpha, beta):
 class CompressionMatrix:
     """Hermitian compression of H*_psi H_psi on a truncated basis, stored as its non-zero cells.
 
-    sectors groups the index sets of the diagonal blocks by size (see _sectors);
+    sectors groups the index sets of the diagonal blocks by size, and layout =
+    (row_start, col_pos, stored) lays those blocks out end to end (see _sectors);
     nothing lies between them.  cells = (rows, cols, values) lists the cells the
     dump writes, row-major: their graded-lex positions and their values.  For
     exact symbols values is a (4, n) object array of the reduced Python ints
@@ -348,16 +356,18 @@ class CompressionMatrix:
     (0/1 for a zero part; see the module docstring for the sqrt-weight relation),
     listed when a numerator is non-zero.  For float symbols values holds the n
     orthonormal complex entries, listed unless both parts are +0.0, so -0.0 and
-    NaN cells stay.  is_exact reads the kind off the listing.  The orthonormal
-    sector blocks (blocks[g][r] is the complex block of the indices sectors[g][r]),
-    the graded-lex views dense and scaled (the exact cells as CRat) and the
-    symbol_hash of the dump header are built on first read.  A loaded dump has no
-    symbol, only its header's dumped_hash.
+    NaN cells stay.  is_exact reads the kind off the listing.  The guards and the
+    solve read the listed cells at their places in the layout (listing); the
+    orthonormal sector blocks (blocks[g][r] is the complex block of the indices
+    sectors[g][r]), the graded-lex views dense and scaled (the exact cells as
+    CRat) and the symbol_hash of the dump header are built on first read.  A
+    loaded dump has no symbol, only its header's dumped_hash.
     """
 
     symbol: PolySymbol | None
     trunc: BasisTruncation
     sectors: tuple[np.ndarray, ...]
+    layout: tuple[np.ndarray, np.ndarray, int]
     cells: tuple[np.ndarray, np.ndarray, np.ndarray]
     dumped_hash: str | None = None
 
@@ -381,18 +391,24 @@ class CompressionMatrix:
         return hashlib.sha256(json.dumps(self.symbol.to_json_obj(), sort_keys=True).encode()).hexdigest()[:12]
 
     @cached_property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """The orthonormal sector blocks: every listed cell (i, j) at its place and +0.0 elsewhere.
-        An exact cell is the float (c * w_i) * w_j, c its value as _complex rounds it and w the
-        sqrt weights."""
+    def listing(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(values, at, mirror): the listed cells' orthonormal entries and the flat layout positions
+        of every cell (i, j) and of its mirror (j, i).  An exact cell is the float (c * w_i) * w_j,
+        c its value as _complex rounds it and w the sqrt weights."""
         rows, cols, values = self.cells
         if self.is_exact:
             w = self.trunc.weights_sqrt
             with np.errstate(over="ignore", invalid="ignore"):  # eigenvalues() rejects the inf/nan
                 values = _complex(*values) * w[rows] * w[cols]
-        row_start, col_pos, stored = _layout(self.sectors, self.size)
-        flat = np.zeros(stored, dtype=complex)
-        flat[row_start[rows] + col_pos[cols]] = values
+        row_start, col_pos, _ = self.layout
+        return values, row_start[rows] + col_pos[cols], row_start[cols] + col_pos[rows]
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The orthonormal sector blocks: every listed entry at its place and +0.0 elsewhere."""
+        values, at, _ = self.listing
+        flat = np.zeros(self.layout[2], dtype=complex)
+        flat[at] = values
         return _split(flat, self.sectors)
 
     def _graded_lex(self) -> np.ndarray:
@@ -430,20 +446,32 @@ class CompressionMatrix:
         return [Fraction(n * weight(alpha), d) for n, d, alpha in zip(re_num, re_den, self.trunc.indices)]
 
     def hermiticity_defect(self) -> float:
-        return float(_defects([b[None] for b in self.blocks])[0])
+        """The largest |M - M^H| entry."""
+        values, at, mirror = self.listing
+        _, back = _mirrored(values[None], at, mirror, self.layout[2])
+        return float(_defect(values[None], back)[0])
 
     def scale(self) -> float:
-        return float(_scales([b[None] for b in self.blocks])[0])
+        """The largest |M| entry."""
+        return float(_scale(self.listing[0][None])[0])
 
 
-def _defects(stacks) -> np.ndarray:
-    """Per sample, the largest |b - b^H| over its sector blocks; stacks hold (samples, k, s, s) blocks."""
-    return np.max([np.abs(b - b.conj().swapaxes(2, 3)).max(axis=(1, 2, 3)) for b in stacks], axis=0)
+def _mirrored(values: np.ndarray, at, mirror, stored: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flat, back) for (samples, m) entries at the flat positions at: flat holds them in a zeroed
+    (samples, stored) layout, back the entries at their mirror positions, +0.0 where none lands."""
+    flat = np.zeros((values.shape[0], stored), dtype=complex)
+    flat[:, at] = values
+    return flat, flat[:, mirror]
 
 
-def _scales(stacks) -> np.ndarray:
-    """Per sample, the largest |entry| of its sector blocks."""
-    return np.max([np.abs(b).max(axis=(1, 2, 3)) for b in stacks], axis=0)
+def _defect(values: np.ndarray, back: np.ndarray) -> np.ndarray:
+    """Per sample, the largest |b_ij - conj(b_ji)| over the (samples, m) entries and their mirrors."""
+    return np.abs(values - back.conj()).max(axis=-1, initial=0.0)
+
+
+def _scale(values: np.ndarray) -> np.ndarray:
+    """Per sample, the largest |entry| of (samples, m) entries; every other entry is zero."""
+    return np.abs(values).max(axis=-1, initial=0.0)
 
 
 def _split(flat: np.ndarray, groups) -> tuple[np.ndarray, ...]:
@@ -467,7 +495,7 @@ def _from_cells(trunc: BasisTruncation, rows, cols, values, exact: bool, offsets
     The compression keeps the cells the dump writes, sorted row-major: an exact cell with
     a non-zero numerator, a float cell unless both its parts are +0.0.
     """
-    groups, _, _, label = _sectors(trunc, offsets)
+    groups, layout, label = _sectors(trunc, offsets)
     inside = label[rows] == label[cols]
     if not inside.all():
         if _nonzero(values[..., ~inside], exact).any():
@@ -478,7 +506,8 @@ def _from_cells(trunc: BasisTruncation, rows, cols, values, exact: bool, offsets
     else:  # -0.0 and NaN parts are written as such
         keep = np.flatnonzero((values != 0) | np.signbit(values.real) | np.signbit(values.imag))
     keep = keep[np.argsort(rows[keep] * trunc.size + cols[keep])]  # row-major: one key per cell
-    return CompressionMatrix(trunc=trunc, sectors=groups, cells=(rows[keep], cols[keep], values[..., keep]), **fields)
+    cells = (rows[keep], cols[keep], values[..., keep])
+    return CompressionMatrix(trunc=trunc, sectors=groups, layout=layout, cells=cells, **fields)
 
 
 def _kernel_blocks(offsets, trunc: BasisTruncation, exact: bool):
@@ -617,30 +646,41 @@ def matrices_equal(m1: CompressionMatrix, m2: CompressionMatrix) -> bool:
     return bool(np.array_equal(m1.dense, m2.dense))
 
 
-def _checked_eigenvalues(stacks, name_of, magnitude: float = 1.0) -> np.ndarray:
-    """Ascending eigenvalues of each sample's (samples, k, s, s) blocks, shape (samples, size).
+def _checked_eigenvalues(values, at, mirror, groups, stored: int, name_of, magnitude: float = 1.0) -> np.ndarray:
+    """Ascending eigenvalues of samples given by their listed entries, shape (samples, size).
 
-    The samples are checked in order, as one eigenvalues() call each would
-    check them: the first failing sample raises ValueError for its first
-    failing guard.  A sample counts as non-finite when its symmetrised blocks
-    (b + b^H) / 2 are, which covers non-finite entries and an overflow in the
-    symmetrisation; LAPACK solves only those finite symmetrised blocks.
+    values holds the (samples, m) entries at m distinct flat positions at of the
+    layout of groups (stored entries, see _sectors); every other entry is zero.
+    mirror holds the position of each entry's mirror (j, i), which reads as +0.0
+    unless it is listed too, so a one-sided cell keeps its defect.  The samples
+    are checked in order, as one eigenvalues() call each would check them: the
+    first failing sample raises ValueError for its first failing guard.  A sample
+    counts as non-finite when its symmetrised entries (b + b^H) / 2 are, which
+    covers non-finite entries and an overflow in the symmetrisation.  The guards
+    read only the listed entries and their mirrors; the symmetrised entries of the
+    samples solved are scattered into one zeroed (samples, stored) array, which
+    so holds (b + b^H) / 2 of the padded blocks bit for bit, and blocks of one
+    size go to one batched eigvalsh call.
     name_of(i) names sample i in the non-finite message; it is called only then.
     magnitude bounds the sum of the |terms| added into one entry: the Hermiticity
     tolerance and the PSD floor are taken relative to max(1, magnitude) too, so
     terms that cancel to rounding noise (a vanishing slice) pass the guards.
     """
     unit = max(1.0, magnitude)
+    flat, back = _mirrored(values, at, mirror, stored)
     with np.errstate(over="ignore", invalid="ignore"):
-        hermitian = [np.divide(h, 2.0, out=h) for h in (b + b.conj().swapaxes(2, 3) for b in stacks)]
-        finite = np.logical_and.reduce([np.isfinite(h).all(axis=(1, 2, 3)) for h in hermitian])
+        hermitian = np.divide(values + back.conj(), 2.0)
+        finite = np.isfinite(hermitian).all(axis=1)
         n_finite = finite.size if finite.all() else int(np.argmin(finite))
-        stacks = [b[:n_finite] for b in stacks]
-        defect = _defects(stacks)
-        skewed = np.flatnonzero(defect > HERMITICITY_TOL * np.maximum(unit, _scales(stacks)))
-    n_solved = skewed[0] if skewed.size else n_finite
+        defect = _defect(values[:n_finite], back[:n_finite])
+        skewed = np.flatnonzero(defect > HERMITICITY_TOL * np.maximum(unit, _scale(values[:n_finite])))
+        n_solved = skewed[0] if skewed.size else n_finite
+        flat = flat[:n_solved]
+        flat[:, at] = hermitian[:n_solved]
+        # an unlisted mirror entry holds (0 + conj(b)) / 2: written at both ends of every pair
+        flat[:, mirror] = np.divide(back[:n_solved] + values[:n_solved].conj(), 2.0)
     w = np.sort(np.concatenate([
-        np.linalg.eigvalsh(h[:n_solved]).reshape(n_solved, h.shape[1] * h.shape[2]) for h in hermitian
+        np.linalg.eigvalsh(h).reshape(n_solved, h.shape[1] * h.shape[2]) for h in _split(flat, groups)
     ], axis=1), axis=1)
     low = np.flatnonzero(w[:, 0] < EIGEN_FLOOR * unit)
     if low.size:
@@ -657,13 +697,15 @@ def _checked_eigenvalues(stacks, name_of, magnitude: float = 1.0) -> np.ndarray:
 def eigenvalues(mat: CompressionMatrix) -> np.ndarray:
     """All eigenvalues of the compression, ascending.
 
-    Reads only the sector blocks: rejects non-finite entries, verifies
-    Hermiticity (to 1e-13 relative) and the PSD floor (>= -1e-10) before
-    returning.  The spectrum is the union of the blocks' spectra: blocks of
-    one size go to LAPACK's Hermitian eigensolver as one batched call.
+    Reads only the listed cells (mat.listing): rejects non-finite entries,
+    verifies Hermiticity (to 1e-13 relative) and the PSD floor (>= -1e-10)
+    before returning.  The spectrum is the union of the sector blocks'
+    spectra: blocks of one size go to LAPACK's Hermitian eigensolver as one
+    batched call.
     """
     name = mat.symbol if mat.symbol is not None else f"dumped symbol {mat.dumped_hash}"
-    return _checked_eigenvalues([b[None] for b in mat.blocks], lambda i: name)[0]
+    values, at, mirror = mat.listing
+    return _checked_eigenvalues(values[None], at, mirror, mat.sectors, mat.layout[2], lambda i: name)[0]
 
 
 def top_eigenvalues(fourier, thetas, trunc: BasisTruncation, name_of) -> np.ndarray:
@@ -674,10 +716,12 @@ def top_eigenvalues(fourier, thetas, trunc: BasisTruncation, name_of) -> np.ndar
     terms of phi_w and phi_v carries the phase e^{i d theta}, d = w - v, so the
     compression is the matrix trigonometric polynomial sum_d e^{i d theta} G_d:
     _gram_block computes G_d one winding offset at a time, once per call, and
-    the samples share the sectors of the union of the offsets.  Blocks of one
-    size are solved by one eigvalsh call over all samples, and every sample
-    keeps the guards of eigenvalues(), relative to the largest sum of
-    |e^{i d theta} G_d| over one entry; name_of(i) names sample i in the
+    the samples share the sectors of the union of the offsets.  Each sample is
+    summed only on the union of the cells of the offset blocks, one column per
+    cell, in the same order per entry as phase after phase into a zeroed matrix.
+    Blocks of one size are solved by one eigvalsh call over all samples, and
+    every sample keeps the guards of eigenvalues(), relative to the largest sum
+    of |e^{i d theta} G_d| over one entry; name_of(i) names sample i in the
     non-finite message.
     Samples go in chunks of at most MAX_STORED_ENTRIES stored entries, the
     budget of one assemble.  Without a pair of phase d != 0 (one winding, or
@@ -696,17 +740,24 @@ def top_eigenvalues(fourier, thetas, trunc: BasisTruncation, name_of) -> np.ndar
             for delta, pairs in _pair_offsets(phi.terms, chi.terms).items():
                 by_phase.setdefault(w - v, {}).setdefault(delta, []).extend(pairs)
     offsets = frozenset(delta for part in by_phase.values() for delta in part)
-    groups, row_start, col_pos, _ = _sectors(trunc, offsets)
-    stored = sum(g.size * g.shape[1] for g in groups)
+    groups, (row_start, col_pos, stored), _ = _sectors(trunc, offsets)
     step = MAX_STORED_ENTRIES // stored
-    size = np.zeros(stored)
-    phases = []  # (d, [(flat positions, entries) of each offset block of G_d])
     with np.errstate(over="ignore", invalid="ignore"):
-        for d, part in by_phase.items():
-            cells = [(row_start[r] + col_pos[c], weighted) for _, r, c, weighted in _kernel_blocks(part, trunc, False)]
-            for at, weighted in cells:
-                size[at] += np.abs(weighted)
-            phases.append((d, cells))
+        kernel = [(d, list(_kernel_blocks(part, trunc, False))) for d, part in by_phase.items()]
+    cells = [(r, c) for _, part in kernel for _, r, c, _ in part] or [(np.empty(0, np.intp),) * 2]
+    # one column per cell: an offset block lists each cell once, but the G_d of several d share cells
+    at, first, column = np.unique(
+        np.concatenate([row_start[r] + col_pos[c] for r, c in cells]), return_index=True, return_inverse=True
+    )
+    mirror = np.concatenate([row_start[c] + col_pos[r] for r, c in cells])[first]
+    columns = iter(np.split(column, np.cumsum([r.size for r, _ in cells])[:-1]))
+    size = np.zeros(at.size)
+    phases = []  # (d, [(columns, entries) of each offset block of G_d])
+    for d, part in kernel:
+        cells = [(next(columns), weighted) for _, _, _, weighted in part]
+        for j, weighted in cells:
+            size[j] += np.abs(weighted)
+        phases.append((d, cells))
     thetas = np.asarray(thetas, dtype=float)
     copies = 1
     if set(by_phase) <= {0}:  # every sample is the same matrix: solve the first, repeat its top
@@ -714,13 +765,14 @@ def top_eigenvalues(fourier, thetas, trunc: BasisTruncation, name_of) -> np.ndar
     tops = []
     for start in range(0, thetas.size, step):
         chunk = thetas[start:start + step]
-        flat = np.zeros((chunk.size, stored), dtype=complex)
+        values = np.zeros((chunk.size, at.size), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             for d, cells in phases:
                 phase = np.exp(1j * d * chunk)[:, None]
-                for at, weighted in cells:
-                    flat[:, at] += phase * weighted
-        tops.append(_checked_eigenvalues(_split(flat, groups), lambda i: name_of(start + i), size.max())[:, -1])
+                for j, weighted in cells:
+                    values[:, j] += phase * weighted
+        w = _checked_eigenvalues(values, at, mirror, groups, stored, lambda i: name_of(start + i), size.max(initial=0.0))
+        tops.append(w[:, -1])
     return np.concatenate(tops).repeat(copies) if tops else np.empty(0)
 
 

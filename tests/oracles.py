@@ -37,7 +37,12 @@ factor in Fractions and reads its per-coordinate ratios off them, the way
 quasihomog._coordinate_table did before it summed reduced integer pairs.  The
 eager exact blocks divide the non-zero table cells one Python division at a
 time and weight them, the way an exact compression's constructor filled its
-float blocks before they were built on first read.
+float blocks before they were built on first read.  The reference checked
+eigenvalues symmetrise whole padded (samples, k, s, s) sector stacks and take
+the finiteness, Hermiticity and scale guards over every stored entry, the way
+the package's eigensolve did before it read only the listed cells and their
+mirrors; solve_outcome gives what either route returns in a form two routes
+can be compared by: the eigenvalues' hex texts, or the error message.
 """
 
 from __future__ import annotations
@@ -64,7 +69,15 @@ from hankel_spectra.core import (
     SymbolClass,
     multiplicity_class,
 )
-from hankel_spectra.galerkin import BasisTruncation, KernelVector, assemble, eigenvalues, top_eigenvalues
+from hankel_spectra.galerkin import (
+    EIGEN_FLOOR,
+    HERMITICITY_TOL,
+    BasisTruncation,
+    KernelVector,
+    assemble,
+    eigenvalues,
+    top_eigenvalues,
+)
 from hankel_spectra.multiindex import full_set, nonempty_subsets
 from hankel_spectra.quasihomog import QhBranch, monomial_norm_sq, radial_integral
 from hankel_spectra.rational import CR_ZERO, CRat
@@ -255,6 +268,53 @@ def eager_exact_blocks(mat) -> tuple[np.ndarray, ...]:
     with np.errstate(over="ignore", invalid="ignore"):
         dense[rows, cols] = c * w[rows] * w[cols]
     return tuple(dense[g[:, :, None], g[:, None, :]] for g in mat.sectors)
+
+
+def _stack_defects(stacks) -> np.ndarray:
+    """Per sample, the largest |b - b^H| over its (samples, k, s, s) sector stacks."""
+    return np.max([np.abs(b - b.conj().swapaxes(2, 3)).max(axis=(1, 2, 3)) for b in stacks], axis=0)
+
+
+def _stack_scales(stacks) -> np.ndarray:
+    """Per sample, the largest |entry| of its sector stacks."""
+    return np.max([np.abs(b).max(axis=(1, 2, 3)) for b in stacks], axis=0)
+
+
+def reference_checked_eigenvalues(stacks, name_of, magnitude: float = 1.0) -> np.ndarray:
+    """Ascending eigenvalues of each sample's (samples, k, s, s) sector stacks, shape (samples, size),
+    with the guards of eigenvalues() taken over every stored entry: the first failing sample
+    raises for its first failing guard (non-finite symmetrised entries, then a Hermiticity
+    defect, then the PSD floor), both bounds relative to max(1, magnitude)."""
+    unit = max(1.0, magnitude)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hermitian = [np.divide(h, 2.0, out=h) for h in (b + b.conj().swapaxes(2, 3) for b in stacks)]
+        finite = np.logical_and.reduce([np.isfinite(h).all(axis=(1, 2, 3)) for h in hermitian])
+        n_finite = finite.size if finite.all() else int(np.argmin(finite))
+        stacks = [b[:n_finite] for b in stacks]
+        defect = _stack_defects(stacks)
+        skewed = np.flatnonzero(defect > HERMITICITY_TOL * np.maximum(unit, _stack_scales(stacks)))
+    n_solved = skewed[0] if skewed.size else n_finite
+    w = np.sort(np.concatenate([
+        np.linalg.eigvalsh(h[:n_solved]).reshape(n_solved, h.shape[1] * h.shape[2]) for h in hermitian
+    ], axis=1), axis=1)
+    low = np.flatnonzero(w[:, 0] < EIGEN_FLOOR * unit)
+    if low.size:
+        raise ValueError(f"eigenvalue {w[low[0], 0]:g} below PSD floor {EIGEN_FLOOR * unit:g}")
+    if skewed.size:
+        raise ValueError(f"matrix is not Hermitian: defect {defect[n_solved]:g}")
+    if n_finite < finite.size:
+        raise ValueError(
+            f"compression of {name_of(n_finite)} has non-finite entries; coefficients too large for floats?"
+        )
+    return w
+
+
+def solve_outcome(solve):
+    """The hex texts of the eigenvalues solve() returns, or the message of its ValueError."""
+    try:
+        return [v.hex() for v in np.ravel(solve()).tolist()]
+    except ValueError as error:
+        return str(error)
 
 
 def dense_weyl_residual(mat, lam, g, p) -> float:

@@ -32,7 +32,14 @@ from hankel_spectra.boundary import PredictedPoint, _factor_across
 from hankel_spectra.cli import main
 from hankel_spectra.rational import CRat
 from hankel_spectra.symbols import PolySymbol
-from oracles import one_angle_profile_values, profile_fourier_symbols, reference_profile_values, sup_norm_on_torus
+from oracles import (
+    one_angle_profile_values,
+    profile_fourier_symbols,
+    reference_checked_eigenvalues,
+    reference_profile_values,
+    solve_outcome,
+    sup_norm_on_torus,
+)
 
 
 def test_slice_symbol_exact_points():
@@ -168,9 +175,9 @@ def test_profile_solves_a_theta_independent_slice_once(monkeypatch, text, coord,
     handed = []
     real = galerkin._checked_eigenvalues
 
-    def counting(stacks, *rest):
-        handed.append(stacks[0].shape[0])
-        return real(stacks, *rest)
+    def counting(values, *rest):
+        handed.append(values.shape[0])
+        return real(values, *rest)
 
     monkeypatch.setattr(galerkin, "_checked_eigenvalues", counting)
     prof = slice_norm_profile(parse_symbol(text), coord, 256, BasisTruncation(6, 2))
@@ -213,14 +220,65 @@ def test_profile_chunks_keep_the_values(monkeypatch):
     chunks = []
     real = galerkin._checked_eigenvalues
 
-    def counting(stacks, *rest):
-        chunks.append(stacks[0].shape[0])
-        return real(stacks, *rest)
+    def counting(values, *rest):
+        chunks.append(values.shape[0])
+        return real(values, *rest)
 
     monkeypatch.setattr(galerkin, "_checked_eigenvalues", counting)
     chunked = slice_norm_profile(sym, 3, 32, trunc).values
     assert chunks == [3] * 10 + [2]
     assert [v.hex() for v in chunked] == [v.hex() for v in whole]
+
+
+_PARITY_PROFILES = [
+    ("zb1*(zb2+1)", 2),
+    ("(zb1+z1)*(zb2+1)", 2),
+    ("zb1*(zb2-1) + z1*zb1*zb2", 2),
+    ("(2-1/2i)*z2*zb1^2*zb2 + (1+i)*zb1 + (-1/2-i)*z2*zb2^2", 2),
+    ("zb1*(zb2+1)*(zb3+2) + z1*zb2*zb3", 3),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_PARITY_PROFILES),
+    st.integers(1, 3),
+    st.sampled_from([1.0, 0.5 + 1j, 1e150, 7e153, 1e200]),
+    st.integers(4, 12),
+    st.integers(2, 5),
+    st.sampled_from([None, 2, 3]),
+)
+def test_cell_route_parity_with_block_stacks_on_profile_batches(case, coord, scale, samples, n_cap, chunk):
+    # every batch top_eigenvalues solves, chunked too, must come out of the padded (samples,
+    # stored) stacks of the same entries bit for bit, or with the same first error
+    from hankel_spectra import galerkin
+
+    text, dim = case
+    sym, coord = parse_symbol(text).as_float() * scale, min(coord, dim)
+    trunc = BasisTruncation(min(n_cap, 3) if dim == 3 else n_cap, dim)
+    real = galerkin._checked_eigenvalues
+    batches = []
+
+    def both(values, at, mirror, groups, stored, name_of, magnitude):
+        flat = np.zeros((values.shape[0], stored), dtype=complex)
+        flat[:, at] = values
+        want = solve_outcome(lambda: reference_checked_eigenvalues(galerkin._split(flat, groups), name_of, magnitude))
+        got = solve_outcome(lambda: real(values, at, mirror, groups, stored, name_of, magnitude))
+        assert got == want
+        batches.append(values.shape[0])
+        return real(values, at, mirror, groups, stored, name_of, magnitude)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(galerkin, "_checked_eigenvalues", both)
+        if chunk is not None:  # chunks of that many samples
+            fourier = profile_fourier_symbols(sym, coord).values()
+            offsets = {d for phi in fourier for chi in fourier for d in galerkin._pair_offsets(phi.terms, chi.terms)}
+            slice_trunc = BasisTruncation(trunc.degree_cap, dim - 1)
+            patch.setattr(galerkin, "MAX_STORED_ENTRIES", chunk * galerkin._sectors(slice_trunc, frozenset(offsets))[1][2])
+        # past |c| sums of 1.34e154 the profile's zero floor (sum |c|)^2 overflows after the solve
+        with contextlib.suppress(ValueError, OverflowError):
+            slice_norm_profile(sym, coord, samples, trunc)
+    assert batches
 
 
 def test_profile_keeps_the_non_finite_guard():

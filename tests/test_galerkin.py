@@ -34,9 +34,11 @@ from oracles import (
     dense_weyl_residual,
     eager_exact_blocks,
     hankel_entry_oracle,
+    reference_checked_eigenvalues,
     reference_gram_block,
     reference_scaled_blocks,
     reference_toeplitz_map,
+    solve_outcome,
 )
 
 
@@ -512,6 +514,60 @@ def test_eigenvalues_rejects_non_hermitian_entry_inside_a_block():
         eigenvalues(_with_cell(mat, i, j, mat.blocks[0][1, 0, 1] + 1e-6))
 
 
+def _as_cells(stacks, listed=None):
+    """The cell-route arguments (values, at, mirror, groups, stored) of (samples, k, s, s) sector
+    stacks laid end to end: every stored entry, or those where the flat mask listed is set."""
+    groups, mirror, stored, first = [], [], 0, 0
+    for b in stacks:
+        _, k, s, _ = b.shape
+        groups.append(first + np.arange(k * s).reshape(k, s))
+        mirror.append(stored + np.arange(k * s * s).reshape(k, s, s).swapaxes(1, 2).ravel())
+        stored, first = stored + k * s * s, first + k * s
+    values = np.concatenate([b.reshape(b.shape[0], -1) for b in stacks], axis=1)
+    at, mirror = np.arange(stored), np.concatenate(mirror)
+    if listed is not None:
+        values, at, mirror = values[:, listed], at[listed], mirror[listed]
+    return values, at, mirror, tuple(groups), stored
+
+
+def test_eigenvalues_rejects_a_cell_whose_mirror_is_unlisted():
+    # zb1^2*zb2 + zb1 couples alpha only to alpha +- (1, 1): a sector is a diagonal chain with a
+    # tridiagonal block, so cells (0, 2) and (2, 0) of a chain of three are both unlisted
+    mat = assemble(parse_symbol("zb1^2*zb2 + zb1") * (0.5 + 0j), BasisTruncation(4, 2))
+    g = next(g for g in mat.sectors if g.shape[1] >= 3)
+    i, j = g[0, 0], g[0, 2]
+    listed = set(zip(*(a.tolist() for a in mat.cells[:2])))
+    assert (i, j) not in listed and (j, i) not in listed
+    one_sided = _with_cell(mat, i, j, 1e-6)
+    # its mirror reads as +0.0: the defect is the cell itself, whatever pairs are listed
+    with pytest.raises(ValueError, match=r"not Hermitian: defect 1e-06$"):
+        eigenvalues(one_sided)
+    with pytest.raises(ValueError, match=r"not Hermitian: defect 1e-06$"):
+        reference_checked_eigenvalues([b[None] for b in one_sided.blocks], str)
+    assert one_sided.hermiticity_defect() == 1e-6
+
+
+def test_the_sector_layout_is_computed_once_per_sectors(monkeypatch):
+    import hankel_spectra.galerkin as galerkin
+
+    calls = []
+    real = galerkin._layout
+    monkeypatch.setattr(galerkin, "_layout", lambda *args: calls.append(args) or real(*args))
+    galerkin._sectors.cache_clear()
+    sym = parse_symbol("(1/2+i)*zb1*(zb2+1) - 3/4*z1*zb2")
+    trunc = BasisTruncation(6, 2)
+    mats = [assemble(sym.as_float(), trunc)]
+    assert len(calls) == 1
+    mats.append(assemble(sym, trunc))  # the same (trunc, offsets)
+    for mat in mats:
+        assert mat.layout is mats[0].layout
+        mat.blocks
+        eigenvalues(mat)
+        eigenvalues(mat)
+        mat.hermiticity_defect(), mat.scale()
+    assert len(calls) == 1
+
+
 def test_guards_take_the_samples_in_order():
     # each sample fails as its own eigenvalues() call would; the first failing sample wins
     from hankel_spectra.galerkin import _checked_eigenvalues
@@ -519,19 +575,22 @@ def test_guards_take_the_samples_in_order():
     def stacks(*diagonals):
         return [np.array([[np.diag(d).astype(complex)] for d in diagonals])]
 
+    def solve(stacks):
+        return _checked_eigenvalues(*_as_cells(stacks), "s{}".format)
+
     skew = stacks([1.0, 1.0], [1.0, 1.0], [math.inf, 1.0])
     skew[0][1, 0, 0, 1] = 1e-6
     with pytest.raises(ValueError, match="not Hermitian"):
-        _checked_eigenvalues(skew, "s{}".format)
+        solve(skew)
     with pytest.raises(ValueError, match="below PSD floor"):
-        _checked_eigenvalues(stacks([1.0, 1.0], [-1.0, 1.0], [math.nan, 1.0]), "s{}".format)
+        solve(stacks([1.0, 1.0], [-1.0, 1.0], [math.nan, 1.0]))
     late_skew = stacks([1.0, 1.0], [-1.0, 1.0], [1.0, 1.0])
     late_skew[0][2, 0, 0, 1] = 1e-6
     with pytest.raises(ValueError, match="below PSD floor"):
-        _checked_eigenvalues(late_skew, "s{}".format)
+        solve(late_skew)
     with pytest.raises(ValueError, match="compression of s1 has non-finite"):
-        _checked_eigenvalues(stacks([1.0, 1.0], [math.inf, 1.0], [-1.0, 1.0]), "s{}".format)
-    w = _checked_eigenvalues(stacks([2.0, 1.0], [0.0, 3.0]), "s{}".format)
+        solve(stacks([1.0, 1.0], [math.inf, 1.0], [-1.0, 1.0]))
+    w = solve(stacks([2.0, 1.0], [0.0, 3.0]))
     assert w.tolist() == [[1.0, 2.0], [0.0, 3.0]]
 
 
@@ -1230,3 +1289,100 @@ def test_a_mutated_dump_loads_and_solves_or_raises_value_error(text):
         eigenvalues(load_matrix(io.StringIO(text)))
     except ValueError:
         pass
+
+
+# -- the cell route against the padded block stacks (tests/oracles.py) ----------------
+
+_PARITY_EXPRS = [
+    "zb1*(zb2+1)",
+    "(1/2+i)*zb1*(zb2+1) - 3/4*z1*zb2",
+    "zb1^2*zb2 + zb1",
+    "zb1 + zb1^2",
+    "zb1*zb2*zb3 + 1/2*z1*zb3^2 + i*zb2",
+]
+# float cells: signed zeros, NaN and +-inf parts, small skews and an entry near the float range
+_FLOAT_CELLS = [
+    -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), math.nan, complex(0.5, math.nan), math.inf, -math.inf,
+    complex(0.0, math.inf), 1e-3, complex(0.25, 1e-7), 1e308,
+]
+# exact cells, as table-int columns re_num, re_den, im_num, im_den: a small rational, a
+# complex one and one past the float range
+_EXACT_CELLS = [[1, 3, 0, 1], [-2, 7, 1, 5], [10**400, 1, 0, 1]]
+
+
+def _padded_stacks(mat):
+    """The (1, k, s, s) sector stacks of mat, each cell placed through the n x n matrix."""
+    if mat.is_exact:
+        blocks = eager_exact_blocks(mat)
+    else:
+        rows, cols, values = mat.cells
+        dense = np.zeros((mat.size, mat.size), dtype=complex)
+        dense[rows, cols] = values
+        blocks = tuple(dense[g[:, :, None], g[:, None, :]] for g in mat.sectors)
+    return [b[None] for b in blocks]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_PARITY_EXPRS), st.integers(1, 4), st.sampled_from(["float", "exact", "loaded"]), st.data())
+def test_cell_route_parity_with_block_stacks_on_compressions(expr, n_cap, kind, data):
+    # eigenvalues() must give the padded-stack route's eigenvalues bit for bit, or its first error
+    sym = parse_symbol(expr)
+    if kind == "exact":
+        sym = sym * data.draw(st.sampled_from(_SCALES), label="scale")
+    else:
+        sym = sym.as_float() * data.draw(st.sampled_from([1.0, 0.3 - 0.1j, 1e154]), label="scale")
+    mat = assemble(sym, BasisTruncation(n_cap, sym.dim))
+    for _ in range(data.draw(st.integers(0, 3), label="cells")):
+        # a cell anywhere in a sector block: listed or not, so its mirror may be unlisted
+        g = mat.sectors[data.draw(st.integers(0, len(mat.sectors) - 1), label="group")]
+        k, r, c = (data.draw(st.integers(0, n - 1)) for n in (g.shape[0], g.shape[1], g.shape[1]))
+        value = data.draw(st.sampled_from(_EXACT_CELLS if mat.is_exact else _FLOAT_CELLS), label="value")
+        mat = _with_cell(mat, g[k, r], g[k, c], value)
+    if kind == "loaded":
+        buf = io.StringIO()
+        dump_matrix(mat, buf)
+        mat = load_matrix(io.StringIO(buf.getvalue()))
+    name = mat.symbol if mat.symbol is not None else f"dumped symbol {mat.dumped_hash}"
+    stacks = _padded_stacks(mat)
+    assert all(a.tobytes() == b[0].tobytes() for a, b in zip(mat.blocks, stacks))
+    want = solve_outcome(lambda: reference_checked_eigenvalues(stacks, lambda i: name)[0])
+    assert solve_outcome(lambda: eigenvalues(mat)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)), min_size=1, max_size=3, unique_by=lambda t: t[1]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 0.7, 0.3]),
+    st.sampled_from([1.0, 1e3]),
+    st.data(),
+)
+def test_cell_route_parity_with_block_stacks_on_drawn_samples(samples, shapes, seed, density, magnitude, data):
+    # batches of drawn samples, each its own Hermitian diagonally dominant blocks with a drawn
+    # share of their entries listed, mirror pairs together, and a few drawn cells changed in
+    # one sample: a special value, a skew, a listed -0.0 or an entry dropped from one side
+    from hankel_spectra.galerkin import _checked_eigenvalues, _split
+
+    rng = np.random.default_rng(seed)
+    stacks = []
+    for k, s in shapes:
+        a = rng.standard_normal((samples, k, s, s)) + 1j * rng.standard_normal((samples, k, s, s))
+        stacks.append((a + a.conj().swapaxes(2, 3)) / 2 + 2 * s * np.eye(s))
+    values, at, mirror, groups, stored = _as_cells(stacks)
+    flat = values.copy()
+    pair = rng.random(stored) < density
+    listed = pair | pair[mirror]
+    for _ in range(data.draw(st.integers(0, 3), label="changes")):
+        i = data.draw(st.integers(0, samples - 1), label="sample")
+        j = data.draw(st.integers(0, stored - 1), label="entry")
+        change = data.draw(st.sampled_from(["drop", "skew", "-0.0", *map(str, _FLOAT_CELLS)]), label="change")
+        if change == "drop":
+            listed[j] = False
+        else:
+            listed[j] = True
+            flat[i, j] = flat[i, j] + 1e-9 if change == "skew" else complex(change)
+    flat[:, ~listed] = 0.0
+    stacks = list(_split(flat, groups))
+    got = solve_outcome(lambda: _checked_eigenvalues(*_as_cells(stacks, listed), "s{}".format, magnitude))
+    assert got == solve_outcome(lambda: reference_checked_eigenvalues(stacks, "s{}".format, magnitude))

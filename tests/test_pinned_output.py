@@ -123,23 +123,43 @@ def test_exact_dump_digest(capsys, tmp_path):
     assert _digest(path.read_text()) == DUMP_FILE
 
 
+# requests whose stdout differs between one OpenBLAS thread and two on a 2-core host, with
+# the symbol and degree of their compression and the path of its eigenvalues in the JSON
+THREAD_CASES = [
+    # the largest eigenvalue, about 3.6, moved by 4.9e-15
+    (
+        ["boundary", "(2-1/2i)*z2*zb1^2*zb2 + (1+i)*zb1 + (-1/2-i)*z2*zb2^2", "--dim", "2", "--coord", "1",
+         "--degree", "14", "--samples", "128"],
+        14, ("compression", "eigenvalues"),
+    ),
+    # a galerkin request of the benchmark, 361 eigenvalues in sector blocks of up to 190 rows: they
+    # moved by at most 6.7e-15, 9 eps times the largest, about 3.35
+    (
+        ["approx", "(1/2+1/2i)*zb1^2*zb2 + (-2-i)*zb2^2 + (1/2+i)*z2*zb1^2*zb2", "--dim", "2", "--degree", "18"],
+        18, ("eigenvalues",),
+    ),
+]
+
+
 def test_thread_count_moves_eigenvalues_only_by_rounding():
-    # this request prints different bytes with one OpenBLAS thread than with two (its largest
-    # eigenvalue, about 3.6, moved by 4.9e-15 on a 2-core host): its eigenvalues must still agree
-    # within s * eps * max|lambda|, s the size of the largest sector block
+    # each request prints different bytes with one OpenBLAS thread than with two: its eigenvalues
+    # must still agree within s * eps * max|lambda|, s the size of the largest sector block
     import hankel_spectra
 
-    symbol = "(2-1/2i)*z2*zb1^2*zb2 + (1+i)*zb1 + (-1/2-i)*z2*zb2^2"
-    argv = ["boundary", symbol, "--dim", "2", "--coord", "1", "--degree", "14", "--samples", "128"]
     env = dict(os.environ, PYTHONPATH=str(Path(hankel_spectra.__file__).parents[1]))
-    eigs = []
-    for threads in ("1", "2"):
-        run = subprocess.run(
-            [sys.executable, "-m", "hankel_spectra.cli", *argv],
-            capture_output=True, env=dict(env, OPENBLAS_NUM_THREADS=threads), timeout=120,
-        )
-        assert (run.returncode, run.stderr) == (0, b"")
-        eigs.append(np.array(json.loads(run.stdout)["compression"]["eigenvalues"]))
-    s = max(g.shape[1] for g in assemble(parse_symbol(symbol).as_float(), BasisTruncation(14, 2)).sectors)
-    assert eigs[0].shape == eigs[1].shape == (225,)
-    assert np.abs(eigs[0] - eigs[1]).max() <= s * np.finfo(float).eps * np.abs(eigs[0]).max()
+    for argv, degree, path in THREAD_CASES:
+        eigs = []
+        for threads in ("1", "2"):
+            run = subprocess.run(
+                [sys.executable, "-m", "hankel_spectra.cli", *argv],
+                capture_output=True, env=dict(env, OPENBLAS_NUM_THREADS=threads), timeout=120,
+            )
+            assert (run.returncode, run.stderr) == (0, b"")
+            obj = json.loads(run.stdout)
+            for key in path:
+                obj = obj[key]
+            eigs.append(np.array(obj))
+        trunc = BasisTruncation(degree, 2)
+        s = max(g.shape[1] for g in assemble(parse_symbol(argv[1]).as_float(), trunc).sectors)
+        assert eigs[0].shape == eigs[1].shape == (trunc.size,)
+        assert np.abs(eigs[0] - eigs[1]).max() <= s * np.finfo(float).eps * np.abs(eigs[0]).max()
