@@ -7,7 +7,8 @@ Three engines, cross-validated against each other:
 - quasihomog: eigenvalues for quasi-homogeneous symbols f(|z|) e^{ik.theta}
   through radial integrals (exact for rational polynomial profiles),
 - galerkin: Hermitian compressions for general polynomial symbols, stored as
-  sector blocks, with the Toeplitz-identity cross-check and Weyl residual probes,
+  the non-zero cells of their sector blocks, with the Toeplitz-identity
+  cross-check and Weyl residual probes,
 
 plus boundary: slice Hankel norms and essential-spectrum interval predictions.
 

@@ -158,7 +158,8 @@ def slice_norm_profile(
     values = [float(v) for v in top_eigenvalues(fourier, thetas, slice_trunc, name_of)]
     vmax = max(values)
     vmin = min(values)
-    zero_floor = PROFILE_ZERO_FLOOR * sum(abs(c) for c, _, _ in float_sym.terms) ** 2
+    coeff_sum = sum(abs(c) for c, _, _ in float_sym.terms)
+    zero_floor = PROFILE_ZERO_FLOOR * coeff_sum * coeff_sum  # finite past 1.34e154, where ** 2 overflows
     constant = vmax <= zero_floor or (vmax - vmin) <= CONSTANCY_RTOL * vmax
     return SliceNormProfile(coord, tuple(thetas), tuple(values), slice_trunc, constant)
 

@@ -25,10 +25,11 @@ diagonal blocks of a permuted matrix with nothing between them.  The spectrum
 is the union of the block spectra; monomial symbols give 1x1 blocks, the
 paper's diagonal case.  Every compression keeps only the row-major listing of
 the cells the dump writes (cells): the reduced table ints of an exact
-compression, the orthonormal complex entries of a float one.  Comparisons, the
-dump and the exact diagonal read it; the float sector blocks, the graded-lex
-CRat matrix (scaled) and the full float matrix (dense) are built only when a
-caller reads them.  Every route passes its non-zero cells to one constructor,
+compression, the orthonormal complex entries of a float one.  Every reader
+works on it: comparisons, the dump, the exact diagonal, the guarded solve and
+the Weyl residual.  The graded-lex CRat matrix (scaled) and the full float
+matrix (dense) are each one scatter of the listing, built only when a caller
+reads them.  Every route passes its non-zero cells to one constructor,
 _from_cells; the dump is written from the listing in chunks of about 1 MiB and
 read back without an n x n array.
 
@@ -36,7 +37,8 @@ The blocks lie end to end in one flat layout (_layout), computed once per
 cached set of sectors.  One guarded solve (_checked_eigenvalues) serves a
 compression and a batch of slice samples alike: it reads the listed entries
 and the entries at their mirror positions, guards and symmetrises them there,
-and scatters the result into one zeroed layout for the batched eigensolve.
+and scatters the result into one zeroed layout for the batched eigensolve:
+the only padded form of a compression.
 """
 
 from __future__ import annotations
@@ -356,12 +358,12 @@ class CompressionMatrix:
     (0/1 for a zero part; see the module docstring for the sqrt-weight relation),
     listed when a numerator is non-zero.  For float symbols values holds the n
     orthonormal complex entries, listed unless both parts are +0.0, so -0.0 and
-    NaN cells stay.  is_exact reads the kind off the listing.  The guards and the
-    solve read the listed cells at their places in the layout (listing); the
-    orthonormal sector blocks (blocks[g][r] is the complex block of the indices
-    sectors[g][r]), the graded-lex views dense and scaled (the exact cells as
-    CRat) and the symbol_hash of the dump header are built on first read.  A
-    loaded dump has no symbol, only its header's dumped_hash.
+    NaN cells stay.  is_exact reads the kind off the listing.  The guards, the
+    solve, the Weyl residual and float comparisons read the listed cells'
+    orthonormal entries (listing); the graded-lex views dense and scaled (the
+    exact cells as CRat), each scattered from the cells, and the symbol_hash of
+    the dump header are built on first read.  A loaded dump has no symbol, only
+    its header's dumped_hash.
     """
 
     symbol: PolySymbol | None
@@ -404,24 +406,12 @@ class CompressionMatrix:
         return values, row_start[rows] + col_pos[cols], row_start[cols] + col_pos[rows]
 
     @cached_property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """The orthonormal sector blocks: every listed entry at its place and +0.0 elsewhere."""
-        values, at, _ = self.listing
-        flat = np.zeros(self.layout[2], dtype=complex)
-        flat[at] = values
-        return _split(flat, self.sectors)
-
-    def _graded_lex(self) -> np.ndarray:
-        if self.blocks[0].shape[1] == self.size:  # one sector spans the basis: its block is the matrix
-            return self.blocks[0][0]
-        out = np.zeros((self.size, self.size), dtype=self.blocks[0].dtype)
-        for g, b in zip(self.sectors, self.blocks):
-            out[g[:, :, None], g[:, None, :]] = b
-        return out
-
-    @cached_property
     def dense(self) -> np.ndarray:
-        return self._graded_lex()
+        """The graded-lex orthonormal matrix: every listed entry at its cell and +0.0 elsewhere."""
+        rows, cols, _ = self.cells
+        out = np.zeros((self.size, self.size), dtype=complex)
+        out[rows, cols] = self.listing[0]
+        return out
 
     @cached_property
     def scaled(self) -> tuple[tuple[CRat, ...], ...] | None:
@@ -538,15 +528,14 @@ def assemble(sym: PolySymbol, trunc: BasisTruncation) -> CompressionMatrix:
     in the sectors of the symbol's offsets.  Exact symbols go through
     reduced integer tables (_gram_tables), whose non-zero entries the result
     keeps as its cells: their Hermitian symmetry is checked on the kernel's
-    cells, the orthonormal blocks, built on first read, take each entry's
-    correctly rounded float value, and no CRat is built until a caller reads
-    scaled.
+    cells, the orthonormal entries (listing), built on first read, take each
+    entry's correctly rounded float value, and no CRat is built until a caller
+    reads scaled.
     Float symbols run _gram_block and keep its orthonormal entries as their
-    cells, blocks again built on first read; callers that only need floats
-    pass sym.as_float().  For a unit-coefficient monomial symbol the exact
-    result is diagonal with the closed-form spectrum values on the diagonal.
-    Coefficients too large for floats leave inf/nan entries in the blocks,
-    which eigenvalues() rejects.
+    cells; callers that only need floats pass sym.as_float().  For a
+    unit-coefficient monomial symbol the exact result is diagonal with the
+    closed-form spectrum values on the diagonal.  Coefficients too large for
+    floats leave inf/nan entries in the listing, which eigenvalues() rejects.
     """
     if sym.dim != trunc.dim:
         raise ValueError(f"symbol dim {sym.dim} != truncation dim {trunc.dim}")
@@ -638,12 +627,19 @@ def assemble_via_toeplitz(sym: PolySymbol, trunc: BasisTruncation) -> Compressio
 def matrices_equal(m1: CompressionMatrix, m2: CompressionMatrix) -> bool:
     """Entrywise equality.  Two exact matrices compare their row-major cells, whose table
     ints are reduced with den > 0, so equal integers are equal rationals whatever the
-    sector layouts; otherwise dense == dense, so -0.0 equals 0.0 and NaN equals nothing."""
+    sector layouts; otherwise the row-major listed cells whose entry is != 0, which is
+    dense == dense: a +-0.0 cell equals an unlisted one, and NaN equals nothing."""
     if m1.trunc != m2.trunc:
         return False
     if m1.is_exact and m2.is_exact:
         return all(map(np.array_equal, m1.cells, m2.cells))
-    return bool(np.array_equal(m1.dense, m2.dense))
+    cells = []
+    for m in (m1, m2):
+        rows, cols, _ = m.cells
+        values = m.listing[0]
+        keep = values != 0
+        cells.append((rows[keep], cols[keep], values[keep]))
+    return all(map(np.array_equal, *cells))
 
 
 def _checked_eigenvalues(values, at, mirror, groups, stored: int, name_of, magnitude: float = 1.0) -> np.ndarray:
@@ -810,8 +806,9 @@ def weyl_residual(mat: CompressionMatrix, lam: float, g_coeffs, p: complex) -> f
     at the same degree cap and must be normalized; k_p occupies the last
     coordinate.  Refused: a truncation holding less than MIN_KERNEL_NORM of the
     kernel mass (the residual would reflect lost mass, not spectral distance)
-    and non-finite lam, p or g.  M f is applied one sector block at a time
-    (einsum over each (k, s, s) stack), with no dense matrix and no BLAS product.
+    and non-finite lam, p or g.  M f is applied from the listed cells: each cell
+    (i, j) adds its orthonormal entry times f_j to row i, in O(listed cells), with
+    no padded block, no dense matrix and no BLAS product.
     """
     trunc = mat.trunc
     if trunc.dim < 2:
@@ -832,9 +829,9 @@ def weyl_residual(mat: CompressionMatrix, lam: float, g_coeffs, p: complex) -> f
 
     f = np.empty(trunc.size, dtype=complex)
     f[trunc.positions] = np.multiply.outer(g[slice_trunc.positions], kv.coefficients)
-    mf = np.empty_like(f)
-    for sector, block in zip(mat.sectors, mat.blocks):
-        mf[sector] = np.einsum("kij,kj->ki", block, f[sector])
+    rows, cols, _ = mat.cells
+    mf = np.zeros_like(f)
+    np.add.at(mf, rows, mat.listing[0] * f[cols])
     return float(np.linalg.norm(mf - lam * f))
 
 
@@ -867,7 +864,7 @@ def _cell_texts(values: np.ndarray, exact: bool) -> list[str]:
 
 def dump_matrix(mat: CompressionMatrix, fileobj) -> None:
     """Write mat in dump format v1, read off its row-major cells: beyond the matrix it
-    holds one chunk of text, and it builds no blocks."""
+    holds one chunk of text, and it builds no float view (listing or dense)."""
     _check_dump_size(mat.size)
     exact = mat.is_exact
     size = mat.size

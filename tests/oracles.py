@@ -42,7 +42,12 @@ eigenvalues symmetrise whole padded (samples, k, s, s) sector stacks and take
 the finiteness, Hermiticity and scale guards over every stored entry, the way
 the package's eigensolve did before it read only the listed cells and their
 mirrors; solve_outcome gives what either route returns in a form two routes
-can be compared by: the eigenvalues' hex texts, or the error message.
+can be compared by: the eigenvalues' hex texts, or the error message.  The
+reference blocks scatter a compression's listed entries into padded (k, s, s)
+sector stacks, and the reference dense matrix places those stacks in the
+graded-lex layout (one sector spanning the basis is its own matrix), the way
+CompressionMatrix.blocks and dense did before every reader applied the cell
+listing.
 """
 
 from __future__ import annotations
@@ -268,6 +273,31 @@ def eager_exact_blocks(mat) -> tuple[np.ndarray, ...]:
     with np.errstate(over="ignore", invalid="ignore"):
         dense[rows, cols] = c * w[rows] * w[cols]
     return tuple(dense[g[:, :, None], g[:, None, :]] for g in mat.sectors)
+
+
+def reference_blocks(mat) -> tuple[np.ndarray, ...]:
+    """The orthonormal (k, s, s) sector stacks of mat: every listed entry at its place in the
+    layout, +0.0 elsewhere, split by mat.sectors."""
+    values, at, _ = mat.listing
+    flat = np.zeros(mat.layout[2], dtype=complex)
+    flat[at] = values
+    blocks, start = [], 0
+    for g in mat.sectors:
+        k, s = g.shape
+        blocks.append(flat[start:start + k * s * s].reshape(k, s, s))
+        start += k * s * s
+    return tuple(blocks)
+
+
+def reference_dense(mat) -> np.ndarray:
+    """The graded-lex matrix of mat laid out from its reference blocks, sector by sector."""
+    blocks = reference_blocks(mat)
+    if blocks[0].shape[1] == mat.size:  # one sector spans the basis: its block is the matrix
+        return blocks[0][0]
+    out = np.zeros((mat.size, mat.size), dtype=blocks[0].dtype)
+    for g, b in zip(mat.sectors, blocks):
+        out[g[:, :, None], g[:, None, :]] = b
+    return out
 
 
 def _stack_defects(stacks) -> np.ndarray:

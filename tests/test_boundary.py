@@ -275,8 +275,7 @@ def test_cell_route_parity_with_block_stacks_on_profile_batches(case, coord, sca
             offsets = {d for phi in fourier for chi in fourier for d in galerkin._pair_offsets(phi.terms, chi.terms)}
             slice_trunc = BasisTruncation(trunc.degree_cap, dim - 1)
             patch.setattr(galerkin, "MAX_STORED_ENTRIES", chunk * galerkin._sectors(slice_trunc, frozenset(offsets))[1][2])
-        # past |c| sums of 1.34e154 the profile's zero floor (sum |c|)^2 overflows after the solve
-        with contextlib.suppress(ValueError, OverflowError):
+        with contextlib.suppress(ValueError):
             slice_norm_profile(sym, coord, samples, trunc)
     assert batches
 

@@ -336,8 +336,8 @@ def test_verify_engines_agree_checks_the_qh_box(monkeypatch, function, original,
 
 
 # sha256 of `verify` stdout (every suite), recorded before engines-agree read
-# whole qh boxes and weyl_residual applied the sector blocks; the same with one
-# OpenBLAS thread
+# whole qh boxes and before weyl_residual applied first the sector blocks, then
+# the listed cells; the same with one OpenBLAS thread
 VERIFY_DIGEST = "d9e05d6ed2b7de6b4aa0d16f3aecb6c2fbe696b892de00d8b317ede8864a454c"
 
 
@@ -559,6 +559,16 @@ def test_boundary_refuses_a_float_coefficient_whose_modulus_overflows(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_boundary_of_coefficients_whose_sum_squared_overflows(capsys):
+    # sum |c| = 1.4e154: its square passes the float range, so the profile's zero floor took
+    # (sum |c|) ** 2 and raised OverflowError, a traceback, after the solve had succeeded
+    symbol = _float_symbol([(7e153 + 0j, (0, 0), (1, 1)), (7e153 + 0j, (0, 0), (1, 0))])
+    code, out = run_cli(capsys, "boundary", symbol, "--coord", "1", "--degree", "2", "--samples", "4")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["constant"] is True and obj["prediction_source"] == "product-factorization"
+
+
 def test_a_closed_stdout_exits_141_in_silence(tmp_path):
     import os
     import subprocess
@@ -663,7 +673,7 @@ def test_float_commands_skip_exact_assembly(capsys, monkeypatch, tmp_path):
 
 
 def test_float_commands_build_no_full_matrix(capsys, monkeypatch):
-    # approx without --dump-matrix and boundary read only the sector blocks
+    # approx without --dump-matrix and boundary read only the listed cells
     from hankel_spectra.galerkin import CompressionMatrix
 
     def refuse(self):

@@ -34,7 +34,9 @@ from oracles import (
     dense_weyl_residual,
     eager_exact_blocks,
     hankel_entry_oracle,
+    reference_blocks,
     reference_checked_eigenvalues,
+    reference_dense,
     reference_gram_block,
     reference_scaled_blocks,
     reference_toeplitz_map,
@@ -266,7 +268,8 @@ def test_weyl_residual_refuses_non_finite_input(lam, g0, p, message):
     assert "\n" not in str(info.value)
 
 
-def test_weyl_residual_reads_the_sector_blocks(monkeypatch):
+def test_weyl_residual_applies_the_listed_cells(monkeypatch):
+    import hankel_spectra.galerkin as galerkin
     from hankel_spectra.galerkin import CompressionMatrix
 
     cases = [
@@ -281,9 +284,11 @@ def test_weyl_residual_reads_the_sector_blocks(monkeypatch):
     want = [dense_weyl_residual(mat, lam, g, p) for mat, (_, lam, p), g in zip(mats, cases, gs)]
 
     def no_full_matrix(*args):
-        raise AssertionError("weyl_residual built the full matrix")
+        raise AssertionError("weyl_residual built the full matrix or a padded block stack")
 
-    monkeypatch.setattr(CompressionMatrix, "_graded_lex", no_full_matrix)
+    # dense is cached on mats by now: a property on the class still takes precedence
+    monkeypatch.setattr(CompressionMatrix, "dense", property(no_full_matrix))
+    monkeypatch.setattr(galerkin, "_split", no_full_matrix)
     for mat, (_, lam, p), g, w in zip(mats, cases, gs, want):
         assert abs(weyl_residual(mat, lam, g, p) - w) <= 1e-14 * max(1.0, w)
 
@@ -511,7 +516,7 @@ def test_eigenvalues_rejects_non_hermitian_entry_inside_a_block():
     mat = assemble(parse_symbol("zb1*(zb2+1)") * (0.5 + 0j), BasisTruncation(3, 2))
     i, j = mat.sectors[0][1][:2]  # entry (0, 1) of the first group's second block
     with pytest.raises(ValueError, match="not Hermitian"):
-        eigenvalues(_with_cell(mat, i, j, mat.blocks[0][1, 0, 1] + 1e-6))
+        eigenvalues(_with_cell(mat, i, j, reference_blocks(mat)[0][1, 0, 1] + 1e-6))
 
 
 def _as_cells(stacks, listed=None):
@@ -543,7 +548,7 @@ def test_eigenvalues_rejects_a_cell_whose_mirror_is_unlisted():
     with pytest.raises(ValueError, match=r"not Hermitian: defect 1e-06$"):
         eigenvalues(one_sided)
     with pytest.raises(ValueError, match=r"not Hermitian: defect 1e-06$"):
-        reference_checked_eigenvalues([b[None] for b in one_sided.blocks], str)
+        reference_checked_eigenvalues([b[None] for b in reference_blocks(one_sided)], str)
     assert one_sided.hermiticity_defect() == 1e-6
 
 
@@ -561,7 +566,7 @@ def test_the_sector_layout_is_computed_once_per_sectors(monkeypatch):
     mats.append(assemble(sym, trunc))  # the same (trunc, offsets)
     for mat in mats:
         assert mat.layout is mats[0].layout
-        mat.blocks
+        reference_blocks(mat), mat.dense
         eigenvalues(mat)
         eigenvalues(mat)
         mat.hermiticity_defect(), mat.scale()
@@ -615,7 +620,7 @@ def test_sector_blocks_hold_the_dense_matrix():
     mat = assemble(sym, trunc)
     ref = assemble_via_toeplitz(sym, trunc)
     assert matrices_equal(mat, ref) and np.array_equal(mat.dense, ref.dense)
-    for g, b, sb in zip(mat.sectors, mat.blocks, reference_scaled_blocks(mat)):
+    for g, b, sb in zip(mat.sectors, reference_blocks(mat), reference_scaled_blocks(mat)):
         assert np.array_equal(b, mat.dense[g[:, :, None], g[:, None, :]])
         assert all(sb[r, p, q] == mat.scaled[i][j] for r, row in enumerate(g)
                    for p, i in enumerate(row) for q, j in enumerate(row))
@@ -670,9 +675,10 @@ def test_exact_diagonal_reads_the_sector_blocks(monkeypatch):
     want = [[d.re for d in diagonal] for diagonal in diagonals]
 
     def no_full_matrix(*args):
-        raise AssertionError("exact_diagonal built the full matrix")
+        raise AssertionError("exact_diagonal built the full matrix or the float entries")
 
-    monkeypatch.setattr(CompressionMatrix, "_graded_lex", no_full_matrix)
+    monkeypatch.setattr(CompressionMatrix, "dense", property(no_full_matrix))
+    monkeypatch.setattr(CompressionMatrix, "listing", property(no_full_matrix))
     fresh = [assemble(parse_symbol(expr, dim=2), BasisTruncation(n, 2)) for expr, n in cases]
     assert [m.exact_diagonal() for m in fresh] == want
 
@@ -787,7 +793,7 @@ def test_gram_tables_match_the_fraction_oracle(sym, n_cap):
         want[rows, cols] = np.asarray(oracle, dtype=complex) * w[rows] * w[cols]
         want_scaled[rows, cols] = oracle
     mat = assemble(sym, trunc)
-    for g, b, sb in zip(mat.sectors, mat.blocks, reference_scaled_blocks(mat)):
+    for g, b, sb in zip(mat.sectors, reference_blocks(mat), reference_scaled_blocks(mat)):
         assert b.tobytes() == want[g[:, :, None], g[:, None, :]].tobytes()
         assert np.array_equal(sb, want_scaled[g[:, :, None], g[:, None, :]])
         assert all(c is CR_ZERO for c in sb.ravel() if not c)
@@ -807,7 +813,7 @@ def test_from_cells_rebuilds_the_matrix_nonzero_cells_lists(sym, n_cap, as_float
         sym = sym.as_float()
     offsets = frozenset(_pair_offsets(sym.terms, sym.terms))
     mat = assemble(sym, BasisTruncation(n_cap, sym.dim))
-    assert "blocks" not in vars(mat)
+    assert "listing" not in vars(mat) and "dense" not in vars(mat)
     if as_float:
         dense = mat.dense.copy()
         for _ in range(data.draw(st.integers(0, 3))):
@@ -826,13 +832,15 @@ def test_from_cells_rebuilds_the_matrix_nonzero_cells_lists(sym, n_cap, as_float
         got_rows, got_cols, got_values = mat.cells
         assert [(i, j) for i, j, _ in want] == list(zip(got_rows.tolist(), got_cols.tolist()))
         assert np.array([z for *_, z in want], dtype=complex).tobytes() == got_values.tobytes()
-        assert all(a.tobytes() == dense[g[:, :, None], g[:, None, :]].tobytes() for g, a in zip(mat.sectors, mat.blocks))
+        assert all(a.tobytes() == dense[g[:, :, None], g[:, None, :]].tobytes()
+                   for g, a in zip(mat.sectors, reference_blocks(mat)))
     assert mat.is_exact != as_float
     rows, cols, _ = mat.cells
     assert (np.diff(rows * mat.size + cols) > 0).all()  # row-major, each cell once
     back = _from_cells(mat.trunc, *mat.cells, not as_float, offsets, symbol=sym)
     assert [g.tolist() for g in back.sectors] == [g.tolist() for g in mat.sectors]
-    assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(back.blocks, mat.blocks))
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(reference_blocks(back), reference_blocks(mat)))
     assert back.is_exact == mat.is_exact
     assert all(a.shape == b.shape and a.dtype == b.dtype for a, b in zip(back.cells, mat.cells))
     if as_float:
@@ -855,7 +863,7 @@ def test_a_zero_cell_between_sectors_is_dropped():
             mat.trunc, np.append(rows, i), np.append(cols, j), np.append(values, zero, axis=-1), exact,
             frozenset(_pair_offsets(sym.terms, sym.terms)), symbol=sym,
         )
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(back.blocks, mat.blocks))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(reference_blocks(back), reference_blocks(mat)))
         assert matrices_equal(back, mat)
         # a dump's -0.0 cell between its sectors is dropped too
         if not exact:
@@ -868,7 +876,7 @@ def test_a_zero_cell_between_sectors_is_dropped():
             lines[1 + i] = " ".join(cells) + "\n"
             loaded = load_matrix(io.StringIO("".join(lines)))
             assert [g.tolist() for g in loaded.sectors] == [g.tolist() for g in mat.sectors]
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(loaded.blocks, mat.blocks))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(reference_blocks(loaded), reference_blocks(mat)))
 
 
 def test_load_matrix_allocates_no_n_by_n_array(tmp_path):
@@ -907,8 +915,8 @@ def test_an_exact_compression_holds_only_its_nonzero_cells():
         tracemalloc.stop()
     rows, cols, values = mat.cells
     assert rows.size == cols.size == values.shape[1] == 3025
-    dump_matrix(mat, io.StringIO())  # the dump reads the stored listing: it builds no blocks
-    assert "blocks" not in vars(mat)
+    dump_matrix(mat, io.StringIO())  # the dump reads the stored cells: it builds no float view
+    assert "listing" not in vars(mat) and "dense" not in vars(mat)
     assert np.array_equal(np.stack([rows, cols]), np.stack(np.nonzero(mat.dense)))
     assert peak < 4 * 2**20
 
@@ -1004,9 +1012,10 @@ def test_dump_matrix_reads_the_sector_blocks(monkeypatch):
     assert any("-0.0" in text for text in want)  # signed zeros inside the blocks are kept
 
     def no_full_matrix(*args):
-        raise AssertionError("dump_matrix built the full matrix")
+        raise AssertionError("dump_matrix built the full matrix or the float entries")
 
-    monkeypatch.setattr(CompressionMatrix, "_graded_lex", no_full_matrix)
+    monkeypatch.setattr(CompressionMatrix, "dense", property(no_full_matrix))
+    monkeypatch.setattr(CompressionMatrix, "listing", property(no_full_matrix))
     fresh = [assemble(sym, trunc) for sym, trunc in zip(syms, truncs)]
     fresh += [load_matrix(io.StringIO(text)) for text in want[:len(syms)]]
     got = []
@@ -1149,10 +1158,10 @@ _SCALES = [1, 2**60 + 1, Fraction(1, 3**40), 10**400, CRat(10**200, -(10**400))]
 @example(parse_symbol("zb1*(zb2+1)"), 2, 10**400)
 def test_exact_blocks_built_on_read_equal_the_eager_blocks(sym, n_cap, scale):
     mat = assemble(sym * scale, BasisTruncation(n_cap, sym.dim))
-    assert mat.is_exact and "blocks" not in vars(mat)
+    assert mat.is_exact and "listing" not in vars(mat) and "dense" not in vars(mat)
     want = eager_exact_blocks(mat)
-    assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(mat.blocks, want))
-    assert mat.blocks is mat.blocks  # built once
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(reference_blocks(mat), want))
+    assert mat.listing is mat.listing  # built once
 
 
 def test_exact_reads_build_no_float_blocks(monkeypatch):
@@ -1165,9 +1174,10 @@ def test_exact_reads_build_no_float_blocks(monkeypatch):
         want.append((mat.exact_diagonal(), _per_cell_dump(mat)))
 
     def no_blocks(self):
-        raise AssertionError("the float blocks were built")
+        raise AssertionError("the float entries or the full matrix were built")
 
-    monkeypatch.setattr(CompressionMatrix, "blocks", property(no_blocks))
+    monkeypatch.setattr(CompressionMatrix, "listing", property(no_blocks))
+    monkeypatch.setattr(CompressionMatrix, "dense", property(no_blocks))
     for (sym, n), (diagonal, dump) in zip(cases, want):
         trunc = BasisTruncation(n, sym.dim)
         mat = assemble(sym, trunc)
@@ -1213,7 +1223,7 @@ def test_a_loaded_dump_holds_the_assembled_tables():
         assert [g.tolist() for g in back.sectors] == [g.tolist() for g in mat.sectors]
         for a, b in zip(back.cells, mat.cells):
             assert a.shape == b.shape and np.array_equal(a, b)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(back.blocks, mat.blocks))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(reference_blocks(back), reference_blocks(mat)))
 
 
 # an exact dump of one entry whose real part, 10**400, is past the float range
@@ -1322,10 +1332,17 @@ def _padded_stacks(mat):
     return [b[None] for b in blocks]
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from(_PARITY_EXPRS), st.integers(1, 4), st.sampled_from(["float", "exact", "loaded"]), st.data())
-def test_cell_route_parity_with_block_stacks_on_compressions(expr, n_cap, kind, data):
-    # eigenvalues() must give the padded-stack route's eigenvalues bit for bit, or its first error
+def _drawn_cell(mat, data):
+    """(i, j) of a drawn cell anywhere in a sector block of mat: listed or not, so its mirror may be
+    unlisted."""
+    g = mat.sectors[data.draw(st.integers(0, len(mat.sectors) - 1), label="group")]
+    k, r, c = (data.draw(st.integers(0, n - 1)) for n in (g.shape[0], g.shape[1], g.shape[1]))
+    return g[k, r], g[k, c]
+
+
+def _drawn_compression(expr, n_cap, kind, data):
+    """A float, exact or loaded compression of expr, drawn scale, with up to three drawn cells set
+    to special values: signed zeros, NaN, +-inf, skews, entries past the float range."""
     sym = parse_symbol(expr)
     if kind == "exact":
         sym = sym * data.draw(st.sampled_from(_SCALES), label="scale")
@@ -1333,20 +1350,63 @@ def test_cell_route_parity_with_block_stacks_on_compressions(expr, n_cap, kind, 
         sym = sym.as_float() * data.draw(st.sampled_from([1.0, 0.3 - 0.1j, 1e154]), label="scale")
     mat = assemble(sym, BasisTruncation(n_cap, sym.dim))
     for _ in range(data.draw(st.integers(0, 3), label="cells")):
-        # a cell anywhere in a sector block: listed or not, so its mirror may be unlisted
-        g = mat.sectors[data.draw(st.integers(0, len(mat.sectors) - 1), label="group")]
-        k, r, c = (data.draw(st.integers(0, n - 1)) for n in (g.shape[0], g.shape[1], g.shape[1]))
+        i, j = _drawn_cell(mat, data)
         value = data.draw(st.sampled_from(_EXACT_CELLS if mat.is_exact else _FLOAT_CELLS), label="value")
-        mat = _with_cell(mat, g[k, r], g[k, c], value)
+        mat = _with_cell(mat, i, j, value)
     if kind == "loaded":
         buf = io.StringIO()
         dump_matrix(mat, buf)
         mat = load_matrix(io.StringIO(buf.getvalue()))
+    return mat
+
+
+_KINDS = st.sampled_from(["float", "exact", "loaded"])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_PARITY_EXPRS), st.integers(1, 4), _KINDS, st.data())
+def test_cell_route_parity_with_block_stacks_on_compressions(expr, n_cap, kind, data):
+    # eigenvalues() must give the padded-stack route's eigenvalues bit for bit, or its first error
+    mat = _drawn_compression(expr, n_cap, kind, data)
     name = mat.symbol if mat.symbol is not None else f"dumped symbol {mat.dumped_hash}"
     stacks = _padded_stacks(mat)
-    assert all(a.tobytes() == b[0].tobytes() for a, b in zip(mat.blocks, stacks))
+    assert all(a.tobytes() == b[0].tobytes() for a, b in zip(reference_blocks(mat), stacks))
     want = solve_outcome(lambda: reference_checked_eigenvalues(stacks, lambda i: name)[0])
     assert solve_outcome(lambda: eigenvalues(mat)) == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_PARITY_EXPRS), st.integers(0, 4), _KINDS, st.data())
+def test_dense_scattered_from_the_cells_is_the_block_layout(expr, n_cap, kind, data):
+    # dense, one scatter of the listed entries, must hold the bytes of the sector blocks laid out
+    # in the graded-lex matrix, one-sector view included: -0.0, NaN and inf cells as they are
+    mat = _drawn_compression(expr, n_cap, kind, data)
+    got, want = mat.dense, reference_dense(mat)
+    assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+_SIGNED_ZEROS = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_PARITY_EXPRS), st.integers(0, 4), _KINDS,
+    st.sampled_from(["copy", "cell", "signed zero"]), st.booleans(), st.data(),
+)
+def test_matrices_equal_on_floats_is_the_dense_comparison(expr, n_cap, kind, change, swap, data):
+    # a float or mixed comparison reads the listed cells != 0; it must say what dense == dense of
+    # the block layout says.  The second matrix is a copy of the first, as orthonormal floats if
+    # the first is exact, then one drawn cell (listed or not) is set to a drawn value or signed zero
+    a = _drawn_compression(expr, n_cap, kind, data)
+    rows, cols, values = (x.copy() for x in a.cells)
+    b = dataclasses.replace(a, cells=(rows, cols, a.listing[0].copy() if a.is_exact else values))
+    if change != "copy":
+        i, j = _drawn_cell(b, data)
+        b = _with_cell(b, i, j, data.draw(st.sampled_from(_FLOAT_CELLS if change == "cell" else _SIGNED_ZEROS)))
+    if swap:
+        a, b = b, a
+    assert not (a.is_exact and b.is_exact)
+    assert matrices_equal(a, b) == np.array_equal(reference_dense(a), reference_dense(b))
 
 
 @settings(max_examples=150, deadline=None)
