@@ -175,6 +175,21 @@ class SpectrumSet:
         flags = (self.is_eigenvalue.tolist(), self.is_limit_point.tolist(), multiplicity)
         return tuple(map(EigenRecord, self.values(), provenance, *flags))
 
+    def record_slice(self, lo: int, hi: int) -> SpectrumSet:
+        """Records lo:hi with their witnesses, as a SpectrumSet whose starts begin at 0."""
+        first, last = self.starts[lo], self.starts[hi]
+        return replace(
+            self,
+            num=self.num[lo:hi],
+            den=self.den[lo:hi],
+            is_eigenvalue=self.is_eigenvalue[lo:hi],
+            is_limit_point=self.is_limit_point[lo:hi],
+            multiplicity=self.multiplicity[lo:hi],
+            starts=self.starts[lo : hi + 1] - first,
+            alpha=self.alpha[first:last],
+            subset=self.subset[first:last],
+        )
+
     def values(self) -> list[Fraction]:
         return list(map(Fraction, self.num.tolist(), self.den.tolist()))
 

@@ -766,7 +766,8 @@ def test_factorization_multiplies_back_to_the_symbol(phi, chi, extra, shape):
     factored = _factor_across(psi, coord)
     # psi = phi * chi across coord with no term lost to underflow: with every |c| normal, below 2**1000
     # and within 2**1070 of each other, every ratio the factorization forms is finite and non-zero
-    mags = [abs(complex(c)) for c, _, _ in psi.terms]
+    # (hypot, not abs: the modulus of finite parts can pass the float range, which abs raises on)
+    mags = [math.hypot(complex(c).real, complex(c).imag) for c, _, _ in psi.terms]
     if (not extra and coord == dim and mags and len(mags) == len(phi_sym.terms) * len(chi_sym.terms)
             and sys.float_info.min <= min(mags) and max(mags) <= 2.0**1000
             and math.log2(max(mags)) - math.log2(min(mags)) <= 1070):

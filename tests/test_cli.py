@@ -579,15 +579,34 @@ def test_a_closed_stdout_exits_141_in_silence(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(hankel_spectra.__file__).parents[1]))
     # 3.6 MB of JSON: the write blocks on the full pipe until the reader has gone
     argv = [sys.executable, "-m", "hankel_spectra.cli", "exact", "z1*zb1^3*zb2^2", "--dim", "2", "--cap", "90"]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-        assert proc.stdout.read(50).startswith(b"{")
-        proc.stdout.close()
-        assert proc.stderr.read() == b""
-        assert proc.wait(timeout=60) == 141
+    # each format is written chunk by chunk: the reader goes away after the first
+    for fmt, first in (("json", b"{"), ("csv", b"value,")):
+        with subprocess.Popen(
+            argv + ["--format", fmt], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            assert proc.stdout.read(50).startswith(first)
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait(timeout=60) == 141
     # an error writing --out keeps its one-line message and exit 2
     out = subprocess.run(argv + ["--out", str(tmp_path / "missing" / "x.json")], capture_output=True, env=env)
     assert out.returncode == 2 and out.stdout == b""
     assert out.stderr.decode().startswith("error: [Errno 2] No such file or directory") and out.stderr.count(b"\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_output_device_ends_in_one_error_line():
+    import hankel_spectra
+
+    env = dict(os.environ, PYTHONPATH=str(Path(hankel_spectra.__file__).parents[1]))
+    argv = [sys.executable, "-m", "hankel_spectra.cli", "exact", "z1*zb1^3*zb2^2", "--dim", "2", "--cap", "90"]
+    # a write fails mid-document, on stdout in either format and on --out: the
+    # OSError ends in one error line and exit 2, and the interpreter's last flush adds nothing
+    for extra in (["--format", "json"], ["--format", "csv"], ["--out", "/dev/full"]):
+        with open("/dev/full", "w") as full:
+            out = subprocess.run(argv + extra, stdout=full, stderr=subprocess.PIPE, env=env)
+        assert out.returncode == 2, extra
+        assert out.stderr.decode().startswith("error: [Errno 28] ") and out.stderr.count(b"\n") == 1, out.stderr
 
 
 _small_coefficients = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)
@@ -1218,7 +1237,7 @@ _D2 = _enumerated((1, 0), (0, 2), 2)
 @example(_D2, '"records": "\u0000"')
 def test_exact_writer_matches_json_dumps(drawn, symbol):
     mono, cap, spectrum, essential = drawn
-    assert _exact_document("json", symbol, mono, cap, spectrum, essential) == _reference_exact_json(
+    assert "".join(_exact_document("json", symbol, mono, cap, spectrum, essential)) == _reference_exact_json(
         symbol, mono, cap, spectrum, essential
     )
 
@@ -1230,7 +1249,7 @@ def test_exact_writer_matches_json_dumps(drawn, symbol):
 @example(_D2, '"records": "\u0000"')
 def test_exact_csv_matches_the_dict_built_reference(drawn, symbol):
     mono, cap, spectrum, essential = drawn
-    assert _exact_document("csv", symbol, mono, cap, spectrum, essential) == reference_exact_csv(spectrum, essential)
+    assert "".join(_exact_document("csv", symbol, mono, cap, spectrum, essential)) == reference_exact_csv(spectrum, essential)
 
 
 def test_exact_writer_keeps_nothing_between_documents():
@@ -1243,10 +1262,10 @@ def test_exact_writer_keeps_nothing_between_documents():
         mono = core.MonomialSymbol(n, m)
         spectrum = core.enumerate_spectrum(mono, cap)
         essential = core.essential_part(mono, spectrum)
-        assert _exact_document("json", "s", mono, cap, spectrum, essential) == _reference_exact_json(
+        assert "".join(_exact_document("json", "s", mono, cap, spectrum, essential)) == _reference_exact_json(
             "s", mono, cap, spectrum, essential
         )
-        assert _exact_document("csv", "s", mono, cap, spectrum, essential) == reference_exact_csv(spectrum, essential)
+        assert "".join(_exact_document("csv", "s", mono, cap, spectrum, essential)) == reference_exact_csv(spectrum, essential)
     half, third = Fraction(1, 2), Fraction(1, 3)
     records = (
         core.EigenRecord(third, (core.Provenance((10**6, 0, 0), frozenset({1})),), True, False, None),
@@ -1260,14 +1279,63 @@ def test_exact_writer_keeps_nothing_between_documents():
     spectrum = spectrum_from_records(records, 3, 3, True, True, "spectrum")
     # in_essential compares values: an equal copy of 1/2 counts, 1/3 is absent
     essential = spectrum_from_records((replace(records[1], value=_equal_copy(half)),), 3, 3, True, True, "essential")
-    text = _exact_document("json", "s", mono, 3, spectrum, essential)
+    text = "".join(_exact_document("json", "s", mono, 3, spectrum, essential))
     assert text == _reference_exact_json("s", mono, 3, spectrum, essential)
     assert [r["in_essential"] for r in json.loads(text)["spectrum"]["records"]] == [False, True]
-    table = _exact_document("csv", "s", mono, 3, spectrum, essential)
+    table = "".join(_exact_document("csv", "s", mono, 3, spectrum, essential))
     assert table == reference_exact_csv(spectrum, essential)
     assert table.splitlines()[2] == (
         '1/2,0.5,True,True,finite,True,"alpha=(999999,7,0) B=(1);alpha=(0,1000000,3) B=(1,3);alpha=(1000000,0,0) B=(1)"'
     )
+
+
+# zb1 at dim 2 is all-infinite: its essential part is its spectrum.  At cap 3 each
+# record holds at most 5 witnesses, at cap 8 up to 10, more than any drawn block.
+_ALL_INFINITE = _enumerated((0, 0), (1, 0), 3)
+_LARGE_RECORDS = _enumerated((0, 0), (1, 0), 8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spectra(), st.sampled_from([1, 2, 3, 7]), st.sampled_from([1, 2, 3, 7]))
+@example(_NO_RECORDS, 1, 1)
+@example(_ALL_INFINITE, 7, 2)
+@example(_LARGE_RECORDS, 3, 7)
+def test_exact_block_and_chunk_edges_never_show_in_the_bytes(drawn, block, chunk):
+    mono, cap, spectrum, essential = drawn
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_BLOCK_WITNESSES", block)
+        mp.setattr(cli, "_CHUNK_CHARS", chunk)
+        text = "".join(_exact_document("json", "s", mono, cap, spectrum, essential))
+        table = "".join(_exact_document("csv", "s", mono, cap, spectrum, essential))
+    assert text == _reference_exact_json("s", mono, cap, spectrum, essential)
+    assert table == reference_exact_csv(spectrum, essential)
+
+
+def test_exact_rendering_memory_does_not_grow_with_the_document():
+    # 17.4 MB of JSON; rendered whole, its pieces and the joined text took over 34 MB
+    import tracemalloc
+
+    class CountingSink:
+        count = 0
+
+        def write(self, text):
+            self.count += len(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    mono, cap, spectrum, essential = _enumerated((1, 0), (3, 2), 200)
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            cli._emit(_exact_document("json", "z1*zb1^3*zb2^2", mono, cap, spectrum, essential), None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.count > 17_000_000
+    assert peak < sink.count / 4
 
 
 # floats json.dumps writes in each of its forms, and the non-finite ones it leaves to its frame

@@ -400,3 +400,24 @@ def test_exact_order_separates_fractions_floats_cannot():
         order = core._exact_order(num, den).tolist()
         assert [fracs[i] for i in order] == sorted(fracs)
         assert order.index(0) < order.index(3)  # stable among equal values
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.integers(0, 4),
+    st.data(),
+)
+def test_record_slices_partition_the_records(n, m, cap, data):
+    # record_slice(lo, hi) holds records lo:hi with their witnesses, for the spectrum and its essential part
+    mono = MonomialSymbol(n, m)
+    spectrum = enumerate_spectrum(mono, cap)
+    for spec in (spectrum, core.essential_part(mono, spectrum)):
+        count = len(spec.num)
+        cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=4)))
+        edges = [0, *cuts, count]
+        parts = [spec.record_slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        assert all(part.starts[0] == 0 and part.starts[-1] == len(part.subset) for part in parts)
+        assert [r for part in parts for r in part.records] == list(spec.records)
+        assert all((part.kind, part.alpha_cap, part.note) == (spec.kind, spec.alpha_cap, spec.note) for part in parts)
