@@ -307,10 +307,10 @@ def _record_texts(spec: SpectrumSet, fmt: str, essential_texts: set | None):
     )
 
 
-def _json_records(spec: SpectrumSet, essential_texts: set | None, rest: str) -> Iterator[list[str]]:
-    """The pieces of spec's "records" pair in the exact JSON, one list per block, rest after them."""
+def _json_records(spec: SpectrumSet, essential_texts: set | None, rest: str) -> Iterator[str]:
+    """The text of spec's "records" pair in the exact JSON, one string per block, rest after them."""
     if not len(spec.num):
-        yield ['"records": []', rest]
+        yield '"records": []' + rest
         return
     pieces, left = ['"records": [\n      '], len(spec.num)
     for block in _record_blocks(spec):
@@ -323,34 +323,35 @@ def _json_records(spec: SpectrumSet, essential_texts: set | None, rest: str) -> 
             # the separator after the last record closes the list
             pieces[-1] = "\n      }\n    ]"
             pieces.append(rest)
-        yield pieces
+        yield "".join(pieces)
         pieces = []
 
 
 _CSV_HEADER = ("value", "value_float", "is_eigenvalue", "is_limit_point", "multiplicity", "in_essential", "provenance")
 
 
-def _csv_records(spec: SpectrumSet, essential_texts: set) -> Iterator[list[str]]:
+def _csv_records(spec: SpectrumSet, essential_texts: set) -> Iterator[str]:
     """The exact CSV's header, then its rows block by block, one csv.writer pass each."""
     multiplicities = [m.value if m else "" for m in MULTIPLICITIES]
-    yield [_csv_rows([_CSV_HEADER])]
+    yield _csv_rows([_CSV_HEADER])
     for block in _record_blocks(spec):
         rows = (
             (text, float_text, eig, lp, multiplicities[code], in_essential, entries)
             for text, float_text, eig, lp, code, in_essential, entries in _record_texts(block, "csv", essential_texts)
         )
-        yield [_csv_rows(rows)]
+        yield _csv_rows(rows)
 
 
-def _chunked(blocks: Iterable[list[str]]) -> Iterator[str]:
-    """The pieces of blocks joined into strings, each ending at the first block end past _CHUNK_CHARS characters."""
+def _chunked(blocks: Iterable[str]) -> Iterator[str]:
+    """The texts of blocks joined into chunks of at most _CHUNK_CHARS characters, or of one
+    longer block.  A chunk of one block is that block's text itself, copied no further."""
     pending, size = [], 0
-    for pieces in blocks:
-        pending += pieces
-        size += sum(map(len, pieces))
-        if size >= _CHUNK_CHARS:
+    for text in blocks:
+        if pending and size + len(text) > _CHUNK_CHARS:
             yield "".join(pending)
             pending, size = [], 0
+        pending.append(text)
+        size += len(text)
     if pending:
         yield "".join(pending)
 
@@ -397,7 +398,7 @@ def _exact_document(
     ).split(_RECORDS_HOLE)
     return _chunked(
         itertools.chain(
-            [[head]], _json_records(essential, None, between), _json_records(spectrum, essential_texts, tail)
+            [head], _json_records(essential, None, between), _json_records(spectrum, essential_texts, tail)
         )
     )
 
