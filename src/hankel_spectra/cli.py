@@ -250,9 +250,9 @@ _RECORDS_HOLE = '"records": ' + _HOLE_TEXT
 
 # The exact document is rendered in blocks of whole records that hold about
 # _BLOCK_WITNESSES witnesses and at most that many records (a record with more
-# witnesses is a block of its own), and handed on in chunks of about _CHUNK_CHARS
-# characters: what it holds at once is one block's texts and one chunk, however
-# long the document.
+# witnesses is a block of its own), and handed on in chunks of at most _CHUNK_CHARS
+# characters (or one longer block): what it holds at once is one block's texts and
+# one chunk, however long the document.
 _BLOCK_WITNESSES = 2048
 _CHUNK_CHARS = 1 << 18
 

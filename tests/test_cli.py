@@ -1295,11 +1295,13 @@ _ALL_INFINITE = _enumerated((0, 0), (1, 0), 3)
 _LARGE_RECORDS = _enumerated((0, 0), (1, 0), 8)
 
 
+# chunks of 1-7 characters end at every block; chunks of 300 and 3000 join several blocks
 @settings(max_examples=150, deadline=None)
-@given(_spectra(), st.sampled_from([1, 2, 3, 7]), st.sampled_from([1, 2, 3, 7]))
+@given(_spectra(), st.sampled_from([1, 2, 3, 7]), st.sampled_from([1, 2, 3, 7, 300, 3000]))
 @example(_NO_RECORDS, 1, 1)
 @example(_ALL_INFINITE, 7, 2)
 @example(_LARGE_RECORDS, 3, 7)
+@example(_LARGE_RECORDS, 1, 3000)
 def test_exact_block_and_chunk_edges_never_show_in_the_bytes(drawn, block, chunk):
     mono, cap, spectrum, essential = drawn
     with pytest.MonkeyPatch.context() as mp:
