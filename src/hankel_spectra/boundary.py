@@ -67,7 +67,7 @@ def slice_symbol(sym: PolySymbol, q, coord: int) -> PolySymbol:
             raise ValueError(f"slice point must be unimodular, |q|^2 = {q.abs2()}")
     else:
         q = complex(q)
-        if abs(abs(q) - 1.0) > UNIT_MODULUS_TOL:
+        if not abs(abs(q) - 1.0) <= UNIT_MODULUS_TOL:  # NaN too
             raise ValueError(f"slice point must satisfy |q| = 1, got |q| = {abs(q)!r}")
     return sym.substitute_coordinate(coord, q)
 
@@ -135,14 +135,14 @@ def slice_norm_profile(
     is below 1e-12 (sum |c|)^2: every value is at most ||psi||_inf^2 <=
     (sum |c|)^2, and the rounding noise of a vanishing profile scales alike.
 
-    On the circle q = e^{i theta} a term z^h zbar^a contributes e^{i w theta}
-    with w = h_c - a_c, its winding in the sliced coordinate c, so
-    psi_q = sum_w e^{i w theta} phi_w with phi_w the terms of winding w sliced
-    at q = 1.  The slice compression is then the matrix trigonometric
-    polynomial sum_d e^{i d theta} G_d, which galerkin.top_eigenvalues solves
-    at every sample in one batch.  A symbol that is a monomial in the sliced
-    coordinate, or any whose slice has pairs of phase d = 0 only, is the same
-    matrix at every sample: it is solved once and its value repeated.
+    On the circle q = e^{i theta} a term z^h zbar^a contributes e^{i w theta} with
+    w = h_c - a_c, its winding in the sliced coordinate c, so psi_q =
+    sum_w e^{i w theta} phi_w with phi_w the terms of winding w sliced at q = 1.
+    The slice compression is then sum_d e^{i d theta} G_d, whose blocks
+    galerkin._fourier_blocks builds once, in columns keyed by winding offset, and
+    galerkin.top_eigenvalues solves every sample in one batch.  A symbol that is a
+    monomial in the sliced coordinate, or any whose slice has pairs of phase d = 0
+    only, is the same matrix at every sample: it is solved once and its value repeated.
     """
     thetas = _profile_grid(sym, coord, num_samples)
     slice_trunc = BasisTruncation(trunc.degree_cap, sym.dim - 1)

@@ -35,10 +35,11 @@ read back without an n x n array.
 
 The blocks lie end to end in one flat layout (_layout), computed once per
 cached set of sectors.  One guarded solve (_checked_eigenvalues) serves a
-compression and a batch of slice samples alike: it reads the listed entries
-and the entries at their mirror positions, guards and symmetrises them there,
-and scatters the result into one zeroed layout for the batched eigensolve:
-the only padded form of a compression.
+compression and a batch of slice samples alike, the samples summed from the
+blocks G_d that _fourier_blocks builds once in columns keyed by winding offset:
+it reads the listed entries and their mirrors, guards and symmetrises them there,
+and scatters the result into one zeroed layout for the batched eigensolve: the
+only padded form of a compression.
 """
 
 from __future__ import annotations
@@ -261,8 +262,8 @@ def _gram_block(pairs, lo, hi) -> np.ndarray:
     rounded integer division, so rationals that cancel exactly (e.g. for
     holomorphic symbols) cancel exactly here too; _gram_tables is the exact
     form of the same sum.  Every pair contributes its scalar coefficient
-    c_s conj(c_t); a slice profile varies with the circle point only through
-    phases that top_eigenvalues applies to whole blocks.
+    c_s conj(c_t), so _fourier_blocks builds a slice's blocks once, in columns
+    keyed by winding offset, and top_eigenvalues applies each circle point's phases.
     """
     block = 0
     for cs, ct, factors in _pair_factors(pairs, lo, hi, False):
@@ -704,70 +705,68 @@ def eigenvalues(mat: CompressionMatrix) -> np.ndarray:
     return _checked_eigenvalues(values[None], at, mirror, mat.sectors, mat.layout[2], lambda i: name)[0]
 
 
+def _fourier_blocks(fourier, trunc: BasisTruncation):
+    """(groups, stored, at, mirror, phases, magnitude): the blocks G_d of sum_w e^{i w theta} phi_w.
+
+    A term pair of fourier's float symbols phi_w and phi_v has the phase e^{i d theta},
+    d = w - v; groups and stored are the sectors of the union of the offsets.  A cell
+    (i, j) lies only in the box of the offset j - i, whatever the phase, so columns are
+    keyed by offset, one range each: at and mirror list its cells' layout positions and
+    their mirrors'.  phases holds (d, [(columns, entries)]) per offset block of G_d
+    (_kernel_blocks); magnitude is the largest sum of |G_d| over one entry.
+    """
+    if any(phi.is_exact or phi.dim != trunc.dim for phi in fourier.values()):
+        raise ValueError("top_eigenvalues needs float symbols of the basis dim")
+    by_phase: dict[int, dict] = {}
+    for (w, phi), (v, chi) in product(fourier.items(), repeat=2):
+        for delta, pairs in _pair_offsets(phi.terms, chi.terms).items():
+            by_phase.setdefault(w - v, {}).setdefault(delta, []).extend(pairs)
+    offsets = dict.fromkeys(delta for part in by_phase.values() for delta in part)
+    groups, (row_start, col_pos, stored), _ = _sectors(trunc, frozenset(offsets))
+    boxes = {delta: np.stack(box[2:]).reshape(2, -1) for delta in offsets if (box := _offset_block(trunc, delta))}
+    rows, cols = np.concatenate([np.empty((2, 0), dtype=np.intp), *boxes.values()], axis=1)
+    ends = np.cumsum([0] + [box.shape[1] for box in boxes.values()]).tolist()
+    columns = {delta: slice(a, b) for delta, a, b in zip(boxes, ends, ends[1:])}
+    size, phases = np.zeros(rows.size), []
+    for d, part in by_phase.items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = [(columns[delta], weighted) for delta, _, _, weighted in _kernel_blocks(part, trunc, False)]
+        for j, weighted in blocks:
+            size[j] += np.abs(weighted)
+        phases.append((d, blocks))
+    return groups, stored, row_start[rows] + col_pos[cols], row_start[cols] + col_pos[rows], phases, size.max(initial=0.0)
+
+
 def top_eigenvalues(fourier, thetas, trunc: BasisTruncation, name_of) -> np.ndarray:
     """Top eigenvalue of the compression of sum_w e^{i w theta} phi_w, for every theta, in one batch.
 
-    fourier maps a winding w to a float symbol phi_w of the basis dim (the
-    Fourier symbols of a slice profile); thetas are finite angles.  A pair of
-    terms of phi_w and phi_v carries the phase e^{i d theta}, d = w - v, so the
-    compression is the matrix trigonometric polynomial sum_d e^{i d theta} G_d:
-    _gram_block computes G_d one winding offset at a time, once per call, and
-    the samples share the sectors of the union of the offsets.  Each sample is
-    summed only on the union of the cells of the offset blocks, one column per
-    cell, in the same order per entry as phase after phase into a zeroed matrix.
-    Blocks of one size are solved by one eigvalsh call over all samples, and
-    every sample keeps the guards of eigenvalues(), relative to the largest sum
-    of |e^{i d theta} G_d| over one entry; name_of(i) names sample i in the
-    non-finite message.
-    Samples go in chunks of at most MAX_STORED_ENTRIES stored entries, the
-    budget of one assemble.  Without a pair of phase d != 0 (one winding, or
-    none) every sample is the same matrix, bit for bit: only thetas[:1] is
-    solved, and its value repeated for every theta.
+    fourier maps a winding w to a float symbol phi_w of the basis dim; thetas are
+    finite angles.  Each sample sums the e^{i d theta} G_d of _fourier_blocks into
+    zeroed columns, phase after phase; blocks of one size go to one eigvalsh call over
+    all samples, each with the guards of eigenvalues() relative to the magnitude of the
+    G_d, name_of(i) naming sample i in the non-finite message.  Chunks hold at most
+    MAX_STORED_ENTRIES stored entries.  Without a phase d != 0 (one winding, or none)
+    every sample is the same matrix, bit for bit: thetas[:1] is solved and repeated.
     With a phase d != 0 a sample's last bit can depend on the batch: numpy may multiply a
     (k, 1) phase column by a one-entry block on different paths for k > 1 and k = 1, so a theta
     solved alone can differ in the last ulp from one in a batch; compare bits within one layout.
     """
-    for phi in fourier.values():
-        if phi.is_exact or phi.dim != trunc.dim:
-            raise ValueError("top_eigenvalues needs float symbols of the basis dim")
-    by_phase: dict[int, dict] = {}
-    for w, phi in fourier.items():
-        for v, chi in fourier.items():
-            for delta, pairs in _pair_offsets(phi.terms, chi.terms).items():
-                by_phase.setdefault(w - v, {}).setdefault(delta, []).extend(pairs)
-    offsets = frozenset(delta for part in by_phase.values() for delta in part)
-    groups, (row_start, col_pos, stored), _ = _sectors(trunc, offsets)
+    groups, stored, at, mirror, phases, magnitude = _fourier_blocks(fourier, trunc)
     step = MAX_STORED_ENTRIES // stored
-    with np.errstate(over="ignore", invalid="ignore"):
-        kernel = [(d, list(_kernel_blocks(part, trunc, False))) for d, part in by_phase.items()]
-    cells = [(r, c) for _, part in kernel for _, r, c, _ in part] or [(np.empty(0, np.intp),) * 2]
-    # one column per cell: an offset block lists each cell once, but the G_d of several d share cells
-    at, first, column = np.unique(
-        np.concatenate([row_start[r] + col_pos[c] for r, c in cells]), return_index=True, return_inverse=True
-    )
-    mirror = np.concatenate([row_start[c] + col_pos[r] for r, c in cells])[first]
-    columns = iter(np.split(column, np.cumsum([r.size for r, _ in cells])[:-1]))
-    size = np.zeros(at.size)
-    phases = []  # (d, [(columns, entries) of each offset block of G_d])
-    for d, part in kernel:
-        cells = [(next(columns), weighted) for _, _, _, weighted in part]
-        for j, weighted in cells:
-            size[j] += np.abs(weighted)
-        phases.append((d, cells))
     thetas = np.asarray(thetas, dtype=float)
     copies = 1
-    if set(by_phase) <= {0}:  # every sample is the same matrix: solve the first, repeat its top
+    if all(d == 0 for d, _ in phases):  # every sample is the same matrix: solve the first, repeat its top
         copies, thetas = thetas.size, thetas[:1]
     tops = []
     for start in range(0, thetas.size, step):
         chunk = thetas[start:start + step]
         values = np.zeros((chunk.size, at.size), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            for d, cells in phases:
+            for d, blocks in phases:
                 phase = np.exp(1j * d * chunk)[:, None]
-                for j, weighted in cells:
+                for j, weighted in blocks:
                     values[:, j] += phase * weighted
-        w = _checked_eigenvalues(values, at, mirror, groups, stored, lambda i: name_of(start + i), size.max(initial=0.0))
+        w = _checked_eigenvalues(values, at, mirror, groups, stored, lambda i: name_of(start + i), magnitude)
         tops.append(w[:, -1])
     return np.concatenate(tops).repeat(copies) if tops else np.empty(0)
 

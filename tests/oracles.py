@@ -47,7 +47,10 @@ reference blocks scatter a compression's listed entries into padded (k, s, s)
 sector stacks, and the reference dense matrix places those stacks in the
 graded-lex layout (one sector spanning the basis is its own matrix), the way
 CompressionMatrix.blocks and dense did before every reader applied the cell
-listing.
+listing.  The reference top eigenvalues sum a slice's Fourier blocks on the
+union of their cells, one column per cell found by np.unique, the way
+top_eigenvalues did before galerkin._fourier_blocks keyed the columns by
+winding offset.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from itertools import product
 
 import numpy as np
 
+from hankel_spectra import galerkin
 from hankel_spectra.boundary import slice_symbol
 
 from hankel_spectra.core import (
@@ -581,6 +585,61 @@ def one_angle_profile_values(sym, coord: int, num_samples: int, trunc: BasisTrun
         float(top_eigenvalues(fourier, [2.0 * math.pi * j / num_samples], slice_trunc, str)[0])
         for j in range(num_samples)
     ]
+
+
+def reference_top_eigenvalues(fourier, thetas, trunc: BasisTruncation, name_of) -> np.ndarray:
+    """top_eigenvalues(...) with one column per cell of the union of the offset blocks of every G_d.
+
+    The cells come from np.unique over the flat positions of every phase's offset
+    blocks, and each block's entries are summed into the columns np.unique maps its
+    cells to, phase after phase; the samples are chunked and guarded as in
+    top_eigenvalues, and galerkin.MAX_STORED_ENTRIES is read at call time.
+    """
+    for phi in fourier.values():
+        if phi.is_exact or phi.dim != trunc.dim:
+            raise ValueError("top_eigenvalues needs float symbols of the basis dim")
+    by_phase: dict[int, dict] = {}
+    for w, phi in fourier.items():
+        for v, chi in fourier.items():
+            for delta, pairs in galerkin._pair_offsets(phi.terms, chi.terms).items():
+                by_phase.setdefault(w - v, {}).setdefault(delta, []).extend(pairs)
+    offsets = frozenset(delta for part in by_phase.values() for delta in part)
+    groups, (row_start, col_pos, stored), _ = galerkin._sectors(trunc, offsets)
+    step = galerkin.MAX_STORED_ENTRIES // stored
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = [(d, list(galerkin._kernel_blocks(part, trunc, False))) for d, part in by_phase.items()]
+    cells = [(r, c) for _, part in kernel for _, r, c, _ in part] or [(np.empty(0, np.intp),) * 2]
+    # one column per cell: an offset block lists each cell once, but the G_d of several d share cells
+    at, first, column = np.unique(
+        np.concatenate([row_start[r] + col_pos[c] for r, c in cells]), return_index=True, return_inverse=True
+    )
+    mirror = np.concatenate([row_start[c] + col_pos[r] for r, c in cells])[first]
+    columns = iter(np.split(column, np.cumsum([r.size for r, _ in cells])[:-1]))
+    size = np.zeros(at.size)
+    phases = []  # (d, [(columns, entries) of each offset block of G_d])
+    for d, part in kernel:
+        cells = [(next(columns), weighted) for _, _, _, weighted in part]
+        for j, weighted in cells:
+            size[j] += np.abs(weighted)
+        phases.append((d, cells))
+    thetas = np.asarray(thetas, dtype=float)
+    copies = 1
+    if set(by_phase) <= {0}:  # every sample is the same matrix: solve the first, repeat its top
+        copies, thetas = thetas.size, thetas[:1]
+    tops = []
+    for start in range(0, thetas.size, step):
+        chunk = thetas[start:start + step]
+        values = np.zeros((chunk.size, at.size), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for d, cells in phases:
+                phase = np.exp(1j * d * chunk)[:, None]
+                for j, weighted in cells:
+                    values[:, j] += phase * weighted
+        w = galerkin._checked_eigenvalues(
+            values, at, mirror, groups, stored, lambda i: name_of(start + i), size.max(initial=0.0)
+        )
+        tops.append(w[:, -1])
+    return np.concatenate(tops).repeat(copies) if tops else np.empty(0)
 
 
 def sup_norm_on_torus(sym, samples: int) -> float:

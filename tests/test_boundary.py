@@ -37,6 +37,7 @@ from oracles import (
     profile_fourier_symbols,
     reference_checked_eigenvalues,
     reference_profile_values,
+    reference_top_eigenvalues,
     solve_outcome,
     sup_norm_on_torus,
 )
@@ -65,6 +66,13 @@ def test_slice_symbol_guards():
         slice_symbol(parse_symbol("zb1*zb2"), 0.5, 1)
     with pytest.raises(ValueError):
         slice_symbol(parse_symbol("zb1*zb2"), CRat(2), 1)
+
+
+@pytest.mark.parametrize("q", [complex("nan"), complex(math.nan, 0.0), complex("inf")], ids=["nan", "nan-real", "inf"])
+def test_slice_symbol_refuses_a_non_finite_point(q):
+    # |abs(q) - 1| > tol is False for NaN: the test must refuse what it cannot show to be unimodular
+    with pytest.raises(ValueError, match=r"^slice point must satisfy \|q\| = 1, got \|q\| = (nan|inf)$"):
+        slice_symbol(parse_symbol("zb1*(zb2+1)"), q, 2)
 
 
 def test_profile_monomial_constant():
@@ -278,6 +286,75 @@ def test_cell_route_parity_with_block_stacks_on_profile_batches(case, coord, sca
         with contextlib.suppress(ValueError):
             slice_norm_profile(sym, coord, samples, trunc)
     assert batches
+
+
+# the parity profiles, the zero symbol (no Fourier symbol at all) and a two-term symbol of one
+# winding in either coordinate, whose samples are one matrix solved once
+_FOURIER_CASES = _PARITY_PROFILES + [("0", 2), ("0", 3), ("zb1*zb2^2 + (2-i)*z1*zb1^2*zb2^2", 2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(_FOURIER_CASES),
+    st.integers(1, 3),
+    st.sampled_from([1.0, 0.5 + 1j, 1e-3, 1e150, 7e153, 1e200]),
+    st.lists(st.floats(-7.0, 7.0), max_size=12),
+    st.integers(0, 5),
+    st.sampled_from([None, 1, 2, 3]),
+)
+@example(("0", 2), 1, 1.0, [0.0, 1.0], 3, None)
+@example(("zb1*zb2^2 + (2-i)*z1*zb1^2*zb2^2", 2), 2, 1e200, [0.5, 1.5, 2.5], 2, 1)
+@example(("zb1*(zb2-1) + z1*zb1*zb2", 2), 2, 1.0, [0.0, 0.1, 0.2, 0.3, 0.4], 4, 2)
+def test_fourier_route_parity_with_the_cell_union(case, coord, scale, thetas, n_cap, chunk):
+    # top_eigenvalues, its columns keyed by winding offset, must give the cell-union route's
+    # eigenvalues bit for bit, or its first error, also over chunks of 1-3 samples
+    from hankel_spectra import galerkin
+
+    text, dim = case
+    sym, coord = parse_symbol(text, dim).as_float() * scale, min(coord, dim)
+    slice_trunc = BasisTruncation(min(n_cap, 3) if dim == 3 else n_cap, dim - 1)
+    fourier = profile_fourier_symbols(sym, coord)
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            phis = fourier.values()
+            offsets = {d for phi in phis for chi in phis for d in galerkin._pair_offsets(phi.terms, chi.terms)}
+            patch.setattr(galerkin, "MAX_STORED_ENTRIES", chunk * galerkin._sectors(slice_trunc, frozenset(offsets))[1][2])
+        want = solve_outcome(lambda: reference_top_eigenvalues(fourier, thetas, slice_trunc, "s{}".format))
+        assert solve_outcome(lambda: galerkin.top_eigenvalues(fourier, thetas, slice_trunc, "s{}".format)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_PARITY_PROFILES),
+    st.integers(1, 3),
+    st.sampled_from([1.0, 0.5 + 1j, 1e-3, 1e150]),
+    st.floats(-7.0, 7.0),
+    st.integers(0, 5),
+)
+def test_fourier_blocks_sum_to_the_slice_compression(case, coord, scale, theta, n_cap):
+    # sum_d e^{i d theta} G_d, read off the columns of _fourier_blocks, must be the compression of
+    # the slice at e^{i theta}: its listed entries within rounding of the largest sum of |G_d|, and
+    # zero to that bound on every other cell
+    from hankel_spectra import galerkin
+
+    text, dim = case
+    sym, coord = parse_symbol(text).as_float() * scale, min(coord, dim)
+    slice_trunc = BasisTruncation(min(n_cap, 3) if dim == 3 else n_cap, dim - 1)
+    size = slice_trunc.size
+    groups, stored, at, mirror, phases, magnitude = galerkin._fourier_blocks(profile_fourier_symbols(sym, coord), slice_trunc)
+    row_start, col_pos, _ = galerkin._layout(groups, size)
+    cell = np.empty(stored, dtype=np.intp)  # flat layout position -> graded-lex i * size + j
+    for g in groups:
+        cell[row_start[g][:, :, None] + col_pos[g][:, None, :]] = g[:, :, None] * size + g[:, None, :]
+    assert np.array_equal(cell[mirror], cell[at] % size * size + cell[at] // size)  # (j, i) of every (i, j)
+    got = np.zeros(size * size, dtype=complex)
+    for d, blocks in phases:
+        for j, weighted in blocks:
+            got[cell[at[j]]] += cmath.exp(1j * d * theta) * weighted
+    mat = assemble(slice_symbol(sym, cmath.exp(1j * theta), coord), slice_trunc)
+    rows, cols, _ = mat.cells
+    assert np.isin(rows * size + cols, cell[at]).all()
+    assert np.abs(got - mat.dense.ravel()).max() <= 1e-13 * max(1.0, magnitude)
 
 
 def test_profile_keeps_the_non_finite_guard():
