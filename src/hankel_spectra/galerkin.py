@@ -706,13 +706,13 @@ def eigenvalues(mat: CompressionMatrix) -> np.ndarray:
 
 
 def _fourier_blocks(fourier, trunc: BasisTruncation):
-    """(groups, stored, at, mirror, phases, magnitude): the blocks G_d of sum_w e^{i w theta} phi_w.
+    """(groups, layout, rows, cols, phases, magnitude): the blocks G_d of sum_w e^{i w theta} phi_w.
 
     A term pair of fourier's float symbols phi_w and phi_v has the phase e^{i d theta},
-    d = w - v; groups and stored are the sectors of the union of the offsets.  A cell
-    (i, j) lies only in the box of the offset j - i, whatever the phase, so columns are
-    keyed by offset, one range each: at and mirror list its cells' layout positions and
-    their mirrors'.  phases holds (d, [(columns, entries)]) per offset block of G_d
+    d = w - v; groups and layout are the sectors of the union of the offsets (_sectors).
+    A cell (i, j) lies only in the box of the offset j - i, whatever the phase, so columns
+    are keyed by offset, one range each: column k is the cell (rows[k], cols[k]) in
+    graded-lex positions.  phases holds (d, [(columns, entries)]) per offset block of G_d
     (_kernel_blocks); magnitude is the largest sum of |G_d| over one entry.
     """
     if any(phi.is_exact or phi.dim != trunc.dim for phi in fourier.values()):
@@ -722,7 +722,7 @@ def _fourier_blocks(fourier, trunc: BasisTruncation):
         for delta, pairs in _pair_offsets(phi.terms, chi.terms).items():
             by_phase.setdefault(w - v, {}).setdefault(delta, []).extend(pairs)
     offsets = dict.fromkeys(delta for part in by_phase.values() for delta in part)
-    groups, (row_start, col_pos, stored), _ = _sectors(trunc, frozenset(offsets))
+    groups, layout, _ = _sectors(trunc, frozenset(offsets))
     boxes = {delta: np.stack(box[2:]).reshape(2, -1) for delta in offsets if (box := _offset_block(trunc, delta))}
     rows, cols = np.concatenate([np.empty((2, 0), dtype=np.intp), *boxes.values()], axis=1)
     ends = np.cumsum([0] + [box.shape[1] for box in boxes.values()]).tolist()
@@ -734,7 +734,7 @@ def _fourier_blocks(fourier, trunc: BasisTruncation):
         for j, weighted in blocks:
             size[j] += np.abs(weighted)
         phases.append((d, blocks))
-    return groups, stored, row_start[rows] + col_pos[cols], row_start[cols] + col_pos[rows], phases, size.max(initial=0.0)
+    return groups, layout, rows, cols, phases, size.max(initial=0.0)
 
 
 def top_eigenvalues(fourier, thetas, trunc: BasisTruncation, name_of) -> np.ndarray:
@@ -751,7 +751,8 @@ def top_eigenvalues(fourier, thetas, trunc: BasisTruncation, name_of) -> np.ndar
     (k, 1) phase column by a one-entry block on different paths for k > 1 and k = 1, so a theta
     solved alone can differ in the last ulp from one in a batch; compare bits within one layout.
     """
-    groups, stored, at, mirror, phases, magnitude = _fourier_blocks(fourier, trunc)
+    groups, (row_start, col_pos, stored), rows, cols, phases, magnitude = _fourier_blocks(fourier, trunc)
+    at, mirror = row_start[rows] + col_pos[cols], row_start[cols] + col_pos[rows]
     step = MAX_STORED_ENTRIES // stored
     thetas = np.asarray(thetas, dtype=float)
     copies = 1
