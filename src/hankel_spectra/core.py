@@ -289,7 +289,8 @@ def _exact_order(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         return order
     runs = np.flatnonzero(np.concatenate(([True], ~near)))  # starts of chained near-ties
     bounds = np.append(runs, len(order))
-    for r in np.unique(np.searchsorted(runs, mixed, side="right") - 1):
+    # the distinct runs, ascending; an option-less np.unique would import numpy.ma to check for a mask
+    for r in sorted(set((np.searchsorted(runs, mixed, side="right") - 1).tolist())):
         s, e = bounds[r], bounds[r + 1]
         order[s:e] = sorted(order[s:e].tolist(), key=lambda i: Fraction(int(num[i]), int(den[i])))
     return order

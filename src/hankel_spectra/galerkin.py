@@ -200,7 +200,8 @@ def _sectors(trunc: BasisTruncation, offsets: frozenset):
                 label = label[label]
     order = np.argsort(label, kind="stable")
     _, starts, counts = np.unique(label[order], return_index=True, return_counts=True)
-    groups = tuple(order[starts[counts == s][:, None] + np.arange(s)] for s in np.unique(counts))
+    # the distinct sizes, ascending; an option-less np.unique would import numpy.ma to check for a mask
+    groups = tuple(order[starts[counts == s][:, None] + np.arange(s)] for s in np.flatnonzero(np.bincount(counts)))
     row_start, col_pos, stored = _layout(groups, trunc.size)
     if stored > MAX_STORED_ENTRIES:
         s = groups[-1].shape[1]
@@ -385,13 +386,24 @@ class CompressionMatrix:
 
     @cached_property
     def symbol_hash(self) -> str:
-        """The first 12 hex digits of the sha256 of the symbol's sorted JSON; a loaded dump's dumped_hash."""
+        """The first 12 hex digits of the sha256 of the symbol's sorted JSON; a loaded dump's dumped_hash.
+
+        The digest comes from the interpreter's built-in SHA-256 (_sha2 from CPython 3.12, _sha256
+        before), the one hashlib falls back to without OpenSSL: hashlib maps OpenSSL's libcrypto,
+        about 3.7 MB of resident memory, to hash about 100 bytes.  hashlib is imported only when
+        neither module is built; every implementation gives the same digest."""
         if self.symbol is None:
             return self.dumped_hash
-        import hashlib
         import json
 
-        return hashlib.sha256(json.dumps(self.symbol.to_json_obj(), sort_keys=True).encode()).hexdigest()[:12]
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            try:
+                from _sha256 import sha256
+            except ImportError:
+                from hashlib import sha256
+        return sha256(json.dumps(self.symbol.to_json_obj(), sort_keys=True).encode()).hexdigest()[:12]
 
     @cached_property
     def listing(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

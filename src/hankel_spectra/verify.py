@@ -215,7 +215,7 @@ def _suite_matrix_roundtrip() -> tuple[bool, dict]:
         dump_matrix(mat, buf)
         buf.seek(0)
         back = load_matrix(buf)
-        checks[f"{expr} x {scale}"] = matrices_equal(back, mat)
+        checks[f"{expr} x {scale}"] = matrices_equal(back, mat) and back.symbol_hash == mat.symbol_hash
     return all(checks.values()), {"checks": checks}
 
 

@@ -10,6 +10,10 @@ from itertools import product
 import dataclasses
 import functools
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -978,6 +982,44 @@ def test_dump_digest(capsys, tmp_path, name):
     assert main([*argv, "--dump-matrix", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def _sorted_json_sha256(sym) -> str:
+    """The dump header's symbol tag as hashlib computes it: the oracle of symbol_hash."""
+    return hashlib.sha256(json.dumps(sym.to_json_obj(), sort_keys=True).encode()).hexdigest()[:12]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_symbols(), st.integers(0, 2), st.sampled_from(["exact", "float", "mixed", "zero", "float zero"]), st.data())
+def test_symbol_hash_is_the_hashlib_sha256_of_the_sorted_json(sym, n_cap, kind, data):
+    if kind == "mixed":
+        floats = data.draw(st.lists(st.booleans(), min_size=len(sym.terms), max_size=len(sym.terms)))
+        sym = PolySymbol([(complex(c) if f else c, h, a) for (c, h, a), f in zip(sym.terms, floats)], dim=sym.dim)
+    if kind.startswith("float"):
+        sym = sym.as_float()
+    if kind.endswith("zero"):
+        sym = sym * 0
+    mat = assemble(sym, BasisTruncation(n_cap, sym.dim))
+    assert mat.symbol_hash == _sorted_json_sha256(sym)
+    buf = io.StringIO()
+    dump_matrix(mat, buf)
+    buf.seek(0)
+    assert load_matrix(buf).symbol_hash == mat.symbol_hash
+
+
+def test_symbol_hash_falls_back_to_hashlib_without_the_builtin_sha256():
+    # with both built-in modules missing, only hashlib can give the tag
+    expr = "(1/2+i)*zb1*(zb2+1) - 3/4*z1*zb2"
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from hankel_spectra import BasisTruncation, assemble, parse_symbol\n"
+        f"print(assemble(parse_symbol({expr!r}), BasisTruncation(2, 2)).symbol_hash)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"{_sorted_json_sha256(parse_symbol(expr))}\n"
 
 
 def _per_cell_dump(m) -> str:

@@ -14,8 +14,14 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 ENGINES = ("hankel_spectra.galerkin", "hankel_spectra.boundary", "hankel_spectra.quasihomog", "hankel_spectra.verify")
 
-# prints which of ENGINES and hashlib the process has loaded
-LOADED = "print(sorted(m for m in sys.modules if m in %r or m == 'hashlib'))" % (ENGINES,)
+# modules a command loads only for a library call it can do without: hashlib and OpenSSL's
+# _hashlib for one SHA-256 of about 100 bytes, numpy.ma for an option-less np.unique
+WATCHED = ("_hashlib", "hashlib", "numpy.ma")
+# imports the CLI, then records the modules that import loaded: numpy 1.x imports numpy.ma,
+# and through numpy.random hashlib, on its own import
+PRELUDE = "import contextlib, io, sys\nimport hankel_spectra.cli as cli\nbase = set(sys.modules)\n"
+# prints which of ENGINES the process has loaded, and which of WATCHED it loaded after PRELUDE
+LOADED = "print(sorted(m for m in sys.modules if m in %r or m in %r and m not in base))" % (ENGINES, WATCHED)
 
 
 def fresh(code: str) -> str:
@@ -28,9 +34,8 @@ def fresh(code: str) -> str:
 
 def test_importing_the_cli_and_running_exact_load_no_engine():
     out = fresh(
-        "import contextlib, io, sys\n"
-        "import hankel_spectra.cli as cli\n"
-        f"{LOADED}\n"
+        PRELUDE
+        + f"{LOADED}\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['exact', 'zb1^2*zb2', '--cap', '3']) == 0\n"
         "    assert cli.main(['exact', 'zb1', '--dim', '2', '--cap', '2', '--format', 'csv']) == 0\n"
@@ -47,27 +52,37 @@ def test_importing_the_cli_and_running_exact_load_no_engine():
     ],
 )
 def test_approx_and_boundary_load_only_what_they_run(argv, loaded):
-    # approx without --dump-matrix reads no symbol hash, so hashlib stays unloaded too
     out = fresh(
-        "import contextlib, io, sys\n"
-        "import hankel_spectra.cli as cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        PRELUDE
+        + "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main({argv!r}) == 0\n"
         f"{LOADED}\n"
     )
     assert out == f"{loaded}\n"
 
 
-def test_a_dump_reads_the_symbol_hash(tmp_path):
-    # the control of the test above: the dump header's hash is where hashlib comes in
+def test_a_dump_hashes_the_symbol_without_hashlib(tmp_path):
+    # the header's symbol hash takes the interpreter's built-in SHA-256, not OpenSSL's
+    path = tmp_path / "m.txt"
     out = fresh(
-        "import contextlib, io, sys\n"
-        "import hankel_spectra.cli as cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.main(['approx', 'zb1', '--degree', '2', '--dump-matrix', {str(tmp_path / 'm.txt')!r}]) == 0\n"
+        PRELUDE
+        + "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['approx', 'zb1', '--degree', '2', '--dump-matrix', {str(path)!r}]) == 0\n"
         f"{LOADED}\n"
     )
-    assert out == "['hankel_spectra.galerkin', 'hashlib']\n"
+    assert out == "['hankel_spectra.galerkin']\n"
+    assert path.read_text().startswith("hankel-spectra-matrix v1 dim=1 N=2 symbol=edc6dd3f585b exact=1\n")
+
+
+def test_verify_loads_every_engine_and_nothing_it_can_do_without():
+    # the matrix-roundtrip suite dumps a compression, so this covers the symbol hash too
+    out = fresh(
+        PRELUDE
+        + "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify']) == 0\n"
+        f"{LOADED}\n"
+    )
+    assert out == f"{sorted(ENGINES)}\n"
 
 
 @pytest.mark.parametrize(
