@@ -45,46 +45,7 @@ _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisTruncation",
-    "CRat",
-    "CompressionMatrix",
-    "EigenRecord",
-    "EssentialSetPrediction",
-    "KernelVector",
-    "MonomialSymbol",
-    "MultiplicityClass",
-    "PolySymbol",
-    "Provenance",
-    "QhBranch",
-    "QhEigenvalue",
-    "QuasiHomogeneousSymbol",
-    "RadialProfile",
-    "SliceNormProfile",
-    "SpectrumSet",
-    "SymbolClass",
-    "SymbolParseError",
-    "assemble",
-    "assemble_via_toeplitz",
-    "circle_abs_sq_range",
-    "containment_report",
-    "enumerate_essential_spectrum",
-    "enumerate_spectrum",
-    "eigenvalues",
-    "essential_part",
-    "lambda_value",
-    "matrices_equal",
-    "monomial_norm_sq",
-    "multiplicity_class",
-    "parse_symbol",
-    "product_essential_prediction",
-    "qh_eigenvalue",
-    "qh_eigenvalue_box",
-    "radial_integral",
-    "slice_norm_profile",
-    "slice_symbol",
-    "weyl_residual",
-]
+__all__ = sorted(_HOMES)
 
 
 def __getattr__(name: str):

@@ -6,17 +6,16 @@ never converted to float in exact mode.  Exit codes: 0 success, 1 verification
 failure, 2 usage error, 141 stdout closed by its reader (128 + SIGPIPE).
 
 A request's fixed work is done once per process: the argument parser is built
-by the first main call and reused by every later one.  The approx and
-boundary documents are laid out in one pass: lists of finite floats
-(eigenvalues, profile samples) are joined from their float reprs by hand, byte
-for byte what json.dumps(..., indent=2) writes, and json.dumps lays out the
-rest.  The verify document holds no such list: json.dumps lays it out directly.
-exact writes its document block by block: json.dumps lays out the frame, and
-the records, in blocks of about _BLOCK_WITNESSES witnesses, are written out in
-chunks of about _CHUNK_CHARS characters as they are made, so the memory it
-takes stops growing with the document: the one-shot peak RSS of
-z1*zb1*zb2^2*zb3 at --dim 3 --cap 44, a 43 MB document at the enumeration
-budget's edge, fell from 143 MB to 45 MB (Python 3.11, numpy 2.4, x86-64 Linux).
+by the first main call and reused by every later one.  Every JSON document
+(approx, boundary, exact and verify) is written by one writer, _json_dump, as a
+stream of texts: json.dumps lays out only the frame, lists of finite floats or
+flat dicts (eigenvalues, profile samples) are joined from their texts by hand,
+byte for byte what json.dumps(..., indent=2) writes, and exact's records are
+written one block of about _BLOCK_WITNESSES witnesses at a time, as each block
+is made, so the memory exact takes stops growing with the document: the
+one-shot peak RSS of z1*zb1*zb2^2*zb3 at --dim 3 --cap 44, a 43 MB document at
+the enumeration budget's edge, fell from 143 MB to 45 MB (Python 3.11, numpy
+2.4, x86-64 Linux).  exact's CSV is written block by block too.
 
 A process imports what its subcommands run.  Importing this module loads numpy
 and core, multiindex, rational and symbols, all that exact needs; approx
@@ -85,28 +84,32 @@ class _StdoutClosed(Exception):
     """The reader of stdout went away (e.g. `| head`); main exits 141, as a SIGPIPE death would."""
 
 
-def _emit(text: str | Iterable[str], out: str | None) -> None:
-    """Write text, a string or an iterable of strings, to stdout or to the file out,
-    each string as soon as the iterable makes it (exact's document, chunk by chunk).
+def _emit(texts: Iterable[str], out: str | None) -> None:
+    """Write the texts to stdout or to the file out, each as soon as the iterable
+    makes it (exact's document, record block by record block).
 
-    On stdout a final newline is added if the text does not end in one, and a
-    reader that went away raises _StdoutClosed; any other OSError, e.g. a full
-    disk, reaches main's one-line error path.
+    On stdout a final newline is added if the last text does not end in one, and
+    a reader that went away raises _StdoutClosed; any other OSError, e.g. a full
+    disk, reaches main's one-line error path.  Either way stdout is pointed at
+    devnull first (the recipe of Python's signal docs), so that the interpreter's
+    last flush cannot fail again on what the failed write left buffered.
     """
-    chunks = [text] if isinstance(text, str) else text
     if out is None:
         try:
             last = ""
-            for last in chunks:
+            for last in texts:
                 sys.stdout.write(last)
             if not last.endswith("\n"):
                 sys.stdout.write("\n")
             sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's last flush
-        except BrokenPipeError:
-            raise _StdoutClosed from None
+        except OSError as exc:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                raise _StdoutClosed from None
+            raise
     else:
         with open(out, "w") as fh:
-            fh.writelines(chunks)
+            fh.writelines(texts)
 
 
 # What json.dumps lays out in place of text written by hand, and its JSON text
@@ -114,35 +117,33 @@ _HOLE = "\0"
 _HOLE_TEXT = json.dumps(_HOLE)
 
 
-def _json_dump(obj: dict) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2), byte for byte.
+def _json_dump(obj: dict) -> Iterator[str]:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, as a stream of texts.
 
     json.dumps with indent runs CPython's pure-Python encoder, one call per
     float of a long eigenvalue or sample list.  Here json.dumps lays out only the
-    frame, obj with each such list held as _HOLE (see _holed), and each list is
-    written as one join of float.__repr__ texts, json.dumps's own text for a
-    finite float.  The frame splits on _HOLE's JSON text once per hole, unless a
-    string of obj writes that text too (e.g. "\\0" itself): then json.dumps lays
-    out all of obj.
+    frame, obj with each hand-laid list held as _HOLE (see _holed), and each hole
+    is filled either by one join of the list's float.__repr__ or flat-dict texts,
+    json.dumps's own text for them, or by the texts of a stream that obj holds in
+    the list's place (exact's records), each written as it is made.  The frame
+    splits on every _HOLE_TEXT that is a value of its own: inside a string
+    json.dumps writes a '"' as '\\"', and a key is followed by ":".  A string
+    equal to _HOLE is a hole of its own, filled with _HOLE_TEXT.
     """
-    runs: list[str] = []
-    frame = _holed(obj, 0, runs)
-    text = json.dumps(frame, sort_keys=True, indent=2)
-    if not runs:
-        return text
-    pieces = text.split(_HOLE_TEXT)
-    if len(pieces) != len(runs) + 1:
-        return json.dumps(obj, sort_keys=True, indent=2)
-    out = [pieces[0]]
-    for run, piece in zip(runs, pieces[1:]):
-        out += (run, piece)
-    return "".join(out)
+    runs: list = []
+    frame = json.dumps(_holed(obj, 0, runs), sort_keys=True, indent=2)
+    pieces = re.split(r"(?<!\\)" + re.escape(_HOLE_TEXT) + "(?!:)", frame)
+    yield pieces[0]
+    for run, piece in zip(runs, pieces[1:], strict=True):
+        yield from [run] if isinstance(run, str) else run
+        yield piece
 
 
-def _holed(obj, depth: int, runs: list[str]):
-    """obj with each list that _float_run lays out replaced by _HOLE, its text
-    appended to runs in the order json.dumps(sort_keys=True) meets it; depth
-    counts the containers around obj."""
+def _holed(obj, depth: int, runs: list):
+    """obj with each list that _float_run lays out, each stream of texts and each
+    string equal to _HOLE replaced by _HOLE, and the list's text, the stream or
+    _HOLE_TEXT appended to runs in the order json.dumps(sort_keys=True) meets it;
+    depth counts the containers around obj."""
     if isinstance(obj, dict):
         return {key: _holed(obj[key], depth + 1, runs) for key in sorted(obj)}
     if isinstance(obj, (list, tuple)):
@@ -150,6 +151,12 @@ def _holed(obj, depth: int, runs: list[str]):
         if text is None:
             return [_holed(item, depth + 1, runs) for item in obj]
         runs.append(text)
+        return _HOLE
+    if isinstance(obj, Iterator):
+        runs.append(obj)
+        return _HOLE
+    if obj == _HOLE:
+        runs.append(_HOLE_TEXT)
         return _HOLE
     return obj
 
@@ -216,10 +223,6 @@ def _csv_rows(rows: Iterable) -> str:
     return buf.getvalue()
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    return _csv_rows(itertools.chain([header], rows))
-
-
 # The head of a record of the exact document ("spectrum" or "essential" ->
 # "records" -> [...]) as json.dumps(..., indent=2) lays it out, up to its
 # provenance list, per (in_essential, is_eigenvalue, is_limit_point,
@@ -244,17 +247,13 @@ _WITNESS = {
     ),
     "csv": ("alpha=(%(alpha)s) B=(%(B)s)", ",", ";"),
 }
-# Each "records" value of the exact document's frame, and the pair its text is split on
-_RECORDS_HOLE = '"records": ' + _HOLE_TEXT
 
 
-# The exact document is rendered in blocks of whole records that hold about
-# _BLOCK_WITNESSES witnesses and at most that many records (a record with more
-# witnesses is a block of its own), and handed on in chunks of at most _CHUNK_CHARS
-# characters (or one longer block): what it holds at once is one block's texts and
-# one chunk, however long the document.
+# The exact document is rendered and written in blocks of whole records that hold
+# about _BLOCK_WITNESSES witnesses and at most that many records (a record with more
+# witnesses is a block of its own): what it holds at once is one block's texts,
+# however long the document.
 _BLOCK_WITNESSES = 2048
-_CHUNK_CHARS = 1 << 18
 
 
 def _value_texts(spec: SpectrumSet) -> list[str]:
@@ -307,12 +306,12 @@ def _record_texts(spec: SpectrumSet, fmt: str, essential_texts: set | None):
     )
 
 
-def _json_records(spec: SpectrumSet, essential_texts: set | None, rest: str) -> Iterator[str]:
-    """The text of spec's "records" pair in the exact JSON, one string per block, rest after them."""
+def _json_records(spec: SpectrumSet, essential_texts: set | None) -> Iterator[str]:
+    """The text of spec's "records" list in the exact JSON, one string per block."""
     if not len(spec.num):
-        yield '"records": []' + rest
+        yield "[]"
         return
-    pieces, left = ['"records": [\n      '], len(spec.num)
+    pieces, left = ["[\n      "], len(spec.num)
     for block in _record_blocks(spec):
         for text, float_text, eig, lp, code, in_essential, entries in _record_texts(block, "json", essential_texts):
             provenance = f"[\n          {entries}\n        ]" if entries else "[]"
@@ -322,7 +321,6 @@ def _json_records(spec: SpectrumSet, essential_texts: set | None, rest: str) -> 
         if not left:
             # the separator after the last record closes the list
             pieces[-1] = "\n      }\n    ]"
-            pieces.append(rest)
         yield "".join(pieces)
         pieces = []
 
@@ -342,64 +340,43 @@ def _csv_records(spec: SpectrumSet, essential_texts: set) -> Iterator[str]:
         yield _csv_rows(rows)
 
 
-def _chunked(blocks: Iterable[str]) -> Iterator[str]:
-    """The texts of blocks joined into chunks of at most _CHUNK_CHARS characters, or of one
-    longer block.  A chunk of one block is that block's text itself, copied no further."""
-    pending, size = [], 0
-    for text in blocks:
-        if pending and size + len(text) > _CHUNK_CHARS:
-            yield "".join(pending)
-            pending, size = [], 0
-        pending.append(text)
-        size += len(text)
-    if pending:
-        yield "".join(pending)
-
-
 def _exact_document(
     fmt: str, symbol: str, mono: MonomialSymbol, alpha_cap: int, spectrum: SpectrumSet, essential: SpectrumSet
 ) -> Iterator[str]:
-    """The exact command's output in fmt, as chunks of text: "json", byte for byte
-    json.dumps(obj, sort_keys=True, indent=2), or "csv", the spectrum records only.
+    """The exact command's output in fmt, as a stream of texts: "json", byte for
+    byte json.dumps(obj, sort_keys=True, indent=2), or "csv", the spectrum records
+    only.
 
-    Both write the records straight from the SpectrumSet tables, a block of
-    records at a time (see _record_blocks), with one set of per-record texts per
-    block (see _record_texts) and no Fraction or record object; a chunk is made
-    only when it is read.  For "json", json.dumps lays out the frame, the
-    document with each "records" held as _HOLE; it splits into three parts on
-    _RECORDS_HOLE, which no string value holds, since json.dumps escapes every
-    '"' in one.  The parts and each record's pieces (cached head, provenance
-    entries, value texts) are joined a chunk at a time.  in_essential looks a
-    value's text up in the essential values' texts ("num/den" of reduced values
-    is injective, so this agrees with comparing values).
+    Both write the records straight from the SpectrumSet tables, one text per
+    block of records (see _record_blocks), with one set of per-record texts per
+    block (see _record_texts) and no Fraction or record object; a block's text
+    is made only when it is read.  For "json", _json_dump lays out the document
+    with each "records" list held as the stream of _json_records, which joins
+    each record's pieces (cached head, provenance entries, value texts) a block
+    at a time.  in_essential looks a value's text up in the essential values'
+    texts ("num/den" of reduced values is injective, so this agrees with
+    comparing values).
     """
     essential_texts = set(_value_texts(essential))
     if fmt == "csv":
-        return _chunked(_csv_records(spectrum, essential_texts))
+        return _csv_records(spectrum, essential_texts)
 
-    def frame(spec: SpectrumSet) -> dict:
+    def frame(spec: SpectrumSet, texts: set | None) -> dict:
         fields = ("alpha_cap", "contains_zero", "kind", "note", "truncated")
-        return {key: getattr(spec, key) for key in fields} | {"records": _HOLE}
+        return {key: getattr(spec, key) for key in fields} | {"records": _json_records(spec, texts)}
 
-    head, between, tail = json.dumps(
+    return _json_dump(
         {
             "alpha_cap": alpha_cap,
             "command": "exact",
             "dim": mono.dim,
-            "essential": frame(essential),
+            "essential": frame(essential, None),
             "m": list(mono.antiholo),
             "multiplicity_class": multiplicity_class(mono).value,
             "n": list(mono.holo),
-            "spectrum": frame(spectrum),
+            "spectrum": frame(spectrum, essential_texts),
             "symbol": symbol,
-        },
-        sort_keys=True,
-        indent=2,
-    ).split(_RECORDS_HOLE)
-    return _chunked(
-        itertools.chain(
-            [head], _json_records(essential, None, between), _json_records(spectrum, essential_texts, tail)
-        )
+        }
     )
 
 
@@ -424,7 +401,7 @@ def cmd_exact(args) -> int:
     # value of a document that holds thousands of provenance entries, and a
     # dict per record costs the CSV more than writing it: json.dumps lays out
     # only the document's frame, and the records of either format are written
-    # from one set of per-record texts, a block of records at a time, each chunk
+    # from one set of per-record texts, a block of records at a time, each block
     # written out before the next is made
     _emit(_exact_document(args.format, sym.to_expression(), mono, args.cap, spectrum, essential), args.out)
     return 0
@@ -462,8 +439,8 @@ def cmd_approx(args) -> int:
         "eigenvalues": w.tolist(),
     }
     if args.format == "csv":
-        rows = [[i, repr(float(x))] for i, x in enumerate(w)]
-        _emit(_csv_text(["index", "eigenvalue"], rows), args.out)
+        rows = [["index", "eigenvalue"], *([i, repr(float(x))] for i, x in enumerate(w))]
+        _emit([_csv_rows(rows)], args.out)
     else:
         _emit(_json_dump(obj), args.out)
     return 0
@@ -486,8 +463,8 @@ def cmd_boundary(args) -> int:
         raise ValueError(f"--coord must lie in 1..{sym.dim}")
     report = boundary_report(sym, coord, samples, BasisTruncation(args.degree, sym.dim))
     if args.format == "csv":
-        rows = [[repr(s["theta"]), repr(s["lambda_q"])] for s in report["profile"]["samples"]]
-        _emit(_csv_text(["theta", "lambda_q"], rows), args.out)
+        rows = [["theta", "lambda_q"], *([repr(s["theta"]), repr(s["lambda_q"])] for s in report["profile"]["samples"])]
+        _emit([_csv_rows(rows)], args.out)
     else:
         _emit(_json_dump({"command": "boundary", "symbol": str(sym), "dim": sym.dim, "coord": coord} | report), args.out)
     return 0
@@ -496,7 +473,7 @@ def cmd_boundary(args) -> int:
 def cmd_verify(args) -> int:
     _bind("verify")
     report = run_verify(args.suite)
-    _emit(json.dumps(report, sort_keys=True, indent=2), args.out)
+    _emit(_json_dump(report), args.out)
     return 0 if report["passed"] else 1
 
 
@@ -581,8 +558,6 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(_dashed_symbols_last(sys.argv[1:] if argv is None else list(argv)))
         return args.func(args)
     except _StdoutClosed:
-        # the recipe of Python's signal docs: stdout at devnull, so that the final flush cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
